@@ -16,12 +16,9 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from orbitgap.padic import is_prime
 from orbitgap.polynomials import PolyMap
 from orbitgap.reduction import ProblemInstance, avoidance_search, bad_primes
-
-
-def primes_up_to(hi):
-    return [n for n in range(3, hi + 1) if all(n % d for d in range(2, int(n**0.5) + 1))]
 
 
 if __name__ == "__main__":
@@ -34,7 +31,7 @@ if __name__ == "__main__":
         ((Fraction(3),),),
     )
     bad = bad_primes(inst, search_bound=hi)
-    scan = avoidance_search(inst, primes_up_to(hi), bad)
+    scan = avoidance_search(inst, [p for p in range(3, hi + 1) if is_prime(p)], bad)
     certified = 0
     for i, cert in enumerate(scan.certificates, start=1):
         if cert.certified:

@@ -24,7 +24,6 @@ from .padic import (
     binomial_mod,
     binomial_row,
     exact_div,
-    mahler_evaluate,
 )
 from .polynomials import ModularMap, PolyMap
 from .reduction import (

@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands run the pipeline end to end (analyze) or stage by stage
-(primes, returns, interpolate, gaps); stage commands can replay serialized
-records from a previous run so a single stage is recomputed
-deterministically.  Exit codes: 0 success, 1 hypothesis-violation abort,
-2 input error, 3 precision or budget exhaustion.
+Each subcommand runs its row of the stage table in `pipeline`: analyze the
+whole chain, primes and returns its first stages, and interpolate and gaps
+the later stages, resumed from the --replay records of a previous run so a
+single stage is recomputed deterministically.  A failed stage writes a
+failure record and a `FAILED at stage ...` line.  Exit codes: 0 success,
+1 hypothesis-violation abort, 2 input error, 3 precision or budget
+exhaustion.
 """
 
 from __future__ import annotations
@@ -14,20 +16,8 @@ import dataclasses
 import json
 import sys
 
-from .errors import InputError, OrbitgapError
-from .gaps import ReturnEntry, ReturnSet
-from .pipeline import (
-    RunReport,
-    exit_code_for,
-    render_summary,
-    run_analyze,
-    run_primes,
-    run_returns,
-    stage_density,
-    stage_gaps,
-    stage_interpolation,
-    stage_normalization,
-)
+from .errors import OrbitgapError
+from .pipeline import RunReport, exit_code_for, render_summary, run
 from .problemfile import load_problem
 
 
@@ -70,65 +60,6 @@ def _emit(report: RunReport, out_path: str | None) -> None:
     print(render_summary(report))
 
 
-def _load_replay(path: str, sha: str) -> dict:
-    records: dict[str, list] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                records.setdefault(rec.get("record", "?"), []).append(rec)
-    except OSError as exc:
-        raise InputError(f"cannot read replay records: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed replay records: {exc}") from None
-    for rows in records.values():
-        for rec in rows:
-            if rec.get("problem_sha") and rec["problem_sha"] != sha:
-                raise InputError(
-                    "stale replay: records were produced from a different problem file"
-                )
-    return records
-
-
-def _replayed_prime(records: dict) -> int:
-    rows = records.get("certificates")
-    if not rows:
-        raise InputError("missing upstream artifact: run the primes stage first")
-    for row in rows[-1]["rows"]:
-        if row["verdict"] == "certified":
-            return row["prime"]
-    raise InputError("replay records contain no certified prime")
-
-
-def _replayed_returns(records: dict) -> ReturnSet:
-    rows = records.get("returns")
-    if not rows:
-        raise InputError("missing upstream artifact: run the returns stage first")
-    rec = rows[-1]
-    return ReturnSet(
-        rec["n_max"],
-        tuple(ReturnEntry(n, status) for n, status in rec["entries"]),
-        tuple(rec["screening_primes"]),
-        tuple(rec["refuted"]),
-        rec["exact_horizon"],
-    )
-
-
-def _check_replayed_interpolants(report: RunReport, records: dict) -> None:
-    """Rebuilt interpolants must match any previously recorded ones bit for bit."""
-    old = {rec["shift"]: rec for rec in records.get("interpolant", [])}
-    for rec in report.records:
-        if rec["record"] == "interpolant" and rec["shift"] in old:
-            prev = old[rec["shift"]]
-            if prev["coefficients"] != rec["coefficients"]:
-                raise InputError(
-                    "stale replay: recorded interpolant disagrees with the rebuilt one"
-                )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="orbitgap",
@@ -148,41 +79,7 @@ def main(argv=None) -> int:
 
     try:
         inst, params, sha = load_problem(args.problem)
-        params = _apply_overrides(params, args)
-    except OrbitgapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
-
-    try:
-        if args.command == "primes":
-            report = run_primes(inst, params, sha)
-        elif args.command == "analyze":
-            report = run_analyze(inst, params, sha)
-        elif args.command == "returns":
-            report = run_returns(inst, params, sha)
-        elif args.command == "interpolate":
-            if not args.replay:
-                raise InputError("interpolate needs --replay records from the primes stage")
-            records = _load_replay(args.replay, sha)
-            prime = _replayed_prime(records)
-            report = RunReport(sha)
-            family = stage_normalization(report, inst, params, prime)
-            stage_interpolation(report, params, family)
-            _check_replayed_interpolants(report, records)
-        elif args.command == "gaps":
-            if not args.replay:
-                raise InputError("gaps needs --replay records from earlier stages")
-            records = _load_replay(args.replay, sha)
-            prime = _replayed_prime(records)
-            returns = _replayed_returns(records)
-            report = RunReport(sha)
-            family = stage_normalization(report, inst, params, prime)
-            interps = stage_interpolation(report, params, family)
-            _check_replayed_interpolants(report, records)
-            stage_gaps(report, inst, params, family, interps, returns)
-            stage_density(report, params, returns)
-        else:  # pragma: no cover
-            raise InputError(f"unknown command {args.command}")
+        report = run(args.command, inst, _apply_overrides(params, args), sha, args.replay)
     except OrbitgapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -1,8 +1,7 @@
 """Exception hierarchy shared by all pipeline stages.
 
 The CLI maps these onto exit codes: InputError -> 2, HypothesisViolation -> 1,
-PrecisionExhausted / BudgetExceeded -> 3.  StageFailure wraps any of them with
-the name of the pipeline stage that raised.
+PrecisionExhausted / BudgetExceeded -> 3.
 """
 
 
@@ -34,11 +33,3 @@ class PrecisionExhausted(OrbitgapError):
 class BudgetExceeded(OrbitgapError):
     """A configured enumeration / size / iteration guard was hit."""
 
-
-class StageFailure(OrbitgapError):
-    """A pipeline stage failed; carries the stage name and the original error."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
-        self.cause = cause

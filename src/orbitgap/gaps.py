@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import HypothesisViolation, InputError, PrecisionExhausted
 from .interpolation import ApproxInterpolant
-from .padic import INF, PadicScalar, vp_factorial
+from .padic import INF, PadicScalar, is_prime, vp_factorial
 from .polynomials import ModularMap, Poly, modular_eval, poly_eval, reduce_poly
 from .reduction import BadPrimeSet, ProblemInstance, bad_primes
 
@@ -73,29 +73,16 @@ class ReturnSet:
         return None
 
 
-def default_screening_primes(inst: ProblemInstance, count: int = SCREEN_PRIME_COUNT,
+def default_screening_primes(bad: BadPrimeSet, count: int = SCREEN_PRIME_COUNT,
                              floor: int = SCREEN_PRIME_FLOOR) -> list[int]:
-    bad = bad_primes(inst)
+    """The first `count` primes >= floor that are not in the run's bad-prime set."""
     out = []
     p = floor
     while len(out) < count:
-        if _is_prime(p) and p not in bad:
+        if is_prime(p) and p not in bad:
             out.append(p)
         p += 1
     return out
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return n > 1
 
 
 def compute_returns(
@@ -115,7 +102,7 @@ def compute_returns(
     if bad is None:
         bad = bad_primes(inst)
     if screening_primes is None:
-        screening_primes = default_screening_primes(inst)
+        screening_primes = default_screening_primes(bad)
     for p in screening_primes:
         if p in bad:
             raise InputError(f"screening prime {p} is bad for this instance")
@@ -175,7 +162,7 @@ def compute_returns(
             # structured maps, and extra moduli are cheap
             extra, p = [], max(max(screening_primes) + 1, SCREEN_PRIME_FLOOR)
             while len(extra) < len(screening_primes):
-                if _is_prime(p) and p not in bad and p not in screening_primes:
+                if is_prime(p) and p not in bad and p not in screening_primes:
                     extra.append(p)
                 p += 1
             survivors = set(pending)

@@ -31,28 +31,3 @@ def mat_pow(a: Matrix, e: int, m: int) -> Matrix:
         e >>= 1
     return out
 
-
-def mat_vec(a: Matrix, v, m: int):
-    return tuple(sum(a[i][k] * v[k] for k in range(len(v))) % m for i in range(len(a)))
-
-
-def det_mod_prime(a: Matrix, p: int) -> int:
-    """Determinant mod a prime p by Gaussian elimination."""
-    n = len(a)
-    rows = [list(r) for r in mat_reduce(a, p)]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det % p
-        inv = pow(rows[col][col], -1, p)
-        det = det * rows[col][col] % p
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv % p
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] = (rows[r][c] - factor * rows[col][c]) % p
-    return det % p

@@ -515,6 +515,3 @@ class MahlerSeries:
                 acc[i] = (acc[i] + b * c.residue) % mod
         return self.ctx.vector(acc)
 
-
-def mahler_evaluate(series: MahlerSeries, n) -> PadicVector:
-    return series.evaluate(n)

@@ -1,14 +1,21 @@
 """Pipeline orchestration and structured reporting.
 
-Every stage appends machine-readable records (plain dicts, serialized as
-sorted-key JSON lines) and the CLI renders a human summary from the same
-records, so no value is computed at the CLI layer.  Partial failures return
-a report truncated at the failed stage with the stage named; the exception
-class determines the process exit code.
+One table, `COMMANDS`, names the stages each command runs, in order, and
+`run` runs them with every stage failure handled in one place.  `analyze`
+runs the whole chain; `primes` and `returns` run its first stages; and
+`interpolate` and `gaps` start mid-chain, reading the prime and the return
+set from the `--replay` records of an earlier run.  Each stage takes the
+report and the run state, stores what later stages need in the state, and
+appends machine-readable records (plain dicts, serialized as sorted-key JSON
+lines).  The parsers of replayed records sit next to the stages that write
+them.  The CLI renders a human summary from the same records, so no value is
+computed at the CLI layer.  A failed stage ends the report with a failure
+record naming the stage; the exception class determines the exit code.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -19,6 +26,10 @@ from .errors import (
     PrecisionExhausted,
 )
 from .gaps import (
+    DensityReport,
+    GapReport,
+    ReturnEntry,
+    ReturnSet,
     build_density_report,
     build_gap_report,
     compute_returns,
@@ -33,8 +44,11 @@ from .interpolation import (
     verify_error_bound,
 )
 from .normalization import build_model_family, ensure_not_preperiodic
+from .padic import is_prime
 from .problemfile import RunParameters
 from .reduction import (
+    AvoidanceScan,
+    BadPrimeSet,
     ProblemInstance,
     avoidance_search,
     bad_primes,
@@ -44,17 +58,24 @@ from .reduction import (
     residue_orbit_avoids,
 )
 
+#: Each command: the state fields it reads from --replay records, and the
+#: stages it runs, in order.  A stage name `x` runs the function `stage_x`.
+COMMANDS = {
+    "primes": ((), ("bad_primes", "avoidance")),
+    "returns": ((), ("bad_primes", "returns")),
+    "interpolate": (("prime",), ("normalization", "interpolation")),
+    "gaps": (("prime", "returns"), ("normalization", "interpolation", "gaps", "density")),
+    "analyze": ((), ("bad_primes", "avoidance", "choose_prime", "diagnostics",
+                     "normalization", "interpolation", "returns", "gaps", "density",
+                     "summary")),
+}
+
+#: The stage a failure record names, where it is not the stage name itself.
+_FAILURE_LABELS = {"bad_primes": "bad-primes", "choose_prime": "avoidance"}
+
 
 def _fmt(x) -> str:
     return "%.6g" % x
-
-
-def _primes_in(lo: int, hi: int) -> list[int]:
-    out = []
-    for n in range(max(lo, 3), hi + 1):
-        if all(n % d for d in range(2, int(n**0.5) + 1)):
-            out.append(n)
-    return out
 
 
 @dataclass
@@ -63,22 +84,38 @@ class RunReport:
     records: list[dict] = field(default_factory=list)
     assumptions: list[str] = field(default_factory=list)
     failure: tuple[str, str] | None = None
+    error: OrbitgapError | None = None
 
     def add(self, record: dict) -> None:
         record["problem_sha"] = self.problem_sha
         self.records.append(record)
 
-    def fail(self, stage: str, exc: Exception) -> None:
+    def fail(self, stage: str, exc: OrbitgapError) -> None:
         self.failure = (stage, str(exc))
+        self.error = exc
         self.add({"record": "failure", "stage": stage, "message": str(exc)})
 
     @property
     def exit_code(self) -> int:
-        if self.failure is None:
-            return 0
-        return exit_code_for(self._failure_exc)
+        return exit_code_for(self.error)
 
-    _failure_exc: Exception | None = None
+
+@dataclass
+class RunState:
+    """The run's inputs, and what each stage hands to the stages after it."""
+
+    inst: ProblemInstance
+    params: RunParameters
+    replay: dict[str, list[dict]] | None = None
+    bad: BadPrimeSet | None = None
+    scan: AvoidanceScan | None = None
+    prime: int | None = None
+    bound: int | None = None
+    family: list | None = None
+    interps: dict | None = None
+    returns: ReturnSet | None = None
+    gap: GapReport | None = None
+    density: DensityReport | None = None
 
 
 def exit_code_for(exc: Exception | None) -> int:
@@ -88,13 +125,65 @@ def exit_code_for(exc: Exception | None) -> int:
         return 2
     if isinstance(exc, (PrecisionExhausted, BudgetExceeded)):
         return 3
-    if isinstance(exc, OrbitgapError):
-        return 1
     return 1
 
 
-def stage_bad_primes(report: RunReport, inst: ProblemInstance, params: RunParameters):
-    bad = bad_primes(inst, search_bound=params.prime_range[1])
+def run(command: str, inst: ProblemInstance, params: RunParameters, sha: str,
+        replay: str | None = None) -> RunReport:
+    """Run a command's stages; `replay` is the path of an earlier run's records.
+
+    Missing or unusable replay records raise InputError before any stage
+    runs.  A stage that raises ends the report with a failure record.
+    """
+    replayed, stages = COMMANDS[command]
+    state = RunState(inst, params)
+    if replayed:
+        if not replay:
+            raise InputError(f"{command} needs --replay records from earlier stages")
+        state.replay = load_replay(replay, sha)
+        for name in replayed:
+            setattr(state, name, _REPLAY_PARSERS[name](state.replay))
+    report = RunReport(sha)
+    for name in stages:
+        try:
+            # looked up at call time, so wrappers installed on the module apply
+            globals()[f"stage_{name}"](report, state)
+        except OrbitgapError as exc:
+            report.fail(_FAILURE_LABELS.get(name, name), exc)
+            break
+    return report
+
+
+def run_analyze(inst: ProblemInstance, params: RunParameters, sha: str) -> RunReport:
+    return run("analyze", inst, params, sha)
+
+
+def load_replay(path: str, sha: str) -> dict[str, list[dict]]:
+    """Records of a previous run, grouped by kind; they must share the problem hash."""
+    records: dict[str, list] = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                rec = json.loads(line)
+                records.setdefault(rec.get("record", "?"), []).append(rec)
+    except OSError as exc:
+        raise InputError(f"cannot read replay records: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed replay records: {exc}") from None
+    for rows in records.values():
+        for rec in rows:
+            if rec.get("problem_sha") and rec["problem_sha"] != sha:
+                raise InputError(
+                    "stale replay: records were produced from a different problem file"
+                )
+    return records
+
+
+def stage_bad_primes(report: RunReport, state: RunState) -> None:
+    state.bad = bad = bad_primes(state.inst, search_bound=state.params.prime_range[1])
     report.add(
         {
             "record": "bad_primes",
@@ -102,12 +191,14 @@ def stage_bad_primes(report: RunReport, inst: ProblemInstance, params: RunParame
             "reasons": [[p, why] for p, why in bad.reasons],
         }
     )
-    return bad
 
 
-def stage_avoidance(report: RunReport, inst: ProblemInstance, params: RunParameters, bad):
-    lo, hi = params.prime_range
-    scan = avoidance_search(inst, _primes_in(lo, hi), bad, params.enumeration_guard)
+def stage_avoidance(report: RunReport, state: RunState) -> None:
+    lo, hi = state.params.prime_range
+    primes = [p for p in range(max(lo, 3), hi + 1) if is_prime(p)]
+    state.scan = scan = avoidance_search(
+        state.inst, primes, state.bad, state.params.enumeration_guard
+    )
     report.add(
         {
             "record": "certificates",
@@ -124,22 +215,35 @@ def stage_avoidance(report: RunReport, inst: ProblemInstance, params: RunParamet
             ],
         }
     )
-    return scan
 
 
-def choose_prime(scan) -> tuple[int, int]:
+def stage_choose_prime(report: RunReport, state: RunState) -> None:
     """Smallest certified prime in the scan and its avoidance bound."""
-    for cert in scan.certificates:
+    for cert in state.scan.certificates:
         if cert.certified:
-            return cert.prime, cert.bound
-    verdicts = sorted({c.verdict for c in scan.certificates})
+            state.prime, state.bound = cert.prime, cert.bound
+            return
+    verdicts = sorted({c.verdict for c in state.scan.certificates})
     raise HypothesisViolation(
         f"no prime in the scanned range was certified (verdicts seen: {verdicts})"
     )
 
 
-def stage_diagnostics(report: RunReport, inst, params, bad, prime: int, bound: int):
+def _replayed_prime(records: dict) -> int:
+    rows = records.get("certificates")
+    if not rows:
+        raise InputError("missing upstream artifact: run the primes stage first")
+    for row in rows[-1]["rows"]:
+        if row["verdict"] == "certified":
+            return row["prime"]
+    raise InputError("replay records contain no certified prime")
+
+
+def stage_diagnostics(report: RunReport, state: RunState) -> None:
     """Residue-level periodic points on the variety and the decisive orbit screen."""
+    inst, params, bad, prime, bound = (
+        state.inst, state.params, state.bad, state.prime, state.bound
+    )
     fp, _, _ = reduce_instance(inst, prime, bad)
     discovered: list | None = None
     if prime**inst.dimension <= min(params.enumeration_guard, 100_000):
@@ -172,12 +276,15 @@ def stage_diagnostics(report: RunReport, inst, params, bad, prime: int, bound: i
     )
 
 
-def stage_normalization(report: RunReport, inst, params, prime: int):
-    depth = ensure_not_preperiodic(inst)
+def stage_normalization(report: RunReport, state: RunState) -> None:
+    params = state.params
+    depth = ensure_not_preperiodic(state.inst)
     report.assumptions.append(
         f"non-preperiodicity verified heuristically to orbit depth {depth}"
     )
-    family = build_model_family(inst, prime, params.precision, params.shift_cap)
+    state.family = family = build_model_family(
+        state.inst, state.prime, params.precision, params.shift_cap
+    )
     if len(family) == 1 and family[0].k_total > 1:
         report.assumptions.append(
             f"stride {family[0].k_total} exceeds the shift cap; only the residue class "
@@ -200,12 +307,15 @@ def stage_normalization(report: RunReport, inst, params, prime: int):
                 "transform_log": [[r.kind, list(r.data)] for r in model.transform_log],
             }
         )
-    return family
 
 
-def stage_interpolation(report: RunReport, params, family):
-    interps = {}
-    for model in family:
+def stage_interpolation(report: RunReport, state: RunState) -> None:
+    """Certified interpolants; replayed ones must match the rebuilt ones bit for bit."""
+    params = state.params
+    old = {rec["shift"]: rec for rec in (state.replay or {}).get("interpolant", [])}
+    state.interps = {}
+    stale = False
+    for model in state.family:
         interp = build_interpolant(model, min(params.terms, params.precision))
         bound_rep = verify_error_bound(interp)
         samples = default_compat_samples(model.ctx, params.compat_samples)
@@ -224,17 +334,24 @@ def stage_interpolation(report: RunReport, params, family):
             }
         )
         report.add(record)
-        interps[model.shift] = interp
-    return interps
+        state.interps[model.shift] = interp
+        stale = stale or (
+            model.shift in old and old[model.shift]["coefficients"] != record["coefficients"]
+        )
+    if stale:
+        raise InputError("stale replay: recorded interpolant disagrees with the rebuilt one")
 
 
 def _fmt_val(v):
     return "inf" if v == float("inf") else int(v)
 
 
-def stage_returns(report: RunReport, inst, params, bad):
-    screening = default_screening_primes(inst, params.screen_primes)
-    returns = compute_returns(inst, params.n_max, screening, params.exact_budget, bad)
+def stage_returns(report: RunReport, state: RunState) -> None:
+    params = state.params
+    screening = default_screening_primes(state.bad, params.screen_primes)
+    state.returns = returns = compute_returns(
+        state.inst, params.n_max, screening, params.exact_budget, state.bad
+    )
     report.add(
         {
             "record": "returns",
@@ -250,19 +367,37 @@ def stage_returns(report: RunReport, inst, params, bad):
             "some returns are modular-screened only (exact budget exceeded); "
             "they are labeled as such everywhere downstream"
         )
-    return returns
 
 
-def stage_gaps(report: RunReport, inst, params, family, interps, returns):
+def _replayed_returns(records: dict) -> ReturnSet:
+    rows = records.get("returns")
+    if not rows:
+        raise InputError("missing upstream artifact: run the returns stage first")
+    rec = rows[-1]
+    return ReturnSet(
+        rec["n_max"],
+        tuple(ReturnEntry(n, status) for n, status in rec["entries"]),
+        tuple(rec["screening_primes"]),
+        tuple(rec["refuted"]),
+        rec["exact_horizon"],
+    )
+
+
+_REPLAY_PARSERS = {"prime": _replayed_prime, "returns": _replayed_returns}
+
+
+def stage_gaps(report: RunReport, state: RunState) -> None:
+    family = state.family
     analyses_by_shift = {}
     models_by_shift = {}
     for model in family:
-        qs = [model.transport_poly(q) for q in inst.variety]
-        analyses_by_shift[model.shift] = localize_zeros(interps[model.shift], qs)
+        qs = [model.transport_poly(q) for q in state.inst.variety]
+        analyses_by_shift[model.shift] = localize_zeros(state.interps[model.shift], qs)
         models_by_shift[model.shift] = model
     c = min(m.congruence_exponent for m in family)
-    gap = build_gap_report(
-        returns, analyses_by_shift, models_by_shift, family[0].prime, c, params.precision
+    state.gap = gap = build_gap_report(
+        state.returns, analyses_by_shift, models_by_shift, family[0].prime, c,
+        state.params.precision,
     )
     report.add(
         {
@@ -292,11 +427,13 @@ def stage_gaps(report: RunReport, inst, params, family, interps, returns):
             ],
         }
     )
-    return gap
 
 
-def stage_density(report: RunReport, params, returns):
-    density = build_density_report(returns.indices(), params.n_max, params.density_m)
+def stage_density(report: RunReport, state: RunState) -> None:
+    params = state.params
+    state.density = density = build_density_report(
+        state.returns.indices(), params.n_max, params.density_m
+    )
     report.add(
         {
             "record": "density",
@@ -310,69 +447,24 @@ def stage_density(report: RunReport, params, returns):
             ],
         }
     )
-    return density
 
 
-def run_primes(inst: ProblemInstance, params: RunParameters, sha: str) -> RunReport:
-    report = RunReport(sha)
-    try:
-        bad = stage_bad_primes(report, inst, params)
-        stage_avoidance(report, inst, params, bad)
-    except OrbitgapError as exc:
-        report._failure_exc = exc
-        report.fail("avoidance", exc)
-    return report
-
-
-def run_returns(inst: ProblemInstance, params: RunParameters, sha: str) -> RunReport:
-    report = RunReport(sha)
-    try:
-        bad = stage_bad_primes(report, inst, params)
-        stage_returns(report, inst, params, bad)
-    except OrbitgapError as exc:
-        report._failure_exc = exc
-        report.fail("returns", exc)
-    return report
-
-
-def run_analyze(inst: ProblemInstance, params: RunParameters, sha: str) -> RunReport:
-    report = RunReport(sha)
-    stage = "bad-primes"
-    try:
-        bad = stage_bad_primes(report, inst, params)
-        stage = "avoidance"
-        scan = stage_avoidance(report, inst, params, bad)
-        prime, bound = choose_prime(scan)
-        stage = "diagnostics"
-        stage_diagnostics(report, inst, params, bad, prime, bound)
-        stage = "normalization"
-        family = stage_normalization(report, inst, params, prime)
-        stage = "interpolation"
-        interps = stage_interpolation(report, params, family)
-        stage = "returns"
-        returns = stage_returns(report, inst, params, bad)
-        stage = "gaps"
-        gap = stage_gaps(report, inst, params, family, interps, returns)
-        stage = "density"
-        density = stage_density(report, params, returns)
-        report.add(
-            {
-                "record": "summary",
-                "prime": prime,
-                "avoidance_bound": bound,
-                "returns": [e.index for e in returns.entries],
-                "gap_verdict": gap.verdict,
-                "density_max_ratio": _fmt(density.max_ratio)
-                if density.max_ratio is not None
-                else None,
-                "density_diverging": density.diverging,
-                "assumptions": list(report.assumptions),
-            }
-        )
-    except OrbitgapError as exc:
-        report._failure_exc = exc
-        report.fail(stage, exc)
-    return report
+def stage_summary(report: RunReport, state: RunState) -> None:
+    density = state.density
+    report.add(
+        {
+            "record": "summary",
+            "prime": state.prime,
+            "avoidance_bound": state.bound,
+            "returns": [e.index for e in state.returns.entries],
+            "gap_verdict": state.gap.verdict,
+            "density_max_ratio": _fmt(density.max_ratio)
+            if density.max_ratio is not None
+            else None,
+            "density_diverging": density.diverging,
+            "assumptions": list(report.assumptions),
+        }
+    )
 
 
 def render_summary(report: RunReport) -> str:

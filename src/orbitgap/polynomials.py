@@ -44,14 +44,6 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def poly_neg(p: Poly) -> Poly:
-    return {e: -c for e, c in p.items()}
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, poly_neg(q))
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for e1, c1 in p.items():
@@ -233,12 +225,6 @@ class PolyMap:
             tuple(poly_compose(p, list(other.polys), term_guard) for p in self.polys),
         )
 
-    def iterate_map(self, k: int, term_guard: int | None = None) -> "PolyMap":
-        out = identity_map(self.nvars)
-        for _ in range(k):
-            out = self.compose(out, term_guard)
-        return out
-
     def jacobian(self) -> list[list[Poly]]:
         return [[poly_derivative(p, j) for j in range(self.nvars)] for p in self.polys]
 
@@ -250,17 +236,6 @@ class PolyMap:
         for p in self.polys:
             out |= denominator_primes(p)
         return out
-
-    def max_coeff_bits(self) -> int:
-        bits = 0
-        for p in self.polys:
-            for c in p.values():
-                bits = max(bits, c.numerator.bit_length(), c.denominator.bit_length())
-        return bits
-
-
-def identity_map(nvars: int) -> PolyMap:
-    return PolyMap(nvars, tuple(make_var(nvars, i) for i in range(nvars)))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetExceeded, HypothesisViolation, InputError
+from .padic import is_prime
 from .polynomials import (
     ModularMap,
     Poly,
@@ -191,25 +192,12 @@ def bad_primes(inst: ProblemInstance, search_bound: int = 0) -> BadPrimeSet:
         reasons.append((p, "denominator"))
     if inst.targets and search_bound >= 2:
         for p in range(3, search_bound + 1):
-            if p in primes or not _is_prime(p):
+            if p in primes or not is_prime(p):
                 continue
             if _target_collision(inst, p):
                 primes.add(p)
                 reasons.append((p, "target-preimage-collision"))
     return BadPrimeSet(frozenset(primes), tuple(reasons))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def reduce_instance(inst: ProblemInstance, p: int, bad: BadPrimeSet | None = None):

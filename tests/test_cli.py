@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from orbitgap import pipeline
 from orbitgap.cli import main
+from orbitgap.problemfile import parse_problem
 
 WORKED = {
     "dimension": 1,
@@ -173,7 +175,8 @@ def test_missing_upstream_artifact(worked_file, tmp_path):
     assert main(["gaps", worked_file, "--replay", str(empty)]) == 2
 
 
-def test_super_attracting_orbit_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["analyze", "interpolate"])
+def test_super_attracting_orbit_exits_3(tmp_path, capsys, command):
     # 3x^2 from 3: the orbit super-attracts to 0 and the finite-difference
     # interpolant cannot meet the decay schedule; the run stops honestly
     doc = {
@@ -185,8 +188,75 @@ def test_super_attracting_orbit_exits_3(tmp_path, capsys):
     }
     path = tmp_path / "attract.json"
     path.write_text(json.dumps(doc))
-    assert main(["analyze", str(path)]) == 3
+    out = tmp_path / "run.jsonl"
+    argv = [command, str(path), "--out", str(out)]
+    if command == "interpolate":
+        primes_out = tmp_path / "primes.jsonl"
+        assert main(["primes", str(path), "--out", str(primes_out)]) == 0
+        argv += ["--replay", str(primes_out)]
+        capsys.readouterr()
+    assert main(argv) == 3
     assert "FAILED at stage interpolation" in capsys.readouterr().out
+    failure = [json.loads(line) for line in out.read_text().splitlines()][-1]
+    assert failure["record"] == "failure"
+    assert failure["stage"] == "interpolation"
+
+
+def test_stage_commands_match_analyze(worked_file, tmp_path):
+    def lines(command, *extra):
+        out = tmp_path / f"{command}.jsonl"
+        assert main([command, worked_file, "--out", str(out), *extra]) == 0
+        return out.read_text().splitlines()
+
+    def kind(line):
+        return json.loads(line)["record"]
+
+    analyze = lines("analyze")
+    primes = lines("primes")
+    returns = lines("returns")
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text("\n".join(primes + returns) + "\n")
+    interpolate = lines("interpolate", "--replay", str(replay))
+    gaps = lines("gaps", "--replay", str(replay))
+    for stage_lines in (primes, returns, interpolate, gaps):
+        kinds = {kind(line) for line in stage_lines}
+        assert stage_lines == [line for line in analyze if kind(line) in kinds]
+
+
+def test_screening_primes_skip_run_bad_primes(tmp_path):
+    # 101 is a target-collision prime of x^2 + 101x at the scanned bound, so
+    # screening must pass over it rather than reject its own choice
+    doc = {
+        "dimension": 1,
+        "map": [[[[2], 1], [[1], 101]]],
+        "initial_point": [1],
+        "variety": [[[[1], 1]]],
+        "periodic_points": [[0]],
+        "parameters": {"prime_range": [3, 110], "screen_primes": 3},
+    }
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.jsonl"
+    assert main(["returns", str(path), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert 101 in records[0]["primes"]
+    assert 101 not in records[-1]["screening_primes"]
+
+
+def test_stages_are_looked_up_on_the_module(monkeypatch):
+    # the benchmark's per-layer spans wrap the module's stage_* attributes
+    calls = []
+    original = pipeline.stage_returns
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "stage_returns", counting)
+    inst, params = parse_problem(WORKED)
+    report = pipeline.run_analyze(inst, params, "sha")
+    assert report.failure is None
+    assert len(calls) == 1
 
 
 def test_flag_overrides(worked_file, tmp_path):

@@ -10,7 +10,6 @@ from orbitgap.errors import InputError
 from orbitgap.polynomials import (
     ModularMap,
     PolyMap,
-    identity_map,
     make_const,
     make_var,
     modular_compose,
@@ -97,7 +96,7 @@ def test_reduction_is_a_homomorphism(data):
 
 
 def test_identity_map():
-    ident = identity_map(3)
+    ident = PolyMap(3, tuple(make_var(3, i) for i in range(3)))
     assert ident.evaluate((1, 2, 3)) == (1, 2, 3)
 
 
