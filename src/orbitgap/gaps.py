@@ -1,8 +1,12 @@
 """Return-set computation, zero localization, and gap/density reporting.
 
-Returns are found by multi-modular screening of the orbit (cheap, constant
-memory) and certified exactly while the orbit's coordinate sizes stay within
-a bit budget; every reported index carries its provenance.
+Returns are screened from the cycle structure of the orbit mod a few primes:
+mod p the orbit is a tail of length mu followed by a cycle of length lambda,
+so its hits on V mod p are a finite tail set plus a few classes mod lambda.
+Brent's cycle detection finds them with O(mu + lambda) map evaluations per
+prime, independent of n_max; only the surviving candidates cost more.  They
+are certified exactly while the orbit's coordinate sizes stay within a bit
+budget, and every reported index carries its provenance.
 
 Zero localization restricts the composed function L(t) = Q(G(center + p^k t))
 to residue disks as a power series in t with per-coefficient precision
@@ -27,8 +31,15 @@ from fractions import Fraction
 from .errors import HypothesisViolation, InputError, PrecisionExhausted
 from .interpolation import ApproxInterpolant
 from .padic import INF, PadicScalar, is_prime, vp_factorial
-from .polynomials import ModularMap, Poly, modular_eval, poly_eval, reduce_poly
-from .reduction import BadPrimeSet, ProblemInstance, bad_primes
+from .polynomials import Poly, modular_eval, poly_eval, reduce_poly
+from .reduction import (
+    BadPrimeSet,
+    ProblemInstance,
+    bad_primes,
+    orbit_summary,
+    reduce_instance,
+    reduce_rational,
+)
 
 #: Default bit budget for exact certification of returns.
 EXACT_BIT_BUDGET = 1 << 20
@@ -85,6 +96,50 @@ def default_screening_primes(bad: BadPrimeSet, count: int = SCREEN_PRIME_COUNT,
     return out
 
 
+@dataclass(frozen=True)
+class _PrimeHits:
+    """Indices n with f^n(a) on V mod one prime.
+
+    Mod p the orbit is a tail of `tail` residues followed by a cycle of
+    `cycle` residues.  `hits` holds the hit indices below tail + cycle; a
+    hit c >= tail stands for every index c + j*cycle.
+    """
+
+    tail: int
+    cycle: int
+    hits: frozenset[int]
+
+    def __contains__(self, n: int) -> bool:
+        if n >= self.tail:
+            n = self.tail + (n - self.tail) % self.cycle
+        return n in self.hits
+
+    def cycle_density(self) -> Fraction:
+        return Fraction(sum(h >= self.tail for h in self.hits), self.cycle)
+
+    def up_to(self, n_max: int) -> list[int]:
+        out = []
+        for h in self.hits:
+            if h >= self.tail:
+                out.extend(range(h, n_max + 1, self.cycle))
+            elif h <= n_max:
+                out.append(h)
+        return out
+
+
+def _hits_mod(inst: ProblemInstance, p: int, bad: BadPrimeSet) -> _PrimeHits:
+    """One Brent pass for (tail, cycle), one pass over its residues for V."""
+    fp, x, _ = reduce_instance(inst, p, bad)
+    summary = orbit_summary(fp, x)
+    variety_p = [reduce_poly(q, p) for q in inst.variety]
+    hits = set()
+    for n in range(summary.tail + summary.cycle):
+        if all(modular_eval(q, x, p) == 0 for q in variety_p):
+            hits.add(n)
+        x = fp(x)
+    return _PrimeHits(summary.tail, summary.cycle, frozenset(hits))
+
+
 def compute_returns(
     inst: ProblemInstance,
     n_max: int,
@@ -94,10 +149,13 @@ def compute_returns(
 ) -> ReturnSet:
     """Indices n <= n_max with the orbit on the variety.
 
-    Screening: the orbit is iterated mod each screening prime (O(n_max) map
-    evaluations per prime, constant memory); an index survives only if every
-    defining polynomial vanishes mod every prime.  Surviving indices within
-    the exact budget are then certified or refuted over exact rationals.
+    Screening: per screening prime, the tail and cycle of the orbit mod p
+    and the residues on V mod p (O(tail + cycle) map evaluations, however
+    large n_max is).  The hits up to n_max of the prime with the fewest
+    cycle hits per cycle length are the candidates, and a candidate
+    survives only if it is a hit mod every other prime.  Surviving indices
+    within the exact budget are then certified or refuted over exact
+    rationals; the rest get one more screening round with fresh primes.
     """
     if bad is None:
         bad = bad_primes(inst)
@@ -107,30 +165,11 @@ def compute_returns(
         if p in bad:
             raise InputError(f"screening prime {p} is bad for this instance")
 
-    def _walk(p: int, up_to: int, keep) -> set[int]:
-        pt = tuple(
-            Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p
-            for x in inst.initial_point
-        )
-        if inst.dimension == 1:
-            return _screen_one_dim(inst, p, pt[0], up_to, keep)
-        fp = ModularMap.from_map(inst.mapping, p)
-        variety_p = [reduce_poly(q, p) for q in inst.variety]
-        hits = set()
-        for n in range(up_to + 1):
-            if keep is None or n in keep:
-                if all(modular_eval(q, pt, p) == 0 for q in variety_p):
-                    hits.add(n)
-            pt = fp(pt)
-        return hits
-
-    candidates: set[int] | None = None
-    for p in screening_primes:
-        hits = _walk(p, n_max, candidates)
-        candidates = hits if candidates is None else candidates & hits
-        if not candidates:
-            break
-    candidates = sorted(candidates or ())
+    screens = [_hits_mod(inst, p, bad) for p in screening_primes]
+    sparsest = min(screens, key=_PrimeHits.cycle_density, default=None)
+    candidates = sorted(
+        n for n in (sparsest.up_to(n_max) if sparsest else ()) if all(n in s for s in screens)
+    )
 
     entries: list[ReturnEntry] = []
     refuted: list[int] = []
@@ -165,14 +204,10 @@ def compute_returns(
                 if is_prime(p) and p not in bad and p not in screening_primes:
                     extra.append(p)
                 p += 1
-            survivors = set(pending)
-            for p in extra:
-                survivors &= _walk(p, max(survivors), survivors)
-                if not survivors:
-                    break
+            extra_screens = [_hits_mod(inst, p, bad) for p in extra]
             screening_primes = list(screening_primes) + extra
             for m in pending:
-                if m in survivors:
+                if all(m in s for s in extra_screens):
                     entries.append(ReturnEntry(m, "modular-screened"))
     return ReturnSet(
         n_max,
@@ -181,39 +216,6 @@ def compute_returns(
         tuple(sorted(refuted)),
         horizon,
     )
-
-
-def _dense_mod(poly: Poly, p: int) -> list[int]:
-    reduced = reduce_poly(poly, p)
-    degree = max((e[0] for e in reduced), default=0)
-    out = [0] * (degree + 1)
-    for e, c in reduced.items():
-        out[e[0]] = c
-    return out
-
-
-def _screen_one_dim(inst, p: int, x: int, n_max: int, candidates) -> set[int]:
-    """Dense Horner screening loop; the dominant cost at large n_max."""
-    f = _dense_mod(inst.mapping.polys[0], p)[::-1]
-    qs = [_dense_mod(q, p)[::-1] for q in inst.variety]
-    hits = set()
-    for n in range(n_max + 1):
-        if candidates is None or n in candidates:
-            on_variety = True
-            for q in qs:
-                acc = 0
-                for c in q:
-                    acc = (acc * x + c) % p
-                if acc:
-                    on_variety = False
-                    break
-            if on_variety:
-                hits.add(n)
-        acc = 0
-        for c in f:
-            acc = (acc * x + c) % p
-        x = acc
-    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +403,7 @@ def restrict_to_disk(
         return out
 
     for exp, coeff in q.items():
-        c = Fraction(coeff)
-        c_res = c.numerator * pow(c.denominator, -1, mod) % mod
-        term = _PrecSeries.constant(mod, p, prec, c_res)
+        term = _PrecSeries.constant(mod, p, prec, reduce_rational(coeff, mod))
         for i, e in enumerate(exp):
             if e:
                 term = term.mul(coord_power(i, e))

@@ -35,7 +35,7 @@ from .polynomials import (
     poly_compose,
     poly_scale,
 )
-from .reduction import ProblemInstance, orbit_summary
+from .reduction import ProblemInstance, orbit_summary, reduce_rational
 
 #: Abort threshold for the combined iterate replacement.
 K_TOTAL_CAP = 10_000
@@ -54,10 +54,7 @@ PREPERIODIC_BIT_BUDGET = 1 << 14
 def stabilize_orbit(inst: ProblemInstance, p: int, guard: int = 1 << 22) -> tuple[int, int]:
     """Smallest (k, m0): the residue of f^m0(a) mod p^2 is fixed by f^k mod p^2."""
     f2 = ModularMap.from_map(inst.mapping, p * p)
-    a2 = tuple(
-        Fraction(x).numerator * pow(Fraction(x).denominator, -1, p * p) % (p * p)
-        for x in inst.initial_point
-    )
+    a2 = tuple(reduce_rational(x, p * p) for x in inst.initial_point)
     summary = orbit_summary(f2, a2)
     if summary.tail + summary.cycle > guard:
         raise BudgetExceeded("orbit mod p^2 exceeds the enumeration guard")
@@ -337,8 +334,7 @@ def _linear_part_mod(f: PolyMap, m: int) -> Matrix:
         for j in range(n):
             exp = [0] * n
             exp[j] = 1
-            c = f.polys[i].get(tuple(exp), Fraction(0))
-            row.append(c.numerator * pow(c.denominator, -1, m) % m)
+            row.append(reduce_rational(f.polys[i].get(tuple(exp), 0), m))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -392,10 +388,7 @@ def _stabilized_cycle(inst: ProblemInstance, p: int):
     k1, m0 = stabilize_orbit(inst, p)
     p2 = p * p
     f2 = ModularMap.from_map(inst.mapping, p2)
-    a2 = tuple(
-        Fraction(x).numerator * pow(Fraction(x).denominator, -1, p2) % p2
-        for x in inst.initial_point
-    )
+    a2 = tuple(reduce_rational(x, p2) for x in inst.initial_point)
     eta = f2.iterate(a2, m0)
     cycle_pts = [eta]
     for _ in range(k1 - 1):
@@ -464,10 +457,7 @@ def build_local_model(
     # base point: T^-1 of the stabilized orbit point, one digit above precision
     mod1 = mod * p
     f_mod1 = ModularMap.from_map(inst.mapping, mod1)
-    a_start = tuple(
-        Fraction(x).numerator * pow(Fraction(x).denominator, -1, mod1) % mod1
-        for x in inst.initial_point
-    )
+    a_start = tuple(reduce_rational(x, mod1) for x in inst.initial_point)
     a_stab = f_mod1.iterate(a_start, m0 + shift)
     center = cycle_pts[s]
     base_coords = []

@@ -132,11 +132,14 @@ def run(command: str, inst: ProblemInstance, params: RunParameters, sha: str,
         replay: str | None = None) -> RunReport:
     """Run a command's stages; `replay` is the path of an earlier run's records.
 
-    Missing or unusable replay records raise InputError before any stage
-    runs.  A stage that raises ends the report with a failure record.
+    Missing or unusable replay records, and replay records given to a
+    command that reads none, raise InputError before any stage runs.  A
+    stage that raises ends the report with a failure record.
     """
     replayed, stages = COMMANDS[command]
     state = RunState(inst, params)
+    if replay and not replayed:
+        raise InputError(f"{command} reads no replay records; drop --replay")
     if replayed:
         if not replay:
             raise InputError(f"{command} needs --replay records from earlier stages")

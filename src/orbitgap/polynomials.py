@@ -119,19 +119,25 @@ def poly_compose(p: Poly, args: list[Poly], term_guard: int | None = None) -> Po
     return out
 
 
+def prime_factors(n: int) -> set[int]:
+    """The primes dividing n >= 1, by trial division."""
+    out = set()
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
 def denominator_primes(p: Poly) -> set[int]:
     primes: set[int] = set()
     for c in p.values():
-        d = c.denominator
-        q = 2
-        while q * q <= d:
-            if d % q == 0:
-                primes.add(q)
-                while d % q == 0:
-                    d //= q
-            q += 1
-        if d > 1:
-            primes.add(d)
+        primes |= prime_factors(c.denominator)
     return primes
 
 

@@ -25,6 +25,7 @@ from .polynomials import (
     modular_eval,
     poly_degree,
     poly_eval,
+    prime_factors,
     reduce_poly,
 )
 
@@ -74,24 +75,10 @@ class ProblemInstance:
         for t in self.targets:
             values.extend(t)
         for x in values:
-            out |= _factor_set(Fraction(x).denominator)
+            out |= prime_factors(Fraction(x).denominator)
         for q in self.variety:
             out |= denominator_primes(q)
         return out
-
-
-def _factor_set(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,15 @@ def test_interpolate_requires_replay(worked_file):
     assert main(["interpolate", worked_file]) == 2
 
 
+@pytest.mark.parametrize("command", ["primes", "returns", "analyze"])
+def test_unused_replay_rejected(worked_file, tmp_path, capsys, command):
+    out = tmp_path / "out.jsonl"
+    missing = tmp_path / "missing.jsonl"
+    assert main([command, worked_file, "--replay", str(missing), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "reads no replay records" in capsys.readouterr().err
+
+
 def test_stage_replay_flow(worked_file, tmp_path):
     primes_out = tmp_path / "primes.jsonl"
     assert main(["primes", worked_file, "--out", str(primes_out)]) == 0

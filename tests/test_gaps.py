@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_oracles import unit_disk_root_count
 
@@ -13,6 +15,7 @@ from orbitgap.gaps import (
     build_gap_report,
     check_gap_pair,
     classify_gap_sequence,
+    _hits_mod,
     compute_returns,
     localize_zeros,
     newton_zero_count,
@@ -21,8 +24,8 @@ from orbitgap.gaps import (
 from orbitgap.interpolation import build_interpolant
 from orbitgap.normalization import build_local_model, direct_model
 from orbitgap.padic import PadicContext
-from orbitgap.polynomials import PolyMap
-from orbitgap.reduction import ProblemInstance
+from orbitgap.polynomials import PolyMap, modular_eval, reduce_poly
+from orbitgap.reduction import ProblemInstance, bad_primes, reduce_instance
 
 
 def _instance(map_polys, a, variety, dim=1, targets=()):
@@ -91,6 +94,78 @@ def test_returns_screening_prime_must_be_good():
     inst = _instance([{(2,): Fraction(1, 101)}], (0,), [{(1,): Fraction(1)}])
     with pytest.raises(InputError):
         compute_returns(inst, 10, screening_primes=[101])
+
+
+def test_returns_cost_does_not_grow_with_n_max():
+    # screening reads the tail and cycle of the orbit mod each prime, so a
+    # horizon of 10^12 costs what a horizon of 100 does
+    inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
+    rs = compute_returns(inst, 10**12)
+    assert [(e.index, e.status) for e in rs.entries] == [(1, "certified-exact")]
+
+
+def _walk_hits(inst, p, n_max):
+    """Oracle: walk the orbit mod p step by step and test V at every index."""
+    fp, x, _ = reduce_instance(inst, p, bad_primes(inst))
+    variety_p = [reduce_poly(q, p) for q in inst.variety]
+    hits = []
+    for n in range(n_max + 1):
+        if all(modular_eval(q, x, p) == 0 for q in variety_p):
+            hits.append(n)
+        x = fp(x)
+    return hits
+
+
+def _check_prime_hits(inst, p, n_max):
+    hits = _hits_mod(inst, p, bad_primes(inst))
+    want = _walk_hits(inst, p, n_max)
+    assert sorted(hits.up_to(n_max)) == want
+    assert [n for n in range(n_max + 1) if n in hits] == want
+    return hits
+
+
+def test_prime_hits_tail_cycle_and_vanishing_variety():
+    # x^2 mod 7 from 3: 3, 2, 4, 2, ... (tail 1, cycle 2)
+    square = [{(2,): 1}]
+    hits = _check_prime_hits(_instance(square, (3,), [{(1,): Fraction(1), (0,): Fraction(-3)}]), 7, 40)
+    assert (hits.tail, hits.cycle, sorted(hits.hits)) == (1, 2, [0])
+    hits = _check_prime_hits(_instance(square, (3,), [{(1,): Fraction(1), (0,): Fraction(-4)}]), 7, 40)
+    assert sorted(hits.up_to(9)) == [2, 4, 6, 8]
+    # V = 7(x - 1) vanishes identically mod 7: every index is a hit
+    zero = {(1,): Fraction(7), (0,): Fraction(-7)}
+    hits = _check_prime_hits(_instance(square, (3,), [zero]), 7, 40)
+    assert hits.cycle_density() == 1
+    # several defining polynomials: every one must vanish
+    two = [{(1,): Fraction(1), (0,): Fraction(-2)}, {(2,): Fraction(1), (0,): Fraction(-4)}]
+    assert _check_prime_hits(_instance(square, (3,), two), 7, 40).hits == {1}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_prime_hits_match_direct_walk(data):
+    """Tail/cycle hit sets against the orbit walked up to n_max, in 1 and 2 dimensions."""
+    dim = data.draw(st.sampled_from([1, 2]))
+    p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+    if dim == 1:
+        monomials = [(i,) for i in range(3)]
+    else:
+        monomials = [(i, j) for i in range(3) for j in range(3 - i)]
+    coeff = st.integers(-2 * p, 2 * p)
+
+    def poly(nonconstant=None):
+        q = {e: Fraction(data.draw(coeff)) for e in monomials}
+        if nonconstant is not None:
+            q[nonconstant] = Fraction(data.draw(st.integers(1, 2 * p)))
+        return {e: c for e, c in q.items() if c}
+
+    unit = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    mapping = [poly(nonconstant=unit[k]) for k in range(dim)]
+    variety = [poly() for _ in range(data.draw(st.integers(1, 3)))]
+    if data.draw(st.booleans()):
+        variety[0] = {e: c * p for e, c in variety[0].items()}  # V = 0 mod p
+    a = tuple(data.draw(coeff) for _ in range(dim))
+    inst = _instance(mapping, a, variety, dim=dim)
+    _check_prime_hits(inst, p, data.draw(st.integers(0, 3 * p**dim)))
 
 
 def test_certified_returns_vanish_mod_every_screening_prime():

@@ -81,9 +81,10 @@ def test_idempotent_certificates_random():
         assert power == cert.matrix
         assert mat_mul(power, power, p) == power
         # minimality: no smaller positive power is idempotent
-        for k in range(1, cert.power):
-            pk = mat_pow(a, k, p)
+        pk = a
+        for _ in range(1, cert.power):
             assert mat_mul(pk, pk, p) != pk
+            pk = mat_mul(pk, a, p)
 
 
 def test_hensel_idempotent_lift():
