@@ -3,10 +3,12 @@
 Returns are screened from the cycle structure of the orbit mod a few primes:
 mod p the orbit is a tail of length mu followed by a cycle of length lambda,
 so its hits on V mod p are a finite tail set plus a few classes mod lambda.
-Brent's cycle detection finds them with O(mu + lambda) map evaluations per
-prime, independent of n_max; only the surviving candidates cost more.  They
-are certified exactly while the orbit's coordinate sizes stay within a bit
-budget, and every reported index carries its provenance.
+Brent's cycle detection finds them with O(min(mu + lambda, n_max)) map
+evaluations per prime: when the cycle closes well before n_max the cost
+does not grow with n_max, and otherwise the search stops at n_max.  The
+surviving candidates are certified exactly while the orbit's coordinate
+sizes stay within a bit budget, and every reported index carries its
+provenance.
 
 Zero localization restricts the composed function L(t) = Q(G(center + p^k t))
 to residue disks as a power series in t with per-coefficient precision
@@ -98,11 +100,13 @@ def default_screening_primes(bad: BadPrimeSet, count: int = SCREEN_PRIME_COUNT,
 
 @dataclass(frozen=True)
 class _PrimeHits:
-    """Indices n with f^n(a) on V mod one prime.
+    """Indices n <= n_max with f^n(a) on V mod one prime.
 
     Mod p the orbit is a tail of `tail` residues followed by a cycle of
     `cycle` residues.  `hits` holds the hit indices below tail + cycle; a
-    hit c >= tail stands for every index c + j*cycle.
+    hit c >= tail stands for every index c + j*cycle.  When no cycle closes
+    by n_max, tail is n_max + 1 with a cycle of 1 and no cycle hit: only
+    indices up to n_max are then known.
     """
 
     tail: int
@@ -127,17 +131,25 @@ class _PrimeHits:
         return out
 
 
-def _hits_mod(inst: ProblemInstance, p: int, bad: BadPrimeSet) -> _PrimeHits:
-    """One Brent pass for (tail, cycle), one pass over its residues for V."""
+def _hits_mod(inst: ProblemInstance, p: int, bad: BadPrimeSet, n_max: int) -> _PrimeHits:
+    """Brent's search for (tail, cycle), testing V on each residue it visits.
+
+    The search stops after x_{n_max} when no cycle has closed, so one prime
+    costs O(min(tail + cycle, n_max)) map evaluations.
+    """
     fp, x, _ = reduce_instance(inst, p, bad)
-    summary = orbit_summary(fp, x)
     variety_p = [reduce_poly(q, p) for q in inst.variety]
     hits = set()
-    for n in range(summary.tail + summary.cycle):
-        if all(modular_eval(q, x, p) == 0 for q in variety_p):
+
+    def test(n, pt):
+        if all(modular_eval(q, pt, p) == 0 for q in variety_p):
             hits.add(n)
-        x = fp(x)
-    return _PrimeHits(summary.tail, summary.cycle, frozenset(hits))
+
+    summary = orbit_summary(fp, x, limit=n_max, visit=test)
+    if summary is None:
+        return _PrimeHits(n_max + 1, 1, frozenset(hits))
+    end = summary.tail + summary.cycle
+    return _PrimeHits(summary.tail, summary.cycle, frozenset(h for h in hits if h < end))
 
 
 def compute_returns(
@@ -150,12 +162,13 @@ def compute_returns(
     """Indices n <= n_max with the orbit on the variety.
 
     Screening: per screening prime, the tail and cycle of the orbit mod p
-    and the residues on V mod p (O(tail + cycle) map evaluations, however
-    large n_max is).  The hits up to n_max of the prime with the fewest
-    cycle hits per cycle length are the candidates, and a candidate
-    survives only if it is a hit mod every other prime.  Surviving indices
-    within the exact budget are then certified or refuted over exact
-    rationals; the rest get one more screening round with fresh primes.
+    and the residues on V mod p, in O(min(tail + cycle, n_max)) map
+    evaluations; the search stops at n_max if no cycle has closed.  The
+    hits up to n_max of the prime with the fewest cycle hits per cycle
+    length are the candidates, and a candidate survives only if it is a
+    hit mod every other prime.  Surviving indices within the exact budget
+    are then certified or refuted over exact rationals; the rest get one
+    more screening round with fresh primes.
     """
     if bad is None:
         bad = bad_primes(inst)
@@ -165,7 +178,7 @@ def compute_returns(
         if p in bad:
             raise InputError(f"screening prime {p} is bad for this instance")
 
-    screens = [_hits_mod(inst, p, bad) for p in screening_primes]
+    screens = [_hits_mod(inst, p, bad, n_max) for p in screening_primes]
     sparsest = min(screens, key=_PrimeHits.cycle_density, default=None)
     candidates = sorted(
         n for n in (sparsest.up_to(n_max) if sparsest else ()) if all(n in s for s in screens)
@@ -174,48 +187,35 @@ def compute_returns(
     entries: list[ReturnEntry] = []
     refuted: list[int] = []
     horizon = -1
-    if candidates:
-        pt = tuple(Fraction(x) for x in inst.initial_point)
-        n = 0
-        pending = list(candidates)
-        while pending and pending[0] <= n_max:
-            target = pending[0]
-            over_budget = any(
-                x.numerator.bit_length() + x.denominator.bit_length() > exact_bit_budget
-                for x in pt
-            )
-            if over_budget:
-                break
-            if n == target:
-                pending.pop(0)
-                if all(poly_eval(q, pt) == 0 for q in inst.variety):
-                    entries.append(ReturnEntry(n, "certified-exact"))
-                else:
-                    refuted.append(n)
-            horizon = n
-            pt = inst.mapping.evaluate(pt)
-            n += 1
-        if pending:
-            # survivors beyond the exact budget get one extra screening round
-            # with fresh primes: orbit periods mod few primes can align for
-            # structured maps, and extra moduli are cheap
-            extra, p = [], max(max(screening_primes) + 1, SCREEN_PRIME_FLOOR)
-            while len(extra) < len(screening_primes):
-                if is_prime(p) and p not in bad and p not in screening_primes:
-                    extra.append(p)
-                p += 1
-            extra_screens = [_hits_mod(inst, p, bad) for p in extra]
-            screening_primes = list(screening_primes) + extra
-            for m in pending:
-                if all(m in s for s in extra_screens):
-                    entries.append(ReturnEntry(m, "modular-screened"))
-    return ReturnSet(
-        n_max,
-        tuple(sorted(entries, key=lambda e: e.index)),
-        tuple(screening_primes),
-        tuple(sorted(refuted)),
-        horizon,
-    )
+    done = 0  # candidates[:done] are certified or refuted
+    pt = tuple(Fraction(x) for x in inst.initial_point)
+    for n in range(candidates[-1] + 1 if candidates else 0):
+        if any(x.numerator.bit_length() + x.denominator.bit_length() > exact_bit_budget
+               for x in pt):
+            break
+        if n == candidates[done]:
+            done += 1
+            if all(poly_eval(q, pt) == 0 for q in inst.variety):
+                entries.append(ReturnEntry(n, "certified-exact"))
+            else:
+                refuted.append(n)
+        horizon = n
+        pt = inst.mapping.evaluate(pt)
+    if done < len(candidates):
+        # survivors beyond the exact budget get one extra screening round
+        # with fresh primes: orbit periods mod few primes can align for
+        # structured maps, and extra moduli are cheap
+        extra, p = [], max(max(screening_primes) + 1, SCREEN_PRIME_FLOOR)
+        while len(extra) < len(screening_primes):
+            if is_prime(p) and p not in bad and p not in screening_primes:
+                extra.append(p)
+            p += 1
+        extra_screens = [_hits_mod(inst, p, bad, n_max) for p in extra]
+        screening_primes = list(screening_primes) + extra
+        for m in candidates[done:]:
+            if all(m in s for s in extra_screens):
+                entries.append(ReturnEntry(m, "modular-screened"))
+    return ReturnSet(n_max, tuple(entries), tuple(screening_primes), tuple(refuted), horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -212,25 +212,35 @@ class OrbitSummary:
     cycle: int
     first_hits: dict = field(default_factory=dict)
 
-    @property
-    def period_point(self) -> bool:
-        return self.tail == 0
 
-
-def orbit_summary(fp: ModularMap, x: tuple[int, ...], targets=()) -> OrbitSummary:
+def orbit_summary(
+    fp: ModularMap, x: tuple[int, ...], targets=(), limit: int | None = None, visit=None
+) -> OrbitSummary | None:
     """Brent cycle detection: O(tail + cycle) map evaluations, O(1) state.
+
+    `visit(n, x_n)` is called on the points x_0, x_1, ... in order, through
+    at least index tail + cycle - 1.  With `limit`, the search gives up and
+    returns None once x_limit has been visited and no cycle has closed, so
+    it costs at most limit + 1 map evaluations.
 
     A second pass of the same length records the first hit index of each
     queried target (None if the orbit never meets it).
     """
-    power = lam = 1
+    if visit:
+        visit(0, x)
+    power = lam = n = 1
     tortoise, hare = x, fp(x)
     while tortoise != hare:
+        if limit is not None and n > limit:
+            return None
+        if visit:
+            visit(n, hare)
         if power == lam:
             tortoise = hare
             power *= 2
             lam = 0
         hare = fp(hare)
+        n += 1
         lam += 1
     tortoise = hare = x
     for _ in range(lam):

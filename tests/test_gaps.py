@@ -24,7 +24,7 @@ from orbitgap.gaps import (
 from orbitgap.interpolation import build_interpolant
 from orbitgap.normalization import build_local_model, direct_model
 from orbitgap.padic import PadicContext
-from orbitgap.polynomials import PolyMap, modular_eval, reduce_poly
+from orbitgap.polynomials import ModularMap, PolyMap, modular_eval, reduce_poly
 from orbitgap.reduction import ProblemInstance, bad_primes, reduce_instance
 
 
@@ -117,7 +117,7 @@ def _walk_hits(inst, p, n_max):
 
 
 def _check_prime_hits(inst, p, n_max):
-    hits = _hits_mod(inst, p, bad_primes(inst))
+    hits = _hits_mod(inst, p, bad_primes(inst), n_max)
     want = _walk_hits(inst, p, n_max)
     assert sorted(hits.up_to(n_max)) == want
     assert [n for n in range(n_max + 1) if n in hits] == want
@@ -138,6 +138,31 @@ def test_prime_hits_tail_cycle_and_vanishing_variety():
     # several defining polynomials: every one must vanish
     two = [{(1,): Fraction(1), (0,): Fraction(-2)}, {(2,): Fraction(1), (0,): Fraction(-4)}]
     assert _check_prime_hits(_instance(square, (3,), two), 7, 40).hits == {1}
+
+
+def test_prime_hits_stop_at_n_max(monkeypatch):
+    # (x, y, z) -> (y, z, x + yz + 1) is bijective mod p, so the orbit is one
+    # cycle that can run to p^3 residues; the search must stop at n_max
+    calls = 0
+    evaluate = ModularMap.__call__
+
+    def counting(self, point):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, point)
+
+    monkeypatch.setattr(ModularMap, "__call__", counting)
+    mapping = [{(0, 1, 0): 1}, {(0, 0, 1): 1}, {(1, 0, 0): 1, (0, 1, 1): 1, (0, 0, 0): 1}]
+    inst = _instance(mapping, (0, 0, 0), [{(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(-1)}], dim=3)
+    for p in (101, 103):
+        calls = 0
+        hits = _hits_mod(inst, p, bad_primes(inst), 100)
+        assert calls <= 101
+        assert (hits.tail, hits.cycle) == (101, 1)
+        _check_prime_hits(inst, p, 100)
+    # with room for the cycle to close, the same prime reads it exactly
+    hits = _check_prime_hits(inst, 5, 400)
+    assert hits.tail == 0 and hits.cycle <= 5**3
 
 
 @given(st.data())

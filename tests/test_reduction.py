@@ -256,6 +256,17 @@ def test_orbit_summary_matches_dict_walk(data):
     fp = ModularMap.from_map(PolyMap.from_lists(1, [coeffs]), p)
     x = (data.draw(st.integers(0, p - 1)),)
     summary = orbit_summary(fp, x)
+    # visit sees x_0, x_1, ... in order; a limit below the last visited
+    # index gives up, and any other limit changes nothing
+    visited = []
+    assert orbit_summary(fp, x, visit=lambda n, pt: visited.append((n, pt))) == summary
+    assert len(visited) >= summary.tail + summary.cycle
+    pt = x
+    for n, seen_pt in visited:
+        assert seen_pt == pt
+        pt = fp(pt)
+    limit = data.draw(st.integers(0, 3 * p))
+    assert orbit_summary(fp, x, limit=limit) == (summary if limit >= len(visited) - 1 else None)
     seen = {}
     pt, i = x, 0
     while pt not in seen:
