@@ -46,9 +46,7 @@ from .normalization import (
     build_model_family,
     direct_model,
     idempotent_power,
-    pi_scale,
     stabilize_orbit,
-    translate_map,
 )
 from .interpolation import (
     ApproxInterpolant,

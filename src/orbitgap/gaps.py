@@ -174,15 +174,15 @@ def compute_returns(
         bad = bad_primes(inst)
     if screening_primes is None:
         screening_primes = default_screening_primes(bad)
+    if not screening_primes:
+        raise InputError("return screening needs at least one screening prime")
     for p in screening_primes:
         if p in bad:
             raise InputError(f"screening prime {p} is bad for this instance")
 
     screens = [_hits_mod(inst, p, bad, n_max) for p in screening_primes]
-    sparsest = min(screens, key=_PrimeHits.cycle_density, default=None)
-    candidates = sorted(
-        n for n in (sparsest.up_to(n_max) if sparsest else ()) if all(n in s for s in screens)
-    )
+    sparsest = min(screens, key=_PrimeHits.cycle_density)
+    candidates = sorted(n for n in sparsest.up_to(n_max) if all(n in s for s in screens))
 
     entries: list[ReturnEntry] = []
     refuted: list[int] = []

@@ -8,12 +8,15 @@ rewritten in chart coordinates T(x) = eta + p*x.  One chart step is
 where eta_0, ..., eta_{k1-1} are the lifts of the mod-p^2 cycle the orbit
 enters.  Every G_j has p-integral coefficients, constant term of valuation
 >= 1, and degree-d coefficients of valuation >= d-1; the same holds for any
-composition of chart steps, so the composed model map can be materialized in
-truncated arithmetic with total degree capped by the working precision.
+composition of chart steps.
 
 A further iterate replacement makes the linear part idempotent mod p, after
 which the model satisfies the congruence F(x) = E*x mod p^c with an exactly
 idempotent matrix E (Hensel-lifted at working precision) and c >= 1.
+Only the level c is needed, and reduction mod p^P is a ring map on
+p-integral coefficients, so the chain composed mod p^P gives min(c, P).
+The model map is composed at P = 2, 4, 8, ... (capped at the working
+precision K) until c < P or P = K; mod p^P its total degree is at most P.
 """
 
 from __future__ import annotations
@@ -40,67 +43,24 @@ from .reduction import ProblemInstance, orbit_summary, reduce_rational
 #: Abort threshold for the combined iterate replacement.
 K_TOTAL_CAP = 10_000
 
-#: Term guard under which the model series is materialized at full precision.
-EXACT_TERM_GUARD = 4096
-
-#: Fallback materialization precision for long chains.
-TRUNCATED_SERIES_PRECISION = 24
-
 #: Depth and bit budget of the non-preperiodicity heuristic.
 PREPERIODIC_DEPTH = 32
 PREPERIODIC_BIT_BUDGET = 1 << 14
 
 
 def stabilize_orbit(inst: ProblemInstance, p: int, guard: int = 1 << 22) -> tuple[int, int]:
-    """Smallest (k, m0): the residue of f^m0(a) mod p^2 is fixed by f^k mod p^2."""
+    """Smallest (k, m0): the residue of f^m0(a) mod p^2 is fixed by f^k mod p^2.
+
+    Raises BudgetExceeded when the tail plus the cycle exceeds guard.  Brent's
+    search closes a cycle by index 3 * (tail + cycle) - 2, so it is cut at
+    3 * guard and costs O(guard) map evaluations whatever the orbit.
+    """
     f2 = ModularMap.from_map(inst.mapping, p * p)
     a2 = tuple(reduce_rational(x, p * p) for x in inst.initial_point)
-    summary = orbit_summary(f2, a2)
-    if summary.tail + summary.cycle > guard:
+    summary = orbit_summary(f2, a2, limit=3 * guard)
+    if summary is None or summary.tail + summary.cycle > guard:
         raise BudgetExceeded("orbit mod p^2 exceeds the enumeration guard")
     return summary.cycle, summary.tail
-
-
-def translate_map(f: PolyMap, eta, p: int) -> PolyMap:
-    """Recenter at a point fixed mod p^2: x -> f(x + eta) - eta.
-
-    Postcondition: every constant term has valuation >= 2 (violated exactly
-    when eta was not fixed mod p^2, which is reported).
-    """
-    args = [poly_add(make_var(f.nvars, i), make_const(f.nvars, eta[i])) for i in range(f.nvars)]
-    polys = []
-    for i, poly in enumerate(f.polys):
-        shifted = poly_compose(poly, args)
-        shifted = poly_add(shifted, make_const(f.nvars, -Fraction(eta[i])))
-        const = shifted.get((0,) * f.nvars, Fraction(0))
-        if _frac_valuation(const, p) < 2:
-            raise InputError(
-                f"translation center is not fixed mod p^2: constant term {const} "
-                f"of coordinate {i} has valuation < 2"
-            )
-        polys.append(shifted)
-    return PolyMap(f.nvars, tuple(polys))
-
-
-def pi_scale(f: PolyMap, p: int) -> PolyMap:
-    """Conjugate by x -> p*x: degree-d coefficients pick up p^(d-1).
-
-    Requires constant terms of valuation >= 2; afterwards every coefficient
-    is p-integral, the constant has valuation >= 1, linear terms are
-    unchanged, and degree-d terms are multiplied by p^(d-1).
-    """
-    polys = []
-    for poly in f.polys:
-        out: Poly = {}
-        for e, c in poly.items():
-            d = sum(e)
-            scaled = c * Fraction(p) ** (d - 1)
-            assert _frac_valuation(scaled, p) >= (0 if d else 1), (
-                "scaled coefficient left the integer ring; the precondition was violated"
-            )
-            out[e] = scaled
-        polys.append(out)
-    return PolyMap(f.nvars, tuple(polys))
 
 
 def _frac_valuation(c: Fraction, p: int) -> int | float:
@@ -189,14 +149,15 @@ class LocalModel:
 
     One model iterate applies the chart chain steps_per_iterate times; model
     iterate n corresponds to the original index m0 + shift + n * k_total.
+    series is the model map mod p^P at the precision P where the doubling
+    of _model_series stopped: P = K, or P > congruence_exponent.
     """
 
     ctx: PadicContext
     dimension: int
     charts: tuple[PolyMap, ...]  # chart steps G_s, G_{s+1}, ... in application order
     steps_per_iterate: int  # chart-chain repetitions per model iterate (k2)
-    series: tuple[TruncatedSeries, ...]  # materialized model map coefficients
-    series_precision: int
+    series: tuple[TruncatedSeries, ...]  # model map mod p^P (see above)
     base_point: PadicVector
     linear: Matrix  # exactly idempotent mod p^K, congruent to the linear part mod p
     congruence_exponent: int
@@ -383,6 +344,24 @@ def series_congruence_exponent(
     return c
 
 
+def _model_series(
+    charts, steps: int, linear: Matrix, ctx: PadicContext
+) -> tuple[tuple[TruncatedSeries, ...], int]:
+    """(series, c): the chain composed mod p^P and c = min(c_true, P).
+
+    P starts at 2 and doubles, capped at the context precision K, until
+    c < P or P = K; so c equals the exponent read at precision K.
+    """
+    prec = min(2, ctx.precision)
+    while True:
+        pctx = PadicContext(ctx.prime, prec)
+        series = _materialize_series(charts, steps, pctx)
+        c = series_congruence_exponent(series, mat_reduce(linear, pctx.modulus), pctx)
+        if c < prec or prec == ctx.precision:
+            return series, c
+        prec = min(2 * prec, ctx.precision)
+
+
 def _stabilized_cycle(inst: ProblemInstance, p: int):
     """(k1, m0, cycle_pts): the mod-p^2 cycle the orbit enters, lifted in [0, p^2)."""
     k1, m0 = stabilize_orbit(inst, p)
@@ -474,17 +453,7 @@ def build_local_model(
             "normalization/base-point: coordinates are not in the maximal ideal"
         )
 
-    # materialized model series; full precision when cheap, capped otherwise
-    deg = max(2, inst.mapping.degree())
-    est_degree = min(deg ** (k1 * k2), precision) if deg > 1 else 1
-    est_terms = math.comb(est_degree + inst.dimension, inst.dimension)
-    series_precision = (
-        precision if est_terms <= EXACT_TERM_GUARD else min(precision, TRUNCATED_SERIES_PRECISION)
-    )
-    series_ctx = ctx if series_precision == precision else PadicContext(p, series_precision)
-    series = _materialize_series(charts, k2, series_ctx)
-
-    c = series_congruence_exponent(series, mat_reduce(linear, series_ctx.modulus), series_ctx)
+    series, c = _model_series(charts, k2, linear, ctx)
     if c < 1:
         raise HypothesisViolation(
             "normalization/congruence: model map is not linear mod p; c < 1"
@@ -508,7 +477,6 @@ def build_local_model(
         charts=charts,
         steps_per_iterate=k2,
         series=series,
-        series_precision=series_precision,
         base_point=base_point,
         linear=linear,
         congruence_exponent=c,
@@ -584,8 +552,7 @@ def direct_model(mapping: PolyMap, base_point, p: int, precision: int) -> LocalM
             "direct model linear part is not idempotent mod p; use the full pipeline"
         )
     linear = hensel_idempotent(a_bar, p, precision)
-    series = _materialize_series((mapping,), 1, ctx)
-    c = series_congruence_exponent(series, mat_reduce(linear, ctx.modulus), ctx)
+    series, c = _model_series((mapping,), 1, linear, ctx)
     if c < 1:
         raise HypothesisViolation("direct model congruence exponent < 1")
     return LocalModel(
@@ -594,7 +561,6 @@ def direct_model(mapping: PolyMap, base_point, p: int, precision: int) -> LocalM
         charts=(mapping,),
         steps_per_iterate=1,
         series=series,
-        series_precision=precision,
         base_point=ctx.vector(base_point),
         linear=linear,
         congruence_exponent=c,

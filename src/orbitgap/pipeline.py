@@ -305,7 +305,6 @@ def stage_normalization(report: RunReport, state: RunState) -> None:
                 "center": list(model.center),
                 "base_point": list(model.base_point.lift()),
                 "congruence_exponent": model.congruence_exponent,
-                "series_precision": model.series_precision,
                 "linear": [list(row) for row in model.linear],
                 "transform_log": [[r.kind, list(r.data)] for r in model.transform_log],
             }

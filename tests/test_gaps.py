@@ -46,6 +46,13 @@ def test_returns_worked_example():
     assert rs.refuted == ()
 
 
+def test_returns_need_a_screening_prime():
+    # with no prime nothing is screened, so "no returns" would be unchecked
+    inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
+    with pytest.raises(InputError):
+        compute_returns(inst, 100, screening_primes=[])
+
+
 def test_returns_plumbing_everything():
     # V: 0 = 0 accepts every index (rejected upstream by hypothesis checks;
     # exercised here purely as plumbing)

@@ -5,21 +5,76 @@ from fractions import Fraction
 
 import pytest
 
-from orbitgap.errors import HypothesisViolation, InputError
+from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError
 from orbitgap.modmat import mat_mul, mat_pow, mat_reduce
 from orbitgap.normalization import (
+    _chart_step,
+    _frac_valuation,
+    _materialize_series,
     build_local_model,
     build_model_family,
     direct_model,
     ensure_not_preperiodic,
     hensel_idempotent,
     idempotent_power,
-    pi_scale,
+    series_congruence_exponent,
     stabilize_orbit,
-    translate_map,
 )
-from orbitgap.polynomials import ModularMap, PolyMap
+from orbitgap.polynomials import (
+    ModularMap,
+    Poly,
+    PolyMap,
+    make_const,
+    make_var,
+    poly_add,
+    poly_compose,
+)
 from orbitgap.reduction import ProblemInstance
+
+
+# -- oracles: the chart step split into its two conjugations ------------------
+
+
+def translate_map(f: PolyMap, eta, p: int) -> PolyMap:
+    """Recenter at a point fixed mod p^2: x -> f(x + eta) - eta.
+
+    Postcondition: every constant term has valuation >= 2 (violated exactly
+    when eta was not fixed mod p^2, which is reported).
+    """
+    args = [poly_add(make_var(f.nvars, i), make_const(f.nvars, eta[i])) for i in range(f.nvars)]
+    polys = []
+    for i, poly in enumerate(f.polys):
+        shifted = poly_compose(poly, args)
+        shifted = poly_add(shifted, make_const(f.nvars, -Fraction(eta[i])))
+        const = shifted.get((0,) * f.nvars, Fraction(0))
+        if _frac_valuation(const, p) < 2:
+            raise InputError(
+                f"translation center is not fixed mod p^2: constant term {const} "
+                f"of coordinate {i} has valuation < 2"
+            )
+        polys.append(shifted)
+    return PolyMap(f.nvars, tuple(polys))
+
+
+def pi_scale(f: PolyMap, p: int) -> PolyMap:
+    """Conjugate by x -> p*x: degree-d coefficients pick up p^(d-1).
+
+    Requires constant terms of valuation >= 2; afterwards every coefficient
+    is p-integral, the constant has valuation >= 1, linear terms are
+    unchanged, and degree-d terms are multiplied by p^(d-1).
+    """
+    polys = []
+    for poly in f.polys:
+        out: Poly = {}
+        for e, c in poly.items():
+            d = sum(e)
+            scaled = c * Fraction(p) ** (d - 1)
+            assert _frac_valuation(scaled, p) >= (0 if d else 1), (
+                "scaled coefficient left the integer ring; the precondition was violated"
+            )
+            out[e] = scaled
+        polys.append(out)
+    return PolyMap(f.nvars, tuple(polys))
 
 
 def _instance(map_polys, a, dim=1, targets=()):
@@ -39,6 +94,11 @@ def test_stabilize_examples():
     # already fixed mod p^2
     inst3 = _instance([{(1,): 10}], (0,))
     assert stabilize_orbit(inst3, 3) == (1, 0)
+    # the guard bounds tail + cycle: x -> x + 1 mod 25 has 0 + 25
+    inst4 = _instance([{(1,): 1, (0,): 1}], (0,))
+    assert stabilize_orbit(inst4, 5, guard=25) == (25, 0)
+    with pytest.raises(BudgetExceeded):
+        stabilize_orbit(inst4, 5, guard=24)
 
 
 def test_translate_examples():
@@ -230,3 +290,80 @@ def test_normalization_postconditions_random_quadratics():
         assert m.congruence_exponent >= 1
         assert _roundtrip_ok(inst, m, samples=5, seed=built)
         built += 1
+
+
+def test_chart_step_is_translate_then_scale():
+    """At a center fixed mod p^2, one chart step is pi_scale after translate_map."""
+    for f in (
+        PolyMap.from_lists(1, [{(2,): 1}]),
+        PolyMap.from_lists(1, [{(2,): 1, (1,): 3, (0,): 9}]),
+    ):
+        step = _chart_step(f, (0,), (0,), 3)
+        assert step.polys == pi_scale(translate_map(f, (0,), 3), 3).polys
+
+
+def test_stabilize_orbit_guard_bounds_the_walk(monkeypatch):
+    # x -> x + 1 is one cycle of p^2 residues mod p^2; at p = 101 that is
+    # 10201 residues, and the guard must stop the walk long before its end
+    calls = 0
+    evaluate = ModularMap.__call__
+
+    def counting(self, point):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, point)
+
+    monkeypatch.setattr(ModularMap, "__call__", counting)
+    inst = _instance([{(1,): 1, (0,): 1}], (0,))
+    with pytest.raises(BudgetExceeded):
+        stabilize_orbit(inst, 101, guard=100)
+    assert calls <= 301
+
+
+def _full_precision_exponent(model):
+    """The congruence exponent read from the chain composed at precision K."""
+    ctx = model.ctx
+    series = _materialize_series(model.charts, model.steps_per_iterate, ctx)
+    return series_congruence_exponent(series, mat_reduce(model.linear, ctx.modulus), ctx)
+
+
+def test_congruence_exponent_matches_full_precision_oracle():
+    """The doubling path reads the same c as the chain composed at precision K."""
+    rng = random.Random(404)
+    built = deep = 0
+    for _ in range(400):
+        if built == 40:
+            break
+        p = rng.choice([3, 5, 7])
+        dim = rng.choice([1, 2])
+        precision = rng.choice([4, 8, 12])
+        polys = []
+        for i in range(dim):
+            # diagonal 1 + r * p^j, other coefficients r * p^j, each with its
+            # own j: large j gives the congruence a high level c
+            poly = {}
+            for _ in range(rng.randint(1, 3)):
+                exp = tuple(rng.randint(0, 2) for _ in range(dim))
+                if sum(exp) <= 2:
+                    poly[exp] = rng.randint(-3, 3) * p ** rng.randint(0, 3)
+            var = tuple(int(j == i) for j in range(dim))
+            poly[var] = 1 + rng.randint(-2, 2) * p ** rng.randint(0, 3)
+            polys.append({e: c for e, c in poly.items() if c})
+        a = tuple(Fraction(rng.randint(0, 4) * p ** rng.randint(0, 1)) for _ in range(dim))
+        try:
+            model = build_local_model(_instance(polys, a, dim=dim), p, precision)
+        except (HypothesisViolation, BudgetExceeded):
+            continue  # preperiodic start, non-linear model or oversized stride
+        assert model.congruence_exponent == _full_precision_exponent(model)
+        built += 1
+        deep += model.congruence_exponent >= 2
+    assert built == 40
+    assert deep >= 5  # these took more than one doubling round
+
+
+def test_direct_model_exponent_reaches_precision():
+    # x -> x + p^9 x^2 is x mod p^9: with K = 8 the doubling runs to P = K
+    m = direct_model(PolyMap.from_lists(1, [{(1,): 1, (2,): 5**9}]), (1,), 5, 8)
+    assert m.congruence_exponent == 8 == _full_precision_exponent(m)
+    m = direct_model(PolyMap.from_lists(1, [{(1,): 1, (2,): 5**5}]), (1,), 5, 12)
+    assert m.congruence_exponent == 5 == _full_precision_exponent(m)
