@@ -2,6 +2,9 @@
 """Run the bundled worked example end to end and print the report.
 
 Equivalent to:  orbitgap analyze problems/square_minus_two.json --out run.jsonl
+
+The records go to the path given as the first argument, by default
+run.jsonl in the working directory.
 """
 
 import json
@@ -16,7 +19,7 @@ HERE = pathlib.Path(__file__).resolve().parents[1]
 
 if __name__ == "__main__":
     problem = HERE / "problems" / "square_minus_two.json"
-    out = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else HERE / "run.jsonl"
+    out = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "run.jsonl")
     code = main(["analyze", str(problem), "--out", str(out)])
     print(f"\nrecords written to {out}")
     records = [json.loads(line) for line in out.read_text().splitlines()]

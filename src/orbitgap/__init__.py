@@ -21,9 +21,7 @@ from .padic import (
     PadicScalar,
     PadicVector,
     TruncatedSeries,
-    binomial_mod,
     binomial_row,
-    exact_div,
 )
 from .polynomials import ModularMap, PolyMap
 from .reduction import (
@@ -34,7 +32,6 @@ from .reduction import (
     avoidance_search,
     bad_primes,
     first_hit_depth,
-    fixing_iterate,
     orbit_summary,
     periodic_points_on_variety,
     reduce_instance,

@@ -11,10 +11,12 @@ sizes stay within a bit budget, and every reported index carries its
 provenance.
 
 Zero localization restricts the composed function L(t) = Q(G(center + p^k t))
-to residue disks as a power series in t with per-coefficient precision
-tracking, counts zeros through the Newton polygon, and refines disks until
-each leaf holds at most one zero cluster.  A leaf with a zero of order d
-yields the gap bound
+to residue disks as a power series in t: the coordinates of G are re-expanded
+around the disk center into one-variable TruncatedSeries whose precision
+bounds record the factorial p-part divided out, and Q is composed with them,
+so every coefficient of L carries its own bound.  It counts zeros through the
+Newton polygon and refines disks until each leaf holds at most one zero
+cluster.  A leaf with a zero of order d yields the gap bound
 
     (n_{j+1} - n_j)^d >= p^(k*d + n_j*c - v(a_d))
 
@@ -32,16 +34,9 @@ from fractions import Fraction
 
 from .errors import HypothesisViolation, InputError, PrecisionExhausted
 from .interpolation import ApproxInterpolant
-from .padic import INF, PadicScalar, is_prime, vp_factorial
+from .padic import INF, PadicScalar, TruncatedSeries, int_valuation, is_prime, vp_factorial
 from .polynomials import Poly, modular_eval, poly_eval, reduce_poly
-from .reduction import (
-    BadPrimeSet,
-    ProblemInstance,
-    bad_primes,
-    orbit_summary,
-    reduce_instance,
-    reduce_rational,
-)
+from .reduction import BadPrimeSet, ProblemInstance, bad_primes, orbit_summary, reduce_instance
 
 #: Default bit budget for exact certification of returns.
 EXACT_BIT_BUDGET = 1 << 20
@@ -78,12 +73,6 @@ class ReturnSet:
 
     def indices(self) -> list[int]:
         return [e.index for e in self.entries]
-
-    def status_of(self, n: int) -> str | None:
-        for e in self.entries:
-            if e.index == n:
-                return e.status
-        return None
 
 
 def default_screening_primes(bad: BadPrimeSet, count: int = SCREEN_PRIME_COUNT,
@@ -205,11 +194,9 @@ def compute_returns(
         # survivors beyond the exact budget get one extra screening round
         # with fresh primes: orbit periods mod few primes can align for
         # structured maps, and extra moduli are cheap
-        extra, p = [], max(max(screening_primes) + 1, SCREEN_PRIME_FLOOR)
-        while len(extra) < len(screening_primes):
-            if is_prime(p) and p not in bad and p not in screening_primes:
-                extra.append(p)
-            p += 1
+        extra = default_screening_primes(
+            bad, len(screening_primes), max(max(screening_primes) + 1, SCREEN_PRIME_FLOOR)
+        )
         extra_screens = [_hits_mod(inst, p, bad, n_max) for p in extra]
         screening_primes = list(screening_primes) + extra
         for m in candidates[done:]:
@@ -228,7 +215,7 @@ class DiskSeries:
     """L(t) = Q(G(center + p^k t)) as a truncated power series in t.
 
     residues are canonical mod p^K; precs[m] lower-bounds the valuation of
-    the unknown part of coefficient m (INF marks exactly-known zeros).
+    the unknown part of coefficient m (INF: the residue is exact mod p^K).
     """
 
     center: int
@@ -240,86 +227,18 @@ class DiskSeries:
 
     @property
     def zero_at_precision(self) -> bool:
-        return all(
-            r == 0 and (prec is INF or prec >= 1) for r, prec in zip(self.residues, self.precs)
-        )
+        return all(r == 0 and prec >= 1 for r, prec in zip(self.residues, self.precs))
 
     def known_valuations(self):
         """(index, valuation) for coefficients whose valuation is certain."""
-        out = []
-        for m, (r, prec) in enumerate(zip(self.residues, self.precs)):
-            if r:
-                v = 0
-                x = r
-                while x % self.prime == 0:
-                    x //= self.prime
-                    v += 1
-                if v < prec:
-                    out.append((m, v))
-        return out
+        return _known_valuations(zip(self.residues, self.precs), self.prime)
 
 
-class _PrecSeries:
-    """Internal: one-variable series as (residue mod p^K, precision bound) pairs."""
-
-    __slots__ = ("mod", "prime", "precision", "res", "prec")
-
-    def __init__(self, mod, prime, precision, res, prec):
-        self.mod, self.prime, self.precision = mod, prime, precision
-        self.res, self.prec = res, prec
-
-    @classmethod
-    def constant(cls, mod, prime, precision, value: int):
-        return cls(mod, prime, precision, [value % mod], [INF])
-
-    def _val_floor(self, m: int):
-        r = self.res[m]
-        if r == 0:
-            return self.prec[m]
-        v = 0
-        while r % self.prime == 0:
-            r //= self.prime
-            v += 1
-        return min(v, self.prec[m])
-
-    def add(self, other: "_PrecSeries") -> "_PrecSeries":
-        n = max(len(self.res), len(other.res))
-        res, prec = [], []
-        for m in range(n):
-            a = self.res[m] if m < len(self.res) else 0
-            b = other.res[m] if m < len(other.res) else 0
-            pa = self.prec[m] if m < len(self.prec) else INF
-            pb = other.prec[m] if m < len(other.prec) else INF
-            res.append((a + b) % self.mod)
-            prec.append(min(pa, pb))
-        return _PrecSeries(self.mod, self.prime, self.precision, res, prec)
-
-    def mul(self, other: "_PrecSeries") -> "_PrecSeries":
-        la, lb = len(self.res), len(other.res)
-        res = [0] * (la + lb - 1)
-        prec = [INF] * (la + lb - 1)
-        vf_a = [self._val_floor(m) for m in range(la)]
-        vf_b = [other._val_floor(m) for m in range(lb)]
-        for u in range(la):
-            ru = self.res[u]
-            pu = self.prec[u]
-            for v in range(lb):
-                m = u + v
-                res[m] = (res[m] + ru * other.res[v]) % self.mod
-                if pu is not INF or other.prec[v] is not INF:
-                    bound = min(pu + vf_b[v], other.prec[v] + vf_a[u], pu + other.prec[v])
-                    prec[m] = min(prec[m], bound)
-        return _PrecSeries(self.mod, self.prime, self.precision, res, prec)
-
-    def scale(self, value: int) -> "_PrecSeries":
-        v = 0
-        x = value
-        while x and x % self.prime == 0:
-            x //= self.prime
-            v += 1
-        res = [(r * value) % self.mod for r in self.res]
-        prec = [p if p is INF else p + v for p in self.prec]
-        return _PrecSeries(self.mod, self.prime, self.precision, res, prec)
+def _known_valuations(pairs, prime: int) -> list[tuple[int, int]]:
+    """(index, v(residue)) where the residue's valuation is below its bound."""
+    return [
+        (m, v) for m, (r, bound) in enumerate(pairs) if (v := int_valuation(r, prime)) < bound
+    ]
 
 
 def restrict_to_disk(
@@ -372,7 +291,7 @@ def restrict_to_disk(
     direct = interp.value(center)
     coord_series = []
     for i in range(dim):
-        res, precs = [], []
+        coeffs, precs = {}, {}
         for m in range(T + 1):
             quotient, remainder = divmod(acc[i][m], p**e_total)
             if remainder:
@@ -380,37 +299,21 @@ def restrict_to_disk(
                     "disk re-expansion: factorial p-part failed to cancel at "
                     f"coefficient {m}; coefficient decay is insufficient"
                 )
-            res.append(quotient * inv_fact_unit % mod)
-            gain = radius_exp * m - e_total
-            precs.append(min(prec, prec + gain) if gain < 0 else prec)
-        res[0] = direct.coords[i].residue
-        precs[0] = prec
-        coord_series.append(_PrecSeries(mod, p, prec, res, precs))
+            coeffs[(m,)] = quotient * inv_fact_unit % mod
+            precs[(m,)] = prec + min(radius_exp * m - e_total, 0)
+        coeffs[(0,)] = direct.coords[i].residue
+        precs[(0,)] = prec
+        coord_series.append(TruncatedSeries(ctx, 1, coeffs, precs))
 
-    # compose the defining polynomial
-    result = _PrecSeries.constant(mod, p, prec, 0)
-    pow_cache: list[dict[int, _PrecSeries]] = [dict() for _ in range(dim)]
-
-    def coord_power(i: int, e: int) -> _PrecSeries:
-        cache = pow_cache[i]
-        if e in cache:
-            return cache[e]
-        if e == 1:
-            out = coord_series[i]
-        else:
-            out = coord_power(i, e - 1).mul(coord_series[i])
-        cache[e] = out
-        return out
-
-    for exp, coeff in q.items():
-        term = _PrecSeries.constant(mod, p, prec, reduce_rational(coeff, mod))
-        for i, e in enumerate(exp):
-            if e:
-                term = term.mul(coord_power(i, e))
-        result = result.add(term)
-
+    result = TruncatedSeries(ctx, dim, reduce_poly(q, mod)).compose(coord_series)
+    degree = max((m for (m,) in result.coeffs), default=0)
     return DiskSeries(
-        center, radius_exp, tuple(result.res), tuple(result.prec), p, prec
+        center,
+        radius_exp,
+        tuple(result.coefficient((m,)) for m in range(degree + 1)),
+        tuple(result.precs.get((m,), INF) for m in range(degree + 1)),
+        p,
+        prec,
     )
 
 
@@ -429,9 +332,8 @@ def newton_zero_count(coeffs, precs=None, margin: int = 1) -> int:
     insufficient.
     """
     if isinstance(coeffs, DiskSeries):
-        series = coeffs
-        pairs = list(zip(series.residues, series.precs))
-        prime = series.prime
+        pairs = list(zip(coeffs.residues, coeffs.precs))
+        prime = coeffs.prime
     else:
         pairs = []
         prime = None
@@ -442,24 +344,14 @@ def newton_zero_count(coeffs, precs=None, margin: int = 1) -> int:
                 pairs.append((c.residue, bound if c.residue == 0 else min(bound, c.ctx.precision)))
             else:
                 raise InputError("newton_zero_count expects a DiskSeries or PadicScalar list")
-    known = []
-    for m, (r, bound) in enumerate(pairs):
-        if r:
-            v = 0
-            while r % prime == 0:
-                r //= prime
-                v += 1
-            if v < bound:
-                known.append((m, v))
-                continue
-        # unknown valuation, lower-bounded by `bound`
+    known = _known_valuations(pairs, prime)
     if not known:
         raise InputError("series is identically zero at precision; no polygon exists")
     min_val = min(v for _, v in known)
     count = max(m for m, v in known if v == min_val)
     known_indices = {m for m, _ in known}
     for m, (r, bound) in enumerate(pairs):
-        if m not in known_indices and bound is not INF and bound < min_val + margin:
+        if m not in known_indices and bound < min_val + margin:
             raise PrecisionExhausted(
                 f"truncation insufficient: coefficient {m} is only known above "
                 f"valuation {bound}, the polygon minimum is {min_val}"

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, HypothesisViolation, InputError
 from .modmat import Matrix, mat_identity, mat_mul, mat_pow, mat_reduce
-from .padic import INF, PadicContext, PadicVector, TruncatedSeries
+from .padic import PadicContext, PadicVector, TruncatedSeries, int_valuation
 from .polynomials import (
     ModularMap,
     Poly,
@@ -37,6 +37,7 @@ from .polynomials import (
     poly_add,
     poly_compose,
     poly_scale,
+    reduce_poly,
 )
 from .reduction import ProblemInstance, orbit_summary, reduce_rational
 
@@ -65,17 +66,7 @@ def stabilize_orbit(inst: ProblemInstance, p: int, guard: int = 1 << 22) -> tupl
 
 def _frac_valuation(c: Fraction, p: int) -> int | float:
     c = Fraction(c)
-    if c == 0:
-        return INF
-    v = 0
-    num, den = c.numerator, c.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return int_valuation(c.numerator, p) - int_valuation(c.denominator, p)
 
 
 @dataclass(frozen=True)
@@ -310,15 +301,13 @@ def _materialize_series(
     valuations >= d-1, so the total degree self-truncates at K.
     """
     n = charts[0].nvars
+    chart_series = [
+        [TruncatedSeries(ctx, n, reduce_poly(poly, ctx.modulus)) for poly in g.polys]
+        for g in charts
+    ]
     running = [TruncatedSeries.variable(ctx, n, i) for i in range(n)]
     for _ in range(steps):
-        for g in charts:
-            g_series = [
-                TruncatedSeries.make(
-                    ctx, n, {e: ctx.scalar(c) for e, c in poly.items()}
-                )
-                for poly in g.polys
-            ]
+        for g_series in chart_series:
             running = [s.compose(running) for s in g_series]
     return tuple(running)
 
@@ -332,15 +321,9 @@ def series_congruence_exponent(
     for i in range(n):
         coeffs = dict(series[i].coeffs)
         for j in range(n):
-            exp = [0] * n
-            exp[j] = 1
-            cur = coeffs.pop(tuple(exp), ctx.zero())
-            diff = cur - ctx.scalar(linear[i][j])
-            if not diff.is_zero:
-                c = min(c, int(diff.valuation))
-        for e, coeff in coeffs.items():
-            if not coeff.is_zero:
-                c = min(c, int(coeff.valuation))
+            exp = tuple(int(k == j) for k in range(n))
+            coeffs[exp] = (coeffs.get(exp, 0) - linear[i][j]) % ctx.modulus
+        c = min(c, *(int_valuation(r, ctx.prime) for r in coeffs.values()))
     return c
 
 
@@ -459,7 +442,7 @@ def build_local_model(
             "normalization/congruence: model map is not linear mod p; c < 1"
         )
     for i, srs in enumerate(series):
-        if srs.constant_term().valuation < 1:
+        if int_valuation(srs.constant_term(), p) < 1:
             raise HypothesisViolation(
                 f"normalization/scale: constant term of coordinate {i} has valuation < 1"
             )

@@ -4,12 +4,13 @@ Values live in Z/p^K with a cached exact valuation; a residue of 0 means
 "indistinguishable from 0 at precision K", never "provably zero".  The prime
 is always >= 3 and the base is unramified, so the uniformizer is p itself.
 
-Building blocks layered on the scalars:
+Building blocks:
 
   PadicVector     -- points of the N-dimensional unit polydisk, sup-norm
   TruncatedSeries -- finitely supported power series over the unit polydisk
-                     (a working truncation of convergent power series; the
-                     Gauss norm is the max coefficient norm)
+                     with residues mod p^K and a precision bound for each
+                     coefficient; the one series type, used for the model
+                     map (normalization) and for disk restriction (gaps)
   MahlerSeries    -- a function of one p-adic argument in the binomial basis
                      C(n, 0), C(n, 1), ...; coefficients are vectors
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .errors import BudgetExceeded, ContextMismatch, InputError, PrecisionExhausted
 
@@ -64,21 +66,6 @@ def vp_factorial(k: int, p: int) -> int:
         s += m % p
         m //= p
     return (k - s) // (p - 1)
-
-
-class PrecisionLedger:
-    """Append-only record of precision losses from exact divisions."""
-
-    def __init__(self) -> None:
-        self.entries: list[tuple[str, int]] = []
-
-    def record(self, op: str, loss: int) -> None:
-        if loss > 0:
-            self.entries.append((op, loss))
-
-    @property
-    def total(self) -> int:
-        return sum(loss for _, loss in self.entries)
 
 
 @dataclass(frozen=True)
@@ -174,58 +161,6 @@ class PadicScalar:
         return self.residue
 
 
-def exact_div(a: PadicScalar, b: PadicScalar, ledger: PrecisionLedger | None = None) -> PadicScalar:
-    """Exact division a/b, allowed only when v(b) <= v(a).
-
-    The quotient is determined modulo p^(K - v(b)) only; the canonical
-    representative below p^(K - v(b)) is returned and the loss v(b) is
-    recorded in the ledger.  All divisions in the pipeline (by p, by k!)
-    are exact by construction.
-    """
-    a._check(b)
-    if b.is_zero:
-        raise PrecisionExhausted("division by a value that is 0 at working precision")
-    w = int(b.valuation)
-    if a.valuation < w:
-        raise InputError(f"inexact division: v(dividend)={a.valuation} < v(divisor)={w}")
-    p, k = a.ctx.prime, a.ctx.precision
-    reduced_mod = p ** (k - w)
-    num = a.residue // p**w
-    den = b.residue // p**w
-    q = num * pow(den, -1, reduced_mod) % reduced_mod
-    if ledger is not None:
-        ledger.record("exact_div", w)
-    return a.ctx.scalar(q)
-
-
-def binomial_mod(n, k: int, ctx: PadicContext | None = None) -> PadicScalar:
-    """Binomial coefficient C(n, k) reduced in a context.
-
-    For an integer n the exact integer value is reduced.  For a p-adic n the
-    falling factorial n(n-1)...(n-k+1) is accumulated at raised working
-    precision and the p-part of k! is cancelled exactly before reduction, so
-    the result is correct modulo p^K whenever v_p(k!) < K.
-    """
-    if k < 0:
-        raise InputError("binomial index k must be >= 0")
-    if isinstance(n, PadicScalar):
-        ctx = n.ctx
-    elif ctx is None:
-        raise InputError("an integer argument needs an explicit context")
-    e = vp_factorial(k, ctx.prime)
-    if e >= ctx.precision:
-        raise PrecisionExhausted(
-            f"v_p({k}!) = {e} >= precision {ctx.precision}; raise the precision"
-        )
-    if isinstance(n, int):
-        if n >= 0:
-            value = math.comb(n, k)
-        else:
-            value = (-1) ** k * math.comb(-n + k - 1, k)
-        return ctx.scalar(value)
-    return binomial_row(n, k)[k]
-
-
 def binomial_row(n: PadicScalar, kmax: int) -> list[PadicScalar]:
     """All of C(n, 0), ..., C(n, kmax) for a p-adic argument.
 
@@ -307,31 +242,30 @@ class PadicVector:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Finitely supported power series with PadicScalar coefficients.
+    """Finitely supported power series with coefficients mod p^K.
 
-    Coefficients that are 0 at working precision are not stored.  The
-    exponent keys are tuples of length nvars.
+    coeffs maps exponent tuples of length nvars to residues in [0, p^K).
+    precs maps an exponent to the precision bound of its coefficient: a
+    lower bound on the valuation of the coefficient's unknown part.  An
+    exponent absent from precs has bound INF, i.e. its residue is exact mod
+    p^K.  A coefficient is stored unless its residue is 0 and its bound INF.
     """
 
     ctx: PadicContext
     nvars: int
     coeffs: dict = field(default_factory=dict)
+    precs: dict = field(default_factory=dict)
 
     @staticmethod
     def make(ctx: PadicContext, nvars: int, items) -> "TruncatedSeries":
+        """An exact series from integer coefficients keyed by exponent."""
         coeffs = {}
         for exp, c in dict(items).items():
-            if not isinstance(c, PadicScalar):
-                c = ctx.scalar(c)
             if len(exp) != nvars:
                 raise InputError(f"exponent {exp} has wrong arity for {nvars} variables")
-            if not c.is_zero:
-                coeffs[tuple(exp)] = c
+            if c % ctx.modulus:
+                coeffs[tuple(exp)] = c % ctx.modulus
         return TruncatedSeries(ctx, nvars, coeffs)
-
-    @staticmethod
-    def constant(ctx: PadicContext, nvars: int, value) -> "TruncatedSeries":
-        return TruncatedSeries.make(ctx, nvars, {(0,) * nvars: value})
 
     @staticmethod
     def variable(ctx: PadicContext, nvars: int, i: int) -> "TruncatedSeries":
@@ -339,58 +273,76 @@ class TruncatedSeries:
         exp[i] = 1
         return TruncatedSeries.make(ctx, nvars, {tuple(exp): 1})
 
+    def _valuation_floors(self) -> dict:
+        """Per stored coefficient, min(v(residue), bound): a lower bound on its valuation."""
+        p, precs = self.ctx.prime, self.precs
+        return {e: min(int_valuation(r, p), precs.get(e, INF)) for e, r in self.coeffs.items()}
+
     @property
     def gauss_valuation(self) -> int | float:
-        """min coefficient valuation (Gauss norm = p^-this; INF for the zero series)."""
-        if not self.coeffs:
-            return INF
-        return min(c.valuation for c in self.coeffs.values())
+        """min coefficient valuation floor (Gauss norm = p^-this; INF for the zero series)."""
+        return min(self._valuation_floors().values(), default=INF)
 
-    def coefficient(self, exp: tuple[int, ...]) -> PadicScalar:
-        return self.coeffs.get(tuple(exp), self.ctx.zero())
+    def coefficient(self, exp: tuple[int, ...]) -> int:
+        return self.coeffs.get(tuple(exp), 0)
 
-    def constant_term(self) -> PadicScalar:
+    def constant_term(self) -> int:
         return self.coefficient((0,) * self.nvars)
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            s = out.get(exp)
-            t = c if s is None else s + c
-            if t.is_zero:
-                out.pop(exp, None)
-            else:
-                out[exp] = t
-        return TruncatedSeries(self.ctx, self.nvars, out)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.ctx, self.nvars, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        mod = self.ctx.modulus
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.coeffs.items():
-            r1 = c1.residue
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = (out.get(e, 0) + r1 * c2.residue) % mod
-            if len(out) > SERIES_TERM_GUARD:
-                raise BudgetExceeded("series product exceeded the term guard")
-        return TruncatedSeries.make(self.ctx, self.nvars, out)
-
-    def scale(self, s: PadicScalar) -> "TruncatedSeries":
-        return TruncatedSeries.make(
-            self.ctx, self.nvars, {e: c * s for e, c in self.coeffs.items()}
+    def _stored(self, coeffs: dict, precs: dict) -> "TruncatedSeries":
+        return TruncatedSeries(
+            self.ctx, self.nvars, {e: r for e, r in coeffs.items() if r or e in precs}, precs
         )
 
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Residues add mod p^K; a coefficient's bound is the smaller of the two."""
+        mod = self.ctx.modulus
+        coeffs, precs = dict(self.coeffs), dict(self.precs)
+        for e, r in other.coeffs.items():
+            coeffs[e] = (coeffs.get(e, 0) + r) % mod
+        for e, b in other.precs.items():
+            if b < precs.get(e, INF):
+                precs[e] = b
+        return self._stored(coeffs, precs)
+
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Product mod p^K, with bounds propagated pair by pair.
+
+        A coefficient r + u with unknown part v(u) >= b has valuation floor
+        f = min(v(r), b).  The unknown part of (r1 + u1)(r2 + u2) is
+        r1*u2 + r2*u1 + u1*u2, of valuation >= min(f1 + b2, b1 + f2) (u1*u2
+        adds nothing, as f <= b); a product coefficient takes the least such
+        bound over the pairs that reach it.
+        """
+        right = [
+            (e, other.coeffs[e], other.precs.get(e, INF), f)
+            for e, f in other._valuation_floors().items()
+        ]
+        acc: dict[tuple[int, ...], list] = {}  # exponent -> [residue sum, bound]
+        get = acc.get
+        for e1, f1 in self._valuation_floors().items():
+            r1, b1 = self.coeffs[e1], self.precs.get(e1, INF)
+            for e2, r2, b2, f2 in right:
+                e = tuple(map(add, e1, e2))
+                bound = b1 + f2
+                if f1 + b2 < bound:
+                    bound = f1 + b2
+                slot = get(e)
+                if slot is None:
+                    acc[e] = [r1 * r2, bound]
+                else:
+                    slot[0] += r1 * r2
+                    if bound < slot[1]:
+                        slot[1] = bound
+            if len(acc) > SERIES_TERM_GUARD:
+                raise BudgetExceeded("series product exceeded the term guard")
+        mod = self.ctx.modulus
+        coeffs = {e: r % mod for e, (r, _) in acc.items()}
+        precs = {e: b for e, (_, b) in acc.items() if b < INF}
+        return self._stored(coeffs, precs)
+
     def evaluate(self, point) -> PadicScalar:
-        """Evaluate at a point of the unit polydisk."""
+        """Evaluate the residues at a point of the unit polydisk."""
         if isinstance(point, PadicVector):
             point = point.coords
         if len(point) != self.nvars:
@@ -399,8 +351,7 @@ class TruncatedSeries:
         res = tuple(c.residue for c in point)
         pow_cache: list[dict[int, int]] = [dict() for _ in range(self.nvars)]
         acc = 0
-        for exp, c in self.coeffs.items():
-            term = c.residue
+        for exp, term in self.coeffs.items():
             for i, e in enumerate(exp):
                 if e:
                     pe = pow_cache[i].get(e)
@@ -414,35 +365,30 @@ class TruncatedSeries:
     def compose(self, args: list["TruncatedSeries"]) -> "TruncatedSeries":
         """Substitute a series for each variable.
 
-        Coefficients that vanish at working precision are dropped as they
-        appear, which keeps compositions of maps whose degree-d coefficients
-        have valuation >= d-1 down to total degree <= K automatically.
+        Powers are built as x^e = x^(e-1) * x and each term is multiplied
+        out variable by variable; residues do not depend on that order, but
+        precision bounds do.  Coefficients that vanish at working precision
+        are dropped as they appear, which keeps compositions of maps whose
+        degree-d coefficients have valuation >= d-1 down to total degree
+        <= K automatically.
         """
         if len(args) != self.nvars:
             raise InputError("composition arity mismatch")
         nv = args[0].nvars
         if any(a.nvars != nv for a in args):
             raise InputError("composition arguments must share one variable count")
-        one = TruncatedSeries.constant(self.ctx, nv, 1)
-        pow_cache: list[dict[int, TruncatedSeries]] = [{0: one} for _ in args]
-
-        def arg_power(i: int, e: int) -> TruncatedSeries:
-            cache = pow_cache[i]
-            if e in cache:
-                return cache[e]
-            half = arg_power(i, e // 2)
-            out = half * half
-            if e % 2:
-                out = out * args[i]
-            cache[e] = out
-            return out
-
-        total = TruncatedSeries(self.ctx, nv, {})
+        zero = (0,) * nv
+        powers = [[None, a] for a in args]  # powers[i][e] = args[i]^e for e >= 1
+        total = TruncatedSeries(self.ctx, nv)
         for exp, c in self.coeffs.items():
-            term = TruncatedSeries.constant(self.ctx, nv, c)
+            prec = {zero: self.precs[exp]} if exp in self.precs else {}
+            term = TruncatedSeries(self.ctx, nv, {zero: c}, prec)
             for i, e in enumerate(exp):
                 if e:
-                    term = term * arg_power(i, e)
+                    row = powers[i]
+                    while len(row) <= e:
+                        row.append(row[-1] * args[i])
+                    term = term * row[e]
             total = total + term
         return total
 

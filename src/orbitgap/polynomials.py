@@ -165,29 +165,6 @@ def modular_eval(p: dict[Exponent, int], point, m: int) -> int:
     return acc
 
 
-def modular_compose(p: dict[Exponent, int], args: list[dict[Exponent, int]], m: int) -> dict[Exponent, int]:
-    """Composition with coefficients mod m (same convolution, modular ring)."""
-
-    def mul(a, b):
-        out: dict[Exponent, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = (out.get(e, 0) + c1 * c2) % m
-        return {e: c for e, c in out.items() if c}
-
-    nvars_out = max((len(next(iter(a))) for a in args if a), default=1)
-    out: dict[Exponent, int] = {}
-    for e, c in p.items():
-        term = {(0,) * nvars_out: c}
-        for i, k in enumerate(e):
-            for _ in range(k):
-                term = mul(term, args[i])
-        for key, val in term.items():
-            out[key] = (out.get(key, 0) + val) % m
-    return {e: c for e, c in out.items() if c}
-
-
 @dataclass(frozen=True)
 class PolyMap:
     """N polynomials in N variables with exact rational coefficients."""
@@ -233,9 +210,6 @@ class PolyMap:
 
     def jacobian(self) -> list[list[Poly]]:
         return [[poly_derivative(p, j) for j in range(self.nvars)] for p in self.polys]
-
-    def degree(self) -> int:
-        return max(poly_degree(p) for p in self.polys)
 
     def denominator_primes(self) -> set[int]:
         out: set[int] = set()

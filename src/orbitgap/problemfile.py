@@ -93,6 +93,12 @@ def _as_poly(data, dimension: int, where: str) -> Poly:
     return {e: c for e, c in out.items() if c != 0}
 
 
+def _as_point(data, dimension: int, where: str) -> tuple[Fraction, ...]:
+    if not isinstance(data, list) or len(data) != dimension:
+        raise InputError(f"{where} must list {dimension} rationals")
+    return tuple(_as_fraction(x, f"{where}[{j}]") for j, x in enumerate(data))
+
+
 def parse_problem(doc) -> tuple[ProblemInstance, RunParameters]:
     """Validate a parsed JSON document into an instance and run parameters."""
     if not isinstance(doc, dict):
@@ -109,11 +115,7 @@ def parse_problem(doc) -> tuple[ProblemInstance, RunParameters]:
     if not isinstance(doc["map"], list) or len(doc["map"]) != dim:
         raise InputError(f"map must list exactly {dim} coordinate polynomials")
     polys = tuple(_as_poly(p, dim, f"map[{i}]") for i, p in enumerate(doc["map"]))
-    if not isinstance(doc["initial_point"], list) or len(doc["initial_point"]) != dim:
-        raise InputError(f"initial_point must list {dim} rationals")
-    point = tuple(
-        _as_fraction(x, f"initial_point[{i}]") for i, x in enumerate(doc["initial_point"])
-    )
+    point = _as_point(doc["initial_point"], dim, "initial_point")
     if not isinstance(doc["variety"], list) or not doc["variety"]:
         raise InputError("variety must list at least one defining polynomial")
     variety = tuple(
@@ -124,12 +126,9 @@ def parse_problem(doc) -> tuple[ProblemInstance, RunParameters]:
         if not isinstance(doc["periodic_points"], list):
             raise InputError("periodic_points must be a list of points")
         targets = tuple(
-            tuple(_as_fraction(x, f"periodic_points[{i}][{j}]") for j, x in enumerate(pt))
+            _as_point(pt, dim, f"periodic_points[{i}]")
             for i, pt in enumerate(doc["periodic_points"])
         )
-        for i, t in enumerate(targets):
-            if len(t) != dim:
-                raise InputError(f"periodic_points[{i}] must have {dim} coordinates")
 
     params_doc = doc.get("parameters", {})
     if not isinstance(params_doc, dict):

@@ -11,7 +11,6 @@ no density theorem is invoked.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,10 +30,6 @@ from .polynomials import (
 
 #: Default cap on full-space scans over F_p^N.
 ENUM_GUARD = 2**24
-
-#: Default bound when checking declared points for exact periodicity.
-PERIOD_BOUND = 64
-
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -426,35 +421,6 @@ def avoidance_search(
     certified = sum(1 for c in certs if c.certified)
     density = certified / scanned if scanned else 0.0
     return AvoidanceScan(tuple(certs), scanned, density)
-
-
-def exact_period(f: PolyMap, point, bound: int = PERIOD_BOUND) -> int:
-    """Exact period of a periodic rational point; raises if not periodic within bound."""
-    start = tuple(Fraction(x) for x in point)
-    pt = start
-    for k in range(1, bound + 1):
-        pt = f.evaluate(pt)
-        if pt == start:
-            return k
-    raise HypothesisViolation(f"point {point} is not periodic within period bound {bound}")
-
-
-def fixing_iterate(
-    inst: ProblemInstance, p: int, period_bound: int = PERIOD_BOUND, bad: BadPrimeSet | None = None
-) -> int:
-    """Least iterate power fixing every declared target and the residue orbit.
-
-    Combines the exact rational periods of the declared targets with the
-    eventual period of the initial point's residue orbit mod p (the residue
-    tail is absorbed separately by taking a forward image before building a
-    local model).
-    """
-    k = 1
-    for t in inst.targets:
-        k = math.lcm(k, exact_period(inst.mapping, t, period_bound))
-    fp, a_p, _ = reduce_instance(inst, p, bad)
-    k = math.lcm(k, orbit_summary(fp, a_p).cycle)
-    return k
 
 
 def residue_orbit_avoids(inst: ProblemInstance, p: int, bound: int, bad: BadPrimeSet | None = None) -> bool:

@@ -18,9 +18,22 @@ for degree <= 4:
 The count is 5 * (profile(0) - profile(-1/5)).  Ramified roots (e.g. the
 pair of t^2 - p, invisible to residue enumeration at any depth) are captured
 by the second measurement.
+
+The rest are reference implementations that tests compare the package
+against: exact division with a precision ledger, binomial coefficients in a
+context, exact periods and the fixing iterate of declared targets, and a
+dense one-variable series with precision bounds (the reference for disk
+restriction and for the bound rule of TruncatedSeries).
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from orbitgap.errors import HypothesisViolation, InputError, PrecisionExhausted
+from orbitgap.padic import INF, PadicContext, PadicScalar, binomial_row, vp_factorial
+from orbitgap.reduction import orbit_summary, reduce_instance
 
 
 def valuation(n: int, p: int, cap: int) -> int:
@@ -100,3 +113,172 @@ def unit_disk_root_count(coeffs: list[int], p: int, precision: int) -> int:
     count = 5 * lam0 - lam_shift
     assert 0 <= count <= degree
     return count
+
+
+class PrecisionLedger:
+    """Append-only record of precision losses from exact divisions."""
+
+    def __init__(self) -> None:
+        self.entries: list[tuple[str, int]] = []
+
+    def record(self, op: str, loss: int) -> None:
+        if loss > 0:
+            self.entries.append((op, loss))
+
+    @property
+    def total(self) -> int:
+        return sum(loss for _, loss in self.entries)
+
+
+def exact_div(
+    a: PadicScalar, b: PadicScalar, ledger: PrecisionLedger | None = None
+) -> PadicScalar:
+    """Exact division a/b, allowed only when v(b) <= v(a).
+
+    The quotient is determined modulo p^(K - v(b)) only; the canonical
+    representative below p^(K - v(b)) is returned and the loss v(b) is
+    recorded in the ledger.
+    """
+    a._check(b)
+    if b.is_zero:
+        raise PrecisionExhausted("division by a value that is 0 at working precision")
+    w = int(b.valuation)
+    if a.valuation < w:
+        raise InputError(f"inexact division: v(dividend)={a.valuation} < v(divisor)={w}")
+    p, k = a.ctx.prime, a.ctx.precision
+    reduced_mod = p ** (k - w)
+    num = a.residue // p**w
+    den = b.residue // p**w
+    q = num * pow(den, -1, reduced_mod) % reduced_mod
+    if ledger is not None:
+        ledger.record("exact_div", w)
+    return a.ctx.scalar(q)
+
+
+def binomial_mod(n, k: int, ctx: PadicContext | None = None) -> PadicScalar:
+    """Binomial coefficient C(n, k) reduced in a context.
+
+    For an integer n the exact integer value is reduced.  For a p-adic n the
+    falling factorial n(n-1)...(n-k+1) is accumulated at raised working
+    precision and the p-part of k! is cancelled exactly before reduction, so
+    the result is correct modulo p^K whenever v_p(k!) < K.
+    """
+    if k < 0:
+        raise InputError("binomial index k must be >= 0")
+    if isinstance(n, PadicScalar):
+        ctx = n.ctx
+    elif ctx is None:
+        raise InputError("an integer argument needs an explicit context")
+    e = vp_factorial(k, ctx.prime)
+    if e >= ctx.precision:
+        raise PrecisionExhausted(
+            f"v_p({k}!) = {e} >= precision {ctx.precision}; raise the precision"
+        )
+    if isinstance(n, int):
+        if n >= 0:
+            value = math.comb(n, k)
+        else:
+            value = (-1) ** k * math.comb(-n + k - 1, k)
+        return ctx.scalar(value)
+    return binomial_row(n, k)[k]
+
+
+def exact_period(f, point, bound: int = 64) -> int:
+    """Exact period of a periodic rational point; raises if not periodic within bound."""
+    start = tuple(Fraction(x) for x in point)
+    pt = start
+    for k in range(1, bound + 1):
+        pt = f.evaluate(pt)
+        if pt == start:
+            return k
+    raise HypothesisViolation(f"point {point} is not periodic within period bound {bound}")
+
+
+def fixing_iterate(inst, p: int, period_bound: int = 64, bad=None) -> int:
+    """Least iterate power fixing every declared target and the residue orbit.
+
+    Combines the exact rational periods of the declared targets with the
+    eventual period of the initial point's residue orbit mod p.
+    """
+    k = 1
+    for t in inst.targets:
+        k = math.lcm(k, exact_period(inst.mapping, t, period_bound))
+    fp, a_p, _ = reduce_instance(inst, p, bad)
+    k = math.lcm(k, orbit_summary(fp, a_p).cycle)
+    return k
+
+
+class DensePrecSeries:
+    """One-variable series as dense (residue mod p^K, precision bound) lists.
+
+    The dense reference for disk restriction: add takes the smaller bound,
+    and mul bounds each product coefficient by min(b_u + f_v, b_v + f_u,
+    b_u + b_v) over its pairs, f being min(v(residue), bound).
+    """
+
+    def __init__(self, mod, prime, res, prec):
+        self.mod, self.prime = mod, prime
+        self.res, self.prec = res, prec
+
+    @classmethod
+    def constant(cls, mod, prime, value: int):
+        return cls(mod, prime, [value % mod], [INF])
+
+    def _val_floor(self, m: int):
+        r = self.res[m]
+        if r == 0:
+            return self.prec[m]
+        v = 0
+        while r % self.prime == 0:
+            r //= self.prime
+            v += 1
+        return min(v, self.prec[m])
+
+    def add(self, other):
+        n = max(len(self.res), len(other.res))
+        res, prec = [], []
+        for m in range(n):
+            a = self.res[m] if m < len(self.res) else 0
+            b = other.res[m] if m < len(other.res) else 0
+            pa = self.prec[m] if m < len(self.prec) else INF
+            pb = other.prec[m] if m < len(other.prec) else INF
+            res.append((a + b) % self.mod)
+            prec.append(min(pa, pb))
+        return DensePrecSeries(self.mod, self.prime, res, prec)
+
+    def mul(self, other):
+        la, lb = len(self.res), len(other.res)
+        res = [0] * (la + lb - 1)
+        prec = [INF] * (la + lb - 1)
+        vf_a = [self._val_floor(m) for m in range(la)]
+        vf_b = [other._val_floor(m) for m in range(lb)]
+        for u in range(la):
+            for v in range(lb):
+                m = u + v
+                res[m] = (res[m] + self.res[u] * other.res[v]) % self.mod
+                if self.prec[u] is not INF or other.prec[v] is not INF:
+                    bound = min(
+                        self.prec[u] + vf_b[v],
+                        other.prec[v] + vf_a[u],
+                        self.prec[u] + other.prec[v],
+                    )
+                    prec[m] = min(prec[m], bound)
+        return DensePrecSeries(self.mod, self.prime, res, prec)
+
+
+def dense_compose(q: dict, coords: list[DensePrecSeries]) -> DensePrecSeries:
+    """q(coords[0], coords[1], ...) with powers built as x^e = x^(e-1) * x."""
+    mod, prime = coords[0].mod, coords[0].prime
+    result = DensePrecSeries.constant(mod, prime, 0)
+    for exp, coeff in q.items():
+        coeff = Fraction(coeff)
+        value = coeff.numerator * pow(coeff.denominator, -1, mod)
+        term = DensePrecSeries.constant(mod, prime, value)
+        for i, e in enumerate(exp):
+            if e:
+                power = coords[i]
+                for _ in range(e - 1):
+                    power = power.mul(coords[i])
+                term = term.mul(power)
+        result = result.add(term)
+    return result

@@ -6,6 +6,7 @@ import pytest
 
 from orbitgap import pipeline
 from orbitgap.cli import main
+from orbitgap.errors import InputError
 from orbitgap.problemfile import parse_problem
 
 WORKED = {
@@ -49,6 +50,25 @@ def test_unknown_key_exits_2(tmp_path):
 def test_float_coefficient_rejected(tmp_path):
     doc = json.loads(json.dumps(WORKED))
     doc["map"][0][0][1] = 1.5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize("dimension, points", [(1, [3]), (2, ["35"])])
+def test_periodic_point_must_be_a_list(tmp_path, dimension, points):
+    # a bare number used to escape as a TypeError, and a string was read
+    # as its characters: ["35"] became the point (3, 5)
+    unit = [[int(i == j) for j in range(dimension)] for i in range(dimension)]
+    doc = {
+        "dimension": dimension,
+        "map": [[[unit[i], 2]] for i in range(dimension)],
+        "initial_point": [1] * dimension,
+        "variety": [[[unit[0], 1]]],
+        "periodic_points": points,
+    }
+    with pytest.raises(InputError):
+        parse_problem(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path)]) == 2

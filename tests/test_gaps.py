@@ -1,13 +1,15 @@
 """Return sets, Newton-polygon zero counting, localization, gap/density reports."""
 
+import functools
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_oracles import unit_disk_root_count
+from padic_oracles import DensePrecSeries, dense_compose, unit_disk_root_count
 
 from orbitgap.errors import HypothesisViolation, InputError
 from orbitgap.gaps import (
@@ -23,7 +25,7 @@ from orbitgap.gaps import (
 )
 from orbitgap.interpolation import build_interpolant
 from orbitgap.normalization import build_local_model, direct_model
-from orbitgap.padic import PadicContext
+from orbitgap.padic import INF, PadicContext, vp_factorial
 from orbitgap.polynomials import ModularMap, PolyMap, modular_eval, reduce_poly
 from orbitgap.reduction import ProblemInstance, bad_primes, reduce_instance
 
@@ -292,6 +294,64 @@ def test_restrict_linear_example():
         v += 1
     assert v == 2
     assert newton_zero_count(disk) == 1
+
+
+@functools.cache
+def _disk_interpolants():
+    """Interpolants of direct models: two 1-d, two 2-d."""
+    maps = [
+        ([{(1,): 6}], (1,), 5, 20, 16),
+        ([{(1,): 4, (2,): 3}], (2,), 3, 16, 12),
+        ([{(1, 0): 6, (0, 2): 5}, {(0, 1): 1, (1, 1): 5}], (1, 2), 5, 16, 12),
+        ([{(1, 0): 1, (0, 1): 7}, {(0, 1): 8, (2, 0): 7}], (3, 1), 7, 12, 10),
+    ]
+    return [
+        build_interpolant(
+            direct_model(PolyMap.from_lists(len(a), polys), a, p, precision), terms=terms
+        )
+        for polys, a, p, precision, terms in maps
+    ]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_restrict_to_disk_matches_dense_reference(data):
+    """Residues and bounds of Q(G(center + p^k t)), coefficient by coefficient,
+    against the dense series rule applied to the coordinate series of G."""
+    interp = _disk_interpolants()[data.draw(st.integers(0, 3))]
+    dim, p, mod = interp.series.dim, interp.ctx.prime, interp.ctx.modulus
+    degree = data.draw(st.integers(2, 3))
+    monomials = [e for e in product(range(degree + 1), repeat=dim) if sum(e) <= degree]
+    q = {
+        e: Fraction(data.draw(st.integers(-30, 30)), data.draw(st.sampled_from([1, 2])))
+        for e in monomials
+    }
+    q[data.draw(st.sampled_from([e for e in monomials if sum(e) == degree]))] = Fraction(
+        data.draw(st.integers(1, 30))
+    )
+    q = {e: c for e, c in q.items() if c}
+    center = data.draw(st.integers(0, p**3 - 1))
+    radius = data.draw(st.integers(0, 3))
+
+    # coordinate m of G(center + p^k t) is known to p^K, less the p-part of
+    # T!/p^(k*m) that the re-expansion divides out
+    k_max, e_total = interp.ctx.precision, vp_factorial(interp.terms, p)
+    coord_precs = [k_max] + [
+        k_max + min(radius * m - e_total, 0) for m in range(1, interp.terms + 1)
+    ]
+    coords = []
+    for i in range(dim):
+        unit = tuple(int(j == i) for j in range(dim))
+        x = restrict_to_disk(interp, {unit: Fraction(1)}, center, radius)
+        assert list(x.precs) == coord_precs
+        coords.append(DensePrecSeries(mod, p, list(x.residues), coord_precs))
+    want = dense_compose(q, coords)
+    got = restrict_to_disk(interp, q, center, radius)
+
+    def stored(residues, precs):
+        return [(m, r, b) for m, (r, b) in enumerate(zip(residues, precs)) if r or b < INF]
+
+    assert stored(got.residues, got.precs) == stored(want.res, want.prec)
 
 
 def test_localization_finds_integer_zero():

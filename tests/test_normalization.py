@@ -20,6 +20,7 @@ from orbitgap.normalization import (
     series_congruence_exponent,
     stabilize_orbit,
 )
+from orbitgap.padic import int_valuation
 from orbitgap.polynomials import (
     ModularMap,
     Poly,
@@ -161,7 +162,7 @@ def test_build_local_model_worked_example():
     assert (m.m0, m.k1, m.steps_per_iterate) == (2, 1, 1)
     assert m.center == (2,)
     assert m.base_point.lift() == (15,)
-    assert {e: c.residue for e, c in m.series[0].coeffs.items()} == {(2,): 3, (1,): 4}
+    assert m.series[0].coeffs == {(2,): 3, (1,): 4}
     assert m.congruence_exponent == 1
     assert m.base_point.sup_valuation >= 1
     a_bar = mat_reduce(m.linear, 3)
@@ -284,7 +285,7 @@ def test_normalization_postconditions_random_quadratics():
         # idempotent linear part mod p, honest round-trip
         assert m.base_point.sup_valuation >= 1
         for srs in m.series:
-            assert srs.constant_term().valuation >= 1
+            assert int_valuation(srs.constant_term(), p) >= 1
         a_bar = mat_reduce(m.linear, p)
         assert mat_mul(a_bar, a_bar, p) == a_bar
         assert m.congruence_exponent >= 1

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padic_oracles import exact_period, fixing_iterate
+
 from orbitgap.errors import HypothesisViolation, InputError
 from orbitgap.polynomials import ModularMap, PolyMap, reduce_poly
 from orbitgap.reduction import (
@@ -13,8 +15,6 @@ from orbitgap.reduction import (
     avoidance_search,
     bad_primes,
     first_hit_depth,
-    fixing_iterate,
-    exact_period,
     on_cycle,
     orbit_summary,
     periodic_points_on_variety,

@@ -1,4 +1,8 @@
-"""Smoke test: every script in scripts/ runs with its default arguments."""
+"""Smoke test: every script in scripts/ runs with its default arguments.
+
+Each runs in a fresh temporary directory, so whatever a script writes by
+default lands there and not in the source tree.
+"""
 
 import pathlib
 import subprocess
@@ -11,9 +15,10 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
-def test_script_runs(script):
+def test_script_runs(script, tmp_path):
     proc = subprocess.run(
         [sys.executable, str(script)],
+        cwd=tmp_path,
         capture_output=True,
         text=True,
         timeout=120,
