@@ -8,7 +8,6 @@ gap/density reports on the set of iterates returning to a target variety.
 
 from .errors import (
     BudgetExceeded,
-    ContextMismatch,
     HypothesisViolation,
     InputError,
     OrbitgapError,
@@ -18,8 +17,6 @@ from .padic import (
     INF,
     MahlerSeries,
     PadicContext,
-    PadicScalar,
-    PadicVector,
     TruncatedSeries,
     binomial_row,
 )

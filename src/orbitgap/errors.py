@@ -13,10 +13,6 @@ class InputError(OrbitgapError):
     """Malformed problem file, bad parameters, or contract violation by the caller."""
 
 
-class ContextMismatch(OrbitgapError):
-    """Arithmetic attempted between values from different p-adic contexts."""
-
-
 class HypothesisViolation(OrbitgapError):
     """A mathematical hypothesis the pipeline relies on failed to verify.
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import HypothesisViolation, InputError, PrecisionExhausted
 from .interpolation import ApproxInterpolant
-from .padic import INF, PadicScalar, TruncatedSeries, int_valuation, is_prime, vp_factorial
+from .padic import INF, TruncatedSeries, int_valuation, is_prime, vp_factorial
 from .polynomials import Poly, modular_eval, poly_eval, reduce_poly
 from .reduction import BadPrimeSet, ProblemInstance, bad_primes, orbit_summary, reduce_instance
 
@@ -229,16 +229,13 @@ class DiskSeries:
     def zero_at_precision(self) -> bool:
         return all(r == 0 and prec >= 1 for r, prec in zip(self.residues, self.precs))
 
-    def known_valuations(self):
-        """(index, valuation) for coefficients whose valuation is certain."""
-        return _known_valuations(zip(self.residues, self.precs), self.prime)
-
-
-def _known_valuations(pairs, prime: int) -> list[tuple[int, int]]:
-    """(index, v(residue)) where the residue's valuation is below its bound."""
-    return [
-        (m, v) for m, (r, bound) in enumerate(pairs) if (v := int_valuation(r, prime)) < bound
-    ]
+    def known_valuations(self) -> list[tuple[int, int]]:
+        """(index, v(residue)) where the residue's valuation is below its bound."""
+        return [
+            (m, v)
+            for m, (r, bound) in enumerate(zip(self.residues, self.precs))
+            if (v := int_valuation(r, self.prime)) < bound
+        ]
 
 
 def restrict_to_disk(
@@ -279,7 +276,7 @@ def restrict_to_disk(
             ratio //= j
         cj = interp.series.coeffs[j]
         for i in range(dim):
-            ci = cj.coords[i].residue
+            ci = cj[i]
             if ci:
                 scaled = ci * ratio
                 row = acc[i]
@@ -301,7 +298,7 @@ def restrict_to_disk(
                 )
             coeffs[(m,)] = quotient * inv_fact_unit % mod
             precs[(m,)] = prec + min(radius_exp * m - e_total, 0)
-        coeffs[(0,)] = direct.coords[i].residue
+        coeffs[(0,)] = direct[i]
         precs[(0,)] = prec
         coord_series.append(TruncatedSeries(ctx, 1, coeffs, precs))
 
@@ -322,7 +319,7 @@ def restrict_to_disk(
 # ---------------------------------------------------------------------------
 
 
-def newton_zero_count(coeffs, precs=None, margin: int = 1) -> int:
+def newton_zero_count(series: DiskSeries, margin: int = 1) -> int:
     """Zeros (with multiplicity, over the algebraic closure) in the closed unit disk.
 
     The count is the largest index attaining the minimal coefficient
@@ -331,26 +328,13 @@ def newton_zero_count(coeffs, precs=None, margin: int = 1) -> int:
     be bounded strictly above the minimum, else the truncation is declared
     insufficient.
     """
-    if isinstance(coeffs, DiskSeries):
-        pairs = list(zip(coeffs.residues, coeffs.precs))
-        prime = coeffs.prime
-    else:
-        pairs = []
-        prime = None
-        for i, c in enumerate(coeffs):
-            if isinstance(c, PadicScalar):
-                prime = c.ctx.prime
-                bound = precs[i] if precs is not None else c.ctx.precision
-                pairs.append((c.residue, bound if c.residue == 0 else min(bound, c.ctx.precision)))
-            else:
-                raise InputError("newton_zero_count expects a DiskSeries or PadicScalar list")
-    known = _known_valuations(pairs, prime)
+    known = series.known_valuations()
     if not known:
         raise InputError("series is identically zero at precision; no polygon exists")
     min_val = min(v for _, v in known)
     count = max(m for m, v in known if v == min_val)
     known_indices = {m for m, _ in known}
-    for m, (r, bound) in enumerate(pairs):
+    for m, bound in enumerate(series.precs):
         if m not in known_indices and bound < min_val + margin:
             raise PrecisionExhausted(
                 f"truncation insufficient: coefficient {m} is only known above "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import HypothesisViolation, PrecisionExhausted
 from .modmat import mat_mul, mat_reduce
 from .normalization import LocalModel, series_congruence_exponent
-from .padic import MahlerSeries, PadicScalar, PadicVector
+from .padic import MahlerSeries, PadicContext, sup_valuation
 
 #: Allowed shortfall of coefficient decay below the ideal k*c schedule,
 #: beyond the k/(p-1) slack inherent to binomial-basis expansions.
@@ -41,7 +41,7 @@ class ApproxInterpolant:
     def ctx(self):
         return self.model.ctx
 
-    def value(self, n) -> PadicVector:
+    def value(self, n: int) -> tuple[int, ...]:
         return self.series.evaluate(n)
 
     def to_record(self) -> dict:
@@ -51,7 +51,7 @@ class ApproxInterpolant:
             "congruence_exponent": self.congruence_exponent,
             "terms": self.terms,
             "decay_onset": self.series.decay_onset,
-            "coefficients": [[c.residue for c in v.coords] for v in self.series.coeffs],
+            "coefficients": [list(v) for v in self.series.coeffs],
         }
 
 
@@ -78,6 +78,11 @@ def check_hypotheses(model: LocalModel) -> int:
     return c
 
 
+def _margin(x: tuple[int, ...], y: tuple[int, ...], ctx: PadicContext) -> int | float:
+    """Valuation of x - y mod p^K in the sup-norm."""
+    return sup_valuation([(a - b) % ctx.modulus for a, b in zip(x, y, strict=True)], ctx.prime)
+
+
 def decay_requirement(k: int, c: int, p: int, precision: int, slack: int = DECAY_SLACK) -> int:
     req = math.ceil(k * c) - math.ceil(k / (p - 1)) - slack
     return max(0, min(req, precision))
@@ -96,7 +101,7 @@ def build_interpolant(
     if terms is None:
         terms = model.ctx.precision
     values = model.orbit(terms + 1)
-    series = MahlerSeries.from_values(values)
+    series = MahlerSeries.from_values(model.ctx, values)
     p, prec = model.ctx.prime, model.ctx.precision
     decay = tuple(series.coefficient_valuations())
     for k, v in enumerate(decay):
@@ -158,8 +163,7 @@ def verify_error_bound(
         while idx < n:
             pt = model.apply(pt)
             idx += 1
-        diff = interp.value(n) - pt
-        margin = diff.sup_valuation
+        margin = _margin(interp.value(n), pt, model.ctx)
         req = min(n * c, (interp.terms + 1) * c, prec)
         margins.append(margin)
         required.append(req)
@@ -184,7 +188,7 @@ class CompatReport:
     witness: int | None
 
 
-def default_compat_samples(ctx, count: int = 20, seed: int = 0) -> list[PadicScalar]:
+def default_compat_samples(ctx: PadicContext, count: int = 20, seed: int = 0) -> list[int]:
     """Pseudo-random p-adic arguments plus the standard non-integer specials."""
     rng = random.Random(seed)
     # -1 and 1/(1-p) = 1 + p + p^2 + ... are the classic non-integer points
@@ -200,7 +204,10 @@ def verify_compatibility(
     threshold: int | None = None,
     strict: bool = True,
 ) -> CompatReport:
-    """Check valuation(F(G(n)) - G(n+1)) >= threshold on p-adic samples."""
+    """Check valuation(F(G(n)) - G(n+1)) >= threshold on p-adic samples.
+
+    A sample is the residue mod p^K of a p-adic argument.
+    """
     model = interp.model
     ctx = model.ctx
     if threshold is None:
@@ -209,17 +216,12 @@ def verify_compatibility(
         samples = default_compat_samples(ctx)
     margins = []
     ok, witness = True, None
-    one = ctx.one()
     for n in samples:
-        left = model.apply(interp.value(n))
-        right = interp.value(n + one)
-        margin = (left - right).sup_valuation
+        margin = _margin(model.apply(interp.value(n)), interp.value(n + 1), ctx)
         margins.append(margin)
         if margin < threshold and ok:
-            ok, witness = False, n.residue
-    report = CompatReport(
-        tuple(s.residue for s in samples), tuple(margins), threshold, ok, witness
-    )
+            ok, witness = False, n
+    report = CompatReport(tuple(samples), tuple(margins), threshold, ok, witness)
     if strict and not ok:
         raise HypothesisViolation(
             f"compatibility identity failed at argument residue {witness}"
@@ -230,7 +232,7 @@ def verify_compatibility(
 @dataclass(frozen=True)
 class ConstancyReport:
     constant: bool
-    beta: PadicVector | None
+    beta: tuple[int, ...] | None
     fixed_point_margin: int | float | None
     threshold: int
 
@@ -250,7 +252,7 @@ def constancy_test(interp: ApproxInterpolant, threshold: int | None = None) -> C
     if not constant:
         return ConstancyReport(False, None, None, threshold)
     beta = interp.series.coeffs[0]
-    margin = (interp.model.apply(beta) - beta).sup_valuation
+    margin = _margin(interp.model.apply(beta), beta, interp.ctx)
     if margin < threshold:
         raise HypothesisViolation(
             "constant interpolant whose value is not fixed by the map; inconsistent model"

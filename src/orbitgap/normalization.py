@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, HypothesisViolation, InputError
 from .modmat import Matrix, mat_identity, mat_mul, mat_pow, mat_reduce
-from .padic import PadicContext, PadicVector, TruncatedSeries, int_valuation
+from .padic import PadicContext, TruncatedSeries, int_valuation, sup_valuation
 from .polynomials import (
     ModularMap,
     Poly,
@@ -149,7 +149,7 @@ class LocalModel:
     charts: tuple[PolyMap, ...]  # chart steps G_s, G_{s+1}, ... in application order
     steps_per_iterate: int  # chart-chain repetitions per model iterate (k2)
     series: tuple[TruncatedSeries, ...]  # model map mod p^P (see above)
-    base_point: PadicVector
+    base_point: tuple[int, ...]  # residues mod p^K
     linear: Matrix  # exactly idempotent mod p^K, congruent to the linear part mod p
     congruence_exponent: int
     center: tuple[int, ...]  # eta for this shift, lifted in [0, p^2)
@@ -179,35 +179,32 @@ class LocalModel:
             )
         return self._chart_mods_holder[0]
 
-    def apply(self, point: PadicVector) -> PadicVector:
+    def apply(self, point: tuple[int, ...]) -> tuple[int, ...]:
         """One model iterate (the full chart chain, steps_per_iterate times)."""
         mods = self._chart_mods()
-        pt = point.lift()
         for _ in range(self.steps_per_iterate):
             for g in mods:
-                pt = g(pt)
-        return self.ctx.vector(pt)
+                point = g(point)
+        return point
 
-    def orbit(self, count: int) -> list[PadicVector]:
+    def orbit(self, count: int) -> list[tuple[int, ...]]:
         """Model orbit F^0(a'), ..., F^(count-1)(a')."""
         out = [self.base_point]
         for _ in range(count - 1):
             out.append(self.apply(out[-1]))
         return out
 
-    def to_original(self, point: PadicVector) -> tuple[int, ...]:
+    def to_original(self, point: tuple[int, ...]) -> tuple[int, ...]:
         """T(x) = eta + p*x, one digit above working precision."""
         if self.direct:
-            return point.lift()
+            return tuple(point)
         p, mod1 = self.prime, self.ctx.modulus * self.prime
-        return tuple(
-            (e + p * c.residue) % mod1 for e, c in zip(self.center, point.coords)
-        )
+        return tuple((e + p * c) % mod1 for e, c in zip(self.center, point))
 
-    def from_original(self, point: tuple[int, ...]) -> PadicVector:
+    def from_original(self, point: tuple[int, ...]) -> tuple[int, ...]:
         """T^-1(y) = (y - eta)/p; needs y mod p^(K+1), y = eta mod p."""
         if self.direct:
-            return self.ctx.vector(point)
+            return tuple(self.ctx.scalar(y) for y in point)
         p, mod1 = self.prime, self.ctx.modulus * self.prime
         coords = []
         for e, y in zip(self.center, point):
@@ -215,7 +212,7 @@ class LocalModel:
             if d % p:
                 raise InputError("point is not in the chart disk")
             coords.append(d // p)
-        return self.ctx.vector(coords)
+        return tuple(coords)
 
     def transport_poly(self, q: Poly) -> Poly:
         """A polynomial on original coordinates, rewritten on chart coordinates."""
@@ -430,8 +427,8 @@ def build_local_model(
                 "normalization/base-point: stabilized point left its residue disk"
             )
         base_coords.append(d // p)
-    base_point = ctx.vector(base_coords)
-    if base_point.sup_valuation < 1:
+    base_point = tuple(base_coords)
+    if sup_valuation(base_point, p) < 1:
         raise HypothesisViolation(
             "normalization/base-point: coordinates are not in the maximal ideal"
         )
@@ -544,7 +541,7 @@ def direct_model(mapping: PolyMap, base_point, p: int, precision: int) -> LocalM
         charts=(mapping,),
         steps_per_iterate=1,
         series=series,
-        base_point=ctx.vector(base_point),
+        base_point=tuple(ctx.scalar(x) for x in base_point),
         linear=linear,
         congruence_exponent=c,
         center=(0,) * mapping.nvars,

@@ -1,18 +1,20 @@
 """Fixed-precision p-adic integer arithmetic.
 
-Values live in Z/p^K with a cached exact valuation; a residue of 0 means
-"indistinguishable from 0 at precision K", never "provably zero".  The prime
-is always >= 3 and the base is unramified, so the uniformizer is p itself.
+A p-adic value is a plain int residue in [0, p^K); a point of the
+N-dimensional unit polydisk is a tuple of them.  A residue of 0 means
+"indistinguishable from 0 at precision K", never "provably zero".
+Valuations are computed on demand (int_valuation, sup_valuation) where a
+verdict reads them, not carried along.  The prime is always >= 3 and the
+base is unramified, so the uniformizer is p itself.
 
 Building blocks:
 
-  PadicVector     -- points of the N-dimensional unit polydisk, sup-norm
   TruncatedSeries -- finitely supported power series over the unit polydisk
                      with residues mod p^K and a precision bound for each
                      coefficient; the one series type, used for the model
                      map (normalization) and for disk restriction (gaps)
   MahlerSeries    -- a function of one p-adic argument in the binomial basis
-                     C(n, 0), C(n, 1), ...; coefficients are vectors
+                     C(n, 0), C(n, 1), ...; coefficients are residue vectors
 
 All objects are immutable after construction and safe to share across
 threads; contexts are shared read-only.
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from .errors import BudgetExceeded, ContextMismatch, InputError, PrecisionExhausted
+from .errors import BudgetExceeded, InputError, PrecisionExhausted
 
 #: Valuation marker for residue 0: "zero at this precision".
 INF = math.inf
@@ -74,165 +76,67 @@ class PadicContext:
 
     prime: int
     precision: int
+    modulus: int = field(init=False, repr=False, compare=False)  # p^K
 
     def __post_init__(self):
         if self.prime < 3 or not is_prime(self.prime):
             raise InputError(f"context prime must be a prime >= 3, got {self.prime}")
         if self.precision < 1:
             raise InputError(f"precision must be >= 1, got {self.precision}")
+        object.__setattr__(self, "modulus", self.prime**self.precision)
 
-    @property
-    def modulus(self) -> int:
-        return self.prime**self.precision
-
-    def scalar(self, value: int | Fraction) -> "PadicScalar":
-        """Reduce an integer or p-integral rational into this context."""
+    def scalar(self, value: int | Fraction) -> int:
+        """Reduce an integer or p-integral rational to its residue mod p^K."""
         if isinstance(value, Fraction):
             den = value.denominator
             if den % self.prime == 0:
                 raise InputError(f"{value} is not integral at p={self.prime}")
-            res = value.numerator * pow(den, -1, self.modulus) % self.modulus
-        else:
-            res = value % self.modulus
-        return PadicScalar(self, res, int_valuation(res, self.prime))
-
-    def zero(self) -> "PadicScalar":
-        return PadicScalar(self, 0, INF)
-
-    def one(self) -> "PadicScalar":
-        return PadicScalar(self, 1, 0)
-
-    def vector(self, values) -> "PadicVector":
-        return PadicVector(tuple(v if isinstance(v, PadicScalar) else self.scalar(v) for v in values))
+            return value.numerator * pow(den, -1, self.modulus) % self.modulus
+        return value % self.modulus
 
 
-@dataclass(frozen=True, slots=True)
-class PadicScalar:
-    """An element of Z/p^K with its exact valuation cached.
+def sup_valuation(vec, p: int) -> int | float:
+    """min of coordinate valuations of a residue vector (sup-norm = p^-this)."""
+    return min(int_valuation(c, p) for c in vec)
 
-    valuation is in [0, K-1] for a nonzero residue and INF for residue 0.
+
+def binomial_row(ctx: PadicContext, r: int, kmax: int) -> list[int]:
+    """All of C(r, 0), ..., C(r, kmax) mod p^K for an integer r.
+
+    Incremental falling-factorial products at working modulus p^(K + v_p(kmax!));
+    the p-part of k! is divided out exactly and its unit part inverted once:
+    the inverse for kmax! is walked down to k! by multiplying back the unit
+    parts of kmax, kmax-1, ..., k+1.
     """
-
-    ctx: PadicContext
-    residue: int
-    valuation: int | float
-
-    def _check(self, other: "PadicScalar") -> None:
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
-    def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return self.ctx.scalar(self.residue + other.residue)
-
-    def __sub__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return self.ctx.scalar(self.residue - other.residue)
-
-    def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return self.ctx.scalar(self.residue * other.residue)
-
-    def __neg__(self) -> "PadicScalar":
-        return self.ctx.scalar(-self.residue)
-
-    def __pow__(self, e: int) -> "PadicScalar":
-        return self.ctx.scalar(pow(self.residue, e, self.ctx.modulus))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PadicScalar)
-            and self.ctx == other.ctx
-            and self.residue == other.residue
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx.prime, self.ctx.precision, self.residue))
-
-    def __repr__(self) -> str:
-        return f"PadicScalar({self.residue} mod {self.ctx.prime}^{self.ctx.precision}, v={self.valuation})"
-
-    def lift(self) -> int:
-        """Canonical integer representative in [0, p^K)."""
-        return self.residue
-
-
-def binomial_row(n: PadicScalar, kmax: int) -> list[PadicScalar]:
-    """All of C(n, 0), ..., C(n, kmax) for a p-adic argument.
-
-    Incremental falling-factorial products at working modulus p^(K + v_p(kmax!)).
-    """
-    ctx = n.ctx
-    p, prec = ctx.prime, ctx.precision
+    p, prec, mod = ctx.prime, ctx.precision, ctx.modulus
     e_max = vp_factorial(kmax, p)
     if e_max >= prec:
         raise PrecisionExhausted(
             f"v_p({kmax}!) = {e_max} >= precision {prec}; raise the precision"
         )
     work_mod = p ** (prec + e_max)
-    out = [ctx.one()]
+    quotients = [1]  # falling factorial / p^v_p(k!), mod p^K
+    units = [1]  # unit part of k
     prod = 1  # falling factorial mod work_mod
     fact_unit = 1  # unit part of k! mod p^K
     e_k = 0  # v_p(k!)
-    r = n.residue
     for k in range(1, kmax + 1):
         prod = prod * (r - (k - 1)) % work_mod
-        v = int_valuation(k, p)
-        v = 0 if v is INF else v
-        e_k += v
-        fact_unit = fact_unit * (k // p**v) % ctx.modulus
+        u = k
+        while u % p == 0:
+            u //= p
+            e_k += 1
+        units.append(u)
+        fact_unit = fact_unit * u % mod
         # prod is congruent to the true falling factorial mod p^(K+e_max) and
         # the true value is divisible by p^e_k, so this integer division is exact.
-        q = (prod % (p ** (prec + e_k))) // p**e_k
-        out.append(ctx.scalar(q * pow(fact_unit, -1, ctx.modulus)))
+        quotients.append((prod % (p ** (prec + e_k))) // p**e_k)
+    inv = pow(fact_unit, -1, mod)
+    out = [0] * (kmax + 1)
+    for k in range(kmax, -1, -1):
+        out[k] = quotients[k] * inv % mod
+        inv = inv * units[k] % mod  # now the inverse unit part of (k-1)!
     return out
-
-
-@dataclass(frozen=True)
-class PadicVector:
-    """A point of the unit polydisk; sup-norm = max coordinate norm."""
-
-    coords: tuple[PadicScalar, ...]
-
-    def __post_init__(self):
-        if not self.coords:
-            raise InputError("empty vector")
-        ctx = self.coords[0].ctx
-        for c in self.coords[1:]:
-            if c.ctx != ctx:
-                raise ContextMismatch("vector coordinates must share one context")
-
-    @property
-    def ctx(self) -> PadicContext:
-        return self.coords[0].ctx
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def sup_valuation(self) -> int | float:
-        """min of coordinate valuations (sup-norm = p^-this)."""
-        return min(c.valuation for c in self.coords)
-
-    def __add__(self, other: "PadicVector") -> "PadicVector":
-        return PadicVector(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __sub__(self, other: "PadicVector") -> "PadicVector":
-        return PadicVector(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PadicVector) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def lift(self) -> tuple[int, ...]:
-        return tuple(c.residue for c in self.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +181,6 @@ class TruncatedSeries:
         """Per stored coefficient, min(v(residue), bound): a lower bound on its valuation."""
         p, precs = self.ctx.prime, self.precs
         return {e: min(int_valuation(r, p), precs.get(e, INF)) for e, r in self.coeffs.items()}
-
-    @property
-    def gauss_valuation(self) -> int | float:
-        """min coefficient valuation floor (Gauss norm = p^-this; INF for the zero series)."""
-        return min(self._valuation_floors().values(), default=INF)
 
     def coefficient(self, exp: tuple[int, ...]) -> int:
         return self.coeffs.get(tuple(exp), 0)
@@ -341,27 +240,6 @@ class TruncatedSeries:
         precs = {e: b for e, (_, b) in acc.items() if b < INF}
         return self._stored(coeffs, precs)
 
-    def evaluate(self, point) -> PadicScalar:
-        """Evaluate the residues at a point of the unit polydisk."""
-        if isinstance(point, PadicVector):
-            point = point.coords
-        if len(point) != self.nvars:
-            raise InputError("point arity mismatch")
-        mod = self.ctx.modulus
-        res = tuple(c.residue for c in point)
-        pow_cache: list[dict[int, int]] = [dict() for _ in range(self.nvars)]
-        acc = 0
-        for exp, term in self.coeffs.items():
-            for i, e in enumerate(exp):
-                if e:
-                    pe = pow_cache[i].get(e)
-                    if pe is None:
-                        pe = pow(res[i], e, mod)
-                        pow_cache[i][e] = pe
-                    term = term * pe % mod
-            acc = (acc + term) % mod
-        return self.ctx.scalar(acc)
-
     def compose(self, args: list["TruncatedSeries"]) -> "TruncatedSeries":
         """Substitute a series for each variable.
 
@@ -398,12 +276,12 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def forward_differences(values: list[PadicVector]) -> list[PadicVector]:
-    """Iterated forward differences at 0 of a finite value table."""
+def forward_differences(values: list[tuple[int, ...]], mod: int) -> list[tuple[int, ...]]:
+    """Iterated forward differences at 0 of a finite table of residue vectors."""
     out = [values[0]]
     row = list(values)
     while len(row) > 1:
-        row = [b - a for a, b in zip(row, row[1:])]
+        row = [tuple((y - x) % mod for x, y in zip(a, b)) for a, b in zip(row, row[1:])]
         out.append(row[0])
     return out
 
@@ -412,52 +290,46 @@ def forward_differences(values: list[PadicVector]) -> list[PadicVector]:
 class MahlerSeries:
     """A function of one p-adic argument in the binomial basis.
 
-    coeffs[k] multiplies C(n, k).  Evaluation at any integer n in
-    [0, len(coeffs)-1] reproduces the finite-difference data exactly.
-    decay_onset records the first index after which coefficient valuations
-    are non-decreasing (a construction-time diagnostic).
+    coeffs[k] is a residue vector mod p^K multiplying C(n, k).  Evaluation at
+    any integer n in [0, len(coeffs)-1] reproduces the finite-difference data
+    exactly.  decay_onset records the first index after which coefficient
+    valuations are non-decreasing (a construction-time diagnostic).
     """
 
     ctx: PadicContext
-    coeffs: tuple[PadicVector, ...]
+    coeffs: tuple[tuple[int, ...], ...]
     decay_onset: int = 0
 
     @staticmethod
-    def from_values(values: list[PadicVector]) -> "MahlerSeries":
-        diffs = forward_differences(values)
-        vals = [d.sup_valuation for d in diffs]
+    def from_values(ctx: PadicContext, values: list[tuple[int, ...]]) -> "MahlerSeries":
+        diffs = forward_differences(values, ctx.modulus)
+        vals = [sup_valuation(d, ctx.prime) for d in diffs]
         onset = 0
         for i in range(len(vals) - 1, 0, -1):
             if vals[i - 1] > vals[i]:
                 onset = i
                 break
-        return MahlerSeries(values[0].ctx, tuple(diffs), onset)
+        return MahlerSeries(ctx, tuple(diffs), onset)
 
     @property
     def dim(self) -> int:
-        return self.coeffs[0].dim
+        return len(self.coeffs[0])
 
     @property
     def terms(self) -> int:
         return len(self.coeffs)
 
     def coefficient_valuations(self) -> list[int | float]:
-        return [c.sup_valuation for c in self.coeffs]
+        return [sup_valuation(c, self.ctx.prime) for c in self.coeffs]
 
-    def evaluate(self, n) -> PadicVector:
-        """Sum of coeffs[k] * C(n, k); n may be an integer or a PadicScalar."""
-        if isinstance(n, int):
-            n = self.ctx.scalar(n)
-        if n.ctx != self.ctx:
-            raise ContextMismatch("argument context differs from series context")
-        row = binomial_row(n, len(self.coeffs) - 1)
+    def evaluate(self, n: int) -> tuple[int, ...]:
+        """Sum of coeffs[k] * C(n, k) at the residue of the argument n mod p^K."""
         mod = self.ctx.modulus
+        row = binomial_row(self.ctx, n % mod, len(self.coeffs) - 1)
         acc = [0] * self.dim
-        for k, cv in enumerate(self.coeffs):
-            b = row[k].residue
+        for b, cv in zip(row, self.coeffs):
             if b == 0:
                 continue
-            for i, c in enumerate(cv.coords):
-                acc[i] = (acc[i] + b * c.residue) % mod
-        return self.ctx.vector(acc)
-
+            for i, c in enumerate(cv):
+                acc[i] = (acc[i] + b * c) % mod
+        return tuple(acc)

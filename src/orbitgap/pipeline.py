@@ -303,7 +303,7 @@ def stage_normalization(report: RunReport, state: RunState) -> None:
                 "k2": model.steps_per_iterate,
                 "k_total": model.k_total,
                 "center": list(model.center),
-                "base_point": list(model.base_point.lift()),
+                "base_point": list(model.base_point),
                 "congruence_exponent": model.congruence_exponent,
                 "linear": [list(row) for row in model.linear],
                 "transform_log": [[r.kind, list(r.data)] for r in model.transform_log],

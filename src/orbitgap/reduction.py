@@ -273,16 +273,6 @@ def _iter_space(fp: ModularMap):
             point[i] = 0
 
 
-def on_cycle(fp: ModularMap, x: tuple[int, ...]) -> bool:
-    """Whether x is periodic: its forward orbit returns to x."""
-    pt = fp(x)
-    for _ in range(_space_size(fp)):
-        if pt == x:
-            return True
-        pt = fp(pt)
-    return False
-
-
 def periodic_points_on_variety(
     fp: ModularMap, variety_mod: list[dict], guard: int = ENUM_GUARD
 ) -> list[tuple[int, ...]]:
@@ -328,14 +318,18 @@ def first_hit_depth(
     """Largest m such that some residue point satisfies f^m(x) = gamma.
 
     Returns (depth, tree) for a non-periodic target and (None, None) when the
-    target lies on a cycle (verdict failed-periodic).  Levels of the backward
-    expansion are pairwise disjoint for a non-periodic target, which bounds
-    the expansion by the space size.
+    target lies on a cycle (verdict failed-periodic: its orbit has tail 0).
+    Levels of the backward expansion are pairwise disjoint for a non-periodic
+    target, which bounds the expansion by the space size.  buckets is the
+    preimage_buckets scan of fp; an empty or missing one is made here, and
+    an empty dict passed in is filled, so targets can share one scan.
     """
-    if on_cycle(fp, gamma):
+    if orbit_summary(fp, gamma).tail == 0:
         return None, None
     if buckets is None:
-        buckets = preimage_buckets(fp, guard)
+        buckets = {}
+    if not buckets:
+        buckets.update(preimage_buckets(fp, guard))
     seen = {gamma}
     levels = [{gamma}]
     while True:
@@ -402,21 +396,16 @@ def avoidance_search(
             continue
         fp, _, targets_p = reduce_instance(inst, p, bad)
         depths = []
-        buckets = None
-        failed = False
+        buckets: dict = {}  # filled by the first non-periodic target
         for tp in targets_p:
-            if buckets is None and not on_cycle(fp, tp):
-                buckets = preimage_buckets(fp, guard)
             depth, _ = first_hit_depth(fp, tp, buckets, guard)
             if depth is None:
                 certs.append(AvoidanceCertificate(p, targets_p, "failed-periodic"))
-                failed = True
                 break
             depths.append(depth)
-        if failed:
-            continue
-        bound = 1 + max(depths) if depths else 0
-        certs.append(AvoidanceCertificate(p, targets_p, "certified", bound, tuple(depths)))
+        else:
+            bound = 1 + max(depths) if depths else 0
+            certs.append(AvoidanceCertificate(p, targets_p, "certified", bound, tuple(depths)))
     scanned = len(certs)
     certified = sum(1 for c in certs if c.certified)
     density = certified / scanned if scanned else 0.0

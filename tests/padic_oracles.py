@@ -21,9 +21,11 @@ by the second measurement.
 
 The rest are reference implementations that tests compare the package
 against: exact division with a precision ledger, binomial coefficients in a
-context, exact periods and the fixing iterate of declared targets, and a
-dense one-variable series with precision bounds (the reference for disk
-restriction and for the bound rule of TruncatedSeries).
+context, the evaluation and Gauss valuation of a TruncatedSeries, exact
+periods and the fixing iterate of declared targets, periodicity mod p by a
+walk of the whole space, and a dense one-variable series with precision
+bounds (the reference for disk restriction and for the bound rule of
+TruncatedSeries).
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import math
 from fractions import Fraction
 
 from orbitgap.errors import HypothesisViolation, InputError, PrecisionExhausted
-from orbitgap.padic import INF, PadicContext, PadicScalar, binomial_row, vp_factorial
+from orbitgap.gaps import DiskSeries
+from orbitgap.padic import INF, PadicContext, TruncatedSeries, int_valuation, vp_factorial
 from orbitgap.reduction import orbit_summary, reduce_instance
 
 
@@ -131,56 +134,85 @@ class PrecisionLedger:
 
 
 def exact_div(
-    a: PadicScalar, b: PadicScalar, ledger: PrecisionLedger | None = None
-) -> PadicScalar:
-    """Exact division a/b, allowed only when v(b) <= v(a).
+    ctx: PadicContext, a: int, b: int, ledger: PrecisionLedger | None = None
+) -> int:
+    """Exact division a/b of residues mod p^K, allowed only when v(b) <= v(a).
 
     The quotient is determined modulo p^(K - v(b)) only; the canonical
     representative below p^(K - v(b)) is returned and the loss v(b) is
     recorded in the ledger.
     """
-    a._check(b)
-    if b.is_zero:
+    p, k = ctx.prime, ctx.precision
+    a, b = ctx.scalar(a), ctx.scalar(b)
+    if b == 0:
         raise PrecisionExhausted("division by a value that is 0 at working precision")
-    w = int(b.valuation)
-    if a.valuation < w:
-        raise InputError(f"inexact division: v(dividend)={a.valuation} < v(divisor)={w}")
-    p, k = a.ctx.prime, a.ctx.precision
+    w = int_valuation(b, p)
+    if int_valuation(a, p) < w:
+        raise InputError(f"inexact division: v(dividend)={int_valuation(a, p)} < v(divisor)={w}")
     reduced_mod = p ** (k - w)
-    num = a.residue // p**w
-    den = b.residue // p**w
+    num = a // p**w
+    den = b // p**w
     q = num * pow(den, -1, reduced_mod) % reduced_mod
     if ledger is not None:
         ledger.record("exact_div", w)
-    return a.ctx.scalar(q)
+    return q
 
 
-def binomial_mod(n, k: int, ctx: PadicContext | None = None) -> PadicScalar:
-    """Binomial coefficient C(n, k) reduced in a context.
-
-    For an integer n the exact integer value is reduced.  For a p-adic n the
-    falling factorial n(n-1)...(n-k+1) is accumulated at raised working
-    precision and the p-part of k! is cancelled exactly before reduction, so
-    the result is correct modulo p^K whenever v_p(k!) < K.
-    """
+def binomial_mod(n: int, k: int, ctx: PadicContext) -> int:
+    """Binomial coefficient C(n, k) of an integer n, computed exactly and
+    reduced mod p^K; refused, like binomial_row, when v_p(k!) >= K."""
     if k < 0:
         raise InputError("binomial index k must be >= 0")
-    if isinstance(n, PadicScalar):
-        ctx = n.ctx
-    elif ctx is None:
-        raise InputError("an integer argument needs an explicit context")
     e = vp_factorial(k, ctx.prime)
     if e >= ctx.precision:
         raise PrecisionExhausted(
             f"v_p({k}!) = {e} >= precision {ctx.precision}; raise the precision"
         )
-    if isinstance(n, int):
-        if n >= 0:
-            value = math.comb(n, k)
-        else:
-            value = (-1) ** k * math.comb(-n + k - 1, k)
-        return ctx.scalar(value)
-    return binomial_row(n, k)[k]
+    if n >= 0:
+        value = math.comb(n, k)
+    else:
+        value = (-1) ** k * math.comb(-n + k - 1, k)
+    return ctx.scalar(value)
+
+
+def series_evaluate(series: TruncatedSeries, point: tuple[int, ...]) -> int:
+    """The residues of a TruncatedSeries evaluated at a point of the unit polydisk."""
+    if len(point) != series.nvars:
+        raise InputError("point arity mismatch")
+    mod = series.ctx.modulus
+    acc = 0
+    for exp, term in series.coeffs.items():
+        for x, e in zip(point, exp):
+            term = term * pow(x, e, mod) % mod
+        acc = (acc + term) % mod
+    return acc
+
+
+def gauss_valuation(series: TruncatedSeries) -> int | float:
+    """min over coefficients of min(v(residue), bound); INF for the zero series."""
+    p = series.ctx.prime
+    return min(
+        (min(int_valuation(r, p), series.precs.get(e, INF)) for e, r in series.coeffs.items()),
+        default=INF,
+    )
+
+
+def disk_series(coeffs: list[int], p: int, precision: int) -> DiskSeries:
+    """The polynomial sum coeffs[m] t^m on the unit disk, each coefficient
+    known mod p^precision (bound = precision)."""
+    mod = p**precision
+    return DiskSeries(0, 0, tuple(c % mod for c in coeffs), (precision,) * len(coeffs), p, precision)
+
+
+def on_cycle(fp, x: tuple[int, ...]) -> bool:
+    """Whether x is periodic mod p: its forward orbit returns to x within
+    the size of the whole space."""
+    pt = fp(x)
+    for _ in range(fp.modulus**fp.nvars):
+        if pt == x:
+            return True
+        pt = fp(pt)
+    return False
 
 
 def exact_period(f, point, bound: int = 64) -> int:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_oracles import DensePrecSeries, dense_compose, unit_disk_root_count
+from padic_oracles import DensePrecSeries, dense_compose, disk_series, unit_disk_root_count
 
 from orbitgap.errors import HypothesisViolation, InputError
 from orbitgap.gaps import (
@@ -222,17 +222,15 @@ def test_certified_returns_vanish_mod_every_screening_prime():
 
 
 def test_newton_examples():
-    ctx = PadicContext(5, 12)
-    assert newton_zero_count([ctx.scalar(5), ctx.scalar(-6), ctx.scalar(1)]) == 2
-    assert newton_zero_count([ctx.scalar(1), ctx.scalar(5)]) == 0
-    assert newton_zero_count([ctx.scalar(3)]) == 0
-    assert newton_zero_count([ctx.zero(), ctx.zero(), ctx.one()]) == 2
+    assert newton_zero_count(disk_series([5, -6, 1], 5, 12)) == 2
+    assert newton_zero_count(disk_series([1, 5], 5, 12)) == 0
+    assert newton_zero_count(disk_series([3], 5, 12)) == 0
+    assert newton_zero_count(disk_series([0, 0, 1], 5, 12)) == 2
 
 
 def test_newton_identically_zero_rejected():
-    ctx = PadicContext(5, 6)
     with pytest.raises(InputError):
-        newton_zero_count([ctx.zero(), ctx.zero()])
+        newton_zero_count(disk_series([0, 0], 5, 6))
 
 
 def test_newton_matches_oracle_random():
@@ -244,7 +242,7 @@ def test_newton_matches_oracle_random():
         coeffs = [rng.randrange(-(p**6), p**6) for _ in range(rng.randint(1, 5))]
         if all(c % ctx.modulus == 0 for c in coeffs):
             continue
-        got = newton_zero_count([ctx.scalar(c) for c in coeffs])
+        got = newton_zero_count(disk_series(coeffs, p, 12))
         want = unit_disk_root_count(coeffs, p, 12)
         assert got == want, (coeffs, p, got, want)
         checked += 1
@@ -262,8 +260,7 @@ def test_newton_matches_oracle_constructed():
         ([9, 6, 1], 3, 2),  # (t+3)^2
     ]
     for coeffs, p, expect in cases:
-        ctx = PadicContext(p, 12)
-        assert newton_zero_count([ctx.scalar(c) for c in coeffs]) == expect
+        assert newton_zero_count(disk_series(coeffs, p, 12)) == expect
         assert unit_disk_root_count(coeffs, p, 12) == expect
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_oracles import exact_period, fixing_iterate
+from padic_oracles import exact_period, fixing_iterate, on_cycle
 
 from orbitgap.errors import HypothesisViolation, InputError
 from orbitgap.polynomials import ModularMap, PolyMap, reduce_poly
@@ -15,7 +15,6 @@ from orbitgap.reduction import (
     avoidance_search,
     bad_primes,
     first_hit_depth,
-    on_cycle,
     orbit_summary,
     periodic_points_on_variety,
     preimage_buckets,
