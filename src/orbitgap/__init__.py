@@ -10,6 +10,7 @@ from .errors import (
     BudgetExceeded,
     HypothesisViolation,
     InputError,
+    InvariantViolation,
     OrbitgapError,
     PrecisionExhausted,
 )

@@ -6,7 +6,7 @@ the later stages, resumed from the --replay records of a previous run so a
 single stage is recomputed deterministically.  A failed stage writes a
 failure record and a `FAILED at stage ...` line.  Exit codes: 0 success,
 1 hypothesis-violation abort, 2 input error, 3 precision or budget
-exhaustion.
+exhaustion, 4 a broken internal invariant (a bug).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all pipeline stages.
 
 The CLI maps these onto exit codes: InputError -> 2, HypothesisViolation -> 1,
-PrecisionExhausted / BudgetExceeded -> 3.
+PrecisionExhausted / BudgetExceeded -> 3, InvariantViolation -> 4.
 """
 
 
@@ -29,3 +29,10 @@ class PrecisionExhausted(OrbitgapError):
 class BudgetExceeded(OrbitgapError):
     """A configured enumeration / size / iteration guard was hit."""
 
+
+class InvariantViolation(OrbitgapError):
+    """An internal check that holds for correct code failed: a bug, not bad input.
+
+    Examples: preimage levels of a non-periodic target overlap, a refined
+    disk gains zeros, a certificate fails its own verification.
+    """

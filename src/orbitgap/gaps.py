@@ -32,10 +32,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HypothesisViolation, InputError, PrecisionExhausted
+from .errors import HypothesisViolation, InputError, InvariantViolation, PrecisionExhausted
 from .interpolation import ApproxInterpolant
 from .padic import INF, TruncatedSeries, int_valuation, is_prime, vp_factorial
-from .polynomials import Poly, modular_eval, poly_eval, reduce_poly
+from .polynomials import Poly, horner_eval, horner_form, poly_eval, reduce_poly
 from .reduction import BadPrimeSet, ProblemInstance, bad_primes, orbit_summary, reduce_instance
 
 #: Default bit budget for exact certification of returns.
@@ -127,11 +127,11 @@ def _hits_mod(inst: ProblemInstance, p: int, bad: BadPrimeSet, n_max: int) -> _P
     costs O(min(tail + cycle, n_max)) map evaluations.
     """
     fp, x, _ = reduce_instance(inst, p, bad)
-    variety_p = [reduce_poly(q, p) for q in inst.variety]
+    variety_p = [horner_form(reduce_poly(q, p)) for q in inst.variety]
     hits = set()
 
     def test(n, pt):
-        if all(modular_eval(q, pt, p) == 0 for q in variety_p):
+        if all(horner_eval(q, pt, p) == 0 for q in variety_p):
             hits.add(n)
 
     summary = orbit_summary(fp, x, limit=n_max, visit=test)
@@ -456,11 +456,11 @@ def _refine(
         child_counts.append(newton_zero_count(child))
     total = sum(child_counts)
     if count == 1 and total != 1:
-        raise AssertionError(
+        raise InvariantViolation(
             "a single zero must land in exactly one rational child disk"
         )
     if total > count:
-        raise AssertionError("child zero counts exceed the parent count")
+        raise InvariantViolation("child zero counts exceed the parent count")
 
     leaves: list[ZeroLocalization] = []
     nonzero = [j for j, c in enumerate(child_counts) if c > 0]

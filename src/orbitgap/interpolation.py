@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import HypothesisViolation, PrecisionExhausted
+from .errors import HypothesisViolation, InvariantViolation, PrecisionExhausted
 from .modmat import mat_mul, mat_reduce
 from .normalization import LocalModel, series_congruence_exponent
 from .padic import MahlerSeries, PadicContext, sup_valuation
@@ -114,7 +114,7 @@ def build_interpolant(
     interp = ApproxInterpolant(model, series, c, terms, decay)
     for n in (0, 1, terms):
         if n <= terms and series.evaluate(n) != values[n]:
-            raise AssertionError(f"fitting-window reconstruction failed at {n}")
+            raise InvariantViolation(f"fitting-window reconstruction failed at {n}")
     return interp
 
 

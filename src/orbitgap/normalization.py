@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceeded, HypothesisViolation, InputError
+from .errors import BudgetExceeded, HypothesisViolation, InputError, InvariantViolation
 from .modmat import Matrix, mat_identity, mat_mul, mat_pow, mat_reduce
 from .padic import PadicContext, TruncatedSeries, int_valuation, sup_valuation
 from .polynomials import (
@@ -89,7 +89,10 @@ def idempotent_power(a: Matrix, p: int) -> IdempotentCertificate:
     for _ in range(k):
         power = mat_mul(power, a, p)
     cert = IdempotentCertificate(k, power, p)
-    assert cert.verify(), "idempotent power certificate failed its one-multiplication check"
+    if not cert.verify():
+        raise InvariantViolation(
+            "idempotent power certificate failed its one-multiplication check"
+        )
     return cert
 
 
@@ -124,7 +127,7 @@ def hensel_idempotent(a_bar: Matrix, p: int, precision: int) -> Matrix:
             for i in range(len(e))
         )
     if mat_mul(e, e, mod) != e:
-        raise AssertionError("idempotent lift failed to converge")
+        raise InvariantViolation("idempotent lift failed to converge")
     return e
 
 

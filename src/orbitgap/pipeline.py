@@ -22,6 +22,7 @@ from .errors import (
     BudgetExceeded,
     HypothesisViolation,
     InputError,
+    InvariantViolation,
     OrbitgapError,
     PrecisionExhausted,
 )
@@ -125,6 +126,8 @@ def exit_code_for(exc: Exception | None) -> int:
         return 2
     if isinstance(exc, (PrecisionExhausted, BudgetExceeded)):
         return 3
+    if isinstance(exc, InvariantViolation):
+        return 4
     return 1
 
 

@@ -9,11 +9,23 @@ PolyMap bundles N polynomials in N variables: a polynomial self-map of
 affine N-space with exact rational coefficients.  Modular images (int
 coefficient dicts modulo m) are produced by reduce_poly / ModularMap for
 the residue-field and p-power computations.
+
+Evaluation mod m goes through one evaluator, horner_eval, on a sparse
+nested Horner form that horner_form builds once per reduced polynomial.
+The form is a polynomial in the first variable that occurs, whose
+coefficients are forms in the later variables (or ints, once no variable
+is left).  Only the nonzero degrees are stored, in descending order, so a
+gap of g degrees costs one multiplication by x^g, and x0^2*x1 + 3 becomes
+
+    (0, (1, 1, (), 1), ((2, 3),), 0)  =  (x1) * x0^2 + 3
+
+The accumulator is reduced mod m after every Horner step, so intermediate
+ints stay below m times a power of x whatever the degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
@@ -154,14 +166,47 @@ def reduce_poly(p: Poly, m: int) -> dict[Exponent, int]:
     return out
 
 
-def modular_eval(p: dict[Exponent, int], point, m: int) -> int:
-    acc = 0
+#: (var, lead, rest, low): the polynomial sum_j c_j * x_var^d_j over its
+#: nonzero degrees d_0 > d_1 > ... in x_var.  lead is c_0, rest holds
+#: (d_(j-1) - d_j, c_j) for j >= 1, and low is the last degree.  Each c_j is
+#: an int or a form in variables after var.
+HornerForm = tuple
+
+
+def _nest(p: dict[Exponent, int], start: int):
+    """The form of p in variables >= start, or its constant when it has none."""
+    if not p:
+        return 0
+    var = next((i for i in range(start, len(next(iter(p)))) if any(e[i] for e in p)), None)
+    if var is None:
+        return next(iter(p.values()))
+    by_degree: dict[int, dict[Exponent, int]] = {}
     for e, c in p.items():
-        term = c
-        for x, k in zip(point, e):
-            if k:
-                term = term * pow(x, k, m) % m
-        acc = (acc + term) % m
+        by_degree.setdefault(e[var], {})[e] = c
+    degrees = sorted(by_degree, reverse=True)
+    coeffs = [_nest(by_degree[d], var + 1) for d in degrees]
+    rest = tuple((hi - lo, c) for hi, lo, c in zip(degrees, degrees[1:], coeffs[1:]))
+    return (var, coeffs[0], rest, degrees[-1])
+
+
+def horner_form(p: dict[Exponent, int]) -> HornerForm:
+    """Sparse nested Horner form of a polynomial with coefficients in [0, m)."""
+    form = _nest(p, 0)
+    return form if type(form) is tuple else (0, form, (), 0)
+
+
+def horner_eval(form: HornerForm, point, m: int) -> int:
+    """The value in [0, m) of a Horner form at an int point (any representatives)."""
+    var, acc, rest, low = form
+    x = point[var]
+    if type(acc) is not int:
+        acc = horner_eval(acc, point, m)
+    for gap, c in rest:
+        if type(c) is not int:
+            c = horner_eval(c, point, m)
+        acc = (acc * x**gap + c) % m
+    if low:
+        acc = acc * x**low % m
     return acc
 
 
@@ -225,13 +270,22 @@ class ModularMap:
     modulus: int
     nvars: int
     polys: tuple[dict[Exponent, int], ...]
+    forms: tuple[HornerForm, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "forms", tuple(horner_form(p) for p in self.polys))
 
     @staticmethod
     def from_map(f: PolyMap, m: int) -> "ModularMap":
         return ModularMap(m, f.nvars, tuple(reduce_poly(p, m) for p in f.polys))
 
     def __call__(self, point: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(modular_eval(p, point, self.modulus) for p in self.polys)
+        # a plain loop: on CPython 3.11 a comprehension costs a frame per call
+        m = self.modulus
+        out = []
+        for form in self.forms:
+            out.append(horner_eval(form, point, m))
+        return tuple(out)
 
     def iterate(self, point: tuple[int, ...], k: int) -> tuple[int, ...]:
         for _ in range(k):

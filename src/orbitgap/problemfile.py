@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .polynomials import Poly, PolyMap
-from .reduction import ProblemInstance
+from .reduction import ENUM_GUARD, ProblemInstance
 
 _TOP_KEYS = {"dimension", "map", "initial_point", "variety", "periodic_points", "parameters"}
 
@@ -33,7 +33,7 @@ class RunParameters:
     screen_primes: int = 8
     exact_budget: int = 1 << 20
     density_m: int = 1
-    enumeration_guard: int = 1 << 24
+    enumeration_guard: int = ENUM_GUARD
     shift_cap: int = 16
     compat_samples: int = 24
 

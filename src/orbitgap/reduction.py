@@ -14,14 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceeded, HypothesisViolation, InputError
+from .errors import BudgetExceeded, HypothesisViolation, InputError, InvariantViolation
 from .padic import is_prime
 from .polynomials import (
     ModularMap,
     Poly,
     PolyMap,
     denominator_primes,
-    modular_eval,
+    horner_eval,
+    horner_form,
     poly_degree,
     poly_eval,
     prime_factors,
@@ -149,7 +150,8 @@ def _target_collision(inst: ProblemInstance, p: int) -> bool:
             for i in range(inst.dimension)
         ]
         mod_rows = [
-            [modular_eval(reduce_poly(jac[i][j], p), tp, p) for j in range(inst.dimension)]
+            [horner_eval(horner_form(reduce_poly(jac[i][j], p)), tp, p)
+             for j in range(inst.dimension)]
             for i in range(inst.dimension)
         ]
         if _mod_rank(mod_rows, p) < _rational_rank(exact_rows):
@@ -279,9 +281,10 @@ def periodic_points_on_variety(
     """All residue points on the variety that lie on a cycle of the reduced map."""
     if _space_size(fp) > guard:
         raise BudgetExceeded(f"space size {_space_size(fp)} exceeds the enumeration guard")
+    forms = [horner_form(q) for q in variety_mod]
     out = []
     for pt in _iter_space(fp):
-        if all(modular_eval(q, pt, fp.modulus) == 0 for q in variety_mod):
+        if all(horner_eval(q, pt, fp.modulus) == 0 for q in forms):
             if orbit_summary(fp, pt).tail == 0:
                 out.append(pt)
     return out
@@ -340,7 +343,7 @@ def first_hit_depth(
             break
         overlap = nxt & seen
         if overlap:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"preimage levels are not disjoint at {sorted(overlap)[:3]}; "
                 "the target must have been periodic"
             )

@@ -23,9 +23,10 @@ The rest are reference implementations that tests compare the package
 against: exact division with a precision ledger, binomial coefficients in a
 context, the evaluation and Gauss valuation of a TruncatedSeries, exact
 periods and the fixing iterate of declared targets, periodicity mod p by a
-walk of the whole space, and a dense one-variable series with precision
+walk of the whole space, a dense one-variable series with precision
 bounds (the reference for disk restriction and for the bound rule of
-TruncatedSeries).
+TruncatedSeries), and polynomial evaluation mod m term by term (the
+reference for the nested Horner evaluator).
 """
 
 from __future__ import annotations
@@ -202,6 +203,18 @@ def disk_series(coeffs: list[int], p: int, precision: int) -> DiskSeries:
     known mod p^precision (bound = precision)."""
     mod = p**precision
     return DiskSeries(0, 0, tuple(c % mod for c in coeffs), (precision,) * len(coeffs), p, precision)
+
+
+def modular_eval(p: dict, point, m: int) -> int:
+    """A reduced polynomial at an int point mod m, one power per variable per term."""
+    acc = 0
+    for e, c in p.items():
+        term = c
+        for x, k in zip(point, e):
+            if k:
+                term = term * pow(x, k, m) % m
+        acc = (acc + term) % m
+    return acc
 
 
 def on_cycle(fp, x: tuple[int, ...]) -> bool:

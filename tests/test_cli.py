@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, determinism, stage replay."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from orbitgap import pipeline
+from orbitgap import pipeline, reduction
 from orbitgap.cli import main
 from orbitgap.errors import InputError
 from orbitgap.problemfile import parse_problem
@@ -23,6 +27,10 @@ WORKED = {
         "density_m": 1,
     },
 }
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PROBLEMS = sorted((ROOT / "problems").glob("*.json"))
 
 
 @pytest.fixture
@@ -294,3 +302,38 @@ def test_flag_overrides(worked_file, tmp_path):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     rec = next(r for r in records if r["record"] == "interpolant")
     assert rec["precision"] == 12
+
+
+def test_broken_invariant_exits_4(monkeypatch, tmp_path, capsys):
+    # a non-periodic target is never its own preimage; a preimage scan that
+    # says every residue is must trip the disjointness check of the levels
+    def cyclic(fp, guard=reduction.ENUM_GUARD):
+        return {pt: [pt] for pt in reduction._iter_space(fp)}
+
+    monkeypatch.setattr(reduction, "preimage_buckets", cyclic)
+    out = tmp_path / "run.jsonl"
+    problem = ROOT / "problems" / "square_plus_one.json"
+    assert main(["analyze", str(problem), "--out", str(out)]) == 4
+    assert "FAILED at stage avoidance" in capsys.readouterr().out
+    failure = [json.loads(line) for line in out.read_text().splitlines()][-1]
+    assert failure["record"] == "failure"
+    assert failure["stage"] == "avoidance"
+    assert "not disjoint" in failure["message"]
+
+
+@pytest.mark.parametrize("problem", PROBLEMS, ids=[p.name for p in PROBLEMS])
+def test_optimized_interpreter_gives_the_same_run(problem, tmp_path):
+    # python -O strips assert statements, so a check kept in one would
+    # vanish here and could change the records or the exit code
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    runs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"run{len(runs)}.jsonl"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "orbitgap.cli", "analyze", str(problem),
+             "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120,
+        )
+        runs.append((proc.returncode, proc.stdout, out.read_bytes()))
+    assert runs[0] == runs[1]

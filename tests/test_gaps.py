@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_oracles import DensePrecSeries, dense_compose, disk_series, unit_disk_root_count
+from padic_oracles import (
+    DensePrecSeries,
+    dense_compose,
+    disk_series,
+    modular_eval,
+    unit_disk_root_count,
+)
 
 from orbitgap.errors import HypothesisViolation, InputError
 from orbitgap.gaps import (
@@ -26,7 +32,7 @@ from orbitgap.gaps import (
 from orbitgap.interpolation import build_interpolant
 from orbitgap.normalization import build_local_model, direct_model
 from orbitgap.padic import INF, PadicContext, vp_factorial
-from orbitgap.polynomials import ModularMap, PolyMap, modular_eval, reduce_poly
+from orbitgap.polynomials import ModularMap, PolyMap, reduce_poly
 from orbitgap.reduction import ProblemInstance, bad_primes, reduce_instance
 
 

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padic_oracles import modular_eval
+
 from orbitgap.errors import InputError
-from orbitgap.padic import PadicContext, TruncatedSeries
+from orbitgap.padic import PadicContext, TruncatedSeries, is_prime
 from orbitgap.polynomials import (
     ModularMap,
     PolyMap,
+    horner_eval,
+    horner_form,
     make_const,
     make_var,
     poly_compose,
@@ -111,3 +115,37 @@ def test_identity_map():
 def test_modular_map_iterate():
     fp = ModularMap.from_map(SQ_PLUS_ONE, 5)
     assert fp.iterate((0,), 3) == (0,)  # 0 -> 1 -> 2 -> 0 mod 5
+
+
+def test_horner_form_layout():
+    # x0^2 * x1 + 3: a form in x0 whose x0^2 coefficient is a form in x1
+    assert horner_form({(2, 1): 1, (0, 0): 3}) == (0, (1, 1, (), 1), ((2, 3),), 0)
+    # x1^5 + x1^2: no x0 at all, one gap of 3 and a trailing x1^2
+    assert horner_form({(0, 5): 1, (0, 2): 1}) == (1, 1, ((3, 1),), 2)
+    assert horner_form({}) == (0, 0, (), 0)
+    assert horner_form({(0, 0): 4}) == (0, 4, (), 0)
+
+
+SMALL_PRIMES = [p for p in range(2, 1000) if is_prime(p)]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_horner_matches_term_by_term(data):
+    """ModularMap and the variety evaluator agree with the pow-per-term oracle
+    on sparse polynomials mod p, p^2 and p^K, at any integer representatives."""
+    nvars = data.draw(st.integers(1, 3))
+    p = data.draw(st.sampled_from(SMALL_PRIMES))
+    m = p ** data.draw(st.sampled_from([1, 2, data.draw(st.integers(3, 32))]))
+    exponent = st.tuples(*[st.integers(0, 12)] * nvars)
+    poly = st.dictionaries(exponent, st.integers(-(10**40), 10**40), max_size=6)
+    polys = [data.draw(poly) for _ in range(nvars)]
+    constant = {(0,) * nvars: data.draw(st.integers(-(10**6), 10**6))}
+    point = tuple(data.draw(st.integers(-3 * m, 3 * m)) for _ in range(nvars))
+
+    fp = ModularMap.from_map(PolyMap.from_lists(nvars, polys), m)
+    assert fp(point) == tuple(modular_eval(q, point, m) for q in fp.polys)
+    special = ModularMap.from_map(PolyMap.from_lists(nvars, [constant, {}, constant][:nvars]), m)
+    assert special(point) == tuple(modular_eval(q, point, m) for q in special.polys)
+    for q in [*fp.polys, *special.polys, {}]:
+        assert horner_eval(horner_form(q), point, m) == modular_eval(q, point, m)
