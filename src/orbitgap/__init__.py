@@ -35,12 +35,10 @@ from .reduction import (
     reduce_instance,
 )
 from .normalization import (
-    IdempotentCertificate,
     LocalModel,
     build_local_model,
     build_model_family,
     direct_model,
-    idempotent_power,
     stabilize_orbit,
 )
 from .interpolation import (

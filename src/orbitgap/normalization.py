@@ -10,6 +10,12 @@ enters.  Every G_j has p-integral coefficients, constant term of valuation
 >= 1, and degree-d coefficients of valuation >= d-1; the same holds for any
 composition of chart steps.
 
+A family of models is one such cycle and one chart chain G_0, ..., G_{k1-1},
+each built once: the model of shift r is the rotation of the chain that
+starts at G_{r mod k1}, one per residue class of the iterate index.
+build_local_model is the shift-0 model with the iterate power of its own
+chain.
+
 A further iterate replacement makes the linear part idempotent mod p, after
 which the model satisfies the congruence F(x) = E*x mod p^c with an exactly
 idempotent matrix E (Hensel-lifted at working precision) and c >= 1.
@@ -69,31 +75,15 @@ def _frac_valuation(c: Fraction, p: int) -> int | float:
     return int_valuation(c.numerator, p) - int_valuation(c.denominator, p)
 
 
-@dataclass(frozen=True)
-class IdempotentCertificate:
-    """k with A^(2k) = A^k mod p, i.e. the linear part of the k-th iterate is idempotent."""
+def _iterate_power(chains: list[Matrix], p: int) -> int:
+    """Least k >= 1 with A^(2k) = A^k mod p for every A in chains.
 
-    power: int
-    matrix: Matrix
-    prime: int
-
-    def verify(self) -> bool:
-        return mat_mul(self.matrix, self.matrix, self.prime) == self.matrix
-
-
-def idempotent_power(a: Matrix, p: int) -> IdempotentCertificate:
-    """Least k >= 1 with A^(2k) = A^k mod p, by cycle detection on the power sequence."""
-    enter, period = _power_cycle(a, p)
-    k = period * math.ceil(enter / period)
-    power = mat_identity(len(a))
-    for _ in range(k):
-        power = mat_mul(power, a, p)
-    cert = IdempotentCertificate(k, power, p)
-    if not cert.verify():
-        raise InvariantViolation(
-            "idempotent power certificate failed its one-multiplication check"
-        )
-    return cert
+    A^k is idempotent exactly when k is at least the index where the power
+    sequence of A enters its cycle and a multiple of the cycle's period.
+    """
+    cycles = [_power_cycle(a, p) for a in chains]
+    period = math.lcm(*(period for _, period in cycles))
+    return period * math.ceil(max(enter for enter, _ in cycles) / period)
 
 
 def _power_cycle(a: Matrix, p: int) -> tuple[int, int]:
@@ -150,6 +140,8 @@ class LocalModel:
     ctx: PadicContext
     dimension: int
     charts: tuple[PolyMap, ...]  # chart steps G_s, G_{s+1}, ... in application order
+    # the charts mod p^K, shared by the models of one family (not part of identity)
+    chart_mods: tuple[ModularMap, ...] = field(repr=False, compare=False)
     steps_per_iterate: int  # chart-chain repetitions per model iterate (k2)
     series: tuple[TruncatedSeries, ...]  # model map mod p^P (see above)
     base_point: tuple[int, ...]  # residues mod p^K
@@ -161,8 +153,6 @@ class LocalModel:
     shift: int
     transform_log: tuple[TransformRecord, ...]
     direct: bool = False  # ambient-coordinate model: identity chart, no recentering
-    # lazily filled holder for the mod-p^K chart evaluators (not part of identity)
-    _chart_mods_holder: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def prime(self) -> int:
@@ -175,18 +165,10 @@ class LocalModel:
     def original_index(self, n: int) -> int:
         return self.m0 + self.shift + n * self.k_total
 
-    def _chart_mods(self) -> tuple[ModularMap, ...]:
-        if not self._chart_mods_holder:
-            self._chart_mods_holder.append(
-                tuple(ModularMap.from_map(g, self.ctx.modulus) for g in self.charts)
-            )
-        return self._chart_mods_holder[0]
-
     def apply(self, point: tuple[int, ...]) -> tuple[int, ...]:
         """One model iterate (the full chart chain, steps_per_iterate times)."""
-        mods = self._chart_mods()
         for _ in range(self.steps_per_iterate):
-            for g in mods:
+            for g in self.chart_mods:
                 point = g(point)
         return point
 
@@ -196,26 +178,6 @@ class LocalModel:
         for _ in range(count - 1):
             out.append(self.apply(out[-1]))
         return out
-
-    def to_original(self, point: tuple[int, ...]) -> tuple[int, ...]:
-        """T(x) = eta + p*x, one digit above working precision."""
-        if self.direct:
-            return tuple(point)
-        p, mod1 = self.prime, self.ctx.modulus * self.prime
-        return tuple((e + p * c) % mod1 for e, c in zip(self.center, point))
-
-    def from_original(self, point: tuple[int, ...]) -> tuple[int, ...]:
-        """T^-1(y) = (y - eta)/p; needs y mod p^(K+1), y = eta mod p."""
-        if self.direct:
-            return tuple(self.ctx.scalar(y) for y in point)
-        p, mod1 = self.prime, self.ctx.modulus * self.prime
-        coords = []
-        for e, y in zip(self.center, point):
-            d = (y - e) % mod1
-            if d % p:
-                raise InputError("point is not in the chart disk")
-            coords.append(d // p)
-        return tuple(coords)
 
     def transport_poly(self, q: Poly) -> Poly:
         """A polynomial on original coordinates, rewritten on chart coordinates."""
@@ -358,117 +320,139 @@ def _stabilized_cycle(inst: ProblemInstance, p: int):
     return k1, m0, cycle_pts
 
 
-def build_local_model(
-    inst: ProblemInstance,
-    p: int,
-    precision: int,
-    shift: int = 0,
-    steps_override: int | None = None,
-    check_preperiodic: bool = True,
-) -> LocalModel:
-    """Run the full normalization pipeline at one prime for one shift class.
+@dataclass(frozen=True)
+class _ChartChain:
+    """The mod-p^2 cycle the orbit enters and one chart step per cycle point.
 
-    Stages: orbit stabilization mod p^2, recentering translation, uniformizer
-    scaling (fused into exact chart steps), and the final iterate replacement
-    that makes the linear part idempotent mod p.  Every stage failure names
-    the stage.  steps_override forces the iterate replacement power (used to
-    share one power across all shift classes of a family).
+    Rotation s of the chain applies G_s, ..., G_{k1-1}, G_0, ..., G_{s-1}.
     """
-    ctx = PadicContext(p, precision)
-    if check_preperiodic:
-        ensure_not_preperiodic(inst)
 
+    k1: int
+    m0: int
+    cycle: list  # eta_0, ..., eta_{k1-1}, lifted in [0, p^2)
+    charts: tuple[PolyMap, ...]  # G_j: the disk of eta_j to the disk of eta_{j+1}
+    chains: tuple[Matrix, ...]  # linear part mod p of each rotation
+
+
+def _chart_chain(inst: ProblemInstance, p: int) -> _ChartChain:
     k1, m0, cycle_pts = _stabilized_cycle(inst, p)
-    s = shift % k1
     try:
         charts = tuple(
-            _chart_step(
-                inst.mapping,
-                cycle_pts[(s + j) % k1],
-                cycle_pts[(s + j + 1) % k1],
-                p,
-            )
+            _chart_step(inst.mapping, cycle_pts[j], cycle_pts[(j + 1) % k1], p)
             for j in range(k1)
         )
     except InputError as exc:
         raise HypothesisViolation(f"normalization/translate-scale: {exc}") from exc
+    # rotation s has linear part (L_{s-1} ... L_0)(L_{k1-1} ... L_s)
+    linears = [_linear_part_mod(g, p) for g in charts]
+    suffixes = [mat_identity(inst.dimension)]
+    for a in reversed(linears):
+        suffixes.append(mat_mul(suffixes[-1], a, p))
+    suffixes.reverse()
+    chains, prefix = [], mat_identity(inst.dimension)
+    for s in range(k1):
+        chains.append(mat_mul(prefix, suffixes[s], p))
+        prefix = mat_mul(linears[s], prefix, p)
+    return _ChartChain(k1, m0, cycle_pts, charts, tuple(chains))
 
-    # linear part of the chart chain and its idempotent power
-    mod = ctx.modulus
-    a_chain = mat_identity(inst.dimension)
-    for g in charts:
-        a_chain = mat_mul(_linear_part_mod(g, mod), a_chain, mod)
-    if steps_override is None:
-        cert = idempotent_power(mat_reduce(a_chain, p), p)
-        k2 = cert.power
-    else:
-        k2 = steps_override
+
+def _models(
+    inst: ProblemInstance, chain: _ChartChain, ctx: PadicContext, k2: int, shifts
+) -> list[LocalModel]:
+    """The models of the given increasing shifts, all with iterate power k2.
+
+    Each chart is reduced mod p^K once, each rotation in use gets its
+    idempotent lift and series once, and one walk mod p^(K+1) gives every
+    base point.
+    """
+    p, k1 = ctx.prime, chain.k1
     if k1 * k2 > K_TOTAL_CAP:
         raise BudgetExceeded(
             f"combined iterate replacement k1*k2 = {k1 * k2} exceeds the cap {K_TOTAL_CAP}"
         )
+    chart_mods = tuple(ModularMap.from_map(g, ctx.modulus) for g in chain.charts)
+    rotations: dict[int, tuple] = {}
 
-    # exactly idempotent lift of the mod-p linear part of the model map
-    a_model_bar = mat_pow(mat_reduce(a_chain, p), k2, p)
-    if mat_mul(a_model_bar, a_model_bar, p) != a_model_bar:
-        raise HypothesisViolation(
-            "normalization/idempotent: forced iterate power does not make the linear part idempotent"
-        )
-    linear = hensel_idempotent(a_model_bar, p, precision)
-
-    # base point: T^-1 of the stabilized orbit point, one digit above precision
-    mod1 = mod * p
+    mod1 = ctx.modulus * p
     f_mod1 = ModularMap.from_map(inst.mapping, mod1)
     a_start = tuple(reduce_rational(x, mod1) for x in inst.initial_point)
-    a_stab = f_mod1.iterate(a_start, m0 + shift)
-    center = cycle_pts[s]
-    base_coords = []
-    for e, y in zip(center, a_stab):
-        d = (y - e) % mod1
-        if d % p:
+    point, index = f_mod1.iterate(a_start, chain.m0), 0
+    models = []
+    for shift in shifts:
+        # base point: T^-1 of the orbit point m0 + shift, one digit above precision
+        point, index = f_mod1.iterate(point, shift - index), shift
+        s = shift % k1
+        center = chain.cycle[s]
+        base_coords = []
+        for e, y in zip(center, point):
+            d = (y - e) % mod1
+            if d % p:
+                raise HypothesisViolation(
+                    "normalization/base-point: stabilized point left its residue disk"
+                )
+            base_coords.append(d // p)
+        base_point = tuple(base_coords)
+        if sup_valuation(base_point, p) < 1:
             raise HypothesisViolation(
-                "normalization/base-point: stabilized point left its residue disk"
-            )
-        base_coords.append(d // p)
-    base_point = tuple(base_coords)
-    if sup_valuation(base_point, p) < 1:
-        raise HypothesisViolation(
-            "normalization/base-point: coordinates are not in the maximal ideal"
-        )
-
-    series, c = _model_series(charts, k2, linear, ctx)
-    if c < 1:
-        raise HypothesisViolation(
-            "normalization/congruence: model map is not linear mod p; c < 1"
-        )
-    for i, srs in enumerate(series):
-        if int_valuation(srs.constant_term(), p) < 1:
-            raise HypothesisViolation(
-                f"normalization/scale: constant term of coordinate {i} has valuation < 1"
+                "normalization/base-point: coordinates are not in the maximal ideal"
             )
 
-    log = (
-        TransformRecord("forward", (m0 + shift,)),
-        TransformRecord("iterate", (k1,)),
-        TransformRecord("translate", tuple(center)),
-        TransformRecord("scale", (p,)),
-        TransformRecord("iterate", (k2,)),
-    )
-    return LocalModel(
-        ctx=ctx,
-        dimension=inst.dimension,
-        charts=charts,
-        steps_per_iterate=k2,
-        series=series,
-        base_point=base_point,
-        linear=linear,
-        congruence_exponent=c,
-        center=center,
-        m0=m0,
-        k1=k1,
-        shift=shift,
-        transform_log=log,
-    )
+        if s not in rotations:
+            charts = chain.charts[s:] + chain.charts[:s]
+            linear = hensel_idempotent(mat_pow(chain.chains[s], k2, p), p, ctx.precision)
+            series, c = _model_series(charts, k2, linear, ctx)
+            if c < 1:
+                raise HypothesisViolation(
+                    "normalization/congruence: model map is not linear mod p; c < 1"
+                )
+            for i, srs in enumerate(series):
+                if int_valuation(srs.constant_term(), p) < 1:
+                    raise HypothesisViolation(
+                        f"normalization/scale: constant term of coordinate {i} has valuation < 1"
+                    )
+            rotations[s] = (charts, chart_mods[s:] + chart_mods[:s], linear, series, c)
+        charts, mods, linear, series, c = rotations[s]
+
+        log = (
+            TransformRecord("forward", (chain.m0 + shift,)),
+            TransformRecord("iterate", (k1,)),
+            TransformRecord("translate", tuple(center)),
+            TransformRecord("scale", (p,)),
+            TransformRecord("iterate", (k2,)),
+        )
+        models.append(
+            LocalModel(
+                ctx=ctx,
+                dimension=inst.dimension,
+                charts=charts,
+                chart_mods=mods,
+                steps_per_iterate=k2,
+                series=series,
+                base_point=base_point,
+                linear=linear,
+                congruence_exponent=c,
+                center=center,
+                m0=chain.m0,
+                k1=k1,
+                shift=shift,
+                transform_log=log,
+            )
+        )
+    return models
+
+
+def build_local_model(inst: ProblemInstance, p: int, precision: int) -> LocalModel:
+    """The shift-0 model at one prime, with the iterate power of its own chain.
+
+    Stages: non-preperiodicity check, orbit stabilization mod p^2,
+    recentering translation and uniformizer scaling (fused into exact chart
+    steps), and the iterate replacement that makes the linear part
+    idempotent mod p.  Every stage failure names the stage.
+    """
+    ctx = PadicContext(p, precision)
+    ensure_not_preperiodic(inst)
+    chain = _chart_chain(inst, p)
+    return _models(inst, chain, ctx, _iterate_power(chain.chains[:1], p), [0])[0]
 
 
 def build_model_family(
@@ -479,40 +463,18 @@ def build_model_family(
 ) -> list[LocalModel]:
     """Models covering every residue class of original indices >= m0 mod k_total.
 
-    The iterate power is the least one valid for every rotation of the chart
-    chain so the whole family shares one stride.  When the stride exceeds
-    shift_cap only the class through the stabilized point is returned; the
-    caller must record the reduced coverage.
+    The family is one mod-p^2 cycle and one chart chain; its models are the
+    rotations of that chain.  The iterate power is the least one that makes
+    every rotation idempotent, so the whole family shares one stride.  When
+    the stride exceeds shift_cap only the class through the stabilized point
+    is returned; the caller must record the reduced coverage.  The caller
+    has checked the orbit with ensure_not_preperiodic.
     """
-    ensure_not_preperiodic(inst)
-    k1, _, cycle_pts = _stabilized_cycle(inst, p)
-
-    # chart linear parts around the cycle, then the least iterate power that
-    # is an idempotent exponent for every rotation of the chain
-    mod = p**precision
-    chart_linears = [
-        _linear_part_mod(
-            _chart_step(inst.mapping, cycle_pts[j], cycle_pts[(j + 1) % k1], p), mod
-        )
-        for j in range(k1)
-    ]
-    enters, periods = [], []
-    for s in range(k1):
-        chain = mat_identity(inst.dimension)
-        for j in range(k1):
-            chain = mat_mul(chart_linears[(s + j) % k1], chain, mod)
-        enter, period = _power_cycle(mat_reduce(chain, p), p)
-        enters.append(enter)
-        periods.append(period)
-    period = math.lcm(*periods)
-    k2 = period * math.ceil(max(enters) / period)
-
-    k_total = k1 * k2
-    shifts = [0] if k_total > shift_cap else list(range(k_total))
-    return [
-        build_local_model(inst, p, precision, shift=r, steps_override=k2, check_preperiodic=False)
-        for r in shifts
-    ]
+    ctx = PadicContext(p, precision)
+    chain = _chart_chain(inst, p)
+    k2 = _iterate_power(chain.chains, p)
+    k_total = chain.k1 * k2
+    return _models(inst, chain, ctx, k2, [0] if k_total > shift_cap else range(k_total))
 
 
 def direct_model(mapping: PolyMap, base_point, p: int, precision: int) -> LocalModel:
@@ -542,6 +504,7 @@ def direct_model(mapping: PolyMap, base_point, p: int, precision: int) -> LocalM
         ctx=ctx,
         dimension=mapping.nvars,
         charts=(mapping,),
+        chart_mods=(ModularMap.from_map(mapping, ctx.modulus),),
         steps_per_iterate=1,
         series=series,
         base_point=tuple(ctx.scalar(x) for x in base_point),

@@ -240,12 +240,6 @@ class PolyMap:
     def evaluate(self, point) -> tuple[Fraction, ...]:
         return tuple(poly_eval(p, point) for p in self.polys)
 
-    def iterate_point(self, point, k: int) -> tuple[Fraction, ...]:
-        pt = tuple(Fraction(x) for x in point)
-        for _ in range(k):
-            pt = self.evaluate(pt)
-        return pt
-
     def compose(self, other: "PolyMap", term_guard: int | None = None) -> "PolyMap":
         """self after other: x -> self(other(x))."""
         return PolyMap(

@@ -11,8 +11,9 @@ no density theorem is invoked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import BudgetExceeded, HypothesisViolation, InputError, InvariantViolation
 from .padic import is_prime
@@ -202,16 +203,15 @@ def reduce_instance(inst: ProblemInstance, p: int, bad: BadPrimeSet | None = Non
 
 @dataclass(frozen=True)
 class OrbitSummary:
-    """Minimal tail/cycle data of one forward orbit, plus first hits of queried targets."""
+    """Minimal tail/cycle data of one forward orbit."""
 
     start: tuple[int, ...]
     tail: int
     cycle: int
-    first_hits: dict = field(default_factory=dict)
 
 
 def orbit_summary(
-    fp: ModularMap, x: tuple[int, ...], targets=(), limit: int | None = None, visit=None
+    fp: ModularMap, x: tuple[int, ...], limit: int | None = None, visit=None
 ) -> OrbitSummary | None:
     """Brent cycle detection: O(tail + cycle) map evaluations, O(1) state.
 
@@ -219,9 +219,6 @@ def orbit_summary(
     at least index tail + cycle - 1.  With `limit`, the search gives up and
     returns None once x_limit has been visited and no cycle has closed, so
     it costs at most limit + 1 map evaluations.
-
-    A second pass of the same length records the first hit index of each
-    queried target (None if the orbit never meets it).
     """
     if visit:
         visit(0, x)
@@ -247,16 +244,7 @@ def orbit_summary(
         tortoise = fp(tortoise)
         hare = fp(hare)
         mu += 1
-    hits: dict = {t: None for t in targets}
-    if targets:
-        pt = x
-        for i in range(mu + lam):
-            if pt in hits and hits[pt] is None:
-                hits[pt] = i
-            pt = fp(pt)
-        if pt in hits and hits[pt] is None:
-            hits[pt] = mu + lam
-    return OrbitSummary(x, mu, lam, hits)
+    return OrbitSummary(x, mu, lam)
 
 
 def _space_size(fp: ModularMap) -> int:
@@ -264,15 +252,8 @@ def _space_size(fp: ModularMap) -> int:
 
 
 def _iter_space(fp: ModularMap):
-    p, n = fp.modulus, fp.nvars
-    point = [0] * n
-    for _ in range(p**n):
-        yield tuple(point)
-        for i in range(n):
-            point[i] += 1
-            if point[i] < p:
-                break
-            point[i] = 0
+    """Every point of F_p^N, the first coordinate varying fastest."""
+    return (pt[::-1] for pt in product(range(fp.modulus), repeat=fp.nvars))
 
 
 def periodic_points_on_variety(
@@ -421,17 +402,15 @@ def residue_orbit_avoids(inst: ProblemInstance, p: int, bound: int, bad: BadPrim
 
     A target on the eventual cycle is hit at unboundedly many iterates, so it
     fails regardless of the bound; a target on the tail only fails when its
-    hit index is >= bound.
+    hit index is >= bound.  One walk reads the hits: it visits every index
+    below tail + cycle, so it meets every target the orbit meets.
     """
     fp, a_p, targets_p = reduce_instance(inst, p, bad)
-    summary = orbit_summary(fp, a_p)
-    pt = a_p
-    for m in range(summary.tail):
-        if m >= bound and pt in targets_p:
-            return False
-        pt = fp(pt)
-    for _ in range(summary.cycle):
+    hits = []
+
+    def visit(n, pt):
         if pt in targets_p:
-            return False
-        pt = fp(pt)
-    return True
+            hits.append(n)
+
+    summary = orbit_summary(fp, a_p, visit=visit)
+    return not any(n >= bound or n >= summary.tail for n in hits)

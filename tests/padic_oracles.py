@@ -25,17 +25,22 @@ context, the evaluation and Gauss valuation of a TruncatedSeries, exact
 periods and the fixing iterate of declared targets, periodicity mod p by a
 walk of the whole space, a dense one-variable series with precision
 bounds (the reference for disk restriction and for the bound rule of
-TruncatedSeries), and polynomial evaluation mod m term by term (the
-reference for the nested Horner evaluator).
+TruncatedSeries), polynomial evaluation mod m term by term (the
+reference for the nested Horner evaluator), exact iteration over the
+rationals, the least idempotent power of a matrix mod p by trying every
+power in turn (the reference for the iterate power of normalization), and
+the chart T(x) = eta + p*x of a local model and its inverse.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from orbitgap.errors import HypothesisViolation, InputError, PrecisionExhausted
 from orbitgap.gaps import DiskSeries
+from orbitgap.modmat import Matrix, mat_mul, mat_reduce
 from orbitgap.padic import INF, PadicContext, TruncatedSeries, int_valuation, vp_factorial
 from orbitgap.reduction import orbit_summary, reduce_instance
 
@@ -215,6 +220,60 @@ def modular_eval(p: dict, point, m: int) -> int:
                 term = term * pow(x, k, m) % m
         acc = (acc + term) % m
     return acc
+
+
+def iterate_point(f, point, k: int) -> tuple[Fraction, ...]:
+    """The k-th iterate of a point under a PolyMap, exact over the rationals."""
+    pt = tuple(Fraction(x) for x in point)
+    for _ in range(k):
+        pt = f.evaluate(pt)
+    return pt
+
+
+@dataclass(frozen=True)
+class IdempotentCertificate:
+    """k with A^(2k) = A^k mod p, i.e. the linear part of the k-th iterate is idempotent."""
+
+    power: int
+    matrix: Matrix
+    prime: int
+
+    def verify(self) -> bool:
+        return mat_mul(self.matrix, self.matrix, self.prime) == self.matrix
+
+
+def idempotent_power(a: Matrix, p: int) -> IdempotentCertificate:
+    """Least k >= 1 with A^(2k) = A^k mod p, trying k = 1, 2, ... in turn.
+
+    The powers of A mod p are eventually periodic, and some power in the
+    cycle is idempotent, so the search ends.
+    """
+    power, k = mat_reduce(a, p), 1
+    while mat_mul(power, power, p) != power:
+        power, k = mat_mul(power, a, p), k + 1
+    return IdempotentCertificate(k, power, p)
+
+
+def to_original(model, point: tuple[int, ...]) -> tuple[int, ...]:
+    """T(x) = eta + p*x of a local model, one digit above working precision."""
+    if model.direct:
+        return tuple(point)
+    p, mod1 = model.prime, model.ctx.modulus * model.prime
+    return tuple((e + p * c) % mod1 for e, c in zip(model.center, point))
+
+
+def from_original(model, point: tuple[int, ...]) -> tuple[int, ...]:
+    """T^-1(y) = (y - eta)/p; needs y mod p^(K+1), y = eta mod p."""
+    if model.direct:
+        return tuple(model.ctx.scalar(y) for y in point)
+    p, mod1 = model.prime, model.ctx.modulus * model.prime
+    coords = []
+    for e, y in zip(model.center, point):
+        d = (y - e) % mod1
+        if d % p:
+            raise InputError("point is not in the chart disk")
+        coords.append(d // p)
+    return tuple(coords)
 
 
 def on_cycle(fp, x: tuple[int, ...]) -> bool:

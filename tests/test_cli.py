@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, stage replay."""
 
+import ast
 import json
 import os
 import subprocess
@@ -337,3 +338,14 @@ def test_optimized_interpreter_gives_the_same_run(problem, tmp_path):
         )
         runs.append((proc.returncode, proc.stdout, out.read_bytes()))
     assert runs[0] == runs[1]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements; a broken invariant must raise
+    # InvariantViolation so that it exits 4 under every interpreter flag
+    found = []
+    for path in sorted((ROOT / "src" / "orbitgap").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -4,19 +4,27 @@ import random
 from fractions import Fraction
 
 import pytest
+from padic_oracles import (
+    from_original,
+    idempotent_power,
+    iterate_point,
+    series_evaluate,
+    to_original,
+)
 
+from orbitgap import normalization
 from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError
 from orbitgap.modmat import mat_mul, mat_pow, mat_reduce
 from orbitgap.normalization import (
     _chart_step,
     _frac_valuation,
+    _iterate_power,
     _materialize_series,
     build_local_model,
     build_model_family,
     direct_model,
     ensure_not_preperiodic,
     hensel_idempotent,
-    idempotent_power,
     series_congruence_exponent,
     stabilize_orbit,
 )
@@ -30,7 +38,7 @@ from orbitgap.polynomials import (
     poly_add,
     poly_compose,
 )
-from orbitgap.reduction import ProblemInstance
+from orbitgap.reduction import ProblemInstance, reduce_rational
 
 
 # -- oracles: the chart step split into its two conjugations ------------------
@@ -129,6 +137,13 @@ def test_idempotent_power_examples():
     cert = idempotent_power(((2,),), 5)
     assert cert.power == 4 and cert.matrix == ((1,),)
     assert cert.verify()
+    for a in (((1, 1), (0, 0)), ((0, 1), (0, 0)), ((2,),)):
+        assert _iterate_power([a], 5) == idempotent_power(a, 5).power
+    # a common power: nilpotent of index 2 with order 4 gives 4; nilpotent
+    # of index 3 with order 2 gives 4, which is neither 3 nor 2
+    assert _iterate_power([((0, 1), (0, 0)), ((2, 0), (0, 1))], 5) == 4
+    shift3 = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
+    assert _iterate_power([shift3, ((4, 0, 0), (0, 1, 0), (0, 0, 1))], 5) == 4
 
 
 def test_idempotent_certificates_random():
@@ -146,6 +161,19 @@ def test_idempotent_certificates_random():
         for _ in range(1, cert.power):
             assert mat_mul(pk, pk, p) != pk
             pk = mat_mul(pk, a, p)
+        assert _iterate_power([a], p) == cert.power
+    # the least power idempotent for every matrix of a list at once
+    for _ in range(100):
+        p = rng.choice([3, 5])
+        n = rng.randint(1, 2)
+        mats = [
+            tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+            for _ in range(rng.randint(1, 3))
+        ]
+        k = 1
+        while any(mat_mul(b, b, p) != b for b in (mat_pow(a, k, p) for a in mats)):
+            k += 1
+        assert _iterate_power(mats, p) == k
 
 
 def test_hensel_idempotent_lift():
@@ -184,16 +212,27 @@ def test_linear_example_6x():
 
 
 def _roundtrip_ok(inst, model, samples=20, seed=0):
+    """The chart conjugates the model to f^k_total on random points, the model
+    series and the charts agree with the chart evaluators, and the base point
+    is the orbit point of the model's original index."""
     rng = random.Random(seed)
     ctx = model.ctx
     p = ctx.prime
     mod1 = ctx.modulus * p
     f1 = ModularMap.from_map(inst.mapping, mod1)
+    if model.chart_mods != tuple(ModularMap.from_map(g, ctx.modulus) for g in model.charts):
+        return False
+    a1 = tuple(reduce_rational(x, mod1) for x in inst.initial_point)
+    if to_original(model, model.base_point) != f1.iterate(a1, model.original_index(0)):
+        return False
     for _ in range(samples):
         x = tuple(rng.randrange(ctx.modulus) for _ in range(model.dimension))
-        y = model.to_original(x)
+        y = to_original(model, x)
         z = f1.iterate(y, model.k_total)
-        if model.from_original(z) != model.apply(x):
+        fx = model.apply(x)
+        if from_original(model, z) != fx:
+            return False
+        if any(series_evaluate(s, x) != c % s.ctx.modulus for s, c in zip(model.series, fx)):
             return False
     return True
 
@@ -210,6 +249,11 @@ def test_conjugation_roundtrip_two_dim():
     )
     m = build_local_model(inst, 3, 8)
     assert _roundtrip_ok(inst, m, samples=10)
+    # every rotation of the chart chain conjugates at its own shift
+    family = build_model_family(inst, 3, 8)
+    assert family[0].k1 == 6 and len(family) == family[0].k_total
+    for model in family:
+        assert _roundtrip_ok(inst, model, samples=3, seed=model.shift)
 
 
 def test_index_bookkeeping_against_exact_iteration():
@@ -221,12 +265,12 @@ def test_index_bookkeeping_against_exact_iteration():
     orbit = m.orbit(9)
     for n in range(9):
         original_index = m.original_index(n)
-        exact = inst.mapping.iterate_point((Fraction(3),), original_index)
+        exact = iterate_point(inst.mapping, (Fraction(3),), original_index)
         reduced = tuple(
             Fraction(x).numerator * pow(Fraction(x).denominator, -1, mod1) % mod1
             for x in exact
         )
-        assert m.from_original(reduced) == orbit[n]
+        assert from_original(m, reduced) == orbit[n]
     del pt
 
 
@@ -240,6 +284,24 @@ def test_family_covers_all_shifts():
     k_total = family[0].k_total
     covered = sorted(m.original_index(0) for m in family)
     assert covered == [family[0].m0 + r for r in range(k_total)]
+
+
+def test_family_is_one_cycle_and_one_chart_chain(monkeypatch):
+    """x^2 - 2 from 5 at p = 29 cycles through k1 = 14 disks mod 29^2: the
+    family of 14 models makes one mod-p^2 walk and one chart step per disk."""
+    calls = {"_stabilized_cycle": 0, "_chart_step": 0}
+    for name in calls:
+        original = getattr(normalization, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(normalization, name, counting)
+    inst = _instance([{(2,): 1, (0,): -2}], (5,))
+    family = build_model_family(inst, 29, 8)
+    assert (family[0].k1, family[0].steps_per_iterate, len(family)) == (14, 1, 14)
+    assert calls == {"_stabilized_cycle": 1, "_chart_step": 14}
 
 
 def test_direct_model_requires_idempotent_linear_part():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_oracles import modular_eval
+from padic_oracles import iterate_point, modular_eval
 
 from orbitgap.errors import InputError
 from orbitgap.padic import PadicContext, TruncatedSeries, is_prime
@@ -42,7 +42,7 @@ def test_derivative():
 def test_map_iteration_matches_composition():
     f2 = SQ_PLUS_ONE.compose(SQ_PLUS_ONE)
     for x in (0, 1, Fraction(1, 3), -2):
-        assert f2.evaluate((x,))[0] == SQ_PLUS_ONE.iterate_point((x,), 2)[0]
+        assert f2.evaluate((x,))[0] == iterate_point(SQ_PLUS_ONE, (x,), 2)[0]
 
 
 def test_reduce_examples():

@@ -93,13 +93,6 @@ def test_orbit_summaries():
     assert (s.tail, s.cycle) == (0, 1)
 
 
-def test_orbit_first_hits():
-    fp5 = ModularMap.from_map(SQ_PLUS_ONE, 5)
-    s = orbit_summary(fp5, (0,), targets=[(2,), (3,)])
-    assert s.first_hits[(2,)] == 2
-    assert s.first_hits[(3,)] is None
-
-
 def test_periodic_points_on_variety():
     fp5 = ModularMap.from_map(SQ_PLUS_ONE, 5)
     # V: x - 3 = 0: the point 3 has a tail (3 -> 0 -> 1 -> 2 -> 0), not periodic
@@ -238,6 +231,15 @@ def test_residue_orbit_avoids():
     # target on the orbit cycle fails regardless of the bound
     inst2 = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(2),),))
     assert not residue_orbit_avoids(inst2, 5, 10)
+
+    # mod 3 the orbit is 0 -> 1 -> 2 -> 2: a tail of two, then a fixed point
+    def avoids(target, bound):
+        inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(target),),))
+        return residue_orbit_avoids(inst, 3, bound)
+
+    assert not avoids(1, 1) and avoids(1, 2)
+    assert not avoids(0, 0) and avoids(0, 1)
+    assert not any(avoids(2, bound) for bound in range(6))
 
 
 @given(st.data())
