@@ -11,12 +11,15 @@ sizes stay within a bit budget, and every reported index carries its
 provenance.
 
 Zero localization restricts the composed function L(t) = Q(G(center + p^k t))
-to residue disks as a power series in t: the coordinates of G are re-expanded
-around the disk center into one-variable TruncatedSeries whose precision
-bounds record the factorial p-part divided out, and Q is composed with them,
-so every coefficient of L carries its own bound.  It counts zeros through the
-Newton polygon and refines disks until each leaf holds at most one zero
-cluster.  A leaf with a zero of order d yields the gap bound
+to residue disks as a power series in t.  The disks form one tree: T!*G is
+expanded once in the monomial basis mod p^(K + v_p(T!)), and a disk inside
+another (center + j p^k + p^k' t) gets its coordinate polynomials from its
+parent's by a Taylor shift by j and a scaling of t by p^(k' - k).  Dividing
+out T! gives one-variable TruncatedSeries whose precision bounds record the
+factorial p-part, and Q is composed with them, so every coefficient of L
+carries its own bound.  It counts zeros through the Newton polygon and
+refines disks until each leaf holds at most one zero cluster.  A leaf with a
+zero of order d yields the gap bound
 
     (n_{j+1} - n_j)^d >= p^(k*d + n_j*c - v(a_d))
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import HypothesisViolation, InputError, InvariantViolation, PrecisionExhausted
@@ -216,6 +219,8 @@ class DiskSeries:
 
     residues are canonical mod p^K; precs[m] lower-bounds the valuation of
     the unknown part of coefficient m (INF: the residue is exact mod p^K).
+    coords holds T!*G_i(center + p^k t) mod p^(K + v_p(T!)), one polynomial
+    in t per coordinate: the disks inside this one are shifted from them.
     """
 
     center: int
@@ -224,6 +229,7 @@ class DiskSeries:
     precs: tuple
     prime: int
     precision: int
+    coords: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def zero_at_precision(self) -> bool:
@@ -238,80 +244,96 @@ class DiskSeries:
         ]
 
 
-def restrict_to_disk(
-    interp: ApproxInterpolant, q: Poly, center: int, radius_exp: int
-) -> DiskSeries:
-    """Expand Q(G(center + p^k t)) as a power series in t at working precision.
+def _expand(interp: ApproxInterpolant) -> list[list[int]]:
+    """T!*G_i(t) in the monomial basis mod p^(K + v_p(T!)), one list per coordinate.
 
-    The binomial basis is re-expanded around the disk center with exact
-    integer arithmetic; the p-part of the factorial denominators must cancel
-    against the certified coefficient decay, and a failure to cancel is a
-    precision failure, not a rounding choice.
+    T!*C(t, j) = (T!/j!) t(t-1)...(t-j+1) has integer coefficients, so the
+    nested form c_0 + t(c_1 + (t-1)(c_2 + ...)) with c_j = a_j T!/j! expands
+    T!*G with integer arithmetic.  Reduction mod p^(K + v_p(T!)) is a ring
+    map, so every coefficient agrees with the exact one mod that modulus,
+    and G itself is known mod p^K.
+    """
+    ctx, T = interp.ctx, interp.terms
+    work = ctx.modulus * ctx.prime ** vp_factorial(T, ctx.prime)
+    scales = [1] * (T + 1)  # T!/j!
+    for j in range(T - 1, -1, -1):
+        scales[j] = scales[j + 1] * (j + 1)
+    out = []
+    for i in range(interp.series.dim):
+        poly: list[int] = []
+        for j in range(T, -1, -1):
+            poly = [0] + poly  # poly <- c_j + (t - j) * poly
+            for m in range(len(poly) - 1):
+                poly[m] = (poly[m] - j * poly[m + 1]) % work
+            poly[0] = (poly[0] + interp.series.coeffs[j][i] * scales[j]) % work
+        out.append(poly)
+    return out
+
+
+def _subdisk(
+    interp: ApproxInterpolant, q: Poly, coords, center: int, radius_exp: int,
+    j: int, sub_exp: int,
+) -> DiskSeries:
+    """Q(G(c + p^k' t)) on the disk c = center + j p^k, k' = sub_exp, inside
+    the disk center + p^k t whose coordinate polynomials are coords.
+
+    Each coordinate polynomial a(t) becomes a(j + s t) with s = p^(k' - k):
+    a Taylor shift by synthetic division, then coefficient m times s^m.  The
+    p-part of T! must then cancel from every coefficient; a failure to cancel
+    is a precision failure, not a rounding choice.  Coefficient m >= 1 is
+    known to p^(K + min(k' m - v_p(T!), 0)) and the constant, G(c), to p^K.
     """
     ctx = interp.ctx
     p, prec, mod = ctx.prime, ctx.precision, ctx.modulus
-    T = interp.terms
-    e_total = vp_factorial(T, p)
-    fact = math.factorial(T)
-    fact_unit = fact // p**e_total
-    inv_fact_unit = pow(fact_unit, -1, mod)
-    pk = p**radius_exp
-
-    # integer polynomials N_j(t) = prod_{l<j} (center - l + p^k t), with
-    # running scaling T!/j!; accumulated per coordinate.
-    dim = interp.series.dim
-    acc = [[0] * (T + 1) for _ in range(dim)]
-    n_poly = [1] + [0] * T  # N_0 = 1; degree of N_j is j <= T
-    ratio = fact  # T!/j!
-    for j in range(T + 1):
-        if j > 0:
-            const = center - (j - 1)
-            new = [0] * (T + 1)
-            for m in range(j):
-                coef = n_poly[m]
-                if coef:
-                    new[m] += coef * const
-                    new[m + 1] += coef * pk
-            n_poly = new
-            ratio //= j
-        cj = interp.series.coeffs[j]
-        for i in range(dim):
-            ci = cj[i]
-            if ci:
-                scaled = ci * ratio
-                row = acc[i]
-                for m in range(min(j, T) + 1):
-                    if n_poly[m]:
-                        row[m] += scaled * n_poly[m]
-
-    # constant coefficients are the direct values of G at the center: full precision
-    direct = interp.value(center)
-    coord_series = []
-    for i in range(dim):
+    e_total = vp_factorial(interp.terms, p)
+    p_part = p**e_total
+    work = mod * p_part
+    inv_fact_unit = pow(math.factorial(interp.terms) // p_part, -1, mod)
+    s = p ** (sub_exp - radius_exp)
+    shifted, coord_series = [], []
+    for a in coords:
+        a = list(a)
+        n = len(a)
+        if j:
+            for i in range(n - 1):
+                for m in range(n - 2, i - 1, -1):
+                    a[m] = (a[m] + j * a[m + 1]) % work
         coeffs, precs = {}, {}
-        for m in range(T + 1):
-            quotient, remainder = divmod(acc[i][m], p**e_total)
+        scale = 1
+        for m in range(n):
+            a[m] = a[m] * scale % work
+            scale = scale * s % work
+            quotient, remainder = divmod(a[m], p_part)
             if remainder:
                 raise PrecisionExhausted(
                     "disk re-expansion: factorial p-part failed to cancel at "
                     f"coefficient {m}; coefficient decay is insufficient"
                 )
             coeffs[(m,)] = quotient * inv_fact_unit % mod
-            precs[(m,)] = prec + min(radius_exp * m - e_total, 0)
-        coeffs[(0,)] = direct[i]
-        precs[(0,)] = prec
+            precs[(m,)] = prec + min(sub_exp * m - e_total, 0) if m else prec
+        shifted.append(tuple(a))
         coord_series.append(TruncatedSeries(ctx, 1, coeffs, precs))
 
-    result = TruncatedSeries(ctx, dim, reduce_poly(q, mod)).compose(coord_series)
+    result = TruncatedSeries(ctx, len(coord_series), reduce_poly(q, mod)).compose(coord_series)
     degree = max((m for (m,) in result.coeffs), default=0)
     return DiskSeries(
-        center,
-        radius_exp,
+        center + j * p**radius_exp,
+        sub_exp,
         tuple(result.coefficient((m,)) for m in range(degree + 1)),
         tuple(result.precs.get((m,), INF) for m in range(degree + 1)),
         p,
         prec,
+        tuple(shifted),
     )
+
+
+def restrict_to_disk(interp: ApproxInterpolant, q: Poly, center: int, radius_exp: int) -> DiskSeries:
+    """Expand Q(G(center + p^k t)) as a power series in t at working precision.
+
+    The interpolant is expanded once in the monomial basis and shifted to
+    the disk, as the disk center + p^k t inside the unit disk 0 + t.
+    """
+    return _subdisk(interp, q, _expand(interp), 0, 0, center, radius_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +372,15 @@ def newton_zero_count(series: DiskSeries, margin: int = 1) -> int:
 
 @dataclass(frozen=True)
 class ZeroLocalization:
-    """A terminal disk of the refinement: either zero-free or one zero cluster."""
+    """A terminal disk of the refinement: either zero-free or one zero cluster.
+
+    On a cluster leaf the center approximates the zero and count is its order.
+    """
 
     center: int
     radius_exp: int
     count: int
     leading_valuation: int
-    eta: int | None = None  # approximate zero (the final center) when count >= 1
-    order: int | None = None  # vanishing order, = count on the terminal disk
 
 
 @dataclass(frozen=True)
@@ -375,79 +398,60 @@ def _min_known_valuation(series: DiskSeries) -> int:
     return min(v for _, v in series.known_valuations())
 
 
-def localize_zeros(
-    interp: ApproxInterpolant,
-    polynomials: list[Poly],
-    initial_k: int = 1,
-    k_cap: int | None = None,
-    stable_rounds: int = STABLE_ROUNDS,
-) -> list[ClassAnalysis]:
-    """Per residue class mod p^initial_k, locate the zeros of the first
-    defining polynomial that does not vanish at working precision.
+def localize_zeros(interp: ApproxInterpolant, polynomials: list[Poly]) -> list[ClassAnalysis]:
+    """Per residue class mod p, locate the zeros of the first defining
+    polynomial that does not vanish at working precision.
 
-    Disks are refined by subdividing into the p child classes; the child
-    counts of a count-1 disk must sum to 1 (a single zero in a disk with
-    these coefficient rings is rational), while larger clusters may lose
-    zeros to non-rational directions, which integer arguments can never
-    approach.  A cluster that refuses to split for stable_rounds levels is
-    frozen as a single zero of order = count.
+    The disks form one tree: each polynomial is restricted to the unit disk
+    once, and every other disk is shifted from its parent.  Disks are
+    refined by subdividing into the p child classes; the child counts of a
+    count-1 disk must sum to 1 (a single zero in a disk with these
+    coefficient rings is rational), while larger clusters may lose zeros to
+    non-rational directions, which integer arguments can never approach.  A
+    cluster that refuses to split for STABLE_ROUNDS levels, or reaches
+    radius p^max(5, K // 2), is frozen as a single zero of order = count.
     """
-    ctx = interp.ctx
-    p = ctx.prime
-    if k_cap is None:
-        k_cap = max(initial_k + 4, ctx.precision // 2)
     if not polynomials:
         raise InputError("zero localization needs at least one defining polynomial")
 
     # global degeneracy check: every polynomial identically zero at precision
-    global_series = [restrict_to_disk(interp, q, 0, 0) for q in polynomials]
-    if polynomials and all(s.zero_at_precision for s in global_series):
+    unit_disks = [restrict_to_disk(interp, q, 0, 0) for q in polynomials]
+    if all(s.zero_at_precision for s in unit_disks):
         raise HypothesisViolation(
             "every defining polynomial composed with the interpolant vanishes at "
             "working precision: possible periodic subvariety"
         )
 
     analyses = []
-    for i in range(p**initial_k):
-        chosen = None
-        series = None
-        for qi, q in enumerate(polynomials):
-            s = restrict_to_disk(interp, q, i, initial_k)
-            if not s.zero_at_precision:
-                chosen, series = qi, s
+    for i in range(interp.ctx.prime):
+        for qi, (q, disk) in enumerate(zip(polynomials, unit_disks)):
+            series = _subdisk(interp, q, disk.coords, 0, 0, i, 1)
+            if not series.zero_at_precision:
+                leaves = _refine(interp, q, series)
+                analyses.append(ClassAnalysis(i, 1, qi, True, tuple(leaves)))
                 break
-        if chosen is None:
-            analyses.append(ClassAnalysis(i, initial_k, None, False))
-            continue
-        leaves = _refine(interp, polynomials[chosen], series, k_cap, stable_rounds)
-        analyses.append(ClassAnalysis(i, initial_k, chosen, True, tuple(leaves)))
+        else:
+            analyses.append(ClassAnalysis(i, 1, None, False))
     return analyses
 
 
 def _refine(
-    interp: ApproxInterpolant,
-    q: Poly,
-    series: DiskSeries,
-    k_cap: int,
-    stable_rounds: int,
-    stability: int = 0,
+    interp: ApproxInterpolant, q: Poly, series: DiskSeries, stability: int = 0
 ) -> list[ZeroLocalization]:
     p = series.prime
     count = newton_zero_count(series)
     v_min = _min_known_valuation(series)
     if count == 0:
         return [ZeroLocalization(series.center, series.radius_exp, 0, v_min)]
-    if series.radius_exp >= k_cap or (count >= 1 and stability >= stable_rounds):
-        return [
-            ZeroLocalization(
-                series.center, series.radius_exp, count, v_min, series.center, count
-            )
-        ]
+    if series.radius_exp >= max(5, series.precision // 2) or stability >= STABLE_ROUNDS:
+        return [ZeroLocalization(series.center, series.radius_exp, count, v_min)]
     children = []
     child_counts = []
     for j in range(p):
-        child_center = series.center + j * p**series.radius_exp
-        child = restrict_to_disk(interp, q, child_center, series.radius_exp + 1)
+        child = _subdisk(
+            interp, q, series.coords, series.center, series.radius_exp, j,
+            series.radius_exp + 1,
+        )
         if child.zero_at_precision:
             raise PrecisionExhausted(
                 "child disk series vanished at precision during refinement"
@@ -463,27 +467,16 @@ def _refine(
         raise InvariantViolation("child zero counts exceed the parent count")
 
     leaves: list[ZeroLocalization] = []
-    nonzero = [j for j, c in enumerate(child_counts) if c > 0]
-    for j in range(p):
-        if child_counts[j] == 0:
-            # zero-free children become leaves only if they can hold integers
-            # of this class; they always can, record them lazily on demand
-            continue
-        next_stability = stability + 1 if (len(nonzero) == 1 and child_counts[j] == count) else 0
-        leaves.extend(
-            _refine(interp, q, children[j], k_cap, stable_rounds, next_stability)
-        )
+    single = sum(c > 0 for c in child_counts) == 1
+    for child, c in zip(children, child_counts):
+        if c:
+            leaves += _refine(interp, q, child, stability + 1 if single and c == count else 0)
     # zero-free siblings: members falling there need a finiteness bound
-    for j in range(p):
-        if child_counts[j] == 0:
-            leaves.append(
-                ZeroLocalization(
-                    children[j].center,
-                    children[j].radius_exp,
-                    0,
-                    _min_known_valuation(children[j]),
-                )
-            )
+    leaves += [
+        ZeroLocalization(child.center, child.radius_exp, 0, _min_known_valuation(child))
+        for child, c in zip(children, child_counts)
+        if c == 0
+    ]
     return leaves
 
 
@@ -628,7 +621,7 @@ def build_gap_report(
                         verdict = "violation"
                     continue
                 zero_leaf = leaf
-                d = leaf.order
+                d = leaf.count
                 constant = (prime, c, d)
                 for j1, j2 in zip(js, js[1:]):
                     req = leaf.radius_exp * d + j1 * c - leaf.leading_valuation
@@ -695,7 +688,7 @@ def iterated_log(n: float, m: int) -> float | None:
     return x if x > 0 else None
 
 
-def build_density_report(indices, n_max: int, m: int = 1, checkpoints=None) -> DensityReport:
+def build_density_report(indices, n_max: int, m: int = 1) -> DensityReport:
     """Counting function of the return set against the m-fold iterated logarithm.
 
     An empirical consistency check, not a proof: the maximum observed ratio
@@ -703,13 +696,12 @@ def build_density_report(indices, n_max: int, m: int = 1, checkpoints=None) -> D
     reported.
     """
     indices = sorted(indices)
-    if checkpoints is None:
-        checkpoints = []
-        c = 2
-        while c < n_max:
-            checkpoints.append(c)
-            c *= 2
-        checkpoints.append(n_max)
+    checkpoints = []
+    c = 2
+    while c < n_max:
+        checkpoints.append(c)
+        c *= 2
+    checkpoints.append(n_max)
     rows = []
     ratios = []
     for cp in checkpoints:

@@ -83,14 +83,12 @@ def _margin(x: tuple[int, ...], y: tuple[int, ...], ctx: PadicContext) -> int | 
     return sup_valuation([(a - b) % ctx.modulus for a, b in zip(x, y, strict=True)], ctx.prime)
 
 
-def decay_requirement(k: int, c: int, p: int, precision: int, slack: int = DECAY_SLACK) -> int:
-    req = math.ceil(k * c) - math.ceil(k / (p - 1)) - slack
+def decay_requirement(k: int, c: int, p: int, precision: int) -> int:
+    req = math.ceil(k * c) - math.ceil(k / (p - 1)) - DECAY_SLACK
     return max(0, min(req, precision))
 
 
-def build_interpolant(
-    model: LocalModel, terms: int | None = None, slack: int = DECAY_SLACK
-) -> ApproxInterpolant:
+def build_interpolant(model: LocalModel, terms: int | None = None) -> ApproxInterpolant:
     """Finite differences of the model orbit on [0, terms], with decay certification.
 
     A decay violation indicates either insufficient precision or a model
@@ -105,7 +103,7 @@ def build_interpolant(
     p, prec = model.ctx.prime, model.ctx.precision
     decay = tuple(series.coefficient_valuations())
     for k, v in enumerate(decay):
-        req = decay_requirement(k, c, p, prec, slack)
+        req = decay_requirement(k, c, p, prec)
         if v < req:
             raise PrecisionExhausted(
                 f"interpolant coefficient {k} has valuation {v} < required {req}; "
@@ -129,14 +127,11 @@ class BoundReport:
     witness: int | None
 
 
-def default_bound_samples(terms: int, budget: int | None = None) -> list[int]:
-    budget = budget if budget is not None else 2 * terms
+def default_bound_samples(terms: int) -> list[int]:
+    """The first indices, the ends of the fitting window, and indices up to 2*terms beyond it."""
     samples = set(range(0, min(terms, 8) + 1))
     samples.update({terms // 2, max(terms - 1, 0), terms})
-    n = terms + 1
-    while n <= budget:
-        samples.add(n)
-        n += max(1, (budget - terms) // 8)
+    samples.update(range(terms + 1, 2 * terms + 1, max(1, terms // 8)))
     return sorted(s for s in samples if s >= 0)
 
 

@@ -342,7 +342,7 @@ def _chart_chain(inst: ProblemInstance, p: int) -> _ChartChain:
             for j in range(k1)
         )
     except InputError as exc:
-        raise HypothesisViolation(f"normalization/translate-scale: {exc}") from exc
+        raise InvariantViolation(f"normalization/translate-scale: {exc}") from exc
     # rotation s has linear part (L_{s-1} ... L_0)(L_{k1-1} ... L_s)
     linears = [_linear_part_mod(g, p) for g in charts]
     suffixes = [mat_identity(inst.dimension)]
@@ -387,13 +387,13 @@ def _models(
         for e, y in zip(center, point):
             d = (y - e) % mod1
             if d % p:
-                raise HypothesisViolation(
+                raise InvariantViolation(
                     "normalization/base-point: stabilized point left its residue disk"
                 )
             base_coords.append(d // p)
         base_point = tuple(base_coords)
         if sup_valuation(base_point, p) < 1:
-            raise HypothesisViolation(
+            raise InvariantViolation(
                 "normalization/base-point: coordinates are not in the maximal ideal"
             )
 

@@ -102,7 +102,7 @@ def poly_derivative(p: Poly, i: int) -> Poly:
     return out
 
 
-def poly_compose(p: Poly, args: list[Poly], term_guard: int | None = None) -> Poly:
+def poly_compose(p: Poly, args: list[Poly]) -> Poly:
     """Substitute args[i] for variable i; exact over the rationals."""
     if not p:
         return {}
@@ -126,8 +126,6 @@ def poly_compose(p: Poly, args: list[Poly], term_guard: int | None = None) -> Po
             if k:
                 term = poly_mul(term, pow_cache[i][k])
         out = poly_add(out, term)
-        if term_guard is not None and len(out) > term_guard:
-            raise InputError("exact composition exceeded the term guard")
     return out
 
 
@@ -240,11 +238,11 @@ class PolyMap:
     def evaluate(self, point) -> tuple[Fraction, ...]:
         return tuple(poly_eval(p, point) for p in self.polys)
 
-    def compose(self, other: "PolyMap", term_guard: int | None = None) -> "PolyMap":
+    def compose(self, other: "PolyMap") -> "PolyMap":
         """self after other: x -> self(other(x))."""
         return PolyMap(
             self.nvars,
-            tuple(poly_compose(p, list(other.polys), term_guard) for p in self.polys),
+            tuple(poly_compose(p, list(other.polys)) for p in self.polys),
         )
 
     def jacobian(self) -> list[list[Poly]]:

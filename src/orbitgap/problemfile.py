@@ -23,6 +23,10 @@ from .reduction import ENUM_GUARD, ProblemInstance
 
 _TOP_KEYS = {"dimension", "map", "initial_point", "variety", "periodic_points", "parameters"}
 
+#: Largest total degree of a map or variety polynomial: the exact orbit walk of
+#: the preperiodicity check grows with the degree before any budget applies.
+MAX_DEGREE = 256
+
 
 @dataclass(frozen=True)
 class RunParameters:
@@ -90,7 +94,10 @@ def _as_poly(data, dimension: int, where: str) -> Poly:
         if c != 0:
             key = tuple(exps)
             out[key] = out.get(key, Fraction(0)) + c
-    return {e: c for e, c in out.items() if c != 0}
+    out = {e: c for e, c in out.items() if c != 0}
+    if (degree := max(map(sum, out), default=0)) > MAX_DEGREE:
+        raise InputError(f"{where}: total degree {degree} exceeds the cap {MAX_DEGREE}")
+    return out
 
 
 def _as_point(data, dimension: int, where: str) -> tuple[Fraction, ...]:

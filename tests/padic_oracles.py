@@ -23,8 +23,9 @@ The rest are reference implementations that tests compare the package
 against: exact division with a precision ledger, binomial coefficients in a
 context, the evaluation and Gauss valuation of a TruncatedSeries, exact
 periods and the fixing iterate of declared targets, periodicity mod p by a
-walk of the whole space, a dense one-variable series with precision
-bounds (the reference for disk restriction and for the bound rule of
+walk of the whole space, the binomial basis re-expanded at each disk (the
+reference for disk restriction), a dense one-variable series with precision
+bounds (the reference for the bound rule of disk restriction and of
 TruncatedSeries), polynomial evaluation mod m term by term (the
 reference for the nested Horner evaluator), exact iteration over the
 rationals, the least idempotent power of a matrix mod p by trying every
@@ -42,6 +43,7 @@ from orbitgap.errors import HypothesisViolation, InputError, PrecisionExhausted
 from orbitgap.gaps import DiskSeries
 from orbitgap.modmat import Matrix, mat_mul, mat_reduce
 from orbitgap.padic import INF, PadicContext, TruncatedSeries, int_valuation, vp_factorial
+from orbitgap.polynomials import reduce_poly
 from orbitgap.reduction import orbit_summary, reduce_instance
 
 
@@ -386,3 +388,65 @@ def dense_compose(q: dict, coords: list[DensePrecSeries]) -> DensePrecSeries:
                 term = term.mul(power)
         result = result.add(term)
     return result
+
+
+def restrict_to_disk_reference(interp, q: dict, center: int, radius_exp: int) -> DiskSeries:
+    """Q(G(center + p^k t)) by re-expanding the binomial basis at the disk.
+
+    The reference for `gaps.restrict_to_disk`: the integer polynomials
+    N_j(t) = prod_{l<j} (center - l + p^k t) are accumulated with exact big
+    integers and the running scaling T!/j!, the p-part of T! is divided out
+    with a cancellation check, and the constant terms are the values of G at
+    the center by Mahler evaluation.
+    """
+    ctx = interp.ctx
+    p, prec, mod = ctx.prime, ctx.precision, ctx.modulus
+    T = interp.terms
+    e_total = vp_factorial(T, p)
+    fact = math.factorial(T)
+    inv_fact_unit = pow(fact // p**e_total, -1, mod)
+    pk = p**radius_exp
+    dim = interp.series.dim
+    acc = [[0] * (T + 1) for _ in range(dim)]
+    n_poly = [1] + [0] * T  # N_0 = 1
+    ratio = fact  # T!/j!
+    for j in range(T + 1):
+        if j > 0:
+            const = center - (j - 1)
+            new = [0] * (T + 1)
+            for m in range(j):
+                new[m] += n_poly[m] * const
+                new[m + 1] += n_poly[m] * pk
+            n_poly = new
+            ratio //= j
+        for i in range(dim):
+            scaled = interp.series.coeffs[j][i] * ratio
+            for m in range(j + 1):
+                acc[i][m] += scaled * n_poly[m]
+
+    direct = interp.value(center)
+    coord_series = []
+    for i in range(dim):
+        coeffs, precs = {}, {}
+        for m in range(T + 1):
+            quotient, remainder = divmod(acc[i][m], p**e_total)
+            if remainder:
+                raise PrecisionExhausted(
+                    f"factorial p-part failed to cancel at coefficient {m}"
+                )
+            coeffs[(m,)] = quotient * inv_fact_unit % mod
+            precs[(m,)] = prec + min(radius_exp * m - e_total, 0)
+        coeffs[(0,)] = direct[i]
+        precs[(0,)] = prec
+        coord_series.append(TruncatedSeries(ctx, 1, coeffs, precs))
+
+    result = TruncatedSeries(ctx, dim, reduce_poly(q, mod)).compose(coord_series)
+    degree = max((m for (m,) in result.coeffs), default=0)
+    return DiskSeries(
+        center,
+        radius_exp,
+        tuple(result.coefficient((m,)) for m in range(degree + 1)),
+        tuple(result.precs.get((m,), INF) for m in range(degree + 1)),
+        p,
+        prec,
+    )

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from orbitgap import pipeline, reduction
+from orbitgap import normalization, pipeline, reduction
 from orbitgap.cli import main
 from orbitgap.errors import InputError
-from orbitgap.problemfile import parse_problem
+from orbitgap.problemfile import MAX_DEGREE, parse_problem
 
 WORKED = {
     "dimension": 1,
@@ -60,6 +60,21 @@ def test_float_coefficient_rejected(tmp_path):
     doc = json.loads(json.dumps(WORKED))
     doc["map"][0][0][1] = 1.5
     path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize("key", ["map", "variety"])
+def test_oversized_degree_exits_2(tmp_path, key):
+    # analyze on the map x^3000 - 2 runs for more than 30 s; the cap refuses
+    # it while parsing, and degree MAX_DEGREE itself still parses
+    doc = json.loads(json.dumps(WORKED))
+    doc[key][0] = [[[MAX_DEGREE], 1], [[0], -2]]
+    parse_problem(doc)
+    doc[key][0] = [[[3000], 1], [[0], -2]]
+    with pytest.raises(InputError, match="exceeds the cap"):
+        parse_problem(doc)
+    path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path)]) == 2
 
@@ -320,6 +335,28 @@ def test_broken_invariant_exits_4(monkeypatch, tmp_path, capsys):
     assert failure["record"] == "failure"
     assert failure["stage"] == "avoidance"
     assert "not disjoint" in failure["message"]
+
+
+@pytest.mark.parametrize("step, check", [(1, "translate-scale"), (None, "base-point")])
+def test_broken_normalization_invariant_exits_4(monkeypatch, worked_file, tmp_path, capsys,
+                                                step, check):
+    # the cycle mod p^2 is exact by construction; a point moved by 1 breaks
+    # the chart steps, and one moved by p (still a chart center) the base point
+    stabilized = normalization._stabilized_cycle
+
+    def moved(inst, p):
+        k1, m0, cycle = stabilized(inst, p)
+        eta = tuple(x + (step or p) for x in cycle[0])
+        return k1, m0, [eta, *cycle[1:]]
+
+    monkeypatch.setattr(normalization, "_stabilized_cycle", moved)
+    out = tmp_path / "run.jsonl"
+    assert main(["analyze", worked_file, "--out", str(out)]) == 4
+    assert "FAILED at stage normalization" in capsys.readouterr().out
+    failure = [json.loads(line) for line in out.read_text().splitlines()][-1]
+    assert failure["record"] == "failure"
+    assert failure["stage"] == "normalization"
+    assert failure["message"].startswith(f"normalization/{check}:")
 
 
 @pytest.mark.parametrize("problem", PROBLEMS, ids=[p.name for p in PROBLEMS])

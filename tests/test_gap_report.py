@@ -41,28 +41,28 @@ def test_two_zeros_land_in_their_classes():
     # zeros at n = 1 and n = 5: classes 1 and 0 mod 5 each hold one, order 1
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1, 5])
-    analyses = localize_zeros(interp, [q], initial_k=1)
+    analyses = localize_zeros(interp, [q])
     by_class = {a.class_index: a for a in analyses}
     zeros_in = {
         i: [leaf for leaf in a.leaves if leaf.count >= 1] for i, a in by_class.items()
     }
-    assert len(zeros_in[0]) == 1 and zeros_in[0][0].order == 1
-    assert len(zeros_in[1]) == 1 and zeros_in[1][0].order == 1
+    assert len(zeros_in[0]) == 1 and zeros_in[0][0].count == 1
+    assert len(zeros_in[1]) == 1 and zeros_in[1][0].count == 1
     assert all(not zeros_in[i] for i in (2, 3, 4))
-    assert zeros_in[0][0].eta % 5 == 0
-    assert zeros_in[1][0].eta % 5 == 1
+    assert zeros_in[0][0].center % 5 == 0
+    assert zeros_in[1][0].center % 5 == 1
 
 
 def test_two_zeros_in_one_class_get_separated():
     # zeros at n = 1 and n = 6 share the class 1 mod 5 and split at level 2
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1, 6])
-    analyses = localize_zeros(interp, [q], initial_k=1)
+    analyses = localize_zeros(interp, [q])
     a1 = next(a for a in analyses if a.class_index == 1)
     zero_leaves = [leaf for leaf in a1.leaves if leaf.count >= 1]
     assert len(zero_leaves) == 2
-    assert sorted(leaf.eta % 25 for leaf in zero_leaves) == [1, 6]
-    assert all(leaf.order == 1 for leaf in zero_leaves)
+    assert sorted(leaf.center % 25 for leaf in zero_leaves) == [1, 6]
+    assert all(leaf.count == 1 for leaf in zero_leaves)
 
 
 def _fake_returns(indices, status="certified-exact", n_max=200):
@@ -81,7 +81,7 @@ def test_member_beyond_zero_free_bound_is_a_violation():
     # false-positive / precision-issue verdict
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1])
-    analyses = localize_zeros(interp, [q], initial_k=1)
+    analyses = localize_zeros(interp, [q])
     report = build_gap_report(
         _fake_returns([11]), {0: analyses}, {0: model}, 5, 1, model.ctx.precision
     )
@@ -96,7 +96,7 @@ def test_near_zero_member_outside_its_depth_is_flagged():
     # so it cannot be a real return and the class reports a violation
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1])
-    analyses = localize_zeros(interp, [q], initial_k=1)
+    analyses = localize_zeros(interp, [q])
     report = build_gap_report(
         _fake_returns([1, 6]), {0: analyses}, {0: model}, 5, 1, model.ctx.precision
     )
@@ -109,7 +109,7 @@ def test_gap_pair_inside_zero_leaf_passes_trivially():
     # exponent is non-positive: the pair check is trivially satisfied
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1])
-    analyses = localize_zeros(interp, [q], initial_k=1)
+    analyses = localize_zeros(interp, [q])
     leaf = next(
         l for a in analyses for l in a.leaves if a.class_index == 1 and l.count == 1
     )
@@ -127,7 +127,7 @@ def test_gap_pair_inside_zero_leaf_passes_trivially():
 def test_screened_provenance_propagates_to_pairs():
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1])
-    analyses = localize_zeros(interp, [q], initial_k=1)
+    analyses = localize_zeros(interp, [q])
     returns = ReturnSet(
         200,
         (ReturnEntry(1, "certified-exact"), ReturnEntry(6, "modular-screened")),

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -15,16 +16,19 @@ from padic_oracles import (
     disk_series,
     iterate_point,
     modular_eval,
+    restrict_to_disk_reference,
     unit_disk_root_count,
 )
 
-from orbitgap.errors import HypothesisViolation, InputError
+from orbitgap import gaps
+from orbitgap.errors import HypothesisViolation, InputError, PrecisionExhausted
 from orbitgap.gaps import (
     build_density_report,
     build_gap_report,
     check_gap_pair,
     classify_gap_sequence,
     _hits_mod,
+    _subdisk,
     compute_returns,
     localize_zeros,
     newton_zero_count,
@@ -32,7 +36,7 @@ from orbitgap.gaps import (
 )
 from orbitgap.interpolation import build_interpolant
 from orbitgap.normalization import build_local_model, direct_model
-from orbitgap.padic import INF, PadicContext, vp_factorial
+from orbitgap.padic import INF, MahlerSeries, PadicContext, vp_factorial
 from orbitgap.polynomials import ModularMap, PolyMap, reduce_poly
 from orbitgap.reduction import ProblemInstance, bad_primes, reduce_instance
 
@@ -358,11 +362,97 @@ def test_restrict_to_disk_matches_dense_reference(data):
     assert stored(got.residues, got.precs) == stored(want.res, want.prec)
 
 
+@functools.cache
+def _undecayed_interpolants():
+    """The interpolants above with unit Mahler coefficients: T! fails to
+    cancel on the small disks, so the restriction raises there."""
+    rng = random.Random(9)
+    out = []
+    for interp in _disk_interpolants():
+        ctx = interp.ctx
+        coeffs = tuple(
+            tuple(rng.randrange(ctx.modulus) for _ in range(interp.series.dim))
+            for _ in range(interp.terms + 1)
+        )
+        out.append(replace(interp, series=MahlerSeries(ctx, coeffs)))
+    return out
+
+
+def _restriction(restrict, *args):
+    try:
+        disk = restrict(*args)
+    except PrecisionExhausted:
+        return PrecisionExhausted
+    return disk.center, disk.radius_exp, disk.residues, disk.precs
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_restrict_to_disk_matches_reexpansion_oracle(data):
+    """restrict_to_disk, and a chain of three disks each shifted from its
+    parent, against the binomial basis re-expanded at each disk: residues,
+    bounds and the exception raised."""
+    undecayed = data.draw(st.booleans())
+    interps = _undecayed_interpolants() if undecayed else _disk_interpolants()
+    interp = interps[data.draw(st.integers(0, 3))]
+    dim, p, K = interp.series.dim, interp.ctx.prime, interp.ctx.precision
+    monomials = [e for e in product(range(3), repeat=dim) if sum(e) <= 2]
+    q = {e: Fraction(data.draw(st.integers(-9, 9)), data.draw(st.sampled_from([1, 2])))
+         for e in monomials}
+    q = {e: c for e, c in q.items() if c} or {monomials[-1]: Fraction(1)}
+    # without decay the oracle's Mahler evaluation at center mod p^K is not
+    # G(center), so those centers, and their children's, stay below p^K
+    center = data.draw(st.integers(0, p ** (K if undecayed else K + 2) - 1))
+    radius = data.draw(st.integers(0, 5))
+    disk = _restriction(restrict_to_disk, interp, q, center, radius)
+    assert disk == _restriction(restrict_to_disk_reference, interp, q, center, radius)
+
+    parent = None if disk is PrecisionExhausted else restrict_to_disk(interp, q, center, radius)
+    for _ in range(3):
+        if parent is None:
+            break
+        j = data.draw(st.integers(0, p ** 2 - 1))
+        sub = parent.radius_exp + data.draw(st.integers(1, 2))
+        child_center = parent.center + j * p**parent.radius_exp
+        if undecayed and child_center >= p**K:
+            break
+        args = (interp, q, parent.coords, parent.center, parent.radius_exp, j, sub)
+        child = _restriction(_subdisk, *args)
+        assert child == _restriction(
+            restrict_to_disk_reference, interp, q, child_center, sub
+        )
+        parent = None if child is PrecisionExhausted else _subdisk(*args)
+
+
+def test_localization_expands_once_per_polynomial(monkeypatch):
+    """Zero localization expands the interpolant once per defining polynomial,
+    shifts every other disk from its parent and evaluates no Mahler series."""
+    interp = _six_interp()
+    calls = {"expand": 0, "evaluate": 0}
+    expand, evaluate = gaps._expand, MahlerSeries.evaluate
+
+    def counting_expand(*args):
+        calls["expand"] += 1
+        return expand(*args)
+
+    def counting_evaluate(*args):
+        calls["evaluate"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(gaps, "_expand", counting_expand)
+    monkeypatch.setattr(MahlerSeries, "evaluate", counting_evaluate)
+    # the first polynomial vanishes identically, so every class falls through to x - 6^5
+    qs = [{}, {(1,): Fraction(1), (0,): Fraction(-(6**5))}]
+    analyses = localize_zeros(interp, qs)
+    assert [a.polynomial_index for a in analyses] == [1] * 5
+    assert calls == {"expand": 2, "evaluate": 0}
+
+
 def test_localization_finds_integer_zero():
     # Q(x) = x - 6^5 vanishes on the orbit interpolant exactly at n = 5
     interp = _six_interp()
     q = {(1,): Fraction(1), (0,): Fraction(-(6**5))}
-    analyses = localize_zeros(interp, [q], initial_k=1)
+    analyses = localize_zeros(interp, [q])
     zero_leaves = [
         leaf
         for a in analyses
@@ -371,8 +461,8 @@ def test_localization_finds_integer_zero():
     ]
     assert len(zero_leaves) == 1
     leaf = zero_leaves[0]
-    assert leaf.order == 1
-    assert leaf.eta % 5 ** min(leaf.radius_exp, 4) == 5 % 5 ** min(leaf.radius_exp, 4)
+    assert leaf.count == 1
+    assert leaf.center % 5 ** min(leaf.radius_exp, 4) == 5 % 5 ** min(leaf.radius_exp, 4)
     # the zero sits in the class of 5 mod 5
     assert analyses[0].class_index == 0
 
@@ -381,7 +471,7 @@ def test_localization_class_partition():
     """Leaves of each class partition its integers (child counts stay consistent)."""
     interp = _six_interp()
     q = {(1,): Fraction(1), (0,): Fraction(-(6**5))}
-    analyses = localize_zeros(interp, [q], initial_k=1)
+    analyses = localize_zeros(interp, [q])
     for a in analyses:
         for j in range(a.class_index, 200, 5):
             matches = [
@@ -395,7 +485,7 @@ def test_localization_class_partition():
 def test_localization_degenerate_aborts():
     interp = _six_interp()
     with pytest.raises(HypothesisViolation):
-        localize_zeros(interp, [{}], initial_k=1)  # the zero polynomial
+        localize_zeros(interp, [{}])  # the zero polynomial
 
 
 def test_localization_zero_free_bounds():
@@ -403,7 +493,7 @@ def test_localization_zero_free_bounds():
     # are zero-free with a finite member bound
     interp = _six_interp()
     q = {(1,): Fraction(1), (0,): Fraction(-2)}
-    analyses = localize_zeros(interp, [q], initial_k=1)
+    analyses = localize_zeros(interp, [q])
     for a in analyses:
         assert a.resolved
         for leaf in a.leaves:
