@@ -26,9 +26,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--prime-range", nargs=2, type=int, metavar=("LO", "HI"))
     sub.add_argument("--precision", type=int)
     sub.add_argument("--n-max", type=int)
-    sub.add_argument("--mahler-terms", type=int)
     sub.add_argument("--screen-primes", type=int)
-    sub.add_argument("--exact-budget", type=int)
     sub.add_argument("--density-m", type=int)
     sub.add_argument("--out", help="write machine records (JSON lines) here")
     sub.add_argument("--replay", help="records of a previous run to resume from")
@@ -38,15 +36,8 @@ def _apply_overrides(params, args):
     updates = {}
     if args.prime_range:
         updates["prime_range"] = tuple(args.prime_range)
-    for flag, name in [
-        ("precision", "precision"),
-        ("n_max", "n_max"),
-        ("mahler_terms", "mahler_terms"),
-        ("screen_primes", "screen_primes"),
-        ("exact_budget", "exact_budget"),
-        ("density_m", "density_m"),
-    ]:
-        value = getattr(args, flag)
+    for name in ("precision", "n_max", "screen_primes", "density_m"):
+        value = getattr(args, name)
         if value is not None:
             updates[name] = value
     return dataclasses.replace(params, **updates) if updates else params

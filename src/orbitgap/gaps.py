@@ -47,6 +47,9 @@ EXACT_BIT_BUDGET = 1 << 20
 #: Default number of screening primes.
 SCREEN_PRIME_COUNT = 8
 
+#: Default m of the density yardstick log^(m), the m-fold iterated logarithm.
+DENSITY_LOG_DEPTH = 1
+
 #: Screening primes are drawn from primes >= this floor (small primes hit
 #: the variety too often by chance).
 SCREEN_PRIME_FLOOR = 101
@@ -402,11 +405,12 @@ def localize_zeros(interp: ApproxInterpolant, polynomials: list[Poly]) -> list[C
     """Per residue class mod p, locate the zeros of the first defining
     polynomial that does not vanish at working precision.
 
-    The disks form one tree: each polynomial is restricted to the unit disk
-    once, and every other disk is shifted from its parent.  Disks are
-    refined by subdividing into the p child classes; the child counts of a
-    count-1 disk must sum to 1 (a single zero in a disk with these
-    coefficient rings is rational), while larger clusters may lose zeros to
+    The disks form one tree: the interpolant is expanded once, every
+    polynomial's disks mod p are shifted from that expansion, and every
+    smaller disk is shifted from its parent.  Disks are refined by
+    subdividing into the p child classes; the child counts of a count-1
+    disk must sum to 1 (a single zero in a disk with these coefficient
+    rings is rational), while larger clusters may lose zeros to
     non-rational directions, which integer arguments can never approach.  A
     cluster that refuses to split for STABLE_ROUNDS levels, or reaches
     radius p^max(5, K // 2), is frozen as a single zero of order = count.
@@ -415,7 +419,9 @@ def localize_zeros(interp: ApproxInterpolant, polynomials: list[Poly]) -> list[C
         raise InputError("zero localization needs at least one defining polynomial")
 
     # global degeneracy check: every polynomial identically zero at precision
-    unit_disks = [restrict_to_disk(interp, q, 0, 0) for q in polynomials]
+    first = restrict_to_disk(interp, polynomials[0], 0, 0)
+    coords = first.coords  # the one expansion: a unit disk's coords are the interpolant's
+    unit_disks = [first] + [_subdisk(interp, q, coords, 0, 0, 0, 0) for q in polynomials[1:]]
     if all(s.zero_at_precision for s in unit_disks):
         raise HypothesisViolation(
             "every defining polynomial composed with the interpolant vanishes at "
@@ -424,8 +430,8 @@ def localize_zeros(interp: ApproxInterpolant, polynomials: list[Poly]) -> list[C
 
     analyses = []
     for i in range(interp.ctx.prime):
-        for qi, (q, disk) in enumerate(zip(polynomials, unit_disks)):
-            series = _subdisk(interp, q, disk.coords, 0, 0, i, 1)
+        for qi, q in enumerate(polynomials):
+            series = _subdisk(interp, q, coords, 0, 0, i, 1)
             if not series.zero_at_precision:
                 leaves = _refine(interp, q, series)
                 analyses.append(ClassAnalysis(i, 1, qi, True, tuple(leaves)))
@@ -504,7 +510,6 @@ class ClassReport:
     verdict: str  # ok | too-few-returns | violation | unresolved | no-members
     gap_constant: tuple[int, int, int] | None  # (p, c, d): C = p^(c/d)
     pairs: tuple[PairVerdict, ...] = ()
-    zero_leaf: ZeroLocalization | None = None
     member_bound: int | None = None  # zero-free classes: members must be <= this
 
 
@@ -604,7 +609,6 @@ def build_gap_report(
             verdict = "ok"
             pairs: list[PairVerdict] = []
             constant = None
-            zero_leaf = None
             member_bound = None
             by_leaf: dict = {}
             for j in in_class:
@@ -620,7 +624,6 @@ def build_gap_report(
                     if any(j > member_bound for j in js):
                         verdict = "violation"
                     continue
-                zero_leaf = leaf
                 d = leaf.count
                 constant = (prime, c, d)
                 for j1, j2 in zip(js, js[1:]):
@@ -644,7 +647,7 @@ def build_gap_report(
             classes.append(
                 ClassReport(
                     shift, analysis.class_index, mod_exp, tuple(in_class), originals,
-                    verdict, constant, tuple(pairs), zero_leaf, member_bound,
+                    verdict, constant, tuple(pairs), member_bound,
                 )
             )
 
@@ -688,7 +691,7 @@ def iterated_log(n: float, m: int) -> float | None:
     return x if x > 0 else None
 
 
-def build_density_report(indices, n_max: int, m: int = 1) -> DensityReport:
+def build_density_report(indices, n_max: int, m: int = DENSITY_LOG_DEPTH) -> DensityReport:
     """Counting function of the return set against the m-fold iterated logarithm.
 
     An empirical consistency check, not a proof: the maximum observed ratio

@@ -26,6 +26,9 @@ from .padic import MahlerSeries, PadicContext, sup_valuation
 #: beyond the k/(p-1) slack inherent to binomial-basis expansions.
 DECAY_SLACK = 2
 
+#: Pseudo-random arguments of the compatibility check, besides the two specials.
+COMPAT_SAMPLES = 24
+
 
 @dataclass(frozen=True)
 class ApproxInterpolant:
@@ -183,7 +186,9 @@ class CompatReport:
     witness: int | None
 
 
-def default_compat_samples(ctx: PadicContext, count: int = 20, seed: int = 0) -> list[int]:
+def default_compat_samples(
+    ctx: PadicContext, count: int = COMPAT_SAMPLES, seed: int = 0
+) -> list[int]:
     """Pseudo-random p-adic arguments plus the standard non-integer specials."""
     rng = random.Random(seed)
     # -1 and 1/(1-p) = 1 + p + p^2 + ... are the classic non-integer points

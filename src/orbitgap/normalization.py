@@ -44,11 +44,16 @@ from .polynomials import (
     poly_compose,
     poly_scale,
     reduce_poly,
+    reduce_rational,
 )
-from .reduction import ProblemInstance, orbit_summary, reduce_rational
+from .reduction import ProblemInstance, orbit_summary
 
 #: Abort threshold for the combined iterate replacement.
 K_TOTAL_CAP = 10_000
+
+#: Largest stride whose residue classes all get a model; beyond it only the
+#: class through the stabilized point is analyzed.
+SHIFT_CAP = 16
 
 #: Depth and bit budget of the non-preperiodicity heuristic.
 PREPERIODIC_DEPTH = 32
@@ -459,7 +464,7 @@ def build_model_family(
     inst: ProblemInstance,
     p: int,
     precision: int,
-    shift_cap: int = 16,
+    shift_cap: int = SHIFT_CAP,
 ) -> list[LocalModel]:
     """Models covering every residue class of original indices >= m0 mod k_total.
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import BudgetExceeded, InputError, PrecisionExhausted
+from .polynomials import reduce_rational
 
 #: Valuation marker for residue 0: "zero at this precision".
 INF = math.inf
@@ -88,10 +89,7 @@ class PadicContext:
     def scalar(self, value: int | Fraction) -> int:
         """Reduce an integer or p-integral rational to its residue mod p^K."""
         if isinstance(value, Fraction):
-            den = value.denominator
-            if den % self.prime == 0:
-                raise InputError(f"{value} is not integral at p={self.prime}")
-            return value.numerator * pow(den, -1, self.modulus) % self.modulus
+            return reduce_rational(value, self.modulus)
         return value % self.modulus
 
 

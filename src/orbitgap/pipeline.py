@@ -40,7 +40,6 @@ from .gaps import (
 from .interpolation import (
     build_interpolant,
     constancy_test,
-    default_compat_samples,
     verify_compatibility,
     verify_error_bound,
 )
@@ -48,6 +47,7 @@ from .normalization import build_model_family, ensure_not_preperiodic
 from .padic import is_prime
 from .problemfile import RunParameters
 from .reduction import (
+    ENUM_GUARD,
     AvoidanceScan,
     BadPrimeSet,
     ProblemInstance,
@@ -74,6 +74,9 @@ COMMANDS = {
 #: The stage a failure record names, where it is not the stage name itself.
 _FAILURE_LABELS = {"bad_primes": "bad-primes", "choose_prime": "avoidance"}
 
+#: Largest space F_p^N that diagnostics scans for residue-periodic points on V.
+DIAGNOSTIC_SCAN_CAP = min(ENUM_GUARD, 100_000)
+
 
 def _fmt(x) -> str:
     return "%.6g" % x
@@ -84,7 +87,6 @@ class RunReport:
     problem_sha: str
     records: list[dict] = field(default_factory=list)
     assumptions: list[str] = field(default_factory=list)
-    failure: tuple[str, str] | None = None
     error: OrbitgapError | None = None
 
     def add(self, record: dict) -> None:
@@ -92,7 +94,6 @@ class RunReport:
         self.records.append(record)
 
     def fail(self, stage: str, exc: OrbitgapError) -> None:
-        self.failure = (stage, str(exc))
         self.error = exc
         self.add({"record": "failure", "stage": stage, "message": str(exc)})
 
@@ -202,9 +203,7 @@ def stage_bad_primes(report: RunReport, state: RunState) -> None:
 def stage_avoidance(report: RunReport, state: RunState) -> None:
     lo, hi = state.params.prime_range
     primes = [p for p in range(max(lo, 3), hi + 1) if is_prime(p)]
-    state.scan = scan = avoidance_search(
-        state.inst, primes, state.bad, state.params.enumeration_guard
-    )
+    state.scan = scan = avoidance_search(state.inst, primes, state.bad)
     report.add(
         {
             "record": "certificates",
@@ -247,14 +246,12 @@ def _replayed_prime(records: dict) -> int:
 
 def stage_diagnostics(report: RunReport, state: RunState) -> None:
     """Residue-level periodic points on the variety and the decisive orbit screen."""
-    inst, params, bad, prime, bound = (
-        state.inst, state.params, state.bad, state.prime, state.bound
-    )
+    inst, bad, prime, bound = state.inst, state.bad, state.prime, state.bound
     fp, _, _ = reduce_instance(inst, prime, bad)
     discovered: list | None = None
-    if prime**inst.dimension <= min(params.enumeration_guard, 100_000):
+    if prime**inst.dimension <= DIAGNOSTIC_SCAN_CAP:
         variety_p = [reduce_poly(q, prime) for q in inst.variety]
-        discovered = periodic_points_on_variety(fp, variety_p, params.enumeration_guard)
+        discovered = periodic_points_on_variety(fp, variety_p)
     avoided = residue_orbit_avoids(inst, prime, bound, bad)
     if not avoided:
         raise HypothesisViolation(
@@ -283,14 +280,11 @@ def stage_diagnostics(report: RunReport, state: RunState) -> None:
 
 
 def stage_normalization(report: RunReport, state: RunState) -> None:
-    params = state.params
     depth = ensure_not_preperiodic(state.inst)
     report.assumptions.append(
         f"non-preperiodicity verified heuristically to orbit depth {depth}"
     )
-    state.family = family = build_model_family(
-        state.inst, state.prime, params.precision, params.shift_cap
-    )
+    state.family = family = build_model_family(state.inst, state.prime, state.params.precision)
     if len(family) == 1 and family[0].k_total > 1:
         report.assumptions.append(
             f"stride {family[0].k_total} exceeds the shift cap; only the residue class "
@@ -316,15 +310,13 @@ def stage_normalization(report: RunReport, state: RunState) -> None:
 
 def stage_interpolation(report: RunReport, state: RunState) -> None:
     """Certified interpolants; replayed ones must match the rebuilt ones bit for bit."""
-    params = state.params
     old = {rec["shift"]: rec for rec in (state.replay or {}).get("interpolant", [])}
     state.interps = {}
     stale = False
     for model in state.family:
-        interp = build_interpolant(model, min(params.terms, params.precision))
+        interp = build_interpolant(model)
         bound_rep = verify_error_bound(interp)
-        samples = default_compat_samples(model.ctx, params.compat_samples)
-        compat_rep = verify_compatibility(interp, samples)
+        compat_rep = verify_compatibility(interp)
         const_rep = constancy_test(interp)
         record = interp.to_record()
         record.update(
@@ -355,7 +347,7 @@ def stage_returns(report: RunReport, state: RunState) -> None:
     params = state.params
     screening = default_screening_primes(state.bad, params.screen_primes)
     state.returns = returns = compute_returns(
-        state.inst, params.n_max, screening, params.exact_budget, state.bad
+        state.inst, params.n_max, screening, bad=state.bad
     )
     report.add(
         {

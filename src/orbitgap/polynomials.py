@@ -151,15 +151,19 @@ def denominator_primes(p: Poly) -> set[int]:
     return primes
 
 
+def reduce_rational(x: Fraction | int, m: int) -> int:
+    """The residue of x mod m; its denominator must be invertible mod m."""
+    try:
+        return x.numerator * pow(x.denominator, -1, m) % m
+    except ValueError:
+        raise InputError(f"{x} is not integral at modulus {m}") from None
+
+
 def reduce_poly(p: Poly, m: int) -> dict[Exponent, int]:
     """Coefficients reduced mod m; denominators must be invertible mod m."""
     out: dict[Exponent, int] = {}
     for e, c in p.items():
-        try:
-            r = c.numerator * pow(c.denominator, -1, m) % m
-        except ValueError:
-            raise InputError(f"coefficient {c} is not invertible mod {m}") from None
-        if r:
+        if r := reduce_rational(c, m):
             out[e] = r
     return out
 

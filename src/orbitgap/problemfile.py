@@ -18,8 +18,9 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import InputError
+from .gaps import DENSITY_LOG_DEPTH, SCREEN_PRIME_COUNT
 from .polynomials import Poly, PolyMap
-from .reduction import ENUM_GUARD, ProblemInstance
+from .reduction import ProblemInstance
 
 _TOP_KEYS = {"dimension", "map", "initial_point", "variety", "periodic_points", "parameters"}
 
@@ -30,39 +31,21 @@ MAX_DEGREE = 256
 
 @dataclass(frozen=True)
 class RunParameters:
+    """The settable inputs of a run; every resource limit is a module constant."""
+
     prime_range: tuple[int, int] = (3, 50)
     precision: int = 64
     n_max: int = 100_000
-    mahler_terms: int | None = None  # defaults to precision
-    screen_primes: int = 8
-    exact_budget: int = 1 << 20
-    density_m: int = 1
-    enumeration_guard: int = ENUM_GUARD
-    shift_cap: int = 16
-    compat_samples: int = 24
+    screen_primes: int = SCREEN_PRIME_COUNT
+    density_m: int = DENSITY_LOG_DEPTH
 
     def __post_init__(self):
         lo, hi = self.prime_range
         if lo > hi or lo < 3:
             raise InputError("prime_range must satisfy 3 <= lo <= hi")
-        for name in (
-            "precision",
-            "n_max",
-            "screen_primes",
-            "exact_budget",
-            "density_m",
-            "enumeration_guard",
-            "shift_cap",
-            "compat_samples",
-        ):
+        for name in ("precision", "n_max", "screen_primes", "density_m"):
             if getattr(self, name) < 1:
                 raise InputError(f"parameter {name} must be positive")
-        if self.mahler_terms is not None and self.mahler_terms < 1:
-            raise InputError("parameter mahler_terms must be positive")
-
-    @property
-    def terms(self) -> int:
-        return self.mahler_terms if self.mahler_terms is not None else self.precision
 
 
 def _as_fraction(value, where: str) -> Fraction:

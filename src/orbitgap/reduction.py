@@ -28,9 +28,10 @@ from .polynomials import (
     poly_eval,
     prime_factors,
     reduce_poly,
+    reduce_rational,
 )
 
-#: Default cap on full-space scans over F_p^N.
+#: Cap on full-space scans over F_p^N.
 ENUM_GUARD = 2**24
 
 @dataclass(frozen=True)
@@ -160,14 +161,6 @@ def _target_collision(inst: ProblemInstance, p: int) -> bool:
     return False
 
 
-def reduce_rational(x, m: int) -> int:
-    x = Fraction(x)
-    try:
-        return x.numerator * pow(x.denominator, -1, m) % m
-    except ValueError:
-        raise InputError(f"{x} is not integral at modulus {m}") from None
-
-
 def bad_primes(inst: ProblemInstance, search_bound: int = 0) -> BadPrimeSet:
     """Denominator primes plus small primes where a target absorbs a preimage branch."""
     reasons: list[tuple[int, str]] = []
@@ -256,11 +249,9 @@ def _iter_space(fp: ModularMap):
     return (pt[::-1] for pt in product(range(fp.modulus), repeat=fp.nvars))
 
 
-def periodic_points_on_variety(
-    fp: ModularMap, variety_mod: list[dict], guard: int = ENUM_GUARD
-) -> list[tuple[int, ...]]:
+def periodic_points_on_variety(fp: ModularMap, variety_mod: list[dict]) -> list[tuple[int, ...]]:
     """All residue points on the variety that lie on a cycle of the reduced map."""
-    if _space_size(fp) > guard:
+    if _space_size(fp) > ENUM_GUARD:
         raise BudgetExceeded(f"space size {_space_size(fp)} exceeds the enumeration guard")
     forms = [horner_form(q) for q in variety_mod]
     out = []
@@ -271,21 +262,9 @@ def periodic_points_on_variety(
     return out
 
 
-@dataclass
-class PreimageTree:
-    """Backward levels of a non-periodic target: levels[m] = f^-m(target)."""
-
-    target: tuple[int, ...]
-    levels: list[set]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-
-def preimage_buckets(fp: ModularMap, guard: int = ENUM_GUARD) -> dict:
+def preimage_buckets(fp: ModularMap) -> dict:
     """One full-space scan: image point -> list of preimage points."""
-    if _space_size(fp) > guard:
+    if _space_size(fp) > ENUM_GUARD:
         raise BudgetExceeded(f"space size {_space_size(fp)} exceeds the enumeration guard")
     buckets: dict = {}
     for pt in _iter_space(fp):
@@ -294,34 +273,31 @@ def preimage_buckets(fp: ModularMap, guard: int = ENUM_GUARD) -> dict:
 
 
 def first_hit_depth(
-    fp: ModularMap,
-    gamma: tuple[int, ...],
-    buckets: dict | None = None,
-    guard: int = ENUM_GUARD,
-):
+    fp: ModularMap, gamma: tuple[int, ...], buckets: dict | None = None
+) -> int | None:
     """Largest m such that some residue point satisfies f^m(x) = gamma.
 
-    Returns (depth, tree) for a non-periodic target and (None, None) when the
-    target lies on a cycle (verdict failed-periodic: its orbit has tail 0).
-    Levels of the backward expansion are pairwise disjoint for a non-periodic
-    target, which bounds the expansion by the space size.  buckets is the
-    preimage_buckets scan of fp; an empty or missing one is made here, and
-    an empty dict passed in is filled, so targets can share one scan.
+    Returns None when the target lies on a cycle (verdict failed-periodic:
+    its orbit has tail 0).  Levels of the backward expansion are pairwise
+    disjoint for a non-periodic target, which bounds the expansion by the
+    space size.  buckets is the preimage_buckets scan of fp; an empty or
+    missing one is made here, and an empty dict passed in is filled, so
+    targets can share one scan.
     """
     if orbit_summary(fp, gamma).tail == 0:
-        return None, None
+        return None
     if buckets is None:
         buckets = {}
     if not buckets:
-        buckets.update(preimage_buckets(fp, guard))
-    seen = {gamma}
-    levels = [{gamma}]
+        buckets.update(preimage_buckets(fp))
+    level, seen = {gamma}, {gamma}
+    depth = 0
     while True:
         nxt: set = set()
-        for pt in levels[-1]:
+        for pt in level:
             nxt.update(buckets.get(pt, ()))
         if not nxt:
-            break
+            return depth
         overlap = nxt & seen
         if overlap:
             raise InvariantViolation(
@@ -329,8 +305,8 @@ def first_hit_depth(
                 "the target must have been periodic"
             )
         seen |= nxt
-        levels.append(nxt)
-    return len(levels) - 1, PreimageTree(gamma, levels)
+        level = nxt
+        depth += 1
 
 
 @dataclass(frozen=True)
@@ -360,10 +336,7 @@ class AvoidanceScan:
 
 
 def avoidance_search(
-    inst: ProblemInstance,
-    primes,
-    bad: BadPrimeSet | None = None,
-    guard: int = ENUM_GUARD,
+    inst: ProblemInstance, primes, bad: BadPrimeSet | None = None
 ) -> AvoidanceScan:
     """Try to certify every prime in the range.
 
@@ -382,7 +355,7 @@ def avoidance_search(
         depths = []
         buckets: dict = {}  # filled by the first non-periodic target
         for tp in targets_p:
-            depth, _ = first_hit_depth(fp, tp, buckets, guard)
+            depth = first_hit_depth(fp, tp, buckets)
             if depth is None:
                 certs.append(AvoidanceCertificate(p, targets_p, "failed-periodic"))
                 break

@@ -120,7 +120,7 @@ def test_criterion_3_avoidance_oracle_equivalence():
         gamma = tuple(rng.randrange(p) for _ in range(n))
         if on_cycle(fp, gamma):
             continue
-        depth, _ = first_hit_depth(fp, gamma)
+        depth = first_hit_depth(fp, gamma)
         bound = depth + 1
         # brute force: exhaust every point and every m <= p^n + bound
         space = p**n
@@ -288,7 +288,7 @@ def test_criterion_7_end_to_end_worked_example():
     }
     inst, params = parse_problem(doc)
     report = run_analyze(inst, params, problem_hash(doc))
-    assert report.failure is None, report.failure
+    assert report.error is None, report.error
     records = {r["record"]: r for r in report.records}
     returns = records["returns"]
     ok = returns["entries"] == [[1, "certified-exact"]]

@@ -79,6 +79,28 @@ def test_oversized_degree_exits_2(tmp_path, key):
     assert main(["analyze", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "key", ["mahler_terms", "exact_budget", "enumeration_guard", "shift_cap", "compat_samples"]
+)
+def test_resource_limits_are_not_parameters(tmp_path, key):
+    # every resource limit is a module constant, so no problem file can raise
+    # a guard: a file that sets one is refused like any unknown parameter
+    doc = json.loads(json.dumps(WORKED))
+    doc["parameters"][key] = 8
+    with pytest.raises(InputError, match="unknown parameters"):
+        parse_problem(doc)
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--mahler-terms", "--exact-budget"])
+def test_resource_limit_flags_are_refused(worked_file, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", worked_file, flag, "8"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("dimension, points", [(1, [3]), (2, ["35"])])
 def test_periodic_point_must_be_a_list(tmp_path, dimension, points):
     # a bare number used to escape as a TypeError, and a string was read
@@ -308,7 +330,7 @@ def test_stages_are_looked_up_on_the_module(monkeypatch):
     monkeypatch.setattr(pipeline, "stage_returns", counting)
     inst, params = parse_problem(WORKED)
     report = pipeline.run_analyze(inst, params, "sha")
-    assert report.failure is None
+    assert report.error is None
     assert len(calls) == 1
 
 
@@ -323,7 +345,7 @@ def test_flag_overrides(worked_file, tmp_path):
 def test_broken_invariant_exits_4(monkeypatch, tmp_path, capsys):
     # a non-periodic target is never its own preimage; a preimage scan that
     # says every residue is must trip the disjointness check of the levels
-    def cyclic(fp, guard=reduction.ENUM_GUARD):
+    def cyclic(fp):
         return {pt: [pt] for pt in reduction._iter_space(fp)}
 
     monkeypatch.setattr(reduction, "preimage_buckets", cyclic)

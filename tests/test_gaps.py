@@ -424,9 +424,10 @@ def test_restrict_to_disk_matches_reexpansion_oracle(data):
         parent = None if child is PrecisionExhausted else _subdisk(*args)
 
 
-def test_localization_expands_once_per_polynomial(monkeypatch):
-    """Zero localization expands the interpolant once per defining polynomial,
-    shifts every other disk from its parent and evaluates no Mahler series."""
+def test_localization_expands_once(monkeypatch):
+    """Zero localization expands the interpolant once for all defining
+    polynomials, shifts every other disk from its parent and evaluates no
+    Mahler series."""
     interp = _six_interp()
     calls = {"expand": 0, "evaluate": 0}
     expand, evaluate = gaps._expand, MahlerSeries.evaluate
@@ -445,7 +446,7 @@ def test_localization_expands_once_per_polynomial(monkeypatch):
     qs = [{}, {(1,): Fraction(1), (0,): Fraction(-(6**5))}]
     analyses = localize_zeros(interp, qs)
     assert [a.polynomial_index for a in analyses] == [1] * 5
-    assert calls == {"expand": 2, "evaluate": 0}
+    assert calls == {"expand": 1, "evaluate": 0}
 
 
 def test_localization_finds_integer_zero():

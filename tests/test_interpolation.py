@@ -102,6 +102,8 @@ def test_compatibility_examples():
     # the default samples include -1 and 1/(1-p)
     assert (ctx.modulus - 1) in rep.samples
     assert pow(1 - 5, -1, ctx.modulus) in rep.samples
+    # the arguments analyze has always checked: the two specials and 24 seeded residues
+    assert list(rep.samples) == default_compat_samples(ctx, 24) and len(rep.samples) == 26
 
 
 def test_compatibility_quadratic_model():

@@ -37,8 +37,9 @@ from orbitgap.polynomials import (
     make_var,
     poly_add,
     poly_compose,
+    reduce_rational,
 )
-from orbitgap.reduction import ProblemInstance, reduce_rational
+from orbitgap.reduction import ProblemInstance
 
 
 # -- oracles: the chart step split into its two conjugations ------------------
