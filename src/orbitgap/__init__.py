@@ -38,7 +38,6 @@ from .normalization import (
     LocalModel,
     build_local_model,
     build_model_family,
-    direct_model,
     stabilize_orbit,
 )
 from .interpolation import (
@@ -56,7 +55,6 @@ from .gaps import (
     ZeroLocalization,
     build_density_report,
     build_gap_report,
-    classify_gap_sequence,
     compute_returns,
     localize_zeros,
     newton_zero_count,

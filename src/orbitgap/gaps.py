@@ -18,8 +18,9 @@ parent's by a Taylor shift by j and a scaling of t by p^(k' - k).  Dividing
 out T! gives one-variable TruncatedSeries whose precision bounds record the
 factorial p-part, and Q is composed with them, so every coefficient of L
 carries its own bound.  It counts zeros through the Newton polygon and
-refines disks until each leaf holds at most one zero cluster.  A leaf with a
-zero of order d yields the gap bound
+refines disks until each leaf holds at most one zero cluster, shifting only
+the children at roots of the residual polynomial (L / p^v) mod p.  A leaf
+with a zero of order d yields the gap bound
 
     (n_{j+1} - n_j)^d >= p^(k*d + n_j*c - v(a_d))
 
@@ -401,6 +402,22 @@ def _min_known_valuation(series: DiskSeries) -> int:
     return min(v for _, v in series.known_valuations())
 
 
+def _residual_roots(series: DiskSeries, count: int, v_min: int) -> list[int]:
+    """The roots in F_p of the residual polynomial (L(t) / p^v) mod p.
+
+    L is the disk series after a successful newton_zero_count, v its minimum
+    known valuation and count the last index attaining it, so the residual
+    polynomial has degree count and at most count roots.  Every coefficient
+    is known mod p^(v+1): a known one's bound exceeds its valuation, an
+    unknown one's is at least v + 1.  At a non-root j, L(j + p t) has
+    constant valuation exactly v and every other coefficient above v, so
+    the child disk holds no zero and its leaf needs no shift.
+    """
+    p, scale = series.prime, series.prime**v_min
+    residual = [r // scale % p for r in series.residues[: count + 1]]
+    return [j for j in range(p) if not sum(c * j**m for m, c in enumerate(residual)) % p]
+
+
 def localize_zeros(interp: ApproxInterpolant, polynomials: list[Poly]) -> list[ClassAnalysis]:
     """Per residue class mod p, locate the zeros of the first defining
     polynomial that does not vanish at working precision.
@@ -408,9 +425,13 @@ def localize_zeros(interp: ApproxInterpolant, polynomials: list[Poly]) -> list[C
     The disks form one tree: the interpolant is expanded once, every
     polynomial's disks mod p are shifted from that expansion, and every
     smaller disk is shifted from its parent.  Disks are refined by
-    subdividing into the p child classes; the child counts of a count-1
-    disk must sum to 1 (a single zero in a disk with these coefficient
-    rings is rational), while larger clusters may lose zeros to
+    subdividing into the p child classes, and only the children at roots of
+    the parent's residual polynomial are shifted: every other child is
+    zero-free with the parent's minimum valuation (_residual_roots).  The
+    unit disk of each polynomial is the parent of its classes mod p; where
+    its polygon is undecidable, every class is shifted.  The child counts of
+    a count-1 disk must sum to 1 (a single zero in a disk with these
+    coefficient rings is rational), while larger clusters may lose zeros to
     non-rational directions, which integer arguments can never approach.  A
     cluster that refuses to split for STABLE_ROUNDS levels, or reaches
     radius p^max(5, K // 2), is frozen as a single zero of order = count.
@@ -428,14 +449,29 @@ def localize_zeros(interp: ApproxInterpolant, polynomials: list[Poly]) -> list[C
             "working precision: possible periodic subvariety"
         )
 
+    p = interp.ctx.prime
+    shifted = []  # per polynomial: (classes to shift, valuation of the others)
+    for unit in unit_disks:
+        try:
+            count = newton_zero_count(unit)
+        except (PrecisionExhausted, InputError):
+            shifted.append((range(p), None))
+            continue
+        v_min = _min_known_valuation(unit)
+        shifted.append((_residual_roots(unit, count, v_min), v_min))
+
     analyses = []
-    for i in range(interp.ctx.prime):
-        for qi, q in enumerate(polynomials):
-            series = _subdisk(interp, q, coords, 0, 0, i, 1)
-            if not series.zero_at_precision:
+    for i in range(p):
+        for qi, (q, (roots, v_min)) in enumerate(zip(polynomials, shifted)):
+            if i in roots:
+                series = _subdisk(interp, q, coords, 0, 0, i, 1)
+                if series.zero_at_precision:
+                    continue
                 leaves = _refine(interp, q, series)
-                analyses.append(ClassAnalysis(i, 1, qi, True, tuple(leaves)))
-                break
+            else:
+                leaves = [ZeroLocalization(i, 1, 0, v_min)]
+            analyses.append(ClassAnalysis(i, 1, qi, True, tuple(leaves)))
+            break
         else:
             analyses.append(ClassAnalysis(i, 1, None, False))
     return analyses
@@ -451,20 +487,16 @@ def _refine(
         return [ZeroLocalization(series.center, series.radius_exp, 0, v_min)]
     if series.radius_exp >= max(5, series.precision // 2) or stability >= STABLE_ROUNDS:
         return [ZeroLocalization(series.center, series.radius_exp, count, v_min)]
-    children = []
-    child_counts = []
-    for j in range(p):
-        child = _subdisk(
-            interp, q, series.coords, series.center, series.radius_exp, j,
-            series.radius_exp + 1,
-        )
+    sub_exp = series.radius_exp + 1
+    children = {}  # residual root j -> (child series, its zero count)
+    for j in _residual_roots(series, count, v_min):
+        child = _subdisk(interp, q, series.coords, series.center, series.radius_exp, j, sub_exp)
         if child.zero_at_precision:
             raise PrecisionExhausted(
                 "child disk series vanished at precision during refinement"
             )
-        children.append(child)
-        child_counts.append(newton_zero_count(child))
-    total = sum(child_counts)
+        children[j] = child, newton_zero_count(child)
+    total = sum(c for _, c in children.values())
     if count == 1 and total != 1:
         raise InvariantViolation(
             "a single zero must land in exactly one rational child disk"
@@ -473,16 +505,17 @@ def _refine(
         raise InvariantViolation("child zero counts exceed the parent count")
 
     leaves: list[ZeroLocalization] = []
-    single = sum(c > 0 for c in child_counts) == 1
-    for child, c in zip(children, child_counts):
+    single = sum(c > 0 for _, c in children.values()) == 1
+    for child, c in children.values():
         if c:
             leaves += _refine(interp, q, child, stability + 1 if single and c == count else 0)
     # zero-free siblings: members falling there need a finiteness bound
-    leaves += [
-        ZeroLocalization(child.center, child.radius_exp, 0, _min_known_valuation(child))
-        for child, c in zip(children, child_counts)
-        if c == 0
-    ]
+    for j in range(p):
+        child, c = children.get(j, (None, 0))
+        if not c:
+            center = series.center + j * p**series.radius_exp
+            v = v_min if child is None else _min_known_valuation(child)
+            leaves.append(ZeroLocalization(center, sub_exp, 0, v))
     return leaves
 
 
@@ -529,15 +562,6 @@ def check_gap_pair(gap: int, order: int, required_exponent: int, prime: int) -> 
     if required_exponent <= 0:
         return True
     return gap**order >= prime**required_exponent
-
-
-def classify_gap_sequence(members, growth: Fraction, offset: int = 0) -> list[bool]:
-    """Verdicts for consecutive pairs against gap >= growth^(n_j - offset), exact."""
-    growth = Fraction(growth)
-    out = []
-    for n1, n2 in zip(members, members[1:]):
-        out.append(Fraction(n2 - n1) >= growth ** (n1 - offset))
-    return out
 
 
 def _leaf_for(leaves, j: int, p: int):

@@ -480,45 +480,3 @@ def build_model_family(
     k2 = _iterate_power(chain.chains, p)
     k_total = chain.k1 * k2
     return _models(inst, chain, ctx, k2, [0] if k_total > shift_cap else range(k_total))
-
-
-def direct_model(mapping: PolyMap, base_point, p: int, precision: int) -> LocalModel:
-    """A model taken as-is in ambient coordinates (identity chart).
-
-    For maps that already satisfy the interpolation congruence: the linear
-    part must be idempotent mod p and every other coefficient divisible by p.
-    No recentering or scaling is applied, and no claim is made about the base
-    point lying in the maximal ideal; these models feed the interpolation and
-    zero-localization layers directly.
-    """
-    ctx = PadicContext(p, precision)
-    for poly in mapping.polys:
-        for c in poly.values():
-            if _frac_valuation(c, p) < 0:
-                raise InputError("direct model coefficients must be integral at p")
-    a_bar = _linear_part_mod(mapping, p)
-    if mat_mul(a_bar, a_bar, p) != a_bar:
-        raise HypothesisViolation(
-            "direct model linear part is not idempotent mod p; use the full pipeline"
-        )
-    linear = hensel_idempotent(a_bar, p, precision)
-    series, c = _model_series((mapping,), 1, linear, ctx)
-    if c < 1:
-        raise HypothesisViolation("direct model congruence exponent < 1")
-    return LocalModel(
-        ctx=ctx,
-        dimension=mapping.nvars,
-        charts=(mapping,),
-        chart_mods=(ModularMap.from_map(mapping, ctx.modulus),),
-        steps_per_iterate=1,
-        series=series,
-        base_point=tuple(ctx.scalar(x) for x in base_point),
-        linear=linear,
-        congruence_exponent=c,
-        center=(0,) * mapping.nvars,
-        m0=0,
-        k1=1,
-        shift=0,
-        transform_log=(TransformRecord("direct", ()),),
-        direct=True,
-    )

@@ -28,6 +28,12 @@ _TOP_KEYS = {"dimension", "map", "initial_point", "variety", "periodic_points", 
 #: the preperiodicity check grows with the degree before any budget applies.
 MAX_DEGREE = 256
 
+#: Largest working precision K: series and Mahler arithmetic run mod p^K.
+MAX_PRECISION = 512
+
+#: Largest top of prime_range: the avoidance scan visits every prime below it.
+MAX_PRIME = 10_000
+
 
 @dataclass(frozen=True)
 class RunParameters:
@@ -43,9 +49,13 @@ class RunParameters:
         lo, hi = self.prime_range
         if lo > hi or lo < 3:
             raise InputError("prime_range must satisfy 3 <= lo <= hi")
+        if hi > MAX_PRIME:
+            raise InputError(f"prime_range top {hi} exceeds the cap {MAX_PRIME}")
         for name in ("precision", "n_max", "screen_primes", "density_m"):
             if getattr(self, name) < 1:
                 raise InputError(f"parameter {name} must be positive")
+        if self.precision > MAX_PRECISION:
+            raise InputError(f"precision {self.precision} exceeds the cap {MAX_PRECISION}")
 
 
 def _as_fraction(value, where: str) -> Fraction:

@@ -29,8 +29,11 @@ bounds (the reference for the bound rule of disk restriction and of
 TruncatedSeries), polynomial evaluation mod m term by term (the
 reference for the nested Horner evaluator), exact iteration over the
 rationals, the least idempotent power of a matrix mod p by trying every
-power in turn (the reference for the iterate power of normalization), and
-the chart T(x) = eta + p*x of a local model and its inverse.
+power in turn (the reference for the iterate power of normalization), the
+chart T(x) = eta + p*x of a local model and its inverse, zero localization
+with every child disk shifted (the reference for the residual-root rule of
+localize_zeros), the pairwise gap classifier against a growth rate, and a
+model taken in ambient coordinates with the identity chart.
 """
 
 from __future__ import annotations
@@ -39,11 +42,33 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from orbitgap.errors import HypothesisViolation, InputError, PrecisionExhausted
-from orbitgap.gaps import DiskSeries
+from orbitgap.errors import (
+    HypothesisViolation,
+    InputError,
+    InvariantViolation,
+    PrecisionExhausted,
+)
+from orbitgap.gaps import (
+    STABLE_ROUNDS,
+    ClassAnalysis,
+    DiskSeries,
+    ZeroLocalization,
+    _min_known_valuation,
+    _subdisk,
+    newton_zero_count,
+    restrict_to_disk,
+)
 from orbitgap.modmat import Matrix, mat_mul, mat_reduce
+from orbitgap.normalization import (
+    LocalModel,
+    TransformRecord,
+    _frac_valuation,
+    _linear_part_mod,
+    _model_series,
+    hensel_idempotent,
+)
 from orbitgap.padic import INF, PadicContext, TruncatedSeries, int_valuation, vp_factorial
-from orbitgap.polynomials import reduce_poly
+from orbitgap.polynomials import ModularMap, reduce_poly
 from orbitgap.reduction import orbit_summary, reduce_instance
 
 
@@ -449,4 +474,123 @@ def restrict_to_disk_reference(interp, q: dict, center: int, radius_exp: int) ->
         tuple(result.precs.get((m,), INF) for m in range(degree + 1)),
         p,
         prec,
+    )
+
+
+def _refine_reference(interp, q: dict, series: DiskSeries, stability: int = 0) -> list:
+    """The refinement with every one of the p children shifted and counted."""
+    p = series.prime
+    count = newton_zero_count(series)
+    v_min = _min_known_valuation(series)
+    if count == 0:
+        return [ZeroLocalization(series.center, series.radius_exp, 0, v_min)]
+    if series.radius_exp >= max(5, series.precision // 2) or stability >= STABLE_ROUNDS:
+        return [ZeroLocalization(series.center, series.radius_exp, count, v_min)]
+    children = []
+    child_counts = []
+    for j in range(p):
+        child = _subdisk(
+            interp, q, series.coords, series.center, series.radius_exp, j,
+            series.radius_exp + 1,
+        )
+        if child.zero_at_precision:
+            raise PrecisionExhausted("child disk series vanished at precision during refinement")
+        children.append(child)
+        child_counts.append(newton_zero_count(child))
+    total = sum(child_counts)
+    if count == 1 and total != 1:
+        raise InvariantViolation("a single zero must land in exactly one rational child disk")
+    if total > count:
+        raise InvariantViolation("child zero counts exceed the parent count")
+
+    leaves = []
+    single = sum(c > 0 for c in child_counts) == 1
+    for child, c in zip(children, child_counts):
+        if c:
+            leaves += _refine_reference(
+                interp, q, child, stability + 1 if single and c == count else 0
+            )
+    leaves += [
+        ZeroLocalization(child.center, child.radius_exp, 0, _min_known_valuation(child))
+        for child, c in zip(children, child_counts)
+        if c == 0
+    ]
+    return leaves
+
+
+def localize_zeros_reference(interp, polynomials: list[dict]) -> list[ClassAnalysis]:
+    """Zero localization that shifts every class disk and every child disk.
+
+    The reference for `gaps.localize_zeros`, which shifts only the disks at
+    roots of their parent's residual polynomial: per class mod p, the first
+    polynomial whose class disk does not vanish at precision is refined by
+    counting the zeros of all p children of every disk that holds one.
+    """
+    if not polynomials:
+        raise InputError("zero localization needs at least one defining polynomial")
+    first = restrict_to_disk(interp, polynomials[0], 0, 0)
+    coords = first.coords
+    unit_disks = [first] + [_subdisk(interp, q, coords, 0, 0, 0, 0) for q in polynomials[1:]]
+    if all(s.zero_at_precision for s in unit_disks):
+        raise HypothesisViolation("every defining polynomial vanishes at working precision")
+    analyses = []
+    for i in range(interp.ctx.prime):
+        for qi, q in enumerate(polynomials):
+            series = _subdisk(interp, q, coords, 0, 0, i, 1)
+            if not series.zero_at_precision:
+                leaves = _refine_reference(interp, q, series)
+                analyses.append(ClassAnalysis(i, 1, qi, True, tuple(leaves)))
+                break
+        else:
+            analyses.append(ClassAnalysis(i, 1, None, False))
+    return analyses
+
+
+def classify_gap_sequence(members, growth: Fraction, offset: int = 0) -> list[bool]:
+    """Verdicts for consecutive pairs against gap >= growth^(n_j - offset), exact."""
+    growth = Fraction(growth)
+    return [
+        Fraction(n2 - n1) >= growth ** (n1 - offset) for n1, n2 in zip(members, members[1:])
+    ]
+
+
+def direct_model(mapping, base_point, p: int, precision: int) -> LocalModel:
+    """A model taken as-is in ambient coordinates (identity chart).
+
+    For maps that already satisfy the interpolation congruence: the linear
+    part must be idempotent mod p and every other coefficient divisible by p.
+    No recentering or scaling is applied, and no claim is made about the base
+    point lying in the maximal ideal; these models feed the interpolation and
+    zero-localization layers directly.
+    """
+    ctx = PadicContext(p, precision)
+    for poly in mapping.polys:
+        for c in poly.values():
+            if _frac_valuation(c, p) < 0:
+                raise InputError("direct model coefficients must be integral at p")
+    a_bar = _linear_part_mod(mapping, p)
+    if mat_mul(a_bar, a_bar, p) != a_bar:
+        raise HypothesisViolation(
+            "direct model linear part is not idempotent mod p; use the full pipeline"
+        )
+    linear = hensel_idempotent(a_bar, p, precision)
+    series, c = _model_series((mapping,), 1, linear, ctx)
+    if c < 1:
+        raise HypothesisViolation("direct model congruence exponent < 1")
+    return LocalModel(
+        ctx=ctx,
+        dimension=mapping.nvars,
+        charts=(mapping,),
+        chart_mods=(ModularMap.from_map(mapping, ctx.modulus),),
+        steps_per_iterate=1,
+        series=series,
+        base_point=tuple(ctx.scalar(x) for x in base_point),
+        linear=linear,
+        congruence_exponent=c,
+        center=(0,) * mapping.nvars,
+        m0=0,
+        k1=1,
+        shift=0,
+        transform_log=(TransformRecord("direct", ()),),
+        direct=True,
     )

@@ -10,6 +10,8 @@ import time
 from fractions import Fraction
 
 from padic_oracles import (
+    classify_gap_sequence,
+    direct_model,
     disk_series,
     from_original,
     idempotent_power,
@@ -18,7 +20,7 @@ from padic_oracles import (
     unit_disk_root_count,
 )
 
-from orbitgap.gaps import classify_gap_sequence, newton_zero_count
+from orbitgap.gaps import newton_zero_count
 from orbitgap.interpolation import (
     build_interpolant,
     default_compat_samples,
@@ -26,7 +28,7 @@ from orbitgap.interpolation import (
     verify_error_bound,
 )
 from orbitgap.modmat import mat_mul, mat_pow
-from orbitgap.normalization import _iterate_power, build_local_model, direct_model
+from orbitgap.normalization import _iterate_power, build_local_model
 from orbitgap.padic import PadicContext, int_valuation, sup_valuation
 from orbitgap.pipeline import run_analyze
 from orbitgap.polynomials import ModularMap, PolyMap

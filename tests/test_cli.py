@@ -12,7 +12,7 @@ import pytest
 from orbitgap import normalization, pipeline, reduction
 from orbitgap.cli import main
 from orbitgap.errors import InputError
-from orbitgap.problemfile import MAX_DEGREE, parse_problem
+from orbitgap.problemfile import MAX_DEGREE, MAX_PRECISION, MAX_PRIME, parse_problem
 
 WORKED = {
     "dimension": 1,
@@ -77,6 +77,29 @@ def test_oversized_degree_exits_2(tmp_path, key):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, cap, flag",
+    [
+        ("precision", MAX_PRECISION, ["--precision"]),
+        ("prime_range", MAX_PRIME, ["--prime-range", "3"]),
+    ],
+)
+def test_oversized_parameters_exit_2(tmp_path, key, cap, flag):
+    # analyze on the worked example with precision 3000, or primes up to
+    # 3,000,000, runs for more than 20 s; the caps refuse such values while
+    # parsing, from a problem file or a flag, and the cap itself still runs
+    path = tmp_path / "cap.json"
+    for value, code in ((cap, 0), (cap + 1, 2)):
+        doc = json.loads(json.dumps(WORKED))
+        doc["parameters"][key] = [3, value] if key == "prime_range" else value
+        path.write_text(json.dumps(doc))
+        assert main(["primes", str(path)]) == code
+        path.write_text(json.dumps(WORKED))
+        assert main(["primes", str(path), *flag, str(value)]) == code
+    with pytest.raises(InputError, match="exceeds the cap"):
+        parse_problem(doc)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ indices exactly; fabricated ReturnSets then exercise each verdict path.
 
 from fractions import Fraction
 
+from padic_oracles import direct_model
+
 from orbitgap.gaps import (
     ReturnEntry,
     ReturnSet,
@@ -16,7 +18,6 @@ from orbitgap.gaps import (
     restrict_to_disk,
 )
 from orbitgap.interpolation import build_interpolant
-from orbitgap.normalization import direct_model
 from orbitgap.polynomials import PolyMap
 
 

@@ -12,21 +12,23 @@ from hypothesis import strategies as st
 
 from padic_oracles import (
     DensePrecSeries,
+    classify_gap_sequence,
     dense_compose,
+    direct_model,
     disk_series,
     iterate_point,
+    localize_zeros_reference,
     modular_eval,
     restrict_to_disk_reference,
     unit_disk_root_count,
 )
 
 from orbitgap import gaps
-from orbitgap.errors import HypothesisViolation, InputError, PrecisionExhausted
+from orbitgap.errors import HypothesisViolation, InputError, OrbitgapError, PrecisionExhausted
 from orbitgap.gaps import (
     build_density_report,
     build_gap_report,
     check_gap_pair,
-    classify_gap_sequence,
     _hits_mod,
     _subdisk,
     compute_returns,
@@ -35,7 +37,7 @@ from orbitgap.gaps import (
     restrict_to_disk,
 )
 from orbitgap.interpolation import build_interpolant
-from orbitgap.normalization import build_local_model, direct_model
+from orbitgap.normalization import build_local_model
 from orbitgap.padic import INF, MahlerSeries, PadicContext, vp_factorial
 from orbitgap.polynomials import ModularMap, PolyMap, reduce_poly
 from orbitgap.reduction import ProblemInstance, bad_primes, reduce_instance
@@ -499,6 +501,79 @@ def test_localization_zero_free_bounds():
         assert a.resolved
         for leaf in a.leaves:
             assert leaf.count == 0
+
+
+def _localization(localize, interp, qs):
+    try:
+        return localize(interp, qs)
+    except OrbitgapError as exc:
+        return type(exc)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_localize_zeros_matches_all_children_oracle(data):
+    """Shifting only the children at residual roots gives the leaves of
+    shifting every child.  The interpolant is a model's, or random Mahler
+    coefficients with or without decay at a random precision; the
+    polynomials are random, scaled by a power of p, and some vanish at an
+    orbit point.  Where the rule raises, the oracle raises the same class;
+    the oracle alone may raise PrecisionExhausted, on a zero-free child the
+    rule settles without a shift."""
+    base = _disk_interpolants()[data.draw(st.integers(0, 3))]
+    p, dim = base.ctx.prime, base.series.dim
+    kind = data.draw(st.sampled_from(["model", "decayed", "undecayed"]))
+    if kind == "model":
+        interp = base
+    else:
+        terms = data.draw(st.integers(2, base.terms))
+        precision = data.draw(st.integers(vp_factorial(terms, p) + 2, base.ctx.precision))
+        ctx = PadicContext(p, precision)
+        coeffs = []
+        for j in range(terms + 1):
+            floor = 0 if kind == "undecayed" else vp_factorial(j, p) + data.draw(st.integers(0, 2))
+            coeffs.append(tuple(
+                p**floor * data.draw(st.integers(0, ctx.modulus - 1)) % ctx.modulus
+                for _ in range(dim)
+            ))
+        interp = replace(
+            base, model=replace(base.model, ctx=ctx), series=MahlerSeries(ctx, tuple(coeffs)),
+            terms=terms,
+        )
+    K, mod = interp.ctx.precision, interp.ctx.modulus
+    monomials = [e for e in product(range(3), repeat=dim) if sum(e) <= 2]
+    qs = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        q = {e: Fraction(data.draw(st.integers(-9, 9)), data.draw(st.sampled_from([1, 2])))
+             for e in monomials}
+        if data.draw(st.booleans()):  # make Q(G(n)) vanish at precision
+            n = data.draw(st.integers(0, 7))
+            q[monomials[0]] -= modular_eval(reduce_poly(q, mod), interp.value(n), mod)
+        scale = p ** data.draw(st.sampled_from([0, 0, data.draw(st.integers(1, K))]))
+        qs.append({e: c * scale for e, c in q.items() if c})
+
+    got = _localization(localize_zeros, interp, qs)
+    want = _localization(localize_zeros_reference, interp, qs)
+    if isinstance(got, type):
+        assert want is got
+    elif isinstance(want, type):
+        assert want is PrecisionExhausted
+    else:
+        assert got == want
+
+
+def test_localization_shifts_only_residual_roots(monkeypatch):
+    """x - 6^5 has one zero: each level shifts one child, not all p."""
+    interp = _six_interp()
+    q = {(1,): Fraction(1), (0,): Fraction(-(6**5))}
+    calls = []
+    subdisk = gaps._subdisk
+    monkeypatch.setattr(gaps, "_subdisk", lambda *args: calls.append(args[5]) or subdisk(*args))
+    analyses = localize_zeros(interp, [q])
+    zero = next(leaf for a in analyses for leaf in a.leaves if leaf.count)
+    # the unit disk, then one root child per level down to the cluster leaf
+    assert len(calls) == zero.radius_exp + 1
+    assert analyses == localize_zeros_reference(interp, [q])
 
 
 # -- gap verdicts and density -------------------------------------------------

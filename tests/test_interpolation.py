@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from padic_oracles import direct_model
 
 from orbitgap.errors import HypothesisViolation, PrecisionExhausted
 from orbitgap.interpolation import (
@@ -14,7 +15,7 @@ from orbitgap.interpolation import (
     verify_compatibility,
     verify_error_bound,
 )
-from orbitgap.normalization import build_local_model, direct_model
+from orbitgap.normalization import build_local_model
 from orbitgap.padic import INF, MahlerSeries
 from orbitgap.polynomials import PolyMap
 from orbitgap.reduction import ProblemInstance

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from padic_oracles import (
+    direct_model,
     from_original,
     idempotent_power,
     iterate_point,
@@ -22,7 +23,6 @@ from orbitgap.normalization import (
     _materialize_series,
     build_local_model,
     build_model_family,
-    direct_model,
     ensure_not_preperiodic,
     hensel_idempotent,
     series_congruence_exponent,
