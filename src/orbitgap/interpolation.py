@@ -9,6 +9,14 @@ error bound on sampled indices and the step-compatibility identity
 F(G(n)) = G(n+1) on sampled p-adic arguments.  The degenerate constant case
 (orbit converging to a fixed point) is detected and flagged rather than
 analyzed.
+
+The orbit points come from the model (LocalModel.points, read off one walk
+of the original map for a whole family), not from iterating the model map.
+A value of the interpolant is a dot product of its coefficients with the
+binomial row of the argument, and G(x + 1) comes from the row of x through
+the shifted series (Pascal's rule).  The checks take a `rows` table (from
+padic.binomial_rows) so that the models of one family, which share p, K and
+the sample arguments, share the rows too.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 from .errors import HypothesisViolation, InvariantViolation, PrecisionExhausted
 from .modmat import mat_mul, mat_reduce
 from .normalization import LocalModel, series_congruence_exponent
-from .padic import MahlerSeries, PadicContext, sup_valuation
+from .padic import MahlerSeries, PadicContext, binomial_row, sup_valuation
 
 #: Allowed shortfall of coefficient decay below the ideal k*c schedule,
 #: beyond the k/(p-1) slack inherent to binomial-basis expansions.
@@ -91,12 +99,26 @@ def decay_requirement(k: int, c: int, p: int, precision: int) -> int:
     return max(0, min(req, precision))
 
 
-def build_interpolant(model: LocalModel, terms: int | None = None) -> ApproxInterpolant:
+def _row(series: MahlerSeries, n: int, rows) -> list[int]:
+    """The binomial row of the argument n for series.evaluate.
+
+    rows maps residues mod p^K to rows of series.terms entries (see
+    padic.binomial_rows) and must hold n's; when it is None the row is
+    computed here.
+    """
+    r = n % series.ctx.modulus
+    return binomial_row(series.ctx, r, series.terms - 1) if rows is None else rows[r]
+
+
+def build_interpolant(
+    model: LocalModel, terms: int | None = None, rows=None
+) -> ApproxInterpolant:
     """Finite differences of the model orbit on [0, terms], with decay certification.
 
     A decay violation indicates either insufficient precision or a model
     whose orbit is not interpolable at this congruence level (for instance an
     orbit super-attracted to a fixed point); both are reported, not patched.
+    rows (see _row) must cover the arguments 0, 1 and terms.
     """
     c = check_hypotheses(model)
     if terms is None:
@@ -112,11 +134,10 @@ def build_interpolant(model: LocalModel, terms: int | None = None) -> ApproxInte
                 f"interpolant coefficient {k} has valuation {v} < required {req}; "
                 "insufficient precision or an interpolation hypothesis fails on this orbit"
             )
-    interp = ApproxInterpolant(model, series, c, terms, decay)
     for n in (0, 1, terms):
-        if n <= terms and series.evaluate(n) != values[n]:
+        if n <= terms and series.evaluate(n, _row(series, n, rows)) != values[n]:
             raise InvariantViolation(f"fitting-window reconstruction failed at {n}")
-    return interp
+    return ApproxInterpolant(model, series, c, terms, decay)
 
 
 @dataclass(frozen=True)
@@ -139,38 +160,43 @@ def default_bound_samples(terms: int) -> list[int]:
 
 
 def verify_error_bound(
-    interp: ApproxInterpolant, samples=None, strict: bool = True
+    interp: ApproxInterpolant, samples=None, strict: bool = True, rows=None
 ) -> BoundReport:
     """Check valuation(G(n) - F^n(a')) >= min(n*c, (terms+1)*c, K) on samples.
 
-    Samples beyond the fitting window are compared against direct iteration
-    of the model map.  With the default window terms = K the requirement is
-    exactly min(n*c, K); a shorter window caps the achievable margin at
-    (terms+1)*c because the dropped binomial tail starts there.
+    Samples are orbit indices n >= 0, compared against the model's orbit
+    points; rows (see _row) must cover them.  With the default window
+    terms = K the requirement is exactly min(n*c, K); a shorter window caps
+    the achievable margin at (terms+1)*c because the dropped binomial tail
+    starts there.  On the window the margin is INF by construction, so a
+    shortfall there is a broken reconstruction (InvariantViolation).  Beyond
+    it the shortfall comes from the tail Delta^k, k > terms, whose decay was
+    never certified: the precision ran short (PrecisionExhausted).
     """
-    model, c = interp.model, interp.congruence_exponent
+    model, c, terms = interp.model, interp.congruence_exponent, interp.terms
     prec = model.ctx.precision
     if samples is None:
-        samples = default_bound_samples(interp.terms)
+        samples = default_bound_samples(terms)
     samples = sorted(set(samples))
+    points = model.orbit(max(samples, default=-1) + 1)
     margins, required = [], []
     ok, witness = True, None
-    pt = model.base_point
-    idx = 0
     for n in samples:
-        while idx < n:
-            pt = model.apply(pt)
-            idx += 1
-        margin = _margin(interp.value(n), pt, model.ctx)
-        req = min(n * c, (interp.terms + 1) * c, prec)
+        value = interp.series.evaluate(n, _row(interp.series, n, rows))
+        margin = _margin(value, points[n], model.ctx)
+        req = min(n * c, (terms + 1) * c, prec)
         margins.append(margin)
         required.append(req)
         if margin < req and ok:
             ok, witness = False, n
     report = BoundReport(tuple(samples), tuple(margins), tuple(required), ok, witness)
     if strict and not ok:
-        raise HypothesisViolation(
-            f"approximation bound failed at n={witness}: margin below min(n*c, K)"
+        if witness <= terms:
+            raise InvariantViolation(f"fitting-window reconstruction failed at {witness}")
+        raise PrecisionExhausted(
+            f"approximation bound failed at n={witness}: margin below min(n*c, K) "
+            f"beyond the fitting window [0, {terms}], where the coefficient decay "
+            "is not certified; raise the precision"
         )
     return report
 
@@ -203,10 +229,14 @@ def verify_compatibility(
     samples=None,
     threshold: int | None = None,
     strict: bool = True,
+    rows=None,
 ) -> CompatReport:
     """Check valuation(F(G(n)) - G(n+1)) >= threshold on p-adic samples.
 
-    A sample is the residue mod p^K of a p-adic argument.
+    A sample is the residue mod p^K of a p-adic argument; rows (see _row)
+    must cover every sample.  G(n + 1) is read off the row of n: for n + 1
+    < p^K it is the shifted series at n, and the residue p^K - 1 (the sample
+    -1) steps to the residue 0, where G is its zeroth coefficient.
     """
     model = interp.model
     ctx = model.ctx
@@ -214,10 +244,14 @@ def verify_compatibility(
         threshold = ctx.precision - 2
     if samples is None:
         samples = default_compat_samples(ctx)
+    series = interp.series
+    shifted = series.shifted()
     margins = []
     ok, witness = True, None
     for n in samples:
-        margin = _margin(model.apply(interp.value(n)), interp.value(n + 1), ctx)
+        row = _row(series, n, rows)
+        value_next = series.coeffs[0] if (n + 1) % ctx.modulus == 0 else shifted.evaluate(n, row)
+        margin = _margin(model.apply(series.evaluate(n, row)), value_next, ctx)
         margins.append(margin)
         if margin < threshold and ok:
             ok, witness = False, n

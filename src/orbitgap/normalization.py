@@ -14,7 +14,8 @@ A family of models is one such cycle and one chart chain G_0, ..., G_{k1-1},
 each built once: the model of shift r is the rotation of the chain that
 starts at G_{r mod k1}, one per residue class of the iterate index.
 build_local_model is the shift-0 model with the iterate power of its own
-chain.
+chain.  One walk of f mod p^(K+1) gives every model its orbit points: model
+point n of shift r is the chart image of the orbit point m0 + r + n*k_total.
 
 A further iterate replacement makes the linear part idempotent mod p, after
 which the model satisfies the congruence F(x) = E*x mod p^c with an exactly
@@ -139,7 +140,10 @@ class LocalModel:
     One model iterate applies the chart chain steps_per_iterate times; model
     iterate n corresponds to the original index m0 + shift + n * k_total.
     series is the model map mod p^P at the precision P where the doubling
-    of _model_series stopped: P = K, or P > congruence_exponent.
+    of _model_series stopped: P = K, or P > congruence_exponent.  points
+    holds F^0(a'), ..., F^(2K)(a') as residues mod p^K: the interpolant's
+    fitting window [0, K] and the indices up to 2K that the approximation
+    bound samples.
     """
 
     ctx: PadicContext
@@ -149,7 +153,7 @@ class LocalModel:
     chart_mods: tuple[ModularMap, ...] = field(repr=False, compare=False)
     steps_per_iterate: int  # chart-chain repetitions per model iterate (k2)
     series: tuple[TruncatedSeries, ...]  # model map mod p^P (see above)
-    base_point: tuple[int, ...]  # residues mod p^K
+    points: tuple[tuple[int, ...], ...] = field(repr=False)  # see above
     linear: Matrix  # exactly idempotent mod p^K, congruent to the linear part mod p
     congruence_exponent: int
     center: tuple[int, ...]  # eta for this shift, lifted in [0, p^2)
@@ -157,11 +161,15 @@ class LocalModel:
     k1: int
     shift: int
     transform_log: tuple[TransformRecord, ...]
-    direct: bool = False  # ambient-coordinate model: identity chart, no recentering
 
     @property
     def prime(self) -> int:
         return self.ctx.prime
+
+    @property
+    def base_point(self) -> tuple[int, ...]:
+        """a' = F^0(a')."""
+        return self.points[0]
 
     @property
     def k_total(self) -> int:
@@ -178,16 +186,14 @@ class LocalModel:
         return point
 
     def orbit(self, count: int) -> list[tuple[int, ...]]:
-        """Model orbit F^0(a'), ..., F^(count-1)(a')."""
-        out = [self.base_point]
-        for _ in range(count - 1):
+        """Model orbit F^0(a'), ..., F^(count-1)(a'): points, then iterates of apply."""
+        out = list(self.points[:count])
+        while len(out) < count:
             out.append(self.apply(out[-1]))
         return out
 
     def transport_poly(self, q: Poly) -> Poly:
         """A polynomial on original coordinates, rewritten on chart coordinates."""
-        if self.direct:
-            return q
         args = [
             poly_add(
                 poly_scale(make_var(self.dimension, i), self.prime),
@@ -361,6 +367,37 @@ def _chart_chain(inst: ProblemInstance, p: int) -> _ChartChain:
     return _ChartChain(k1, m0, cycle_pts, charts, tuple(chains))
 
 
+def _model_points(
+    inst: ProblemInstance, chain: _ChartChain, ctx: PadicContext, k_total: int, shifts
+) -> dict[int, tuple]:
+    """Each shift's model points F^0(a'), ..., F^(2K)(a'), from one walk of f mod p^(K+1).
+
+    Model point n of shift r is the chart image (y - eta)/p of the orbit
+    point y of original index m0 + r + n * k_total; one digit above the
+    working precision makes the image exact mod p^K.  The walk keeps only
+    those points, so memory is O(len(shifts) * K) whatever the stride.
+    """
+    p = ctx.prime
+    mod1 = ctx.modulus * p
+    f_mod1 = ModularMap.from_map(inst.mapping, mod1)
+    a_start = tuple(reduce_rational(x, mod1) for x in inst.initial_point)
+    point, index = f_mod1.iterate(a_start, chain.m0), 0
+    points: dict[int, list] = {r: [] for r in shifts}
+    for n in range(2 * ctx.precision + 1):
+        for r in shifts:
+            point, index = f_mod1.iterate(point, n * k_total + r - index), n * k_total + r
+            coords = []
+            for e, y in zip(chain.cycle[r % chain.k1], point):
+                d = (y - e) % mod1
+                if d % p:
+                    raise InvariantViolation(
+                        f"normalization/walk: orbit point {chain.m0 + index} left its residue disk"
+                    )
+                coords.append(d // p)
+            points[r].append(tuple(coords))
+    return {r: tuple(pts) for r, pts in points.items()}
+
+
 def _models(
     inst: ProblemInstance, chain: _ChartChain, ctx: PadicContext, k2: int, shifts
 ) -> list[LocalModel]:
@@ -368,7 +405,7 @@ def _models(
 
     Each chart is reduced mod p^K once, each rotation in use gets its
     idempotent lift and series once, and one walk mod p^(K+1) gives every
-    base point.
+    model its points.
     """
     p, k1 = ctx.prime, chain.k1
     if k1 * k2 > K_TOTAL_CAP:
@@ -377,30 +414,15 @@ def _models(
         )
     chart_mods = tuple(ModularMap.from_map(g, ctx.modulus) for g in chain.charts)
     rotations: dict[int, tuple] = {}
-
-    mod1 = ctx.modulus * p
-    f_mod1 = ModularMap.from_map(inst.mapping, mod1)
-    a_start = tuple(reduce_rational(x, mod1) for x in inst.initial_point)
-    point, index = f_mod1.iterate(a_start, chain.m0), 0
+    points = _model_points(inst, chain, ctx, k1 * k2, shifts)
     models = []
     for shift in shifts:
-        # base point: T^-1 of the orbit point m0 + shift, one digit above precision
-        point, index = f_mod1.iterate(point, shift - index), shift
-        s = shift % k1
-        center = chain.cycle[s]
-        base_coords = []
-        for e, y in zip(center, point):
-            d = (y - e) % mod1
-            if d % p:
-                raise InvariantViolation(
-                    "normalization/base-point: stabilized point left its residue disk"
-                )
-            base_coords.append(d // p)
-        base_point = tuple(base_coords)
-        if sup_valuation(base_point, p) < 1:
+        if sup_valuation(points[shift][0], p) < 1:
             raise InvariantViolation(
                 "normalization/base-point: coordinates are not in the maximal ideal"
             )
+        s = shift % k1
+        center = chain.cycle[s]
 
         if s not in rotations:
             charts = chain.charts[s:] + chain.charts[:s]
@@ -433,7 +455,7 @@ def _models(
                 chart_mods=mods,
                 steps_per_iterate=k2,
                 series=series,
-                base_point=base_point,
+                points=points[shift],
                 linear=linear,
                 congruence_exponent=c,
                 center=center,

@@ -112,7 +112,11 @@ def binomial_row(ctx: PadicContext, r: int, kmax: int) -> list[int]:
         raise PrecisionExhausted(
             f"v_p({kmax}!) = {e_max} >= precision {prec}; raise the precision"
         )
-    work_mod = p ** (prec + e_max)
+    p_pows = [1]  # p^e for e <= e_max
+    for _ in range(e_max):
+        p_pows.append(p_pows[-1] * p)
+    mod_pows = [mod * q for q in p_pows]  # p^(K + e)
+    work_mod = mod_pows[e_max]
     quotients = [1]  # falling factorial / p^v_p(k!), mod p^K
     units = [1]  # unit part of k
     prod = 1  # falling factorial mod work_mod
@@ -128,13 +132,24 @@ def binomial_row(ctx: PadicContext, r: int, kmax: int) -> list[int]:
         fact_unit = fact_unit * u % mod
         # prod is congruent to the true falling factorial mod p^(K+e_max) and
         # the true value is divisible by p^e_k, so this integer division is exact.
-        quotients.append((prod % (p ** (prec + e_k))) // p**e_k)
+        quotients.append((prod % mod_pows[e_k]) // p_pows[e_k])
     inv = pow(fact_unit, -1, mod)
     out = [0] * (kmax + 1)
     for k in range(kmax, -1, -1):
         out[k] = quotients[k] * inv % mod
         inv = inv * units[k] % mod  # now the inverse unit part of (k-1)!
     return out
+
+
+def binomial_rows(ctx: PadicContext, args, kmax: int) -> dict[int, list[int]]:
+    """binomial_row of each distinct residue mod p^K of the integers args, keyed by residue.
+
+    A row depends only on (p, K, residue, kmax), so callers that evaluate
+    several Mahler series of kmax + 1 terms at the same arguments compute
+    the rows once and pass them to MahlerSeries.evaluate.
+    """
+    mod = ctx.modulus
+    return {r: binomial_row(ctx, r, kmax) for r in dict.fromkeys(a % mod for a in args)}
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +335,33 @@ class MahlerSeries:
     def coefficient_valuations(self) -> list[int | float]:
         return [sup_valuation(c, self.ctx.prime) for c in self.coeffs]
 
-    def evaluate(self, n: int) -> tuple[int, ...]:
-        """Sum of coeffs[k] * C(n, k) at the residue of the argument n mod p^K."""
+    def shifted(self) -> "MahlerSeries":
+        """The series of x -> self(x + 1) as polynomials in x.
+
+        By Pascal's rule C(x + 1, k) = C(x, k) + C(x, k - 1), coefficient k
+        is coeffs[k] + coeffs[k + 1].  So at an integer n it equals self at
+        the integer n + 1: at the residue p^K - 1 that is self at p^K, not
+        at the residue 0.
+        """
         mod = self.ctx.modulus
-        row = binomial_row(self.ctx, n % mod, len(self.coeffs) - 1)
+        nxt = self.coeffs[1:] + ((0,) * self.dim,)
+        coeffs = zip(self.coeffs, nxt)
+        return MahlerSeries(
+            self.ctx, tuple(tuple((a + b) % mod for a, b in zip(cv, nv)) for cv, nv in coeffs)
+        )
+
+    def evaluate(self, n: int, row: list[int] | None = None) -> tuple[int, ...]:
+        """Sum of coeffs[k] * C(n, k) at the residue of the argument n mod p^K.
+
+        row is the binomial row of that residue when the caller already has
+        it (see binomial_rows); otherwise it is computed here.
+        """
+        mod = self.ctx.modulus
+        if row is None:
+            row = binomial_row(self.ctx, n % mod, len(self.coeffs) - 1)
         acc = [0] * self.dim
-        for b, cv in zip(row, self.coeffs):
-            if b == 0:
-                continue
-            for i, c in enumerate(cv):
-                acc[i] = (acc[i] + b * c) % mod
-        return tuple(acc)
+        for b, cv in zip(row, self.coeffs, strict=True):
+            if b:
+                for i, c in enumerate(cv):
+                    acc[i] += b * c
+        return tuple(a % mod for a in acc)

@@ -40,11 +40,13 @@ from .gaps import (
 from .interpolation import (
     build_interpolant,
     constancy_test,
+    default_bound_samples,
+    default_compat_samples,
     verify_compatibility,
     verify_error_bound,
 )
 from .normalization import build_model_family, ensure_not_preperiodic
-from .padic import is_prime
+from .padic import binomial_rows, is_prime
 from .problemfile import RunParameters
 from .reduction import (
     ENUM_GUARD,
@@ -309,14 +311,26 @@ def stage_normalization(report: RunReport, state: RunState) -> None:
 
 
 def stage_interpolation(report: RunReport, state: RunState) -> None:
-    """Certified interpolants; replayed ones must match the rebuilt ones bit for bit."""
+    """Certified interpolants; replayed ones must match the rebuilt ones bit for bit.
+
+    Every model of the family has the same p, K and window terms = K, so
+    each sample argument's binomial row is computed once for all of them.
+    A single model gains nothing from the shared rows, and holding them all
+    at once would raise its peak memory, so it computes each row in turn.
+    """
     old = {rec["shift"]: rec for rec in (state.replay or {}).get("interpolant", [])}
     state.interps = {}
     stale = False
+    ctx = state.family[0].ctx
+    bound_samples = default_bound_samples(ctx.precision)
+    compat_samples = default_compat_samples(ctx)
+    rows = None
+    if len(state.family) > 1:
+        rows = binomial_rows(ctx, [*bound_samples, *compat_samples], ctx.precision)
     for model in state.family:
-        interp = build_interpolant(model)
-        bound_rep = verify_error_bound(interp)
-        compat_rep = verify_compatibility(interp)
+        interp = build_interpolant(model, rows=rows)
+        bound_rep = verify_error_bound(interp, bound_samples, rows=rows)
+        compat_rep = verify_compatibility(interp, compat_samples, rows=rows)
         const_rep = constancy_test(interp)
         record = interp.to_record()
         record.update(

@@ -58,6 +58,13 @@ from orbitgap.gaps import (
     newton_zero_count,
     restrict_to_disk,
 )
+from orbitgap.interpolation import (
+    BoundReport,
+    CompatReport,
+    _margin,
+    default_bound_samples,
+    default_compat_samples,
+)
 from orbitgap.modmat import Matrix, mat_mul, mat_reduce
 from orbitgap.normalization import (
     LocalModel,
@@ -283,7 +290,7 @@ def idempotent_power(a: Matrix, p: int) -> IdempotentCertificate:
 
 def to_original(model, point: tuple[int, ...]) -> tuple[int, ...]:
     """T(x) = eta + p*x of a local model, one digit above working precision."""
-    if model.direct:
+    if isinstance(model, DirectModel):
         return tuple(point)
     p, mod1 = model.prime, model.ctx.modulus * model.prime
     return tuple((e + p * c) % mod1 for e, c in zip(model.center, point))
@@ -291,7 +298,7 @@ def to_original(model, point: tuple[int, ...]) -> tuple[int, ...]:
 
 def from_original(model, point: tuple[int, ...]) -> tuple[int, ...]:
     """T^-1(y) = (y - eta)/p; needs y mod p^(K+1), y = eta mod p."""
-    if model.direct:
+    if isinstance(model, DirectModel):
         return tuple(model.ctx.scalar(y) for y in point)
     p, mod1 = model.prime, model.ctx.modulus * model.prime
     coords = []
@@ -554,14 +561,22 @@ def classify_gap_sequence(members, growth: Fraction, offset: int = 0) -> list[bo
     ]
 
 
-def direct_model(mapping, base_point, p: int, precision: int) -> LocalModel:
+class DirectModel(LocalModel):
+    """A local model whose chart is the identity: no recentering or scaling."""
+
+    def transport_poly(self, q):
+        return q
+
+
+def direct_model(mapping, base_point, p: int, precision: int) -> DirectModel:
     """A model taken as-is in ambient coordinates (identity chart).
 
     For maps that already satisfy the interpolation congruence: the linear
     part must be idempotent mod p and every other coefficient divisible by p.
     No recentering or scaling is applied, and no claim is made about the base
     point lying in the maximal ideal; these models feed the interpolation and
-    zero-localization layers directly.
+    zero-localization layers directly.  There is no orbit walk of an original
+    map, so the model points F^0(a'), ..., F^(2K)(a') are iterates of the map.
     """
     ctx = PadicContext(p, precision)
     for poly in mapping.polys:
@@ -577,14 +592,18 @@ def direct_model(mapping, base_point, p: int, precision: int) -> LocalModel:
     series, c = _model_series((mapping,), 1, linear, ctx)
     if c < 1:
         raise HypothesisViolation("direct model congruence exponent < 1")
-    return LocalModel(
+    f_mod = ModularMap.from_map(mapping, ctx.modulus)
+    points = [tuple(ctx.scalar(x) for x in base_point)]
+    for _ in range(2 * precision):
+        points.append(f_mod(points[-1]))
+    return DirectModel(
         ctx=ctx,
         dimension=mapping.nvars,
         charts=(mapping,),
-        chart_mods=(ModularMap.from_map(mapping, ctx.modulus),),
+        chart_mods=(f_mod,),
         steps_per_iterate=1,
         series=series,
-        base_point=tuple(ctx.scalar(x) for x in base_point),
+        points=tuple(points),
         linear=linear,
         congruence_exponent=c,
         center=(0,) * mapping.nvars,
@@ -592,5 +611,54 @@ def direct_model(mapping, base_point, p: int, precision: int) -> LocalModel:
         k1=1,
         shift=0,
         transform_log=(TransformRecord("direct", ()),),
-        direct=True,
     )
+
+
+def model_points_by_apply(model, count: int) -> list[tuple[int, ...]]:
+    """F^0(a'), ..., F^(count-1)(a') by iterating the model map from the base point."""
+    out = [model.base_point]
+    for _ in range(count - 1):
+        out.append(model.apply(out[-1]))
+    return out
+
+
+def verify_error_bound_reference(interp, samples=None) -> BoundReport:
+    """The bound check with each sample evaluated alone and the model map iterated."""
+    model, c = interp.model, interp.congruence_exponent
+    prec = model.ctx.precision
+    if samples is None:
+        samples = default_bound_samples(interp.terms)
+    samples = sorted(set(samples))
+    margins, required = [], []
+    ok, witness = True, None
+    pt = model.base_point
+    idx = 0
+    for n in samples:
+        while idx < n:
+            pt = model.apply(pt)
+            idx += 1
+        margin = _margin(interp.value(n), pt, model.ctx)
+        req = min(n * c, (interp.terms + 1) * c, prec)
+        margins.append(margin)
+        required.append(req)
+        if margin < req and ok:
+            ok, witness = False, n
+    return BoundReport(tuple(samples), tuple(margins), tuple(required), ok, witness)
+
+
+def verify_compatibility_reference(interp, samples=None, threshold=None) -> CompatReport:
+    """The compatibility check with G(n) and G(n + 1) evaluated alone at each sample."""
+    model = interp.model
+    ctx = model.ctx
+    if threshold is None:
+        threshold = ctx.precision - 2
+    if samples is None:
+        samples = default_compat_samples(ctx)
+    margins = []
+    ok, witness = True, None
+    for n in samples:
+        margin = _margin(model.apply(interp.value(n)), interp.value(n + 1), ctx)
+        margins.append(margin)
+        if margin < threshold and ok:
+            ok, witness = False, n
+    return CompatReport(tuple(samples), tuple(margins), threshold, ok, witness)

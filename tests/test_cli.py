@@ -300,6 +300,26 @@ def test_super_attracting_orbit_exits_3(tmp_path, capsys, command):
     assert failure["stage"] == "interpolation"
 
 
+def test_bound_shortfall_beyond_the_window_exits_3(tmp_path, capsys):
+    # x^2 + x - 2 from 5 at precision 8 passes the decay gate on 9 terms and
+    # misses the bound at n = 9, in the uncertified tail: precision ran short
+    doc = {
+        "dimension": 1,
+        "map": [[[[2], 1], [[1], 1], [[0], -2]]],
+        "initial_point": [5],
+        "variety": [[[[1], 1], [[0], -7]]],
+        "parameters": {"precision": 8},
+    }
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run.jsonl"
+    assert main(["analyze", str(path), "--out", str(out)]) == 3
+    assert "FAILED at stage interpolation" in capsys.readouterr().out
+    failure = [json.loads(line) for line in out.read_text().splitlines()][-1]
+    assert failure["stage"] == "interpolation"
+    assert failure["message"].startswith("approximation bound failed at n=9")
+
+
 def test_stage_commands_match_analyze(worked_file, tmp_path):
     def lines(command, *extra):
         out = tmp_path / f"{command}.jsonl"

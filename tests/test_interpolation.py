@@ -1,23 +1,40 @@
 """Interpolant construction, decay certification, bound and compatibility checks."""
 
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from padic_oracles import direct_model
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from padic_oracles import (
+    direct_model,
+    model_points_by_apply,
+    verify_compatibility_reference,
+    verify_error_bound_reference,
+)
 
-from orbitgap.errors import HypothesisViolation, PrecisionExhausted
+from orbitgap import interpolation, padic, pipeline
+from orbitgap.errors import (
+    HypothesisViolation,
+    InvariantViolation,
+    OrbitgapError,
+    PrecisionExhausted,
+)
 from orbitgap.interpolation import (
     build_interpolant,
     check_hypotheses,
     constancy_test,
     decay_requirement,
+    default_bound_samples,
     default_compat_samples,
     verify_compatibility,
     verify_error_bound,
 )
-from orbitgap.normalization import build_local_model
-from orbitgap.padic import INF, MahlerSeries
+from orbitgap.normalization import LocalModel, build_local_model, build_model_family
+from orbitgap.padic import INF, MahlerSeries, binomial_rows
 from orbitgap.polynomials import PolyMap
+from orbitgap.problemfile import parse_problem
 from orbitgap.reduction import ProblemInstance
 
 
@@ -153,3 +170,111 @@ def test_strict_compat_failure_raises():
     samples = default_compat_samples(m.ctx, 4)
     with pytest.raises(HypothesisViolation):
         verify_compatibility(interp, samples, threshold=10, strict=True)
+
+
+def test_bound_shortfall_in_window_is_a_broken_reconstruction():
+    m = _direct([{(1,): 6}], (1,), 5, 12)
+    interp = build_interpolant(m, terms=12)
+    points = list(m.points)
+    points[5] = (points[5][0] + 1,)
+    broken = dataclasses.replace(interp, model=dataclasses.replace(m, points=tuple(points)))
+    assert verify_error_bound(broken, strict=False).witness == 5
+    with pytest.raises(InvariantViolation, match="reconstruction failed at 5"):
+        verify_error_bound(broken)
+
+
+def test_bound_shortfall_beyond_window_is_precision_exhausted():
+    # x^2 + x - 2 from 5 at precision 8: the interpolant passes the decay gate
+    # on its 9 terms, but the uncertified tail shows at n = 9
+    inst = ProblemInstance(
+        1, PolyMap.from_lists(1, [{(2,): 1, (1,): 1, (0,): -2}]), (Fraction(5),),
+        ({(0,): Fraction(0)},),
+    )
+    model = build_local_model(inst, 3, 8)
+    interp = build_interpolant(model)
+    assert verify_error_bound(interp, strict=False).witness == 9
+    with pytest.raises(PrecisionExhausted, match="n=9"):
+        verify_error_bound(interp)
+
+
+_QUADRATIC_EXPONENTS = {
+    1: [(0,), (1,), (2,)],
+    2: [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)],
+}
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_family_points_and_shared_rows_match_per_model_oracles(data):
+    """Every model's walk points are its iterates, and the checks on rows
+    shared by the family give the reports of evaluating each model alone."""
+    dim = data.draw(st.sampled_from([1, 2]))
+    p = data.draw(st.sampled_from([3, 5, 7] if dim == 1 else [3]))
+    precision = data.draw(st.sampled_from([6, 8]))
+    coeff = st.integers(-4, 4)
+    polys = [{e: data.draw(coeff) for e in _QUADRATIC_EXPONENTS[dim]} for _ in range(dim)]
+    a = tuple(Fraction(data.draw(st.integers(0, 4))) for _ in range(dim))
+    try:
+        inst = ProblemInstance(
+            dim, PolyMap.from_lists(dim, polys), a, ({(0,) * dim: Fraction(0)},)
+        )
+        family = build_model_family(inst, p, precision)
+    except OrbitgapError:
+        reject()
+    ctx = family[0].ctx
+    bound_samples = default_bound_samples(precision)
+    compat_samples = default_compat_samples(ctx)
+    rows = binomial_rows(ctx, [*bound_samples, *compat_samples], precision)
+    for model in family:
+        assert list(model.points) == model_points_by_apply(model, 2 * precision + 1)
+        try:
+            interp = build_interpolant(model, rows=rows)
+        except PrecisionExhausted:
+            continue
+        assert verify_error_bound(
+            interp, bound_samples, strict=False, rows=rows
+        ) == verify_error_bound_reference(interp)
+        compat = verify_compatibility(interp, compat_samples, strict=False, rows=rows)
+        assert compat == verify_compatibility_reference(interp)
+        # the sample -1 comes first; the oracle evaluates its n + 1 at the residue 0
+        assert compat.samples[0] == ctx.modulus - 1
+
+
+FAMILY_P29 = {
+    "dimension": 1,
+    "map": [[[[2], 1], [[0], -2]]],
+    "initial_point": [5],
+    "variety": [[[[1], 1], [[0], -23]]],
+    "parameters": {"prime_range": [29, 50], "precision": 32, "n_max": 1000},
+}
+
+
+def test_interpolation_stage_computes_each_row_once(monkeypatch):
+    """x^2 - 2 from 5 at p = 29 has a 14-model family; the stage computes the
+    binomial row of each sample argument once, not once per model (G(x + 1)
+    comes from the row of x), and iterates no model map outside the
+    compatibility check."""
+    inst, params = parse_problem(FAMILY_P29)
+    state = pipeline.RunState(inst, params, family=build_model_family(inst, 29, 32))
+    rows, applies = Counter(), Counter()
+    binomial_row, apply = padic.binomial_row, LocalModel.apply
+
+    def counting_row(ctx, r, kmax):
+        rows[r, kmax] += 1
+        return binomial_row(ctx, r, kmax)
+
+    def counting_apply(model, point):
+        applies[model.shift] += 1
+        return apply(model, point)
+
+    monkeypatch.setattr(padic, "binomial_row", counting_row)
+    monkeypatch.setattr(interpolation, "binomial_row", counting_row)
+    monkeypatch.setattr(LocalModel, "apply", counting_apply)
+    report = pipeline.RunReport("sha")
+    pipeline.stage_interpolation(report, state)
+    assert len(state.interps) == 14 and report.error is None
+    ctx = state.family[0].ctx
+    arguments = {*default_bound_samples(32), *default_compat_samples(ctx)}
+    assert max(rows.values()) == 1 and set(rows) == {(r, 32) for r in arguments}
+    # one F(G(x)) per compatibility argument
+    assert applies == Counter({shift: 26 for shift in range(14)})
