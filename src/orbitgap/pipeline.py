@@ -16,7 +16,7 @@ record naming the stage; the exception class determines the exit code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     BudgetExceeded,
@@ -349,6 +349,10 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
         stale = stale or (
             model.shift in old and old[model.shift]["coefficients"] != record["coefficients"]
         )
+    # no later stage reads the model points; base_point is points[0]
+    slim = {model.shift: replace(model, points=model.points[:1]) for model in state.family}
+    state.family = list(slim.values())
+    state.interps = {s: replace(i, model=slim[s]) for s, i in state.interps.items()}
     if stale:
         raise InputError("stale replay: recorded interpolant disagrees with the rebuilt one")
 

@@ -10,8 +10,9 @@ affine N-space with exact rational coefficients.  Modular images (int
 coefficient dicts modulo m) are produced by reduce_poly / ModularMap for
 the residue-field and p-power computations.
 
-Evaluation mod m goes through one evaluator, horner_eval, on a sparse
-nested Horner form that horner_form builds once per reduced polynomial.
+Evaluation mod m goes through a sparse nested Horner form that horner_form
+builds once per reduced polynomial: horner_eval evaluates it at one point,
+and horner_table at many points at once, column by column.
 The form is a polynomial in the first variable that occurs, whose
 coefficients are forms in the later variables (or ints, once no variable
 is left).  Only the nonzero degrees are stored, in descending order, so a
@@ -209,6 +210,27 @@ def horner_eval(form: HornerForm, point, m: int) -> int:
         acc = (acc * x**gap + c) % m
     if low:
         acc = acc * x**low % m
+    return acc
+
+
+def horner_table(form: HornerForm, cols, m: int) -> list[int]:
+    """The values in [0, m) of a Horner form at many points, column-wise.
+
+    cols[i] holds coordinate i of every point, in one order; the result
+    holds the value at each point, in that order.  The steps are those of
+    horner_eval, each one list comprehension over all points.
+    """
+    var, acc, rest, low = form
+    x = cols[var]
+    acc = [acc] * len(x) if type(acc) is int else horner_table(acc, cols, m)
+    for gap, c in rest:
+        if type(c) is int:
+            acc = [(a * v**gap + c) % m for a, v in zip(acc, x)]
+        else:
+            c = horner_table(c, cols, m)
+            acc = [(a * v**gap + b) % m for a, v, b in zip(acc, x, c)]
+    if low:
+        acc = [a * v**low % m for a, v in zip(acc, x)]
     return acc
 
 

@@ -7,13 +7,22 @@ residue point can still hit it.  A certificate (p, M) then asserts that no
 point of F_p^N maps onto any target at iterate >= M, which is exhaustively
 verifiable.  Density over a scanned prime range is reported empirically;
 no density theorem is invoked.
+
+The reduced map is a function on a finite set, so one table of images
+describes its whole functional graph.  A full-space scan names each point
+by its index sum x_i p^i, evaluates the map on all points at once
+(horner_table, one list per Horner step), and sorts the indices by image.
+The preimages of a point are then one run of that order, found by
+bisection, so the backward tree costs only its own nodes.  One scan per
+prime serves all of its targets; periodicity is tested first, by an orbit
+walk, so a periodic target needs no scan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import BudgetExceeded, HypothesisViolation, InputError, InvariantViolation
 from .padic import is_prime
@@ -24,6 +33,7 @@ from .polynomials import (
     denominator_primes,
     horner_eval,
     horner_form,
+    horner_table,
     poly_degree,
     poly_eval,
     prime_factors,
@@ -240,71 +250,99 @@ def orbit_summary(
     return OrbitSummary(x, mu, lam)
 
 
-def _space_size(fp: ModularMap) -> int:
-    return fp.modulus**fp.nvars
+def _space_columns(fp: ModularMap) -> list:
+    """The coordinate columns of every point of F_p^N, the first varying fastest.
+
+    Point k of a full-space scan is the x with k = sum x_i p^i, so column i
+    repeats each residue p^i times, and that run p^(N-1-i) times.  A space
+    above ENUM_GUARD is refused.
+    """
+    p, n = fp.modulus, fp.nvars
+    if p**n > ENUM_GUARD:
+        raise BudgetExceeded(f"space size {p**n} exceeds the enumeration guard")
+    if n == 1:
+        return [range(p)]
+    return [[x for x in range(p) for _ in range(p**i)] * p ** (n - 1 - i) for i in range(n)]
 
 
-def _iter_space(fp: ModularMap):
-    """Every point of F_p^N, the first coordinate varying fastest."""
-    return (pt[::-1] for pt in product(range(fp.modulus), repeat=fp.nvars))
+def _point(k: int, fp: ModularMap) -> tuple[int, ...]:
+    """The point x of F_p^N with index k = sum x_i p^i."""
+    p = fp.modulus
+    return tuple(k // p**i % p for i in range(fp.nvars))
 
 
 def periodic_points_on_variety(fp: ModularMap, variety_mod: list[dict]) -> list[tuple[int, ...]]:
-    """All residue points on the variety that lie on a cycle of the reduced map."""
-    if _space_size(fp) > ENUM_GUARD:
-        raise BudgetExceeded(f"space size {_space_size(fp)} exceeds the enumeration guard")
-    forms = [horner_form(q) for q in variety_mod]
+    """All residue points on the variety that lie on a cycle of the reduced map.
+
+    The variety polynomials are evaluated on the whole space at once; only
+    the points where all of them vanish get an orbit summary.
+    """
+    cols = _space_columns(fp)
+    on_variety = range(len(cols[0]))
+    for q in variety_mod:
+        values = horner_table(horner_form(q), cols, fp.modulus)
+        on_variety = [k for k in on_variety if not values[k]]
     out = []
-    for pt in _iter_space(fp):
-        if all(horner_eval(q, pt, fp.modulus) == 0 for q in forms):
-            if orbit_summary(fp, pt).tail == 0:
-                out.append(pt)
+    for k in on_variety:
+        pt = _point(k, fp)
+        if orbit_summary(fp, pt).tail == 0:
+            out.append(pt)
     return out
 
 
-def preimage_buckets(fp: ModularMap) -> dict:
-    """One full-space scan: image point -> list of preimage points."""
-    if _space_size(fp) > ENUM_GUARD:
-        raise BudgetExceeded(f"space size {_space_size(fp)} exceeds the enumeration guard")
-    buckets: dict = {}
-    for pt in _iter_space(fp):
-        buckets.setdefault(fp(pt), []).append(pt)
-    return buckets
+def preimage_buckets(fp: ModularMap) -> tuple[list[int], list[int]]:
+    """One full-space scan: the points of F_p^N sorted by image, and their images.
+
+    Points and images are indices sum x_i p^i.  The images of all points
+    are one table, evaluated column-wise; the sort is stable, so the
+    preimages of y are the run of points with image y, in index order.
+    """
+    p, cols = fp.modulus, _space_columns(fp)
+    table = horner_table(fp.forms[-1], cols, p)
+    for form in fp.forms[-2::-1]:
+        table = [t * p + v for t, v in zip(table, horner_table(form, cols, p))]
+    order = sorted(range(len(table)), key=table.__getitem__)
+    return order, [table[k] for k in order]
 
 
 def first_hit_depth(
-    fp: ModularMap, gamma: tuple[int, ...], buckets: dict | None = None
+    fp: ModularMap, gamma: tuple[int, ...], scan: list | None = None
 ) -> int | None:
     """Largest m such that some residue point satisfies f^m(x) = gamma.
 
     Returns None when the target lies on a cycle (verdict failed-periodic:
     its orbit has tail 0).  Levels of the backward expansion are pairwise
     disjoint for a non-periodic target, which bounds the expansion by the
-    space size.  buckets is the preimage_buckets scan of fp; an empty or
-    missing one is made here, and an empty dict passed in is filled, so
-    targets can share one scan.
+    space size; each node's preimages are found by bisection in the sorted
+    images.  scan is the preimage_buckets scan of fp; an empty or missing
+    one is made here, and an empty list passed in is filled, so targets can
+    share one scan.
     """
     if orbit_summary(fp, gamma).tail == 0:
         return None
-    if buckets is None:
-        buckets = {}
-    if not buckets:
-        buckets.update(preimage_buckets(fp))
-    level, seen = {gamma}, {gamma}
+    if scan is None:
+        scan = []
+    if not scan:
+        scan.extend(preimage_buckets(fp))
+    order, images = scan
+    p = fp.modulus
+    level = [sum(x * p**i for i, x in enumerate(gamma))]
+    seen = set(level)
     depth = 0
     while True:
-        nxt: set = set()
-        for pt in level:
-            nxt.update(buckets.get(pt, ()))
+        nxt: list = []
+        for y in level:
+            lo = bisect_left(images, y)
+            nxt += order[lo:bisect_right(images, y, lo)]
         if not nxt:
             return depth
-        overlap = nxt & seen
-        if overlap:
+        if not seen.isdisjoint(nxt):
+            overlap = sorted(_point(k, fp) for k in seen.intersection(nxt))
             raise InvariantViolation(
-                f"preimage levels are not disjoint at {sorted(overlap)[:3]}; "
+                f"preimage levels are not disjoint at {overlap[:3]}; "
                 "the target must have been periodic"
             )
-        seen |= nxt
+        seen.update(nxt)
         level = nxt
         depth += 1
 
@@ -353,9 +391,9 @@ def avoidance_search(
             continue
         fp, _, targets_p = reduce_instance(inst, p, bad)
         depths = []
-        buckets: dict = {}  # filled by the first non-periodic target
+        scan: list = []  # filled by the first non-periodic target
         for tp in targets_p:
-            depth = first_hit_depth(fp, tp, buckets)
+            depth = first_hit_depth(fp, tp, scan)
             if depth is None:
                 certs.append(AvoidanceCertificate(p, targets_p, "failed-periodic"))
                 break

@@ -23,17 +23,19 @@ The rest are reference implementations that tests compare the package
 against: exact division with a precision ledger, binomial coefficients in a
 context, the evaluation and Gauss valuation of a TruncatedSeries, exact
 periods and the fixing iterate of declared targets, periodicity mod p by a
-walk of the whole space, the binomial basis re-expanded at each disk (the
-reference for disk restriction), a dense one-variable series with precision
-bounds (the reference for the bound rule of disk restriction and of
-TruncatedSeries), polynomial evaluation mod m term by term (the
-reference for the nested Horner evaluator), exact iteration over the
-rationals, the least idempotent power of a matrix mod p by trying every
-power in turn (the reference for the iterate power of normalization), the
-chart T(x) = eta + p*x of a local model and its inverse, zero localization
-with every child disk shifted (the reference for the residual-root rule of
-localize_zeros), the pairwise gap classifier against a growth rate, and a
-model taken in ambient coordinates with the identity chart.
+walk of the whole space, the backward depth of a target from a dict of
+preimage tuples (the reference for the sorted-image scan), the binomial
+basis re-expanded at each disk (the reference for disk restriction), a dense
+one-variable series with precision bounds (the reference for the bound rule
+of disk restriction and of TruncatedSeries), polynomial evaluation mod m
+term by term (the reference for the nested Horner evaluator), exact
+iteration over the rationals, the least idempotent power of a matrix mod p
+by trying every power in turn (the reference for the iterate power of
+normalization), the chart T(x) = eta + p*x of a local model and its inverse,
+zero localization with every child disk shifted (the reference for the
+residual-root rule of localize_zeros), the pairwise gap classifier against a
+growth rate, and a model taken in ambient coordinates with the identity
+chart.
 """
 
 from __future__ import annotations
@@ -41,8 +43,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
+from orbitgap import reduction
 from orbitgap.errors import (
+    BudgetExceeded,
     HypothesisViolation,
     InputError,
     InvariantViolation,
@@ -319,6 +324,34 @@ def on_cycle(fp, x: tuple[int, ...]) -> bool:
             return True
         pt = fp(pt)
     return False
+
+
+def first_hit_depth_reference(fp, gamma: tuple[int, ...]) -> int | None:
+    """Largest m with f^m(x) = gamma for some residue point x, or None when
+    gamma is periodic: a dict from each image point to its preimage points,
+    filled by evaluating the map at every point tuple, and a breadth-first
+    expansion over sets of points.  The space is refused above
+    reduction.ENUM_GUARD, as in the package."""
+    if on_cycle(fp, gamma):
+        return None
+    if fp.modulus**fp.nvars > reduction.ENUM_GUARD:
+        raise BudgetExceeded("space size exceeds the enumeration guard")
+    buckets: dict = {}
+    for pt in product(range(fp.modulus), repeat=fp.nvars):
+        buckets.setdefault(fp(pt), []).append(pt)
+    level, seen = {gamma}, {gamma}
+    depth = 0
+    while True:
+        nxt: set = set()
+        for pt in level:
+            nxt.update(buckets.get(pt, ()))
+        if not nxt:
+            return depth
+        if nxt & seen:
+            raise InvariantViolation("preimage levels are not disjoint")
+        seen |= nxt
+        level = nxt
+        depth += 1
 
 
 def exact_period(f, point, bound: int = 64) -> int:

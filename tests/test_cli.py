@@ -389,7 +389,8 @@ def test_broken_invariant_exits_4(monkeypatch, tmp_path, capsys):
     # a non-periodic target is never its own preimage; a preimage scan that
     # says every residue is must trip the disjointness check of the levels
     def cyclic(fp):
-        return {pt: [pt] for pt in reduction._iter_space(fp)}
+        points = list(range(fp.modulus**fp.nvars))
+        return points, points
 
     monkeypatch.setattr(reduction, "preimage_buckets", cyclic)
     out = tmp_path / "run.jsonl"

@@ -5,10 +5,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitgap.padic import is_prime
 from orbitgap.pipeline import run
 from orbitgap.problemfile import RunParameters
 from orbitgap.polynomials import PolyMap, make_const, make_var, poly_add, poly_compose
-from orbitgap.reduction import ProblemInstance
+from orbitgap.reduction import ProblemInstance, avoidance_search
 
 # At this horizon every degree-2 return is certified exactly.  Beyond it,
 # screening alone can keep false positives: x -> -2x^2 - 2x from -3 (a
@@ -17,16 +18,20 @@ from orbitgap.reduction import ProblemInstance
 PARAMS = RunParameters(prime_range=(3, 50), precision=16, n_max=16, screen_primes=3)
 
 
-def _translated(inst: ProblemInstance, t: int) -> ProblemInstance:
-    """The conjugate by x -> x + t: f(x + t) - t from a - t, with V(x + t)."""
-    arg = [poly_add(make_var(1, 0), make_const(1, t))]
-    f = poly_add(poly_compose(inst.mapping.polys[0], arg), make_const(1, -t))
+def _translated(inst: ProblemInstance, t: tuple[int, ...]) -> ProblemInstance:
+    """The conjugate by x -> x + t: f(x + t) - t from a - t, with V(x + t)
+    and every declared target moved by -t."""
+    n = inst.dimension
+    arg = [poly_add(make_var(n, i), make_const(n, ti)) for i, ti in enumerate(t)]
+    polys = tuple(
+        poly_add(poly_compose(f, arg), make_const(n, -ti)) for f, ti in zip(inst.mapping.polys, t)
+    )
     return ProblemInstance(
-        1,
-        PolyMap(1, ({e: c for e, c in f.items() if c},)),
-        (inst.initial_point[0] - t,),
+        n,
+        PolyMap(n, polys),
+        tuple(x - ti for x, ti in zip(inst.initial_point, t)),
         tuple(poly_compose(q, arg) for q in inst.variety),
-        (),
+        tuple(tuple(x - ti for x, ti in zip(pt, t)) for pt in inst.targets),
     )
 
 
@@ -62,5 +67,39 @@ def test_translation_leaves_the_run_unchanged(data):
     t = data.draw(st.integers(-24, 24).filter(bool))
 
     outcome = _outcome(inst)
-    assert _outcome(_translated(inst, t)) == outcome
+    assert _outcome(_translated(inst, (t,))) == outcome
     assert outcome[3] != "violation"
+
+
+def _certificates(inst: ProblemInstance):
+    scan = avoidance_search(inst, [p for p in range(3, 50) if is_prime(p)])
+    return [(c.prime, c.verdict, c.bound, c.depths) for c in scan.certificates]
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_translation_leaves_avoidance_certificates_unchanged(data):
+    """A random integer map of dimension 1 or 2 with a declared target, and
+    its conjugate by a nonzero integer translation, which moves the target
+    too, get the same verdict, bound and depths at every prime below 50."""
+    n = data.draw(st.integers(1, 2))
+    monomial = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 2)
+    polys = []
+    for i in range(n):
+        f = data.draw(st.dictionaries(monomial, st.integers(-3, 3).filter(bool), max_size=4))
+        if all(sum(e) == 0 for e in f):
+            f[tuple(2 * (j == i) for j in range(n))] = 1
+        polys.append(f)
+    point = st.tuples(*[st.integers(-5, 5)] * n)
+    target = data.draw(point)
+    line = {(1,) + (0,) * (n - 1): 1, (0,) * n: -target[0]}  # V: x_0 = target_0
+    inst = ProblemInstance(
+        n,
+        PolyMap.from_lists(n, polys),
+        tuple(map(Fraction, data.draw(point))),
+        ({e: Fraction(c) for e, c in line.items() if c},),
+        (tuple(map(Fraction, target)),),
+    )
+    t = data.draw(st.tuples(*[st.integers(-24, 24)] * n).filter(any))
+
+    assert _certificates(_translated(inst, t)) == _certificates(inst)

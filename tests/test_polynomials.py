@@ -1,6 +1,7 @@
 """Exact rational polynomial arithmetic and modular reductions."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from orbitgap.polynomials import (
     PolyMap,
     horner_eval,
     horner_form,
+    horner_table,
     make_const,
     make_var,
     poly_compose,
@@ -149,3 +151,21 @@ def test_horner_matches_term_by_term(data):
     assert special(point) == tuple(modular_eval(q, point, m) for q in special.polys)
     for q in [*fp.polys, *special.polys, {}]:
         assert horner_eval(horner_form(q), point, m) == modular_eval(q, point, m)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_horner_table_matches_horner_eval(data):
+    """The column-wise evaluator gives horner_eval's value at every point of
+    F_p^N, for sparse forms with degree gaps, nested forms and constants."""
+    nvars = data.draw(st.integers(1, 3))
+    p = data.draw(st.sampled_from([2, 3, 5, 7] if nvars < 3 else [2, 3, 5]))
+    m = p ** data.draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 12)] * nvars)
+    poly = data.draw(st.dictionaries(exponent, st.integers(-(10**6), 10**6), max_size=6))
+    constant = {(0,) * nvars: data.draw(st.integers(-(10**6), 10**6))}
+    points = list(product(range(p), repeat=nvars))
+    cols = [[pt[i] for pt in points] for i in range(nvars)]
+    for q in [poly, constant, {}]:
+        form = horner_form(reduce_poly(q, m))
+        assert horner_table(form, cols, m) == [horner_eval(form, pt, m) for pt in points]

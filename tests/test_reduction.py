@@ -1,15 +1,20 @@
 """Residue dynamics: bad primes, orbits, preimage depth, avoidance certificates."""
 
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_oracles import exact_period, fixing_iterate, on_cycle
+from padic_oracles import exact_period, first_hit_depth_reference, fixing_iterate, on_cycle
 
-from orbitgap.errors import HypothesisViolation, InputError
+from orbitgap import pipeline, reduction
+from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError
+from orbitgap.padic import is_prime
 from orbitgap.polynomials import ModularMap, PolyMap, reduce_poly
+from orbitgap.problemfile import load_problem
 from orbitgap.reduction import (
     ProblemInstance,
     avoidance_search,
@@ -23,6 +28,7 @@ from orbitgap.reduction import (
 )
 
 SQ_PLUS_ONE = PolyMap.from_lists(1, [{(2,): 1, (0,): 1}])
+SQ_PLUS_ONE_FILE = Path(__file__).resolve().parents[1] / "problems" / "square_plus_one.json"
 
 
 def _instance(map_polys, a, variety=None, targets=(), dim=1):
@@ -116,7 +122,7 @@ def test_preimage_levels_disjoint():
     # f^m(x) = gamma over all x: a forward orbit meets a non-periodic point
     # at most once, within its tail of fewer than p steps
     fp = ModularMap.from_map(PolyMap.from_lists(1, [{(2,): 1, (0,): 2}]), 11)
-    buckets = preimage_buckets(fp)
+    scan = preimage_buckets(fp)
     for gamma in [(g,) for g in range(11)]:
         if on_cycle(fp, gamma):
             continue
@@ -127,7 +133,99 @@ def test_preimage_levels_disjoint():
                 if pt == gamma:
                     hits.append(m)
                 pt = fp(pt)
-        assert first_hit_depth(fp, gamma, buckets) == max(hits)
+        assert first_hit_depth(fp, gamma, scan) == max(hits)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_sorted_image_scan_matches_dict_oracle(data):
+    """Depths read off one shared sorted-image scan equal those of the
+    dict-of-tuples oracle on random 1-, 2- and 3-d maps; a periodic target
+    gets None and no scan; above ENUM_GUARD both refuse every non-periodic
+    target."""
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+    monomial = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    polys = [
+        data.draw(st.dictionaries(monomial, st.integers(0, p - 1), max_size=4))
+        for _ in range(n)
+    ]
+    fp = ModularMap.from_map(PolyMap.from_lists(n, polys), p)
+    point = st.tuples(*[st.integers(0, p - 1)] * n)
+    targets = data.draw(st.lists(point, min_size=1, max_size=4))
+    targets.insert(data.draw(st.integers(0, len(targets))), fp.iterate(targets[0], p**n))
+
+    scan: list = []
+    depths = [first_hit_depth(fp, gamma, scan) for gamma in targets]
+    assert depths == [first_hit_depth_reference(fp, gamma) for gamma in targets]
+    assert None in depths  # the iterate p^n of any point lies on a cycle
+    # built once, by the first non-periodic target, and shared by the rest
+    assert scan == ([] if set(depths) == {None} else list(preimage_buckets(fp)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "ENUM_GUARD", p**n - 1)
+        for gamma, depth in zip(targets, depths):
+            for call in (first_hit_depth, first_hit_depth_reference):
+                if depth is None:
+                    assert call(fp, gamma) is None
+                else:
+                    with pytest.raises(BudgetExceeded):
+                        call(fp, gamma)
+
+
+def test_periodic_target_above_the_guard_is_failed_periodic(monkeypatch):
+    # 0 is on the 3-cycle of x^2 + 1 mod 5: the periodicity test runs first
+    monkeypatch.setattr(reduction, "ENUM_GUARD", 4)
+    inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(0),),))
+    assert avoidance_search(inst, [5]).certificates[0].verdict == "failed-periodic"
+    fp = ModularMap.from_map(SQ_PLUS_ONE, 5)
+    for scan in (preimage_buckets, lambda fp: periodic_points_on_variety(fp, [])):
+        with pytest.raises(BudgetExceeded):
+            scan(fp)
+
+
+def test_avoidance_evaluates_the_map_column_wise(monkeypatch):
+    """The avoidance scan still goes through preimage_buckets and
+    first_hit_depth, and outside the periodicity test it calls the map at
+    fewer points than a fifth of the spaces it scans, so a per-point scan
+    cannot come back unnoticed.  The periodicity test itself costs a few
+    times tail + cycle per target, about 4 sqrt(p), which is above p / 5
+    for the primes below a few hundred."""
+    counts = {"scans": 0, "space": 0, "depths": 0, "map": 0}
+    buckets, depth, summary = preimage_buckets, first_hit_depth, orbit_summary
+    call = ModularMap.__call__
+    in_summary = []
+
+    def counting_buckets(fp):
+        counts["scans"] += 1
+        counts["space"] += fp.modulus**fp.nvars
+        return buckets(fp)
+
+    def counting_depth(*args):
+        counts["depths"] += 1
+        return depth(*args)
+
+    def marked_summary(*args, **kwargs):
+        in_summary.append(1)
+        try:
+            return summary(*args, **kwargs)
+        finally:
+            in_summary.pop()
+
+    def counting_call(self, point):
+        counts["map"] += not in_summary
+        return call(self, point)
+
+    monkeypatch.setattr(reduction, "preimage_buckets", counting_buckets)
+    monkeypatch.setattr(reduction, "first_hit_depth", counting_depth)
+    monkeypatch.setattr(reduction, "orbit_summary", marked_summary)
+    monkeypatch.setattr(ModularMap, "__call__", counting_call)
+    inst, params, sha = load_problem(str(SQ_PLUS_ONE_FILE))
+    report = pipeline.run("primes", inst, replace(params, prime_range=(3, 200)), sha)
+    assert report.error is None
+    assert counts["depths"] == sum(1 for p in range(3, 201) if is_prime(p))
+    assert counts["scans"] > 0
+    assert counts["map"] < counts["space"] / 5, counts
 
 
 def test_avoidance_examples():
