@@ -16,7 +16,8 @@ A value of the interpolant is a dot product of its coefficients with the
 binomial row of the argument, and G(x + 1) comes from the row of x through
 the shifted series (Pascal's rule).  The checks take a `rows` table (from
 padic.binomial_rows) so that the models of one family, which share p, K and
-the sample arguments, share the rows too.
+the sample arguments, share the rows too.  F maps all the compatibility
+values G(n) of a model at once.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class ApproxInterpolant:
     @property
     def ctx(self):
         return self.model.ctx
-
-    def value(self, n: int) -> tuple[int, ...]:
-        return self.series.evaluate(n)
 
     def to_record(self) -> dict:
         return {
@@ -234,7 +232,8 @@ def verify_compatibility(
     """Check valuation(F(G(n)) - G(n+1)) >= threshold on p-adic samples.
 
     A sample is the residue mod p^K of a p-adic argument; rows (see _row)
-    must cover every sample.  G(n + 1) is read off the row of n: for n + 1
+    must cover every sample.  F goes over all values G(n) in one
+    LocalModel.push.  G(n + 1) is read off the row of n: for n + 1
     < p^K it is the shifted series at n, and the residue p^K - 1 (the sample
     -1) steps to the residue 0, where G is its zeroth coefficient.
     """
@@ -246,12 +245,17 @@ def verify_compatibility(
         samples = default_compat_samples(ctx)
     series = interp.series
     shifted = series.shifted()
-    margins = []
-    ok, witness = True, None
+    values, values_next = [], []
     for n in samples:
         row = _row(series, n, rows)
-        value_next = series.coeffs[0] if (n + 1) % ctx.modulus == 0 else shifted.evaluate(n, row)
-        margin = _margin(model.apply(series.evaluate(n, row)), value_next, ctx)
+        values.append(series.evaluate(n, row))
+        values_next.append(
+            series.coeffs[0] if (n + 1) % ctx.modulus == 0 else shifted.evaluate(n, row)
+        )
+    margins = []
+    ok, witness = True, None
+    for n, image, value_next in zip(samples, model.push(values), values_next):
+        margin = _margin(image, value_next, ctx)
         margins.append(margin)
         if margin < threshold and ok:
             ok, witness = False, n

@@ -24,6 +24,8 @@ Only the level c is needed, and reduction mod p^P is a ring map on
 p-integral coefficients, so the chain composed mod p^P gives min(c, P).
 The model map is composed at P = 2, 4, 8, ... (capped at the working
 precision K) until c < P or P = K; mod p^P its total degree is at most P.
+Rotation s is the head G_{s-1} o ... o G_0 after the tail
+G_{k1-1} o ... o G_s, and each head and tail is composed once per P.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .polynomials import (
     ModularMap,
     Poly,
     PolyMap,
+    horner_table,
     make_const,
     make_var,
     poly_add,
@@ -140,7 +143,7 @@ class LocalModel:
     One model iterate applies the chart chain steps_per_iterate times; model
     iterate n corresponds to the original index m0 + shift + n * k_total.
     series is the model map mod p^P at the precision P where the doubling
-    of _model_series stopped: P = K, or P > congruence_exponent.  points
+    of _rotation_series stopped: P = K, or P > congruence_exponent.  points
     holds F^0(a'), ..., F^(2K)(a') as residues mod p^K: the interpolant's
     fitting window [0, K] and the indices up to 2K that the approximation
     bound samples.
@@ -178,12 +181,17 @@ class LocalModel:
     def original_index(self, n: int) -> int:
         return self.m0 + self.shift + n * self.k_total
 
-    def apply(self, point: tuple[int, ...]) -> tuple[int, ...]:
-        """One model iterate (the full chart chain, steps_per_iterate times)."""
+    def push(self, points) -> list[tuple[int, ...]]:
+        """One model iterate of many points, on their coordinate columns."""
+        cols = [[pt[i] for pt in points] for i in range(self.dimension)]
         for _ in range(self.steps_per_iterate):
             for g in self.chart_mods:
-                point = g(point)
-        return point
+                cols = [horner_table(form, cols, g.modulus) for form in g.forms]
+        return list(zip(*cols))
+
+    def apply(self, point: tuple[int, ...]) -> tuple[int, ...]:
+        """One model iterate of one point."""
+        return self.push([point])[0]
 
     def orbit(self, count: int) -> list[tuple[int, ...]]:
         """Model orbit F^0(a'), ..., F^(count-1)(a'): points, then iterates of apply."""
@@ -264,27 +272,6 @@ def _linear_part_mod(f: PolyMap, m: int) -> Matrix:
     return tuple(rows)
 
 
-def _materialize_series(
-    charts, steps: int, ctx: PadicContext
-) -> tuple[TruncatedSeries, ...]:
-    """Compose the chart chain in truncated arithmetic.
-
-    Sound at the context precision: dropped coefficients are exactly the ones
-    congruent to 0 mod p^K, and chart compositions keep degree-d coefficient
-    valuations >= d-1, so the total degree self-truncates at K.
-    """
-    n = charts[0].nvars
-    chart_series = [
-        [TruncatedSeries(ctx, n, reduce_poly(poly, ctx.modulus)) for poly in g.polys]
-        for g in charts
-    ]
-    running = [TruncatedSeries.variable(ctx, n, i) for i in range(n)]
-    for _ in range(steps):
-        for g_series in chart_series:
-            running = [s.compose(running) for s in g_series]
-    return tuple(running)
-
-
 def series_congruence_exponent(
     series, linear: Matrix, ctx: PadicContext
 ) -> int:
@@ -300,22 +287,39 @@ def series_congruence_exponent(
     return c
 
 
-def _model_series(
-    charts, steps: int, linear: Matrix, ctx: PadicContext
-) -> tuple[tuple[TruncatedSeries, ...], int]:
-    """(series, c): the chain composed mod p^P and c = min(c_true, P).
+def _rotation_series(
+    charts, k2: int, linears: dict[int, Matrix], ctx: PadicContext
+) -> dict[int, tuple[tuple[TruncatedSeries, ...], int]]:
+    """(series, c) of each rotation s in linears, where the doubling of P leaves it.
 
-    P starts at 2 and doubles, capped at the context precision K, until
-    c < P or P = K; so c equals the exponent read at precision K.
+    Rotation s is the head G_{s-1} o ... o G_0 after the tail
+    G_{k1-1} o ... o G_s, iterated k2 times; heads and tails are composed
+    once per P for all rotations.  Residues are exact mod p^P, so only the
+    precision bounds, which no verdict reads, differ from the chain composed
+    chart by chart.  Each rotation stops at c < P or P = K.
     """
+    n, k1 = charts[0].nvars, len(charts)
+    done: dict[int, tuple] = {}
     prec = min(2, ctx.precision)
-    while True:
+    while len(done) < len(linears):
         pctx = PadicContext(ctx.prime, prec)
-        series = _materialize_series(charts, steps, pctx)
-        c = series_congruence_exponent(series, mat_reduce(linear, pctx.modulus), pctx)
-        if c < prec or prec == ctx.precision:
-            return series, c
+        mod = pctx.modulus
+        g = [[TruncatedSeries(pctx, n, reduce_poly(q, mod)) for q in gj.polys] for gj in charts]
+        open_ = [s for s in linears if s not in done]
+        tails, heads = {k1 - 1: g[k1 - 1]}, {1: g[0]}
+        for s in range(k1 - 2, min(open_) - 1, -1):
+            tails[s] = [t.compose(g[s]) for t in tails[s + 1]]
+        for s in range(2, max(open_) + 1):
+            heads[s] = [h.compose(heads[s - 1]) for h in g[s - 1]]
+        for s in open_:
+            series = step = tails[s] if s == 0 else [h.compose(tails[s]) for h in heads[s]]
+            for _ in range(k2 - 1):
+                series = [q.compose(series) for q in step]
+            c = series_congruence_exponent(series, mat_reduce(linears[s], mod), pctx)
+            if c < prec or prec == ctx.precision:
+                done[s] = tuple(series), c
         prec = min(2 * prec, ctx.precision)
+    return done
 
 
 def _stabilized_cycle(inst: ProblemInstance, p: int):
@@ -413,8 +417,12 @@ def _models(
             f"combined iterate replacement k1*k2 = {k1 * k2} exceeds the cap {K_TOTAL_CAP}"
         )
     chart_mods = tuple(ModularMap.from_map(g, ctx.modulus) for g in chain.charts)
-    rotations: dict[int, tuple] = {}
     points = _model_points(inst, chain, ctx, k1 * k2, shifts)
+    linears = {
+        s: hensel_idempotent(mat_pow(chain.chains[s], k2, p), p, ctx.precision)
+        for s in dict.fromkeys(shift % k1 for shift in shifts)
+    }
+    rotations = _rotation_series(chain.charts, k2, linears, ctx)
     models = []
     for shift in shifts:
         if sup_valuation(points[shift][0], p) < 1:
@@ -423,23 +431,16 @@ def _models(
             )
         s = shift % k1
         center = chain.cycle[s]
-
-        if s not in rotations:
-            charts = chain.charts[s:] + chain.charts[:s]
-            linear = hensel_idempotent(mat_pow(chain.chains[s], k2, p), p, ctx.precision)
-            series, c = _model_series(charts, k2, linear, ctx)
-            if c < 1:
+        series, c = rotations[s]
+        if c < 1:
+            raise HypothesisViolation(
+                "normalization/congruence: model map is not linear mod p; c < 1"
+            )
+        for i, srs in enumerate(series):
+            if int_valuation(srs.constant_term(), p) < 1:
                 raise HypothesisViolation(
-                    "normalization/congruence: model map is not linear mod p; c < 1"
+                    f"normalization/scale: constant term of coordinate {i} has valuation < 1"
                 )
-            for i, srs in enumerate(series):
-                if int_valuation(srs.constant_term(), p) < 1:
-                    raise HypothesisViolation(
-                        f"normalization/scale: constant term of coordinate {i} has valuation < 1"
-                    )
-            rotations[s] = (charts, chart_mods[s:] + chart_mods[:s], linear, series, c)
-        charts, mods, linear, series, c = rotations[s]
-
         log = (
             TransformRecord("forward", (chain.m0 + shift,)),
             TransformRecord("iterate", (k1,)),
@@ -451,12 +452,12 @@ def _models(
             LocalModel(
                 ctx=ctx,
                 dimension=inst.dimension,
-                charts=charts,
-                chart_mods=mods,
+                charts=chain.charts[s:] + chain.charts[:s],
+                chart_mods=chart_mods[s:] + chart_mods[:s],
                 steps_per_iterate=k2,
                 series=series,
                 points=points[shift],
-                linear=linear,
+                linear=linears[s],
                 congruence_exponent=c,
                 center=center,
                 m0=chain.m0,

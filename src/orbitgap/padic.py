@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .errors import BudgetExceeded, InputError, PrecisionExhausted
 from .polynomials import reduce_rational
@@ -173,23 +173,6 @@ class TruncatedSeries:
     coeffs: dict = field(default_factory=dict)
     precs: dict = field(default_factory=dict)
 
-    @staticmethod
-    def make(ctx: PadicContext, nvars: int, items) -> "TruncatedSeries":
-        """An exact series from integer coefficients keyed by exponent."""
-        coeffs = {}
-        for exp, c in dict(items).items():
-            if len(exp) != nvars:
-                raise InputError(f"exponent {exp} has wrong arity for {nvars} variables")
-            if c % ctx.modulus:
-                coeffs[tuple(exp)] = c % ctx.modulus
-        return TruncatedSeries(ctx, nvars, coeffs)
-
-    @staticmethod
-    def variable(ctx: PadicContext, nvars: int, i: int) -> "TruncatedSeries":
-        exp = [0] * nvars
-        exp[i] = 1
-        return TruncatedSeries.make(ctx, nvars, {tuple(exp): 1})
-
     def _valuation_floors(self) -> dict:
         """Per stored coefficient, min(v(residue), bound): a lower bound on its valuation."""
         p, precs = self.ctx.prime, self.precs
@@ -290,28 +273,35 @@ class TruncatedSeries:
 
 
 def forward_differences(values: list[tuple[int, ...]], mod: int) -> list[tuple[int, ...]]:
-    """Iterated forward differences at 0 of a finite table of residue vectors."""
-    out = [values[0]]
-    row = list(values)
-    while len(row) > 1:
-        row = [tuple((y - x) % mod for x, y in zip(a, b)) for a, b in zip(row, row[1:])]
-        out.append(row[0])
-    return out
+    """Iterated forward differences at 0 of a table of residue vectors, column by column."""
+    cols = []
+    for col in zip(*values):
+        diffs = [col[0]]
+        while len(col) > 1:
+            col = [(y - x) % mod for x, y in zip(col, col[1:])]
+            diffs.append(col[0])
+        cols.append(diffs)
+    return list(zip(*cols))
 
 
 @dataclass(frozen=True)
 class MahlerSeries:
     """A function of one p-adic argument in the binomial basis.
 
-    coeffs[k] is a residue vector mod p^K multiplying C(n, k).  Evaluation at
-    any integer n in [0, len(coeffs)-1] reproduces the finite-difference data
-    exactly.  decay_onset records the first index after which coefficient
-    valuations are non-decreasing (a construction-time diagnostic).
+    coeffs[k] is a residue vector mod p^K multiplying C(n, k); columns[i]
+    holds coordinate i of every coefficient.  Evaluation at any integer n in
+    [0, len(coeffs)-1] reproduces the finite-difference data exactly.
+    decay_onset records the first index after which coefficient valuations
+    are non-decreasing (a construction-time diagnostic).
     """
 
     ctx: PadicContext
     coeffs: tuple[tuple[int, ...], ...]
     decay_onset: int = 0
+    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(zip(*self.coeffs)))
 
     @staticmethod
     def from_values(ctx: PadicContext, values: list[tuple[int, ...]]) -> "MahlerSeries":
@@ -344,11 +334,8 @@ class MahlerSeries:
         at the residue 0.
         """
         mod = self.ctx.modulus
-        nxt = self.coeffs[1:] + ((0,) * self.dim,)
-        coeffs = zip(self.coeffs, nxt)
-        return MahlerSeries(
-            self.ctx, tuple(tuple((a + b) % mod for a, b in zip(cv, nv)) for cv, nv in coeffs)
-        )
+        cols = [[(a + b) % mod for a, b in zip(col, col[1:] + (0,))] for col in self.columns]
+        return MahlerSeries(self.ctx, tuple(zip(*cols)))
 
     def evaluate(self, n: int, row: list[int] | None = None) -> tuple[int, ...]:
         """Sum of coeffs[k] * C(n, k) at the residue of the argument n mod p^K.
@@ -359,9 +346,6 @@ class MahlerSeries:
         mod = self.ctx.modulus
         if row is None:
             row = binomial_row(self.ctx, n % mod, len(self.coeffs) - 1)
-        acc = [0] * self.dim
-        for b, cv in zip(row, self.coeffs, strict=True):
-            if b:
-                for i, c in enumerate(cv):
-                    acc[i] += b * c
-        return tuple(a % mod for a in acc)
+        elif len(row) != len(self.coeffs):
+            raise ValueError(f"binomial row of {len(row)} entries for {len(self.coeffs)} terms")
+        return tuple([sum(map(mul, row, col)) % mod for col in self.columns])

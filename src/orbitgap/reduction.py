@@ -41,8 +41,8 @@ from .polynomials import (
     reduce_rational,
 )
 
-#: Cap on full-space scans over F_p^N.
-ENUM_GUARD = 2**24
+#: Cap on full-space scans over F_p^N (a scan holds about 112 B a point).
+ENUM_GUARD = 2**20
 
 @dataclass(frozen=True)
 class ProblemInstance:

@@ -28,7 +28,12 @@ preimage tuples (the reference for the sorted-image scan), the binomial
 basis re-expanded at each disk (the reference for disk restriction), a dense
 one-variable series with precision bounds (the reference for the bound rule
 of disk restriction and of TruncatedSeries), polynomial evaluation mod m
-term by term (the reference for the nested Horner evaluator), exact
+term by term (the reference for the nested Horner evaluator), the chart
+chain composed one chart at a time for each rotation (the reference for the
+shared head and tail composites of normalization), the model map applied one
+point and one chart call at a time (the reference for the column-wise push),
+Mahler evaluation and forward differences term by term (the references for
+the column kernels), the value of an interpolant at one argument, exact
 iteration over the rationals, the least idempotent power of a matrix mod p
 by trying every power in turn (the reference for the iterate power of
 normalization), the chart T(x) = eta + p*x of a local model and its inverse,
@@ -76,8 +81,9 @@ from orbitgap.normalization import (
     TransformRecord,
     _frac_valuation,
     _linear_part_mod,
-    _model_series,
+    _rotation_series,
     hensel_idempotent,
+    series_congruence_exponent,
 )
 from orbitgap.padic import INF, PadicContext, TruncatedSeries, int_valuation, vp_factorial
 from orbitgap.polynomials import ModularMap, reduce_poly
@@ -489,7 +495,7 @@ def restrict_to_disk_reference(interp, q: dict, center: int, radius_exp: int) ->
             for m in range(j + 1):
                 acc[i][m] += scaled * n_poly[m]
 
-    direct = interp.value(center)
+    direct = interpolant_value(interp, center)
     coord_series = []
     for i in range(dim):
         coeffs, precs = {}, {}
@@ -622,7 +628,7 @@ def direct_model(mapping, base_point, p: int, precision: int) -> DirectModel:
             "direct model linear part is not idempotent mod p; use the full pipeline"
         )
     linear = hensel_idempotent(a_bar, p, precision)
-    series, c = _model_series((mapping,), 1, linear, ctx)
+    series, c = _rotation_series((mapping,), 1, {0: linear}, ctx)[0]
     if c < 1:
         raise HypothesisViolation("direct model congruence exponent < 1")
     f_mod = ModularMap.from_map(mapping, ctx.modulus)
@@ -647,11 +653,79 @@ def direct_model(mapping, base_point, p: int, precision: int) -> DirectModel:
     )
 
 
+def mahler_evaluate_reference(series, row) -> tuple[int, ...]:
+    """Sum of coeffs[k] * row[k], term by term; a row of the wrong length raises."""
+    acc = [0] * series.dim
+    for b, cv in zip(row, series.coeffs, strict=True):
+        for i, c in enumerate(cv):
+            acc[i] += b * c
+    return tuple(a % series.ctx.modulus for a in acc)
+
+
+def forward_differences_reference(values, mod: int) -> list[tuple[int, ...]]:
+    """Iterated forward differences at 0, one residue vector at a time."""
+    out = [tuple(values[0])]
+    row = list(values)
+    while len(row) > 1:
+        row = [tuple((y - x) % mod for x, y in zip(a, b)) for a, b in zip(row, row[1:])]
+        out.append(row[0])
+    return out
+
+
+def interpolant_value(interp, n: int) -> tuple[int, ...]:
+    """G(n): the interpolant evaluated alone, with its own binomial row."""
+    return interp.series.evaluate(n)
+
+
+def series_from_ints(ctx: PadicContext, nvars: int, items) -> TruncatedSeries:
+    """An exact TruncatedSeries from integer coefficients keyed by exponent."""
+    coeffs = {tuple(e): c % ctx.modulus for e, c in dict(items).items()}
+    return TruncatedSeries(ctx, nvars, {e: r for e, r in coeffs.items() if r})
+
+
+def materialize_series(charts, steps: int, ctx: PadicContext) -> tuple[TruncatedSeries, ...]:
+    """The chart chain composed one chart at a time, steps times, mod p^K."""
+    n = charts[0].nvars
+    chart_series = [
+        [TruncatedSeries(ctx, n, reduce_poly(poly, ctx.modulus)) for poly in g.polys]
+        for g in charts
+    ]
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    running = [series_from_ints(ctx, n, {e: 1}) for e in units]
+    for _ in range(steps):
+        for g_series in chart_series:
+            running = [s.compose(running) for s in g_series]
+    return tuple(running)
+
+
+def model_series_reference(
+    charts, steps: int, linear: Matrix, ctx: PadicContext
+) -> tuple[tuple[TruncatedSeries, ...], int]:
+    """(series, c) of one rotation, its own chain composed step by step at each
+    precision P = 2, 4, ... (capped at K) until c < P or P = K."""
+    prec = min(2, ctx.precision)
+    while True:
+        pctx = PadicContext(ctx.prime, prec)
+        series = materialize_series(charts, steps, pctx)
+        c = series_congruence_exponent(series, mat_reduce(linear, pctx.modulus), pctx)
+        if c < prec or prec == ctx.precision:
+            return series, c
+        prec = min(2 * prec, ctx.precision)
+
+
+def apply_reference(model, point: tuple[int, ...]) -> tuple[int, ...]:
+    """One model iterate of one point, one chart map call at a time."""
+    for _ in range(model.steps_per_iterate):
+        for g in model.chart_mods:
+            point = g(point)
+    return point
+
+
 def model_points_by_apply(model, count: int) -> list[tuple[int, ...]]:
     """F^0(a'), ..., F^(count-1)(a') by iterating the model map from the base point."""
     out = [model.base_point]
     for _ in range(count - 1):
-        out.append(model.apply(out[-1]))
+        out.append(apply_reference(model, out[-1]))
     return out
 
 
@@ -668,9 +742,9 @@ def verify_error_bound_reference(interp, samples=None) -> BoundReport:
     idx = 0
     for n in samples:
         while idx < n:
-            pt = model.apply(pt)
+            pt = apply_reference(model, pt)
             idx += 1
-        margin = _margin(interp.value(n), pt, model.ctx)
+        margin = _margin(interpolant_value(interp, n), pt, model.ctx)
         req = min(n * c, (interp.terms + 1) * c, prec)
         margins.append(margin)
         required.append(req)
@@ -690,7 +764,8 @@ def verify_compatibility_reference(interp, samples=None, threshold=None) -> Comp
     margins = []
     ok, witness = True, None
     for n in samples:
-        margin = _margin(model.apply(interp.value(n)), interp.value(n + 1), ctx)
+        image = apply_reference(model, interpolant_value(interp, n))
+        margin = _margin(image, interpolant_value(interp, n + 1), ctx)
         margins.append(margin)
         if margin < threshold and ok:
             ok, witness = False, n

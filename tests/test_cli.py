@@ -195,6 +195,30 @@ def test_periodic_target_aborts_at_avoidance(tmp_path, capsys):
     assert "failed-periodic" in text
 
 
+def test_two_dim_scan_above_the_guard_exits_3(monkeypatch, tmp_path, capsys):
+    """ENUM_GUARD = 2^20 points admits F_p^N for every p up to MAX_PRIME in
+    1-d, p <= 1021 in 2-d and p <= 101 in 3-d.  At p = 1031 the swap map's
+    declared target (1, 1) is not periodic mod p, so it needs a scan of
+    1031^2 points: the run refuses it with exit 3 and builds no table."""
+    assert MAX_PRIME <= reduction.ENUM_GUARD
+    assert 1021**2 <= reduction.ENUM_GUARD < 1031**2
+    assert 101**3 <= reduction.ENUM_GUARD < 103**3
+    tables = []
+    monkeypatch.setattr(reduction, "horner_table", lambda *args: tables.append(args))
+    doc = json.loads((ROOT / "problems" / "two_dim_swap.json").read_text())
+    doc["periodic_points"] = [[1, 1]]
+    doc["parameters"] = {"prime_range": [1031, 1031], "precision": 8, "n_max": 100}
+    path = tmp_path / "guard.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "guard.jsonl"
+    assert main(["analyze", str(path), "--out", str(out)]) == 3
+    assert (
+        "FAILED at stage avoidance: space size 1062961 exceeds the enumeration guard"
+        in capsys.readouterr().out
+    )
+    assert tables == []
+
+
 def test_primes_subcommand(tmp_path, capsys):
     doc = {
         "dimension": 1,

@@ -16,6 +16,7 @@ from padic_oracles import (
     dense_compose,
     direct_model,
     disk_series,
+    interpolant_value,
     iterate_point,
     localize_zeros_reference,
     modular_eval,
@@ -548,7 +549,7 @@ def test_localize_zeros_matches_all_children_oracle(data):
              for e in monomials}
         if data.draw(st.booleans()):  # make Q(G(n)) vanish at precision
             n = data.draw(st.integers(0, 7))
-            q[monomials[0]] -= modular_eval(reduce_poly(q, mod), interp.value(n), mod)
+            q[monomials[0]] -= modular_eval(reduce_poly(q, mod), interpolant_value(interp, n), mod)
         scale = p ** data.draw(st.sampled_from([0, 0, data.draw(st.integers(1, K))]))
         qs.append({e: c * scale for e, c in q.items() if c})
 

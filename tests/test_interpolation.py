@@ -9,6 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from padic_oracles import (
     direct_model,
+    interpolant_value,
     model_points_by_apply,
     verify_compatibility_reference,
     verify_error_bound_reference,
@@ -32,7 +33,7 @@ from orbitgap.interpolation import (
     verify_error_bound,
 )
 from orbitgap.normalization import LocalModel, build_local_model, build_model_family
-from orbitgap.padic import INF, MahlerSeries, binomial_rows
+from orbitgap.padic import INF, MahlerSeries, TruncatedSeries, binomial_rows
 from orbitgap.polynomials import PolyMap
 from orbitgap.problemfile import parse_problem
 from orbitgap.reduction import ProblemInstance
@@ -113,7 +114,7 @@ def test_compatibility_examples():
     ctx = m.ctx
     # integer sample: both sides are 6^8
     n7 = ctx.scalar(7)
-    left = m.apply(interp.value(n7))
+    left = m.apply(interpolant_value(interp, n7))
     assert left[0] == pow(6, 8, ctx.modulus)
     rep = verify_compatibility(interp)
     assert rep.ok
@@ -150,7 +151,7 @@ def test_mahler_roundtrip_differences():
     """Evaluating the interpolant on the window and re-differencing is the identity."""
     m = _direct([{(1,): 6}], (1,), 5, 16)
     interp = build_interpolant(m, terms=10)
-    values = [interp.value(n) for n in range(11)]
+    values = [interpolant_value(interp, n) for n in range(11)]
     again = MahlerSeries.from_values(m.ctx, values)
     assert again.coeffs == interp.series.coeffs
 
@@ -253,11 +254,13 @@ def test_interpolation_stage_computes_each_row_once(monkeypatch):
     """x^2 - 2 from 5 at p = 29 has a 14-model family; the stage computes the
     binomial row of each sample argument once, not once per model (G(x + 1)
     comes from the row of x), and iterates no model map outside the
-    compatibility check."""
+    compatibility check, which pushes the values of G at its arguments
+    through the model map together: one push per model and no per-point
+    apply."""
     inst, params = parse_problem(FAMILY_P29)
     state = pipeline.RunState(inst, params, family=build_model_family(inst, 29, 32))
-    rows, applies = Counter(), Counter()
-    binomial_row, apply = padic.binomial_row, LocalModel.apply
+    rows, applies, pushes = Counter(), Counter(), {}
+    binomial_row, apply, push = padic.binomial_row, LocalModel.apply, LocalModel.push
 
     def counting_row(ctx, r, kmax):
         rows[r, kmax] += 1
@@ -267,14 +270,42 @@ def test_interpolation_stage_computes_each_row_once(monkeypatch):
         applies[model.shift] += 1
         return apply(model, point)
 
+    def recording_push(model, points):
+        pushes.setdefault(model.shift, []).append(list(points))
+        return push(model, points)
+
     monkeypatch.setattr(padic, "binomial_row", counting_row)
     monkeypatch.setattr(interpolation, "binomial_row", counting_row)
     monkeypatch.setattr(LocalModel, "apply", counting_apply)
+    monkeypatch.setattr(LocalModel, "push", recording_push)
     report = pipeline.RunReport("sha")
     pipeline.stage_interpolation(report, state)
     assert len(state.interps) == 14 and report.error is None
     ctx = state.family[0].ctx
-    arguments = {*default_bound_samples(32), *default_compat_samples(ctx)}
+    compat_samples = default_compat_samples(ctx)
+    arguments = {*default_bound_samples(32), *compat_samples}
     assert max(rows.values()) == 1 and set(rows) == {(r, 32) for r in arguments}
-    # one F(G(x)) per compatibility argument
-    assert applies == Counter({shift: 26 for shift in range(14)})
+    # one F(G(x)) per compatibility argument, all of a model's in one push
+    assert applies == Counter()
+    assert len(compat_samples) == 26 and sorted(pushes) == list(range(14))
+    for shift, interp in state.interps.items():
+        assert pushes[shift] == [[interpolant_value(interp, n) for n in compat_samples]]
+
+
+def test_model_family_composes_each_rotation_from_shared_composites(monkeypatch):
+    """The 14 rotations of the family-p29 chain come from heads and tails
+    composed once for all of them: at most 4 * k1 series compositions,
+    where one chain per rotation took k1^2 = 196."""
+    calls = Counter()
+    compose = TruncatedSeries.compose
+
+    def counting_compose(series, args):
+        calls["compose"] += 1
+        return compose(series, args)
+
+    monkeypatch.setattr(TruncatedSeries, "compose", counting_compose)
+    inst, params = parse_problem(FAMILY_P29)
+    family = build_model_family(inst, 29, params.precision)
+    k1 = family[0].k1
+    assert (k1, len(family)) == (14, 14)
+    assert 0 < calls["compose"] <= 4 * k1

@@ -2,25 +2,31 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from padic_oracles import (
+    apply_reference,
     direct_model,
     from_original,
     idempotent_power,
     iterate_point,
+    materialize_series,
+    model_series_reference,
     series_evaluate,
     to_original,
 )
 
 from orbitgap import normalization
-from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError
+from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError, OrbitgapError
 from orbitgap.modmat import mat_mul, mat_pow, mat_reduce
 from orbitgap.normalization import (
     _chart_step,
     _frac_valuation,
     _iterate_power,
-    _materialize_series,
+    _rotation_series,
     build_local_model,
     build_model_family,
     ensure_not_preperiodic,
@@ -28,7 +34,7 @@ from orbitgap.normalization import (
     series_congruence_exponent,
     stabilize_orbit,
 )
-from orbitgap.padic import int_valuation, sup_valuation
+from orbitgap.padic import PadicContext, int_valuation, sup_valuation
 from orbitgap.polynomials import (
     ModularMap,
     Poly,
@@ -387,7 +393,7 @@ def test_stabilize_orbit_guard_bounds_the_walk(monkeypatch):
 def _full_precision_exponent(model):
     """The congruence exponent read from the chain composed at precision K."""
     ctx = model.ctx
-    series = _materialize_series(model.charts, model.steps_per_iterate, ctx)
+    series = materialize_series(model.charts, model.steps_per_iterate, ctx)
     return series_congruence_exponent(series, mat_reduce(model.linear, ctx.modulus), ctx)
 
 
@@ -431,3 +437,88 @@ def test_direct_model_exponent_reaches_precision():
     assert m.congruence_exponent == 8 == _full_precision_exponent(m)
     m = direct_model(PolyMap.from_lists(1, [{(1,): 1, (2,): 5**5}]), (1,), 5, 12)
     assert m.congruence_exponent == 5 == _full_precision_exponent(m)
+
+
+def _residues(series):
+    return [{e: r for e, r in s.coeffs.items() if r} for s in series]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_rotation_series_match_each_rotations_own_chain(data):
+    """The series of every rotation, built from head and tail composites
+    shared by the rotations, has the residues, the exponent c and the final
+    precision P of that rotation's chain composed one chart at a time.
+
+    The charts are random maps of chart form: constant terms of valuation
+    >= 1 and degree-d coefficients of valuation >= d - 1.  E_s is the linear
+    part of rotation s moved by p^j_s on the diagonal, with j_s drawn per
+    rotation, so the rotations stop the doubling at different P."""
+    p = data.draw(st.sampled_from([3, 5]))
+    dim = data.draw(st.sampled_from([1, 2]))
+    precision = data.draw(st.sampled_from([4, 6, 8]))
+    k1, k2 = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    ctx = PadicContext(p, precision)
+    exps = [e for e in product(range(3), repeat=dim) if sum(e) <= 2]
+
+    def depth(d):
+        return 0 if d == 1 else max(d - 1, 1) + data.draw(st.integers(0, precision))
+
+    charts = tuple(
+        PolyMap.from_lists(
+            dim,
+            [{e: data.draw(st.integers(-4, 4)) * p ** depth(sum(e)) for e in exps}
+             for _ in range(dim)],
+        )
+        for _ in range(k1)
+    )
+    rotations = data.draw(st.lists(st.integers(0, k1 - 1), min_size=1, unique=True))
+    linears = {}
+    for s in rotations:
+        full = materialize_series(charts[s:] + charts[:s], k2, ctx)
+        j = data.draw(st.integers(1, precision))
+        linears[s] = tuple(
+            tuple(
+                (full[i].coefficient(tuple(int(t == k) for t in range(dim))) + (i == k) * p**j)
+                % ctx.modulus
+                for k in range(dim)
+            )
+            for i in range(dim)
+        )
+    got = _rotation_series(charts, k2, linears, ctx)
+    assert sorted(got) == sorted(rotations)
+    for s in rotations:
+        series, c = got[s]
+        ref_series, ref_c = model_series_reference(charts[s:] + charts[:s], k2, linears[s], ctx)
+        assert c == ref_c
+        assert series[0].ctx == ref_series[0].ctx
+        assert _residues(series) == _residues(ref_series)
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_family_series_and_push_match_the_step_by_step_chain(data):
+    """On random 1-d and 2-d families, every model's series and c are those
+    of its own chain composed chart by chart, and the column-wise push of any
+    points is apply_reference at each point, as is apply."""
+    dim = data.draw(st.sampled_from([1, 2]))
+    p = data.draw(st.sampled_from([3, 5, 7] if dim == 1 else [3, 5]))
+    precision = data.draw(st.sampled_from([4, 8]))
+    exps = [e for e in product(range(3), repeat=dim) if sum(e) <= 2]
+    polys = [{e: data.draw(st.integers(-4, 4)) for e in exps} for _ in range(dim)]
+    a = tuple(Fraction(data.draw(st.integers(0, 4))) for _ in range(dim))
+    try:
+        family = build_model_family(_instance(polys, a, dim=dim), p, precision)
+    except OrbitgapError:
+        reject()
+    mod = family[0].ctx.modulus
+    point = st.tuples(*[st.integers(0, mod - 1)] * dim)
+    for model in family:
+        ref_series, ref_c = model_series_reference(
+            model.charts, model.steps_per_iterate, model.linear, model.ctx
+        )
+        assert model.congruence_exponent == ref_c
+        assert _residues(model.series) == _residues(ref_series)
+        points = [*model.points[:3], *data.draw(st.lists(point, max_size=4))]
+        assert model.push(points) == [apply_reference(model, x) for x in points]
+        assert model.apply(points[-1]) == apply_reference(model, points[-1])

@@ -11,8 +11,11 @@ from padic_oracles import (
     PrecisionLedger,
     binomial_mod,
     exact_div,
+    forward_differences_reference,
     gauss_valuation,
+    mahler_evaluate_reference,
     series_evaluate,
+    series_from_ints,
 )
 
 from orbitgap.errors import InputError, PrecisionExhausted
@@ -141,7 +144,7 @@ def _random_series(ctx, nvars, rng_data, max_terms=4):
     for _ in range(rng_data.draw(st.integers(1, max_terms))):
         exp = tuple(rng_data.draw(st.integers(0, 3)) for _ in range(nvars))
         items[exp] = rng_data.draw(st.integers(0, ctx.modulus - 1))
-    return TruncatedSeries.make(ctx, nvars, items)
+    return series_from_ints(ctx, nvars, items)
 
 
 @given(st.data())
@@ -252,10 +255,10 @@ def test_mahler_geometric_example():
 
 def test_series_evaluate_and_compose():
     ctx = PadicContext(5, 6)
-    f = TruncatedSeries.make(ctx, 1, {(2,): 1, (0,): 1})  # x^2 + 1
+    f = series_from_ints(ctx, 1, {(2,): 1, (0,): 1})  # x^2 + 1
     x = (3,)
     assert series_evaluate(f, x) == 10
-    g = TruncatedSeries.make(ctx, 1, {(1,): 5, (0,): 2})  # 5t + 2
+    g = series_from_ints(ctx, 1, {(1,): 5, (0,): 2})  # 5t + 2
     comp = f.compose([g])  # (5t+2)^2 + 1
     assert comp.coefficient((0,)) == 5
     assert comp.coefficient((1,)) == 20
@@ -267,3 +270,29 @@ def test_forward_differences_shape():
     vals = [(v,) for v in (1, 4, 9, 16)]
     diffs = forward_differences(vals, ctx.modulus)
     assert [d[0] for d in diffs] == [1, 3, 2, 0]
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_mahler_column_kernels_match_the_term_loops(data):
+    """forward_differences and evaluate work on coordinate columns; they give
+    the per-term loops' results, and a row of the wrong length still raises."""
+    ctx = PadicContext(data.draw(st.sampled_from([3, 5])), data.draw(st.integers(4, 6)))
+    mod = ctx.modulus
+    dim = data.draw(st.integers(1, 3))
+    coeff = st.tuples(*[st.integers(0, mod - 1)] * dim)
+    values = data.draw(st.lists(coeff, min_size=1, max_size=8))
+    diffs = forward_differences(values, mod)
+    assert diffs == forward_differences_reference(values, mod)
+    series = MahlerSeries.from_values(ctx, values)
+    assert series.coeffs == tuple(diffs)
+    row = data.draw(st.lists(st.integers(0, mod - 1), min_size=len(values), max_size=len(values)))
+    assert series.evaluate(0, row) == mahler_evaluate_reference(series, row)
+    n = data.draw(st.integers(-mod, 2 * mod))
+    own = binomial_row(ctx, n % mod, series.terms - 1)
+    assert series.evaluate(n) == mahler_evaluate_reference(series, own)
+    wrong = row + [1] if data.draw(st.booleans()) else row[:-1]
+    with pytest.raises(ValueError):
+        mahler_evaluate_reference(series, wrong)
+    with pytest.raises(ValueError):
+        series.evaluate(0, wrong)
