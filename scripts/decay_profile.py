@@ -13,7 +13,7 @@ from fractions import Fraction
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from orbitgap.interpolation import build_interpolant, verify_error_bound
-from orbitgap.normalization import build_local_model
+from orbitgap.normalization import build_model_family
 from orbitgap.polynomials import PolyMap
 from orbitgap.reduction import ProblemInstance
 
@@ -25,7 +25,7 @@ if __name__ == "__main__":
         (Fraction(3),),
         ({(1,): Fraction(1), (0,): Fraction(-7)},),
     )
-    model = build_local_model(inst, 3, precision)
+    model = build_model_family(inst, 3, precision)[0]
     interp = build_interpolant(model)
     print(f"model: m0={model.m0} k1={model.k1} k2={model.steps_per_iterate} "
           f"c={model.congruence_exponent} center={model.center}")

@@ -36,7 +36,6 @@ from .reduction import (
 )
 from .normalization import (
     LocalModel,
-    build_local_model,
     build_model_family,
     stabilize_orbit,
 )

@@ -3,12 +3,12 @@
 Returns are screened from the cycle structure of the orbit mod a few primes:
 mod p the orbit is a tail of length mu followed by a cycle of length lambda,
 so its hits on V mod p are a finite tail set plus a few classes mod lambda.
-Brent's cycle detection finds them with O(min(mu + lambda, n_max)) map
-evaluations per prime: when the cycle closes well before n_max the cost
-does not grow with n_max, and otherwise the search stops at n_max.  The
-surviving candidates are certified exactly while the orbit's coordinate
-sizes stay within a bit budget, and every reported index carries its
-provenance.
+One reduction.orbit_hits walk per prime finds them with
+O(min(mu + lambda, n_max)) map evaluations: when the cycle closes well
+before n_max the cost does not grow with n_max, and otherwise the search
+stops at n_max.  The surviving candidates are certified on
+reduction.exact_orbit, while the orbit's coordinate sizes stay within a bit
+budget, and every reported index carries its provenance.
 
 Zero localization restricts the composed function L(t) = Q(G(center + p^k t))
 to residue disks as a power series in t.  The disks form one tree: T!*G is
@@ -34,13 +34,19 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import HypothesisViolation, InputError, InvariantViolation, PrecisionExhausted
 from .interpolation import ApproxInterpolant
 from .padic import INF, TruncatedSeries, int_valuation, is_prime, vp_factorial
 from .polynomials import Poly, horner_eval, horner_form, poly_eval, reduce_poly
-from .reduction import BadPrimeSet, ProblemInstance, bad_primes, orbit_summary, reduce_instance
+from .reduction import (
+    BadPrimeSet,
+    OrbitHits,
+    ProblemInstance,
+    exact_orbit,
+    orbit_hits,
+    reduce_instance,
+)
 
 #: Default bit budget for exact certification of returns.
 EXACT_BIT_BUDGET = 1 << 20
@@ -94,58 +100,11 @@ def default_screening_primes(bad: BadPrimeSet, count: int = SCREEN_PRIME_COUNT,
     return out
 
 
-@dataclass(frozen=True)
-class _PrimeHits:
-    """Indices n <= n_max with f^n(a) on V mod one prime.
-
-    Mod p the orbit is a tail of `tail` residues followed by a cycle of
-    `cycle` residues.  `hits` holds the hit indices below tail + cycle; a
-    hit c >= tail stands for every index c + j*cycle.  When no cycle closes
-    by n_max, tail is n_max + 1 with a cycle of 1 and no cycle hit: only
-    indices up to n_max are then known.
-    """
-
-    tail: int
-    cycle: int
-    hits: frozenset[int]
-
-    def __contains__(self, n: int) -> bool:
-        if n >= self.tail:
-            n = self.tail + (n - self.tail) % self.cycle
-        return n in self.hits
-
-    def cycle_density(self) -> Fraction:
-        return Fraction(sum(h >= self.tail for h in self.hits), self.cycle)
-
-    def up_to(self, n_max: int) -> list[int]:
-        out = []
-        for h in self.hits:
-            if h >= self.tail:
-                out.extend(range(h, n_max + 1, self.cycle))
-            elif h <= n_max:
-                out.append(h)
-        return out
-
-
-def _hits_mod(inst: ProblemInstance, p: int, bad: BadPrimeSet, n_max: int) -> _PrimeHits:
-    """Brent's search for (tail, cycle), testing V on each residue it visits.
-
-    The search stops after x_{n_max} when no cycle has closed, so one prime
-    costs O(min(tail + cycle, n_max)) map evaluations.
-    """
+def _hits_mod(inst: ProblemInstance, p: int, bad: BadPrimeSet, n_max: int) -> OrbitHits:
+    """The indices n <= n_max with f^n(a) on V mod p, read by one orbit walk."""
     fp, x, _ = reduce_instance(inst, p, bad)
     variety_p = [horner_form(reduce_poly(q, p)) for q in inst.variety]
-    hits = set()
-
-    def test(n, pt):
-        if all(horner_eval(q, pt, p) == 0 for q in variety_p):
-            hits.add(n)
-
-    summary = orbit_summary(fp, x, limit=n_max, visit=test)
-    if summary is None:
-        return _PrimeHits(n_max + 1, 1, frozenset(hits))
-    end = summary.tail + summary.cycle
-    return _PrimeHits(summary.tail, summary.cycle, frozenset(h for h in hits if h < end))
+    return orbit_hits(fp, x, lambda pt: all(horner_eval(q, pt, p) == 0 for q in variety_p), n_max)
 
 
 def compute_returns(
@@ -153,7 +112,8 @@ def compute_returns(
     n_max: int,
     screening_primes=None,
     exact_bit_budget: int = EXACT_BIT_BUDGET,
-    bad: BadPrimeSet | None = None,
+    *,
+    bad: BadPrimeSet,
 ) -> ReturnSet:
     """Indices n <= n_max with the orbit on the variety.
 
@@ -166,8 +126,6 @@ def compute_returns(
     are then certified or refuted over exact rationals; the rest get one
     more screening round with fresh primes.
     """
-    if bad is None:
-        bad = bad_primes(inst)
     if screening_primes is None:
         screening_primes = default_screening_primes(bad)
     if not screening_primes:
@@ -177,18 +135,15 @@ def compute_returns(
             raise InputError(f"screening prime {p} is bad for this instance")
 
     screens = [_hits_mod(inst, p, bad, n_max) for p in screening_primes]
-    sparsest = min(screens, key=_PrimeHits.cycle_density)
+    sparsest = min(screens, key=OrbitHits.cycle_density)
     candidates = sorted(n for n in sparsest.up_to(n_max) if all(n in s for s in screens))
 
     entries: list[ReturnEntry] = []
     refuted: list[int] = []
     horizon = -1
     done = 0  # candidates[:done] are certified or refuted
-    pt = tuple(Fraction(x) for x in inst.initial_point)
-    for n in range(candidates[-1] + 1 if candidates else 0):
-        if any(x.numerator.bit_length() + x.denominator.bit_length() > exact_bit_budget
-               for x in pt):
-            break
+    walk = exact_orbit(inst, exact_bit_budget)
+    for n, pt in zip(range(candidates[-1] + 1 if candidates else 0), walk):
         if n == candidates[done]:
             done += 1
             if all(poly_eval(q, pt) == 0 for q in inst.variety):
@@ -196,7 +151,6 @@ def compute_returns(
             else:
                 refuted.append(n)
         horizon = n
-        pt = inst.mapping.evaluate(pt)
     if done < len(candidates):
         # survivors beyond the exact budget get one extra screening round
         # with fresh primes: orbit periods mod few primes can align for
@@ -345,7 +299,7 @@ def restrict_to_disk(interp: ApproxInterpolant, q: Poly, center: int, radius_exp
 # ---------------------------------------------------------------------------
 
 
-def newton_zero_count(series: DiskSeries, margin: int = 1) -> int:
+def newton_zero_count(series: DiskSeries) -> int:
     """Zeros (with multiplicity, over the algebraic closure) in the closed unit disk.
 
     The count is the largest index attaining the minimal coefficient
@@ -361,7 +315,7 @@ def newton_zero_count(series: DiskSeries, margin: int = 1) -> int:
     count = max(m for m, v in known if v == min_val)
     known_indices = {m for m, _ in known}
     for m, bound in enumerate(series.precs):
-        if m not in known_indices and bound < min_val + margin:
+        if m not in known_indices and bound <= min_val:
             raise PrecisionExhausted(
                 f"truncation insufficient: coefficient {m} is only known above "
                 f"valuation {bound}, the polygon minimum is {min_val}"

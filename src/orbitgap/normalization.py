@@ -12,10 +12,10 @@ composition of chart steps.
 
 A family of models is one such cycle and one chart chain G_0, ..., G_{k1-1},
 each built once: the model of shift r is the rotation of the chain that
-starts at G_{r mod k1}, one per residue class of the iterate index.
-build_local_model is the shift-0 model with the iterate power of its own
-chain.  One walk of f mod p^(K+1) gives every model its orbit points: model
-point n of shift r is the chart image of the orbit point m0 + r + n*k_total.
+starts at G_{r mod k1}, one per residue class of the iterate index.  One
+walk of f mod p^2 finds the cycle, and one walk of f mod p^(K+1) gives every
+model its orbit points: model point n of shift r is the chart image of the
+orbit point m0 + r + n*k_total.
 
 A further iterate replacement makes the linear part idempotent mod p, after
 which the model satisfies the congruence F(x) = E*x mod p^c with an exactly
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .errors import BudgetExceeded, HypothesisViolation, InputError, InvariantViolation
 from .modmat import Matrix, mat_identity, mat_mul, mat_pow, mat_reduce
@@ -50,7 +51,7 @@ from .polynomials import (
     reduce_poly,
     reduce_rational,
 )
-from .reduction import ProblemInstance, orbit_summary
+from .reduction import ProblemInstance, exact_orbit, orbit_summary
 
 #: Abort threshold for the combined iterate replacement.
 K_TOTAL_CAP = 10_000
@@ -64,8 +65,10 @@ PREPERIODIC_DEPTH = 32
 PREPERIODIC_BIT_BUDGET = 1 << 14
 
 
-def stabilize_orbit(inst: ProblemInstance, p: int, guard: int = 1 << 22) -> tuple[int, int]:
-    """Smallest (k, m0): the residue of f^m0(a) mod p^2 is fixed by f^k mod p^2.
+def stabilize_orbit(inst: ProblemInstance, p: int, guard: int = 1 << 22) -> tuple[int, int, list]:
+    """(k, m0, cycle): the smallest k and m0 such that the residue of f^m0(a)
+    mod p^2 is fixed by f^k mod p^2, and that residue's cycle, lifted in
+    [0, p^2).
 
     Raises BudgetExceeded when the tail plus the cycle exceeds guard.  Brent's
     search closes a cycle by index 3 * (tail + cycle) - 2, so it is cut at
@@ -76,7 +79,10 @@ def stabilize_orbit(inst: ProblemInstance, p: int, guard: int = 1 << 22) -> tupl
     summary = orbit_summary(f2, a2, limit=3 * guard)
     if summary is None or summary.tail + summary.cycle > guard:
         raise BudgetExceeded("orbit mod p^2 exceeds the enumeration guard")
-    return summary.cycle, summary.tail
+    cycle = [summary.entry]
+    for _ in range(summary.cycle - 1):
+        cycle.append(f2(cycle[-1]))
+    return summary.cycle, summary.tail, cycle
 
 
 def _frac_valuation(c: Fraction, p: int) -> int | float:
@@ -194,22 +200,16 @@ class LocalModel:
         return self.push([point])[0]
 
     def orbit(self, count: int) -> list[tuple[int, ...]]:
-        """Model orbit F^0(a'), ..., F^(count-1)(a'): points, then iterates of apply."""
-        out = list(self.points[:count])
-        while len(out) < count:
-            out.append(self.apply(out[-1]))
-        return out
+        """Model orbit F^0(a'), ..., F^(count-1)(a'), from the stored points."""
+        if count > len(self.points):
+            raise InputError(
+                f"the model stores {len(self.points)} orbit points; {count} were asked for"
+            )
+        return list(self.points[:count])
 
     def transport_poly(self, q: Poly) -> Poly:
         """A polynomial on original coordinates, rewritten on chart coordinates."""
-        args = [
-            poly_add(
-                poly_scale(make_var(self.dimension, i), self.prime),
-                make_const(self.dimension, self.center[i]),
-            )
-            for i in range(self.dimension)
-        ]
-        return poly_compose(q, args)
+        return poly_compose(q, _chart_args(self.center, self.prime))
 
 
 def ensure_not_preperiodic(
@@ -224,27 +224,25 @@ def ensure_not_preperiodic(
     longer plausible at desk scale).
     """
     seen = set()
-    pt = tuple(Fraction(x) for x in inst.initial_point)
-    for i in range(depth):
+    for pt in islice(exact_orbit(inst, bit_budget), depth):
         if pt in seen:
             raise HypothesisViolation(
-                f"initial point is preperiodic (orbit repeats by iterate {i})"
+                f"initial point is preperiodic (orbit repeats by iterate {len(seen)})"
             )
         seen.add(pt)
-        if any(
-            x.numerator.bit_length() + x.denominator.bit_length() > bit_budget for x in pt
-        ):
-            return i
-        pt = inst.mapping.evaluate(pt)
-    return depth
+    return len(seen)
+
+
+def _chart_args(eta, p: int) -> list[Poly]:
+    """The chart substitution x -> eta + p*x, one polynomial per coordinate."""
+    n = len(eta)
+    return [poly_add(poly_scale(make_var(n, i), p), make_const(n, eta[i])) for i in range(n)]
 
 
 def _chart_step(f: PolyMap, eta, eta_next, p: int) -> PolyMap:
     """G(x) = (f(eta + p*x) - eta_next)/p, exact over the rationals."""
     n = f.nvars
-    args = [
-        poly_add(poly_scale(make_var(n, i), p), make_const(n, eta[i])) for i in range(n)
-    ]
+    args = _chart_args(eta, p)
     polys = []
     for i, poly in enumerate(f.polys):
         g = poly_compose(poly, args)
@@ -322,19 +320,6 @@ def _rotation_series(
     return done
 
 
-def _stabilized_cycle(inst: ProblemInstance, p: int):
-    """(k1, m0, cycle_pts): the mod-p^2 cycle the orbit enters, lifted in [0, p^2)."""
-    k1, m0 = stabilize_orbit(inst, p)
-    p2 = p * p
-    f2 = ModularMap.from_map(inst.mapping, p2)
-    a2 = tuple(reduce_rational(x, p2) for x in inst.initial_point)
-    eta = f2.iterate(a2, m0)
-    cycle_pts = [eta]
-    for _ in range(k1 - 1):
-        cycle_pts.append(f2(cycle_pts[-1]))
-    return k1, m0, cycle_pts
-
-
 @dataclass(frozen=True)
 class _ChartChain:
     """The mod-p^2 cycle the orbit enters and one chart step per cycle point.
@@ -350,7 +335,7 @@ class _ChartChain:
 
 
 def _chart_chain(inst: ProblemInstance, p: int) -> _ChartChain:
-    k1, m0, cycle_pts = _stabilized_cycle(inst, p)
+    k1, m0, cycle_pts = stabilize_orbit(inst, p)
     try:
         charts = tuple(
             _chart_step(inst.mapping, cycle_pts[j], cycle_pts[(j + 1) % k1], p)
@@ -467,20 +452,6 @@ def _models(
             )
         )
     return models
-
-
-def build_local_model(inst: ProblemInstance, p: int, precision: int) -> LocalModel:
-    """The shift-0 model at one prime, with the iterate power of its own chain.
-
-    Stages: non-preperiodicity check, orbit stabilization mod p^2,
-    recentering translation and uniformizer scaling (fused into exact chart
-    steps), and the iterate replacement that makes the linear part
-    idempotent mod p.  Every stage failure names the stage.
-    """
-    ctx = PadicContext(p, precision)
-    ensure_not_preperiodic(inst)
-    chain = _chart_chain(inst, p)
-    return _models(inst, chain, ctx, _iterate_power(chain.chains[:1], p), [0])[0]
 
 
 def build_model_family(

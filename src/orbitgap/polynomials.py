@@ -264,13 +264,6 @@ class PolyMap:
     def evaluate(self, point) -> tuple[Fraction, ...]:
         return tuple(poly_eval(p, point) for p in self.polys)
 
-    def compose(self, other: "PolyMap") -> "PolyMap":
-        """self after other: x -> self(other(x))."""
-        return PolyMap(
-            self.nvars,
-            tuple(poly_compose(p, list(other.polys)) for p in self.polys),
-        )
-
     def jacobian(self) -> list[list[Poly]]:
         return [[poly_derivative(p, j) for j in range(self.nvars)] for p in self.polys]
 

@@ -16,6 +16,13 @@ The preimages of a point are then one run of that order, found by
 bisection, so the backward tree costs only its own nodes.  One scan per
 prime serves all of its targets; periodicity is tested first, by an orbit
 walk, so a periodic target needs no scan.
+
+Two walkers serve every orbit reading.  orbit_hits runs Brent's search
+once and keeps the indices whose residue satisfies a predicate, as a tail
+set plus classes mod the cycle length: return screening tests the variety
+with it, and the avoidance diagnostics test the targets.  exact_orbit
+yields a, f(a), ... over the rationals while every coordinate fits a bit
+budget: return certification and the non-preperiodicity check iterate it.
 """
 
 from __future__ import annotations
@@ -188,14 +195,12 @@ def bad_primes(inst: ProblemInstance, search_bound: int = 0) -> BadPrimeSet:
     return BadPrimeSet(frozenset(primes), tuple(reasons))
 
 
-def reduce_instance(inst: ProblemInstance, p: int, bad: BadPrimeSet | None = None):
+def reduce_instance(inst: ProblemInstance, p: int, bad: BadPrimeSet):
     """Reduced map, reduced initial point, and reduced targets at a good prime.
 
     Refuses bad primes.  Reduction commutes with evaluation by construction;
     the property suite spot-checks this on random instances.
     """
-    if bad is None:
-        bad = bad_primes(inst)
     if p in bad:
         raise InputError(f"prime {p} is in the bad-prime set")
     fp = ModularMap.from_map(inst.mapping, p)
@@ -206,9 +211,9 @@ def reduce_instance(inst: ProblemInstance, p: int, bad: BadPrimeSet | None = Non
 
 @dataclass(frozen=True)
 class OrbitSummary:
-    """Minimal tail/cycle data of one forward orbit."""
+    """Minimal tail/cycle data of one forward orbit; entry is x_tail, where the cycle starts."""
 
-    start: tuple[int, ...]
+    entry: tuple[int, ...]
     tail: int
     cycle: int
 
@@ -247,7 +252,68 @@ def orbit_summary(
         tortoise = fp(tortoise)
         hare = fp(hare)
         mu += 1
-    return OrbitSummary(x, mu, lam)
+    return OrbitSummary(tortoise, mu, lam)
+
+
+@dataclass(frozen=True)
+class OrbitHits:
+    """Indices n (up to a limit, if one was set) where x_n satisfies a predicate.
+
+    The orbit is a tail of `tail` residues followed by a cycle of `cycle`
+    residues.  `hits` holds the hit indices below tail + cycle; a hit
+    c >= tail stands for every index c + j*cycle.  When no cycle closes by
+    the limit, tail is limit + 1 with a cycle of 1 and no cycle hit: only
+    indices up to the limit are then known.
+    """
+
+    tail: int
+    cycle: int
+    hits: frozenset[int]
+
+    def __contains__(self, n: int) -> bool:
+        if n >= self.tail:
+            n = self.tail + (n - self.tail) % self.cycle
+        return n in self.hits
+
+    def cycle_density(self) -> Fraction:
+        return Fraction(sum(h >= self.tail for h in self.hits), self.cycle)
+
+    def up_to(self, n_max: int) -> list[int]:
+        out = []
+        for h in self.hits:
+            if h >= self.tail:
+                out.extend(range(h, n_max + 1, self.cycle))
+            elif h <= n_max:
+                out.append(h)
+        return out
+
+
+def orbit_hits(fp: ModularMap, x: tuple[int, ...], hit, limit: int | None = None) -> OrbitHits:
+    """Brent's search for (tail, cycle), testing hit(x_n) on each residue it visits.
+
+    With `limit` the search stops after x_limit when no cycle has closed,
+    so it costs O(min(tail + cycle, limit)) map evaluations.
+    """
+    hits = set()
+
+    def visit(n, pt):
+        if hit(pt):
+            hits.add(n)
+
+    summary = orbit_summary(fp, x, limit, visit)
+    if summary is None:
+        return OrbitHits(limit + 1, 1, frozenset(hits))
+    end = summary.tail + summary.cycle
+    return OrbitHits(summary.tail, summary.cycle, frozenset(h for h in hits if h < end))
+
+
+def exact_orbit(inst: ProblemInstance, bit_budget: int):
+    """a, f(a), f(f(a)), ... over the rationals, while every coordinate's
+    numerator and denominator together fit in bit_budget bits."""
+    pt = tuple(Fraction(x) for x in inst.initial_point)
+    while all(x.numerator.bit_length() + x.denominator.bit_length() <= bit_budget for x in pt):
+        yield pt
+        pt = inst.mapping.evaluate(pt)
 
 
 def _space_columns(fp: ModularMap) -> list:
@@ -373,17 +439,13 @@ class AvoidanceScan:
     certified_density: float
 
 
-def avoidance_search(
-    inst: ProblemInstance, primes, bad: BadPrimeSet | None = None
-) -> AvoidanceScan:
+def avoidance_search(inst: ProblemInstance, primes, bad: BadPrimeSet) -> AvoidanceScan:
     """Try to certify every prime in the range.
 
     M = 1 + max backward depth over all targets (0 when there are no
     targets).  Failures are recorded verdicts, never exceptions.  Per-prime
     work is independent; certificates are aggregated in prime order.
     """
-    if bad is None:
-        bad = bad_primes(inst, search_bound=max(primes, default=0))
     certs = []
     for p in sorted(primes):
         if p in bad:
@@ -407,21 +469,14 @@ def avoidance_search(
     return AvoidanceScan(tuple(certs), scanned, density)
 
 
-def residue_orbit_avoids(inst: ProblemInstance, p: int, bound: int, bad: BadPrimeSet | None = None) -> bool:
+def residue_orbit_avoids(inst: ProblemInstance, p: int, bound: int, bad: BadPrimeSet) -> bool:
     """Decisive check that the residue orbit of the initial point misses every
     reduced target at all iterates >= bound.
 
     A target on the eventual cycle is hit at unboundedly many iterates, so it
     fails regardless of the bound; a target on the tail only fails when its
-    hit index is >= bound.  One walk reads the hits: it visits every index
-    below tail + cycle, so it meets every target the orbit meets.
+    hit index is >= bound.
     """
     fp, a_p, targets_p = reduce_instance(inst, p, bad)
-    hits = []
-
-    def visit(n, pt):
-        if pt in targets_p:
-            hits.append(n)
-
-    summary = orbit_summary(fp, a_p, visit=visit)
-    return not any(n >= bound or n >= summary.tail for n in hits)
+    hits = orbit_hits(fp, a_p, targets_p.__contains__)
+    return not any(n >= bound or n >= hits.tail for n in hits.hits)

@@ -28,7 +28,8 @@ preimage tuples (the reference for the sorted-image scan), the binomial
 basis re-expanded at each disk (the reference for disk restriction), a dense
 one-variable series with precision bounds (the reference for the bound rule
 of disk restriction and of TruncatedSeries), polynomial evaluation mod m
-term by term (the reference for the nested Horner evaluator), the chart
+term by term (the reference for the nested Horner evaluator), the
+composition of two maps over the rationals, the chart
 chain composed one chart at a time for each rotation (the reference for the
 shared head and tail composites of normalization), the model map applied one
 point and one chart call at a time (the reference for the column-wise push),
@@ -86,8 +87,8 @@ from orbitgap.normalization import (
     series_congruence_exponent,
 )
 from orbitgap.padic import INF, PadicContext, TruncatedSeries, int_valuation, vp_factorial
-from orbitgap.polynomials import ModularMap, reduce_poly
-from orbitgap.reduction import orbit_summary, reduce_instance
+from orbitgap.polynomials import ModularMap, PolyMap, poly_compose, reduce_poly
+from orbitgap.reduction import bad_primes, orbit_summary, reduce_instance
 
 
 def valuation(n: int, p: int, cap: int) -> int:
@@ -267,6 +268,11 @@ def modular_eval(p: dict, point, m: int) -> int:
     return acc
 
 
+def compose_maps(f: PolyMap, g: PolyMap) -> PolyMap:
+    """f after g: x -> f(g(x)), exact over the rationals."""
+    return PolyMap(f.nvars, tuple(poly_compose(q, list(g.polys)) for q in f.polys))
+
+
 def iterate_point(f, point, k: int) -> tuple[Fraction, ...]:
     """The k-th iterate of a point under a PolyMap, exact over the rationals."""
     pt = tuple(Fraction(x) for x in point)
@@ -371,7 +377,7 @@ def exact_period(f, point, bound: int = 64) -> int:
     raise HypothesisViolation(f"point {point} is not periodic within period bound {bound}")
 
 
-def fixing_iterate(inst, p: int, period_bound: int = 64, bad=None) -> int:
+def fixing_iterate(inst, p: int, period_bound: int = 64) -> int:
     """Least iterate power fixing every declared target and the residue orbit.
 
     Combines the exact rational periods of the declared targets with the
@@ -380,7 +386,7 @@ def fixing_iterate(inst, p: int, period_bound: int = 64, bad=None) -> int:
     k = 1
     for t in inst.targets:
         k = math.lcm(k, exact_period(inst.mapping, t, period_bound))
-    fp, a_p, _ = reduce_instance(inst, p, bad)
+    fp, a_p, _ = reduce_instance(inst, p, bad_primes(inst))
     k = math.lcm(k, orbit_summary(fp, a_p).cycle)
     return k
 

@@ -28,7 +28,7 @@ from orbitgap.interpolation import (
     verify_error_bound,
 )
 from orbitgap.modmat import mat_mul, mat_pow
-from orbitgap.normalization import _iterate_power, build_local_model
+from orbitgap.normalization import _iterate_power, build_model_family
 from orbitgap.padic import PadicContext, int_valuation, sup_valuation
 from orbitgap.pipeline import run_analyze
 from orbitgap.polynomials import ModularMap, PolyMap
@@ -36,6 +36,7 @@ from orbitgap.problemfile import parse_problem, problem_hash
 from orbitgap.reduction import (
     ProblemInstance,
     avoidance_search,
+    bad_primes,
     first_hit_depth,
 )
 
@@ -70,7 +71,7 @@ def test_criterion_2_compatibility_three_models():
         1, PolyMap.from_lists(1, [{(2,): 1, (0,): -2}]), (Fraction(3),),
         ({(0,): Fraction(0)},),
     )
-    quad1 = build_local_model(inst, 3, 32)
+    quad1 = build_model_family(inst, 3, 32)[0]
     # quadratic two-dim over Z_5
     quad2 = direct_model(
         PolyMap.from_lists(2, [{(1, 0): 6, (0, 2): 5}, {(0, 1): 6, (2, 0): 5}]),
@@ -192,7 +193,8 @@ def test_criterion_4_certificate_soundness_window():
                 n, f, tuple(Fraction(0) for _ in range(n)),
                 ({(0,) * n: Fraction(0)},), (gamma,),
             )
-            cert = avoidance_search(inst, [p]).certificates[0]
+            bad = bad_primes(inst, search_bound=p)
+            cert = avoidance_search(inst, [p], bad).certificates[0]
             if not cert.certified:
                 continue
             assert p**n <= 100_000
@@ -250,7 +252,7 @@ def test_criterion_6_normalization_postconditions():
         a = tuple(Fraction(rng.randint(0, 6)) for _ in range(n))
         try:
             inst = ProblemInstance(n, f, a, ({(0,) * n: Fraction(0)},))
-            model = build_local_model(inst, p, 10)
+            model = build_model_family(inst, p, 10)[0]
         except Exception:
             continue  # preperiodic start or oversized stride: resample
         if model.k_total > 60:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,17 @@ def test_float_coefficient_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path)]) == 2
+
+
+def test_string_coefficients_parse_as_exact_rationals():
+    doc = json.loads(json.dumps(WORKED))
+    doc["map"][0][0][1] = "1/2"
+    inst, _ = parse_problem(doc)
+    assert inst.mapping.polys[0][(2,)] == Fraction(1, 2)
+    for bad in ("abc", "1/0"):
+        doc["map"][0][0][1] = bad
+        with pytest.raises(InputError, match="not a rational literal"):
+            parse_problem(doc)
 
 
 @pytest.mark.parametrize("key", ["map", "variety"])
@@ -432,14 +444,14 @@ def test_broken_normalization_invariant_exits_4(monkeypatch, worked_file, tmp_pa
                                                 step, check):
     # the cycle mod p^2 is exact by construction; a point moved by 1 breaks
     # the chart steps, and one moved by p (still a chart center) the base point
-    stabilized = normalization._stabilized_cycle
+    stabilized = normalization.stabilize_orbit
 
     def moved(inst, p):
         k1, m0, cycle = stabilized(inst, p)
         eta = tuple(x + (step or p) for x in cycle[0])
         return k1, m0, [eta, *cycle[1:]]
 
-    monkeypatch.setattr(normalization, "_stabilized_cycle", moved)
+    monkeypatch.setattr(normalization, "stabilize_orbit", moved)
     out = tmp_path / "run.jsonl"
     assert main(["analyze", worked_file, "--out", str(out)]) == 4
     assert "FAILED at stage normalization" in capsys.readouterr().out

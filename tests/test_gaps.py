@@ -38,7 +38,7 @@ from orbitgap.gaps import (
     restrict_to_disk,
 )
 from orbitgap.interpolation import build_interpolant
-from orbitgap.normalization import build_local_model
+from orbitgap.normalization import build_model_family
 from orbitgap.padic import INF, MahlerSeries, PadicContext, vp_factorial
 from orbitgap.polynomials import ModularMap, PolyMap, reduce_poly
 from orbitgap.reduction import ProblemInstance, bad_primes, reduce_instance
@@ -56,7 +56,7 @@ def _instance(map_polys, a, variety, dim=1, targets=()):
 
 def test_returns_worked_example():
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
-    rs = compute_returns(inst, 100, screening_primes=[101, 103, 107])
+    rs = compute_returns(inst, 100, screening_primes=[101, 103, 107], bad=bad_primes(inst))
     assert [e.index for e in rs.entries] == [1]
     assert rs.entries[0].status == "certified-exact"
     assert rs.refuted == ()
@@ -66,14 +66,14 @@ def test_returns_need_a_screening_prime():
     # with no prime nothing is screened, so "no returns" would be unchecked
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
     with pytest.raises(InputError):
-        compute_returns(inst, 100, screening_primes=[])
+        compute_returns(inst, 100, screening_primes=[], bad=bad_primes(inst))
 
 
 def test_returns_plumbing_everything():
     # V: 0 = 0 accepts every index (rejected upstream by hypothesis checks;
     # exercised here purely as plumbing)
     inst = _instance([{(2,): 1, (0,): 1}], (0,), [{}])
-    rs = compute_returns(inst, 10, screening_primes=[101])
+    rs = compute_returns(inst, 10, screening_primes=[101], bad=bad_primes(inst))
     assert [e.index for e in rs.entries] == list(range(11))
 
 
@@ -84,7 +84,7 @@ def test_returns_two_dim():
         [{(0, 1): Fraction(1), (0, 0): Fraction(-5)}],
         dim=2,
     )
-    rs = compute_returns(inst, 50, screening_primes=[101, 103])
+    rs = compute_returns(inst, 50, screening_primes=[101, 103], bad=bad_primes(inst))
     assert [e.index for e in rs.entries] == [0]
 
 
@@ -99,7 +99,7 @@ def test_returns_structured_map_survivors_rescreened():
         {(1,): Fraction(1), (0,): Fraction(-x5)},
     )
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [q])
-    rs = compute_returns(inst, 2000, screening_primes=[101, 103, 107, 109])
+    rs = compute_returns(inst, 2000, screening_primes=[101, 103, 107, 109], bad=bad_primes(inst))
     assert [(e.index, e.status) for e in rs.entries] == [
         (2, "certified-exact"),
         (5, "certified-exact"),
@@ -109,21 +109,33 @@ def test_returns_structured_map_survivors_rescreened():
 
 def test_returns_budget_labels_screened():
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
-    rs = compute_returns(inst, 100, screening_primes=[101, 103], exact_bit_budget=3)
+    rs = compute_returns(
+        inst, 100, screening_primes=[101, 103], exact_bit_budget=3, bad=bad_primes(inst)
+    )
     assert rs.entries and all(e.status == "modular-screened" for e in rs.entries)
+
+
+def test_returns_refuted_candidate():
+    # 7 = 108 mod 101, so index 1 survives screening mod 101 and the exact
+    # walk refutes it
+    inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-108)}])
+    rs = compute_returns(inst, 10, screening_primes=[101], bad=bad_primes(inst))
+    assert rs.entries == ()
+    assert rs.refuted == (1,)
+    assert rs.exact_horizon == 1
 
 
 def test_returns_screening_prime_must_be_good():
     inst = _instance([{(2,): Fraction(1, 101)}], (0,), [{(1,): Fraction(1)}])
     with pytest.raises(InputError):
-        compute_returns(inst, 10, screening_primes=[101])
+        compute_returns(inst, 10, screening_primes=[101], bad=bad_primes(inst))
 
 
 def test_returns_cost_does_not_grow_with_n_max():
     # screening reads the tail and cycle of the orbit mod each prime, so a
     # horizon of 10^12 costs what a horizon of 100 does
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
-    rs = compute_returns(inst, 10**12)
+    rs = compute_returns(inst, 10**12, bad=bad_primes(inst))
     assert [(e.index, e.status) for e in rs.entries] == [(1, "certified-exact")]
 
 
@@ -219,7 +231,7 @@ def test_prime_hits_match_direct_walk(data):
 def test_certified_returns_vanish_mod_every_screening_prime():
     """Multi-modular soundness: exact zeros reduce to zeros at every good prime."""
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
-    rs = compute_returns(inst, 50, screening_primes=[101, 103, 107, 109])
+    rs = compute_returns(inst, 50, screening_primes=[101, 103, 107, 109], bad=bad_primes(inst))
     from orbitgap.polynomials import poly_eval
 
     for e in rs.entries:
@@ -628,11 +640,11 @@ def test_density_examples():
 
 def test_gap_report_via_pipeline_pieces():
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
-    model = build_local_model(inst, 3, 24)
+    model = build_model_family(inst, 3, 24)[0]
     interp = build_interpolant(model, terms=24)
     qs = [model.transport_poly(q) for q in inst.variety]
     analyses = localize_zeros(interp, qs)
-    returns = compute_returns(inst, 200, screening_primes=[101, 103])
+    returns = compute_returns(inst, 200, screening_primes=[101, 103], bad=bad_primes(inst))
     report = build_gap_report(
         returns, {0: analyses}, {0: model}, 3, model.congruence_exponent, 24
     )

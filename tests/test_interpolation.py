@@ -32,7 +32,7 @@ from orbitgap.interpolation import (
     verify_compatibility,
     verify_error_bound,
 )
-from orbitgap.normalization import LocalModel, build_local_model, build_model_family
+from orbitgap.normalization import LocalModel, build_model_family
 from orbitgap.padic import INF, MahlerSeries, TruncatedSeries, binomial_rows
 from orbitgap.polynomials import PolyMap
 from orbitgap.problemfile import parse_problem
@@ -132,7 +132,7 @@ def test_compatibility_quadratic_model():
         (Fraction(3),),
         ({(0,): Fraction(0)},),
     )
-    model = build_local_model(inst, 3, 24)
+    model = build_model_family(inst, 3, 24)[0]
     interp = build_interpolant(model, terms=24)
     rep = verify_compatibility(interp, threshold=22)
     assert rep.ok
@@ -191,7 +191,7 @@ def test_bound_shortfall_beyond_window_is_precision_exhausted():
         1, PolyMap.from_lists(1, [{(2,): 1, (1,): 1, (0,): -2}]), (Fraction(5),),
         ({(0,): Fraction(0)},),
     )
-    model = build_local_model(inst, 3, 8)
+    model = build_model_family(inst, 3, 8)[0]
     interp = build_interpolant(model)
     assert verify_error_bound(interp, strict=False).witness == 9
     with pytest.raises(PrecisionExhausted, match="n=9"):

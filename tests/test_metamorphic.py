@@ -9,7 +9,7 @@ from orbitgap.padic import is_prime
 from orbitgap.pipeline import run
 from orbitgap.problemfile import RunParameters
 from orbitgap.polynomials import PolyMap, make_const, make_var, poly_add, poly_compose
-from orbitgap.reduction import ProblemInstance, avoidance_search
+from orbitgap.reduction import ProblemInstance, avoidance_search, bad_primes
 
 # At this horizon every degree-2 return is certified exactly.  Beyond it,
 # screening alone can keep false positives: x -> -2x^2 - 2x from -3 (a
@@ -72,7 +72,8 @@ def test_translation_leaves_the_run_unchanged(data):
 
 
 def _certificates(inst: ProblemInstance):
-    scan = avoidance_search(inst, [p for p in range(3, 50) if is_prime(p)])
+    primes = [p for p in range(3, 50) if is_prime(p)]
+    scan = avoidance_search(inst, primes, bad_primes(inst, search_bound=max(primes)))
     return [(c.prime, c.verdict, c.bound, c.depths) for c in scan.certificates]
 
 

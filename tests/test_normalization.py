@@ -27,7 +27,6 @@ from orbitgap.normalization import (
     _frac_valuation,
     _iterate_power,
     _rotation_series,
-    build_local_model,
     build_model_family,
     ensure_not_preperiodic,
     hensel_idempotent,
@@ -102,17 +101,17 @@ def _instance(map_polys, a, dim=1, targets=()):
 
 def test_stabilize_examples():
     inst = _instance([{(2,): 1, (0,): 1}], (0,))
-    assert stabilize_orbit(inst, 3) == (3, 2)  # 0,1,2,5,8,2,... mod 9
+    assert stabilize_orbit(inst, 3)[:2] == (3, 2)  # 0,1,2,5,8,2,... mod 9
     # translation x + p: additive orbit mod p^2 has cycle length p
     for p in (3, 5):
         inst2 = _instance([{(1,): 1, (0,): p}], (0,))
-        assert stabilize_orbit(inst2, p) == (p, 0)
+        assert stabilize_orbit(inst2, p)[:2] == (p, 0)
     # already fixed mod p^2
     inst3 = _instance([{(1,): 10}], (0,))
-    assert stabilize_orbit(inst3, 3) == (1, 0)
+    assert stabilize_orbit(inst3, 3)[:2] == (1, 0)
     # the guard bounds tail + cycle: x -> x + 1 mod 25 has 0 + 25
     inst4 = _instance([{(1,): 1, (0,): 1}], (0,))
-    assert stabilize_orbit(inst4, 5, guard=25) == (25, 0)
+    assert stabilize_orbit(inst4, 5, guard=25)[:2] == (25, 0)
     with pytest.raises(BudgetExceeded):
         stabilize_orbit(inst4, 5, guard=24)
 
@@ -193,7 +192,7 @@ def test_hensel_idempotent_lift():
 
 def test_build_local_model_worked_example():
     inst = _instance([{(2,): 1, (0,): -2}], (3,))
-    m = build_local_model(inst, 3, 12)
+    m = build_model_family(inst, 3, 12)[0]
     assert (m.m0, m.k1, m.steps_per_iterate) == (2, 1, 1)
     assert m.center == (2,)
     assert m.base_point == (15,)
@@ -212,7 +211,7 @@ def test_identity_like_map_rejected_as_preperiodic():
 
 def test_linear_example_6x():
     inst = _instance([{(1,): 6}], (1,))
-    m = build_local_model(inst, 5, 10)
+    m = build_model_family(inst, 5, 10)[0]
     assert m.congruence_exponent >= 1
     assert m.linear == ((1,),)  # exact idempotent lift of 6 mod 5
     assert sup_valuation(m.base_point, 5) >= 1 or m.base_point[0] == 0
@@ -246,7 +245,7 @@ def _roundtrip_ok(inst, model, samples=20, seed=0):
 
 def test_conjugation_roundtrip_quadratic():
     inst = _instance([{(2,): 1, (0,): -2}], (3,))
-    m = build_local_model(inst, 3, 10)
+    m = build_model_family(inst, 3, 10)[0]
     assert _roundtrip_ok(inst, m)
 
 
@@ -254,10 +253,9 @@ def test_conjugation_roundtrip_two_dim():
     inst = _instance(
         [{(0, 1): 1, (2, 0): 1}, {(1, 0): 1, (0, 2): 1, (0, 0): 3}], (0, 0), dim=2
     )
-    m = build_local_model(inst, 3, 8)
-    assert _roundtrip_ok(inst, m, samples=10)
-    # every rotation of the chart chain conjugates at its own shift
     family = build_model_family(inst, 3, 8)
+    assert _roundtrip_ok(inst, family[0], samples=10)
+    # every rotation of the chart chain conjugates at its own shift
     assert family[0].k1 == 6 and len(family) == family[0].k_total
     for model in family:
         assert _roundtrip_ok(inst, model, samples=3, seed=model.shift)
@@ -266,7 +264,7 @@ def test_conjugation_roundtrip_two_dim():
 def test_index_bookkeeping_against_exact_iteration():
     """Model orbit vs exact rational iteration pushed through the chart."""
     inst = _instance([{(2,): 1, (0,): -2}], (3,))
-    m = build_local_model(inst, 3, 10)
+    m = build_model_family(inst, 3, 10)[0]
     mod1 = m.ctx.modulus * 3
     pt = (Fraction(3),)
     orbit = m.orbit(9)
@@ -279,6 +277,15 @@ def test_index_bookkeeping_against_exact_iteration():
         )
         assert from_original(m, reduced) == orbit[n]
     del pt
+
+
+def test_model_orbit_is_the_stored_points():
+    """A model stores F^0(a'), ..., F^(2K)(a'); index 2K + 1 is refused."""
+    inst = _instance([{(2,): 1, (0,): -2}], (3,))
+    m = build_model_family(inst, 3, 10)[0]
+    assert m.orbit(21) == list(m.points)
+    with pytest.raises(InputError):
+        m.orbit(22)
 
 
 def test_family_covers_all_shifts():
@@ -296,7 +303,7 @@ def test_family_covers_all_shifts():
 def test_family_is_one_cycle_and_one_chart_chain(monkeypatch):
     """x^2 - 2 from 5 at p = 29 cycles through k1 = 14 disks mod 29^2: the
     family of 14 models makes one mod-p^2 walk and one chart step per disk."""
-    calls = {"_stabilized_cycle": 0, "_chart_step": 0}
+    calls = {"stabilize_orbit": 0, "_chart_step": 0}
     for name in calls:
         original = getattr(normalization, name)
 
@@ -308,7 +315,7 @@ def test_family_is_one_cycle_and_one_chart_chain(monkeypatch):
     inst = _instance([{(2,): 1, (0,): -2}], (5,))
     family = build_model_family(inst, 29, 8)
     assert (family[0].k1, family[0].steps_per_iterate, len(family)) == (14, 1, 14)
-    assert calls == {"_stabilized_cycle": 1, "_chart_step": 14}
+    assert calls == {"stabilize_orbit": 1, "_chart_step": 14}
 
 
 def test_direct_model_requires_idempotent_linear_part():
@@ -345,7 +352,7 @@ def test_normalization_postconditions_random_quadratics():
         a = tuple(Fraction(rng.randint(0, 4)) for _ in range(dim))
         try:
             inst = _instance(polys, a, dim=dim)
-            m = build_local_model(inst, p, 8)
+            m = build_model_family(inst, p, 8)[0]
         except Exception:
             continue  # preperiodic start or oversized stride: resample
         if m.k_total > 60:
@@ -421,7 +428,7 @@ def test_congruence_exponent_matches_full_precision_oracle():
             polys.append({e: c for e, c in poly.items() if c})
         a = tuple(Fraction(rng.randint(0, 4) * p ** rng.randint(0, 1)) for _ in range(dim))
         try:
-            model = build_local_model(_instance(polys, a, dim=dim), p, precision)
+            model = build_model_family(_instance(polys, a, dim=dim), p, precision)[0]
         except (HypothesisViolation, BudgetExceeded):
             continue  # preperiodic start, non-linear model or oversized stride
         assert model.congruence_exponent == _full_precision_exponent(model)

@@ -71,11 +71,11 @@ def test_bad_primes_target_collision():
 
 def test_reduce_examples():
     inst = _instance([{(1,): Fraction(3, 2), (0,): Fraction(1, 2)}], (7,))
-    fp, a_p, _ = reduce_instance(inst, 5)
+    fp, a_p, _ = reduce_instance(inst, 5, bad_primes(inst))
     assert fp.polys[0] == {(1,): 4, (0,): 3}
     assert a_p == (2,)
     with pytest.raises(InputError):
-        reduce_instance(inst, 2)  # denominator prime
+        reduce_instance(inst, 2, bad_primes(inst))  # denominator prime
 
 
 def test_reduce_point_example():
@@ -83,7 +83,7 @@ def test_reduce_point_example():
         [{(2, 0): 1}, {(0, 2): 1}], (7, -1), dim=2,
         variety=[{(0, 0): Fraction(0)}],
     )
-    _, a_p, _ = reduce_instance(inst, 5)
+    _, a_p, _ = reduce_instance(inst, 5, bad_primes(inst))
     assert a_p == (2, 4)
 
 
@@ -177,7 +177,8 @@ def test_periodic_target_above_the_guard_is_failed_periodic(monkeypatch):
     # 0 is on the 3-cycle of x^2 + 1 mod 5: the periodicity test runs first
     monkeypatch.setattr(reduction, "ENUM_GUARD", 4)
     inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(0),),))
-    assert avoidance_search(inst, [5]).certificates[0].verdict == "failed-periodic"
+    cert = avoidance_search(inst, [5], bad_primes(inst, search_bound=5)).certificates[0]
+    assert cert.verdict == "failed-periodic"
     fp = ModularMap.from_map(SQ_PLUS_ONE, 5)
     for scan in (preimage_buckets, lambda fp: periodic_points_on_variety(fp, [])):
         with pytest.raises(BudgetExceeded):
@@ -230,20 +231,20 @@ def test_avoidance_evaluates_the_map_column_wise(monkeypatch):
 
 def test_avoidance_examples():
     inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),),))
-    scan = avoidance_search(inst, [5])
+    scan = avoidance_search(inst, [5], bad_primes(inst, search_bound=5))
     assert scan.certificates[0].verdict == "certified"
     assert scan.certificates[0].bound == 1
-    scan = avoidance_search(inst, [3])
+    scan = avoidance_search(inst, [3], bad_primes(inst, search_bound=3))
     assert scan.certificates[0].verdict == "certified"
     assert scan.certificates[0].bound == 1
     # x^2 with gamma = 0: 0 is fixed, so every prime fails
     inst2 = _instance([{(2,): 1}], (3,), targets=((Fraction(0),),))
-    scan = avoidance_search(inst2, [3, 5, 7])
+    scan = avoidance_search(inst2, [3, 5, 7], bad_primes(inst2, search_bound=7))
     assert all(c.verdict == "failed-periodic" for c in scan.certificates)
     assert scan.certified_density == 0.0
     # empty target list: trivially certified with M = 0
     inst3 = _instance([{(2,): 1, (0,): 1}], (0,))
-    scan = avoidance_search(inst3, [3, 5])
+    scan = avoidance_search(inst3, [3, 5], bad_primes(inst3, search_bound=5))
     assert all(c.certified and c.bound == 0 for c in scan.certificates)
     assert scan.certified_density == 1.0
 
@@ -255,8 +256,8 @@ def test_avoidance_bound_monotone_in_targets():
         [{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),), (Fraction(4),))
     )
     for p in rng_primes:
-        c1 = avoidance_search(base, [p]).certificates[0]
-        c2 = avoidance_search(larger, [p]).certificates[0]
+        c1 = avoidance_search(base, [p], bad_primes(base, search_bound=p)).certificates[0]
+        c2 = avoidance_search(larger, [p], bad_primes(larger, search_bound=p)).certificates[0]
         if c1.certified and c2.certified:
             assert c2.bound >= c1.bound
 
@@ -265,10 +266,10 @@ def test_certificate_soundness_window_small():
     """Forward-memoized first-hit times: nothing hits a certified target at m >= M."""
     inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),),))
     for p in (5, 7, 11, 13):
-        cert = avoidance_search(inst, [p]).certificates[0]
+        cert = avoidance_search(inst, [p], bad_primes(inst, search_bound=p)).certificates[0]
         if not cert.certified:
             continue
-        fp, _, targets_p = reduce_instance(inst, p)
+        fp, _, targets_p = reduce_instance(inst, p, bad_primes(inst))
         hits = _forward_first_hits(fp, targets_p[0], p)
         window_hi = cert.bound + p**inst.dimension
         assert all(
@@ -316,7 +317,8 @@ def _forward_first_hits(fp, gamma, p):
 def test_fixing_iterate():
     # gamma already fixed: k = lcm(1, cycle of a mod p)
     inst = _instance([{(2,): 1}], (3,), targets=((Fraction(0),),))
-    assert fixing_iterate(inst, 7) == orbit_summary(*reduce_instance(inst, 7)[:2]).cycle
+    fp, a_p, _ = reduce_instance(inst, 7, bad_primes(inst))
+    assert fixing_iterate(inst, 7) == orbit_summary(fp, a_p).cycle
     # f(x) = -x has 1 of period 2
     neg = _instance([{(1,): -1}], (2,), targets=((Fraction(1),),))
     assert exact_period(neg.mapping, (1,)) == 2
@@ -329,15 +331,15 @@ def test_fixing_iterate():
 
 def test_residue_orbit_avoids():
     inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),),))
-    assert residue_orbit_avoids(inst, 5, 1)
+    assert residue_orbit_avoids(inst, 5, 1, bad_primes(inst))
     # target on the orbit cycle fails regardless of the bound
     inst2 = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(2),),))
-    assert not residue_orbit_avoids(inst2, 5, 10)
+    assert not residue_orbit_avoids(inst2, 5, 10, bad_primes(inst2))
 
     # mod 3 the orbit is 0 -> 1 -> 2 -> 2: a tail of two, then a fixed point
     def avoids(target, bound):
         inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(target),),))
-        return residue_orbit_avoids(inst, 3, bound)
+        return residue_orbit_avoids(inst, 3, bound, bad_primes(inst))
 
     assert not avoids(1, 1) and avoids(1, 2)
     assert not avoids(0, 0) and avoids(0, 1)
@@ -364,6 +366,7 @@ def test_orbit_summary_matches_dict_walk(data):
     visited = []
     assert orbit_summary(fp, x, visit=lambda n, pt: visited.append((n, pt))) == summary
     assert len(visited) >= summary.tail + summary.cycle
+    assert summary.entry == visited[summary.tail][1]
     pt = x
     for n, seen_pt in visited:
         assert seen_pt == pt

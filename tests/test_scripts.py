@@ -1,9 +1,10 @@
-"""Smoke test: every script in scripts/ runs with its default arguments.
+"""Smoke test: every script in scripts/ and the README's library example run.
 
 Each runs in a fresh temporary directory, so whatever a script writes by
 default lands there and not in the source tree.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -25,3 +26,18 @@ def test_script_runs(script, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", example],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("(")
