@@ -17,9 +17,11 @@ another (center + j p^k + p^k' t) gets its coordinate polynomials from its
 parent's by a Taylor shift by j and a scaling of t by p^(k' - k).  Dividing
 out T! gives one-variable TruncatedSeries whose precision bounds record the
 factorial p-part, and Q is composed with them, so every coefficient of L
-carries its own bound.  It counts zeros through the Newton polygon and
-refines disks until each leaf holds at most one zero cluster, shifting only
-the children at roots of the residual polynomial (L / p^v) mod p.  A leaf
+carries its own bound; a disk holds that composed TruncatedSeries as it is.
+It counts zeros through the Newton polygon, read once per disk for both the
+count and the minimum valuation v, and refines disks until each leaf holds
+at most one zero cluster, shifting only the children at roots of the
+residual polynomial (L / p^v) mod p.  A leaf
 with a zero of order d yields the gap bound
 
     (n_{j+1} - n_j)^d >= p^(k*d + n_j*c - v(a_d))
@@ -48,7 +50,7 @@ from .reduction import (
     reduce_instance,
 )
 
-#: Default bit budget for exact certification of returns.
+#: Bit budget for exact certification of returns.
 EXACT_BIT_BUDGET = 1 << 20
 
 #: Default number of screening primes.
@@ -111,7 +113,6 @@ def compute_returns(
     inst: ProblemInstance,
     n_max: int,
     screening_primes=None,
-    exact_bit_budget: int = EXACT_BIT_BUDGET,
     *,
     bad: BadPrimeSet,
 ) -> ReturnSet:
@@ -142,7 +143,7 @@ def compute_returns(
     refuted: list[int] = []
     horizon = -1
     done = 0  # candidates[:done] are certified or refuted
-    walk = exact_orbit(inst, exact_bit_budget)
+    walk = exact_orbit(inst, EXACT_BIT_BUDGET)
     for n, pt in zip(range(candidates[-1] + 1 if candidates else 0), walk):
         if n == candidates[done]:
             done += 1
@@ -175,31 +176,21 @@ def compute_returns(
 class DiskSeries:
     """L(t) = Q(G(center + p^k t)) as a truncated power series in t.
 
-    residues are canonical mod p^K; precs[m] lower-bounds the valuation of
-    the unknown part of coefficient m (INF: the residue is exact mod p^K).
-    coords holds T!*G_i(center + p^k t) mod p^(K + v_p(T!)), one polynomial
-    in t per coordinate: the disks inside this one are shifted from them.
+    series is the one-variable TruncatedSeries of L: residues mod p^K, each
+    with the precision bound of its unknown part.  coords holds
+    T!*G_i(center + p^k t) mod p^(K + v_p(T!)), one polynomial in t per
+    coordinate: the disks inside this one are shifted from them.
     """
 
     center: int
     radius_exp: int
-    residues: tuple[int, ...]
-    precs: tuple
-    prime: int
-    precision: int
+    series: TruncatedSeries
     coords: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def zero_at_precision(self) -> bool:
-        return all(r == 0 and prec >= 1 for r, prec in zip(self.residues, self.precs))
-
-    def known_valuations(self) -> list[tuple[int, int]]:
-        """(index, v(residue)) where the residue's valuation is below its bound."""
-        return [
-            (m, v)
-            for m, (r, bound) in enumerate(zip(self.residues, self.precs))
-            if (v := int_valuation(r, self.prime)) < bound
-        ]
+        precs = self.series.precs
+        return all(r == 0 and precs.get(e, INF) >= 1 for e, r in self.series.coeffs.items())
 
 
 def _expand(interp: ApproxInterpolant) -> list[list[int]]:
@@ -273,16 +264,7 @@ def _subdisk(
         coord_series.append(TruncatedSeries(ctx, 1, coeffs, precs))
 
     result = TruncatedSeries(ctx, len(coord_series), reduce_poly(q, mod)).compose(coord_series)
-    degree = max((m for (m,) in result.coeffs), default=0)
-    return DiskSeries(
-        center + j * p**radius_exp,
-        sub_exp,
-        tuple(result.coefficient((m,)) for m in range(degree + 1)),
-        tuple(result.precs.get((m,), INF) for m in range(degree + 1)),
-        p,
-        prec,
-        tuple(shifted),
-    )
+    return DiskSeries(center + j * p**radius_exp, sub_exp, result, tuple(shifted))
 
 
 def restrict_to_disk(interp: ApproxInterpolant, q: Poly, center: int, radius_exp: int) -> DiskSeries:
@@ -299,28 +281,35 @@ def restrict_to_disk(interp: ApproxInterpolant, q: Poly, center: int, radius_exp
 # ---------------------------------------------------------------------------
 
 
-def newton_zero_count(series: DiskSeries) -> int:
-    """Zeros (with multiplicity, over the algebraic closure) in the closed unit disk.
+def newton_zero_count(disk: DiskSeries) -> tuple[int, int]:
+    """(count, v): zeros (with multiplicity, over the algebraic closure) in
+    the closed unit disk, and the minimal known coefficient valuation.
 
-    The count is the largest index attaining the minimal coefficient
-    valuation: exactly the length of the non-positive-slope part of the
-    Newton polygon.  Coefficients of unknown valuation (zero residues) must
-    be bounded strictly above the minimum, else the truncation is declared
-    insufficient.
+    A coefficient's valuation is known when it lies below its precision
+    bound.  The count is the largest index attaining the minimum v: exactly
+    the length of the non-positive-slope part of the Newton polygon.
+    Coefficients of unknown valuation must be bounded strictly above v,
+    else the truncation is declared insufficient at the first such index.
     """
-    known = series.known_valuations()
-    if not known:
+    p, precs = disk.series.ctx.prime, disk.series.precs
+    count, v_min = 0, INF
+    unknown = []  # (index, bound), in increasing index order
+    for exp, r in sorted(disk.series.coeffs.items()):
+        bound = precs.get(exp, INF)
+        v = int_valuation(r, p)
+        if v >= bound:
+            unknown.append((exp[0], bound))
+        elif v <= v_min:
+            count, v_min = exp[0], v
+    if v_min == INF:
         raise InputError("series is identically zero at precision; no polygon exists")
-    min_val = min(v for _, v in known)
-    count = max(m for m, v in known if v == min_val)
-    known_indices = {m for m, _ in known}
-    for m, bound in enumerate(series.precs):
-        if m not in known_indices and bound <= min_val:
+    for m, bound in unknown:
+        if bound <= v_min:
             raise PrecisionExhausted(
                 f"truncation insufficient: coefficient {m} is only known above "
-                f"valuation {bound}, the polygon minimum is {min_val}"
+                f"valuation {bound}, the polygon minimum is {v_min}"
             )
-    return count
+    return count, v_min
 
 
 # ---------------------------------------------------------------------------
@@ -352,23 +341,21 @@ class ClassAnalysis:
     leaves: tuple[ZeroLocalization, ...] = ()
 
 
-def _min_known_valuation(series: DiskSeries) -> int:
-    return min(v for _, v in series.known_valuations())
-
-
-def _residual_roots(series: DiskSeries, count: int, v_min: int) -> list[int]:
+def _residual_roots(disk: DiskSeries, count: int, v_min: int) -> list[int]:
     """The roots in F_p of the residual polynomial (L(t) / p^v) mod p.
 
-    L is the disk series after a successful newton_zero_count, v its minimum
-    known valuation and count the last index attaining it, so the residual
-    polynomial has degree count and at most count roots.  Every coefficient
+    (count, v) = newton_zero_count(disk): v is the minimum known valuation
+    of the coefficients of L and count the last index attaining it, so the
+    residual polynomial has degree count and at most count roots.  Every coefficient
     is known mod p^(v+1): a known one's bound exceeds its valuation, an
     unknown one's is at least v + 1.  At a non-root j, L(j + p t) has
     constant valuation exactly v and every other coefficient above v, so
     the child disk holds no zero and its leaf needs no shift.
     """
-    p, scale = series.prime, series.prime**v_min
-    residual = [r // scale % p for r in series.residues[: count + 1]]
+    series = disk.series
+    p = series.ctx.prime
+    scale = p**v_min
+    residual = [series.coefficient((m,)) // scale % p for m in range(count + 1)]
     return [j for j in range(p) if not sum(c * j**m for m, c in enumerate(residual)) % p]
 
 
@@ -383,8 +370,9 @@ def localize_zeros(interp: ApproxInterpolant, polynomials: list[Poly]) -> list[C
     the parent's residual polynomial are shifted: every other child is
     zero-free with the parent's minimum valuation (_residual_roots).  The
     unit disk of each polynomial is the parent of its classes mod p; where
-    its polygon is undecidable, every class is shifted.  The child counts of
-    a count-1 disk must sum to 1 (a single zero in a disk with these
+    its polygon is undecidable, every class is shifted.  Each shifted disk's
+    polygon is read once, and _refine takes that reading.  The child counts
+    of a count-1 disk must sum to 1 (a single zero in a disk with these
     coefficient rings is rational), while larger clusters may lose zeros to
     non-rational directions, which integer arguments can never approach.  A
     cluster that refuses to split for STABLE_ROUNDS levels, or reaches
@@ -407,21 +395,20 @@ def localize_zeros(interp: ApproxInterpolant, polynomials: list[Poly]) -> list[C
     shifted = []  # per polynomial: (classes to shift, valuation of the others)
     for unit in unit_disks:
         try:
-            count = newton_zero_count(unit)
+            count, v_min = newton_zero_count(unit)
         except (PrecisionExhausted, InputError):
             shifted.append((range(p), None))
             continue
-        v_min = _min_known_valuation(unit)
         shifted.append((_residual_roots(unit, count, v_min), v_min))
 
     analyses = []
     for i in range(p):
         for qi, (q, (roots, v_min)) in enumerate(zip(polynomials, shifted)):
             if i in roots:
-                series = _subdisk(interp, q, coords, 0, 0, i, 1)
-                if series.zero_at_precision:
+                disk = _subdisk(interp, q, coords, 0, 0, i, 1)
+                if disk.zero_at_precision:
                     continue
-                leaves = _refine(interp, q, series)
+                leaves = _refine(interp, q, disk, *newton_zero_count(disk))
             else:
                 leaves = [ZeroLocalization(i, 1, 0, v_min)]
             analyses.append(ClassAnalysis(i, 1, qi, True, tuple(leaves)))
@@ -432,25 +419,25 @@ def localize_zeros(interp: ApproxInterpolant, polynomials: list[Poly]) -> list[C
 
 
 def _refine(
-    interp: ApproxInterpolant, q: Poly, series: DiskSeries, stability: int = 0
+    interp: ApproxInterpolant, q: Poly, disk: DiskSeries, count: int, v_min: int,
+    stability: int = 0,
 ) -> list[ZeroLocalization]:
-    p = series.prime
-    count = newton_zero_count(series)
-    v_min = _min_known_valuation(series)
+    """The leaves under a disk whose polygon reading is (count, v_min)."""
+    p = interp.ctx.prime
     if count == 0:
-        return [ZeroLocalization(series.center, series.radius_exp, 0, v_min)]
-    if series.radius_exp >= max(5, series.precision // 2) or stability >= STABLE_ROUNDS:
-        return [ZeroLocalization(series.center, series.radius_exp, count, v_min)]
-    sub_exp = series.radius_exp + 1
-    children = {}  # residual root j -> (child series, its zero count)
-    for j in _residual_roots(series, count, v_min):
-        child = _subdisk(interp, q, series.coords, series.center, series.radius_exp, j, sub_exp)
+        return [ZeroLocalization(disk.center, disk.radius_exp, 0, v_min)]
+    if disk.radius_exp >= max(5, interp.ctx.precision // 2) or stability >= STABLE_ROUNDS:
+        return [ZeroLocalization(disk.center, disk.radius_exp, count, v_min)]
+    sub_exp = disk.radius_exp + 1
+    children = {}  # residual root j -> (child disk, its zero count, its minimum valuation)
+    for j in _residual_roots(disk, count, v_min):
+        child = _subdisk(interp, q, disk.coords, disk.center, disk.radius_exp, j, sub_exp)
         if child.zero_at_precision:
             raise PrecisionExhausted(
                 "child disk series vanished at precision during refinement"
             )
-        children[j] = child, newton_zero_count(child)
-    total = sum(c for _, c in children.values())
+        children[j] = (child, *newton_zero_count(child))
+    total = sum(c for _, c, _ in children.values())
     if count == 1 and total != 1:
         raise InvariantViolation(
             "a single zero must land in exactly one rational child disk"
@@ -459,17 +446,16 @@ def _refine(
         raise InvariantViolation("child zero counts exceed the parent count")
 
     leaves: list[ZeroLocalization] = []
-    single = sum(c > 0 for _, c in children.values()) == 1
-    for child, c in children.values():
+    single = sum(c > 0 for _, c, _ in children.values()) == 1
+    for child, c, v in children.values():
         if c:
-            leaves += _refine(interp, q, child, stability + 1 if single and c == count else 0)
+            stable = stability + 1 if single and c == count else 0
+            leaves += _refine(interp, q, child, c, v, stable)
     # zero-free siblings: members falling there need a finiteness bound
     for j in range(p):
-        child, c = children.get(j, (None, 0))
+        _, c, v = children.get(j, (None, 0, v_min))
         if not c:
-            center = series.center + j * p**series.radius_exp
-            v = v_min if child is None else _min_known_valuation(child)
-            leaves.append(ZeroLocalization(center, sub_exp, 0, v))
+            leaves.append(ZeroLocalization(disk.center + j * p**disk.radius_exp, sub_exp, 0, v))
     return leaves
 
 

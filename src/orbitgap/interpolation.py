@@ -47,11 +47,17 @@ class ApproxInterpolant:
     series: MahlerSeries
     congruence_exponent: int
     terms: int
-    decay: tuple
+    decay: tuple  # sup-norm valuation of each coefficient
 
     @property
     def ctx(self):
         return self.model.ctx
+
+    @property
+    def decay_onset(self) -> int:
+        """The first index after which coefficient valuations are non-decreasing."""
+        d = self.decay
+        return next((i for i in range(len(d) - 1, 0, -1) if d[i - 1] > d[i]), 0)
 
     def to_record(self) -> dict:
         return {
@@ -59,7 +65,7 @@ class ApproxInterpolant:
             "precision": self.ctx.precision,
             "congruence_exponent": self.congruence_exponent,
             "terms": self.terms,
-            "decay_onset": self.series.decay_onset,
+            "decay_onset": self.decay_onset,
             "coefficients": [list(v) for v in self.series.coeffs],
         }
 
@@ -124,7 +130,7 @@ def build_interpolant(
     values = model.orbit(terms + 1)
     series = MahlerSeries.from_values(model.ctx, values)
     p, prec = model.ctx.prime, model.ctx.precision
-    decay = tuple(series.coefficient_valuations())
+    decay = tuple(sup_valuation(v, p) for v in series.coeffs)
     for k, v in enumerate(decay):
         req = decay_requirement(k, c, p, prec)
         if v < req:
@@ -133,7 +139,7 @@ def build_interpolant(
                 "insufficient precision or an interpolation hypothesis fails on this orbit"
             )
     for n in (0, 1, terms):
-        if n <= terms and series.evaluate(n, _row(series, n, rows)) != values[n]:
+        if n <= terms and series.evaluate(_row(series, n, rows)) != values[n]:
             raise InvariantViolation(f"fitting-window reconstruction failed at {n}")
     return ApproxInterpolant(model, series, c, terms, decay)
 
@@ -180,7 +186,7 @@ def verify_error_bound(
     margins, required = [], []
     ok, witness = True, None
     for n in samples:
-        value = interp.series.evaluate(n, _row(interp.series, n, rows))
+        value = interp.series.evaluate(_row(interp.series, n, rows))
         margin = _margin(value, points[n], model.ctx)
         req = min(n * c, (terms + 1) * c, prec)
         margins.append(margin)
@@ -248,9 +254,9 @@ def verify_compatibility(
     values, values_next = [], []
     for n in samples:
         row = _row(series, n, rows)
-        values.append(series.evaluate(n, row))
+        values.append(series.evaluate(row))
         values_next.append(
-            series.coeffs[0] if (n + 1) % ctx.modulus == 0 else shifted.evaluate(n, row)
+            series.coeffs[0] if (n + 1) % ctx.modulus == 0 else shifted.evaluate(row)
         )
     margins = []
     ok, witness = True, None
@@ -275,17 +281,16 @@ class ConstancyReport:
     threshold: int
 
 
-def constancy_test(interp: ApproxInterpolant, threshold: int | None = None) -> ConstancyReport:
+def constancy_test(interp: ApproxInterpolant) -> ConstancyReport:
     """Detect the degenerate constant interpolant.
 
     Constant at precision means every coefficient beyond the zeroth has
-    valuation >= threshold.  In that case the limit value must be fixed by
-    the model map at the same threshold, and the orbit-convergence condition
+    valuation >= K.  In that case the limit value must be fixed by the
+    model map at the same threshold, and the orbit-convergence condition
     must be re-examined by the caller (this is the degenerate case of the
     gap analysis, not an error by itself).
     """
-    if threshold is None:
-        threshold = interp.ctx.precision
+    threshold = interp.ctx.precision
     constant = all(v >= threshold for v in interp.decay[1:])
     if not constant:
         return ConstancyReport(False, None, None, threshold)

@@ -53,8 +53,12 @@ from .polynomials import (
 )
 from .reduction import ProblemInstance, exact_orbit, orbit_summary
 
-#: Abort threshold for the combined iterate replacement.
+#: Abort threshold for the combined iterate replacement, and so for the
+#: length k1 of the mod-p^2 cycle.
 K_TOTAL_CAP = 10_000
+
+#: Largest tail plus cycle of the orbit mod p^2 that stabilize_orbit walks.
+STABILIZE_GUARD = 1 << 22
 
 #: Largest stride whose residue classes all get a model; beyond it only the
 #: class through the stabilized point is analyzed.
@@ -65,19 +69,20 @@ PREPERIODIC_DEPTH = 32
 PREPERIODIC_BIT_BUDGET = 1 << 14
 
 
-def stabilize_orbit(inst: ProblemInstance, p: int, guard: int = 1 << 22) -> tuple[int, int, list]:
+def stabilize_orbit(inst: ProblemInstance, p: int) -> tuple[int, int, list]:
     """(k, m0, cycle): the smallest k and m0 such that the residue of f^m0(a)
     mod p^2 is fixed by f^k mod p^2, and that residue's cycle, lifted in
     [0, p^2).
 
-    Raises BudgetExceeded when the tail plus the cycle exceeds guard.  Brent's
-    search closes a cycle by index 3 * (tail + cycle) - 2, so it is cut at
-    3 * guard and costs O(guard) map evaluations whatever the orbit.
+    Raises BudgetExceeded when the tail plus the cycle exceeds
+    STABILIZE_GUARD.  Brent's search closes a cycle by index
+    3 * (tail + cycle) - 2, so it is cut at 3 * STABILIZE_GUARD and costs
+    O(STABILIZE_GUARD) map evaluations whatever the orbit.
     """
     f2 = ModularMap.from_map(inst.mapping, p * p)
     a2 = tuple(reduce_rational(x, p * p) for x in inst.initial_point)
-    summary = orbit_summary(f2, a2, limit=3 * guard)
-    if summary is None or summary.tail + summary.cycle > guard:
+    summary = orbit_summary(f2, a2, limit=3 * STABILIZE_GUARD)
+    if summary is None or summary.tail + summary.cycle > STABILIZE_GUARD:
         raise BudgetExceeded("orbit mod p^2 exceeds the enumeration guard")
     cycle = [summary.entry]
     for _ in range(summary.cycle - 1):
@@ -212,19 +217,16 @@ class LocalModel:
         return poly_compose(q, _chart_args(self.center, self.prime))
 
 
-def ensure_not_preperiodic(
-    inst: ProblemInstance,
-    depth: int = PREPERIODIC_DEPTH,
-    bit_budget: int = PREPERIODIC_BIT_BUDGET,
-) -> int:
-    """Heuristic non-preperiodicity check: exact orbit points must stay distinct.
+def ensure_not_preperiodic(inst: ProblemInstance) -> int:
+    """Heuristic non-preperiodicity check: the first PREPERIODIC_DEPTH exact
+    orbit points must stay distinct.
 
     Returns the depth actually verified (iteration stops early once
-    coordinate sizes exceed the bit budget, after which a recurrence is no
-    longer plausible at desk scale).
+    coordinate sizes exceed PREPERIODIC_BIT_BUDGET, after which a recurrence
+    is no longer plausible at desk scale).
     """
     seen = set()
-    for pt in islice(exact_orbit(inst, bit_budget), depth):
+    for pt in islice(exact_orbit(inst, PREPERIODIC_BIT_BUDGET), PREPERIODIC_DEPTH):
         if pt in seen:
             raise HypothesisViolation(
                 f"initial point is preperiodic (orbit repeats by iterate {len(seen)})"
@@ -336,6 +338,9 @@ class _ChartChain:
 
 def _chart_chain(inst: ProblemInstance, p: int) -> _ChartChain:
     k1, m0, cycle_pts = stabilize_orbit(inst, p)
+    if k1 > K_TOTAL_CAP:
+        # k_total = k1 * k2 >= k1 would exceed the cap: refuse before any chart step
+        raise BudgetExceeded(f"mod-p^2 cycle length k1 = {k1} exceeds the cap {K_TOTAL_CAP}")
     try:
         charts = tuple(
             _chart_step(inst.mapping, cycle_pts[j], cycle_pts[(j + 1) % k1], p)
@@ -454,18 +459,13 @@ def _models(
     return models
 
 
-def build_model_family(
-    inst: ProblemInstance,
-    p: int,
-    precision: int,
-    shift_cap: int = SHIFT_CAP,
-) -> list[LocalModel]:
+def build_model_family(inst: ProblemInstance, p: int, precision: int) -> list[LocalModel]:
     """Models covering every residue class of original indices >= m0 mod k_total.
 
     The family is one mod-p^2 cycle and one chart chain; its models are the
     rotations of that chain.  The iterate power is the least one that makes
     every rotation idempotent, so the whole family shares one stride.  When
-    the stride exceeds shift_cap only the class through the stabilized point
+    the stride exceeds SHIFT_CAP only the class through the stabilized point
     is returned; the caller must record the reduced coverage.  The caller
     has checked the orbit with ensure_not_preperiodic.
     """
@@ -473,4 +473,4 @@ def build_model_family(
     chain = _chart_chain(inst, p)
     k2 = _iterate_power(chain.chains, p)
     k_total = chain.k1 * k2
-    return _models(inst, chain, ctx, k2, [0] if k_total > shift_cap else range(k_total))
+    return _models(inst, chain, ctx, k2, [0] if k_total > SHIFT_CAP else range(k_total))

@@ -12,7 +12,8 @@ Building blocks:
   TruncatedSeries -- finitely supported power series over the unit polydisk
                      with residues mod p^K and a precision bound for each
                      coefficient; the one series type, used for the model
-                     map (normalization) and for disk restriction (gaps)
+                     map (normalization) and for disk restriction (gaps),
+                     where each disk holds its composed series as it is
   MahlerSeries    -- a function of one p-adic argument in the binomial basis
                      C(n, 0), C(n, 1), ...; coefficients are residue vectors
 
@@ -291,13 +292,10 @@ class MahlerSeries:
     coeffs[k] is a residue vector mod p^K multiplying C(n, k); columns[i]
     holds coordinate i of every coefficient.  Evaluation at any integer n in
     [0, len(coeffs)-1] reproduces the finite-difference data exactly.
-    decay_onset records the first index after which coefficient valuations
-    are non-decreasing (a construction-time diagnostic).
     """
 
     ctx: PadicContext
     coeffs: tuple[tuple[int, ...], ...]
-    decay_onset: int = 0
     columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -305,14 +303,7 @@ class MahlerSeries:
 
     @staticmethod
     def from_values(ctx: PadicContext, values: list[tuple[int, ...]]) -> "MahlerSeries":
-        diffs = forward_differences(values, ctx.modulus)
-        vals = [sup_valuation(d, ctx.prime) for d in diffs]
-        onset = 0
-        for i in range(len(vals) - 1, 0, -1):
-            if vals[i - 1] > vals[i]:
-                onset = i
-                break
-        return MahlerSeries(ctx, tuple(diffs), onset)
+        return MahlerSeries(ctx, tuple(forward_differences(values, ctx.modulus)))
 
     @property
     def dim(self) -> int:
@@ -321,9 +312,6 @@ class MahlerSeries:
     @property
     def terms(self) -> int:
         return len(self.coeffs)
-
-    def coefficient_valuations(self) -> list[int | float]:
-        return [sup_valuation(c, self.ctx.prime) for c in self.coeffs]
 
     def shifted(self) -> "MahlerSeries":
         """The series of x -> self(x + 1) as polynomials in x.
@@ -337,15 +325,10 @@ class MahlerSeries:
         cols = [[(a + b) % mod for a, b in zip(col, col[1:] + (0,))] for col in self.columns]
         return MahlerSeries(self.ctx, tuple(zip(*cols)))
 
-    def evaluate(self, n: int, row: list[int] | None = None) -> tuple[int, ...]:
-        """Sum of coeffs[k] * C(n, k) at the residue of the argument n mod p^K.
-
-        row is the binomial row of that residue when the caller already has
-        it (see binomial_rows); otherwise it is computed here.
-        """
-        mod = self.ctx.modulus
-        if row is None:
-            row = binomial_row(self.ctx, n % mod, len(self.coeffs) - 1)
-        elif len(row) != len(self.coeffs):
+    def evaluate(self, row: list[int]) -> tuple[int, ...]:
+        """Sum of coeffs[k] * row[k]: the value at an argument whose binomial
+        row C(n, 0), ..., C(n, terms - 1) mod p^K this is (see binomial_rows)."""
+        if len(row) != len(self.coeffs):
             raise ValueError(f"binomial row of {len(row)} entries for {len(self.coeffs)} terms")
+        mod = self.ctx.modulus
         return tuple([sum(map(mul, row, col)) % mod for col in self.columns])

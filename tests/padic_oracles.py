@@ -27,14 +27,17 @@ walk of the whole space, the backward depth of a target from a dict of
 preimage tuples (the reference for the sorted-image scan), the binomial
 basis re-expanded at each disk (the reference for disk restriction), a dense
 one-variable series with precision bounds (the reference for the bound rule
-of disk restriction and of TruncatedSeries), polynomial evaluation mod m
+of disk restriction and of TruncatedSeries), the Newton-polygon reading of
+a disk index by index over its dense coefficients (the reference for the
+sparse reading of newton_zero_count), polynomial evaluation mod m
 term by term (the reference for the nested Horner evaluator), the
 composition of two maps over the rationals, the chart
 chain composed one chart at a time for each rotation (the reference for the
 shared head and tail composites of normalization), the model map applied one
 point and one chart call at a time (the reference for the column-wise push),
 Mahler evaluation and forward differences term by term (the references for
-the column kernels), the value of an interpolant at one argument, exact
+the column kernels), the value of a Mahler series or an interpolant at one
+integer with its own binomial row, exact
 iteration over the rationals, the least idempotent power of a matrix mod p
 by trying every power in turn (the reference for the iterate power of
 normalization), the chart T(x) = eta + p*x of a local model and its inverse,
@@ -64,7 +67,6 @@ from orbitgap.gaps import (
     ClassAnalysis,
     DiskSeries,
     ZeroLocalization,
-    _min_known_valuation,
     _subdisk,
     newton_zero_count,
     restrict_to_disk,
@@ -86,7 +88,14 @@ from orbitgap.normalization import (
     hensel_idempotent,
     series_congruence_exponent,
 )
-from orbitgap.padic import INF, PadicContext, TruncatedSeries, int_valuation, vp_factorial
+from orbitgap.padic import (
+    INF,
+    PadicContext,
+    TruncatedSeries,
+    binomial_row,
+    int_valuation,
+    vp_factorial,
+)
 from orbitgap.polynomials import ModularMap, PolyMap, poly_compose, reduce_poly
 from orbitgap.reduction import bad_primes, orbit_summary, reduce_instance
 
@@ -249,11 +258,56 @@ def gauss_valuation(series: TruncatedSeries) -> int | float:
     )
 
 
-def disk_series(coeffs: list[int], p: int, precision: int) -> DiskSeries:
-    """The polynomial sum coeffs[m] t^m on the unit disk, each coefficient
-    known mod p^precision (bound = precision)."""
-    mod = p**precision
-    return DiskSeries(0, 0, tuple(c % mod for c in coeffs), (precision,) * len(coeffs), p, precision)
+def disk_series(coeffs: list[int], p: int, precision: int, bounds=None) -> DiskSeries:
+    """The polynomial sum coeffs[m] t^m on the unit disk; coefficient m is
+    known above valuation bounds[m] (default: precision for every m)."""
+    ctx = PadicContext(p, precision)
+    if bounds is None:
+        bounds = [precision] * len(coeffs)
+    residues = [c % ctx.modulus for c in coeffs]
+    series = TruncatedSeries(
+        ctx,
+        1,
+        {(m,): r for m, (r, b) in enumerate(zip(residues, bounds)) if r or b < INF},
+        {(m,): b for m, b in enumerate(bounds) if b < INF},
+    )
+    return DiskSeries(0, 0, series)
+
+
+def dense_coefficients(disk: DiskSeries) -> tuple[tuple[int, ...], tuple]:
+    """(residues, bounds) of a disk series, one entry per index up to its degree."""
+    series = disk.series
+    degree = max((m for (m,) in series.coeffs), default=0)
+    return (
+        tuple(series.coefficient((m,)) for m in range(degree + 1)),
+        tuple(series.precs.get((m,), INF) for m in range(degree + 1)),
+    )
+
+
+def dense_newton_reading(residues, precs, p: int) -> tuple[int, int]:
+    """(zero count, minimum known valuation) by the dense rule, index by index.
+
+    The reference for `gaps.newton_zero_count`: the known valuations are
+    those below their bounds; the count is the last index attaining their
+    minimum, and the first index whose valuation is unknown and whose bound
+    is at most that minimum makes the truncation insufficient.
+    """
+    known = [
+        (m, v) for m, (r, bound) in enumerate(zip(residues, precs))
+        if (v := int_valuation(r, p)) < bound
+    ]
+    if not known:
+        raise InputError("series is identically zero at precision; no polygon exists")
+    min_val = min(v for _, v in known)
+    count = max(m for m, v in known if v == min_val)
+    known_indices = {m for m, _ in known}
+    for m, bound in enumerate(precs):
+        if m not in known_indices and bound <= min_val:
+            raise PrecisionExhausted(
+                f"truncation insufficient: coefficient {m} is only known above "
+                f"valuation {bound}, the polygon minimum is {min_val}"
+            )
+    return count, min_val
 
 
 def modular_eval(p: dict, point, m: int) -> int:
@@ -518,25 +572,16 @@ def restrict_to_disk_reference(interp, q: dict, center: int, radius_exp: int) ->
         coord_series.append(TruncatedSeries(ctx, 1, coeffs, precs))
 
     result = TruncatedSeries(ctx, dim, reduce_poly(q, mod)).compose(coord_series)
-    degree = max((m for (m,) in result.coeffs), default=0)
-    return DiskSeries(
-        center,
-        radius_exp,
-        tuple(result.coefficient((m,)) for m in range(degree + 1)),
-        tuple(result.precs.get((m,), INF) for m in range(degree + 1)),
-        p,
-        prec,
-    )
+    return DiskSeries(center, radius_exp, result)
 
 
 def _refine_reference(interp, q: dict, series: DiskSeries, stability: int = 0) -> list:
     """The refinement with every one of the p children shifted and counted."""
-    p = series.prime
-    count = newton_zero_count(series)
-    v_min = _min_known_valuation(series)
+    p = interp.ctx.prime
+    count, v_min = newton_zero_count(series)
     if count == 0:
         return [ZeroLocalization(series.center, series.radius_exp, 0, v_min)]
-    if series.radius_exp >= max(5, series.precision // 2) or stability >= STABLE_ROUNDS:
+    if series.radius_exp >= max(5, interp.ctx.precision // 2) or stability >= STABLE_ROUNDS:
         return [ZeroLocalization(series.center, series.radius_exp, count, v_min)]
     children = []
     child_counts = []
@@ -548,7 +593,7 @@ def _refine_reference(interp, q: dict, series: DiskSeries, stability: int = 0) -
         if child.zero_at_precision:
             raise PrecisionExhausted("child disk series vanished at precision during refinement")
         children.append(child)
-        child_counts.append(newton_zero_count(child))
+        child_counts.append(newton_zero_count(child)[0])
     total = sum(child_counts)
     if count == 1 and total != 1:
         raise InvariantViolation("a single zero must land in exactly one rational child disk")
@@ -563,7 +608,7 @@ def _refine_reference(interp, q: dict, series: DiskSeries, stability: int = 0) -
                 interp, q, child, stability + 1 if single and c == count else 0
             )
     leaves += [
-        ZeroLocalization(child.center, child.radius_exp, 0, _min_known_valuation(child))
+        ZeroLocalization(child.center, child.radius_exp, 0, newton_zero_count(child)[1])
         for child, c in zip(children, child_counts)
         if c == 0
     ]
@@ -678,9 +723,14 @@ def forward_differences_reference(values, mod: int) -> list[tuple[int, ...]]:
     return out
 
 
+def mahler_value(series, n: int) -> tuple[int, ...]:
+    """A Mahler series at the integer n, with the binomial row of n's residue mod p^K."""
+    return series.evaluate(binomial_row(series.ctx, n % series.ctx.modulus, series.terms - 1))
+
+
 def interpolant_value(interp, n: int) -> tuple[int, ...]:
     """G(n): the interpolant evaluated alone, with its own binomial row."""
-    return interp.series.evaluate(n)
+    return mahler_value(interp.series, n)
 
 
 def series_from_ints(ctx: PadicContext, nvars: int, items) -> TruncatedSeries:

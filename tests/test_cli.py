@@ -178,6 +178,19 @@ def test_analyze_deterministic_bytes(worked_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("problem", PROBLEMS, ids=[p.name for p in PROBLEMS])
+def test_analyze_matches_golden_records(problem, tmp_path):
+    """Each sample's records, byte for byte, as tests/golden holds them.
+
+    A change that alters a record on purpose regenerates the file with
+    `orbitgap analyze problems/NAME.json --out tests/golden/NAME.jsonl` and
+    names the changed field in CHANGES.md.
+    """
+    out = tmp_path / "run.jsonl"
+    assert main(["analyze", str(problem), "--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{problem.stem}.jsonl").read_bytes()
+
+
 def test_identity_map_rejected_preperiodic(tmp_path):
     doc = {
         "dimension": 1,
@@ -437,6 +450,23 @@ def test_broken_invariant_exits_4(monkeypatch, tmp_path, capsys):
     assert failure["record"] == "failure"
     assert failure["stage"] == "avoidance"
     assert "not disjoint" in failure["message"]
+
+
+def test_long_cycle_exits_3_at_normalization(tmp_path):
+    # x -> x + 1 from 0 has a cycle of all 101^2 residues mod 101^2
+    doc = {
+        "dimension": 1,
+        "map": [[[[1], 1], [[0], 1]]],
+        "initial_point": [0],
+        "variety": [[[[1], 1], [[0], -7]]],
+        "parameters": {"prime_range": [101, 101], "precision": 8, "n_max": 50},
+    }
+    path, out = tmp_path / "cycle.json", tmp_path / "run.jsonl"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--out", str(out)]) == 3
+    failure = [json.loads(line) for line in out.read_text().splitlines()][-1]
+    assert (failure["record"], failure["stage"]) == ("failure", "normalization")
+    assert failure["message"] == "mod-p^2 cycle length k1 = 10201 exceeds the cap 10000"
 
 
 @pytest.mark.parametrize("step, check", [(1, "translate-scale"), (None, "base-point")])

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from padic_oracles import (
     DensePrecSeries,
     classify_gap_sequence,
+    dense_coefficients,
     dense_compose,
+    dense_newton_reading,
     direct_model,
     disk_series,
     interpolant_value,
@@ -39,7 +41,7 @@ from orbitgap.gaps import (
 )
 from orbitgap.interpolation import build_interpolant
 from orbitgap.normalization import build_model_family
-from orbitgap.padic import INF, MahlerSeries, PadicContext, vp_factorial
+from orbitgap.padic import INF, MahlerSeries, PadicContext, int_valuation, vp_factorial
 from orbitgap.polynomials import ModularMap, PolyMap, reduce_poly
 from orbitgap.reduction import ProblemInstance, bad_primes, reduce_instance
 
@@ -107,10 +109,11 @@ def test_returns_structured_map_survivors_rescreened():
     assert len(rs.screening_primes) == 8  # one extra round was spent
 
 
-def test_returns_budget_labels_screened():
+def test_returns_budget_labels_screened(monkeypatch):
+    monkeypatch.setattr(gaps, "EXACT_BIT_BUDGET", 3)
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
     rs = compute_returns(
-        inst, 100, screening_primes=[101, 103], exact_bit_budget=3, bad=bad_primes(inst)
+        inst, 100, screening_primes=[101, 103], bad=bad_primes(inst)
     )
     assert rs.entries and all(e.status == "modular-screened" for e in rs.entries)
 
@@ -248,10 +251,11 @@ def test_certified_returns_vanish_mod_every_screening_prime():
 
 
 def test_newton_examples():
-    assert newton_zero_count(disk_series([5, -6, 1], 5, 12)) == 2
-    assert newton_zero_count(disk_series([1, 5], 5, 12)) == 0
-    assert newton_zero_count(disk_series([3], 5, 12)) == 0
-    assert newton_zero_count(disk_series([0, 0, 1], 5, 12)) == 2
+    assert newton_zero_count(disk_series([5, -6, 1], 5, 12)) == (2, 0)
+    assert newton_zero_count(disk_series([1, 5], 5, 12)) == (0, 0)
+    assert newton_zero_count(disk_series([3], 5, 12)) == (0, 0)
+    assert newton_zero_count(disk_series([0, 0, 1], 5, 12)) == (2, 0)
+    assert newton_zero_count(disk_series([25, 0, 50, 5], 5, 12)) == (3, 1)
 
 
 def test_newton_identically_zero_rejected():
@@ -259,7 +263,17 @@ def test_newton_identically_zero_rejected():
         newton_zero_count(disk_series([0, 0], 5, 6))
 
 
+def _reading(read, *args):
+    try:
+        return read(*args)
+    except (InputError, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+
+
 def test_newton_matches_oracle_random():
+    """The count against the evaluation oracle, and the whole sparse reading
+    against the dense rule: (count, v_min), or the exception and the index
+    its message names, and zero_at_precision."""
     rng = random.Random(99)
     checked = 0
     while checked < 120:
@@ -270,8 +284,51 @@ def test_newton_matches_oracle_random():
             continue
         got = newton_zero_count(disk_series(coeffs, p, 12))
         want = unit_disk_root_count(coeffs, p, 12)
-        assert got == want, (coeffs, p, got, want)
+        assert got[0] == want, (coeffs, p, got, want)
+        residues = [c % ctx.modulus for c in coeffs]
+        assert got == dense_newton_reading(residues, [12] * len(coeffs), p)
         checked += 1
+
+    # zero residues with finite bounds, and residues at or above their bounds
+    rng = random.Random(100)
+    seen = {InputError: 0, PrecisionExhausted: 0, "several insufficient": 0, "read": 0}
+    for _ in range(400):
+        p = rng.choice([3, 5, 7])
+        residues, bounds = [], []
+        for _ in range(rng.randint(1, 7)):
+            v, kind = rng.randint(0, 5), rng.randrange(4)
+            unit = rng.choice([u for u in range(1, p * p) if u % p])
+            if kind == 0:  # zero at precision, known above a finite bound
+                residues.append(0)
+                bounds.append(rng.randint(0, 6))
+            elif kind == 1:  # not stored
+                residues.append(0)
+                bounds.append(INF)
+            elif kind == 2:  # a residue whose valuation is not below its bound
+                residues.append(p**v * unit)
+                bounds.append(rng.randint(0, v))
+            else:
+                residues.append(p**v * unit)
+                bounds.append(rng.choice([12, v + 1 + rng.randint(0, 3)]))
+        disk = disk_series(residues, p, 12, bounds)
+        got = _reading(newton_zero_count, disk)
+        assert got == _reading(dense_newton_reading, residues, bounds, p), (residues, bounds)
+        assert disk.zero_at_precision == all(
+            r == 0 and b >= 1 for r, b in zip(residues, bounds)
+        )
+        if isinstance(got[0], int):
+            seen["read"] += 1
+            continue
+        seen[got[0]] += 1
+        if got[0] is PrecisionExhausted:
+            v_min = int(got[1].rsplit(" ", 1)[1])
+            insufficient = [
+                m for m, (r, b) in enumerate(zip(residues, bounds))
+                if b <= v_min and int_valuation(r, p) >= b
+            ]
+            assert f"coefficient {insufficient[0]} " in got[1]
+            seen["several insufficient"] += len(insufficient) > 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_newton_matches_oracle_constructed():
@@ -286,7 +343,7 @@ def test_newton_matches_oracle_constructed():
         ([9, 6, 1], 3, 2),  # (t+3)^2
     ]
     for coeffs, p, expect in cases:
-        assert newton_zero_count(disk_series(coeffs, p, 12)) == expect
+        assert newton_zero_count(disk_series(coeffs, p, 12))[0] == expect
         assert unit_disk_root_count(coeffs, p, 12) == expect
 
 
@@ -300,23 +357,23 @@ def _six_interp(precision=20, terms=16):
 
 def test_restrict_constant_polynomial():
     interp = _six_interp()
-    disk = restrict_to_disk(interp, {(0,): Fraction(1)}, 0, 1)
-    assert disk.residues[0] == 1
-    assert all(r == 0 for r in disk.residues[1:])
+    residues, _ = dense_coefficients(restrict_to_disk(interp, {(0,): Fraction(1)}, 0, 1))
+    assert residues[0] == 1
+    assert all(r == 0 for r in residues[1:])
 
 
 def test_restrict_linear_example():
     # L(t) = 6^(5t) - 1: linear coefficient is C(5t,1)-driven, valuation 2
     interp = _six_interp()
     disk = restrict_to_disk(interp, {(1,): Fraction(1), (0,): Fraction(-1)}, 0, 1)
-    assert disk.residues[0] == 0
+    assert disk.series.coefficient((0,)) == 0
     v = 0
-    r = disk.residues[1]
+    r = disk.series.coefficient((1,))
     while r % 5 == 0:
         r //= 5
         v += 1
     assert v == 2
-    assert newton_zero_count(disk) == 1
+    assert newton_zero_count(disk) == (1, 2)
 
 
 @functools.cache
@@ -365,16 +422,18 @@ def test_restrict_to_disk_matches_dense_reference(data):
     coords = []
     for i in range(dim):
         unit = tuple(int(j == i) for j in range(dim))
-        x = restrict_to_disk(interp, {unit: Fraction(1)}, center, radius)
-        assert list(x.precs) == coord_precs
-        coords.append(DensePrecSeries(mod, p, list(x.residues), coord_precs))
+        residues, precs = dense_coefficients(
+            restrict_to_disk(interp, {unit: Fraction(1)}, center, radius)
+        )
+        assert list(precs) == coord_precs
+        coords.append(DensePrecSeries(mod, p, list(residues), coord_precs))
     want = dense_compose(q, coords)
     got = restrict_to_disk(interp, q, center, radius)
 
     def stored(residues, precs):
         return [(m, r, b) for m, (r, b) in enumerate(zip(residues, precs)) if r or b < INF]
 
-    assert stored(got.residues, got.precs) == stored(want.res, want.prec)
+    assert stored(*dense_coefficients(got)) == stored(want.res, want.prec)
 
 
 @functools.cache
@@ -398,7 +457,7 @@ def _restriction(restrict, *args):
         disk = restrict(*args)
     except PrecisionExhausted:
         return PrecisionExhausted
-    return disk.center, disk.radius_exp, disk.residues, disk.precs
+    return disk.center, disk.radius_exp, dense_coefficients(disk)
 
 
 @given(st.data())

@@ -99,7 +99,7 @@ def _instance(map_polys, a, dim=1, targets=()):
     )
 
 
-def test_stabilize_examples():
+def test_stabilize_examples(monkeypatch):
     inst = _instance([{(2,): 1, (0,): 1}], (0,))
     assert stabilize_orbit(inst, 3)[:2] == (3, 2)  # 0,1,2,5,8,2,... mod 9
     # translation x + p: additive orbit mod p^2 has cycle length p
@@ -111,9 +111,11 @@ def test_stabilize_examples():
     assert stabilize_orbit(inst3, 3)[:2] == (1, 0)
     # the guard bounds tail + cycle: x -> x + 1 mod 25 has 0 + 25
     inst4 = _instance([{(1,): 1, (0,): 1}], (0,))
-    assert stabilize_orbit(inst4, 5, guard=25)[:2] == (25, 0)
+    monkeypatch.setattr(normalization, "STABILIZE_GUARD", 25)
+    assert stabilize_orbit(inst4, 5)[:2] == (25, 0)
+    monkeypatch.setattr(normalization, "STABILIZE_GUARD", 24)
     with pytest.raises(BudgetExceeded):
-        stabilize_orbit(inst4, 5, guard=24)
+        stabilize_orbit(inst4, 5)
 
 
 def test_translate_examples():
@@ -391,10 +393,29 @@ def test_stabilize_orbit_guard_bounds_the_walk(monkeypatch):
         return evaluate(self, point)
 
     monkeypatch.setattr(ModularMap, "__call__", counting)
+    monkeypatch.setattr(normalization, "STABILIZE_GUARD", 100)
     inst = _instance([{(1,): 1, (0,): 1}], (0,))
     with pytest.raises(BudgetExceeded):
-        stabilize_orbit(inst, 101, guard=100)
+        stabilize_orbit(inst, 101)
     assert calls <= 301
+
+
+def test_long_cycle_refused_before_any_chart_step(monkeypatch):
+    # x -> x + 1 from 0 runs through all 101^2 residues mod 101^2: k1 = 10201
+    # > K_TOTAL_CAP, and k_total = k1 * k2 >= k1, so no chart is ever built
+    calls = 0
+    chart_step = normalization._chart_step
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return chart_step(*args)
+
+    monkeypatch.setattr(normalization, "_chart_step", counting)
+    inst = _instance([{(1,): 1, (0,): 1}], (0,))
+    with pytest.raises(BudgetExceeded, match="k1 = 10201 exceeds the cap 10000"):
+        build_model_family(inst, 101, 8)
+    assert calls == 0
 
 
 def _full_precision_exponent(model):
