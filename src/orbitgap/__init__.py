@@ -42,7 +42,6 @@ from .normalization import (
 from .interpolation import (
     ApproxInterpolant,
     build_interpolant,
-    check_hypotheses,
     constancy_test,
     verify_compatibility,
     verify_error_bound,

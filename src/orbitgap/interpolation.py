@@ -27,8 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import HypothesisViolation, InvariantViolation, PrecisionExhausted
-from .modmat import mat_mul, mat_reduce
-from .normalization import LocalModel, series_congruence_exponent
+from .normalization import LocalModel
 from .padic import MahlerSeries, PadicContext, binomial_row, sup_valuation
 
 #: Allowed shortfall of coefficient decay below the ideal k*c schedule,
@@ -70,29 +69,6 @@ class ApproxInterpolant:
         }
 
 
-def check_hypotheses(model: LocalModel) -> int:
-    """Validate the interpolation hypotheses of a built model; returns c.
-
-    Asserts that the recorded linear matrix is exactly idempotent at working
-    precision and that the model map agrees with it mod p^c for some c >= 1.
-    """
-    mod = model.ctx.modulus
-    e = mat_reduce(model.linear, mod)
-    if mat_mul(e, e, mod) != e:
-        raise HypothesisViolation("model linear part is not idempotent at working precision")
-    series_mod = model.series[0].ctx.modulus
-    c = series_congruence_exponent(model.series, mat_reduce(model.linear, series_mod), model.series[0].ctx)
-    if c < 1:
-        raise HypothesisViolation(
-            f"congruence exponent {c} < 1; the normalization must be re-run"
-        )
-    if c != model.congruence_exponent:
-        raise HypothesisViolation(
-            f"recorded congruence exponent {model.congruence_exponent} disagrees with {c}"
-        )
-    return c
-
-
 def _margin(x: tuple[int, ...], y: tuple[int, ...], ctx: PadicContext) -> int | float:
     """Valuation of x - y mod p^K in the sup-norm."""
     return sup_valuation([(a - b) % ctx.modulus for a, b in zip(x, y, strict=True)], ctx.prime)
@@ -124,7 +100,7 @@ def build_interpolant(
     orbit super-attracted to a fixed point); both are reported, not patched.
     rows (see _row) must cover the arguments 0, 1 and terms.
     """
-    c = check_hypotheses(model)
+    c = model.congruence_exponent
     if terms is None:
         terms = model.ctx.precision
     values = model.orbit(terms + 1)

@@ -8,7 +8,8 @@ rewritten in chart coordinates T(x) = eta + p*x.  One chart step is
 where eta_0, ..., eta_{k1-1} are the lifts of the mod-p^2 cycle the orbit
 enters.  Every G_j has p-integral coefficients, constant term of valuation
 >= 1, and degree-d coefficients of valuation >= d-1; the same holds for any
-composition of chart steps.
+composition of chart steps.  Each G_j is built as f(eta_j + p*x) - eta_{j+1}
+mod p^(K+1), divided by p, and held mod p^K, the only ring the models use.
 
 A family of models is one such cycle and one chart chain G_0, ..., G_{k1-1},
 each built once: the model of shift r is the rotation of the chain that
@@ -32,25 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 
 from .errors import BudgetExceeded, HypothesisViolation, InputError, InvariantViolation
 from .modmat import Matrix, mat_identity, mat_mul, mat_pow, mat_reduce
 from .padic import PadicContext, TruncatedSeries, int_valuation, sup_valuation
-from .polynomials import (
-    ModularMap,
-    Poly,
-    PolyMap,
-    horner_table,
-    make_const,
-    make_var,
-    poly_add,
-    poly_compose,
-    poly_scale,
-    reduce_poly,
-    reduce_rational,
-)
+from .polynomials import ModularMap, Poly, PolyMap, horner_table, reduce_poly, reduce_rational
 from .reduction import ProblemInstance, exact_orbit, orbit_summary
 
 #: Abort threshold for the combined iterate replacement, and so for the
@@ -88,11 +76,6 @@ def stabilize_orbit(inst: ProblemInstance, p: int) -> tuple[int, int, list]:
     for _ in range(summary.cycle - 1):
         cycle.append(f2(cycle[-1]))
     return summary.cycle, summary.tail, cycle
-
-
-def _frac_valuation(c: Fraction, p: int) -> int | float:
-    c = Fraction(c)
-    return int_valuation(c.numerator, p) - int_valuation(c.denominator, p)
 
 
 def _iterate_power(chains: list[Matrix], p: int) -> int:
@@ -162,9 +145,8 @@ class LocalModel:
 
     ctx: PadicContext
     dimension: int
-    charts: tuple[PolyMap, ...]  # chart steps G_s, G_{s+1}, ... in application order
-    # the charts mod p^K, shared by the models of one family (not part of identity)
-    chart_mods: tuple[ModularMap, ...] = field(repr=False, compare=False)
+    # chart steps G_s, G_{s+1}, ... mod p^K in application order, shared by a family
+    chart_mods: tuple[ModularMap, ...] = field(repr=False)
     steps_per_iterate: int  # chart-chain repetitions per model iterate (k2)
     series: tuple[TruncatedSeries, ...]  # model map mod p^P (see above)
     points: tuple[tuple[int, ...], ...] = field(repr=False)  # see above
@@ -212,9 +194,9 @@ class LocalModel:
             )
         return list(self.points[:count])
 
-    def transport_poly(self, q: Poly) -> Poly:
-        """A polynomial on original coordinates, rewritten on chart coordinates."""
-        return poly_compose(q, _chart_args(self.center, self.prime))
+    def transport_poly(self, q: Poly) -> dict:
+        """A polynomial on original coordinates, rewritten on chart coordinates mod p^K."""
+        return _in_chart([q], self.center, self.ctx)[0].coeffs
 
 
 def ensure_not_preperiodic(inst: ProblemInstance) -> int:
@@ -235,41 +217,42 @@ def ensure_not_preperiodic(inst: ProblemInstance) -> int:
     return len(seen)
 
 
-def _chart_args(eta, p: int) -> list[Poly]:
-    """The chart substitution x -> eta + p*x, one polynomial per coordinate."""
-    n = len(eta)
-    return [poly_add(poly_scale(make_var(n, i), p), make_const(n, eta[i])) for i in range(n)]
+def _in_chart(polys, eta, ctx: PadicContext) -> list[TruncatedSeries]:
+    """Each polynomial composed with the chart x -> eta + p*x, mod p^K of ctx."""
+    n, mod = len(eta), ctx.modulus
+    zero = (0,) * n
+    args = []
+    for i, e in enumerate(eta):
+        unit = tuple(int(j == i) for j in range(n))
+        coeffs = {zero: e % mod, unit: ctx.prime % mod}
+        args.append(TruncatedSeries(ctx, n, {k: r for k, r in coeffs.items() if r}))
+    return [TruncatedSeries(ctx, n, reduce_poly(q, mod)).compose(args) for q in polys]
 
 
-def _chart_step(f: PolyMap, eta, eta_next, p: int) -> PolyMap:
-    """G(x) = (f(eta + p*x) - eta_next)/p, exact over the rationals."""
-    n = f.nvars
-    args = _chart_args(eta, p)
+def _chart_step(f: PolyMap, eta, eta_next, ctx: PadicContext) -> ModularMap:
+    """G(x) = (f(eta + p*x) - eta_next)/p mod p^K.
+
+    f(eta + p*x) - eta_next is composed mod p^(K+1), where every coefficient
+    must be divisible by p; the quotients are G mod p^K.
+    """
+    p, zero = ctx.prime, (0,) * f.nvars
+    ctx1 = PadicContext(p, ctx.precision + 1)
     polys = []
-    for i, poly in enumerate(f.polys):
-        g = poly_compose(poly, args)
-        g = poly_add(g, make_const(n, -Fraction(eta_next[i])))
-        g = poly_scale(g, Fraction(1, p))
-        for e, c in g.items():
-            if _frac_valuation(c, p) < 0:
-                raise InputError(
-                    "chart step left the integer ring; the center was not on the mod-p^2 cycle"
-                )
-        polys.append(g)
-    return PolyMap(n, tuple(polys))
+    for series, e in zip(_in_chart(f.polys, eta, ctx1), eta_next):
+        coeffs = dict(series.coeffs)
+        coeffs[zero] = (coeffs.get(zero, 0) - e) % ctx1.modulus
+        if any(r % p for r in coeffs.values()):
+            raise InvariantViolation(
+                "normalization/translate-scale: chart step left the integer ring; "
+                "the center was not on the mod-p^2 cycle"
+            )
+        polys.append({exp: r // p for exp, r in coeffs.items() if r})
+    return ModularMap(ctx.modulus, f.nvars, tuple(polys))
 
 
-def _linear_part_mod(f: PolyMap, m: int) -> Matrix:
-    n = f.nvars
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            exp = [0] * n
-            exp[j] = 1
-            row.append(reduce_rational(f.polys[i].get(tuple(exp), 0), m))
-        rows.append(tuple(row))
-    return tuple(rows)
+def _linear_part_mod(f: PolyMap | ModularMap, m: int) -> Matrix:
+    units = [tuple(int(k == j) for k in range(f.nvars)) for j in range(f.nvars)]
+    return tuple(tuple(reduce_rational(q.get(e, 0), m) for e in units) for q in f.polys)
 
 
 def series_congruence_exponent(
@@ -332,22 +315,20 @@ class _ChartChain:
     k1: int
     m0: int
     cycle: list  # eta_0, ..., eta_{k1-1}, lifted in [0, p^2)
-    charts: tuple[PolyMap, ...]  # G_j: the disk of eta_j to the disk of eta_{j+1}
+    charts: tuple[ModularMap, ...]  # G_j mod p^K: the disk of eta_j to that of eta_{j+1}
     chains: tuple[Matrix, ...]  # linear part mod p of each rotation
 
 
-def _chart_chain(inst: ProblemInstance, p: int) -> _ChartChain:
+def _chart_chain(inst: ProblemInstance, ctx: PadicContext) -> _ChartChain:
+    p = ctx.prime
     k1, m0, cycle_pts = stabilize_orbit(inst, p)
     if k1 > K_TOTAL_CAP:
         # k_total = k1 * k2 >= k1 would exceed the cap: refuse before any chart step
         raise BudgetExceeded(f"mod-p^2 cycle length k1 = {k1} exceeds the cap {K_TOTAL_CAP}")
-    try:
-        charts = tuple(
-            _chart_step(inst.mapping, cycle_pts[j], cycle_pts[(j + 1) % k1], p)
-            for j in range(k1)
-        )
-    except InputError as exc:
-        raise InvariantViolation(f"normalization/translate-scale: {exc}") from exc
+    charts = tuple(
+        _chart_step(inst.mapping, cycle_pts[j], cycle_pts[(j + 1) % k1], ctx)
+        for j in range(k1)
+    )
     # rotation s has linear part (L_{s-1} ... L_0)(L_{k1-1} ... L_s)
     linears = [_linear_part_mod(g, p) for g in charts]
     suffixes = [mat_identity(inst.dimension)]
@@ -397,16 +378,14 @@ def _models(
 ) -> list[LocalModel]:
     """The models of the given increasing shifts, all with iterate power k2.
 
-    Each chart is reduced mod p^K once, each rotation in use gets its
-    idempotent lift and series once, and one walk mod p^(K+1) gives every
-    model its points.
+    Each rotation in use gets its idempotent lift and series once, and one
+    walk mod p^(K+1) gives every model its points.
     """
     p, k1 = ctx.prime, chain.k1
     if k1 * k2 > K_TOTAL_CAP:
         raise BudgetExceeded(
             f"combined iterate replacement k1*k2 = {k1 * k2} exceeds the cap {K_TOTAL_CAP}"
         )
-    chart_mods = tuple(ModularMap.from_map(g, ctx.modulus) for g in chain.charts)
     points = _model_points(inst, chain, ctx, k1 * k2, shifts)
     linears = {
         s: hensel_idempotent(mat_pow(chain.chains[s], k2, p), p, ctx.precision)
@@ -442,8 +421,7 @@ def _models(
             LocalModel(
                 ctx=ctx,
                 dimension=inst.dimension,
-                charts=chain.charts[s:] + chain.charts[:s],
-                chart_mods=chart_mods[s:] + chart_mods[:s],
+                chart_mods=chain.charts[s:] + chain.charts[:s],
                 steps_per_iterate=k2,
                 series=series,
                 points=points[shift],
@@ -470,7 +448,7 @@ def build_model_family(inst: ProblemInstance, p: int, precision: int) -> list[Lo
     has checked the orbit with ensure_not_preperiodic.
     """
     ctx = PadicContext(p, precision)
-    chain = _chart_chain(inst, p)
+    chain = _chart_chain(inst, ctx)
     k2 = _iterate_power(chain.chains, p)
     k_total = chain.k1 * k2
     return _models(inst, chain, ctx, k2, [0] if k_total > SHIFT_CAP else range(k_total))

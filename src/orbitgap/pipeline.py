@@ -66,8 +66,9 @@ from .reduction import (
 COMMANDS = {
     "primes": ((), ("bad_primes", "avoidance")),
     "returns": ((), ("bad_primes", "returns")),
-    "interpolate": (("prime",), ("normalization", "interpolation")),
-    "gaps": (("prime", "returns"), ("normalization", "interpolation", "gaps", "density")),
+    "interpolate": (("prime", "recorded"), ("normalization", "interpolation")),
+    "gaps": (("prime", "recorded", "returns"),
+             ("normalization", "interpolation", "gaps", "density")),
     "analyze": ((), ("bad_primes", "avoidance", "choose_prime", "diagnostics",
                      "normalization", "interpolation", "returns", "gaps", "density",
                      "summary")),
@@ -110,7 +111,7 @@ class RunState:
 
     inst: ProblemInstance
     params: RunParameters
-    replay: dict[str, list[dict]] | None = None
+    recorded: dict[int, list] | None = None  # replayed interpolant coefficients by shift
     bad: BadPrimeSet | None = None
     scan: AvoidanceScan | None = None
     prime: int | None = None
@@ -149,9 +150,15 @@ def run(command: str, inst: ProblemInstance, params: RunParameters, sha: str,
     if replayed:
         if not replay:
             raise InputError(f"{command} needs --replay records from earlier stages")
-        state.replay = load_replay(replay, sha)
+        records = load_replay(replay, sha)
         for name in replayed:
-            setattr(state, name, _REPLAY_PARSERS[name](state.replay))
+            kind, parse = _REPLAY_PARSERS[name]
+            try:
+                setattr(state, name, parse(records.get(kind, [])))
+            except KeyError as exc:
+                raise InputError(f"malformed replay records: a {kind} record has no {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"malformed replay records: a {kind} record: {exc}") from None
     report = RunReport(sha)
     for name in stages:
         try:
@@ -168,26 +175,24 @@ def run_analyze(inst: ProblemInstance, params: RunParameters, sha: str) -> RunRe
 
 
 def load_replay(path: str, sha: str) -> dict[str, list[dict]]:
-    """Records of a previous run, grouped by kind; they must share the problem hash."""
-    records: dict[str, list] = {}
+    """Records of a previous run, grouped by kind; each must carry this
+    problem's hash (a record without one is stale too)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                records.setdefault(rec.get("record", "?"), []).append(rec)
+            lines = [json.loads(line) for line in fh if line.strip()]
     except OSError as exc:
         raise InputError(f"cannot read replay records: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed replay records: {exc}") from None
-    for rows in records.values():
-        for rec in rows:
-            if rec.get("problem_sha") and rec["problem_sha"] != sha:
-                raise InputError(
-                    "stale replay: records were produced from a different problem file"
-                )
+    records: dict[str, list] = {}
+    for number, rec in enumerate(lines, 1):
+        if not (isinstance(rec, dict) and isinstance(rec.get("record"), str)):
+            raise InputError(f"malformed replay records: entry {number} is not a record")
+        if rec.get("problem_sha") != sha:
+            raise InputError(
+                f"stale replay: a {rec['record']} record was not produced from this problem file"
+            )
+        records.setdefault(rec["record"], []).append(rec)
     return records
 
 
@@ -236,12 +241,13 @@ def stage_choose_prime(report: RunReport, state: RunState) -> None:
     )
 
 
-def _replayed_prime(records: dict) -> int:
-    rows = records.get("certificates")
-    if not rows:
+def _replayed_prime(certificates: list[dict]) -> int:
+    if not certificates:
         raise InputError("missing upstream artifact: run the primes stage first")
-    for row in rows[-1]["rows"]:
+    for row in certificates[-1]["rows"]:
         if row["verdict"] == "certified":
+            if type(row["prime"]) is not int:
+                raise TypeError(f"prime {row['prime']!r} is not an integer")
             return row["prime"]
     raise InputError("replay records contain no certified prime")
 
@@ -318,7 +324,7 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     A single model gains nothing from the shared rows, and holding them all
     at once would raise its peak memory, so it computes each row in turn.
     """
-    old = {rec["shift"]: rec for rec in (state.replay or {}).get("interpolant", [])}
+    old = state.recorded or {}
     state.interps = {}
     stale = False
     ctx = state.family[0].ctx
@@ -347,7 +353,7 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
         report.add(record)
         state.interps[model.shift] = interp
         stale = stale or (
-            model.shift in old and old[model.shift]["coefficients"] != record["coefficients"]
+            model.shift in old and old[model.shift] != record["coefficients"]
         )
     # no later stage reads the model points; base_point is points[0]
     slim = {model.shift: replace(model, points=model.points[:1]) for model in state.family}
@@ -384,11 +390,10 @@ def stage_returns(report: RunReport, state: RunState) -> None:
         )
 
 
-def _replayed_returns(records: dict) -> ReturnSet:
-    rows = records.get("returns")
-    if not rows:
+def _replayed_returns(returns: list[dict]) -> ReturnSet:
+    if not returns:
         raise InputError("missing upstream artifact: run the returns stage first")
-    rec = rows[-1]
+    rec = returns[-1]
     return ReturnSet(
         rec["n_max"],
         tuple(ReturnEntry(n, status) for n, status in rec["entries"]),
@@ -398,7 +403,19 @@ def _replayed_returns(records: dict) -> ReturnSet:
     )
 
 
-_REPLAY_PARSERS = {"prime": _replayed_prime, "returns": _replayed_returns}
+def _replayed_interpolants(interpolants: list[dict]) -> dict[int, list]:
+    """Coefficients of the replayed interpolants by shift, which the rebuilt ones must match."""
+    return {rec["shift"]: rec["coefficients"] for rec in interpolants}
+
+
+#: Each state field read from --replay records: the record kind it is read
+#: from, and its parser.  A record missing a field the parser reads, or with
+#: one it cannot read, is an input error that names the kind.
+_REPLAY_PARSERS = {
+    "prime": ("certificates", _replayed_prime),
+    "recorded": ("interpolant", _replayed_interpolants),
+    "returns": ("returns", _replayed_returns),
+}
 
 
 def stage_gaps(report: RunReport, state: RunState) -> None:

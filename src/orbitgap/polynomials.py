@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomial arithmetic over the rationals.
+"""Sparse multivariate polynomials: exact rational inputs and their residues mod m.
 
 A polynomial is a dict mapping monomial exponent tuples to Fraction
 coefficients; zero coefficients are never stored.  Example in 2 variables:
@@ -6,9 +6,11 @@ coefficients; zero coefficients are never stored.  Example in 2 variables:
     x0^2 * x1 + 3  ->  {(2, 1): Fraction(1), (0, 0): Fraction(3)}
 
 PolyMap bundles N polynomials in N variables: a polynomial self-map of
-affine N-space with exact rational coefficients.  Modular images (int
-coefficient dicts modulo m) are produced by reduce_poly / ModularMap for
-the residue-field and p-power computations.
+affine N-space with exact rational coefficients, as the problem file gives
+it; over the rationals it is only evaluated and differentiated.  Modular
+images (int coefficient dicts modulo m) are produced by reduce_poly /
+ModularMap for the residue-field and p-power computations.  Polynomials are
+composed only mod p^K, as padic.TruncatedSeries.
 
 Evaluation mod m goes through a sparse nested Horner form that horner_form
 builds once per reduced polynomial: horner_eval evaluates it at one point,
@@ -35,48 +37,6 @@ Exponent = tuple[int, ...]
 Poly = dict[Exponent, Fraction]
 
 
-def make_const(nvars: int, value) -> Poly:
-    c = Fraction(value)
-    return {} if c == 0 else {(0,) * nvars: c}
-
-
-def make_var(nvars: int, i: int) -> Poly:
-    exp = [0] * nvars
-    exp[i] = 1
-    return {tuple(exp): Fraction(1)}
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for e, c in q.items():
-        t = out.get(e, Fraction(0)) + c
-        if t == 0:
-            out.pop(e, None)
-        else:
-            out[e] = t
-    return out
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            t = out.get(e, Fraction(0)) + c1 * c2
-            if t == 0:
-                out.pop(e, None)
-            else:
-                out[e] = t
-    return out
-
-
-def poly_scale(p: Poly, s) -> Poly:
-    s = Fraction(s)
-    if s == 0:
-        return {}
-    return {e: c * s for e, c in p.items()}
-
-
 def poly_degree(p: Poly) -> int:
     return max((sum(e) for e in p), default=0)
 
@@ -100,33 +60,6 @@ def poly_derivative(p: Poly, i: int) -> Poly:
         ne = list(e)
         ne[i] -= 1
         out[tuple(ne)] = c * e[i]
-    return out
-
-
-def poly_compose(p: Poly, args: list[Poly]) -> Poly:
-    """Substitute args[i] for variable i; exact over the rationals."""
-    if not p:
-        return {}
-    nvars_out = max((len(next(iter(a))) for a in args if a), default=0)
-    if nvars_out == 0:  # every argument constant
-        nvars_out = 1
-    max_exp = [0] * len(args)
-    for e in p:
-        for i, k in enumerate(e):
-            max_exp[i] = max(max_exp[i], k)
-    pow_cache: list[list[Poly]] = []
-    for i, a in enumerate(args):
-        powers = [make_const(nvars_out, 1)]
-        for _ in range(max_exp[i]):
-            powers.append(poly_mul(powers[-1], a))
-        pow_cache.append(powers)
-    out: Poly = {}
-    for e, c in p.items():
-        term = make_const(nvars_out, c)
-        for i, k in enumerate(e):
-            if k:
-                term = poly_mul(term, pow_cache[i][k])
-        out = poly_add(out, term)
     return out
 
 

@@ -34,6 +34,11 @@ MAX_PRECISION = 512
 #: Largest top of prime_range: the avoidance scan visits every prime below it.
 MAX_PRIME = 10_000
 
+#: Largest n_max: return screening visits every hit index <= n_max of one
+#: screening prime.  At this cap, analyze of x -> x + 1 from 0 with V: x = 5
+#: (prime_range [3, 50], precision 16) takes 7 to 9 s on a 2-vCPU host.
+MAX_N_MAX = 10**9
+
 
 @dataclass(frozen=True)
 class RunParameters:
@@ -56,6 +61,8 @@ class RunParameters:
                 raise InputError(f"parameter {name} must be positive")
         if self.precision > MAX_PRECISION:
             raise InputError(f"precision {self.precision} exceeds the cap {MAX_PRECISION}")
+        if self.n_max > MAX_N_MAX:
+            raise InputError(f"n_max {self.n_max} exceeds the cap {MAX_N_MAX}")
 
 
 def _as_fraction(value, where: str) -> Fraction:

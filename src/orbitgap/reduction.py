@@ -28,6 +28,7 @@ budget: return certification and the non-preperiodicity check iterate it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -278,14 +279,14 @@ class OrbitHits:
     def cycle_density(self) -> Fraction:
         return Fraction(sum(h >= self.tail for h in self.hits), self.cycle)
 
-    def up_to(self, n_max: int) -> list[int]:
-        out = []
+    def up_to(self, n_max: int) -> Iterator[int]:
+        """The hit indices <= n_max, one cycle class after another, generated
+        so that a caller filtering them holds only the ones it keeps."""
         for h in self.hits:
             if h >= self.tail:
-                out.extend(range(h, n_max + 1, self.cycle))
+                yield from range(h, n_max + 1, self.cycle)
             elif h <= n_max:
-                out.append(h)
-        return out
+                yield h
 
 
 def orbit_hits(fp: ModularMap, x: tuple[int, ...], hit, limit: int | None = None) -> OrbitHits:

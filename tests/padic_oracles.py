@@ -30,11 +30,14 @@ one-variable series with precision bounds (the reference for the bound rule
 of disk restriction and of TruncatedSeries), the Newton-polygon reading of
 a disk index by index over its dense coefficients (the reference for the
 sparse reading of newton_zero_count), polynomial evaluation mod m
-term by term (the reference for the nested Horner evaluator), the
-composition of two maps over the rationals, the chart
-chain composed one chart at a time for each rotation (the reference for the
-shared head and tail composites of normalization), the model map applied one
-point and one chart call at a time (the reference for the column-wise push),
+term by term (the reference for the nested Horner evaluator), exact
+polynomial arithmetic over the rationals with the exact chart step (the
+references for the chart steps and transported polynomials that the
+package composes mod p^K), the composition of two maps over the rationals,
+the chart chain composed one chart at a time for each rotation (the
+reference for the shared head and tail composites of normalization), the
+model map applied one point and one chart call at a time (the reference for
+the column-wise push),
 Mahler evaluation and forward differences term by term (the references for
 the column kernels), the value of a Mahler series or an interpolant at one
 integer with its own binomial row, exact
@@ -82,7 +85,6 @@ from orbitgap.modmat import Matrix, mat_mul, mat_reduce
 from orbitgap.normalization import (
     LocalModel,
     TransformRecord,
-    _frac_valuation,
     _linear_part_mod,
     _rotation_series,
     hensel_idempotent,
@@ -96,7 +98,7 @@ from orbitgap.padic import (
     int_valuation,
     vp_factorial,
 )
-from orbitgap.polynomials import ModularMap, PolyMap, poly_compose, reduce_poly
+from orbitgap.polynomials import ModularMap, Poly, PolyMap, reduce_poly
 from orbitgap.reduction import bad_primes, orbit_summary, reduce_instance
 
 
@@ -320,6 +322,97 @@ def modular_eval(p: dict, point, m: int) -> int:
                 term = term * pow(x, k, m) % m
         acc = (acc + term) % m
     return acc
+
+
+def frac_valuation(c: Fraction, p: int) -> int | float:
+    c = Fraction(c)
+    return int_valuation(c.numerator, p) - int_valuation(c.denominator, p)
+
+
+def make_const(nvars: int, value) -> Poly:
+    c = Fraction(value)
+    return {} if c == 0 else {(0,) * nvars: c}
+
+
+def make_var(nvars: int, i: int) -> Poly:
+    exp = [0] * nvars
+    exp[i] = 1
+    return {tuple(exp): Fraction(1)}
+
+
+def poly_add(p: Poly, q: Poly) -> Poly:
+    out = dict(p)
+    for e, c in q.items():
+        t = out.get(e, Fraction(0)) + c
+        if t == 0:
+            out.pop(e, None)
+        else:
+            out[e] = t
+    return out
+
+
+def poly_mul(p: Poly, q: Poly) -> Poly:
+    out: Poly = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            t = out.get(e, Fraction(0)) + c1 * c2
+            if t == 0:
+                out.pop(e, None)
+            else:
+                out[e] = t
+    return out
+
+
+def poly_scale(p: Poly, s) -> Poly:
+    s = Fraction(s)
+    if s == 0:
+        return {}
+    return {e: c * s for e, c in p.items()}
+
+
+def poly_compose(p: Poly, args: list[Poly]) -> Poly:
+    """Substitute args[i] for variable i; exact over the rationals."""
+    if not p:
+        return {}
+    nvars_out = max((len(next(iter(a))) for a in args if a), default=0)
+    if nvars_out == 0:  # every argument constant
+        nvars_out = 1
+    max_exp = [0] * len(args)
+    for e in p:
+        for i, k in enumerate(e):
+            max_exp[i] = max(max_exp[i], k)
+    pow_cache: list[list[Poly]] = []
+    for i, a in enumerate(args):
+        powers = [make_const(nvars_out, 1)]
+        for _ in range(max_exp[i]):
+            powers.append(poly_mul(powers[-1], a))
+        pow_cache.append(powers)
+    out: Poly = {}
+    for e, c in p.items():
+        term = make_const(nvars_out, c)
+        for i, k in enumerate(e):
+            if k:
+                term = poly_mul(term, pow_cache[i][k])
+        out = poly_add(out, term)
+    return out
+
+
+def chart_args(eta, p: int) -> list[Poly]:
+    """The chart substitution x -> eta + p*x, one polynomial per coordinate."""
+    n = len(eta)
+    return [poly_add(poly_scale(make_var(n, i), p), make_const(n, eta[i])) for i in range(n)]
+
+
+def exact_chart_step(f: PolyMap, eta, eta_next, p: int) -> PolyMap:
+    """G(x) = (f(eta + p*x) - eta_next)/p, exact over the rationals."""
+    n = f.nvars
+    args = chart_args(eta, p)
+    polys = []
+    for poly, e in zip(f.polys, eta_next):
+        g = poly_add(poly_compose(poly, args), make_const(n, -Fraction(e)))
+        polys.append(poly_scale(g, Fraction(1, p)))
+    return PolyMap(n, tuple(polys))
 
 
 def compose_maps(f: PolyMap, g: PolyMap) -> PolyMap:
@@ -671,7 +764,7 @@ def direct_model(mapping, base_point, p: int, precision: int) -> DirectModel:
     ctx = PadicContext(p, precision)
     for poly in mapping.polys:
         for c in poly.values():
-            if _frac_valuation(c, p) < 0:
+            if frac_valuation(c, p) < 0:
                 raise InputError("direct model coefficients must be integral at p")
     a_bar = _linear_part_mod(mapping, p)
     if mat_mul(a_bar, a_bar, p) != a_bar:
@@ -679,17 +772,16 @@ def direct_model(mapping, base_point, p: int, precision: int) -> DirectModel:
             "direct model linear part is not idempotent mod p; use the full pipeline"
         )
     linear = hensel_idempotent(a_bar, p, precision)
-    series, c = _rotation_series((mapping,), 1, {0: linear}, ctx)[0]
+    f_mod = ModularMap.from_map(mapping, ctx.modulus)
+    series, c = _rotation_series((f_mod,), 1, {0: linear}, ctx)[0]
     if c < 1:
         raise HypothesisViolation("direct model congruence exponent < 1")
-    f_mod = ModularMap.from_map(mapping, ctx.modulus)
     points = [tuple(ctx.scalar(x) for x in base_point)]
     for _ in range(2 * precision):
         points.append(f_mod(points[-1]))
     return DirectModel(
         ctx=ctx,
         dimension=mapping.nvars,
-        charts=(mapping,),
         chart_mods=(f_mod,),
         steps_per_iterate=1,
         series=series,

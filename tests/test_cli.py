@@ -13,7 +13,7 @@ import pytest
 from orbitgap import normalization, pipeline, reduction
 from orbitgap.cli import main
 from orbitgap.errors import InputError
-from orbitgap.problemfile import MAX_DEGREE, MAX_PRECISION, MAX_PRIME, parse_problem
+from orbitgap.problemfile import MAX_DEGREE, MAX_N_MAX, MAX_PRECISION, MAX_PRIME, parse_problem
 
 WORKED = {
     "dimension": 1,
@@ -96,12 +96,14 @@ def test_oversized_degree_exits_2(tmp_path, key):
     [
         ("precision", MAX_PRECISION, ["--precision"]),
         ("prime_range", MAX_PRIME, ["--prime-range", "3"]),
+        ("n_max", MAX_N_MAX, ["--n-max"]),
     ],
 )
 def test_oversized_parameters_exit_2(tmp_path, key, cap, flag):
     # analyze on the worked example with precision 3000, or primes up to
-    # 3,000,000, runs for more than 20 s; the caps refuse such values while
-    # parsing, from a problem file or a flag, and the cap itself still runs
+    # 3,000,000, runs for more than 20 s, and return screening time grows
+    # with n_max; the caps refuse such values while parsing, from a problem
+    # file or a flag, and the cap itself still runs
     path = tmp_path / "cap.json"
     for value, code in ((cap, 0), (cap + 1, 2)):
         doc = json.loads(json.dumps(WORKED))
@@ -189,6 +191,35 @@ def test_analyze_matches_golden_records(problem, tmp_path):
     out = tmp_path / "run.jsonl"
     assert main(["analyze", str(problem), "--out", str(out)]) == 0
     assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{problem.stem}.jsonl").read_bytes()
+
+
+#: Each stage command, the records it writes, and the commands whose records it replays.
+STAGE_COMMANDS = [
+    ("primes", ("bad_primes", "certificates"), ()),
+    ("returns", ("bad_primes", "returns"), ()),
+    ("interpolate", ("model", "interpolant"), ("primes",)),
+    ("gaps", ("model", "interpolant", "gap_report", "density"),
+     ("primes", "returns", "interpolate")),
+]
+
+
+@pytest.mark.parametrize("problem", PROBLEMS, ids=[p.name for p in PROBLEMS])
+def test_stage_commands_match_golden_records(problem, tmp_path):
+    """Each stage command writes, byte for byte, the records of its kinds
+    that tests/golden holds for analyze; interpolate and gaps rebuild the
+    models from replayed records."""
+    golden = (ROOT / "tests" / "golden" / f"{problem.stem}.jsonl").read_text().splitlines()
+    outputs = {}
+    for command, kinds, replayed in STAGE_COMMANDS:
+        argv = [command, str(problem), "--out", str(tmp_path / f"{command}.jsonl")]
+        if replayed:
+            replay = tmp_path / f"{command}.replay.jsonl"
+            replay.write_text("".join(outputs[name] for name in replayed))
+            argv += ["--replay", str(replay)]
+        assert main(argv) == 0
+        outputs[command] = (tmp_path / f"{command}.jsonl").read_text()
+        want = [line for line in golden if json.loads(line)["record"] in kinds]
+        assert outputs[command].splitlines() == want
 
 
 def test_identity_map_rejected_preperiodic(tmp_path):
@@ -314,6 +345,45 @@ def test_stale_replay_rejected(worked_file, tmp_path):
     other_file = tmp_path / "other.json"
     other_file.write_text(json.dumps(other))
     assert main(["interpolate", str(other_file), "--replay", str(primes_out)]) == 2
+
+
+def _drop(key, kind=None):
+    """A record edit that removes key from every record (of one kind, if given)."""
+    def edit(rec):
+        if kind is None or rec["record"] == kind:
+            rec.pop(key, None)
+        return rec
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command, stages, edit, message",
+    [
+        ("interpolate", ["primes"], lambda rec: [1], "entry 1 is not a record"),
+        ("interpolate", ["primes"], _drop("rows", "certificates"), "certificates record has no"),
+        ("interpolate", ["primes"], _drop("problem_sha"), "stale replay: a bad_primes record"),
+        ("interpolate", ["primes", "interpolate"], _drop("shift", "interpolant"),
+         "interpolant record has no"),
+        ("gaps", ["primes", "returns"], _drop("entries", "returns"), "returns record has no"),
+    ],
+    ids=["not-a-record", "no-rows", "no-problem-sha", "no-shift", "no-entries"],
+)
+def test_malformed_replay_exits_2(worked_file, tmp_path, capsys, command, stages, edit, message):
+    # replay files come from outside the program: a malformed record is an
+    # input error that names its kind, before any stage runs
+    records = []
+    for stage in stages:
+        out = tmp_path / f"{stage}.jsonl"
+        replay = ["--replay", str(tmp_path / "primes.jsonl")] if stage == "interpolate" else []
+        assert main([stage, worked_file, "--out", str(out), *replay]) == 0
+        records += [json.loads(line) for line in out.read_text().splitlines()]
+    path = tmp_path / "replay.jsonl"
+    path.write_text("".join(json.dumps(edit(rec)) + "\n" for rec in records))
+    capsys.readouterr()
+    assert main([command, worked_file, "--replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_missing_upstream_artifact(worked_file, tmp_path):

@@ -7,7 +7,7 @@ indices exactly; fabricated ReturnSets then exercise each verdict path.
 
 from fractions import Fraction
 
-from padic_oracles import dense_coefficients, direct_model
+from padic_oracles import dense_coefficients, direct_model, poly_add, poly_mul
 
 from orbitgap.gaps import (
     ReturnEntry,
@@ -29,8 +29,6 @@ def _translation_interp(p=5, precision=18, terms=14):
 def _q_with_zeros(p, roots):
     # product of (x - p*r) over the roots: L(n) = prod (p n - p r) = p^k prod(n - r)
     poly = {(0,): Fraction(1)}
-    from orbitgap.polynomials import poly_mul
-
     out = {(0,): Fraction(1)}
     for r in roots:
         out = poly_mul(out, {(1,): Fraction(1), (0,): Fraction(-p * r)})
@@ -177,8 +175,6 @@ def test_restriction_additivity_spot():
     model, interp = _translation_interp()
     q1 = _q_with_zeros(5, [1])
     q2 = {(0,): Fraction(3)}
-    from orbitgap.polynomials import poly_add
-
     left = restrict_to_disk(interp, poly_add(q1, q2), 0, 1)
     r1 = restrict_to_disk(interp, q1, 0, 1)
     r2 = restrict_to_disk(interp, q2, 0, 1)

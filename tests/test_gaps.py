@@ -2,6 +2,7 @@
 
 import functools
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -22,6 +23,7 @@ from padic_oracles import (
     iterate_point,
     localize_zeros_reference,
     modular_eval,
+    poly_mul,
     restrict_to_disk_reference,
     unit_disk_root_count,
 )
@@ -93,8 +95,6 @@ def test_returns_two_dim():
 def test_returns_structured_map_survivors_rescreened():
     # orbits of x^2 - 2 have short periods mod p, so few primes can align on
     # periodic false positives; the survivor re-screening round removes them
-    from orbitgap.polynomials import poly_mul
-
     x5 = 4870847**2 - 2
     q = poly_mul(
         {(1,): Fraction(1), (0,): Fraction(-47)},
@@ -176,6 +176,24 @@ def test_prime_hits_tail_cycle_and_vanishing_variety():
     # several defining polynomials: every one must vanish
     two = [{(1,): Fraction(1), (0,): Fraction(-2)}, {(2,): Fraction(1), (0,): Fraction(-4)}]
     assert _check_prime_hits(_instance(square, (3,), two), 7, 40).hits == {1}
+
+
+def test_return_candidates_do_not_grow_with_n_max():
+    """x -> x + 1 from 0 with V: x = 5 returns only at 5.  The screening
+    candidates, and the memory that holds them while the sparsest prime's
+    hits are filtered, stay the same whatever n_max."""
+    inst = _instance([{(1,): 1, (0,): 1}], (0,), [{(1,): Fraction(1), (0,): Fraction(-5)}])
+    bad = bad_primes(inst)
+    for n_max in (10, 10**4, 10**7):
+        tracemalloc.start()
+        try:
+            rs = compute_returns(inst, n_max, bad=bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(e.index, e.status) for e in rs.entries] == [(5, "certified-exact")]
+        assert rs.refuted == ()
+        assert peak < 1 << 20, f"{peak} bytes at n_max = {n_max}"
 
 
 def test_prime_hits_stop_at_n_max(monkeypatch):

@@ -24,7 +24,6 @@ from orbitgap.errors import (
 )
 from orbitgap.interpolation import (
     build_interpolant,
-    check_hypotheses,
     constancy_test,
     decay_requirement,
     default_bound_samples,
@@ -45,11 +44,11 @@ def _direct(polys, a, p, precision):
 
 def test_check_hypotheses_examples():
     ident = _direct([{(1,): 1}], (4,), 5, 12)
-    assert check_hypotheses(ident) == 12  # F - x = 0: capped at precision
+    assert ident.congruence_exponent == 12  # F - x = 0: capped at precision
     six = _direct([{(1,): 6}], (1,), 5, 12)
-    assert check_hypotheses(six) == 1  # F - x = 5x
+    assert six.congruence_exponent == 1  # F - x = 5x
     quad = _direct([{(2,): 3, (1,): 3, (0,): 3}], (3,), 3, 12)
-    assert check_hypotheses(quad) == 1  # all non-model coefficients have valuation 1
+    assert quad.congruence_exponent == 1  # all non-model coefficients have valuation 1
 
 
 def test_interpolant_geometric():

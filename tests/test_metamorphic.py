@@ -4,11 +4,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from padic_oracles import make_const, make_var, poly_add, poly_compose
 
 from orbitgap.padic import is_prime
 from orbitgap.pipeline import run
 from orbitgap.problemfile import RunParameters
-from orbitgap.polynomials import PolyMap, make_const, make_var, poly_add, poly_compose
+from orbitgap.polynomials import PolyMap
 from orbitgap.reduction import ProblemInstance, avoidance_search, bad_primes
 
 # At this horizon every degree-2 return is certified exactly.  Beyond it,

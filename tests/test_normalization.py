@@ -3,18 +3,26 @@
 import random
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from padic_oracles import (
     apply_reference,
+    chart_args,
     direct_model,
+    exact_chart_step,
+    frac_valuation,
     from_original,
     idempotent_power,
     iterate_point,
+    make_const,
+    make_var,
     materialize_series,
     model_series_reference,
+    poly_add,
+    poly_compose,
     series_evaluate,
     to_original,
 )
@@ -23,8 +31,8 @@ from orbitgap import normalization
 from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError, OrbitgapError
 from orbitgap.modmat import mat_mul, mat_pow, mat_reduce
 from orbitgap.normalization import (
+    LocalModel,
     _chart_step,
-    _frac_valuation,
     _iterate_power,
     _rotation_series,
     build_model_family,
@@ -34,16 +42,7 @@ from orbitgap.normalization import (
     stabilize_orbit,
 )
 from orbitgap.padic import PadicContext, int_valuation, sup_valuation
-from orbitgap.polynomials import (
-    ModularMap,
-    Poly,
-    PolyMap,
-    make_const,
-    make_var,
-    poly_add,
-    poly_compose,
-    reduce_rational,
-)
+from orbitgap.polynomials import ModularMap, Poly, PolyMap, reduce_poly, reduce_rational
 from orbitgap.reduction import ProblemInstance
 
 
@@ -62,7 +61,7 @@ def translate_map(f: PolyMap, eta, p: int) -> PolyMap:
         shifted = poly_compose(poly, args)
         shifted = poly_add(shifted, make_const(f.nvars, -Fraction(eta[i])))
         const = shifted.get((0,) * f.nvars, Fraction(0))
-        if _frac_valuation(const, p) < 2:
+        if frac_valuation(const, p) < 2:
             raise InputError(
                 f"translation center is not fixed mod p^2: constant term {const} "
                 f"of coordinate {i} has valuation < 2"
@@ -84,7 +83,7 @@ def pi_scale(f: PolyMap, p: int) -> PolyMap:
         for e, c in poly.items():
             d = sum(e)
             scaled = c * Fraction(p) ** (d - 1)
-            assert _frac_valuation(scaled, p) >= (0 if d else 1), (
+            assert frac_valuation(scaled, p) >= (0 if d else 1), (
                 "scaled coefficient left the integer ring; the precondition was violated"
             )
             out[e] = scaled
@@ -220,16 +219,21 @@ def test_linear_example_6x():
 
 
 def _roundtrip_ok(inst, model, samples=20, seed=0):
-    """The chart conjugates the model to f^k_total on random points, the model
-    series and the charts agree with the chart evaluators, and the base point
+    """The chart conjugates the model to f^k_total on random points, the
+    model series agrees with the model map there, the charts are the exact
+    chart steps along the mod-p^2 cycle reduced mod p^K, and the base point
     is the orbit point of the model's original index."""
     rng = random.Random(seed)
     ctx = model.ctx
     p = ctx.prime
     mod1 = ctx.modulus * p
     f1 = ModularMap.from_map(inst.mapping, mod1)
-    if model.chart_mods != tuple(ModularMap.from_map(g, ctx.modulus) for g in model.charts):
-        return False
+    f2, eta = ModularMap.from_map(inst.mapping, p * p), model.center
+    for g in model.chart_mods:
+        exact = exact_chart_step(inst.mapping, eta, f2(eta), p)
+        if g != ModularMap.from_map(exact, ctx.modulus):
+            return False
+        eta = f2(eta)
     a1 = tuple(reduce_rational(x, mod1) for x in inst.initial_point)
     if to_original(model, model.base_point) != f1.iterate(a1, model.original_index(0)):
         return False
@@ -371,14 +375,41 @@ def test_normalization_postconditions_random_quadratics():
         built += 1
 
 
-def test_chart_step_is_translate_then_scale():
-    """At a center fixed mod p^2, one chart step is pi_scale after translate_map."""
-    for f in (
-        PolyMap.from_lists(1, [{(2,): 1}]),
-        PolyMap.from_lists(1, [{(2,): 1, (1,): 3, (0,): 9}]),
-    ):
-        step = _chart_step(f, (0,), (0,), 3)
-        assert step.polys == pi_scale(translate_map(f, (0,), 3), 3).polys
+@st.composite
+def _chart_cases(draw):
+    """(f, eta, p, K): an integer map of dimension 1-3 and degree <= 3, and a center."""
+    dim = draw(st.integers(1, 3))
+    exps = [e for e in product(range(4), repeat=dim) if sum(e) <= 3]
+    terms = st.dictionaries(st.sampled_from(exps), st.integers(-9, 9), max_size=4)
+    f = PolyMap.from_lists(dim, [draw(terms) for _ in range(dim)])
+    p = draw(st.sampled_from([3, 5, 7]))
+    eta = tuple(draw(st.integers(0, p * p - 1)) for _ in range(dim))
+    return f, eta, p, draw(st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@example(case=(PolyMap.from_lists(1, [{(2,): 1}]), (0,), 3, 8))
+@example(case=(PolyMap.from_lists(1, [{(2,): 1, (1,): 3, (0,): 9}]), (0,), 3, 8))
+@example(case=(PolyMap.from_lists(2, [{(1, 1): 2, (0, 0): 1}, {(2, 0): 1}]), (4, 7), 3, 1))
+@given(case=_chart_cases())
+def test_chart_step_is_translate_then_scale(case):
+    """The chart step mod p^K is the exact (f(eta + p*x) - eta_next)/p reduced
+    mod p^K, with eta_next = f(eta) mod p^2, and transport_poly is the exact
+    q(eta + p*x) reduced mod p^K, also at K = 1, where p*x vanishes mod p^K.
+    At a center fixed mod p^2 the step is pi_scale after translate_map."""
+    f, eta, p, precision = case
+    ctx = PadicContext(p, precision)
+    eta_next = ModularMap.from_map(f, p * p)(eta)
+    exact = exact_chart_step(f, eta, eta_next, p)
+    step = _chart_step(f, eta, eta_next, ctx)
+    assert step == ModularMap.from_map(exact, ctx.modulus)
+    model = SimpleNamespace(center=eta, ctx=ctx)
+    for q in f.polys:
+        want = reduce_poly(poly_compose(q, chart_args(eta, p)), ctx.modulus)
+        assert LocalModel.transport_poly(model, q) == want
+    if eta_next == eta:
+        scaled = pi_scale(translate_map(f, eta, p), p)
+        assert step == ModularMap.from_map(scaled, ctx.modulus)
 
 
 def test_stabilize_orbit_guard_bounds_the_walk(monkeypatch):
@@ -421,7 +452,7 @@ def test_long_cycle_refused_before_any_chart_step(monkeypatch):
 def _full_precision_exponent(model):
     """The congruence exponent read from the chain composed at precision K."""
     ctx = model.ctx
-    series = materialize_series(model.charts, model.steps_per_iterate, ctx)
+    series = materialize_series(model.chart_mods, model.steps_per_iterate, ctx)
     return series_congruence_exponent(series, mat_reduce(model.linear, ctx.modulus), ctx)
 
 
@@ -543,7 +574,7 @@ def test_family_series_and_push_match_the_step_by_step_chain(data):
     point = st.tuples(*[st.integers(0, mod - 1)] * dim)
     for model in family:
         ref_series, ref_c = model_series_reference(
-            model.charts, model.steps_per_iterate, model.linear, model.ctx
+            model.chart_mods, model.steps_per_iterate, model.linear, model.ctx
         )
         assert model.congruence_exponent == ref_c
         assert _residues(model.series) == _residues(ref_series)

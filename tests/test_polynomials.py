@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_oracles import compose_maps, iterate_point, modular_eval
+from padic_oracles import (
+    compose_maps,
+    iterate_point,
+    make_const,
+    make_var,
+    modular_eval,
+    poly_compose,
+)
 
 from orbitgap.errors import InputError
 from orbitgap.padic import PadicContext, TruncatedSeries, is_prime
@@ -17,9 +24,6 @@ from orbitgap.polynomials import (
     horner_eval,
     horner_form,
     horner_table,
-    make_const,
-    make_var,
-    poly_compose,
     poly_derivative,
     poly_eval,
     prime_factors,
