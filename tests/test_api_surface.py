@@ -1,0 +1,97 @@
+"""Every optional parameter of the package has a caller outside the tests.
+
+A default that no program caller overrides is a switch only the tests flip:
+such a test exercises a code path the program never takes.  This test reads
+the sources as syntax trees, without importing them.  For each function of
+`src/orbitgap` with an optional parameter, some call in `src/`, `scripts/` or
+`bench/` must set that parameter, by keyword or by position.  Calls are
+matched to functions by name; a call through an attribute (`obj.f(...)`)
+binds its first argument after `self` when f is a method.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "orbitgap"
+CALLER_DIRS = ("src", "scripts", "bench")
+
+
+def _trees(directory: Path):
+    for path in sorted(directory.rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _optional_parameters():
+    """(where, function name, parameter, position or None, is method) of each default."""
+    found = []
+    for path, tree in _trees(PACKAGE):
+        methods = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            where = f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+            method = id(node) in methods
+            first_default = len(positional) - len(args.defaults)
+            for index in range(first_default, len(positional)):
+                found.append((where, node.name, positional[index].arg, index, method))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.append((where, node.name, arg.arg, None, method))
+    return found
+
+
+def _calls():
+    """For each called name: (positional argument count, keywords) of every call.
+
+    A starred positional argument counts as setting every position, a
+    double-starred one as setting every keyword.
+    """
+    calls = {}
+    for directory in CALLER_DIRS:
+        for _, tree in _trees(ROOT / directory):
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name):
+                    name, bound = func.id, False
+                elif isinstance(func, ast.Attribute):
+                    name, bound = func.attr, True
+                else:
+                    continue
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                count = float("inf") if starred else len(node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append((count, keywords, bound))
+    return calls
+
+
+def _is_set(call, parameter: str, position, method: bool) -> bool:
+    count, keywords, bound = call
+    if parameter in keywords or None in keywords:
+        return True
+    if position is None:
+        return False
+    if method and bound:
+        position -= 1  # self is the object the attribute is read from
+    return count > position
+
+
+def test_every_optional_parameter_is_set_by_a_program_caller():
+    calls = _calls()
+    unset = [
+        f"{where}: {parameter}"
+        for where, name, parameter, position, method in _optional_parameters()
+        if not any(_is_set(c, parameter, position, method) for c in calls.get(name, []))
+    ]
+    assert unset == [], f"optional parameters that only the tests set: {unset}"

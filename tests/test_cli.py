@@ -356,6 +356,15 @@ def _drop(key, kind=None):
     return edit
 
 
+def _set(key, value, kind):
+    """A record edit that sets key on every record of one kind."""
+    def edit(rec):
+        if rec["record"] == kind:
+            rec[key] = value
+        return rec
+    return edit
+
+
 @pytest.mark.parametrize(
     "command, stages, edit, message",
     [
@@ -365,8 +374,11 @@ def _drop(key, kind=None):
         ("interpolate", ["primes", "interpolate"], _drop("shift", "interpolant"),
          "interpolant record has no"),
         ("gaps", ["primes", "returns"], _drop("entries", "returns"), "returns record has no"),
+        ("gaps", ["primes", "returns", "interpolate"],
+         _set("entries", [["1", "certified-exact"]], "returns"),
+         "returns record: '1' is not an integer"),
     ],
-    ids=["not-a-record", "no-rows", "no-problem-sha", "no-shift", "no-entries"],
+    ids=["not-a-record", "no-rows", "no-problem-sha", "no-shift", "no-entries", "str-index"],
 )
 def test_malformed_replay_exits_2(worked_file, tmp_path, capsys, command, stages, edit, message):
     # replay files come from outside the program: a malformed record is an
@@ -384,6 +396,26 @@ def test_malformed_replay_exits_2(worked_file, tmp_path, capsys, command, stages
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("entries", [[1.0, "certified-exact"]]),
+        ("entries", [[1, "certified"]]),
+        ("n_max", "100000"),
+        ("exact_horizon", None),
+        ("screening_primes", [101, "103"]),
+        ("refuted", [True]),
+    ],
+)
+def test_replayed_returns_are_type_checked(key, value):
+    # the fields gaps reads from a returns record: integers and the two statuses
+    rec = {"n_max": 100000, "entries": [[1, "certified-exact"]], "screening_primes": [101],
+           "refuted": [], "exact_horizon": 1}
+    assert pipeline._replayed_returns([rec]).indices() == [1]
+    with pytest.raises((TypeError, ValueError)):
+        pipeline._replayed_returns([{**rec, key: value}])
 
 
 def test_missing_upstream_artifact(worked_file, tmp_path):

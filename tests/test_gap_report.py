@@ -7,7 +7,7 @@ indices exactly; fabricated ReturnSets then exercise each verdict path.
 
 from fractions import Fraction
 
-from padic_oracles import dense_coefficients, direct_model, poly_add, poly_mul
+from padic_oracles import dense_coefficients, direct_model, interpolate, poly_add, poly_mul
 
 from orbitgap.gaps import (
     ReturnEntry,
@@ -17,13 +17,12 @@ from orbitgap.gaps import (
     newton_zero_count,
     restrict_to_disk,
 )
-from orbitgap.interpolation import build_interpolant
 from orbitgap.polynomials import PolyMap
 
 
-def _translation_interp(p=5, precision=18, terms=14):
+def _translation_interp(p=5, precision=18):
     model = direct_model(PolyMap.from_lists(1, [{(1,): 1, (0,): p}]), (0,), p, precision)
-    return model, build_interpolant(model, terms=terms)
+    return model, interpolate(model)
 
 
 def _q_with_zeros(p, roots):
@@ -158,7 +157,7 @@ def test_uncovered_shift_classes_are_reported(monkeypatch):
     family = build_model_family(inst, 5, 12)
     assert len(family) == 1 and family[0].k_total == 5
     model = family[0]
-    interp = build_interpolant(model, terms=10)
+    interp = interpolate(model)
     qs = [model.transport_poly(q) for q in inst.variety]
     analyses = localize_zeros(interp, qs)
     # returns at n=1 (6^1 = 6 on V) plus a fabricated off-class index

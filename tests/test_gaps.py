@@ -20,6 +20,7 @@ from padic_oracles import (
     direct_model,
     disk_series,
     interpolant_value,
+    interpolate,
     iterate_point,
     localize_zeros_reference,
     modular_eval,
@@ -41,7 +42,6 @@ from orbitgap.gaps import (
     newton_zero_count,
     restrict_to_disk,
 )
-from orbitgap.interpolation import build_interpolant
 from orbitgap.normalization import build_model_family
 from orbitgap.padic import INF, MahlerSeries, PadicContext, int_valuation, vp_factorial
 from orbitgap.polynomials import ModularMap, PolyMap, reduce_poly
@@ -368,9 +368,8 @@ def test_newton_matches_oracle_constructed():
 # -- disk restriction and localization ---------------------------------------
 
 
-def _six_interp(precision=20, terms=16):
-    model = direct_model(PolyMap.from_lists(1, [{(1,): 6}]), (1,), 5, precision)
-    return build_interpolant(model, terms=terms)
+def _six_interp():
+    return interpolate(direct_model(PolyMap.from_lists(1, [{(1,): 6}]), (1,), 5, 20))
 
 
 def test_restrict_constant_polynomial():
@@ -398,16 +397,14 @@ def test_restrict_linear_example():
 def _disk_interpolants():
     """Interpolants of direct models: two 1-d, two 2-d."""
     maps = [
-        ([{(1,): 6}], (1,), 5, 20, 16),
-        ([{(1,): 4, (2,): 3}], (2,), 3, 16, 12),
-        ([{(1, 0): 6, (0, 2): 5}, {(0, 1): 1, (1, 1): 5}], (1, 2), 5, 16, 12),
-        ([{(1, 0): 1, (0, 1): 7}, {(0, 1): 8, (2, 0): 7}], (3, 1), 7, 12, 10),
+        ([{(1,): 6}], (1,), 5, 20),
+        ([{(1,): 4, (2,): 3}], (2,), 3, 16),
+        ([{(1, 0): 6, (0, 2): 5}, {(0, 1): 1, (1, 1): 5}], (1, 2), 5, 16),
+        ([{(1, 0): 1, (0, 1): 7}, {(0, 1): 8, (2, 0): 7}], (3, 1), 7, 12),
     ]
     return [
-        build_interpolant(
-            direct_model(PolyMap.from_lists(len(a), polys), a, p, precision), terms=terms
-        )
-        for polys, a, p, precision, terms in maps
+        interpolate(direct_model(PolyMap.from_lists(len(a), polys), a, p, precision))
+        for polys, a, p, precision in maps
     ]
 
 
@@ -718,7 +715,7 @@ def test_density_examples():
 def test_gap_report_via_pipeline_pieces():
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
     model = build_model_family(inst, 3, 24)[0]
-    interp = build_interpolant(model, terms=24)
+    interp = interpolate(model)
     qs = [model.transport_poly(q) for q in inst.variety]
     analyses = localize_zeros(interp, qs)
     returns = compute_returns(inst, 200, screening_primes=[101, 103], bad=bad_primes(inst))

@@ -1,21 +1,26 @@
 """Interpolant construction, decay certification, bound and compatibility checks."""
 
 import dataclasses
+import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from padic_oracles import (
+    check_bound,
+    check_compat,
     direct_model,
     interpolant_value,
+    interpolate,
     model_points_by_apply,
     verify_compatibility_reference,
     verify_error_bound_reference,
 )
 
-from orbitgap import interpolation, padic, pipeline
+from orbitgap import padic, pipeline
 from orbitgap.errors import (
     HypothesisViolation,
     InvariantViolation,
@@ -23,6 +28,7 @@ from orbitgap.errors import (
     PrecisionExhausted,
 )
 from orbitgap.interpolation import (
+    COMPAT_SAMPLES,
     build_interpolant,
     constancy_test,
     decay_requirement,
@@ -53,7 +59,7 @@ def test_check_hypotheses_examples():
 
 def test_interpolant_geometric():
     m = _direct([{(1,): 6}], (1,), 5, 16)
-    interp = build_interpolant(m, terms=12)
+    interp = interpolate(m)
     # Delta^k of 6^n at 0 is 5^k
     for k, cv in enumerate(interp.series.coeffs):
         assert cv[0] == pow(5, k, 5**16)
@@ -62,16 +68,16 @@ def test_interpolant_geometric():
 
 def test_interpolant_identity_is_constant():
     m = _direct([{(1,): 1}], (7,), 5, 10)
-    interp = build_interpolant(m, terms=8)
+    interp = interpolate(m)
     assert interp.decay[0] == 0
     assert all(v is INF for v in interp.decay[1:])
-    rep = constancy_test(interp)
-    assert rep.constant and rep.beta == (7,)
+    assert constancy_test(interp) and interp.series.coeffs[0] == (7,)
 
 
 def test_interpolant_3x_squared_short_window():
-    m = _direct([{(2,): 3}], (3,), 3, 20)
-    interp = build_interpolant(m, terms=4)
+    # at K = 4 the window [0, 4] is short enough for the decay gate
+    m = _direct([{(2,): 3}], (3,), 3, 4)
+    interp = interpolate(m)
     # first difference 27 - 3 = 24 has valuation 1 >= c = 1
     assert interp.series.coeffs[1][0] == 24
     assert interp.decay[1] == 1
@@ -81,7 +87,7 @@ def test_decay_gate_rejects_super_attracting_orbit():
     # 3x^2 at a' = 3: differences stall at valuation 1, far below k*c
     m = _direct([{(2,): 3}], (3,), 3, 24)
     with pytest.raises(PrecisionExhausted):
-        build_interpolant(m, terms=16)
+        interpolate(m)
 
 
 def test_decay_requirement_monotone():
@@ -92,9 +98,9 @@ def test_decay_requirement_monotone():
 
 def test_error_bound_within_and_beyond_window():
     m = _direct([{(1,): 6}], (1,), 5, 24)
-    interp = build_interpolant(m, terms=16)
-    rep = verify_error_bound(interp, samples=range(0, 33))
-    assert rep.ok
+    interp = interpolate(m)
+    rep = check_bound(interp, range(0, 33))
+    assert all(m_ >= r_ for m_, r_ in zip(rep.margins, rep.required))
     # margins are non-decreasing in n up to the precision cap
     caps = [min(m_, r_) for m_, r_ in zip(rep.margins, rep.required)]
     assert all(b >= a for a, b in zip(caps, caps[1:]))
@@ -102,26 +108,27 @@ def test_error_bound_within_and_beyond_window():
 
 def test_error_bound_exact_on_window():
     m = _direct([{(1,): 6}], (1,), 5, 20)
-    interp = build_interpolant(m, terms=20)
-    rep = verify_error_bound(interp, samples=[0, 1, 7, 19])
+    interp = interpolate(m)
+    rep = check_bound(interp, [0, 1, 7, 19])
     assert all(v is INF for v in rep.margins)
 
 
 def test_compatibility_examples():
     m = _direct([{(1,): 6}], (1,), 5, 20)
-    interp = build_interpolant(m, terms=20)
+    interp = interpolate(m)
     ctx = m.ctx
     # integer sample: both sides are 6^8
     n7 = ctx.scalar(7)
     left = m.apply(interpolant_value(interp, n7))
     assert left[0] == pow(6, 8, ctx.modulus)
-    rep = verify_compatibility(interp)
-    assert rep.ok
+    rep = check_compat(interp)
+    assert rep.threshold == 18 and min(rep.margins) >= 18
     # the default samples include -1 and 1/(1-p)
     assert (ctx.modulus - 1) in rep.samples
     assert pow(1 - 5, -1, ctx.modulus) in rep.samples
     # the arguments analyze has always checked: the two specials and 24 seeded residues
-    assert list(rep.samples) == default_compat_samples(ctx, 24) and len(rep.samples) == 26
+    assert COMPAT_SAMPLES == 24
+    assert list(rep.samples) == default_compat_samples(ctx) and len(rep.samples) == 26
 
 
 def test_compatibility_quadratic_model():
@@ -132,16 +139,16 @@ def test_compatibility_quadratic_model():
         ({(0,): Fraction(0)},),
     )
     model = build_model_family(inst, 3, 24)[0]
-    interp = build_interpolant(model, terms=24)
-    rep = verify_compatibility(interp, threshold=22)
-    assert rep.ok
+    interp = interpolate(model)
+    rep = check_compat(interp)
+    assert rep.threshold == 22 and min(rep.margins) >= 22
 
 
 def test_constancy_flags_moving_orbit():
-    m = _direct([{(1,): 3}], (3,), 3, 12)
-    interp = build_interpolant(m, terms=6)
-    rep = constancy_test(interp)
-    assert not rep.constant
+    # at K = 6 the orbit 3^(n+1), whose differences all have valuation 1, passes the decay gate
+    m = _direct([{(1,): 3}], (3,), 3, 6)
+    interp = interpolate(m)
+    assert not constancy_test(interp)
     # first difference of 3^(n+1) at 0 is 9 - 3 = 6
     assert interp.series.coeffs[1][0] == 6
 
@@ -149,38 +156,42 @@ def test_constancy_flags_moving_orbit():
 def test_mahler_roundtrip_differences():
     """Evaluating the interpolant on the window and re-differencing is the identity."""
     m = _direct([{(1,): 6}], (1,), 5, 16)
-    interp = build_interpolant(m, terms=10)
-    values = [interpolant_value(interp, n) for n in range(11)]
+    interp = interpolate(m)
+    values = [interpolant_value(interp, n) for n in range(17)]
     again = MahlerSeries.from_values(m.ctx, values)
     assert again.coeffs == interp.series.coeffs
 
 
 def test_interpolant_record_roundtrip():
-    m = _direct([{(1,): 6}], (1,), 5, 12)
-    interp = build_interpolant(m, terms=6)
+    m = _direct([{(1,): 6}], (1,), 5, 6)
+    interp = interpolate(m)
     rec = interp.to_record()
-    assert rec["prime"] == 5 and rec["precision"] == 12
+    assert rec["prime"] == 5 and rec["precision"] == 6
     assert rec["coefficients"][1] == [5]
     assert rec["terms"] == 6
 
 
 def test_strict_compat_failure_raises():
+    # one corrupted Mahler coefficient: G'(x) = G(x) + x, so
+    # F(G'(n)) - G'(n + 1) = 5n - 1 is a unit at every argument
     m = _direct([{(1,): 6}], (1,), 5, 10)
-    interp = build_interpolant(m, terms=4)  # tiny window: tail visible
-    samples = default_compat_samples(m.ctx, 4)
-    with pytest.raises(HypothesisViolation):
-        verify_compatibility(interp, samples, threshold=10, strict=True)
+    interp = interpolate(m)
+    coeffs = list(interp.series.coeffs)
+    coeffs[1] = ((coeffs[1][0] + 1) % m.ctx.modulus,)
+    broken = dataclasses.replace(interp, series=MahlerSeries(m.ctx, tuple(coeffs)))
+    first = default_compat_samples(m.ctx)[0]
+    with pytest.raises(HypothesisViolation, match=f"argument residue {first}$"):
+        check_compat(broken)
 
 
 def test_bound_shortfall_in_window_is_a_broken_reconstruction():
     m = _direct([{(1,): 6}], (1,), 5, 12)
-    interp = build_interpolant(m, terms=12)
+    interp = interpolate(m)
     points = list(m.points)
     points[5] = (points[5][0] + 1,)
     broken = dataclasses.replace(interp, model=dataclasses.replace(m, points=tuple(points)))
-    assert verify_error_bound(broken, strict=False).witness == 5
-    with pytest.raises(InvariantViolation, match="reconstruction failed at 5"):
-        verify_error_bound(broken)
+    with pytest.raises(InvariantViolation, match="reconstruction failed at 5$"):
+        check_bound(broken)
 
 
 def test_bound_shortfall_beyond_window_is_precision_exhausted():
@@ -191,10 +202,9 @@ def test_bound_shortfall_beyond_window_is_precision_exhausted():
         ({(0,): Fraction(0)},),
     )
     model = build_model_family(inst, 3, 8)[0]
-    interp = build_interpolant(model)
-    assert verify_error_bound(interp, strict=False).witness == 9
-    with pytest.raises(PrecisionExhausted, match="n=9"):
-        verify_error_bound(interp)
+    interp = interpolate(model)
+    with pytest.raises(PrecisionExhausted, match="n=9:"):
+        check_bound(interp)
 
 
 _QUADRATIC_EXPONENTS = {
@@ -228,17 +238,32 @@ def test_family_points_and_shared_rows_match_per_model_oracles(data):
     for model in family:
         assert list(model.points) == model_points_by_apply(model, 2 * precision + 1)
         try:
-            interp = build_interpolant(model, rows=rows)
+            interp = build_interpolant(model, rows)
         except PrecisionExhausted:
             continue
-        assert verify_error_bound(
-            interp, bound_samples, strict=False, rows=rows
-        ) == verify_error_bound_reference(interp)
-        compat = verify_compatibility(interp, compat_samples, strict=False, rows=rows)
-        assert compat == verify_compatibility_reference(interp)
+        # a failing check raises at the oracle's first failing sample
+        bound, witness = verify_error_bound_reference(interp)
+        if witness is None:
+            assert verify_error_bound(interp, bound_samples, rows) == bound
+        else:
+            # inside the window a broken reconstruction, beyond it the uncertified tail
+            if witness <= precision:
+                failure, where = InvariantViolation, f"failed at {witness}$"
+            else:
+                failure, where = PrecisionExhausted, f"failed at n={witness}:"
+            with pytest.raises(failure, match=where):
+                verify_error_bound(interp, bound_samples, rows)
+        compat, witness = verify_compatibility_reference(interp)
+        if witness is None:
+            assert verify_compatibility(interp, compat_samples, rows) == compat
+        else:
+            with pytest.raises(HypothesisViolation, match=f"argument residue {witness}$"):
+                verify_compatibility(interp, compat_samples, rows)
         # the sample -1 comes first; the oracle evaluates its n + 1 at the residue 0
         assert compat.samples[0] == ctx.modulus - 1
 
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 FAMILY_P29 = {
     "dimension": 1,
@@ -249,15 +274,24 @@ FAMILY_P29 = {
 }
 
 
-def test_interpolation_stage_computes_each_row_once(monkeypatch):
-    """x^2 - 2 from 5 at p = 29 has a 14-model family; the stage computes the
-    binomial row of each sample argument once, not once per model (G(x + 1)
-    comes from the row of x), and iterates no model map outside the
-    compatibility check, which pushes the values of G at its arguments
-    through the model map together: one push per model and no per-point
-    apply."""
-    inst, params = parse_problem(FAMILY_P29)
-    state = pipeline.RunState(inst, params, family=build_model_family(inst, 29, 32))
+@pytest.mark.parametrize(
+    "doc, prime, models",
+    [
+        (FAMILY_P29, 29, 14),
+        (json.loads((PROBLEMS / "square_minus_two.json").read_text()), 3, 1),
+    ],
+    ids=["family-p29", "square_minus_two"],
+)
+def test_interpolation_stage_computes_each_row_once(monkeypatch, doc, prime, models):
+    """x^2 - 2 from 5 at p = 29 has a 14-model family, and x^2 - 2 from 3 at
+    p = 3 a single model; either way the stage computes the binomial row of
+    each sample argument once, not once per model (G(x + 1) comes from the
+    row of x), and iterates no model map outside the compatibility check,
+    which pushes the values of G at its arguments through the model map
+    together: one push per model and no per-point apply."""
+    inst, params = parse_problem(doc)
+    precision = params.precision
+    state = pipeline.RunState(inst, params, family=build_model_family(inst, prime, precision))
     rows, applies, pushes = Counter(), Counter(), {}
     binomial_row, apply, push = padic.binomial_row, LocalModel.apply, LocalModel.push
 
@@ -274,19 +308,18 @@ def test_interpolation_stage_computes_each_row_once(monkeypatch):
         return push(model, points)
 
     monkeypatch.setattr(padic, "binomial_row", counting_row)
-    monkeypatch.setattr(interpolation, "binomial_row", counting_row)
     monkeypatch.setattr(LocalModel, "apply", counting_apply)
     monkeypatch.setattr(LocalModel, "push", recording_push)
     report = pipeline.RunReport("sha")
     pipeline.stage_interpolation(report, state)
-    assert len(state.interps) == 14 and report.error is None
+    assert len(state.interps) == models and report.error is None
     ctx = state.family[0].ctx
     compat_samples = default_compat_samples(ctx)
-    arguments = {*default_bound_samples(32), *compat_samples}
-    assert max(rows.values()) == 1 and set(rows) == {(r, 32) for r in arguments}
+    arguments = {*default_bound_samples(precision), *compat_samples}
+    assert max(rows.values()) == 1 and set(rows) == {(r, precision) for r in arguments}
     # one F(G(x)) per compatibility argument, all of a model's in one push
     assert applies == Counter()
-    assert len(compat_samples) == 26 and sorted(pushes) == list(range(14))
+    assert len(compat_samples) == 26 and sorted(pushes) == list(range(models))
     for shift, interp in state.interps.items():
         assert pushes[shift] == [[interpolant_value(interp, n) for n in compat_samples]]
 
