@@ -6,9 +6,11 @@ so its hits on V mod p are a finite tail set plus a few classes mod lambda.
 One reduction.orbit_hits walk per prime finds them with
 O(min(mu + lambda, n_max)) map evaluations: when the cycle closes well
 before n_max the cost does not grow with n_max, and otherwise the search
-stops at n_max.  The surviving candidates are certified on
-reduction.exact_orbit, while the orbit's coordinate sizes stay within a bit
-budget, and every reported index carries its provenance.
+stops at n_max.  The surviving candidates, at most SURVIVOR_CAP of them,
+are certified on reduction.exact_orbit for at most EXACT_STEP_BUDGET points
+and while the orbit's coordinate sizes stay within a bit budget; later
+ones are screened again with fresh primes.  Every reported index carries
+its provenance.
 
 Zero localization restricts the composed function L(t) = Q(G(center + p^k t))
 to residue disks as a power series in t.  The disks form one tree: T!*G is
@@ -36,8 +38,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 
-from .errors import HypothesisViolation, InputError, InvariantViolation, PrecisionExhausted
+from .errors import (
+    BudgetExceeded,
+    HypothesisViolation,
+    InputError,
+    InvariantViolation,
+    PrecisionExhausted,
+)
 from .interpolation import ApproxInterpolant
 from .padic import INF, TruncatedSeries, int_valuation, is_prime, vp_factorial
 from .polynomials import Poly, horner_eval, horner_form, poly_eval, reduce_poly
@@ -53,11 +62,12 @@ from .reduction import (
 #: Bit budget for exact certification of returns.
 EXACT_BIT_BUDGET = 1 << 20
 
-#: Default number of screening primes.
-SCREEN_PRIME_COUNT = 8
+#: Most exact orbit points walked to certify returns; later survivors are
+#: screened again instead.
+EXACT_STEP_BUDGET = 1 << 17
 
-#: Default m of the density yardstick log^(m), the m-fold iterated logarithm.
-DENSITY_LOG_DEPTH = 1
+#: Most screening survivors a run keeps; more is refused (BudgetExceeded).
+SURVIVOR_CAP = 1 << 16
 
 #: Screening primes are drawn from primes >= this floor (small primes hit
 #: the variety too often by chance).
@@ -90,7 +100,7 @@ class ReturnSet:
         return [e.index for e in self.entries]
 
 
-def default_screening_primes(bad: BadPrimeSet, count: int = SCREEN_PRIME_COUNT,
+def default_screening_primes(bad: BadPrimeSet, count: int,
                              floor: int = SCREEN_PRIME_FLOOR) -> list[int]:
     """The first `count` primes >= floor that are not in the run's bad-prime set."""
     out = []
@@ -110,11 +120,7 @@ def _hits_mod(inst: ProblemInstance, p: int, bad: BadPrimeSet, n_max: int) -> Or
 
 
 def compute_returns(
-    inst: ProblemInstance,
-    n_max: int,
-    screening_primes=None,
-    *,
-    bad: BadPrimeSet,
+    inst: ProblemInstance, n_max: int, screening_primes, *, bad: BadPrimeSet
 ) -> ReturnSet:
     """Indices n <= n_max with the orbit on the variety.
 
@@ -123,12 +129,12 @@ def compute_returns(
     evaluations; the search stops at n_max if no cycle has closed.  The
     hits up to n_max of the prime with the fewest cycle hits per cycle
     length are the candidates, and a candidate survives only if it is a
-    hit mod every other prime.  Surviving indices within the exact budget
-    are then certified or refuted over exact rationals; the rest get one
-    more screening round with fresh primes.
+    hit mod every other prime; more than SURVIVOR_CAP survivors raise
+    BudgetExceeded.  Surviving indices within the first EXACT_STEP_BUDGET
+    exact orbit points and the exact bit budget are then certified or
+    refuted over exact rationals; the rest get one more screening round
+    with fresh primes.
     """
-    if screening_primes is None:
-        screening_primes = default_screening_primes(bad)
     if not screening_primes:
         raise InputError("return screening needs at least one screening prime")
     for p in screening_primes:
@@ -137,14 +143,18 @@ def compute_returns(
 
     screens = [_hits_mod(inst, p, bad, n_max) for p in screening_primes]
     sparsest = min(screens, key=OrbitHits.cycle_density)
-    candidates = sorted(n for n in sparsest.up_to(n_max) if all(n in s for s in screens))
+    survivors = (n for n in sparsest.up_to(n_max) if all(n in s for s in screens))
+    candidates = sorted(islice(survivors, SURVIVOR_CAP + 1))
+    if len(candidates) > SURVIVOR_CAP:
+        raise BudgetExceeded(f"more than {SURVIVOR_CAP} screening survivors up to n_max = {n_max}")
 
     entries: list[ReturnEntry] = []
     refuted: list[int] = []
     horizon = -1
     done = 0  # candidates[:done] are certified or refuted
     walk = exact_orbit(inst, EXACT_BIT_BUDGET)
-    for n, pt in zip(range(candidates[-1] + 1 if candidates else 0), walk):
+    steps = min(candidates[-1] + 1, EXACT_STEP_BUDGET) if candidates else 0
+    for n, pt in zip(range(steps), walk):
         if n == candidates[done]:
             done += 1
             if all(poly_eval(q, pt) == 0 for q in inst.variety):
@@ -153,7 +163,7 @@ def compute_returns(
                 refuted.append(n)
         horizon = n
     if done < len(candidates):
-        # survivors beyond the exact budget get one extra screening round
+        # survivors beyond the exact budgets get one extra screening round
         # with fresh primes: orbit periods mod few primes can align for
         # structured maps, and extra moduli are cheap
         extra = default_screening_primes(
@@ -655,7 +665,7 @@ def iterated_log(n: float, m: int) -> float | None:
     return x if x > 0 else None
 
 
-def build_density_report(indices, n_max: int, m: int = DENSITY_LOG_DEPTH) -> DensityReport:
+def build_density_report(indices, n_max: int, m: int) -> DensityReport:
     """Counting function of the return set against the m-fold iterated logarithm.
 
     An empirical consistency check, not a proof: the maximum observed ratio

@@ -399,14 +399,11 @@ def _models(
         center = chain.cycle[s]
         series, c = rotations[s]
         if c < 1:
-            raise HypothesisViolation(
+            # charts are linear mod p (constant term 0, degree-d coefficients
+            # divisible by p^(d-1)) and E = chain^k2 mod p, so F = E*x mod p
+            raise InvariantViolation(
                 "normalization/congruence: model map is not linear mod p; c < 1"
             )
-        for i, srs in enumerate(series):
-            if int_valuation(srs.constant_term(), p) < 1:
-                raise HypothesisViolation(
-                    f"normalization/scale: constant term of coordinate {i} has valuation < 1"
-                )
         log = (
             TransformRecord("forward", (chain.m0 + shift,)),
             TransformRecord("iterate", (k1,)),

@@ -182,9 +182,6 @@ class TruncatedSeries:
     def coefficient(self, exp: tuple[int, ...]) -> int:
         return self.coeffs.get(tuple(exp), 0)
 
-    def constant_term(self) -> int:
-        return self.coefficient((0,) * self.nvars)
-
     def _stored(self, coeffs: dict, precs: dict) -> "TruncatedSeries":
         return TruncatedSeries(
             self.ctx, self.nvars, {e: r for e, r in coeffs.items() if r or e in precs}, precs

@@ -255,12 +255,12 @@ def _replayed_prime(certificates: list[dict]) -> int:
 def stage_diagnostics(report: RunReport, state: RunState) -> None:
     """Residue-level periodic points on the variety and the decisive orbit screen."""
     inst, bad, prime, bound = state.inst, state.bad, state.prime, state.bound
-    fp, _, _ = reduce_instance(inst, prime, bad)
+    fp, a_p, targets_p = reduce_instance(inst, prime, bad)
     discovered: list | None = None
     if prime**inst.dimension <= DIAGNOSTIC_SCAN_CAP:
         variety_p = [reduce_poly(q, prime) for q in inst.variety]
         discovered = periodic_points_on_variety(fp, variety_p)
-    avoided = residue_orbit_avoids(inst, prime, bound, bad)
+    avoided = residue_orbit_avoids(fp, a_p, targets_p, bound)
     if not avoided:
         raise HypothesisViolation(
             f"residue orbit meets a declared target at iterate >= {bound} despite a certificate"

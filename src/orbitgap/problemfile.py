@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import InputError
-from .gaps import DENSITY_LOG_DEPTH, SCREEN_PRIME_COUNT
 from .polynomials import Poly, PolyMap
 from .reduction import ProblemInstance
 
@@ -35,9 +34,16 @@ MAX_PRECISION = 512
 MAX_PRIME = 10_000
 
 #: Largest n_max: return screening visits every hit index <= n_max of one
-#: screening prime.  At this cap, analyze of x -> x + 1 from 0 with V: x = 5
-#: (prime_range [3, 50], precision 16) takes 7 to 9 s on a 2-vCPU host.
+#: screening prime, and keeps at most gaps.SURVIVOR_CAP of them.  At this
+#: cap, analyze of x -> x + 1 from 0 with V: x = 10^7 (prime_range [3, 50],
+#: precision 16) takes about 12 s on a 2-vCPU host.
 MAX_N_MAX = 10**9
+
+#: Default number of screening primes.
+SCREEN_PRIME_COUNT = 8
+
+#: Default m of the density yardstick log^(m), the m-fold iterated logarithm.
+DENSITY_LOG_DEPTH = 1
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ describes its whole functional graph.  A full-space scan names each point
 by its index sum x_i p^i, evaluates the map on all points at once
 (horner_table, one list per Horner step), and sorts the indices by image.
 The preimages of a point are then one run of that order, found by
-bisection, so the backward tree costs only its own nodes.  One scan per
-prime serves all of its targets; periodicity is tested first, by an orbit
-walk, so a periodic target needs no scan.
+bisection, so the backward tree costs only its own nodes.  Each prime gets
+one pass: every target is first tested for periodicity by an orbit walk,
+so a prime with a periodic target needs no scan, whatever the order of the
+targets; otherwise one scan serves the backward search of every target.
 
 Two walkers serve every orbit reading.  orbit_hits runs Brent's search
 once and keeps the indices whose residue satisfies a predicate, as a tail
@@ -108,92 +109,62 @@ class BadPrimeSet:
         return p in self.primes
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
+def _rank(rows, inverse, reduce) -> int:
+    """Rank by Gaussian elimination: reduce(a) is the normal form of an entry
+    (0 exactly when a is 0) and inverse(a) inverts a nonzero one; over Q the
+    identity and 1/a, over F_p a % p and pow(a, -1, p)."""
+    rows = [[reduce(x) for x in r] for r in rows]
     rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
+    while rows:
+        pivot = rows.pop()
+        col = next((j for j, a in enumerate(pivot) if a), None)
+        if col is not None:
+            inv = inverse(pivot[col])
+            rows = [[reduce(a - r[col] * inv * b) for a, b in zip(r, pivot)] for r in rows]
+            rank += 1
     return rank
 
 
-def _mod_rank(rows, p: int) -> int:
-    rows = [[x % p for x in r] for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] * inv % p
-                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _target_collision(inst: ProblemInstance, p: int) -> bool:
+def _target_collision(inst: ProblemInstance, p: int, ranks: list[int]) -> bool:
     """Whether some backward branch of a target collapses onto it mod p.
 
-    A preimage branch distinct from gamma can only reduce onto gamma at p if
-    the reduced fiber degenerates beyond its exact degeneracy, detected as a
-    rank drop of the Jacobian at gamma from the rationals to F_p (a globally
-    critical fixed point, e.g. the origin of x -> x^2, is not a collision:
-    there is no second branch).  Requires gamma to be a fixed residue.
+    A second branch can only reduce onto a target fixed mod p if the
+    Jacobian there loses rank from Q (ranks, one per target) to F_p; a
+    globally critical fixed point, e.g. the origin of x -> x^2, has no
+    second branch and is no collision.  p is not a denominator prime.
     """
-    try:
-        fp = ModularMap.from_map(inst.mapping, p)
-    except InputError:
-        return True  # denominator prime; caller records it anyway
-    jac = inst.mapping.jacobian()
-    for t in inst.targets:
-        try:
-            tp = tuple(reduce_rational(x, p) for x in t)
-        except InputError:
-            return True
+    fp = ModularMap.from_map(inst.mapping, p)
+    for t, rank in zip(inst.targets, ranks):
+        tp = tuple(reduce_rational(x, p) for x in t)
         if fp(tp) != tp:
             continue
-        exact_rows = [
-            [poly_eval(jac[i][j], t) for j in range(inst.dimension)]
-            for i in range(inst.dimension)
+        rows = [
+            [horner_eval(horner_form(reduce_poly(d, p)), tp, p) for d in row]
+            for row in inst.mapping.jacobian()
         ]
-        mod_rows = [
-            [horner_eval(horner_form(reduce_poly(jac[i][j], p)), tp, p)
-             for j in range(inst.dimension)]
-            for i in range(inst.dimension)
-        ]
-        if _mod_rank(mod_rows, p) < _rational_rank(exact_rows):
+        if _rank(rows, lambda a: pow(a, -1, p), lambda a: a % p) < rank:
             return True
     return False
 
 
-def bad_primes(inst: ProblemInstance, search_bound: int = 0) -> BadPrimeSet:
-    """Denominator primes plus small primes where a target absorbs a preimage branch."""
-    reasons: list[tuple[int, str]] = []
-    primes = set()
-    for p in sorted(inst.denominator_primes()):
-        primes.add(p)
-        reasons.append((p, "denominator"))
-    if inst.targets and search_bound >= 2:
-        for p in range(3, search_bound + 1):
-            if p in primes or not is_prime(p):
-                continue
-            if _target_collision(inst, p):
-                primes.add(p)
-                reasons.append((p, "target-preimage-collision"))
-    return BadPrimeSet(frozenset(primes), tuple(reasons))
+def bad_primes(inst: ProblemInstance, search_bound: int) -> BadPrimeSet:
+    """Denominator primes, plus the primes 3 <= p <= search_bound where a
+    target absorbs a preimage branch.  Each target's Jacobian rank over Q is
+    computed once, for every prime."""
+    primes = inst.denominator_primes()
+    reasons = [(p, "denominator") for p in sorted(primes)]
+    if inst.targets:
+        jac = inst.mapping.jacobian()
+        ranks = [
+            _rank([[poly_eval(d, t) for d in row] for row in jac], lambda a: 1 / a, lambda a: a)
+            for t in inst.targets
+        ]
+        reasons += [
+            (p, "target-preimage-collision")
+            for p in range(3, search_bound + 1)
+            if p not in primes and is_prime(p) and _target_collision(inst, p, ranks)
+        ]
+    return BadPrimeSet(frozenset(p for p, _ in reasons), tuple(reasons))
 
 
 def reduce_instance(inst: ProblemInstance, p: int, bad: BadPrimeSet):
@@ -372,25 +343,13 @@ def preimage_buckets(fp: ModularMap) -> tuple[list[int], list[int]]:
     return order, [table[k] for k in order]
 
 
-def first_hit_depth(
-    fp: ModularMap, gamma: tuple[int, ...], scan: list | None = None
-) -> int | None:
-    """Largest m such that some residue point satisfies f^m(x) = gamma.
-
-    Returns None when the target lies on a cycle (verdict failed-periodic:
-    its orbit has tail 0).  Levels of the backward expansion are pairwise
-    disjoint for a non-periodic target, which bounds the expansion by the
-    space size; each node's preimages are found by bisection in the sorted
-    images.  scan is the preimage_buckets scan of fp; an empty or missing
-    one is made here, and an empty list passed in is filled, so targets can
-    share one scan.
+def first_hit_depth(fp: ModularMap, gamma: tuple[int, ...], scan) -> int:
+    """Largest m such that some residue point satisfies f^m(x) = gamma, for
+    gamma off every cycle: a backward breadth-first search, each node's
+    preimages found by bisection in scan, the preimage_buckets scan of fp.
+    Its levels are pairwise disjoint, which bounds it by the space size;
+    levels that meet mean the caller passed a periodic target, a bug.
     """
-    if orbit_summary(fp, gamma).tail == 0:
-        return None
-    if scan is None:
-        scan = []
-    if not scan:
-        scan.extend(preimage_buckets(fp))
     order, images = scan
     p = fp.modulus
     level = [sum(x * p**i for i, x in enumerate(gamma))]
@@ -423,7 +382,6 @@ class AvoidanceCertificate:
     """
 
     prime: int
-    targets: tuple[tuple[int, ...], ...]
     verdict: str  # certified | failed-periodic | failed-bad-prime
     bound: int | None = None
     depths: tuple[int, ...] = ()
@@ -441,43 +399,39 @@ class AvoidanceScan:
 
 
 def avoidance_search(inst: ProblemInstance, primes, bad: BadPrimeSet) -> AvoidanceScan:
-    """Try to certify every prime in the range.
+    """Try to certify every prime in the range, in one pass per prime.
 
-    M = 1 + max backward depth over all targets (0 when there are no
-    targets).  Failures are recorded verdicts, never exceptions.  Per-prime
-    work is independent; certificates are aggregated in prime order.
+    Each good prime reduces the instance once.  If any reduced target lies
+    on a cycle (its orbit has tail 0), the verdict is failed-periodic, with
+    no scan.  Otherwise one preimage_buckets scan serves a backward search
+    per target, and M = 1 + the largest depth (0 when there are no
+    targets).  The verdict depends on the set of targets, not their order.
+    Failures are recorded verdicts, never exceptions; certificates are in
+    prime order.
     """
     certs = []
     for p in sorted(primes):
         if p in bad:
-            certs.append(AvoidanceCertificate(p, (), "failed-bad-prime"))
+            certs.append(AvoidanceCertificate(p, "failed-bad-prime"))
             continue
         fp, _, targets_p = reduce_instance(inst, p, bad)
-        depths = []
-        scan: list = []  # filled by the first non-periodic target
-        for tp in targets_p:
-            depth = first_hit_depth(fp, tp, scan)
-            if depth is None:
-                certs.append(AvoidanceCertificate(p, targets_p, "failed-periodic"))
-                break
-            depths.append(depth)
-        else:
-            bound = 1 + max(depths) if depths else 0
-            certs.append(AvoidanceCertificate(p, targets_p, "certified", bound, tuple(depths)))
-    scanned = len(certs)
-    certified = sum(1 for c in certs if c.certified)
-    density = certified / scanned if scanned else 0.0
-    return AvoidanceScan(tuple(certs), scanned, density)
+        if any(orbit_summary(fp, t).tail == 0 for t in targets_p):
+            certs.append(AvoidanceCertificate(p, "failed-periodic"))
+            continue
+        scan = preimage_buckets(fp) if targets_p else None
+        depths = tuple(first_hit_depth(fp, t, scan) for t in targets_p)
+        certs.append(AvoidanceCertificate(p, "certified", 1 + max(depths, default=-1), depths))
+    certified = sum(c.certified for c in certs)
+    return AvoidanceScan(tuple(certs), len(certs), certified / len(certs) if certs else 0.0)
 
 
-def residue_orbit_avoids(inst: ProblemInstance, p: int, bound: int, bad: BadPrimeSet) -> bool:
-    """Decisive check that the residue orbit of the initial point misses every
-    reduced target at all iterates >= bound.
+def residue_orbit_avoids(fp: ModularMap, a_p: tuple[int, ...], targets_p, bound: int) -> bool:
+    """Decisive check that the residue orbit of a_p misses every reduced
+    target at all iterates >= bound.
 
     A target on the eventual cycle is hit at unboundedly many iterates, so it
     fails regardless of the bound; a target on the tail only fails when its
     hit index is >= bound.
     """
-    fp, a_p, targets_p = reduce_instance(inst, p, bad)
     hits = orbit_hits(fp, a_p, targets_p.__contains__)
     return not any(n >= bound or n >= hits.tail for n in hits.hits)

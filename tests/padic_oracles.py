@@ -543,7 +543,7 @@ def fixing_iterate(inst, p: int, period_bound: int = 64) -> int:
     k = 1
     for t in inst.targets:
         k = math.lcm(k, exact_period(inst.mapping, t, period_bound))
-    fp, a_p, _ = reduce_instance(inst, p, bad_primes(inst))
+    fp, a_p, _ = reduce_instance(inst, p, bad_primes(inst, search_bound=0))
     k = math.lcm(k, orbit_summary(fp, a_p).cycle)
     return k
 

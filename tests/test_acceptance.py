@@ -37,6 +37,8 @@ from orbitgap.reduction import (
     avoidance_search,
     bad_primes,
     first_hit_depth,
+    preimage_buckets,
+    reduce_instance,
 )
 
 
@@ -121,7 +123,7 @@ def test_criterion_3_avoidance_oracle_equivalence():
         gamma = tuple(rng.randrange(p) for _ in range(n))
         if on_cycle(fp, gamma):
             continue
-        depth = first_hit_depth(fp, gamma)
+        depth = first_hit_depth(fp, gamma, preimage_buckets(fp))
         bound = depth + 1
         # brute force: exhaust every point and every m <= p^n + bound
         space = p**n
@@ -196,8 +198,8 @@ def test_criterion_4_certificate_soundness_window():
             if not cert.certified:
                 continue
             assert p**n <= 100_000
-            fp = ModularMap.from_map(f, p)
-            hits = _forward_first_hits(fp, set(cert.targets))
+            fp, _, targets_p = reduce_instance(inst, p, bad)
+            hits = _forward_first_hits(fp, set(targets_p))
             window_hi = cert.bound + p**n
             for m in hits.values():
                 assert m < 0 or m < cert.bound or m > window_hi, (
@@ -256,7 +258,7 @@ def test_criterion_6_normalization_postconditions():
         if model.k_total > 60:
             continue
         for srs in model_series(model):
-            assert int_valuation(srs.constant_term(), p) >= 1
+            assert int_valuation(srs.coefficient((0,) * srs.nvars), p) >= 1
         a_bar = tuple(tuple(x % p for x in row) for row in model.linear)
         assert mat_mul(a_bar, a_bar, p) == a_bar
         assert sup_valuation(model.base_point, p) >= 1

@@ -1,12 +1,15 @@
-"""Every optional parameter of the package has a caller outside the tests.
+"""Every optional parameter of the package is set, and left out, by a caller
+outside the tests.
 
 A default that no program caller overrides is a switch only the tests flip:
-such a test exercises a code path the program never takes.  This test reads
-the sources as syntax trees, without importing them.  For each function of
-`src/orbitgap` with an optional parameter, some call in `src/`, `scripts/` or
-`bench/` must set that parameter, by keyword or by position.  Calls are
-matched to functions by name; a call through an attribute (`obj.f(...)`)
-binds its first argument after `self` when f is a method.
+such a test exercises a code path the program never takes.  A default that
+every program caller overrides is a value only the tests rely on.  This test
+reads the sources as syntax trees, without importing them.  For each
+function of `src/orbitgap` with an optional parameter, some call in `src/`,
+`scripts/` or `bench/` must set that parameter, by keyword or by position,
+and some such call must leave it out.  Calls are matched to functions by
+name; a call through an attribute (`obj.f(...)`) binds its first argument
+after `self` when f is a method.
 """
 
 import ast
@@ -51,10 +54,12 @@ def _optional_parameters():
 
 
 def _calls():
-    """For each called name: (positional argument count, keywords) of every call.
+    """For each called name: (positional arguments before any starred one,
+    positional arguments, keywords, bound) of every call.
 
-    A starred positional argument counts as setting every position, a
-    double-starred one as setting every keyword.
+    A starred positional argument counts as setting every position, and as
+    leaving out every position from its own on; a double-starred one counts
+    as setting every keyword and as leaving out every keyword.
     """
     calls = {}
     for directory in CALLER_DIRS:
@@ -69,22 +74,37 @@ def _calls():
                     name, bound = func.attr, True
                 else:
                     continue
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
-                count = float("inf") if starred else len(node.args)
+                plain = next(
+                    (i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+                    len(node.args),
+                )
+                count = len(node.args) if plain == len(node.args) else float("inf")
                 keywords = {k.arg for k in node.keywords}
-                calls.setdefault(name, []).append((count, keywords, bound))
+                calls.setdefault(name, []).append((plain, count, keywords, bound))
     return calls
 
 
+def _position(position, method: bool, bound: bool):
+    # self is the object the attribute is read from
+    return position - 1 if method and bound and position is not None else position
+
+
 def _is_set(call, parameter: str, position, method: bool) -> bool:
-    count, keywords, bound = call
+    _, count, keywords, bound = call
     if parameter in keywords or None in keywords:
         return True
-    if position is None:
+    position = _position(position, method, bound)
+    return position is not None and count > position
+
+
+def _is_omitted(call, parameter: str, position, method: bool) -> bool:
+    plain, _, keywords, bound = call
+    if None in keywords:
+        return True
+    if parameter in keywords:
         return False
-    if method and bound:
-        position -= 1  # self is the object the attribute is read from
-    return count > position
+    position = _position(position, method, bound)
+    return position is None or plain <= position
 
 
 def test_every_optional_parameter_is_set_by_a_program_caller():
@@ -95,3 +115,13 @@ def test_every_optional_parameter_is_set_by_a_program_caller():
         if not any(_is_set(c, parameter, position, method) for c in calls.get(name, []))
     ]
     assert unset == [], f"optional parameters that only the tests set: {unset}"
+
+
+def test_every_optional_parameter_is_left_out_by_a_program_caller():
+    calls = _calls()
+    always = [
+        f"{where}: {parameter}"
+        for where, name, parameter, position, method in _optional_parameters()
+        if not any(_is_omitted(c, parameter, position, method) for c in calls.get(name, []))
+    ]
+    assert always == [], f"defaults that every program caller overrides: {always}"

@@ -492,7 +492,7 @@ def test_stage_commands_match_analyze(worked_file, tmp_path):
         assert stage_lines == [line for line in analyze if kind(line) in kinds]
 
 
-def test_screening_primes_skip_run_bad_primes(tmp_path):
+def test_screening_primes_skip_run_bad_primes(tmp_path, search_bound=0):
     # 101 is a target-collision prime of x^2 + 101x at the scanned bound, so
     # screening must pass over it rather than reject its own choice
     doc = {
@@ -552,6 +552,22 @@ def test_broken_invariant_exits_4(monkeypatch, tmp_path, capsys):
     assert failure["record"] == "failure"
     assert failure["stage"] == "avoidance"
     assert "not disjoint" in failure["message"]
+
+
+def test_model_not_linear_mod_p_exits_4(monkeypatch, worked_file, tmp_path):
+    # every chart is linear mod p by construction, so a model with c = 0 is
+    # a broken invariant, not a property of the input
+    rotations = normalization._rotation_series
+
+    def c_zero(*args):
+        return {s: (series, 0) for s, (series, _) in rotations(*args).items()}
+
+    monkeypatch.setattr(normalization, "_rotation_series", c_zero)
+    out = tmp_path / "run.jsonl"
+    assert main(["analyze", worked_file, "--out", str(out)]) == 4
+    failure = [json.loads(line) for line in out.read_text().splitlines()][-1]
+    assert (failure["record"], failure["stage"]) == ("failure", "normalization")
+    assert "c < 1" in failure["message"]
 
 
 def test_long_cycle_exits_3_at_normalization(tmp_path):

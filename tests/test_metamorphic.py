@@ -1,16 +1,24 @@
-"""Metamorphic tests: the answer must not change with a change of coordinates."""
+"""Metamorphic tests: the answer must not change with a change of coordinates
+or with the order of the declared periodic points."""
 
+from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from padic_oracles import make_const, make_var, poly_add, poly_compose
 
+from orbitgap import reduction
 from orbitgap.padic import is_prime
 from orbitgap.pipeline import run
-from orbitgap.problemfile import RunParameters
+from orbitgap.problemfile import RunParameters, load_problem
 from orbitgap.polynomials import PolyMap
 from orbitgap.reduction import ProblemInstance, avoidance_search, bad_primes
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 # At this horizon every degree-2 return is certified exactly.  Beyond it,
 # screening alone can keep false positives: x -> -2x^2 - 2x from -3 (a
@@ -105,3 +113,62 @@ def test_translation_leaves_avoidance_certificates_unchanged(data):
     t = data.draw(st.tuples(*[st.integers(-24, 24)] * n).filter(any))
 
     assert _certificates(_translated(inst, t)) == _certificates(inst)
+
+
+def _order_outcome(inst: ProblemInstance, params: RunParameters):
+    """Exit code, bad primes, certificate rows and chosen prime of analyze."""
+    report = run("analyze", inst, params, "metamorphic")
+    records = {r["record"]: r for r in report.records}
+    rows = [
+        (r["prime"], r["verdict"], r["bound"], r["depths"])
+        for r in records["certificates"]["rows"]
+    ]
+    diagnostics = records.get("diagnostics")
+    return (
+        report.exit_code,
+        records["bad_primes"]["primes"],
+        rows,
+        diagnostics and diagnostics["prime"],
+    )
+
+
+def _assert_order_free(inst: ProblemInstance, params: RunParameters) -> None:
+    """Every order of the declared points gives the outcome of the first
+    order, with the depths of each certificate permuted the same way."""
+    code, bad, rows, prime = _order_outcome(inst, params)
+    for perm in permutations(range(len(inst.targets))):
+        targets = tuple(inst.targets[i] for i in perm)
+        permuted = [
+            (p, verdict, bound, [depths[i] for i in perm] if depths else depths)
+            for p, verdict, bound, depths in rows
+        ]
+        assert _order_outcome(replace(inst, targets=targets), params) == (
+            code, bad, permuted, prime,
+        ), perm
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PROBLEMS.glob("*.json")))
+def test_order_of_declared_points_leaves_the_run_unchanged(name):
+    """Each sample with its declared points and two more (the origin and the
+    image of the initial point), in every order."""
+    inst, params, _ = load_problem(str(PROBLEMS / name))
+    extra = ((Fraction(0),) * inst.dimension, inst.mapping.evaluate(inst.initial_point))
+    inst = replace(inst, targets=inst.targets + extra)
+    _assert_order_free(inst, replace(params, precision=16, n_max=200))
+
+
+def test_order_of_declared_points_above_the_guard(monkeypatch):
+    """(x^2, y^2) from (5, 7), V: x = y, at p = 5 with the space above the
+    guard: (0, 0) is fixed and (-1, -1) is not, so the prime fails as
+    periodic, with no scan, in either order."""
+    monkeypatch.setattr(reduction, "ENUM_GUARD", 24)
+    inst = ProblemInstance(
+        2,
+        PolyMap.from_lists(2, [{(2, 0): 1}, {(0, 2): 1}]),
+        (Fraction(5), Fraction(7)),
+        ({(1, 0): Fraction(1), (0, 1): Fraction(-1)},),
+        ((Fraction(-1), Fraction(-1)), (Fraction(0), Fraction(0))),
+    )
+    params = RunParameters(prime_range=(5, 5), precision=16, n_max=16, screen_primes=3)
+    assert _order_outcome(inst, params) == (1, [], [(5, "failed-periodic", None, [])], None)
+    _assert_order_free(inst, params)

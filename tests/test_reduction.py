@@ -1,7 +1,9 @@
 """Residue dynamics: bad primes, orbits, preimage depth, avoidance certificates."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import count, product
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from padic_oracles import exact_period, first_hit_depth_reference, fixing_iterate, on_cycle
 
 from orbitgap import pipeline, reduction
-from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError
+from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError, InvariantViolation
 from orbitgap.padic import is_prime
 from orbitgap.polynomials import ModularMap, PolyMap, reduce_poly
 from orbitgap.problemfile import load_problem
@@ -44,9 +46,9 @@ def test_constant_coordinate_rejected():
 
 def test_bad_primes_denominators():
     inst = _instance([{(2,): Fraction(1, 2)}], (0,))
-    assert 2 in bad_primes(inst).primes
+    assert 2 in bad_primes(inst, search_bound=0).primes
     inst2 = _instance([{(2,): 1, (0,): 1}], (0,))
-    assert bad_primes(inst2).primes == frozenset()
+    assert bad_primes(inst2, search_bound=0).primes == frozenset()
 
 
 def test_bad_primes_target_collision():
@@ -69,13 +71,41 @@ def test_bad_primes_target_collision():
     assert bad_primes(inst4, search_bound=11).primes == frozenset()
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_rank_matches_null_space_count_and_large_prime(data):
+    """_rank over F_p is the number of columns minus log_p of the number of
+    solutions of A x = 0, counted point by point; over Q it is the rank mod
+    a prime above every minor of the matrix with its row denominators
+    cleared (a prime that divides no nonzero minor keeps the rank)."""
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    a = [[data.draw(st.integers(0, p - 1)) for _ in range(cols)] for _ in range(rows)]
+    kernel = sum(
+        all(sum(r[j] * x[j] for j in range(cols)) % p == 0 for r in a)
+        for x in product(range(p), repeat=cols)
+    )
+    rank = reduction._rank(a, lambda v: pow(v, -1, p), lambda v: v % p)
+    assert p ** (cols - rank) == kernel
+
+    entry = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3]))
+    q_rows = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+    # cleared rows have entries of size <= 30, so minors of size <= 3! 30^3
+    bound = math.factorial(min(rows, cols)) * 30 ** min(rows, cols)
+    q = next(k for k in count(bound + 1) if is_prime(k))
+    cleared = [[int(x * 6) for x in r] for r in q_rows]  # 6 clears every denominator
+    assert reduction._rank(q_rows, lambda v: 1 / v, lambda v: v) == reduction._rank(
+        cleared, lambda v: pow(v, -1, q), lambda v: v % q
+    )
+
+
 def test_reduce_examples():
     inst = _instance([{(1,): Fraction(3, 2), (0,): Fraction(1, 2)}], (7,))
-    fp, a_p, _ = reduce_instance(inst, 5, bad_primes(inst))
+    fp, a_p, _ = reduce_instance(inst, 5, bad_primes(inst, search_bound=0))
     assert fp.polys[0] == {(1,): 4, (0,): 3}
     assert a_p == (2,)
     with pytest.raises(InputError):
-        reduce_instance(inst, 2, bad_primes(inst))  # denominator prime
+        reduce_instance(inst, 2, bad_primes(inst, search_bound=0))  # denominator prime
 
 
 def test_reduce_point_example():
@@ -83,7 +113,7 @@ def test_reduce_point_example():
         [{(2, 0): 1}, {(0, 2): 1}], (7, -1), dim=2,
         variety=[{(0, 0): Fraction(0)}],
     )
-    _, a_p, _ = reduce_instance(inst, 5, bad_primes(inst))
+    _, a_p, _ = reduce_instance(inst, 5, bad_primes(inst, search_bound=0))
     assert a_p == (2, 4)
 
 
@@ -111,10 +141,17 @@ def test_periodic_points_on_variety():
 
 def test_first_hit_depth_examples():
     fp5 = ModularMap.from_map(SQ_PLUS_ONE, 5)
-    assert first_hit_depth(fp5, (3,)) == 0  # squares mod 5 omit 2
-    assert first_hit_depth(fp5, (0,)) is None  # 0 is on the 3-cycle
-    zero_map = ModularMap.from_map(PolyMap.from_lists(1, [{(1,): 3}]), 3)
-    assert first_hit_depth(zero_map, (0,)) is None  # 0 fixed under 3x = 0
+    assert first_hit_depth(fp5, (3,), preimage_buckets(fp5)) == 0  # squares mod 5 omit 2
+    # a periodic target fails the prime before any backward search, and a
+    # backward search from one breaks the disjointness of its levels
+    on_cycle_of_five = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(0),),))
+    zero_fixed = _instance([{(1,): 3}], (1,), targets=((Fraction(0),),))  # 3x = 0 mod 3
+    for inst, p in ((on_cycle_of_five, 5), (zero_fixed, 3)):
+        cert = avoidance_search(inst, [p], bad_primes(inst, search_bound=0)).certificates[0]
+        assert cert.verdict == "failed-periodic"
+        fp = ModularMap.from_map(inst.mapping, p)
+        with pytest.raises(InvariantViolation):
+            first_hit_depth(fp, (0,), preimage_buckets(fp))
 
 
 def test_preimage_levels_disjoint():
@@ -140,9 +177,10 @@ def test_preimage_levels_disjoint():
 @settings(max_examples=60, deadline=None)
 def test_sorted_image_scan_matches_dict_oracle(data):
     """Depths read off one shared sorted-image scan equal those of the
-    dict-of-tuples oracle on random 1-, 2- and 3-d maps; a periodic target
-    gets None and no scan; above ENUM_GUARD both refuse every non-periodic
-    target."""
+    dict-of-tuples oracle on random 1-, 2- and 3-d maps, and the orbit walk
+    that decides periodicity agrees with the oracle's None; above ENUM_GUARD
+    the scan and the oracle refuse, and the oracle still gives every
+    periodic target None."""
     n = data.draw(st.integers(1, 3))
     p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
     monomial = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
@@ -155,22 +193,24 @@ def test_sorted_image_scan_matches_dict_oracle(data):
     targets = data.draw(st.lists(point, min_size=1, max_size=4))
     targets.insert(data.draw(st.integers(0, len(targets))), fp.iterate(targets[0], p**n))
 
-    scan: list = []
-    depths = [first_hit_depth(fp, gamma, scan) for gamma in targets]
+    scan = preimage_buckets(fp)
+    depths = [
+        None if orbit_summary(fp, gamma).tail == 0 else first_hit_depth(fp, gamma, scan)
+        for gamma in targets
+    ]
     assert depths == [first_hit_depth_reference(fp, gamma) for gamma in targets]
     assert None in depths  # the iterate p^n of any point lies on a cycle
-    # built once, by the first non-periodic target, and shared by the rest
-    assert scan == ([] if set(depths) == {None} else list(preimage_buckets(fp)))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "ENUM_GUARD", p**n - 1)
+        with pytest.raises(BudgetExceeded):
+            preimage_buckets(fp)
         for gamma, depth in zip(targets, depths):
-            for call in (first_hit_depth, first_hit_depth_reference):
-                if depth is None:
-                    assert call(fp, gamma) is None
-                else:
-                    with pytest.raises(BudgetExceeded):
-                        call(fp, gamma)
+            if depth is None:
+                assert first_hit_depth_reference(fp, gamma) is None
+            else:
+                with pytest.raises(BudgetExceeded):
+                    first_hit_depth_reference(fp, gamma)
 
 
 def test_periodic_target_above_the_guard_is_failed_periodic(monkeypatch):
@@ -224,7 +264,10 @@ def test_avoidance_evaluates_the_map_column_wise(monkeypatch):
     inst, params, sha = load_problem(str(SQ_PLUS_ONE_FILE))
     report = pipeline.run("primes", inst, replace(params, prime_range=(3, 200)), sha)
     assert report.error is None
-    assert counts["depths"] == sum(1 for p in range(3, 201) if is_prime(p))
+    rows = report.records[-1]["rows"]
+    assert len(rows) == sum(1 for p in range(3, 201) if is_prime(p))
+    # one depth per target (the sample declares one) at each certified prime
+    assert counts["depths"] == len(inst.targets) * sum(r["verdict"] == "certified" for r in rows)
     assert counts["scans"] > 0
     assert counts["map"] < counts["space"] / 5, counts
 
@@ -269,7 +312,7 @@ def test_certificate_soundness_window_small():
         cert = avoidance_search(inst, [p], bad_primes(inst, search_bound=p)).certificates[0]
         if not cert.certified:
             continue
-        fp, _, targets_p = reduce_instance(inst, p, bad_primes(inst))
+        fp, _, targets_p = reduce_instance(inst, p, bad_primes(inst, search_bound=0))
         hits = _forward_first_hits(fp, targets_p[0], p)
         window_hi = cert.bound + p**inst.dimension
         assert all(
@@ -317,7 +360,7 @@ def _forward_first_hits(fp, gamma, p):
 def test_fixing_iterate():
     # gamma already fixed: k = lcm(1, cycle of a mod p)
     inst = _instance([{(2,): 1}], (3,), targets=((Fraction(0),),))
-    fp, a_p, _ = reduce_instance(inst, 7, bad_primes(inst))
+    fp, a_p, _ = reduce_instance(inst, 7, bad_primes(inst, search_bound=0))
     assert fixing_iterate(inst, 7) == orbit_summary(fp, a_p).cycle
     # f(x) = -x has 1 of period 2
     neg = _instance([{(1,): -1}], (2,), targets=((Fraction(1),),))
@@ -329,17 +372,22 @@ def test_fixing_iterate():
         exact_period(bad.mapping, (3,), bound=16)
 
 
+def _avoids(inst, p, bound):
+    fp, a_p, targets_p = reduce_instance(inst, p, bad_primes(inst, search_bound=0))
+    return residue_orbit_avoids(fp, a_p, targets_p, bound)
+
+
 def test_residue_orbit_avoids():
     inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),),))
-    assert residue_orbit_avoids(inst, 5, 1, bad_primes(inst))
+    assert _avoids(inst, 5, 1)
     # target on the orbit cycle fails regardless of the bound
     inst2 = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(2),),))
-    assert not residue_orbit_avoids(inst2, 5, 10, bad_primes(inst2))
+    assert not _avoids(inst2, 5, 10)
 
     # mod 3 the orbit is 0 -> 1 -> 2 -> 2: a tail of two, then a fixed point
     def avoids(target, bound):
         inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(target),),))
-        return residue_orbit_avoids(inst, 3, bound, bad_primes(inst))
+        return _avoids(inst, 3, bound)
 
     assert not avoids(1, 1) and avoids(1, 2)
     assert not avoids(0, 0) and avoids(0, 1)
@@ -398,10 +446,13 @@ def test_avoidance_depth_equals_bruteforce(data):
     f = PolyMap.from_lists(1, [coeffs])
     fp = ModularMap.from_map(f, p)
     gamma = (data.draw(st.integers(0, p - 1)),)
+    scan = preimage_buckets(fp)
+    assert (orbit_summary(fp, gamma).tail == 0) == on_cycle(fp, gamma)
     if on_cycle(fp, gamma):
-        assert first_hit_depth(fp, gamma) is None
+        with pytest.raises(InvariantViolation):
+            first_hit_depth(fp, gamma, scan)
         return
-    depth = first_hit_depth(fp, gamma)
+    depth = first_hit_depth(fp, gamma, scan)
     brute = -1
     for x in range(p):
         pt = (x,)
