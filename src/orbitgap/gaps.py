@@ -23,14 +23,16 @@ carries its own bound; a disk holds that composed TruncatedSeries as it is.
 It counts zeros through the Newton polygon, read once per disk for both the
 count and the minimum valuation v, and refines disks until each leaf holds
 at most one zero cluster, shifting only the children at roots of the
-residual polynomial (L / p^v) mod p.  A leaf
-with a zero of order d yields the gap bound
+residual polynomial (L / p^v) mod p.  The leaves of each class mod p of
+model indices partition it, and the class gets one gap verdict from them.
+A leaf with a zero of order d yields the gap bound
 
     (n_{j+1} - n_j)^d >= p^(k*d + n_j*c - v(a_d))
 
 for consecutive return indices in the leaf, i.e. gaps grow like p^(c*n/d).
-Zero-free leaves bound their members outright by v(a_0)/c.  All comparisons
-are exact integer arithmetic.
+Zero-free leaves bound their members outright by v(a_0)/c.  A member in no
+leaf of its class breaks the partition: a bug, raised as InvariantViolation.
+All comparisons are exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .interpolation import ApproxInterpolant
+from .normalization import LocalModel
 from .padic import INF, TruncatedSeries, int_valuation, is_prime, vp_factorial
 from .polynomials import Poly, horner_eval, horner_form, poly_eval, reduce_poly
 from .reduction import (
@@ -340,15 +343,8 @@ class ZeroLocalization:
     leading_valuation: int
 
 
-@dataclass(frozen=True)
-class ClassAnalysis:
-    """Zero localization of one residue class of interpolation arguments."""
-
-    class_index: int
-    modulus_exp: int
-    polynomial_index: int | None
-    resolved: bool
-    leaves: tuple[ZeroLocalization, ...] = ()
+#: The leaves of one class mod p, which partition it; empty if unresolved.
+Leaves = tuple[ZeroLocalization, ...]
 
 
 def _residual_roots(disk: DiskSeries, count: int, v_min: int) -> list[int]:
@@ -369,9 +365,10 @@ def _residual_roots(disk: DiskSeries, count: int, v_min: int) -> list[int]:
     return [j for j in range(p) if not sum(c * j**m for m, c in enumerate(residual)) % p]
 
 
-def localize_zeros(interp: ApproxInterpolant, polynomials: list[Poly]) -> list[ClassAnalysis]:
-    """Per residue class mod p, locate the zeros of the first defining
-    polynomial that does not vanish at working precision.
+def localize_zeros(interp: ApproxInterpolant, polynomials: list[Poly]) -> list[Leaves]:
+    """Entry i holds the leaves of class i mod p, which partition the class:
+    those of the first defining polynomial that does not vanish on it at
+    working precision, or none (unresolved) if every polynomial does.
 
     The disks form one tree: the interpolant is expanded once, every
     polynomial's disks mod p are shifted from that expansion, and every
@@ -411,21 +408,16 @@ def localize_zeros(interp: ApproxInterpolant, polynomials: list[Poly]) -> list[C
             continue
         shifted.append((_residual_roots(unit, count, v_min), v_min))
 
-    analyses = []
-    for i in range(p):
-        for qi, (q, (roots, v_min)) in enumerate(zip(polynomials, shifted)):
-            if i in roots:
-                disk = _subdisk(interp, q, coords, 0, 0, i, 1)
-                if disk.zero_at_precision:
-                    continue
-                leaves = _refine(interp, q, disk, *newton_zero_count(disk))
-            else:
-                leaves = [ZeroLocalization(i, 1, 0, v_min)]
-            analyses.append(ClassAnalysis(i, 1, qi, True, tuple(leaves)))
-            break
-        else:
-            analyses.append(ClassAnalysis(i, 1, None, False))
-    return analyses
+    def class_leaves(i: int) -> Leaves:
+        for q, (roots, v_min) in zip(polynomials, shifted):
+            if i not in roots:
+                return (ZeroLocalization(i, 1, 0, v_min),)
+            disk = _subdisk(interp, q, coords, 0, 0, i, 1)
+            if not disk.zero_at_precision:
+                return tuple(_refine(interp, q, disk, *newton_zero_count(disk)))
+        return ()
+
+    return [class_leaves(i) for i in range(p)]
 
 
 def _refine(
@@ -486,8 +478,7 @@ class PairVerdict:
 @dataclass(frozen=True)
 class ClassReport:
     shift: int
-    class_index: int
-    modulus_exp: int
+    class_index: int  # model indices congruent to this mod p
     members_model: tuple[int, ...]
     members_original: tuple[int, ...]
     verdict: str  # ok | too-few-returns | violation | unresolved | no-members
@@ -508,131 +499,83 @@ class GapReport:
 
 
 def check_gap_pair(gap: int, order: int, required_exponent: int, prime: int) -> bool:
-    """Exact check gap^order >= p^required_exponent."""
-    if required_exponent <= 0:
-        return True
-    return gap**order >= prime**required_exponent
-
-
-def _leaf_for(leaves, j: int, p: int):
-    for leaf in leaves:
-        if (j - leaf.center) % p**leaf.radius_exp == 0:
-            return leaf
-    return None
+    """Exact check gap^order >= p^required_exponent (trivial when the exponent is <= 0)."""
+    return required_exponent <= 0 or gap**order >= prime**required_exponent
 
 
 def build_gap_report(
-    returns: ReturnSet,
-    analyses_by_shift: dict,
-    models_by_shift: dict,
-    prime: int,
-    c: int,
-    precision: int,
+    returns: ReturnSet, localized: list[tuple[LocalModel, list[Leaves]]], c: int
 ) -> GapReport:
     """Combine observed returns with zero localizations into per-class verdicts.
 
-    Every verdict names its inputs: model indices, the leaf's polygon data,
-    and the provenance of each member.  A violation indicates a screening
-    false positive or a precision issue, both of which are reportable
-    outcomes rather than exceptions.
+    localized lists (model, leaves_by_class) pairs in family order, the leaves
+    as localize_zeros gives them; the prime, precision, m0 and k_total are the
+    models'.  Every verdict names its inputs: model indices, the leaf's polygon
+    data, and the provenance of each member.  A violation indicates a
+    screening false positive or a precision issue, both of which are
+    reportable outcomes rather than exceptions.
     """
-    some_model = next(iter(models_by_shift.values()))
-    m0 = some_model.m0
-    k_total = some_model.k_total
+    first = localized[0][0]
+    m0, k_total = first.m0, first.k_total
     status = {e.index: e.status for e in returns.entries}
-
     prefix = tuple(sorted(n for n in status if n < m0))
-    covered_shifts = set(models_by_shift)
-    uncovered = tuple(
-        sorted(
-            n
-            for n in status
-            if n >= m0 and (n - m0) % k_total not in covered_shifts
-        )
-    )
+    shifts = {model.shift for model, _ in localized}
+    uncovered = tuple(sorted(n for n in status if n >= m0 and (n - m0) % k_total not in shifts))
 
-    classes: list[ClassReport] = []
-    for shift, analyses in sorted(analyses_by_shift.items()):
-        model = models_by_shift[shift]
-        members_model = sorted(
-            (n - m0 - shift) // k_total
-            for n in status
-            if n >= m0 + shift and (n - m0 - shift) % k_total == 0
+    classes = []
+    for model, leaves_by_class in localized:
+        start = m0 + model.shift
+        members = sorted(
+            (n - start) // k_total for n in status if n >= start and (n - start) % k_total == 0
         )
-        for analysis in analyses:
-            mod_exp = analysis.modulus_exp
-            in_class = [
-                j for j in members_model if j % prime**mod_exp == analysis.class_index
-            ]
-            originals = tuple(model.original_index(j) for j in in_class)
-            if not analysis.resolved:
-                classes.append(
-                    ClassReport(
-                        shift, analysis.class_index, mod_exp, tuple(in_class), originals,
-                        "unresolved", None,
-                    )
-                )
-                continue
-            if not in_class:
-                classes.append(
-                    ClassReport(
-                        shift, analysis.class_index, mod_exp, (), (), "no-members", None,
-                    )
-                )
-                continue
-            verdict = "ok"
-            pairs: list[PairVerdict] = []
-            constant = None
-            member_bound = None
-            by_leaf: dict = {}
-            for j in in_class:
-                leaf = _leaf_for(analysis.leaves, j, prime)
-                by_leaf.setdefault(leaf, []).append(j)
-            for leaf, js in by_leaf.items():
-                if leaf is None:
-                    verdict = "violation"  # member escaped the analyzed disks
-                    continue
-                js.sort()
-                if leaf.count == 0:
-                    member_bound = leaf.leading_valuation // c
-                    if any(j > member_bound for j in js):
-                        verdict = "violation"
-                    continue
-                d = leaf.count
-                constant = (prime, c, d)
-                for j1, j2 in zip(js, js[1:]):
-                    req = leaf.radius_exp * d + j1 * c - leaf.leading_valuation
-                    if d >= 2:
-                        # a frozen cluster's zeros are only known to agree to the
-                        # final disk radius; the pair bound cannot claim more
-                        req = min(req, leaf.radius_exp * d)
-                    ok = check_gap_pair(j2 - j1, d, req, prime)
-                    prov = (
-                        "certified-exact"
-                        if status[model.original_index(j1)] == "certified-exact"
-                        and status[model.original_index(j2)] == "certified-exact"
-                        else "modular-screened"
-                    )
-                    pairs.append(PairVerdict(j1, j2, req, ok, prov))
-                    if not ok:
-                        verdict = "violation"
-            if verdict == "ok" and not pairs:
-                verdict = "too-few-returns"
-            classes.append(
-                ClassReport(
-                    shift, analysis.class_index, mod_exp, tuple(in_class), originals,
-                    verdict, constant, tuple(pairs), member_bound,
-                )
-            )
+        for i, leaves in enumerate(leaves_by_class):
+            in_class = tuple(j for j in members if j % model.prime == i)
+            classes.append(_class_report(model, i, leaves, in_class, status, c))
 
-    overall = "ok"
-    if any(cl.verdict == "violation" for cl in classes):
-        overall = "violation"
-    elif all(cl.verdict in ("no-members", "too-few-returns", "unresolved") for cl in classes):
-        overall = "too-few-returns"
-    return GapReport(
-        prime, c, tuple(classes), prefix, uncovered, precision // c, overall
-    )
+    verdicts = {cl.verdict for cl in classes}
+    overall = next((v for v in ("violation", "ok") if v in verdicts), "too-few-returns")
+    cutoff = first.ctx.precision // c
+    return GapReport(first.prime, c, tuple(classes), prefix, uncovered, cutoff, overall)
+
+
+def _class_report(model: LocalModel, i: int, leaves: Leaves, members: tuple[int, ...],
+                  status: dict[int, str], c: int) -> ClassReport:
+    """The verdict of class i mod p, whose sorted model indices are members."""
+    originals = tuple(model.original_index(j) for j in members)
+    if not leaves:
+        return ClassReport(model.shift, i, members, originals, "unresolved", None)
+    if not members:
+        return ClassReport(model.shift, i, (), (), "no-members", None)
+    p = model.prime
+    by_leaf: dict = {}  # leaves in the order of their first member
+    for j in members:
+        leaf = next((lf for lf in leaves if (j - lf.center) % p**lf.radius_exp == 0), None)
+        if leaf is None:
+            raise InvariantViolation(f"model index {j} lies in no leaf of its class {i} mod {p}")
+        by_leaf.setdefault(leaf, []).append(j)
+
+    violation, pairs = False, []
+    constant = bound = None
+    for leaf, js in by_leaf.items():
+        if leaf.count == 0:
+            bound = leaf.leading_valuation // c
+            violation |= js[-1] > bound
+            continue
+        d = leaf.count
+        constant = (p, c, d)
+        for j1, j2 in zip(js, js[1:]):
+            req = leaf.radius_exp * d + j1 * c - leaf.leading_valuation
+            if d >= 2:
+                # a frozen cluster's zeros are only known to agree to the
+                # final disk radius; the pair bound cannot claim more
+                req = min(req, leaf.radius_exp * d)
+            ok = check_gap_pair(j2 - j1, d, req, p)
+            exact = all(status[model.original_index(j)] == "certified-exact" for j in (j1, j2))
+            prov = "certified-exact" if exact else "modular-screened"
+            pairs.append(PairVerdict(j1, j2, req, ok, prov))
+            violation |= not ok
+    verdict = "violation" if violation else "ok" if pairs else "too-few-returns"
+    return ClassReport(model.shift, i, members, originals, verdict, constant, tuple(pairs), bound)
 
 
 # ---------------------------------------------------------------------------

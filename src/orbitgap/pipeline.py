@@ -182,7 +182,7 @@ def load_replay(path: str, sha: str) -> dict[str, list[dict]]:
             lines = [json.loads(line) for line in fh if line.strip()]
     except OSError as exc:
         raise InputError(f"cannot read replay records: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
         raise InputError(f"malformed replay records: {exc}") from None
     records: dict[str, list] = {}
     for number, rec in enumerate(lines, 1):
@@ -419,18 +419,13 @@ _REPLAY_PARSERS = {
 
 
 def stage_gaps(report: RunReport, state: RunState) -> None:
-    family = state.family
-    analyses_by_shift = {}
-    models_by_shift = {}
-    for model in family:
-        qs = [model.transport_poly(q) for q in state.inst.variety]
-        analyses_by_shift[model.shift] = localize_zeros(state.interps[model.shift], qs)
-        models_by_shift[model.shift] = model
+    family, variety = state.family, state.inst.variety
+    localized = [
+        (m, localize_zeros(state.interps[m.shift], [m.transport_poly(q) for q in variety]))
+        for m in family
+    ]
     c = min(m.congruence_exponent for m in family)
-    state.gap = gap = build_gap_report(
-        state.returns, analyses_by_shift, models_by_shift, family[0].prime, c,
-        state.params.precision,
-    )
+    state.gap = gap = build_gap_report(state.returns, localized, c)
     report.add(
         {
             "record": "gap_report",
@@ -444,7 +439,7 @@ def stage_gaps(report: RunReport, state: RunState) -> None:
                 {
                     "shift": cl.shift,
                     "class": cl.class_index,
-                    "modulus_exp": cl.modulus_exp,
+                    "modulus_exp": 1,
                     "members_model": list(cl.members_model),
                     "members_original": list(cl.members_original),
                     "verdict": cl.verdict,

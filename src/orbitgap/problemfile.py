@@ -1,7 +1,8 @@
 """Problem file parsing: a single human-writable JSON document.
 
 Every coefficient is an exact rational written as an integer or a string
-"n" / "n/d"; floats are rejected outright.  A polynomial is a list of
+"n" / "n/d" (an optional sign, then decimal digits); floats, and strings in
+any other form, are rejected outright.  A polynomial is a list of
 [exponents, coefficient] pairs, e.g. x^2 - 2 in one variable:
 
     [[[2], 1], [[0], -2]]
@@ -14,11 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import InputError
-from .polynomials import Poly, PolyMap
+from .polynomials import Poly, PolyMap, poly_eval
 from .reduction import ProblemInstance
 
 _TOP_KEYS = {"dimension", "map", "initial_point", "variety", "periodic_points", "parameters"}
@@ -44,6 +46,9 @@ SCREEN_PRIME_COUNT = 8
 
 #: Default m of the density yardstick log^(m), the m-fold iterated logarithm.
 DENSITY_LOG_DEPTH = 1
+
+#: The string forms of a rational, "n" and "n/d" (Fraction also reads "1e9").
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,8 @@ def _as_fraction(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if not _RATIONAL.fullmatch(value):
+                raise ValueError("write 'n' or 'n/d'")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{where}: not a rational literal: {value!r} ({exc})") from None
@@ -161,6 +168,9 @@ def parse_problem(doc) -> tuple[ProblemInstance, RunParameters]:
             raise InputError(f"parameter {name} must be an integer")
     params = RunParameters(**kwargs)
     inst = ProblemInstance(dim, PolyMap(dim, polys), point, variety, targets)
+    for i, pt in enumerate(targets):
+        if any(poly_eval(q, pt) for q in variety):
+            raise InputError(f"periodic_points[{i}] does not lie on the variety")
     return inst, params
 
 
@@ -177,6 +187,8 @@ def load_problem(path: str) -> tuple[ProblemInstance, RunParameters, str]:
         raise InputError(
             f"malformed problem file at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, over-deep nesting
+        raise InputError(f"unreadable problem file: {exc}") from None
     inst, params = parse_problem(doc)
     return inst, params, problem_hash(doc)
 

@@ -45,7 +45,9 @@ iteration over the rationals, the least idempotent power of a matrix mod p
 by trying every power in turn (the reference for the iterate power of
 normalization), the chart T(x) = eta + p*x of a local model and its inverse,
 zero localization with every child disk shifted (the reference for the
-residual-root rule of localize_zeros), the pairwise gap classifier against a
+residual-root rule of localize_zeros), the gap report with one leaf lookup
+per member and one pass over each class's leaves (the reference for the
+per-class verdicts of build_gap_report), the pairwise gap classifier against a
 growth rate, and a model taken in ambient coordinates with the identity
 chart.  The bound and compatibility oracles return their report and the
 first failing sample, which the package checks raise at.
@@ -73,10 +75,13 @@ from orbitgap.errors import (
 )
 from orbitgap.gaps import (
     STABLE_ROUNDS,
-    ClassAnalysis,
+    ClassReport,
     DiskSeries,
+    GapReport,
+    PairVerdict,
     ZeroLocalization,
     _subdisk,
+    check_gap_pair,
     newton_zero_count,
     restrict_to_disk,
 )
@@ -718,13 +723,14 @@ def _refine_reference(interp, q: dict, series: DiskSeries, stability: int = 0) -
     return leaves
 
 
-def localize_zeros_reference(interp, polynomials: list[dict]) -> list[ClassAnalysis]:
+def localize_zeros_reference(interp, polynomials: list[dict]) -> list[tuple]:
     """Zero localization that shifts every class disk and every child disk.
 
     The reference for `gaps.localize_zeros`, which shifts only the disks at
     roots of their parent's residual polynomial: per class mod p, the first
     polynomial whose class disk does not vanish at precision is refined by
-    counting the zeros of all p children of every disk that holds one.
+    counting the zeros of all p children of every disk that holds one.  Entry
+    i is the tuple of leaves of class i, empty where every polynomial vanishes.
     """
     if not polynomials:
         raise InputError("zero localization needs at least one defining polynomial")
@@ -733,17 +739,108 @@ def localize_zeros_reference(interp, polynomials: list[dict]) -> list[ClassAnaly
     unit_disks = [first] + [_subdisk(interp, q, coords, 0, 0, 0, 0) for q in polynomials[1:]]
     if all(s.zero_at_precision for s in unit_disks):
         raise HypothesisViolation("every defining polynomial vanishes at working precision")
-    analyses = []
+    leaves_by_class = []
     for i in range(interp.ctx.prime):
-        for qi, q in enumerate(polynomials):
+        for q in polynomials:
             series = _subdisk(interp, q, coords, 0, 0, i, 1)
             if not series.zero_at_precision:
-                leaves = _refine_reference(interp, q, series)
-                analyses.append(ClassAnalysis(i, 1, qi, True, tuple(leaves)))
+                leaves_by_class.append(tuple(_refine_reference(interp, q, series)))
                 break
         else:
-            analyses.append(ClassAnalysis(i, 1, None, False))
-    return analyses
+            leaves_by_class.append(())
+    return leaves_by_class
+
+
+def _leaf_for(leaves, j: int, p: int):
+    for leaf in leaves:
+        if (j - leaf.center) % p**leaf.radius_exp == 0:
+            return leaf
+    return None
+
+
+def build_gap_report_reference(returns, localized, c: int) -> GapReport:
+    """The gap report classified leaf by leaf, as one loop over every class.
+
+    The reference for `gaps.build_gap_report`, with the same inputs: a member
+    that lies in no leaf of its class gives its class a violation here, where
+    the package raises InvariantViolation.
+    """
+    some_model = localized[0][0]
+    prime, m0, k_total = some_model.prime, some_model.m0, some_model.k_total
+    status = {e.index: e.status for e in returns.entries}
+
+    prefix = tuple(sorted(n for n in status if n < m0))
+    covered_shifts = {model.shift for model, _ in localized}
+    uncovered = tuple(
+        sorted(n for n in status if n >= m0 and (n - m0) % k_total not in covered_shifts)
+    )
+
+    classes = []
+    for model, leaves_by_class in localized:
+        shift = model.shift
+        members_model = sorted(
+            (n - m0 - shift) // k_total
+            for n in status
+            if n >= m0 + shift and (n - m0 - shift) % k_total == 0
+        )
+        for class_index, leaves in enumerate(leaves_by_class):
+            in_class = [j for j in members_model if j % prime == class_index]
+            originals = tuple(model.original_index(j) for j in in_class)
+            if not leaves:
+                classes.append(ClassReport(
+                    shift, class_index, tuple(in_class), originals, "unresolved", None
+                ))
+                continue
+            if not in_class:
+                classes.append(ClassReport(shift, class_index, (), (), "no-members", None))
+                continue
+            verdict = "ok"
+            pairs = []
+            constant = None
+            member_bound = None
+            by_leaf = {}
+            for j in in_class:
+                by_leaf.setdefault(_leaf_for(leaves, j, prime), []).append(j)
+            for leaf, js in by_leaf.items():
+                if leaf is None:
+                    verdict = "violation"  # member escaped the analyzed disks
+                    continue
+                js.sort()
+                if leaf.count == 0:
+                    member_bound = leaf.leading_valuation // c
+                    if any(j > member_bound for j in js):
+                        verdict = "violation"
+                    continue
+                d = leaf.count
+                constant = (prime, c, d)
+                for j1, j2 in zip(js, js[1:]):
+                    req = leaf.radius_exp * d + j1 * c - leaf.leading_valuation
+                    if d >= 2:
+                        req = min(req, leaf.radius_exp * d)
+                    ok = check_gap_pair(j2 - j1, d, req, prime)
+                    prov = (
+                        "certified-exact"
+                        if status[model.original_index(j1)] == "certified-exact"
+                        and status[model.original_index(j2)] == "certified-exact"
+                        else "modular-screened"
+                    )
+                    pairs.append(PairVerdict(j1, j2, req, ok, prov))
+                    if not ok:
+                        verdict = "violation"
+            if verdict == "ok" and not pairs:
+                verdict = "too-few-returns"
+            classes.append(ClassReport(
+                shift, class_index, tuple(in_class), originals, verdict, constant,
+                tuple(pairs), member_bound,
+            ))
+
+    overall = "ok"
+    if any(cl.verdict == "violation" for cl in classes):
+        overall = "violation"
+    elif all(cl.verdict in ("no-members", "too-few-returns", "unresolved") for cl in classes):
+        overall = "too-few-returns"
+    precision = some_model.ctx.precision
+    return GapReport(prime, c, tuple(classes), prefix, uncovered, precision // c, overall)
 
 
 def classify_gap_sequence(members, growth: Fraction, offset: int = 0) -> list[bool]:

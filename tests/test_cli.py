@@ -9,11 +9,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from orbitgap import normalization, pipeline, reduction
 from orbitgap.cli import main
 from orbitgap.errors import InputError
-from orbitgap.problemfile import MAX_DEGREE, MAX_N_MAX, MAX_PRECISION, MAX_PRIME, parse_problem
+from orbitgap.problemfile import (
+    MAX_DEGREE,
+    MAX_N_MAX,
+    MAX_PRECISION,
+    MAX_PRIME,
+    load_problem,
+    parse_problem,
+)
 
 WORKED = {
     "dimension": 1,
@@ -74,6 +83,126 @@ def test_string_coefficients_parse_as_exact_rationals():
         doc["map"][0][0][1] = bad
         with pytest.raises(InputError, match="not a rational literal"):
             parse_problem(doc)
+
+
+@pytest.mark.parametrize("literal", ["-3", "+3", "7/2", "-7/2", "007"])
+def test_rational_literal_forms_parse(literal):
+    doc = json.loads(json.dumps(WORKED))
+    doc["map"][0][0][1] = literal
+    inst, _ = parse_problem(doc)
+    assert inst.mapping.polys[0][(2,)] == Fraction(literal)
+
+
+@pytest.mark.parametrize("literal", ["1.5", "1e3", "1_000", "1e10000000", " 3", "3/-2", "١٢"])
+def test_other_string_literals_are_refused(tmp_path, literal):
+    # Fraction reads decimals, exponents and underscores too; "1e10000000"
+    # took 11 s to build before the problem file refused it
+    doc = json.loads(json.dumps(WORKED))
+    doc["map"][0][0][1] = literal
+    with pytest.raises(InputError, match="not a rational literal"):
+        parse_problem(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+
+
+#: An integer literal one digit over Python's int-string conversion limit.
+BIG_LITERAL = "1" + "0" * 4300
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("[[0], -2]", f"[[0], -{BIG_LITERAL}]"),
+        ('"n_max": 300', f'"n_max": {BIG_LITERAL}'),
+        ('"initial_point": [3]', '"initial_point": ' + "[" * 100_000 + "]" * 100_000),
+    ],
+    ids=["coefficient", "n_max", "deep-nesting"],
+)
+def test_unreadable_problem_file_exits_2(tmp_path, capsys, old, new):
+    text = json.dumps(WORKED)
+    assert old in text
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace(old, new))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: unreadable problem file")
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [('"n_max":300', f'"n_max":{BIG_LITERAL}'), ('"n_max":300', '"n_max":' + "[" * 100_000)],
+    ids=["n_max", "deep-nesting"],
+)
+def test_unreadable_replay_exits_2(worked_file, tmp_path, capsys, old, new):
+    out = tmp_path / "run.jsonl"
+    assert main(["analyze", worked_file, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert old in text
+    out.write_text(text.replace(old, new, 1))
+    capsys.readouterr()
+    assert main(["gaps", worked_file, "--replay", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed replay records")
+    assert captured.out == ""
+
+
+def test_periodic_point_off_the_variety_exits_2(tmp_path, capsys):
+    # 5 is not on V: x = 7, and used to become an avoidance target (exit 0)
+    doc = dict(WORKED, periodic_points=[[7], [5]])
+    with pytest.raises(InputError, match=r"periodic_points\[1\] does not lie on the variety"):
+        parse_problem(doc)
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    # a constant map coordinate is still refused first, as a hypothesis (exit 1)
+    path.write_text(json.dumps(dict(doc, map=[[[[0], 4]]])))
+    assert main(["analyze", str(path)]) == 1
+
+
+def _leaf_paths(node, path=()):
+    """The key paths of the scalars and empty lists of a JSON document."""
+    if isinstance(node, (dict, list)) and node:
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaf_paths(child, (*path, key))
+    else:
+        yield path
+
+
+#: JSON texts no problem file may hold at a leaf of the worked example.
+_HOSTILE_LEAVES = st.one_of(
+    st.integers(4301, 4400).map(lambda digits: "7" * digits),
+    st.integers(sys.getrecursionlimit() + 1, 100_000).map(lambda depth: "[" * depth + "]" * depth),
+    st.from_regex(r"[+-]?[0-9]{1,3}(\.[0-9]{1,3}|[eE][+-]?[0-9]{1,4}|_[0-9]{3})", fullmatch=True)
+    .map(json.dumps),
+    st.sampled_from(["true", "false", "null"]),
+    st.floats().map(json.dumps),
+)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_problem_fuzz(tmp_path, data):
+    """The worked example with some leaves replaced by over-long integers,
+    over-deep nesting, decimal/exponent/underscore strings, booleans, floats
+    or null loads or raises InputError, nothing else."""
+    doc = json.loads(json.dumps(WORKED))
+    texts = {}
+    leaves = list(_leaf_paths(doc))
+    for k, path in enumerate(data.draw(st.lists(st.sampled_from(leaves), max_size=3, unique=True))):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = marker = f"leaf-{k}"
+        texts[json.dumps(marker)] = data.draw(_HOSTILE_LEAVES)
+    text = json.dumps(doc)
+    for marker, leaf in texts.items():
+        text = text.replace(marker, leaf)
+    path = tmp_path / "fuzz.json"
+    path.write_text(text)
+    try:
+        load_problem(str(path))
+    except InputError:
+        pass
 
 
 @pytest.mark.parametrize("key", ["map", "variety"])

@@ -5,13 +5,28 @@ composing with products of linear forms places zeros of L at chosen integer
 indices exactly; fabricated ReturnSets then exercise each verdict path.
 """
 
+import functools
 from fractions import Fraction
 
-from padic_oracles import dense_coefficients, direct_model, interpolate, poly_add, poly_mul
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from padic_oracles import (
+    build_gap_report_reference,
+    dense_coefficients,
+    direct_model,
+    interpolate,
+    poly_add,
+    poly_mul,
+)
+
+from orbitgap.errors import InvariantViolation
 from orbitgap.gaps import (
+    STABLE_ROUNDS,
     ReturnEntry,
     ReturnSet,
+    ZeroLocalization,
     build_gap_report,
     localize_zeros,
     newton_zero_count,
@@ -20,6 +35,7 @@ from orbitgap.gaps import (
 from orbitgap.polynomials import PolyMap
 
 
+@functools.lru_cache(maxsize=None)
 def _translation_interp(p=5, precision=18):
     model = direct_model(PolyMap.from_lists(1, [{(1,): 1, (0,): p}]), (0,), p, precision)
     return model, interpolate(model)
@@ -39,10 +55,9 @@ def test_two_zeros_land_in_their_classes():
     # zeros at n = 1 and n = 5: classes 1 and 0 mod 5 each hold one, order 1
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1, 5])
-    analyses = localize_zeros(interp, [q])
-    by_class = {a.class_index: a for a in analyses}
+    leaves_by_class = localize_zeros(interp, [q])
     zeros_in = {
-        i: [leaf for leaf in a.leaves if leaf.count >= 1] for i, a in by_class.items()
+        i: [leaf for leaf in leaves if leaf.count >= 1] for i, leaves in enumerate(leaves_by_class)
     }
     assert len(zeros_in[0]) == 1 and zeros_in[0][0].count == 1
     assert len(zeros_in[1]) == 1 and zeros_in[1][0].count == 1
@@ -55,9 +70,8 @@ def test_two_zeros_in_one_class_get_separated():
     # zeros at n = 1 and n = 6 share the class 1 mod 5 and split at level 2
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1, 6])
-    analyses = localize_zeros(interp, [q])
-    a1 = next(a for a in analyses if a.class_index == 1)
-    zero_leaves = [leaf for leaf in a1.leaves if leaf.count >= 1]
+    leaves_by_class = localize_zeros(interp, [q])
+    zero_leaves = [leaf for leaf in leaves_by_class[1] if leaf.count >= 1]
     assert len(zero_leaves) == 2
     assert sorted(leaf.center % 25 for leaf in zero_leaves) == [1, 6]
     assert all(leaf.count == 1 for leaf in zero_leaves)
@@ -79,10 +93,7 @@ def test_member_beyond_zero_free_bound_is_a_violation():
     # false-positive / precision-issue verdict
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1])
-    analyses = localize_zeros(interp, [q])
-    report = build_gap_report(
-        _fake_returns([11]), {0: analyses}, {0: model}, 5, 1, model.ctx.precision
-    )
+    report = build_gap_report(_fake_returns([11]), [(model, localize_zeros(interp, [q]))], 1)
     cl = next(c for c in report.classes if c.members_model == (11,))
     assert cl.verdict == "violation"
     assert report.verdict == "violation"
@@ -94,10 +105,7 @@ def test_near_zero_member_outside_its_depth_is_flagged():
     # so it cannot be a real return and the class reports a violation
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1])
-    analyses = localize_zeros(interp, [q])
-    report = build_gap_report(
-        _fake_returns([1, 6]), {0: analyses}, {0: model}, 5, 1, model.ctx.precision
-    )
+    report = build_gap_report(_fake_returns([1, 6]), [(model, localize_zeros(interp, [q]))], 1)
     cl = next(c for c in report.classes if c.class_index == 1)
     assert cl.verdict == "violation"
 
@@ -107,14 +115,11 @@ def test_gap_pair_inside_zero_leaf_passes_trivially():
     # exponent is non-positive: the pair check is trivially satisfied
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1])
-    analyses = localize_zeros(interp, [q])
-    leaf = next(
-        l for a in analyses for l in a.leaves if a.class_index == 1 and l.count == 1
-    )
+    leaves_by_class = localize_zeros(interp, [q])
+    leaf = next(l for l in leaves_by_class[1] if l.count == 1)
     partner = 1 + 5**leaf.radius_exp
     report = build_gap_report(
-        _fake_returns([1, partner], n_max=10**5),
-        {0: analyses}, {0: model}, 5, 1, model.ctx.precision,
+        _fake_returns([1, partner], n_max=10**5), [(model, leaves_by_class)], 1
     )
     cl = next(c for c in report.classes if c.class_index == 1)
     assert cl.verdict == "ok"
@@ -125,7 +130,6 @@ def test_gap_pair_inside_zero_leaf_passes_trivially():
 def test_screened_provenance_propagates_to_pairs():
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1])
-    analyses = localize_zeros(interp, [q])
     returns = ReturnSet(
         200,
         (ReturnEntry(1, "certified-exact"), ReturnEntry(6, "modular-screened")),
@@ -133,9 +137,7 @@ def test_screened_provenance_propagates_to_pairs():
         (),
         1,
     )
-    report = build_gap_report(
-        returns, {0: analyses}, {0: model}, 5, 1, model.ctx.precision
-    )
+    report = build_gap_report(returns, [(model, localize_zeros(interp, [q]))], 1)
     cl = next(c for c in report.classes if c.class_index == 1)
     if cl.pairs:
         assert cl.pairs[0].provenance == "modular-screened"
@@ -159,12 +161,10 @@ def test_uncovered_shift_classes_are_reported(monkeypatch):
     model = family[0]
     interp = interpolate(model)
     qs = [model.transport_poly(q) for q in inst.variety]
-    analyses = localize_zeros(interp, qs)
     # returns at n=1 (6^1 = 6 on V) plus a fabricated off-class index
     returns = _fake_returns([1, 7])
     report = build_gap_report(
-        returns, {0: analyses}, {0: model}, 5, model.congruence_exponent,
-        model.ctx.precision,
+        returns, [(model, localize_zeros(interp, qs))], model.congruence_exponent
     )
     assert 1 in report.uncovered_members or 1 in report.prefix_members
     assert 7 in report.uncovered_members or 7 in report.prefix_members
@@ -195,3 +195,110 @@ def test_disk_series_zero_counts_sum_on_subdivision():
         child_counts.append(newton_zero_count(child)[0])
     assert sum(child_counts) == 1
     assert child_counts[1] == 1  # 7 = 2 + 5*1
+
+
+# -- the gap report against the reference classifier --------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _localized(simple: tuple, double):
+    """The translation model and its leaves for V: prod (x - 5r) over the
+    simple zeros r, times (x - 5 double)^2 when double is an index."""
+    model, interp = _translation_interp()
+    roots = simple if double is None else (*simple, double, double)
+    return [(model, localize_zeros(interp, [_q_with_zeros(5, roots)]))]
+
+
+_ZEROS = st.integers(0, 29)
+
+
+@st.composite
+def _gap_cases(draw):
+    """(simple zeros, double zero or None, return indices, screened flags).
+
+    At precision 18 a double zero leaves room for one more simple zero.  Half
+    the indices sit at a zero plus a multiple of 5^r."""
+    double = draw(st.none() | _ZEROS)
+    simple = tuple(draw(st.lists(_ZEROS, max_size=2 if double is None else 1, unique=True)))
+    zeros = [*simple, *([] if double is None else [double])]
+    indices = set()
+    for _ in range(draw(st.integers(0, 6))):
+        if zeros and draw(st.booleans()):
+            step = 5 ** draw(st.integers(1, STABLE_ROUNDS + 2))
+            indices.add(draw(st.sampled_from(zeros)) + draw(st.integers(0, 3)) * step)
+        else:
+            indices.add(draw(st.integers(0, 200)))
+    indices = tuple(sorted(indices))
+    return simple, double, indices, tuple(draw(st.booleans()) for _ in indices)
+
+
+def _gap_report_pair(simple, double, indices, screened):
+    """The package's gap report, checked equal to the reference's."""
+    localized = _localized(simple, double)
+    returns = ReturnSet(
+        max(indices, default=0),
+        tuple(
+            ReturnEntry(n, "modular-screened" if s else "certified-exact")
+            for n, s in zip(indices, screened)
+        ),
+        (101,), (), -1,
+    )
+    c = localized[0][0].congruence_exponent
+    report = build_gap_report(returns, localized, c)
+    assert report == build_gap_report_reference(returns, localized, c)
+    return report
+
+
+# one case per verdict: an ok pair at a simple zero, an ok pair in the order-2
+# leaf of a double zero, a member beyond a zero-free bound, a lone member, a
+# pair too close for its late index
+_VERDICT_CASES = [
+    ((1,), None, (1, 1 + 5**5), (False, True)),
+    ((), 2, (2, 2 + 5 ** (1 + STABLE_ROUNDS), 2 + 2 * 5 ** (1 + STABLE_ROUNDS)), (False,) * 3),
+    ((1,), None, (11,), (False,)),
+    ((3,), 7, (3,), (True,)),
+    ((1,), None, (1 + 5**5, 1 + 2 * 5**5), (False, False)),
+]
+
+
+@given(_gap_cases())
+@settings(max_examples=60, deadline=None)
+@example(_VERDICT_CASES[0])
+@example(_VERDICT_CASES[1])
+@example(_VERDICT_CASES[2])
+@example(_VERDICT_CASES[3])
+@example(_VERDICT_CASES[4])
+def test_gap_report_matches_reference(case):
+    """build_gap_report gives the reference classifier's report on fabricated
+    returns with random provenance, over V through chosen zeros."""
+    _gap_report_pair(*case)
+
+
+def test_gap_report_reference_cases_reach_every_verdict():
+    # the double zero at 2 never splits, so it freezes after STABLE_ROUNDS levels
+    [double] = [leaf for leaf in _localized((), 2)[0][1][2] if leaf.count]
+    assert (double.count, double.radius_exp) == (2, 1 + STABLE_ROUNDS)
+    reports = [_gap_report_pair(*case) for case in _VERDICT_CASES]
+    verdicts = {cl.verdict for r in reports for cl in r.classes}
+    assert {"ok", "violation", "too-few-returns", "no-members"} <= verdicts
+    checked = [
+        (cl.gap_constant[2], pair)
+        for r in reports for cl in r.classes if cl.verdict == "ok" for pair in cl.pairs
+    ]
+    assert {d for d, pair in checked if pair.ok} == {1, 2}
+    assert any(pair.provenance == "modular-screened" for _, pair in checked)
+    assert [r.verdict for r in reports] == ["ok", "ok", "violation", "too-few-returns", "violation"]
+    failed = [pair for cl in reports[4].classes for pair in cl.pairs if not pair.ok]
+    assert len(failed) == 1 and failed[0].index_low == 1 + 5**5
+
+
+def test_member_outside_every_leaf_is_a_broken_invariant():
+    """The leaves of a class partition it, so a member in none is a bug:
+    exit 4, where the reference classifier reports a violation."""
+    model, _ = _translation_interp()
+    leaves_by_class = [(ZeroLocalization(i, 2, 0, 4),) for i in range(5)]  # i mod 25 only
+    localized = [(model, leaves_by_class)]
+    returns = _fake_returns([1, 6])
+    with pytest.raises(InvariantViolation, match="no leaf"):
+        build_gap_report(returns, localized, 1)
+    assert build_gap_report_reference(returns, localized, 1).verdict == "violation"

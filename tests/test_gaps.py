@@ -565,40 +565,42 @@ def test_localization_expands_once(monkeypatch):
     monkeypatch.setattr(MahlerSeries, "evaluate", counting_evaluate)
     # the first polynomial vanishes identically, so every class falls through to x - 6^5
     qs = [{}, {(1,): Fraction(1), (0,): Fraction(-(6**5))}]
-    analyses = localize_zeros(interp, qs)
-    assert [a.polynomial_index for a in analyses] == [1] * 5
+    leaves_by_class = localize_zeros(interp, qs)
     assert calls == {"expand": 1, "evaluate": 0}
+    assert len(leaves_by_class) == 5 and all(leaves_by_class)
+    assert leaves_by_class == localize_zeros(interp, qs[1:])
 
 
 def test_localization_finds_integer_zero():
     # Q(x) = x - 6^5 vanishes on the orbit interpolant exactly at n = 5
     interp = _six_interp()
     q = {(1,): Fraction(1), (0,): Fraction(-(6**5))}
-    analyses = localize_zeros(interp, [q])
+    leaves_by_class = localize_zeros(interp, [q])
     zero_leaves = [
-        leaf
-        for a in analyses
-        for leaf in a.leaves
+        (i, leaf)
+        for i, leaves in enumerate(leaves_by_class)
+        for leaf in leaves
         if leaf.count >= 1
     ]
     assert len(zero_leaves) == 1
-    leaf = zero_leaves[0]
+    i, leaf = zero_leaves[0]
     assert leaf.count == 1
     assert leaf.center % 5 ** min(leaf.radius_exp, 4) == 5 % 5 ** min(leaf.radius_exp, 4)
     # the zero sits in the class of 5 mod 5
-    assert analyses[0].class_index == 0
+    assert i == 0
 
 
 def test_localization_class_partition():
     """Leaves of each class partition its integers (child counts stay consistent)."""
     interp = _six_interp()
     q = {(1,): Fraction(1), (0,): Fraction(-(6**5))}
-    analyses = localize_zeros(interp, [q])
-    for a in analyses:
-        for j in range(a.class_index, 200, 5):
+    leaves_by_class = localize_zeros(interp, [q])
+    assert len(leaves_by_class) == 5
+    for i, leaves in enumerate(leaves_by_class):
+        for j in range(i, 200, 5):
             matches = [
                 leaf
-                for leaf in a.leaves
+                for leaf in leaves
                 if (j - leaf.center) % 5**leaf.radius_exp == 0
             ]
             assert len(matches) == 1
@@ -615,10 +617,10 @@ def test_localization_zero_free_bounds():
     # are zero-free with a finite member bound
     interp = _six_interp()
     q = {(1,): Fraction(1), (0,): Fraction(-2)}
-    analyses = localize_zeros(interp, [q])
-    for a in analyses:
-        assert a.resolved
-        for leaf in a.leaves:
+    leaves_by_class = localize_zeros(interp, [q])
+    for leaves in leaves_by_class:
+        assert leaves
+        for leaf in leaves:
             assert leaf.count == 0
 
 
@@ -688,11 +690,11 @@ def test_localization_shifts_only_residual_roots(monkeypatch):
     calls = []
     subdisk = gaps._subdisk
     monkeypatch.setattr(gaps, "_subdisk", lambda *args: calls.append(args[5]) or subdisk(*args))
-    analyses = localize_zeros(interp, [q])
-    zero = next(leaf for a in analyses for leaf in a.leaves if leaf.count)
+    leaves_by_class = localize_zeros(interp, [q])
+    zero = next(leaf for leaves in leaves_by_class for leaf in leaves if leaf.count)
     # the unit disk, then one root child per level down to the cluster leaf
     assert len(calls) == zero.radius_exp + 1
-    assert analyses == localize_zeros_reference(interp, [q])
+    assert leaves_by_class == localize_zeros_reference(interp, [q])
 
 
 # -- gap verdicts and density -------------------------------------------------
@@ -749,11 +751,11 @@ def test_gap_report_via_pipeline_pieces():
     model = build_model_family(inst, 3, 24)[0]
     interp = interpolate(model)
     qs = [model.transport_poly(q) for q in inst.variety]
-    analyses = localize_zeros(interp, qs)
     returns = compute_returns(inst, 200, screening_primes=[101, 103], bad=bad_primes(inst, search_bound=0))
     report = build_gap_report(
-        returns, {0: analyses}, {0: model}, 3, model.congruence_exponent, 24
+        returns, [(model, localize_zeros(interp, qs))], model.congruence_exponent
     )
+    assert report.prime == 3 and report.precision_cutoff == 24 // model.congruence_exponent
     assert report.verdict == "too-few-returns"
     assert report.prefix_members == (1,)  # n=1 < m0=2 sits in the finite prefix
     assert report.uncovered_members == ()
