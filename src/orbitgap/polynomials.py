@@ -63,28 +63,6 @@ def poly_derivative(p: Poly, i: int) -> Poly:
     return out
 
 
-def prime_factors(n: int) -> set[int]:
-    """The primes dividing n >= 1, by trial division."""
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
-def denominator_primes(p: Poly) -> set[int]:
-    primes: set[int] = set()
-    for c in p.values():
-        primes |= prime_factors(c.denominator)
-    return primes
-
-
 def reduce_rational(x: Fraction | int, m: int) -> int:
     """The residue of x mod m; its denominator must be invertible mod m."""
     try:
@@ -199,12 +177,6 @@ class PolyMap:
 
     def jacobian(self) -> list[list[Poly]]:
         return [[poly_derivative(p, j) for j in range(self.nvars)] for p in self.polys]
-
-    def denominator_primes(self) -> set[int]:
-        out: set[int] = set()
-        for p in self.polys:
-            out |= denominator_primes(p)
-        return out
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ targets; otherwise one scan serves the backward search of every target.
 Two walkers serve every orbit reading.  orbit_hits runs Brent's search
 once and keeps the indices whose residue satisfies a predicate, as a tail
 set plus classes mod the cycle length: return screening tests the variety
-with it, and the avoidance diagnostics test the targets.  exact_orbit
-yields a, f(a), ... over the rationals while every coordinate fits a bit
-budget: return certification and the non-preperiodicity check iterate it.
+with it.  exact_orbit yields a, f(a), ... over the rationals while every
+coordinate fits a bit budget: return certification and the
+non-preperiodicity check iterate it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import BudgetExceeded, HypothesisViolation, InputError, InvariantViolation
 from .padic import is_prime
@@ -39,13 +40,11 @@ from .polynomials import (
     ModularMap,
     Poly,
     PolyMap,
-    denominator_primes,
     horner_eval,
     horner_form,
     horner_table,
     poly_degree,
     poly_eval,
-    prime_factors,
     reduce_poly,
     reduce_rational,
 )
@@ -86,27 +85,30 @@ class ProblemInstance:
                     f"coordinate {i} of the map is constant; the map is not quasi-finite"
                 )
 
-    def denominator_primes(self) -> set[int]:
-        out = self.mapping.denominator_primes()
-        values = list(self.initial_point)
-        for t in self.targets:
-            values.extend(t)
-        for x in values:
-            out |= prime_factors(Fraction(x).denominator)
-        for q in self.variety:
-            out |= denominator_primes(q)
-        return out
+    @property
+    def denominator(self) -> int:
+        """The lcm of every denominator of the map, the points and the variety:
+        the instance reduces mod exactly the primes that do not divide it."""
+        coeffs = [c for q in (*self.mapping.polys, *self.variety) for c in q.values()]
+        points = [x for pt in (self.initial_point, *self.targets) for x in pt]
+        return lcm(*(Fraction(x).denominator for x in (*coeffs, *points)))
 
 
 @dataclass(frozen=True)
 class BadPrimeSet:
-    """Primes excluded from reduction, with the reason each was excluded."""
+    """Primes excluded from reduction.
+
+    Every prime dividing `denominator` is bad, whatever its size, so no
+    denominator is ever factored; `primes` and `reasons` list the bad
+    primes up to the search bound, with the reason each was excluded.
+    """
 
     primes: frozenset[int]
-    reasons: tuple[tuple[int, str], ...] = ()
+    reasons: tuple[tuple[int, str], ...]
+    denominator: int
 
     def __contains__(self, p: int) -> bool:
-        return p in self.primes
+        return p in self.primes or self.denominator % p == 0
 
 
 def _rank(rows, inverse, reduce) -> int:
@@ -148,11 +150,14 @@ def _target_collision(inst: ProblemInstance, p: int, ranks: list[int]) -> bool:
 
 
 def bad_primes(inst: ProblemInstance, search_bound: int) -> BadPrimeSet:
-    """Denominator primes, plus the primes 3 <= p <= search_bound where a
-    target absorbs a preimage branch.  Each target's Jacobian rank over Q is
-    computed once, for every prime."""
-    primes = inst.denominator_primes()
-    reasons = [(p, "denominator") for p in sorted(primes)]
+    """The primes dividing the instance's denominator, and the primes
+    3 <= p <= search_bound where a target absorbs a preimage branch; the
+    reasons list the denominator primes up to search_bound.  Each target's
+    Jacobian rank over Q is computed once, for every prime."""
+    den = inst.denominator
+    reasons = [
+        (p, "denominator") for p in range(2, search_bound + 1) if den % p == 0 and is_prime(p)
+    ]
     if inst.targets:
         jac = inst.mapping.jacobian()
         ranks = [
@@ -162,9 +167,9 @@ def bad_primes(inst: ProblemInstance, search_bound: int) -> BadPrimeSet:
         reasons += [
             (p, "target-preimage-collision")
             for p in range(3, search_bound + 1)
-            if p not in primes and is_prime(p) and _target_collision(inst, p, ranks)
+            if den % p and is_prime(p) and _target_collision(inst, p, ranks)
         ]
-    return BadPrimeSet(frozenset(p for p, _ in reasons), tuple(reasons))
+    return BadPrimeSet(frozenset(p for p, _ in reasons), tuple(reasons), den)
 
 
 def reduce_instance(inst: ProblemInstance, p: int, bad: BadPrimeSet):
@@ -260,7 +265,7 @@ class OrbitHits:
                 yield h
 
 
-def orbit_hits(fp: ModularMap, x: tuple[int, ...], hit, limit: int | None = None) -> OrbitHits:
+def orbit_hits(fp: ModularMap, x: tuple[int, ...], hit, limit: int | None) -> OrbitHits:
     """Brent's search for (tail, cycle), testing hit(x_n) on each residue it visits.
 
     With `limit` the search stops after x_limit when no cycle has closed,
@@ -423,15 +428,3 @@ def avoidance_search(inst: ProblemInstance, primes, bad: BadPrimeSet) -> Avoidan
         certs.append(AvoidanceCertificate(p, "certified", 1 + max(depths, default=-1), depths))
     certified = sum(c.certified for c in certs)
     return AvoidanceScan(tuple(certs), len(certs), certified / len(certs) if certs else 0.0)
-
-
-def residue_orbit_avoids(fp: ModularMap, a_p: tuple[int, ...], targets_p, bound: int) -> bool:
-    """Decisive check that the residue orbit of a_p misses every reduced
-    target at all iterates >= bound.
-
-    A target on the eventual cycle is hit at unboundedly many iterates, so it
-    fails regardless of the bound; a target on the tail only fails when its
-    hit index is >= bound.
-    """
-    hits = orbit_hits(fp, a_p, targets_p.__contains__)
-    return not any(n >= bound or n >= hits.tail for n in hits.hits)

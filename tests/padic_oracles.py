@@ -23,11 +23,13 @@ The rest are reference implementations that tests compare the package
 against: exact division with a precision ledger, binomial coefficients in a
 context, the evaluation and Gauss valuation of a TruncatedSeries, exact
 periods and the fixing iterate of declared targets, periodicity mod p by a
-walk of the whole space, the backward depth of a target from a dict of
-preimage tuples (the reference for the sorted-image scan), the binomial
-basis re-expanded at each disk (the reference for disk restriction), a dense
-one-variable series with precision bounds (the reference for the bound rule
-of disk restriction and of TruncatedSeries), the Newton-polygon reading of
+walk of the whole space, whether the residue orbit of a point misses every
+target at each iterate >= M (what a certified prime implies), the backward
+depth of a target from a dict of preimage tuples (the reference for the
+sorted-image scan), the binomial basis re-expanded at each disk (the
+reference for disk restriction), a dense one-variable series with
+precision bounds (the reference for the bound rule of disk restriction and
+of TruncatedSeries), the Newton-polygon reading of
 a disk index by index over its dense coefficients (the reference for the
 sparse reading of newton_zero_count), polynomial evaluation mod m
 term by term (the reference for the nested Horner evaluator), exact
@@ -114,7 +116,7 @@ from orbitgap.padic import (
     vp_factorial,
 )
 from orbitgap.polynomials import ModularMap, Poly, PolyMap, reduce_poly
-from orbitgap.reduction import bad_primes, orbit_summary, reduce_instance
+from orbitgap.reduction import bad_primes, orbit_hits, orbit_summary, reduce_instance
 
 
 def valuation(n: int, p: int, cap: int) -> int:
@@ -498,6 +500,18 @@ def on_cycle(fp, x: tuple[int, ...]) -> bool:
             return True
         pt = fp(pt)
     return False
+
+
+def residue_orbit_avoids(fp, a_p: tuple[int, ...], targets_p, bound: int) -> bool:
+    """Decisive check that the residue orbit of a_p misses every reduced
+    target at all iterates >= bound.
+
+    A target on the eventual cycle is hit at unboundedly many iterates, so it
+    fails regardless of the bound; a target on the tail only fails when its
+    hit index is >= bound.
+    """
+    hits = orbit_hits(fp, a_p, targets_p.__contains__, None)
+    return not any(n >= bound or n >= hits.tail for n in hits.hits)
 
 
 def first_hit_depth_reference(fp, gamma: tuple[int, ...]) -> int | None:

@@ -5,9 +5,9 @@ A default that no program caller overrides is a switch only the tests flip:
 such a test exercises a code path the program never takes.  A default that
 every program caller overrides is a value only the tests rely on.  This test
 reads the sources as syntax trees, without importing them.  For each
-function of `src/orbitgap` with an optional parameter, some call in `src/`,
-`scripts/` or `bench/` must set that parameter, by keyword or by position,
-and some such call must leave it out.  Calls are matched to functions by
+function of `src/orbitgap` with an optional parameter, some call in `src/`
+or `bench/` must set that parameter, by keyword or by position, and some
+such call must leave it out.  Calls are matched to functions by
 name; a call through an attribute (`obj.f(...)`) binds its first argument
 after `self` when f is a method.
 """
@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "orbitgap"
-CALLER_DIRS = ("src", "scripts", "bench")
+CALLER_DIRS = ("src", "bench")
 
 
 def _trees(directory: Path):

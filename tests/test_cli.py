@@ -205,6 +205,92 @@ def test_load_problem_fuzz(tmp_path, data):
         pass
 
 
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+#: Values a fuzzed leaf of a problem file or a replay record may take: small
+#: enough that every run stays quick, of every JSON type.
+_FUZZ_VALUES = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from(["1/2", "-3/7", "0", "1/0", "x", "", "certified", None, True, 2.5,
+                     [], {}, [0], [[0]], [3, 50], [[[0], 1]]]),
+)
+
+
+def _mutated(data, doc, leaves):
+    """doc with one to three of its leaves replaced by fuzz values or dropped;
+    a path that an earlier change cut off is skipped."""
+    doc = json.loads(json.dumps(doc))
+    for path in data.draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3, unique=True)):
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            if data.draw(st.booleans()):
+                node[path[-1]] = data.draw(_FUZZ_VALUES)
+            else:
+                del node[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            pass
+    return doc
+
+
+def _exit_codes(runs, capsys):
+    """The exit code of main on each argument list, in process."""
+    codes = set()
+    for argv in runs:
+        codes.add(main(argv))
+        capsys.readouterr()
+    return codes
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_fuzz_problem_file(tmp_path, capsys, data):
+    """Every command on a mutated worked example, with interpolate and gaps
+    replaying the mutated problem's own analyze records, exits 0 to 4."""
+    doc = _mutated(data, WORKED, list(_leaf_paths(WORKED)))
+    path, out = tmp_path / "fuzz.json", tmp_path / "fuzz.jsonl"
+    path.write_text(json.dumps(doc))
+    out.unlink(missing_ok=True)
+    path, out = str(path), str(out)
+    runs = [["primes", path], ["returns", path], ["analyze", path, "--out", out],
+            ["interpolate", path, "--replay", out], ["gaps", path, "--replay", out]]
+    assert _exit_codes(runs, capsys) <= {0, 1, 2, 3, 4}
+
+
+@pytest.fixture(scope="module")
+def worked_records(tmp_path_factory):
+    """The worked example's problem file and its analyze records."""
+    tmp = tmp_path_factory.mktemp("worked")
+    path, out = tmp / "worked.json", tmp / "run.jsonl"
+    path.write_text(json.dumps(WORKED))
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    return str(path), _records(out)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_fuzz_replay_records(worked_records, tmp_path, capsys, data):
+    """Every command on the worked example, replaying its analyze records
+    with a read record mutated or dropped, exits 0 to 4."""
+    problem, records = worked_records
+    read = [i for i, r in enumerate(records)
+            if r["record"] in ("certificates", "interpolant", "returns")]
+    i = data.draw(st.sampled_from(read))
+    records = list(records)
+    if data.draw(st.integers(0, 9)) == 0:
+        del records[i]
+    else:
+        records[i] = _mutated(data, records[i], list(_leaf_paths(records[i])))
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text("".join(json.dumps(r) + "\n" for r in records))
+    runs = [[command, problem, "--replay", str(replay)]
+            for command in ("primes", "returns", "analyze", "interpolate", "gaps")]
+    assert _exit_codes(runs, capsys) <= {0, 1, 2, 3, 4}
+
+
 @pytest.mark.parametrize("key", ["map", "variety"])
 def test_oversized_degree_exits_2(tmp_path, key):
     # analyze on the map x^3000 - 2 runs for more than 30 s; the cap refuses
@@ -639,6 +725,30 @@ def test_screening_primes_skip_run_bad_primes(tmp_path, search_bound=0):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert 101 in records[0]["primes"]
     assert 101 not in records[-1]["screening_primes"]
+
+
+def test_large_prime_denominator_is_not_factored(tmp_path):
+    # trial division would need about 1.5e9 steps to factor 2^61 - 1
+    doc = json.loads(json.dumps(WORKED))
+    doc["initial_point"] = [f"3/{2**61 - 1}"]
+    path, out = tmp_path / "big.json", tmp_path / "r.jsonl"
+    path.write_text(json.dumps(doc))
+    assert main(["primes", str(path), "--out", str(out)]) == 0
+    bad = _records(out)[0]
+    assert bad["record"] == "bad_primes"
+    assert all(p <= WORKED["parameters"]["prime_range"][1] for p in bad["primes"])
+
+
+def test_denominator_prime_above_the_range_is_not_a_screening_prime(tmp_path):
+    doc = json.loads(json.dumps(WORKED))
+    doc["initial_point"] = ["3/103"]
+    doc["parameters"]["prime_range"] = [3, 50]
+    path, out = tmp_path / "den.json", tmp_path / "r.jsonl"
+    path.write_text(json.dumps(doc))
+    assert main(["returns", str(path), "--out", str(out)]) == 0
+    records = _records(out)
+    assert 103 not in records[0]["primes"]
+    assert records[-1]["screening_primes"] == [101, 107, 109]
 
 
 def test_stages_are_looked_up_on_the_module(monkeypatch):

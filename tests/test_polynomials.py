@@ -26,7 +26,6 @@ from orbitgap.polynomials import (
     horner_table,
     poly_derivative,
     poly_eval,
-    prime_factors,
     reduce_poly,
 )
 
@@ -57,18 +56,6 @@ def test_reduce_examples():
     assert reduce_poly(p, 5) == {(1,): 4, (0,): 3}
     with pytest.raises(InputError):
         reduce_poly({(0,): Fraction(1, 5)}, 5)
-
-
-def test_denominator_primes():
-    f = PolyMap.from_lists(1, [{(2,): Fraction(1, 2), (0,): Fraction(1, 6)}])
-    assert f.denominator_primes() == {2, 3}
-
-
-def test_prime_factors():
-    assert prime_factors(1) == set()
-    assert prime_factors(2) == {2}
-    assert prime_factors(360) == {2, 3, 5}
-    assert prime_factors(101 * 103**2) == {101, 103}
 
 
 def test_quasi_finite_guard_requires_square_map():

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_oracles import exact_period, first_hit_depth_reference, fixing_iterate, on_cycle
+from padic_oracles import (
+    exact_period,
+    first_hit_depth_reference,
+    fixing_iterate,
+    on_cycle,
+    residue_orbit_avoids,
+)
 
 from orbitgap import pipeline, reduction
 from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError, InvariantViolation
@@ -26,11 +32,11 @@ from orbitgap.reduction import (
     periodic_points_on_variety,
     preimage_buckets,
     reduce_instance,
-    residue_orbit_avoids,
 )
 
 SQ_PLUS_ONE = PolyMap.from_lists(1, [{(2,): 1, (0,): 1}])
 SQ_PLUS_ONE_FILE = Path(__file__).resolve().parents[1] / "problems" / "square_plus_one.json"
+SMALL_PRIMES = [p for p in range(2, 301) if is_prime(p)]
 
 
 def _instance(map_polys, a, variety=None, targets=(), dim=1):
@@ -45,10 +51,45 @@ def test_constant_coordinate_rejected():
 
 
 def test_bad_primes_denominators():
+    # a denominator prime is bad whatever the bound; the record lists it
+    # only once the bound reaches it
     inst = _instance([{(2,): Fraction(1, 2)}], (0,))
-    assert 2 in bad_primes(inst, search_bound=0).primes
+    bad = bad_primes(inst, search_bound=0)
+    assert 2 in bad
+    assert 2 not in bad.primes
+    for search_bound in (2, 3, 50):
+        bad = bad_primes(inst, search_bound=search_bound)
+        assert 2 in bad.primes and bad.reasons == ((2, "denominator"),)
     inst2 = _instance([{(2,): 1, (0,): 1}], (0,))
     assert bad_primes(inst2, search_bound=0).primes == frozenset()
+    # a target's denominator counts too: x + 1 has no collision prime
+    inst3 = _instance([{(1,): 1, (0,): 1}], (0,), targets=((Fraction(1, 5),),))
+    assert 5 in bad_primes(inst3, search_bound=0)
+    assert bad_primes(inst3, search_bound=11).reasons == ((5, "denominator"),)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_bad_primes_by_divisibility(data):
+    """Denominators with a 19- or 27-digit prime factor are never factored:
+    for every p <= 300, p is bad exactly when it divides a denominator of
+    the map, the initial point or the variety, and bad.primes holds those
+    p up to the search bound."""
+    dens = [1, 1, 1]  # of a map coefficient, the initial point, the variety
+    for q in [data.draw(st.sampled_from([2**61 - 1, 2**89 - 1]))] + data.draw(
+        st.lists(st.sampled_from(SMALL_PRIMES), max_size=4)
+    ):
+        dens[data.draw(st.integers(0, 2))] *= q
+    inst = _instance(
+        [{(2,): Fraction(1, dens[0]), (0,): -2}],
+        (Fraction(1, dens[1]),),
+        variety=[{(1,): 1, (0,): Fraction(-1, dens[2])}],
+    )
+    search_bound = data.draw(st.integers(0, 300))
+    bad = bad_primes(inst, search_bound)
+    divisors = {p for p in SMALL_PRIMES if any(d % p == 0 for d in dens)}
+    assert {p for p in SMALL_PRIMES if p in bad} == divisors
+    assert bad.primes == {p for p in divisors if p <= search_bound}
 
 
 def test_bad_primes_target_collision():
@@ -370,6 +411,36 @@ def test_fixing_iterate():
     bad = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),),))
     with pytest.raises(HypothesisViolation):
         exact_period(bad.mapping, (3,), bound=16)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_certified_prime_implies_residue_orbit_avoids(data):
+    """A certificate (p, M) covers every point of F_p^N at every iterate
+    >= M, so the residue orbit of the initial point misses every target
+    there, on random 1- and 2-d maps with random targets; one target is
+    an exact iterate of the initial point, which its orbit meets mod p."""
+    n = data.draw(st.integers(1, 2))
+    monomial = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 2)
+    polys = []
+    for i in range(n):
+        poly = data.draw(st.dictionaries(monomial, st.integers(-6, 6), max_size=4))
+        if not any(sum(e) and c for e, c in poly.items()):
+            poly[tuple(int(j == i) for j in range(n))] = 1
+        polys.append(poly)
+    point = st.tuples(*[st.integers(-6, 6).map(Fraction)] * n)
+    a = data.draw(point)
+    targets = data.draw(st.lists(point, min_size=1, max_size=3))
+    inst = _instance(polys, a, dim=n)
+    orbit_point = a
+    for _ in range(data.draw(st.integers(0, 3))):
+        orbit_point = inst.mapping.evaluate(orbit_point)
+    inst = replace(inst, targets=(*targets, orbit_point))
+    bad = bad_primes(inst, search_bound=13)
+    for cert in avoidance_search(inst, [2, 3, 5, 7, 11, 13], bad).certificates:
+        if cert.certified:
+            fp, a_p, targets_p = reduce_instance(inst, cert.prime, bad)
+            assert residue_orbit_avoids(fp, a_p, targets_p, cert.bound)
 
 
 def _avoids(inst, p, bound):
