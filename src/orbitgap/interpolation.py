@@ -5,20 +5,21 @@ binomial basis on the fitting window [0, K]: it reproduces the orbit exactly
 there, and the congruence F(x) = E*x mod p^c with idempotent E makes its
 coefficients decay at rate ~c per term, which is what extends the
 approximation beyond the window.  Construction certifies the decay; separate
-passes certify the error bound min(n*c, K) on sampled indices and the
-step-compatibility identity F(G(n)) = G(n+1) on sampled p-adic arguments,
-and each raises at its first failing sample.  The degenerate constant case
-(orbit converging to a fixed point) is detected and flagged rather than
-analyzed.
+passes certify the error bound min(n*c, K) at every orbit index n <= 2K, by
+one table of forward differences, and the step-compatibility identity
+F(G(n)) = G(n+1) on sampled p-adic arguments, and each raises at its first
+failure.  The degenerate constant case (orbit converging to a fixed point)
+is detected and flagged rather than analyzed.
 
 The orbit points come from the model (LocalModel.points, read off one walk
 of the original map for a whole family), not from iterating the model map.
 A value of the interpolant is a dot product of its coefficients with the
 binomial row of the argument, and G(x + 1) comes from the row of x through
-the shifted series (Pascal's rule).  Every check reads its rows from a
-table `rows` (padic.binomial_rows) keyed by residue mod p^K, so the models of
-one family, which share p, K and the sample arguments, share the rows too.
-F maps all the compatibility values G(n) of a model at once.
+the shifted series (Pascal's rule).  The window and compatibility checks
+read their rows from a table `rows` (padic.binomial_rows) keyed by residue
+mod p^K, so the models of one family, which share p, K and the arguments,
+share the rows too.  F maps all the compatibility values G(n) of a model at
+once.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import HypothesisViolation, InvariantViolation, PrecisionExhausted
 from .normalization import LocalModel
-from .padic import MahlerSeries, PadicContext, sup_valuation
+from .padic import MahlerSeries, PadicContext, forward_differences, sup_valuation
 
 #: Allowed shortfall of coefficient decay below the ideal k*c schedule,
 #: beyond the k/(p-1) slack inherent to binomial-basis expansions.
@@ -91,7 +93,7 @@ def build_interpolant(model: LocalModel, rows) -> ApproxInterpolant:
     """
     c = model.congruence_exponent
     p, prec = model.ctx.prime, model.ctx.precision
-    values = model.orbit(prec + 1)
+    values = model.points[:prec + 1]
     series = MahlerSeries.from_values(model.ctx, values)
     decay = tuple(sup_valuation(v, p) for v in series.coeffs)
     for k, v in enumerate(decay):
@@ -107,53 +109,31 @@ def build_interpolant(model: LocalModel, rows) -> ApproxInterpolant:
     return ApproxInterpolant(model, series, c, prec, decay)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Per-sample margins for the orbit approximation bound."""
+def verify_error_bound(interp: ApproxInterpolant) -> None:
+    """Check valuation(G(n) - F^n(a')) >= min(n*c, K) at every orbit index n <= 2K.
 
-    samples: tuple[int, ...]
-    margins: tuple
-    required: tuple[int, ...]
-
-
-def default_bound_samples(terms: int) -> list[int]:
-    """The first indices, the ends of the fitting window, and indices up to 2*terms beyond it."""
-    samples = set(range(0, min(terms, 8) + 1))
-    samples.update({terms // 2, max(terms - 1, 0), terms})
-    samples.update(range(terms + 1, 2 * terms + 1, max(1, terms // 8)))
-    return sorted(s for s in samples if s >= 0)
-
-
-def verify_error_bound(interp: ApproxInterpolant, samples, rows) -> BoundReport:
-    """Check valuation(G(n) - F^n(a')) >= min(n*c, K) on samples.
-
-    Samples are orbit indices n >= 0, compared against the model's orbit
-    points; rows (see build_interpolant) must cover them.  The first
-    shortfall raises.  On the window [0, K] the margin is INF by
-    construction, so a shortfall there is a broken reconstruction
-    (InvariantViolation).  Beyond it the shortfall comes from the tail
-    Delta^k, k > K, whose decay was never certified: the precision ran short
-    (PrecisionExhausted).
+    Since c >= 1, beyond the window [0, K] that is G(n) = F^n(a') mod p^K,
+    which also holds on the window by construction.  Values on [0, 2K] and
+    their forward differences at 0 determine each other, and G's are its
+    K + 1 coefficients followed by zeros, so the first difference of the
+    model's points that differs from G's is the first failing n; it raises.
+    Inside the window that is a broken reconstruction (InvariantViolation).
+    Beyond it the shortfall comes from the tail Delta^k, k > K, whose decay
+    was never certified: the precision ran short (PrecisionExhausted).
     """
-    model, c, terms = interp.model, interp.congruence_exponent, interp.terms
-    ctx = model.ctx
-    samples = sorted(set(samples))
-    points = model.orbit(max(samples, default=-1) + 1)
-    margins, required = [], []
-    for n in samples:
-        margin = _margin(interp.series.evaluate(rows[n % ctx.modulus]), points[n], ctx)
-        req = min(n * c, ctx.precision)
-        if margin < req:
-            if n <= terms:
-                raise InvariantViolation(f"fitting-window reconstruction failed at {n}")
-            raise PrecisionExhausted(
-                f"approximation bound failed at n={n}: margin below min(n*c, K) "
-                f"beyond the fitting window [0, {terms}], where the coefficient decay "
-                "is not certified; raise the precision"
-            )
-        margins.append(margin)
-        required.append(req)
-    return BoundReport(tuple(samples), tuple(margins), tuple(required))
+    model, terms = interp.model, interp.terms
+    diffs = forward_differences(model.points, model.ctx.modulus)
+    zero = (0,) * model.dimension
+    for n, (diff, coeff) in enumerate(zip_longest(diffs, interp.series.coeffs, fillvalue=zero)):
+        if diff == coeff:
+            continue
+        if n <= terms:
+            raise InvariantViolation(f"fitting-window reconstruction failed at {n}")
+        raise PrecisionExhausted(
+            f"approximation bound failed at n={n}: margin below min(n*c, K) "
+            f"beyond the fitting window [0, {terms}], where the coefficient decay "
+            "is not certified; raise the precision"
+        )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import BudgetExceeded, HypothesisViolation, InputError, InvariantViolation
+from .errors import BudgetExceeded, HypothesisViolation, InvariantViolation
 from .modmat import Matrix, mat_identity, mat_mul, mat_pow, mat_reduce
 from .padic import PadicContext, TruncatedSeries, int_valuation, sup_valuation
 from .polynomials import ModularMap, Poly, PolyMap, horner_table, reduce_poly, reduce_rational
@@ -137,8 +137,8 @@ class LocalModel:
     One model iterate applies the chart chain steps_per_iterate times; model
     iterate n corresponds to the original index m0 + shift + n * k_total.
     points holds F^0(a'), ..., F^(2K)(a') as residues mod p^K: the
-    interpolant's fitting window [0, K] and the indices up to 2K that the
-    approximation bound samples.
+    interpolant's fitting window [0, K] and the indices up to 2K at which
+    the approximation bound is checked.
     """
 
     ctx: PadicContext
@@ -182,14 +182,6 @@ class LocalModel:
     def apply(self, point: tuple[int, ...]) -> tuple[int, ...]:
         """One model iterate of one point."""
         return self.push([point])[0]
-
-    def orbit(self, count: int) -> list[tuple[int, ...]]:
-        """Model orbit F^0(a'), ..., F^(count-1)(a'), from the stored points."""
-        if count > len(self.points):
-            raise InputError(
-                f"the model stores {len(self.points)} orbit points; {count} were asked for"
-            )
-        return list(self.points[:count])
 
     def transport_poly(self, q: Poly) -> dict:
         """A polynomial on original coordinates, rewritten on chart coordinates mod p^K."""

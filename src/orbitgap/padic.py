@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import BudgetExceeded, InputError, PrecisionExhausted
 from .polynomials import reduce_rational
@@ -271,13 +271,17 @@ class TruncatedSeries:
 
 
 def forward_differences(values: list[tuple[int, ...]], mod: int) -> list[tuple[int, ...]]:
-    """Iterated forward differences at 0 of a table of residue vectors, column by column."""
+    """Iterated forward differences at 0 of a table of residue vectors, column by column.
+
+    The table is built over the integers and only its first entries are
+    reduced: level k of it grows by at most k bits, while a reduction per
+    entry is a long division."""
     cols = []
     for col in zip(*values):
         diffs = [col[0]]
         while len(col) > 1:
-            col = [(y - x) % mod for x, y in zip(col, col[1:])]
-            diffs.append(col[0])
+            col = list(map(sub, col[1:], col))
+            diffs.append(col[0] % mod)
         cols.append(diffs)
     return list(zip(*cols))
 

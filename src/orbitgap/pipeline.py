@@ -40,7 +40,6 @@ from .gaps import (
 from .interpolation import (
     build_interpolant,
     constancy_test,
-    default_bound_samples,
     default_compat_samples,
     verify_compatibility,
     verify_error_bound,
@@ -319,26 +318,26 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     """Certified interpolants; replayed ones must match the rebuilt ones bit for bit.
 
     Every model of the family has the same p, K and window [0, K], so the
-    binomial row of each sample argument is computed once, for all of them.
+    binomial row of each window check and compatibility argument is computed
+    once, for all of them.  The error bound is checked at every n <= 2K from
+    each model's own points, and needs no row.  A recorded shift that names
+    no model of the rebuilt family is stale.
     """
     old = state.recorded or {}
     state.interps = {}
     stale = False
     ctx = state.family[0].ctx
-    bound_samples = default_bound_samples(ctx.precision)
     compat_samples = default_compat_samples(ctx)
-    rows = binomial_rows(ctx, [*bound_samples, *compat_samples], ctx.precision)
+    rows = binomial_rows(ctx, [0, 1, ctx.precision, *compat_samples], ctx.precision)
     for model in state.family:
         interp = build_interpolant(model, rows)
-        bound_rep = verify_error_bound(interp, bound_samples, rows)
+        verify_error_bound(interp)
         compat_rep = verify_compatibility(interp, compat_samples, rows)
         record = interp.to_record()
         record.update(
             {
                 "record": "interpolant",
                 "shift": model.shift,
-                "bound_samples": list(bound_rep.samples),
-                "bound_margins": [_fmt_val(v) for v in bound_rep.margins],
                 "compat_threshold": compat_rep.threshold,
                 "compat_min_margin": _fmt_val(min(compat_rep.margins)),
                 "constant": constancy_test(interp),
@@ -353,7 +352,7 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     slim = {model.shift: replace(model, points=model.points[:1]) for model in state.family}
     state.family = list(slim.values())
     state.interps = {s: replace(i, model=slim[s]) for s, i in state.interps.items()}
-    if stale:
+    if stale or not old.keys() <= state.interps.keys():
         raise InputError("stale replay: recorded interpolant disagrees with the rebuilt one")
 
 
@@ -404,6 +403,9 @@ def _replayed_returns(returns: list[dict]) -> ReturnSet:
 
 def _replayed_interpolants(interpolants: list[dict]) -> dict[int, list]:
     """Coefficients of the replayed interpolants by shift, which the rebuilt ones must match."""
+    for rec in interpolants:
+        if type(rec["shift"]) is not int:
+            raise TypeError(f"shift {rec['shift']!r} is not an integer")
     return {rec["shift"]: rec["coefficients"] for rec in interpolants}
 
 

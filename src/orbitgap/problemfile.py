@@ -44,6 +44,11 @@ MAX_N_MAX = 10**9
 #: Default number of screening primes.
 SCREEN_PRIME_COUNT = 8
 
+#: Largest screen_primes: return screening walks the orbit mod each screening
+#: prime.  At this cap, returns of problems/square_minus_two.json takes about
+#: 0.4 s on a 2-vCPU host (0.2 s at the default 8, 1.9 s at 1000).
+MAX_SCREEN_PRIMES = 256
+
 #: Default m of the density yardstick log^(m), the m-fold iterated logarithm.
 DENSITY_LOG_DEPTH = 1
 
@@ -74,6 +79,10 @@ class RunParameters:
             raise InputError(f"precision {self.precision} exceeds the cap {MAX_PRECISION}")
         if self.n_max > MAX_N_MAX:
             raise InputError(f"n_max {self.n_max} exceeds the cap {MAX_N_MAX}")
+        if self.screen_primes > MAX_SCREEN_PRIMES:
+            raise InputError(
+                f"screen_primes {self.screen_primes} exceeds the cap {MAX_SCREEN_PRIMES}"
+            )
 
 
 def _as_fraction(value, where: str) -> Fraction:

@@ -51,13 +51,13 @@ residual-root rule of localize_zeros), the gap report with one leaf lookup
 per member and one pass over each class's leaves (the reference for the
 per-class verdicts of build_gap_report), the pairwise gap classifier against a
 growth rate, and a model taken in ambient coordinates with the identity
-chart.  The bound and compatibility oracles return their report and the
-first failing sample, which the package checks raise at.
+chart.  The bound oracle evaluates G alone at every n <= 2K and returns
+the first failing n; the compatibility oracle returns its report and the
+first failing sample.  The package checks raise at those.
 
 Beside the oracles: the model map series of a model, from which
 normalization reads the congruence exponent c, and the interpolant and its
-bound and compatibility checks, each run with the binomial rows of its own
-arguments.
+compatibility check, each run with the binomial rows of its own arguments.
 """
 
 from __future__ import annotations
@@ -88,14 +88,11 @@ from orbitgap.gaps import (
     restrict_to_disk,
 )
 from orbitgap.interpolation import (
-    BoundReport,
     CompatReport,
     _margin,
     build_interpolant,
-    default_bound_samples,
     default_compat_samples,
     verify_compatibility,
-    verify_error_bound,
 )
 from orbitgap.modmat import Matrix, mat_mul, mat_reduce
 from orbitgap.normalization import (
@@ -1013,13 +1010,6 @@ def interpolate(model):
     return build_interpolant(model, binomial_rows(model.ctx, [0, 1, K], K))
 
 
-def check_bound(interp, samples=None) -> BoundReport:
-    """verify_error_bound on the given samples (default: those of analyze), with their rows."""
-    ctx = interp.ctx
-    samples = default_bound_samples(ctx.precision) if samples is None else list(samples)
-    return verify_error_bound(interp, samples, binomial_rows(ctx, samples, ctx.precision))
-
-
 def check_compat(interp, samples=None) -> CompatReport:
     """verify_compatibility on the given samples (default: those of analyze), with their rows."""
     ctx = interp.ctx
@@ -1027,28 +1017,18 @@ def check_compat(interp, samples=None) -> CompatReport:
     return verify_compatibility(interp, samples, binomial_rows(ctx, samples, ctx.precision))
 
 
-def verify_error_bound_reference(interp) -> tuple[BoundReport, int | None]:
-    """The bound check on analyze's samples with each sample evaluated alone and
-    the model map iterated: the report of every margin, and the first sample
-    below min(n*c, K) (None when all pass)."""
+def verify_error_bound_reference(interp) -> int | None:
+    """The first orbit index n <= 2K with v(G(n) - F^n(a')) < min(n*c, K),
+    each G(n) evaluated alone and the model map iterated from the base point
+    (None when every n passes)."""
     model, c = interp.model, interp.congruence_exponent
     prec = model.ctx.precision
-    samples = default_bound_samples(prec)
-    margins, required = [], []
-    witness = None
-    pt = model.base_point
-    idx = 0
-    for n in samples:
-        while idx < n:
-            pt = apply_reference(model, pt)
-            idx += 1
-        margin = _margin(interpolant_value(interp, n), pt, model.ctx)
-        req = min(n * c, prec)
-        margins.append(margin)
-        required.append(req)
-        if margin < req and witness is None:
-            witness = n
-    return BoundReport(tuple(samples), tuple(margins), tuple(required)), witness
+    points = model_points_by_apply(model, 2 * prec + 1)
+    return next(
+        (n for n, pt in enumerate(points)
+         if _margin(interpolant_value(interp, n), pt, model.ctx) < min(n * c, prec)),
+        None,
+    )
 
 
 def verify_compatibility_reference(interp) -> tuple[CompatReport, int | None]:

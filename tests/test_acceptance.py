@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 from padic_oracles import (
-    check_bound,
     check_compat,
     classify_gap_sequence,
     direct_model,
@@ -22,10 +21,11 @@ from padic_oracles import (
     on_cycle,
     to_original,
     unit_disk_root_count,
+    verify_error_bound_reference,
 )
 
 from orbitgap.gaps import newton_zero_count
-from orbitgap.interpolation import default_compat_samples
+from orbitgap.interpolation import default_compat_samples, verify_error_bound
 from orbitgap.modmat import mat_mul, mat_pow
 from orbitgap.normalization import _iterate_power, build_model_family
 from orbitgap.padic import PadicContext, int_valuation, sup_valuation
@@ -51,13 +51,13 @@ def test_criterion_1_interpolation_error_bound():
     start = time.perf_counter()
     model = direct_model(PolyMap.from_lists(1, [{(1,): 6}]), (1,), 5, 64)
     interp = interpolate(model)
-    rep = check_bound(interp, range(0, 61))  # raises at a sample below min(n*c, K)
-    ok = all(m >= min(n, 64) for n, m in zip(rep.samples, rep.margins))
+    verify_error_bound(interp)  # raises at the first n <= 2K below min(n*c, K)
+    ok = verify_error_bound_reference(interp) is None
     elapsed = time.perf_counter() - start
     _report(
         1,
         ok and elapsed < 1.0,
-        f"6x over Z_5, K=64: margin >= min(n, 64) for n <= 60 ({elapsed:.2f}s)",
+        f"6x over Z_5, K=64: margin >= min(n, 64) for n <= 128 ({elapsed:.2f}s)",
     )
 
 

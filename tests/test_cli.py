@@ -20,6 +20,7 @@ from orbitgap.problemfile import (
     MAX_N_MAX,
     MAX_PRECISION,
     MAX_PRIME,
+    MAX_SCREEN_PRIMES,
     load_problem,
     parse_problem,
 )
@@ -312,12 +313,13 @@ def test_oversized_degree_exits_2(tmp_path, key):
         ("precision", MAX_PRECISION, ["--precision"]),
         ("prime_range", MAX_PRIME, ["--prime-range", "3"]),
         ("n_max", MAX_N_MAX, ["--n-max"]),
+        ("screen_primes", MAX_SCREEN_PRIMES, ["--screen-primes"]),
     ],
 )
 def test_oversized_parameters_exit_2(tmp_path, key, cap, flag):
     # analyze on the worked example with precision 3000, or primes up to
     # 3,000,000, runs for more than 20 s, and return screening time grows
-    # with n_max; the caps refuse such values while parsing, from a problem
+    # with n_max and with screen_primes; the caps refuse such values while parsing, from a problem
     # file or a flag, and the cap itself still runs
     path = tmp_path / "cap.json"
     for value, code in ((cap, 0), (cap + 1, 2)):
@@ -631,6 +633,40 @@ def test_replayed_returns_are_type_checked(key, value):
     assert pipeline._replayed_returns([rec]).indices() == [1]
     with pytest.raises((TypeError, ValueError)):
         pipeline._replayed_returns([{**rec, key: value}])
+
+
+@pytest.mark.parametrize(
+    "shift, garble, code, message",
+    [
+        (0, False, 0, None),
+        ("0", True, 2, "interpolant record: shift '0' is not an integer"),
+        (0, True, 2, "stale replay"),
+        (5, False, 2, "stale replay"),
+    ],
+    ids=["as-recorded", "str-shift", "garbled", "no-such-model"],
+)
+def test_replayed_interpolant_shift_is_checked(tmp_path, capsys, shift, garble, code, message):
+    # gaps rebuilds the interpolant of every shift and compares it with the
+    # recorded one: a shift that is no integer is malformed (it matched no
+    # model, so garbled coefficients passed), and a shift that names no model
+    # of the rebuilt family is stale
+    problem = str(ROOT / "problems" / "square_minus_two.json")
+    analyzed = tmp_path / "analyze.jsonl"
+    assert main(["analyze", problem, "--out", str(analyzed)]) == 0
+    records = [json.loads(line) for line in analyzed.read_text().splitlines()]
+    for rec in records:
+        if rec["record"] == "interpolant":
+            rec["shift"] = shift
+            if garble:
+                rec["coefficients"][1][0] += 1
+    path = tmp_path / "replay.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    capsys.readouterr()
+    assert main(["gaps", problem, "--replay", str(path)]) == code
+    if message:
+        # a malformed record is refused before any stage, a stale one by a stage
+        captured = capsys.readouterr()
+        assert message in captured.err + captured.out
 
 
 def test_missing_upstream_artifact(worked_file, tmp_path):

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from padic_oracles import (
-    check_bound,
     check_compat,
     direct_model,
     interpolant_value,
@@ -29,10 +28,10 @@ from orbitgap.errors import (
 )
 from orbitgap.interpolation import (
     COMPAT_SAMPLES,
+    _margin,
     build_interpolant,
     constancy_test,
     decay_requirement,
-    default_bound_samples,
     default_compat_samples,
     verify_compatibility,
     verify_error_bound,
@@ -97,20 +96,36 @@ def test_decay_requirement_monotone():
 
 
 def test_error_bound_within_and_beyond_window():
+    # 6x over Z_5 at K = 24: the bound holds at every n <= 2K, by the
+    # difference table and by evaluating G alone at each n
     m = _direct([{(1,): 6}], (1,), 5, 24)
     interp = interpolate(m)
-    rep = check_bound(interp, range(0, 33))
-    assert all(m_ >= r_ for m_, r_ in zip(rep.margins, rep.required))
-    # margins are non-decreasing in n up to the precision cap
-    caps = [min(m_, r_) for m_, r_ in zip(rep.margins, rep.required)]
-    assert all(b >= a for a, b in zip(caps, caps[1:]))
+    verify_error_bound(interp)
+    assert verify_error_bound_reference(interp) is None
 
 
 def test_error_bound_exact_on_window():
+    # on [0, K] the point differences are G's coefficients, so G is exact there
     m = _direct([{(1,): 6}], (1,), 5, 20)
     interp = interpolate(m)
-    rep = check_bound(interp, [0, 1, 7, 19])
-    assert all(v is INF for v in rep.margins)
+    assert padic.forward_differences(m.points[:21], m.ctx.modulus) == list(interp.series.coeffs)
+    assert all(_margin(interpolant_value(interp, n), m.points[n], m.ctx) is INF
+               for n in range(21))
+
+
+def test_bound_checks_every_index():
+    # 6x over Z_5 at K = 16, with one stored point corrupted beyond the
+    # window: at K + 2, between two of the old sampled indices, and at 2K,
+    # above the last of them.  The first failing n is the corrupted one.
+    m = _direct([{(1,): 6}], (1,), 5, 16)
+    interp = interpolate(m)
+    verify_error_bound(interp)
+    for n in (18, 32):
+        points = list(m.points)
+        points[n] = ((points[n][0] + 1) % m.ctx.modulus,)
+        broken = dataclasses.replace(interp, model=dataclasses.replace(m, points=tuple(points)))
+        with pytest.raises(PrecisionExhausted, match=f"n={n}:"):
+            verify_error_bound(broken)
 
 
 def test_compatibility_examples():
@@ -191,7 +206,7 @@ def test_bound_shortfall_in_window_is_a_broken_reconstruction():
     points[5] = (points[5][0] + 1,)
     broken = dataclasses.replace(interp, model=dataclasses.replace(m, points=tuple(points)))
     with pytest.raises(InvariantViolation, match="reconstruction failed at 5$"):
-        check_bound(broken)
+        verify_error_bound(broken)
 
 
 def test_bound_shortfall_beyond_window_is_precision_exhausted():
@@ -204,7 +219,7 @@ def test_bound_shortfall_beyond_window_is_precision_exhausted():
     model = build_model_family(inst, 3, 8)[0]
     interp = interpolate(model)
     with pytest.raises(PrecisionExhausted, match="n=9:"):
-        check_bound(interp)
+        verify_error_bound(interp)
 
 
 _QUADRATIC_EXPONENTS = {
@@ -232,19 +247,18 @@ def test_family_points_and_shared_rows_match_per_model_oracles(data):
     except OrbitgapError:
         reject()
     ctx = family[0].ctx
-    bound_samples = default_bound_samples(precision)
     compat_samples = default_compat_samples(ctx)
-    rows = binomial_rows(ctx, [*bound_samples, *compat_samples], precision)
+    rows = binomial_rows(ctx, [0, 1, precision, *compat_samples], precision)
     for model in family:
         assert list(model.points) == model_points_by_apply(model, 2 * precision + 1)
         try:
             interp = build_interpolant(model, rows)
         except PrecisionExhausted:
             continue
-        # a failing check raises at the oracle's first failing sample
-        bound, witness = verify_error_bound_reference(interp)
+        # a failing check raises at the oracle's first failing n <= 2K
+        witness = verify_error_bound_reference(interp)
         if witness is None:
-            assert verify_error_bound(interp, bound_samples, rows) == bound
+            verify_error_bound(interp)
         else:
             # inside the window a broken reconstruction, beyond it the uncertified tail
             if witness <= precision:
@@ -252,7 +266,7 @@ def test_family_points_and_shared_rows_match_per_model_oracles(data):
             else:
                 failure, where = PrecisionExhausted, f"failed at n={witness}:"
             with pytest.raises(failure, match=where):
-                verify_error_bound(interp, bound_samples, rows)
+                verify_error_bound(interp)
         compat, witness = verify_compatibility_reference(interp)
         if witness is None:
             assert verify_compatibility(interp, compat_samples, rows) == compat
@@ -285,8 +299,9 @@ FAMILY_P29 = {
 def test_interpolation_stage_computes_each_row_once(monkeypatch, doc, prime, models):
     """x^2 - 2 from 5 at p = 29 has a 14-model family, and x^2 - 2 from 3 at
     p = 3 a single model; either way the stage computes the binomial row of
-    each sample argument once, not once per model (G(x + 1) comes from the
-    row of x), and iterates no model map outside the compatibility check,
+    each window check (0, 1 and K) and compatibility argument once, not once
+    per model (G(x + 1) comes from the row of x), and none for the error
+    bound, which reads the difference table of the model points; it iterates no model map outside the compatibility check,
     which pushes the values of G at its arguments through the model map
     together: one push per model and no per-point apply."""
     inst, params = parse_problem(doc)
@@ -315,7 +330,7 @@ def test_interpolation_stage_computes_each_row_once(monkeypatch, doc, prime, mod
     assert len(state.interps) == models and report.error is None
     ctx = state.family[0].ctx
     compat_samples = default_compat_samples(ctx)
-    arguments = {*default_bound_samples(precision), *compat_samples}
+    arguments = {0, 1, precision, *compat_samples}
     assert max(rows.values()) == 1 and set(rows) == {(r, precision) for r in arguments}
     # one F(G(x)) per compatibility argument, all of a model's in one push
     assert applies == Counter()

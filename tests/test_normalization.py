@@ -275,7 +275,6 @@ def test_index_bookkeeping_against_exact_iteration():
     m = build_model_family(inst, 3, 10)[0]
     mod1 = m.ctx.modulus * 3
     pt = (Fraction(3),)
-    orbit = m.orbit(9)
     for n in range(9):
         original_index = m.original_index(n)
         exact = iterate_point(inst.mapping, (Fraction(3),), original_index)
@@ -283,17 +282,15 @@ def test_index_bookkeeping_against_exact_iteration():
             Fraction(x).numerator * pow(Fraction(x).denominator, -1, mod1) % mod1
             for x in exact
         )
-        assert from_original(m, reduced) == orbit[n]
+        assert from_original(m, reduced) == m.points[n]
     del pt
 
 
 def test_model_orbit_is_the_stored_points():
-    """A model stores F^0(a'), ..., F^(2K)(a'); index 2K + 1 is refused."""
+    """A model stores F^0(a'), ..., F^(2K)(a'), its base point first."""
     inst = _instance([{(2,): 1, (0,): -2}], (3,))
     m = build_model_family(inst, 3, 10)[0]
-    assert m.orbit(21) == list(m.points)
-    with pytest.raises(InputError):
-        m.orbit(22)
+    assert len(m.points) == 21 and m.points[0] == m.base_point
 
 
 def test_family_covers_all_shifts():
