@@ -8,15 +8,18 @@ point of F_p^N maps onto any target at iterate >= M, which is exhaustively
 verifiable.  Density over a scanned prime range is reported empirically;
 no density theorem is invoked.
 
-The reduced map is a function on a finite set, so one table of images
-describes its whole functional graph.  A full-space scan names each point
-by its index sum x_i p^i, evaluates the map on all points at once
-(horner_table, one list per Horner step), and sorts the indices by image.
-The preimages of a point are then one run of that order, found by
-bisection, so the backward tree costs only its own nodes.  Each prime gets
-one pass: every target is first tested for periodicity by an orbit walk,
-so a prime with a periodic target needs no scan, whatever the order of the
-targets; otherwise one scan serves the backward search of every target.
+The backward tree of a target costs only its own nodes, because the
+preimages of a point come from a preimage function built once per prime.
+When the reduced map is 1-d of degree exactly 2 mod an odd p, the
+preimages of y are the roots of f(x) = y, by the quadratic formula with
+Euler's criterion and a modular square root, and no table is built.  Any
+other map gets one table of images: a full-space scan names each point by
+its index sum x_i p^i, evaluates the map on all points at once
+(horner_table, one list per Horner step), and sorts the indices by image,
+so the preimages of a point are one run of that order, found by bisection.
+The backward search itself decides periodicity: two of its levels meet
+exactly when the target lies on a cycle.  So each prime gets one pass,
+and its verdict does not depend on the order of the targets.
 
 Two walkers serve every orbit reading.  orbit_hits runs Brent's search
 once and keeps the indices whose residue satisfies a predicate, as a tail
@@ -29,12 +32,12 @@ non-preperiodicity check iterate it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import BudgetExceeded, HypothesisViolation, InputError, InvariantViolation
+from .errors import BudgetExceeded, HypothesisViolation, InputError
 from .padic import is_prime
 from .polynomials import (
     ModularMap,
@@ -50,6 +53,8 @@ from .polynomials import (
 )
 
 #: Cap on full-space scans over F_p^N (a scan holds about 112 B a point).
+#: It bounds the image table of preimage_buckets and the scan for periodic
+#: points; the quadratic-formula preimages of a 1-d map hold no table.
 ENUM_GUARD = 2**20
 
 @dataclass(frozen=True)
@@ -333,29 +338,94 @@ def periodic_points_on_variety(fp: ModularMap, variety_mod: list[dict]) -> list[
     return out
 
 
-def preimage_buckets(fp: ModularMap) -> tuple[list[int], list[int]]:
-    """One full-space scan: the points of F_p^N sorted by image, and their images.
+def _sqrt_mod(p: int) -> Callable[[int], int]:
+    """A square root mod an odd prime p: a function from a nonzero square d
+    to one s with s^2 = d.  For p = 3 mod 4 that is d^((p+1)/4); otherwise
+    Tonelli-Shanks, with the one non-square it needs found here."""
+    if p % 4 == 3:
+        e = (p + 1) // 4
+        return lambda d: pow(d, e, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    zq = pow(z, q, p)
 
-    Points and images are indices sum x_i p^i.  The images of all points
-    are one table, evaluated column-wise; the sort is stable, so the
-    preimages of y are the run of points with image y, in index order.
-    """
+    def sqrt(d: int) -> int:
+        m, c, t, r = s, zq, pow(d, q, p), pow(d, (q + 1) // 2, p)
+        while t != 1:
+            i, t2 = 1, t * t % p
+            while t2 != 1:
+                i, t2 = i + 1, t2 * t2 % p
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+        return r
+
+    return sqrt
+
+
+def _table_preimages(fp: ModularMap) -> Callable[[int], list[int]]:
+    """The preimage function of fp read off one full-space scan: the images
+    of all points are one table, evaluated column-wise, the points are
+    sorted by image, and the preimages of y are the run of points with
+    image y, in index order, found by bisection.  A space above ENUM_GUARD
+    is refused."""
     p, cols = fp.modulus, _space_columns(fp)
     table = horner_table(fp.forms[-1], cols, p)
     for form in fp.forms[-2::-1]:
         table = [t * p + v for t, v in zip(table, horner_table(form, cols, p))]
     order = sorted(range(len(table)), key=table.__getitem__)
-    return order, [table[k] for k in order]
+    images = [table[k] for k in order]
+
+    def run(y: int) -> list[int]:
+        lo = bisect_left(images, y)
+        return order[lo:bisect_right(images, y, lo)]
+
+    return run
 
 
-def first_hit_depth(fp: ModularMap, gamma: tuple[int, ...], scan) -> int:
-    """Largest m such that some residue point satisfies f^m(x) = gamma, for
-    gamma off every cycle: a backward breadth-first search, each node's
-    preimages found by bisection in scan, the preimage_buckets scan of fp.
-    Its levels are pairwise disjoint, which bounds it by the space size;
-    levels that meet mean the caller passed a periodic target, a bug.
+def preimage_buckets(fp: ModularMap) -> Callable[[int], list[int]]:
+    """The preimage function of fp, a map mod a prime p: it sends the index
+    of a point y to the list of indices x with f(x) = y, where the index of
+    a point is sum x_i p^i.
+
+    For a 1-d map of degree exactly 2 mod an odd p, f = a x^2 + b x + c,
+    the preimages of y solve (2ax + b)^2 = b^2 - 4a(c - y): Euler's
+    criterion decides whether the right side is a square, and its square
+    roots give the roots, with no table.  Every other map gets the table
+    of _table_preimages, which is refused above ENUM_GUARD.
     """
-    order, images = scan
+    p = fp.modulus
+    if not (fp.nvars == 1 and p % 2 and poly_degree(fp.polys[0]) == 2):
+        return _table_preimages(fp)
+    poly = fp.polys[0]
+    a, b, c = (poly.get((k,), 0) for k in (2, 1, 0))
+    disc, four_a, half = b * b - 4 * a * c, 4 * a, (p - 1) // 2
+    inv, sqrt = pow(2 * a, -1, p), _sqrt_mod(p)
+
+    def roots(y: int) -> list[int]:
+        d = (disc + four_a * y) % p
+        if d == 0:
+            return [-b * inv % p]
+        if pow(d, half, p) != 1:
+            return []
+        s = sqrt(d)
+        return [(s - b) * inv % p, (-s - b) * inv % p]
+
+    return roots
+
+
+def first_hit_depth(fp: ModularMap, gamma: tuple[int, ...], preimages) -> int | None:
+    """Largest m such that some residue point satisfies f^m(x) = gamma, or
+    None when gamma is periodic: a backward breadth-first search, each
+    node's preimages given by preimages, the preimage_buckets function of fp.
+
+    Level i holds the x with f^i(x) = gamma.  If x lies in levels i < j,
+    then f^(j-i)(gamma) = gamma; conversely a period l puts gamma back in
+    level l.  So the search stops with None when a level meets an earlier
+    one, which happens exactly when gamma is periodic, and otherwise ends
+    at an empty level, since disjoint levels hold at most the whole space.
+    """
     p = fp.modulus
     level = [sum(x * p**i for i, x in enumerate(gamma))]
     seen = set(level)
@@ -363,16 +433,11 @@ def first_hit_depth(fp: ModularMap, gamma: tuple[int, ...], scan) -> int:
     while True:
         nxt: list = []
         for y in level:
-            lo = bisect_left(images, y)
-            nxt += order[lo:bisect_right(images, y, lo)]
+            nxt += preimages(y)
         if not nxt:
             return depth
         if not seen.isdisjoint(nxt):
-            overlap = sorted(_point(k, fp) for k in seen.intersection(nxt))
-            raise InvariantViolation(
-                f"preimage levels are not disjoint at {overlap[:3]}; "
-                "the target must have been periodic"
-            )
+            return None
         seen.update(nxt)
         level = nxt
         depth += 1
@@ -406,13 +471,15 @@ class AvoidanceScan:
 def avoidance_search(inst: ProblemInstance, primes, bad: BadPrimeSet) -> AvoidanceScan:
     """Try to certify every prime in the range, in one pass per prime.
 
-    Each good prime reduces the instance once.  If any reduced target lies
-    on a cycle (its orbit has tail 0), the verdict is failed-periodic, with
-    no scan.  Otherwise one preimage_buckets scan serves a backward search
-    per target, and M = 1 + the largest depth (0 when there are no
-    targets).  The verdict depends on the set of targets, not their order.
-    Failures are recorded verdicts, never exceptions; certificates are in
-    prime order.
+    Each good prime with targets reduces the instance once and builds one
+    preimage function, which serves a backward search per target.  A
+    search that finds its target periodic gives None, and then the verdict
+    is failed-periodic; otherwise M = 1 + the largest depth (0 when there
+    are no targets).  Only a space too large for the image table gets an
+    orbit walk per target instead, so that a periodic target there still
+    fails the prime rather than the run.  The verdict depends on the set of
+    targets, not their order.  Failures are recorded verdicts, never
+    exceptions; certificates are in prime order.
     """
     certs = []
     for p in sorted(primes):
@@ -420,11 +487,17 @@ def avoidance_search(inst: ProblemInstance, primes, bad: BadPrimeSet) -> Avoidan
             certs.append(AvoidanceCertificate(p, "failed-bad-prime"))
             continue
         fp, _, targets_p = reduce_instance(inst, p, bad)
-        if any(orbit_summary(fp, t).tail == 0 for t in targets_p):
+        try:
+            preimages = preimage_buckets(fp) if targets_p else None
+        except BudgetExceeded:
+            if not any(orbit_summary(fp, t).tail == 0 for t in targets_p):
+                raise
             certs.append(AvoidanceCertificate(p, "failed-periodic"))
             continue
-        scan = preimage_buckets(fp) if targets_p else None
-        depths = tuple(first_hit_depth(fp, t, scan) for t in targets_p)
-        certs.append(AvoidanceCertificate(p, "certified", 1 + max(depths, default=-1), depths))
+        depths = tuple(first_hit_depth(fp, t, preimages) for t in targets_p)
+        if None in depths:
+            certs.append(AvoidanceCertificate(p, "failed-periodic"))
+        else:
+            certs.append(AvoidanceCertificate(p, "certified", 1 + max(depths, default=-1), depths))
     certified = sum(c.certified for c in certs)
     return AvoidanceScan(tuple(certs), len(certs), certified / len(certs) if certs else 0.0)

@@ -516,7 +516,7 @@ def first_hit_depth_reference(fp, gamma: tuple[int, ...]) -> int | None:
     gamma is periodic: a dict from each image point to its preimage points,
     filled by evaluating the map at every point tuple, and a breadth-first
     expansion over sets of points.  The space is refused above
-    reduction.ENUM_GUARD, as in the package."""
+    reduction.ENUM_GUARD, as the package's image table is."""
     if on_cycle(fp, gamma):
         return None
     if fp.modulus**fp.nvars > reduction.ENUM_GUARD:

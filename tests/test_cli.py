@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orbitgap import normalization, pipeline, reduction
+from orbitgap import gaps, normalization, pipeline, reduction
 from orbitgap.cli import main
 from orbitgap.errors import InputError
 from orbitgap.problemfile import (
@@ -812,21 +812,23 @@ def test_flag_overrides(worked_file, tmp_path):
 
 
 def test_broken_invariant_exits_4(monkeypatch, tmp_path, capsys):
-    # a non-periodic target is never its own preimage; a preimage scan that
-    # says every residue is must trip the disjointness check of the levels
-    def cyclic(fp):
-        points = list(range(fp.modulus**fp.nvars))
-        return points, points
+    # the leaves of a class partition it, so a return member in no leaf is a
+    # bug; leaves that hold no model index make the swap sample's return 0 one
+    nowhere = gaps.ZeroLocalization(-1, 64, 0, 0)
+    localize = pipeline.localize_zeros
 
-    monkeypatch.setattr(reduction, "preimage_buckets", cyclic)
+    def misplaced(*args):
+        return [(nowhere,) if leaves else leaves for leaves in localize(*args)]
+
+    monkeypatch.setattr(pipeline, "localize_zeros", misplaced)
     out = tmp_path / "run.jsonl"
-    problem = ROOT / "problems" / "square_plus_one.json"
+    problem = ROOT / "problems" / "two_dim_swap.json"
     assert main(["analyze", str(problem), "--out", str(out)]) == 4
-    assert "FAILED at stage avoidance" in capsys.readouterr().out
+    assert "FAILED at stage gaps" in capsys.readouterr().out
     failure = [json.loads(line) for line in out.read_text().splitlines()][-1]
     assert failure["record"] == "failure"
-    assert failure["stage"] == "avoidance"
-    assert "not disjoint" in failure["message"]
+    assert failure["stage"] == "gaps"
+    assert "lies in no leaf" in failure["message"]
 
 
 def test_model_not_linear_mod_p_exits_4(monkeypatch, worked_file, tmp_path):

@@ -3,7 +3,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
-from itertools import count, product
+from itertools import count, permutations, product
 from pathlib import Path
 
 import pytest
@@ -19,9 +19,9 @@ from padic_oracles import (
 )
 
 from orbitgap import pipeline, reduction
-from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError, InvariantViolation
+from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError
 from orbitgap.padic import is_prime
-from orbitgap.polynomials import ModularMap, PolyMap, reduce_poly
+from orbitgap.polynomials import ModularMap, PolyMap, poly_degree, reduce_poly
 from orbitgap.problemfile import load_problem
 from orbitgap.reduction import (
     ProblemInstance,
@@ -183,16 +183,16 @@ def test_periodic_points_on_variety():
 def test_first_hit_depth_examples():
     fp5 = ModularMap.from_map(SQ_PLUS_ONE, 5)
     assert first_hit_depth(fp5, (3,), preimage_buckets(fp5)) == 0  # squares mod 5 omit 2
-    # a periodic target fails the prime before any backward search, and a
-    # backward search from one breaks the disjointness of its levels
+    # a periodic target fails the prime: its backward search meets an
+    # earlier level and gives None, on the roots path (x^2 + 1 mod 5) and on
+    # the table path (3x, which is 0 mod 3)
     on_cycle_of_five = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(0),),))
     zero_fixed = _instance([{(1,): 3}], (1,), targets=((Fraction(0),),))  # 3x = 0 mod 3
     for inst, p in ((on_cycle_of_five, 5), (zero_fixed, 3)):
         cert = avoidance_search(inst, [p], bad_primes(inst, search_bound=0)).certificates[0]
         assert cert.verdict == "failed-periodic"
         fp = ModularMap.from_map(inst.mapping, p)
-        with pytest.raises(InvariantViolation):
-            first_hit_depth(fp, (0,), preimage_buckets(fp))
+        assert first_hit_depth(fp, (0,), preimage_buckets(fp)) is None
 
 
 def test_preimage_levels_disjoint():
@@ -217,11 +217,12 @@ def test_preimage_levels_disjoint():
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_sorted_image_scan_matches_dict_oracle(data):
-    """Depths read off one shared sorted-image scan equal those of the
-    dict-of-tuples oracle on random 1-, 2- and 3-d maps, and the orbit walk
-    that decides periodicity agrees with the oracle's None; above ENUM_GUARD
-    the scan and the oracle refuse, and the oracle still gives every
-    periodic target None."""
+    """Depths read off one shared preimage function equal those of the
+    dict-of-tuples oracle on random 1-, 2- and 3-d maps, None included, and
+    so does the orbit walk that decides periodicity above the guard.  Above
+    ENUM_GUARD the table and the oracle refuse, and the oracle still gives
+    every periodic target None; a 1-d quadratic mod an odd p holds no table,
+    so the guard leaves its depths unchanged."""
     n = data.draw(st.integers(1, 3))
     p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
     monomial = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
@@ -235,17 +236,19 @@ def test_sorted_image_scan_matches_dict_oracle(data):
     targets.insert(data.draw(st.integers(0, len(targets))), fp.iterate(targets[0], p**n))
 
     scan = preimage_buckets(fp)
-    depths = [
-        None if orbit_summary(fp, gamma).tail == 0 else first_hit_depth(fp, gamma, scan)
-        for gamma in targets
-    ]
+    depths = [first_hit_depth(fp, gamma, scan) for gamma in targets]
     assert depths == [first_hit_depth_reference(fp, gamma) for gamma in targets]
+    assert [d is None for d in depths] == [orbit_summary(fp, g).tail == 0 for g in targets]
     assert None in depths  # the iterate p^n of any point lies on a cycle
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "ENUM_GUARD", p**n - 1)
-        with pytest.raises(BudgetExceeded):
-            preimage_buckets(fp)
+        if n == 1 and p % 2 and poly_degree(fp.polys[0]) == 2:
+            scan = preimage_buckets(fp)
+            assert [first_hit_depth(fp, gamma, scan) for gamma in targets] == depths
+        else:
+            with pytest.raises(BudgetExceeded):
+                preimage_buckets(fp)
         for gamma, depth in zip(targets, depths):
             if depth is None:
                 assert first_hit_depth_reference(fp, gamma) is None
@@ -255,28 +258,36 @@ def test_sorted_image_scan_matches_dict_oracle(data):
 
 
 def test_periodic_target_above_the_guard_is_failed_periodic(monkeypatch):
-    # 0 is on the 3-cycle of x^2 + 1 mod 5: the periodicity test runs first
+    # x^3 + x^2 mod 5 fixes 0 and sends 4 -> 0, so 4 is not periodic.  Its
+    # space is above the guard, so it gets no image table: an orbit walk
+    # finds the periodic target, and without one the run is out of budget
     monkeypatch.setattr(reduction, "ENUM_GUARD", 4)
-    inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(0),),))
-    cert = avoidance_search(inst, [5], bad_primes(inst, search_bound=5)).certificates[0]
+    cubic = _instance([{(3,): 1, (2,): 1}], (2,), targets=((Fraction(4),), (Fraction(0),)))
+    cert = avoidance_search(cubic, [5], bad_primes(cubic, search_bound=5)).certificates[0]
     assert cert.verdict == "failed-periodic"
-    fp = ModularMap.from_map(SQ_PLUS_ONE, 5)
+    tail_only = replace(cubic, targets=((Fraction(4),),))
+    with pytest.raises(BudgetExceeded):
+        avoidance_search(tail_only, [5], bad_primes(tail_only, search_bound=5))
+    fp = ModularMap.from_map(cubic.mapping, 5)
     for scan in (preimage_buckets, lambda fp: periodic_points_on_variety(fp, [])):
         with pytest.raises(BudgetExceeded):
             scan(fp)
+    # x^2 + 1 mod 5 takes the roots, which hold no table, so the guard does
+    # not apply: 0 on its 3-cycle fails the prime, and 3 gets its depth
+    for target, verdict in ((0, "failed-periodic"), (3, "certified")):
+        inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(target),),))
+        cert = avoidance_search(inst, [5], bad_primes(inst, search_bound=5)).certificates[0]
+        assert cert.verdict == verdict
 
 
 def test_avoidance_evaluates_the_map_column_wise(monkeypatch):
     """The avoidance scan still goes through preimage_buckets and
-    first_hit_depth, and outside the periodicity test it calls the map at
-    fewer points than a fifth of the spaces it scans, so a per-point scan
-    cannot come back unnoticed.  The periodicity test itself costs a few
-    times tail + cycle per target, about 4 sqrt(p), which is above p / 5
-    for the primes below a few hundred."""
+    first_hit_depth, one depth per target at every good prime, periodic ones
+    included, and the run calls the map at fewer points than a fifth of the
+    spaces it scans, so a per-point scan cannot come back unnoticed."""
     counts = {"scans": 0, "space": 0, "depths": 0, "map": 0}
-    buckets, depth, summary = preimage_buckets, first_hit_depth, orbit_summary
+    buckets, depth = preimage_buckets, first_hit_depth
     call = ModularMap.__call__
-    in_summary = []
 
     def counting_buckets(fp):
         counts["scans"] += 1
@@ -287,28 +298,22 @@ def test_avoidance_evaluates_the_map_column_wise(monkeypatch):
         counts["depths"] += 1
         return depth(*args)
 
-    def marked_summary(*args, **kwargs):
-        in_summary.append(1)
-        try:
-            return summary(*args, **kwargs)
-        finally:
-            in_summary.pop()
-
     def counting_call(self, point):
-        counts["map"] += not in_summary
+        counts["map"] += 1
         return call(self, point)
 
     monkeypatch.setattr(reduction, "preimage_buckets", counting_buckets)
     monkeypatch.setattr(reduction, "first_hit_depth", counting_depth)
-    monkeypatch.setattr(reduction, "orbit_summary", marked_summary)
     monkeypatch.setattr(ModularMap, "__call__", counting_call)
     inst, params, sha = load_problem(str(SQ_PLUS_ONE_FILE))
     report = pipeline.run("primes", inst, replace(params, prime_range=(3, 200)), sha)
     assert report.error is None
     rows = report.records[-1]["rows"]
     assert len(rows) == sum(1 for p in range(3, 201) if is_prime(p))
-    # one depth per target (the sample declares one) at each certified prime
-    assert counts["depths"] == len(inst.targets) * sum(r["verdict"] == "certified" for r in rows)
+    # one depth per target (the sample declares one) at each good prime
+    good = sum(r["verdict"] != "failed-bad-prime" for r in rows)
+    assert counts["depths"] == len(inst.targets) * good
+    assert good > sum(r["verdict"] == "certified" for r in rows)
     assert counts["scans"] > 0
     assert counts["map"] < counts["space"] / 5, counts
 
@@ -519,11 +524,10 @@ def test_avoidance_depth_equals_bruteforce(data):
     gamma = (data.draw(st.integers(0, p - 1)),)
     scan = preimage_buckets(fp)
     assert (orbit_summary(fp, gamma).tail == 0) == on_cycle(fp, gamma)
-    if on_cycle(fp, gamma):
-        with pytest.raises(InvariantViolation):
-            first_hit_depth(fp, gamma, scan)
-        return
     depth = first_hit_depth(fp, gamma, scan)
+    assert (depth is None) == on_cycle(fp, gamma)
+    if depth is None:
+        return
     brute = -1
     for x in range(p):
         pt = (x,)
@@ -532,3 +536,82 @@ def test_avoidance_depth_equals_bruteforce(data):
                 brute = m
             pt = fp(pt)
     assert depth == brute
+
+
+#: p = 3 mod 4 takes the square root d^((p+1)/4); the rest have 2^4 to 2^9
+#: dividing p - 1, so Tonelli-Shanks runs 4 to 9 squaring levels.
+ROOT_PRIMES = [3, 7, 11, 19, 43, 103, 499, 17, 97, 193, 257, 641, 7681]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_quadratic_preimages_by_roots(data):
+    """a x^2 + b x + c mod p, with a = 0 mod p now and then (the table
+    path): the preimage function gives, for every y in F_p, the set of
+    points the image table sends to y; first_hit_depth agrees with the
+    dict oracle, None included; and the verdict, bound and depths of
+    avoidance_search do not depend on the order of up to four targets,
+    one of them periodic mod p, nor of the others without it."""
+    p = data.draw(st.sampled_from(ROOT_PRIMES))
+    a = data.draw(st.sampled_from([0, p, -3 * p]) | st.integers(-50, 50))
+    b, c = data.draw(st.integers(-50, 50)), data.draw(st.integers(-50, 50))
+    if a == b == 0:
+        b = 1
+    inst = _instance([{(2,): a, (1,): b, (0,): c}], (0,))
+    fp = ModularMap.from_map(inst.mapping, p)
+    scans = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_space_columns", lambda fp: scans.append(fp) or [range(p)])
+        preimages = preimage_buckets(fp)
+    assert len(scans) == (a % p == 0)  # only a vanishing x^2 term takes the table
+    table = reduction._table_preimages(fp)
+    for y in range(p):
+        assert sorted(preimages(y)) == table(y)
+
+    residues = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3, unique=True))
+    periodic = fp.iterate((residues[0],), p)
+    targets = [(r,) for r in residues]
+    for gamma in [*targets, periodic]:
+        assert first_hit_depth(fp, gamma, preimages) == first_hit_depth_reference(fp, gamma)
+
+    for points in ([*targets, periodic], targets):
+        outcomes = set()
+        for order in permutations(points):
+            ordered = replace(inst, targets=tuple((Fraction(x),) for (x,) in order))
+            cert = avoidance_search(ordered, [p], bad_primes(ordered, search_bound=p)).certificates[0]
+            depth_of = dict(zip(order, cert.depths))
+            outcomes.add((cert.verdict, cert.bound, tuple(depth_of.get(t) for t in points)))
+        assert len(outcomes) == 1, outcomes
+
+
+def test_avoidance_in_one_dimension_needs_no_map_call_and_no_table(monkeypatch):
+    """On the 1-d quadratic sample the backward trees come from roots: the
+    avoidance stage calls neither the map nor the full-space scan.  A 2-d
+    map with a target still builds one table per good prime."""
+    calls = {"map": 0, "scan": 0}
+    call, columns = ModularMap.__call__, reduction._space_columns
+
+    def counting_call(self, point):
+        calls["map"] += 1
+        return call(self, point)
+
+    def counting_columns(fp):
+        calls["scan"] += 1
+        return columns(fp)
+
+    inst, _, _ = load_problem(str(SQ_PLUS_ONE_FILE))
+    primes = [p for p in range(3, 201) if is_prime(p)]
+    bad = bad_primes(inst, search_bound=200)
+    monkeypatch.setattr(ModularMap, "__call__", counting_call)
+    monkeypatch.setattr(reduction, "_space_columns", counting_columns)
+    scan = avoidance_search(inst, primes, bad)
+    assert {c.verdict for c in scan.certificates} == {"certified", "failed-periodic"}
+    assert calls == {"map": 0, "scan": 0}
+
+    swap = _instance(
+        [{(0, 1): 1, (2, 0): 1}, {(1, 0): 1, (0, 2): 1, (0, 0): 3}], (0, 0), dim=2,
+        targets=((Fraction(1), Fraction(1)),),
+    )
+    bad = bad_primes(swap, search_bound=13)
+    scan = avoidance_search(swap, [3, 5, 7, 11, 13], bad)
+    assert calls["scan"] == sum(c.verdict != "failed-bad-prime" for c in scan.certificates) > 0
