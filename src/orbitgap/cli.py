@@ -12,7 +12,6 @@ exhaustion, 4 a broken internal invariant (a bug).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -40,7 +39,7 @@ def _apply_overrides(params, args):
         value = getattr(args, name)
         if value is not None:
             updates[name] = value
-    return dataclasses.replace(params, **updates) if updates else params
+    return params._replace(**updates) if updates else params
 
 
 def _emit(report: RunReport, out_path: str | None) -> None:

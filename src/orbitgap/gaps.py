@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -85,14 +85,12 @@ STABLE_ROUNDS = 3
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReturnEntry:
+class ReturnEntry(NamedTuple):
     index: int
     status: str  # "certified-exact" | "modular-screened"
 
 
-@dataclass(frozen=True)
-class ReturnSet:
+class ReturnSet(NamedTuple):
     n_max: int
     entries: tuple[ReturnEntry, ...]
     screening_primes: tuple[int, ...]
@@ -185,8 +183,7 @@ def compute_returns(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiskSeries:
+class DiskSeries(NamedTuple):
     """L(t) = Q(G(center + p^k t)) as a truncated power series in t.
 
     series is the one-variable TruncatedSeries of L: residues mod p^K, each
@@ -198,7 +195,7 @@ class DiskSeries:
     center: int
     radius_exp: int
     series: TruncatedSeries
-    coords: tuple = field(default=(), compare=False, repr=False)
+    coords: tuple = ()
 
     @property
     def zero_at_precision(self) -> bool:
@@ -330,8 +327,7 @@ def newton_zero_count(disk: DiskSeries) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroLocalization:
+class ZeroLocalization(NamedTuple):
     """A terminal disk of the refinement: either zero-free or one zero cluster.
 
     On a cluster leaf the center approximates the zero and count is its order.
@@ -466,8 +462,7 @@ def _refine(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     index_low: int  # model indices
     index_high: int
     required_exponent: int  # gap^order >= p^required_exponent (trivial when <= 0)
@@ -475,8 +470,7 @@ class PairVerdict:
     provenance: str  # "certified-exact" | "modular-screened"
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     shift: int
     class_index: int  # model indices congruent to this mod p
     members_model: tuple[int, ...]
@@ -487,8 +481,7 @@ class ClassReport:
     member_bound: int | None = None  # zero-free classes: members must be <= this
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     prime: int
     congruence_exponent: int
     classes: tuple[ClassReport, ...]
@@ -583,16 +576,14 @@ def _class_report(model: LocalModel, i: int, leaves: Leaves, members: tuple[int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(NamedTuple):
     checkpoint: int
     count: int
     yardstick: float | None  # log^(m)(checkpoint), None when undefined/<= 0
     ratio: float | None
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     m: int
     rows: tuple[DensityRow, ...]
     max_ratio: float | None

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .errors import HypothesisViolation, InvariantViolation, PrecisionExhausted
 from .normalization import LocalModel
@@ -41,8 +41,7 @@ DECAY_SLACK = 2
 COMPAT_SAMPLES = 24
 
 
-@dataclass(frozen=True)
-class ApproxInterpolant:
+class ApproxInterpolant(NamedTuple):
     """Binomial-basis interpolant of the model orbit with certified decay."""
 
     model: LocalModel
@@ -136,8 +135,7 @@ def verify_error_bound(interp: ApproxInterpolant) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CompatReport:
+class CompatReport(NamedTuple):
     """Per-sample margins for the step identity F(G(n)) = G(n+1)."""
 
     samples: tuple[int, ...]  # canonical residues of the sampled arguments

@@ -32,8 +32,8 @@ G_{k1-1} o ... o G_s, and each head and tail is composed once per P.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, HypothesisViolation, InvariantViolation
 from .modmat import Matrix, mat_identity, mat_mul, mat_pow, mat_reduce
@@ -124,14 +124,12 @@ def hensel_idempotent(a_bar: Matrix, p: int, precision: int) -> Matrix:
     return e
 
 
-@dataclass(frozen=True)
-class TransformRecord:
+class TransformRecord(NamedTuple):
     kind: str  # "forward" | "iterate" | "translate" | "scale"
     data: tuple
 
 
-@dataclass(frozen=True)
-class LocalModel:
+class LocalModel(NamedTuple):
     """The normalized local model of the map near the stabilized orbit disk.
 
     One model iterate applies the chart chain steps_per_iterate times; model
@@ -144,9 +142,9 @@ class LocalModel:
     ctx: PadicContext
     dimension: int
     # chart steps G_s, G_{s+1}, ... mod p^K in application order, shared by a family
-    chart_mods: tuple[ModularMap, ...] = field(repr=False)
+    chart_mods: tuple[ModularMap, ...]
     steps_per_iterate: int  # chart-chain repetitions per model iterate (k2)
-    points: tuple[tuple[int, ...], ...] = field(repr=False)  # see above
+    points: tuple[tuple[int, ...], ...]  # see above
     linear: Matrix  # exactly idempotent mod p^K, congruent to the linear part mod p
     congruence_exponent: int
     center: tuple[int, ...]  # eta for this shift, lifted in [0, p^2)
@@ -294,8 +292,7 @@ def _rotation_series(
     return done
 
 
-@dataclass(frozen=True)
-class _ChartChain:
+class _ChartChain(NamedTuple):
     """The mod-p^2 cycle the orbit enters and one chart step per cycle point.
 
     Rotation s of the chain applies G_s, ..., G_{k1-1}, G_0, ..., G_{s-1}.

@@ -24,9 +24,9 @@ threads; contexts are shared read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, InputError, PrecisionExhausted
 from .polynomials import reduce_rational
@@ -72,20 +72,28 @@ def vp_factorial(k: int, p: int) -> int:
     return (k - s) // (p - 1)
 
 
-@dataclass(frozen=True)
 class PadicContext:
     """Immutable arithmetic context: the prime p and working precision K."""
 
-    prime: int
-    precision: int
-    modulus: int = field(init=False, repr=False, compare=False)  # p^K
+    __slots__ = ("prime", "precision", "modulus")
 
-    def __post_init__(self):
+    def __init__(self, prime: int, precision: int):
+        self.prime = prime
+        self.precision = precision
         if self.prime < 3 or not is_prime(self.prime):
             raise InputError(f"context prime must be a prime >= 3, got {self.prime}")
         if self.precision < 1:
             raise InputError(f"precision must be >= 1, got {self.precision}")
-        object.__setattr__(self, "modulus", self.prime**self.precision)
+        self.modulus = self.prime**self.precision  # p^K
+
+    def __eq__(self, other):
+        if type(other) is not PadicContext:
+            return NotImplemented
+        return (self.prime, self.precision) == (other.prime, other.precision)
+
+    def _replace(self, **changes) -> "PadicContext":
+        """A copy with some fields changed, checked as a new context is."""
+        return PadicContext(**{"prime": self.prime, "precision": self.precision, **changes})
 
     def scalar(self, value: int | Fraction) -> int:
         """Reduce an integer or p-integral rational to its residue mod p^K."""
@@ -158,8 +166,7 @@ def binomial_rows(ctx: PadicContext, args, kmax: int) -> dict[int, list[int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(NamedTuple):
     """Finitely supported power series with coefficients mod p^K.
 
     coeffs maps exponent tuples of length nvars to residues in [0, p^K).
@@ -167,12 +174,13 @@ class TruncatedSeries:
     lower bound on the valuation of the coefficient's unknown part.  An
     exponent absent from precs has bound INF, i.e. its residue is exact mod
     p^K.  A coefficient is stored unless its residue is 0 and its bound INF.
+    Neither dict is changed after construction: the empty defaults are shared.
     """
 
     ctx: PadicContext
     nvars: int
-    coeffs: dict = field(default_factory=dict)
-    precs: dict = field(default_factory=dict)
+    coeffs: dict = {}
+    precs: dict = {}
 
     def _valuation_floors(self) -> dict:
         """Per stored coefficient, min(v(residue), bound): a lower bound on its valuation."""
@@ -286,7 +294,6 @@ def forward_differences(values: list[tuple[int, ...]], mod: int) -> list[tuple[i
     return list(zip(*cols))
 
 
-@dataclass(frozen=True)
 class MahlerSeries:
     """A function of one p-adic argument in the binomial basis.
 
@@ -295,12 +302,12 @@ class MahlerSeries:
     [0, len(coeffs)-1] reproduces the finite-difference data exactly.
     """
 
-    ctx: PadicContext
-    coeffs: tuple[tuple[int, ...], ...]
-    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("ctx", "coeffs", "columns")
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(zip(*self.coeffs)))
+    def __init__(self, ctx: PadicContext, coeffs: tuple[tuple[int, ...], ...]):
+        self.ctx = ctx
+        self.coeffs = coeffs
+        self.columns = tuple(zip(*coeffs))
 
     @staticmethod
     def from_values(ctx: PadicContext, values: list[tuple[int, ...]]) -> "MahlerSeries":

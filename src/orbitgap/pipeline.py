@@ -16,7 +16,6 @@ record naming the stage; the exception class determines the exit code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 
 from .errors import (
     BudgetExceeded,
@@ -46,6 +45,7 @@ from .interpolation import (
 )
 from .normalization import build_model_family, ensure_not_preperiodic
 from .padic import binomial_rows, is_prime
+from .polynomials import reduce_poly
 from .problemfile import RunParameters
 from .reduction import (
     ENUM_GUARD,
@@ -56,7 +56,6 @@ from .reduction import (
     bad_primes,
     periodic_points_on_variety,
     reduce_instance,
-    reduce_poly,
 )
 
 #: Each command: the state fields it reads from --replay records, and the
@@ -83,12 +82,16 @@ def _fmt(x) -> str:
     return "%.6g" % x
 
 
-@dataclass
 class RunReport:
-    problem_sha: str
-    records: list[dict] = field(default_factory=list)
-    assumptions: list[str] = field(default_factory=list)
-    error: OrbitgapError | None = None
+    """The records a run appends, its assumptions, and the error that ended it."""
+
+    __slots__ = ("problem_sha", "records", "assumptions", "error")
+
+    def __init__(self, problem_sha: str):
+        self.problem_sha = problem_sha
+        self.records: list[dict] = []
+        self.assumptions: list[str] = []
+        self.error: OrbitgapError | None = None
 
     def add(self, record: dict) -> None:
         record["problem_sha"] = self.problem_sha
@@ -103,22 +106,39 @@ class RunReport:
         return exit_code_for(self.error)
 
 
-@dataclass
 class RunState:
     """The run's inputs, and what each stage hands to the stages after it."""
 
-    inst: ProblemInstance
-    params: RunParameters
-    recorded: dict[int, list] | None = None  # replayed interpolant coefficients by shift
-    bad: BadPrimeSet | None = None
-    scan: AvoidanceScan | None = None
-    prime: int | None = None
-    bound: int | None = None
-    family: list | None = None
-    interps: dict | None = None
-    returns: ReturnSet | None = None
-    gap: GapReport | None = None
-    density: DensityReport | None = None
+    __slots__ = ("inst", "params", "recorded", "bad", "scan", "prime", "bound", "family",
+                 "interps", "returns", "gap", "density")
+
+    def __init__(
+        self,
+        inst: ProblemInstance,
+        params: RunParameters,
+        recorded: dict[int, list] | None = None,  # replayed interpolant coefficients by shift
+        bad: BadPrimeSet | None = None,
+        scan: AvoidanceScan | None = None,
+        prime: int | None = None,
+        bound: int | None = None,
+        family: list | None = None,
+        interps: dict | None = None,
+        returns: ReturnSet | None = None,
+        gap: GapReport | None = None,
+        density: DensityReport | None = None,
+    ):
+        self.inst = inst
+        self.params = params
+        self.recorded = recorded
+        self.bad = bad
+        self.scan = scan
+        self.prime = prime
+        self.bound = bound
+        self.family = family
+        self.interps = interps
+        self.returns = returns
+        self.gap = gap
+        self.density = density
 
 
 def exit_code_for(exc: Exception | None) -> int:
@@ -142,9 +162,9 @@ def run(command: str, inst: ProblemInstance, params: RunParameters, sha: str,
     stage that raises ends the report with a failure record.
     """
     replayed, stages = COMMANDS[command]
-    state = RunState(inst, params)
     if replay and not replayed:
         raise InputError(f"{command} reads no replay records; drop --replay")
+    resumed = {}
     if replayed:
         if not replay:
             raise InputError(f"{command} needs --replay records from earlier stages")
@@ -152,11 +172,12 @@ def run(command: str, inst: ProblemInstance, params: RunParameters, sha: str,
         for name in replayed:
             kind, parse = _REPLAY_PARSERS[name]
             try:
-                setattr(state, name, parse(records.get(kind, [])))
+                resumed[name] = parse(records.get(kind, []))
             except KeyError as exc:
                 raise InputError(f"malformed replay records: a {kind} record has no {exc}") from None
             except (TypeError, ValueError) as exc:
                 raise InputError(f"malformed replay records: a {kind} record: {exc}") from None
+    state = RunState(inst, params, **resumed)
     report = RunReport(sha)
     for name in stages:
         try:
@@ -349,9 +370,9 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
             model.shift in old and old[model.shift] != record["coefficients"]
         )
     # no later stage reads the model points; base_point is points[0]
-    slim = {model.shift: replace(model, points=model.points[:1]) for model in state.family}
+    slim = {model.shift: model._replace(points=model.points[:1]) for model in state.family}
     state.family = list(slim.values())
-    state.interps = {s: replace(i, model=slim[s]) for s, i in state.interps.items()}
+    state.interps = {s: i._replace(model=slim[s]) for s, i in state.interps.items()}
     if stale or not old.keys() <= state.interps.keys():
         raise InputError("stale replay: recorded interpolant disagrees with the rebuilt one")
 

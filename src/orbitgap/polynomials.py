@@ -28,7 +28,6 @@ ints stay below m times a power of x whatever the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
@@ -145,20 +144,24 @@ def horner_table(form: HornerForm, cols, m: int) -> list[int]:
     return acc
 
 
-@dataclass(frozen=True)
 class PolyMap:
     """N polynomials in N variables with exact rational coefficients."""
 
-    nvars: int
-    polys: tuple[Poly, ...]
+    __slots__ = ("nvars", "polys")
 
-    def __post_init__(self):
+    def __init__(self, nvars: int, polys: tuple[Poly, ...]):
+        self.nvars = nvars
+        self.polys = polys
         if len(self.polys) != self.nvars:
             raise InputError("a self-map needs as many polynomials as variables")
         for p in self.polys:
             for e in p:
                 if len(e) != self.nvars:
                     raise InputError("exponent arity mismatch")
+
+    def _replace(self, **changes) -> "PolyMap":
+        """A copy with some fields changed, checked as a new map is."""
+        return PolyMap(**{**{f: getattr(self, f) for f in self.__slots__}, **changes})
 
     @staticmethod
     def from_lists(nvars: int, polys) -> "PolyMap":
@@ -179,17 +182,22 @@ class PolyMap:
         return [[poly_derivative(p, j) for j in range(self.nvars)] for p in self.polys]
 
 
-@dataclass(frozen=True)
 class ModularMap:
-    """A PolyMap reduced mod m (m a prime or prime power)."""
+    """A PolyMap reduced mod m (m a prime or prime power); forms holds the
+    Horner form of each polynomial."""
 
-    modulus: int
-    nvars: int
-    polys: tuple[dict[Exponent, int], ...]
-    forms: tuple[HornerForm, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("modulus", "nvars", "polys", "forms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "forms", tuple(horner_form(p) for p in self.polys))
+    def __init__(self, modulus: int, nvars: int, polys: tuple[dict[Exponent, int], ...]):
+        self.modulus = modulus
+        self.nvars = nvars
+        self.polys = polys
+        self.forms = tuple(horner_form(p) for p in polys)
+
+    def __eq__(self, other):
+        if type(other) is not ModularMap:
+            return NotImplemented
+        return (self.modulus, self.nvars, self.polys) == (other.modulus, other.nvars, other.polys)
 
     @staticmethod
     def from_map(f: PolyMap, m: int) -> "ModularMap":

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import InputError
@@ -56,17 +55,24 @@ DENSITY_LOG_DEPTH = 1
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-@dataclass(frozen=True)
 class RunParameters:
     """The settable inputs of a run; every resource limit is a module constant."""
 
-    prime_range: tuple[int, int] = (3, 50)
-    precision: int = 64
-    n_max: int = 100_000
-    screen_primes: int = SCREEN_PRIME_COUNT
-    density_m: int = DENSITY_LOG_DEPTH
+    __slots__ = ("prime_range", "precision", "n_max", "screen_primes", "density_m")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        prime_range: tuple[int, int] = (3, 50),
+        precision: int = 64,
+        n_max: int = 100_000,
+        screen_primes: int = SCREEN_PRIME_COUNT,
+        density_m: int = DENSITY_LOG_DEPTH,
+    ):
+        self.prime_range = prime_range
+        self.precision = precision
+        self.n_max = n_max
+        self.screen_primes = screen_primes
+        self.density_m = density_m
         lo, hi = self.prime_range
         if lo > hi or lo < 3:
             raise InputError("prime_range must satisfy 3 <= lo <= hi")
@@ -83,6 +89,10 @@ class RunParameters:
             raise InputError(
                 f"screen_primes {self.screen_primes} exceeds the cap {MAX_SCREEN_PRIMES}"
             )
+
+    def _replace(self, **changes) -> "RunParameters":
+        """A copy with some fields changed, checked as new parameters are."""
+        return RunParameters(**{**{f: getattr(self, f) for f in self.__slots__}, **changes})
 
 
 def _as_fraction(value, where: str) -> Fraction:
@@ -162,8 +172,7 @@ def parse_problem(doc) -> tuple[ProblemInstance, RunParameters]:
     params_doc = doc.get("parameters", {})
     if not isinstance(params_doc, dict):
         raise InputError("parameters must be an object")
-    allowed = {f.name for f in fields(RunParameters)}
-    unknown = set(params_doc) - allowed
+    unknown = set(params_doc) - set(RunParameters.__slots__)
     if unknown:
         raise InputError(f"unknown parameters: {sorted(unknown)}")
     kwargs = dict(params_doc)

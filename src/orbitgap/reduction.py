@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, HypothesisViolation, InputError
 from .padic import is_prime
@@ -43,12 +43,10 @@ from .polynomials import (
     ModularMap,
     Poly,
     PolyMap,
-    horner_eval,
     horner_form,
     horner_table,
     poly_degree,
     poly_eval,
-    reduce_poly,
     reduce_rational,
 )
 
@@ -57,7 +55,7 @@ from .polynomials import (
 #: points; the quadratic-formula preimages of a 1-d map hold no table.
 ENUM_GUARD = 2**20
 
-@dataclass(frozen=True)
+
 class ProblemInstance:
     """A self-map of affine N-space, an initial point, and a target variety.
 
@@ -66,13 +64,21 @@ class ProblemInstance:
     (residue-level candidates can still be discovered per prime).
     """
 
-    dimension: int
-    mapping: PolyMap
-    initial_point: tuple[Fraction, ...]
-    variety: tuple[Poly, ...]
-    targets: tuple[tuple[Fraction, ...], ...] = ()
+    __slots__ = ("dimension", "mapping", "initial_point", "variety", "targets")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        dimension: int,
+        mapping: PolyMap,
+        initial_point: tuple[Fraction, ...],
+        variety: tuple[Poly, ...],
+        targets: tuple[tuple[Fraction, ...], ...] = (),
+    ):
+        self.dimension = dimension
+        self.mapping = mapping
+        self.initial_point = initial_point
+        self.variety = variety
+        self.targets = targets
         if self.mapping.nvars != self.dimension:
             raise InputError("map arity does not match the dimension")
         if len(self.initial_point) != self.dimension:
@@ -90,6 +96,10 @@ class ProblemInstance:
                     f"coordinate {i} of the map is constant; the map is not quasi-finite"
                 )
 
+    def _replace(self, **changes) -> "ProblemInstance":
+        """A copy with some fields changed, checked as a new instance is."""
+        return ProblemInstance(**{**{f: getattr(self, f) for f in self.__slots__}, **changes})
+
     @property
     def denominator(self) -> int:
         """The lcm of every denominator of the map, the points and the variety:
@@ -99,8 +109,7 @@ class ProblemInstance:
         return lcm(*(Fraction(x).denominator for x in (*coeffs, *points)))
 
 
-@dataclass(frozen=True)
-class BadPrimeSet:
+class BadPrimeSet(NamedTuple):
     """Primes excluded from reduction.
 
     Every prime dividing `denominator` is bad, whatever its size, so no
@@ -132,23 +141,20 @@ def _rank(rows, inverse, reduce) -> int:
     return rank
 
 
-def _target_collision(inst: ProblemInstance, p: int, ranks: list[int]) -> bool:
+def _target_collision(p: int, targets) -> bool:
     """Whether some backward branch of a target collapses onto it mod p.
 
-    A second branch can only reduce onto a target fixed mod p if the
-    Jacobian there loses rank from Q (ranks, one per target) to F_p; a
-    globally critical fixed point, e.g. the origin of x -> x^2, has no
-    second branch and is no collision.  p is not a denominator prime.
+    targets holds, for each target t, f(t) - t and the Jacobian J(t) over Q
+    and its rank.  p is not a denominator prime, so t is fixed mod p exactly
+    when p divides every numerator of f(t) - t, and J(t) reduces mod p
+    entry by entry.  A second branch can only reduce onto a target fixed mod
+    p if J(t) loses rank from Q to F_p; a globally critical fixed point, e.g.
+    the origin of x -> x^2, has no second branch and is no collision.
     """
-    fp = ModularMap.from_map(inst.mapping, p)
-    for t, rank in zip(inst.targets, ranks):
-        tp = tuple(reduce_rational(x, p) for x in t)
-        if fp(tp) != tp:
+    for moved, jac, rank in targets:
+        if any(x.numerator % p for x in moved):
             continue
-        rows = [
-            [horner_eval(horner_form(reduce_poly(d, p)), tp, p) for d in row]
-            for row in inst.mapping.jacobian()
-        ]
+        rows = [[reduce_rational(x, p) for x in row] for row in jac]
         if _rank(rows, lambda a: pow(a, -1, p), lambda a: a % p) < rank:
             return True
     return False
@@ -158,21 +164,23 @@ def bad_primes(inst: ProblemInstance, search_bound: int) -> BadPrimeSet:
     """The primes dividing the instance's denominator, and the primes
     3 <= p <= search_bound where a target absorbs a preimage branch; the
     reasons list the denominator primes up to search_bound.  Each target's
-    Jacobian rank over Q is computed once, for every prime."""
+    f(t) - t, Jacobian and Jacobian rank over Q are computed once, for
+    every prime."""
     den = inst.denominator
     reasons = [
         (p, "denominator") for p in range(2, search_bound + 1) if den % p == 0 and is_prime(p)
     ]
     if inst.targets:
         jac = inst.mapping.jacobian()
-        ranks = [
-            _rank([[poly_eval(d, t) for d in row] for row in jac], lambda a: 1 / a, lambda a: a)
-            for t in inst.targets
-        ]
+        targets = []
+        for t in inst.targets:
+            jac_t = [[poly_eval(d, t) for d in row] for row in jac]
+            moved = [y - x for y, x in zip(inst.mapping.evaluate(t), t)]
+            targets.append((moved, jac_t, _rank(jac_t, lambda a: 1 / a, lambda a: a)))
         reasons += [
             (p, "target-preimage-collision")
             for p in range(3, search_bound + 1)
-            if den % p and is_prime(p) and _target_collision(inst, p, ranks)
+            if den % p and is_prime(p) and _target_collision(p, targets)
         ]
     return BadPrimeSet(frozenset(p for p, _ in reasons), tuple(reasons), den)
 
@@ -191,8 +199,7 @@ def reduce_instance(inst: ProblemInstance, p: int, bad: BadPrimeSet):
     return fp, a_p, targets_p
 
 
-@dataclass(frozen=True)
-class OrbitSummary:
+class OrbitSummary(NamedTuple):
     """Minimal tail/cycle data of one forward orbit; entry is x_tail, where the cycle starts."""
 
     entry: tuple[int, ...]
@@ -237,8 +244,7 @@ def orbit_summary(
     return OrbitSummary(tortoise, mu, lam)
 
 
-@dataclass(frozen=True)
-class OrbitHits:
+class OrbitHits(NamedTuple):
     """Indices n (up to a limit, if one was set) where x_n satisfies a predicate.
 
     The orbit is a tail of `tail` residues followed by a cycle of `cycle`
@@ -443,8 +449,7 @@ def first_hit_depth(fp: ModularMap, gamma: tuple[int, ...], preimages) -> int | 
         depth += 1
 
 
-@dataclass(frozen=True)
-class AvoidanceCertificate:
+class AvoidanceCertificate(NamedTuple):
     """Per-prime avoidance verdict.
 
     When verdict == "certified": for every x in F_p^N and every m >= bound,
@@ -461,8 +466,7 @@ class AvoidanceCertificate:
         return self.verdict == "certified"
 
 
-@dataclass(frozen=True)
-class AvoidanceScan:
+class AvoidanceScan(NamedTuple):
     certificates: tuple[AvoidanceCertificate, ...]
     scanned: int
     certified_density: float

@@ -9,7 +9,8 @@ function of `src/orbitgap` with an optional parameter, some call in `src/`
 or `bench/` must set that parameter, by keyword or by position, and some
 such call must leave it out.  Calls are matched to functions by
 name; a call through an attribute (`obj.f(...)`) binds its first argument
-after `self` when f is a method.
+after `self` when f is a method.  A class's `__init__` is called by the
+class's name, and its first argument binds after `self`.
 """
 
 import ast
@@ -37,19 +38,29 @@ def _optional_parameters():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
         }
+        constructors = {
+            id(node): cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+        }
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             args = node.args
             positional = args.posonlyargs + args.args
             where = f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
-            method = id(node) in methods
+            name, method, skip = node.name, id(node) in methods, 0
+            if id(node) in constructors:
+                # C(...) passes no self: number its parameters from the one after it
+                name, method, skip = constructors[id(node)], False, 1
             first_default = len(positional) - len(args.defaults)
             for index in range(first_default, len(positional)):
-                found.append((where, node.name, positional[index].arg, index, method))
+                found.append((where, name, positional[index].arg, index - skip, method))
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    found.append((where, node.name, arg.arg, None, method))
+                    found.append((where, name, arg.arg, None, method))
     return found
 
 

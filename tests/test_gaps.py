@@ -3,7 +3,6 @@
 import functools
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -495,7 +494,7 @@ def _undecayed_interpolants():
             tuple(rng.randrange(ctx.modulus) for _ in range(interp.series.dim))
             for _ in range(interp.terms + 1)
         )
-        out.append(replace(interp, series=MahlerSeries(ctx, coeffs)))
+        out.append(interp._replace(series=MahlerSeries(ctx, coeffs)))
     return out
 
 
@@ -657,8 +656,8 @@ def test_localize_zeros_matches_all_children_oracle(data):
                 p**floor * data.draw(st.integers(0, ctx.modulus - 1)) % ctx.modulus
                 for _ in range(dim)
             ))
-        interp = replace(
-            base, model=replace(base.model, ctx=ctx), series=MahlerSeries(ctx, tuple(coeffs)),
+        interp = base._replace(
+            model=base.model._replace(ctx=ctx), series=MahlerSeries(ctx, tuple(coeffs)),
             terms=terms,
         )
     K, mod = interp.ctx.precision, interp.ctx.modulus

@@ -1,6 +1,5 @@
 """Interpolant construction, decay certification, bound and compatibility checks."""
 
-import dataclasses
 import json
 from collections import Counter
 from fractions import Fraction
@@ -123,7 +122,7 @@ def test_bound_checks_every_index():
     for n in (18, 32):
         points = list(m.points)
         points[n] = ((points[n][0] + 1) % m.ctx.modulus,)
-        broken = dataclasses.replace(interp, model=dataclasses.replace(m, points=tuple(points)))
+        broken = interp._replace(model=m._replace(points=tuple(points)))
         with pytest.raises(PrecisionExhausted, match=f"n={n}:"):
             verify_error_bound(broken)
 
@@ -193,7 +192,7 @@ def test_strict_compat_failure_raises():
     interp = interpolate(m)
     coeffs = list(interp.series.coeffs)
     coeffs[1] = ((coeffs[1][0] + 1) % m.ctx.modulus,)
-    broken = dataclasses.replace(interp, series=MahlerSeries(m.ctx, tuple(coeffs)))
+    broken = interp._replace(series=MahlerSeries(m.ctx, tuple(coeffs)))
     first = default_compat_samples(m.ctx)[0]
     with pytest.raises(HypothesisViolation, match=f"argument residue {first}$"):
         check_compat(broken)
@@ -204,7 +203,7 @@ def test_bound_shortfall_in_window_is_a_broken_reconstruction():
     interp = interpolate(m)
     points = list(m.points)
     points[5] = (points[5][0] + 1,)
-    broken = dataclasses.replace(interp, model=dataclasses.replace(m, points=tuple(points)))
+    broken = interp._replace(model=m._replace(points=tuple(points)))
     with pytest.raises(InvariantViolation, match="reconstruction failed at 5$"):
         verify_error_bound(broken)
 

@@ -1,0 +1,111 @@
+"""Records are NamedTuples and plain classes: copies are checked, and start-up is cheap.
+
+The types whose constructor checks or derives a field are plain classes, and
+their copy helper `_replace` builds the copy through the constructor, so a
+copy with a bad field fails exactly as construction with it fails.  No
+record is a dataclass, so importing the CLI loads neither `dataclasses` nor
+the `inspect` module it imports.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from orbitgap.errors import HypothesisViolation, InputError, OrbitgapError
+from orbitgap.padic import PadicContext
+from orbitgap.polynomials import PolyMap
+from orbitgap.problemfile import MAX_PRECISION, MAX_PRIME, MAX_SCREEN_PRIMES, RunParameters
+from orbitgap.reduction import ProblemInstance
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SQUARE_MINUS_TWO = PolyMap.from_lists(1, [{(2,): 1, (0,): -2}])
+VARIETY = ({(1,): Fraction(1), (0,): Fraction(-7)},)
+INSTANCE = ProblemInstance(1, SQUARE_MINUS_TWO, (Fraction(3),), VARIETY)
+CONSTANT = PolyMap.from_lists(1, [{(0,): 5}])
+
+# name -> (record, bad fields, the construction with the same fields)
+BAD_COPIES = {
+    "params-precision-above-cap": (
+        RunParameters(), {"precision": MAX_PRECISION + 1},
+        lambda: RunParameters(precision=MAX_PRECISION + 1),
+    ),
+    "params-prime-range-above-cap": (
+        RunParameters(), {"prime_range": (3, MAX_PRIME + 1)},
+        lambda: RunParameters(prime_range=(3, MAX_PRIME + 1)),
+    ),
+    "params-screen-primes-above-cap": (
+        RunParameters(precision=16), {"screen_primes": MAX_SCREEN_PRIMES + 1},
+        lambda: RunParameters(precision=16, screen_primes=MAX_SCREEN_PRIMES + 1),
+    ),
+    "params-n-max-zero": (
+        RunParameters(), {"n_max": 0}, lambda: RunParameters(n_max=0),
+    ),
+    "instance-target-arity": (
+        INSTANCE, {"targets": ((Fraction(1), Fraction(2)),)},
+        lambda: ProblemInstance(
+            1, SQUARE_MINUS_TWO, (Fraction(3),), VARIETY, ((Fraction(1), Fraction(2)),)
+        ),
+    ),
+    "instance-constant-coordinate": (
+        INSTANCE, {"mapping": CONSTANT},
+        lambda: ProblemInstance(1, CONSTANT, (Fraction(3),), VARIETY),
+    ),
+    "instance-dimension": (
+        INSTANCE, {"dimension": 2},
+        lambda: ProblemInstance(2, SQUARE_MINUS_TWO, (Fraction(3),), VARIETY),
+    ),
+    "polymap-too-many-polynomials": (
+        SQUARE_MINUS_TWO, {"polys": SQUARE_MINUS_TWO.polys * 2},
+        lambda: PolyMap(1, SQUARE_MINUS_TWO.polys * 2),
+    ),
+    "polymap-exponent-arity": (
+        SQUARE_MINUS_TWO, {"polys": ({(2, 0): Fraction(1)},)},
+        lambda: PolyMap(1, ({(2, 0): Fraction(1)},)),
+    ),
+    "context-precision-zero": (
+        PadicContext(5, 8), {"precision": 0}, lambda: PadicContext(5, 0),
+    ),
+    "context-composite-prime": (
+        PadicContext(5, 8), {"prime": 9}, lambda: PadicContext(9, 8),
+    ),
+}
+
+
+def _failure(call):
+    with pytest.raises(OrbitgapError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COPIES))
+def test_copy_with_a_bad_field_fails_as_construction_does(name):
+    record, changes, construct = BAD_COPIES[name]
+    expected = _failure(construct)
+    assert expected[0] in (InputError, HypothesisViolation)
+    assert _failure(lambda: record._replace(**changes)) == expected
+
+
+def test_copy_derives_fields_as_construction_does():
+    ctx = PadicContext(5, 3)._replace(precision=4)
+    assert (ctx.prime, ctx.precision, ctx.modulus) == (5, 4, 5**4)
+    params = RunParameters()._replace(n_max=7)
+    assert (params.prime_range, params.precision, params.n_max) == ((3, 50), 64, 7)
+    inst = INSTANCE._replace(targets=((Fraction(7),),))
+    assert (inst.mapping, inst.targets) == (SQUARE_MINUS_TWO, ((Fraction(7),),))
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # every orbitgap command is a fresh process: a dataclass declaration
+    # generates its methods by exec at import, and `import dataclasses`
+    # imports `inspect`, which nothing else of the program needs
+    code = "import sys, orbitgap.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -1,7 +1,6 @@
 """Residue dynamics: bad primes, orbits, preimage depth, avoidance certificates."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import count, permutations, product
 from pathlib import Path
@@ -265,7 +264,7 @@ def test_periodic_target_above_the_guard_is_failed_periodic(monkeypatch):
     cubic = _instance([{(3,): 1, (2,): 1}], (2,), targets=((Fraction(4),), (Fraction(0),)))
     cert = avoidance_search(cubic, [5], bad_primes(cubic, search_bound=5)).certificates[0]
     assert cert.verdict == "failed-periodic"
-    tail_only = replace(cubic, targets=((Fraction(4),),))
+    tail_only = cubic._replace(targets=((Fraction(4),),))
     with pytest.raises(BudgetExceeded):
         avoidance_search(tail_only, [5], bad_primes(tail_only, search_bound=5))
     fp = ModularMap.from_map(cubic.mapping, 5)
@@ -306,7 +305,7 @@ def test_avoidance_evaluates_the_map_column_wise(monkeypatch):
     monkeypatch.setattr(reduction, "first_hit_depth", counting_depth)
     monkeypatch.setattr(ModularMap, "__call__", counting_call)
     inst, params, sha = load_problem(str(SQ_PLUS_ONE_FILE))
-    report = pipeline.run("primes", inst, replace(params, prime_range=(3, 200)), sha)
+    report = pipeline.run("primes", inst, params._replace(prime_range=(3, 200)), sha)
     assert report.error is None
     rows = report.records[-1]["rows"]
     assert len(rows) == sum(1 for p in range(3, 201) if is_prime(p))
@@ -440,7 +439,7 @@ def test_certified_prime_implies_residue_orbit_avoids(data):
     orbit_point = a
     for _ in range(data.draw(st.integers(0, 3))):
         orbit_point = inst.mapping.evaluate(orbit_point)
-    inst = replace(inst, targets=(*targets, orbit_point))
+    inst = inst._replace(targets=(*targets, orbit_point))
     bad = bad_primes(inst, search_bound=13)
     for cert in avoidance_search(inst, [2, 3, 5, 7, 11, 13], bad).certificates:
         if cert.certified:
@@ -577,7 +576,7 @@ def test_quadratic_preimages_by_roots(data):
     for points in ([*targets, periodic], targets):
         outcomes = set()
         for order in permutations(points):
-            ordered = replace(inst, targets=tuple((Fraction(x),) for (x,) in order))
+            ordered = inst._replace(targets=tuple((Fraction(x),) for (x,) in order))
             cert = avoidance_search(ordered, [p], bad_primes(ordered, search_bound=p)).certificates[0]
             depth_of = dict(zip(order, cert.depths))
             outcomes.add((cert.verdict, cert.bound, tuple(depth_of.get(t) for t in points)))
