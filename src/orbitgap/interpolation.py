@@ -7,7 +7,8 @@ coefficients decay at rate ~c per term, which is what extends the
 approximation beyond the window.  Construction certifies the decay; separate
 passes certify the error bound min(n*c, K) at every orbit index n <= 2K, by
 one table of forward differences, and the step-compatibility identity
-F(G(n)) = G(n+1) on sampled p-adic arguments, and each raises at its first
+F(G(n)) = G(n+1) as a congruence mod p^(K-2) on sampled p-adic arguments.
+The checks return nothing: each compares integers and raises at its first
 failure.  The degenerate constant case (orbit converging to a fixed point)
 is detected and flagged rather than analyzed.
 
@@ -24,7 +25,6 @@ once.
 
 from __future__ import annotations
 
-import math
 import random
 from itertools import zip_longest
 from typing import NamedTuple
@@ -71,13 +71,9 @@ class ApproxInterpolant(NamedTuple):
         }
 
 
-def _margin(x: tuple[int, ...], y: tuple[int, ...], ctx: PadicContext) -> int | float:
-    """Valuation of x - y mod p^K in the sup-norm."""
-    return sup_valuation([(a - b) % ctx.modulus for a, b in zip(x, y, strict=True)], ctx.prime)
-
-
 def decay_requirement(k: int, c: int, p: int, precision: int) -> int:
-    req = math.ceil(k * c) - math.ceil(k / (p - 1)) - DECAY_SLACK
+    # (k + p - 2) // (p - 1) is ceil(k / (p - 1)) for k >= 0
+    req = k * c - (k + p - 2) // (p - 1) - DECAY_SLACK
     return max(0, min(req, precision))
 
 
@@ -135,14 +131,6 @@ def verify_error_bound(interp: ApproxInterpolant) -> None:
         )
 
 
-class CompatReport(NamedTuple):
-    """Per-sample margins for the step identity F(G(n)) = G(n+1)."""
-
-    samples: tuple[int, ...]  # canonical residues of the sampled arguments
-    margins: tuple
-    threshold: int
-
-
 def default_compat_samples(ctx: PadicContext) -> list[int]:
     """COMPAT_SAMPLES pseudo-random p-adic arguments plus the standard non-integer specials."""
     rng = random.Random(0)
@@ -153,18 +141,19 @@ def default_compat_samples(ctx: PadicContext) -> list[int]:
     return out
 
 
-def verify_compatibility(interp: ApproxInterpolant, samples, rows) -> CompatReport:
-    """Check valuation(F(G(n)) - G(n+1)) >= K - 2 on p-adic samples.
+def verify_compatibility(interp: ApproxInterpolant, samples, rows) -> None:
+    """Check F(G(n)) = G(n+1) mod p^(K-2) (mod 1 when K <= 2) on p-adic samples.
 
     A sample is the residue mod p^K of a p-adic argument; rows (see
     build_interpolant) must cover every sample.  F goes over all values G(n)
     in one LocalModel.push.  G(n + 1) is read off the row of n: for n + 1
     < p^K it is the shifted series at n, and the residue p^K - 1 (the sample
     -1) steps to the residue 0, where G is its zeroth coefficient.  The
-    first argument below the threshold raises.
+    first argument where a coordinate of the difference is nonzero mod
+    p^(K-2) raises.
     """
     ctx = interp.ctx
-    threshold = ctx.precision - 2
+    level = ctx.prime ** max(ctx.precision - 2, 0)
     series = interp.series
     shifted = series.shifted()
     values, values_next = [], []
@@ -174,30 +163,27 @@ def verify_compatibility(interp: ApproxInterpolant, samples, rows) -> CompatRepo
         values_next.append(
             series.coeffs[0] if (n + 1) % ctx.modulus == 0 else shifted.evaluate(row)
         )
-    margins = []
     for n, image, value_next in zip(samples, interp.model.push(values), values_next):
-        margin = _margin(image, value_next, ctx)
-        if margin < threshold:
+        if any((a - b) % level for a, b in zip(image, value_next, strict=True)):
             raise HypothesisViolation(f"compatibility identity failed at argument residue {n}")
-        margins.append(margin)
-    return CompatReport(tuple(samples), tuple(margins), threshold)
 
 
 def constancy_test(interp: ApproxInterpolant) -> bool:
     """Whether the interpolant is the degenerate constant one.
 
-    Constant at precision means every coefficient beyond the zeroth has
-    valuation >= K.  In that case the limit value must be fixed by the
-    model map at the same threshold, and the orbit-convergence condition
-    must be re-examined by the caller (this is the degenerate case of the
-    gap analysis, not an error by itself).
+    Constant at precision means every coefficient beyond the zeroth is 0 mod
+    p^K.  Its value is then points[0], and points[1] = points[0] mod p^K;
+    points[1] is the walk's image of points[0], so a model map that moves
+    the value disagrees with the walk, a program error.  Otherwise the
+    orbit-convergence condition must be re-examined by the caller (this is
+    the degenerate case of the gap analysis, not an error by itself).
     """
-    threshold = interp.ctx.precision
-    if any(v < threshold for v in interp.decay[1:]):
+    if any(any(cv) for cv in interp.series.coeffs[1:]):
         return False
     beta = interp.series.coeffs[0]
-    if _margin(interp.model.apply(beta), beta, interp.ctx) < threshold:
-        raise HypothesisViolation(
-            "constant interpolant whose value is not fixed by the map; inconsistent model"
+    if interp.model.apply(beta) != beta:
+        raise InvariantViolation(
+            "constant interpolant whose value is not fixed by the model map; "
+            "the chart maps and the orbit walk disagree"
         )
     return True

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded, HypothesisViolation, InvariantViolation
 from .modmat import Matrix, mat_identity, mat_mul, mat_pow, mat_reduce
-from .padic import PadicContext, TruncatedSeries, int_valuation, sup_valuation
+from .padic import PadicContext, TruncatedSeries, int_valuation
 from .polynomials import ModularMap, Poly, PolyMap, horner_table, reduce_poly, reduce_rational
 from .reduction import ProblemInstance, exact_orbit, orbit_summary
 
@@ -124,11 +124,6 @@ def hensel_idempotent(a_bar: Matrix, p: int, precision: int) -> Matrix:
     return e
 
 
-class TransformRecord(NamedTuple):
-    kind: str  # "forward" | "iterate" | "translate" | "scale"
-    data: tuple
-
-
 class LocalModel(NamedTuple):
     """The normalized local model of the map near the stabilized orbit disk.
 
@@ -151,7 +146,6 @@ class LocalModel(NamedTuple):
     m0: int
     k1: int
     shift: int
-    transform_log: tuple[TransformRecord, ...]
 
     @property
     def prime(self) -> int:
@@ -380,7 +374,7 @@ def _models(
     rotations = _rotation_series(chain.charts, k2, linears, ctx)
     models = []
     for shift in shifts:
-        if sup_valuation(points[shift][0], p) < 1:
+        if any(x % p for x in points[shift][0]):
             raise InvariantViolation(
                 "normalization/base-point: coordinates are not in the maximal ideal"
             )
@@ -393,13 +387,6 @@ def _models(
             raise InvariantViolation(
                 "normalization/congruence: model map is not linear mod p; c < 1"
             )
-        log = (
-            TransformRecord("forward", (chain.m0 + shift,)),
-            TransformRecord("iterate", (k1,)),
-            TransformRecord("translate", tuple(center)),
-            TransformRecord("scale", (p,)),
-            TransformRecord("iterate", (k2,)),
-        )
         models.append(
             LocalModel(
                 ctx=ctx,
@@ -413,7 +400,6 @@ def _models(
                 m0=chain.m0,
                 k1=k1,
                 shift=shift,
-                transform_log=log,
             )
         )
     return models

@@ -26,8 +26,6 @@ from .errors import (
     PrecisionExhausted,
 )
 from .gaps import (
-    DensityReport,
-    GapReport,
     ReturnEntry,
     ReturnSet,
     build_density_report,
@@ -49,8 +47,6 @@ from .polynomials import reduce_poly
 from .problemfile import RunParameters
 from .reduction import (
     ENUM_GUARD,
-    AvoidanceScan,
-    BadPrimeSet,
     ProblemInstance,
     avoidance_search,
     bad_primes,
@@ -116,29 +112,17 @@ class RunState:
         self,
         inst: ProblemInstance,
         params: RunParameters,
-        recorded: dict[int, list] | None = None,  # replayed interpolant coefficients by shift
-        bad: BadPrimeSet | None = None,
-        scan: AvoidanceScan | None = None,
         prime: int | None = None,
-        bound: int | None = None,
-        family: list | None = None,
-        interps: dict | None = None,
+        recorded: dict[int, list] | None = None,  # replayed interpolant coefficients by shift
         returns: ReturnSet | None = None,
-        gap: GapReport | None = None,
-        density: DensityReport | None = None,
     ):
         self.inst = inst
         self.params = params
-        self.recorded = recorded
-        self.bad = bad
-        self.scan = scan
         self.prime = prime
-        self.bound = bound
-        self.family = family
-        self.interps = interps
+        self.recorded = recorded
         self.returns = returns
-        self.gap = gap
-        self.density = density
+        self.bad = self.scan = self.bound = self.family = self.interps = None
+        self.gap = self.density = None
 
 
 def exit_code_for(exc: Exception | None) -> int:
@@ -330,7 +314,13 @@ def stage_normalization(report: RunReport, state: RunState) -> None:
                 "base_point": list(model.base_point),
                 "congruence_exponent": model.congruence_exponent,
                 "linear": [list(row) for row in model.linear],
-                "transform_log": [[r.kind, list(r.data)] for r in model.transform_log],
+                "transform_log": [
+                    ["forward", [model.m0 + model.shift]],
+                    ["iterate", [model.k1]],
+                    ["translate", list(model.center)],
+                    ["scale", [model.prime]],
+                    ["iterate", [model.steps_per_iterate]],
+                ],
             }
         )
 
@@ -353,14 +343,12 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     for model in state.family:
         interp = build_interpolant(model, rows)
         verify_error_bound(interp)
-        compat_rep = verify_compatibility(interp, compat_samples, rows)
+        verify_compatibility(interp, compat_samples, rows)
         record = interp.to_record()
         record.update(
             {
                 "record": "interpolant",
                 "shift": model.shift,
-                "compat_threshold": compat_rep.threshold,
-                "compat_min_margin": _fmt_val(min(compat_rep.margins)),
                 "constant": constancy_test(interp),
             }
         )
@@ -375,10 +363,6 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     state.interps = {s: i._replace(model=slim[s]) for s, i in state.interps.items()}
     if stale or not old.keys() <= state.interps.keys():
         raise InputError("stale replay: recorded interpolant disagrees with the rebuilt one")
-
-
-def _fmt_val(v):
-    return "inf" if v == float("inf") else int(v)
 
 
 def stage_returns(report: RunReport, state: RunState) -> None:
@@ -541,7 +525,7 @@ def render_summary(report: RunReport) -> str:
         elif kind == "interpolant":
             lines.append(
                 f"interpolant shift {rec['shift']}: {rec['terms']} terms, "
-                f"c={rec['congruence_exponent']}, compat margin >= {rec['compat_min_margin']}"
+                f"c={rec['congruence_exponent']}"
                 f"{' (constant)' if rec['constant'] else ''}"
             )
         elif kind == "returns":

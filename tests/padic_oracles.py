@@ -52,8 +52,9 @@ per member and one pass over each class's leaves (the reference for the
 per-class verdicts of build_gap_report), the pairwise gap classifier against a
 growth rate, and a model taken in ambient coordinates with the identity
 chart.  The bound oracle evaluates G alone at every n <= 2K and returns
-the first failing n; the compatibility oracle returns its report and the
-first failing sample.  The package checks raise at those.
+the first failing n; the compatibility oracle keeps the margin rule (each
+sample's valuation against K - 2) and returns the first failing sample.
+The package checks raise at those.
 
 Beside the oracles: the model map series of a model, from which
 normalization reads the congruence exponent c, and the interpolant and its
@@ -88,8 +89,6 @@ from orbitgap.gaps import (
     restrict_to_disk,
 )
 from orbitgap.interpolation import (
-    CompatReport,
-    _margin,
     build_interpolant,
     default_compat_samples,
     verify_compatibility,
@@ -97,7 +96,6 @@ from orbitgap.interpolation import (
 from orbitgap.modmat import Matrix, mat_mul, mat_reduce
 from orbitgap.normalization import (
     LocalModel,
-    TransformRecord,
     _linear_part_mod,
     _rotation_series,
     hensel_idempotent,
@@ -124,6 +122,11 @@ def valuation(n: int, p: int, cap: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def margin(x: tuple[int, ...], y: tuple[int, ...], ctx: PadicContext) -> int | float:
+    """Valuation of x - y mod p^K in the sup-norm; INF when they agree mod p^K."""
+    return min(valuation((a - b) % ctx.modulus, ctx.prime, INF) for a, b in zip(x, y, strict=True))
 
 
 def _nonresidue(p: int) -> int:
@@ -909,7 +912,6 @@ def direct_model(mapping, base_point, p: int, precision: int) -> DirectModel:
         m0=0,
         k1=1,
         shift=0,
-        transform_log=(TransformRecord("direct", ()),),
     )
 
 
@@ -1010,7 +1012,7 @@ def interpolate(model):
     return build_interpolant(model, binomial_rows(model.ctx, [0, 1, K], K))
 
 
-def check_compat(interp, samples=None) -> CompatReport:
+def check_compat(interp, samples=None) -> None:
     """verify_compatibility on the given samples (default: those of analyze), with their rows."""
     ctx = interp.ctx
     samples = default_compat_samples(ctx) if samples is None else list(samples)
@@ -1026,25 +1028,21 @@ def verify_error_bound_reference(interp) -> int | None:
     points = model_points_by_apply(model, 2 * prec + 1)
     return next(
         (n for n, pt in enumerate(points)
-         if _margin(interpolant_value(interp, n), pt, model.ctx) < min(n * c, prec)),
+         if margin(interpolant_value(interp, n), pt, model.ctx) < min(n * c, prec)),
         None,
     )
 
 
-def verify_compatibility_reference(interp) -> tuple[CompatReport, int | None]:
-    """The compatibility check on analyze's arguments with G(n) and G(n + 1)
-    evaluated alone at each: the report of every margin, and the first
-    argument below K - 2 (None when all pass)."""
+def verify_compatibility_reference(interp) -> int | None:
+    """The first of analyze's arguments whose margin v(F(G(n)) - G(n + 1))
+    is below K - 2, with G(n) and G(n + 1) evaluated alone at each; None
+    when all pass."""
     model = interp.model
     ctx = model.ctx
     threshold = ctx.precision - 2
-    samples = default_compat_samples(ctx)
-    margins = []
-    witness = None
-    for n in samples:
-        image = apply_reference(model, interpolant_value(interp, n))
-        margin = _margin(image, interpolant_value(interp, n + 1), ctx)
-        margins.append(margin)
-        if margin < threshold and witness is None:
-            witness = n
-    return CompatReport(tuple(samples), tuple(margins), threshold), witness
+    return next(
+        (n for n in default_compat_samples(ctx)
+         if margin(apply_reference(model, interpolant_value(interp, n)),
+                   interpolant_value(interp, n + 1), ctx) < threshold),
+        None,
+    )

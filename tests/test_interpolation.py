@@ -13,6 +13,7 @@ from padic_oracles import (
     direct_model,
     interpolant_value,
     interpolate,
+    margin,
     model_points_by_apply,
     verify_compatibility_reference,
     verify_error_bound_reference,
@@ -27,7 +28,6 @@ from orbitgap.errors import (
 )
 from orbitgap.interpolation import (
     COMPAT_SAMPLES,
-    _margin,
     build_interpolant,
     constancy_test,
     decay_requirement,
@@ -108,7 +108,7 @@ def test_error_bound_exact_on_window():
     m = _direct([{(1,): 6}], (1,), 5, 20)
     interp = interpolate(m)
     assert padic.forward_differences(m.points[:21], m.ctx.modulus) == list(interp.series.coeffs)
-    assert all(_margin(interpolant_value(interp, n), m.points[n], m.ctx) is INF
+    assert all(margin(interpolant_value(interp, n), m.points[n], m.ctx) is INF
                for n in range(21))
 
 
@@ -135,14 +135,15 @@ def test_compatibility_examples():
     n7 = ctx.scalar(7)
     left = m.apply(interpolant_value(interp, n7))
     assert left[0] == pow(6, 8, ctx.modulus)
-    rep = check_compat(interp)
-    assert rep.threshold == 18 and min(rep.margins) >= 18
+    # F(G(n)) = G(n + 1) mod 5^18 at every argument: the check passes
+    assert check_compat(interp) is None
+    assert verify_compatibility_reference(interp) is None
+    samples = default_compat_samples(ctx)
     # the default samples include -1 and 1/(1-p)
-    assert (ctx.modulus - 1) in rep.samples
-    assert pow(1 - 5, -1, ctx.modulus) in rep.samples
+    assert (ctx.modulus - 1) in samples
+    assert pow(1 - 5, -1, ctx.modulus) in samples
     # the arguments analyze has always checked: the two specials and 24 seeded residues
-    assert COMPAT_SAMPLES == 24
-    assert list(rep.samples) == default_compat_samples(ctx) and len(rep.samples) == 26
+    assert COMPAT_SAMPLES == 24 and len(samples) == 26
 
 
 def test_compatibility_quadratic_model():
@@ -154,8 +155,8 @@ def test_compatibility_quadratic_model():
     )
     model = build_model_family(inst, 3, 24)[0]
     interp = interpolate(model)
-    rep = check_compat(interp)
-    assert rep.threshold == 22 and min(rep.margins) >= 22
+    assert check_compat(interp) is None  # F(G(n)) = G(n + 1) mod 3^22
+    assert verify_compatibility_reference(interp) is None
 
 
 def test_constancy_flags_moving_orbit():
@@ -266,14 +267,73 @@ def test_family_points_and_shared_rows_match_per_model_oracles(data):
                 failure, where = PrecisionExhausted, f"failed at n={witness}:"
             with pytest.raises(failure, match=where):
                 verify_error_bound(interp)
-        compat, witness = verify_compatibility_reference(interp)
+        witness = verify_compatibility_reference(interp)
         if witness is None:
-            assert verify_compatibility(interp, compat_samples, rows) == compat
+            assert verify_compatibility(interp, compat_samples, rows) is None
         else:
             with pytest.raises(HypothesisViolation, match=f"argument residue {witness}$"):
                 verify_compatibility(interp, compat_samples, rows)
         # the sample -1 comes first; the oracle evaluates its n + 1 at the residue 0
-        assert compat.samples[0] == ctx.modulus - 1
+        assert compat_samples[0] == ctx.modulus - 1
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_compatibility_congruence_matches_margin_rule(data):
+    """The residue check mod p^(K-2) raises exactly where the margin rule of
+    the oracle, v(F(G(n)) - G(n + 1)) < K - 2, first fails.  Each interpolant
+    that passes construction is corrupted by p^j at a random coefficient, with j in
+    [0, K]; j = K leaves it as it is, and K <= 2 compares mod p^0."""
+    dim = data.draw(st.sampled_from([1, 2]))
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    precision = data.draw(st.sampled_from([1, 2, 3, 8, 16]))
+    coeff = st.integers(-4, 4)
+    polys = [{e: data.draw(coeff) for e in _QUADRATIC_EXPONENTS[dim]} for _ in range(dim)]
+    a = tuple(Fraction(data.draw(st.integers(0, 4))) for _ in range(dim))
+    try:
+        inst = ProblemInstance(
+            dim, PolyMap.from_lists(dim, polys), a, ({(0,) * dim: Fraction(0)},)
+        )
+        family = build_model_family(inst, p, precision)
+    except OrbitgapError:
+        reject()
+    ctx = family[0].ctx
+    compat_samples = default_compat_samples(ctx)
+    rows = binomial_rows(ctx, [0, 1, precision, *compat_samples], precision)
+    model = data.draw(st.sampled_from(family))
+    try:
+        interp = build_interpolant(model, rows)
+    except PrecisionExhausted:
+        reject()
+    coeffs = [list(cv) for cv in interp.series.coeffs]
+    k = data.draw(st.integers(0, precision))
+    i = data.draw(st.integers(0, dim - 1))
+    coeffs[k][i] = (coeffs[k][i] + p ** data.draw(st.integers(0, precision))) % ctx.modulus
+    broken = interp._replace(series=MahlerSeries(ctx, tuple(map(tuple, coeffs))))
+    witness = verify_compatibility_reference(broken)
+    if witness is None:
+        assert verify_compatibility(broken, compat_samples, rows) is None
+    else:
+        with pytest.raises(HypothesisViolation, match=f"argument residue {witness}$"):
+            verify_compatibility(broken, compat_samples, rows)
+
+
+def test_constant_interpolant_moved_by_the_chart_maps_is_a_program_error():
+    """Constant points that the model's own chart maps do not fix: the walk
+    and the maps disagree, an invariant violation (exit 4), not a failed
+    hypothesis."""
+    inst = ProblemInstance(
+        1, PolyMap.from_lists(1, [{(2,): 1, (0,): -2}]), (Fraction(3),),
+        ({(0,): Fraction(0)},),
+    )
+    model = build_model_family(inst, 3, 8)[0]
+    beta = model.base_point  # its orbit moves
+    assert model.apply(beta) != beta
+    interp = interpolate(model._replace(points=(beta,) * len(model.points)))
+    assert all(v is INF for v in interp.decay[1:])
+    with pytest.raises(InvariantViolation, match="not fixed by the model map"):
+        constancy_test(interp)
+    assert pipeline.exit_code_for(InvariantViolation("")) == 4
 
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -305,7 +365,8 @@ def test_interpolation_stage_computes_each_row_once(monkeypatch, doc, prime, mod
     together: one push per model and no per-point apply."""
     inst, params = parse_problem(doc)
     precision = params.precision
-    state = pipeline.RunState(inst, params, family=build_model_family(inst, prime, precision))
+    state = pipeline.RunState(inst, params)
+    state.family = build_model_family(inst, prime, precision)
     rows, applies, pushes = Counter(), Counter(), {}
     binomial_row, apply, push = padic.binomial_row, LocalModel.apply, LocalModel.push
 
