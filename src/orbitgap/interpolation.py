@@ -4,41 +4,37 @@ The interpolant is the finite-difference expansion of the model orbit in the
 binomial basis on the fitting window [0, K]: it reproduces the orbit exactly
 there, and the congruence F(x) = E*x mod p^c with idempotent E makes its
 coefficients decay at rate ~c per term, which is what extends the
-approximation beyond the window.  Construction certifies the decay; separate
-passes certify the error bound min(n*c, K) at every orbit index n <= 2K, by
-one table of forward differences, and the step-compatibility identity
-F(G(n)) = G(n+1) as a congruence mod p^(K-2) on sampled p-adic arguments.
-The checks return nothing: each compares integers and raises at its first
-failure.  The degenerate constant case (orbit converging to a fixed point)
-is detected and flagged rather than analyzed.
+approximation beyond the window.  Construction certifies the decay, and one
+table of forward differences certifies the error bound min(n*c, K) at every
+orbit index n <= 2K.  The checks return nothing: each compares integers and
+raises at its first failure.  When E is the identity, the congruence lemma
+(see verify_compatibility) proves the bound at every n and the step identity
+F(G(x)) = G(x + 1) on all of Z_p, so nothing is sampled; otherwise the
+caller names the range [0, 2K] that the table proves.  The degenerate
+constant case (orbit converging to a fixed point) is detected and flagged
+rather than analyzed.
 
 The orbit points come from the model (LocalModel.points, read off one walk
 of the original map for a whole family), not from iterating the model map.
 A value of the interpolant is a dot product of its coefficients with the
-binomial row of the argument, and G(x + 1) comes from the row of x through
-the shifted series (Pascal's rule).  The window and compatibility checks
-read their rows from a table `rows` (padic.binomial_rows) keyed by residue
-mod p^K, so the models of one family, which share p, K and the arguments,
-share the rows too.  F maps all the compatibility values G(n) of a model at
-once.
+binomial row of the argument.  The window checks read their rows from a
+table `rows` (padic.binomial_rows) keyed by residue mod p^K, so the models
+of one family, which share p and K, share the rows too.
 """
 
 from __future__ import annotations
 
-import random
 from itertools import zip_longest
 from typing import NamedTuple
 
-from .errors import HypothesisViolation, InvariantViolation, PrecisionExhausted
+from .errors import InvariantViolation, PrecisionExhausted
+from .modmat import mat_identity
 from .normalization import LocalModel
-from .padic import MahlerSeries, PadicContext, forward_differences, sup_valuation
+from .padic import MahlerSeries, forward_differences, sup_valuation
 
 #: Allowed shortfall of coefficient decay below the ideal k*c schedule,
 #: beyond the k/(p-1) slack inherent to binomial-basis expansions.
 DECAY_SLACK = 2
-
-#: Pseudo-random arguments of the compatibility check, besides the two specials.
-COMPAT_SAMPLES = 24
 
 
 class ApproxInterpolant(NamedTuple):
@@ -131,41 +127,23 @@ def verify_error_bound(interp: ApproxInterpolant) -> None:
         )
 
 
-def default_compat_samples(ctx: PadicContext) -> list[int]:
-    """COMPAT_SAMPLES pseudo-random p-adic arguments plus the standard non-integer specials."""
-    rng = random.Random(0)
-    # -1 and 1/(1-p) = 1 + p + p^2 + ... are the classic non-integer points
-    out = [ctx.scalar(-1), ctx.scalar(pow(1 - ctx.prime, -1, ctx.modulus))]
-    for _ in range(COMPAT_SAMPLES):
-        out.append(ctx.scalar(rng.randrange(ctx.modulus)))
-    return out
+def verify_compatibility(interp: ApproxInterpolant) -> bool:
+    """Whether the congruence lemma proves the interpolation: E is the identity.
 
+    Lemma.  Let F(x) - x = 0 mod p^c coefficient by coefficient, c >= 1.
+    For psi in Z_p[x], psi(x + p^c y) - psi(x) lies in p^c Z_p[x, y], so
+    T psi = psi o F - psi maps p^m Z_p[x] into p^(m+c) Z_p[x].  The k-th
+    forward difference of n -> F^n(a') at 0 is (T^k id)(a'), of valuation
+    at least k c, so it is 0 mod p^K once k c >= K, and G, its first K + 1
+    terms, has G(n) = F^n(a') mod p^K at every n >= 0.  F is 1-Lipschitz,
+    so F(G(n)) = G(n + 1) mod p^K at every integer n and, by continuity, on
+    all of Z_p.  (Poonen, "p-adic interpolation of iterates", 2014.)
 
-def verify_compatibility(interp: ApproxInterpolant, samples, rows) -> None:
-    """Check F(G(n)) = G(n+1) mod p^(K-2) (mod 1 when K <= 2) on p-adic samples.
-
-    A sample is the residue mod p^K of a p-adic argument; rows (see
-    build_interpolant) must cover every sample.  F goes over all values G(n)
-    in one LocalModel.push.  G(n + 1) is read off the row of n: for n + 1
-    < p^K it is the shifted series at n, and the residue p^K - 1 (the sample
-    -1) steps to the residue 0, where G is its zeroth coefficient.  The
-    first argument where a coordinate of the difference is nonzero mod
-    p^(K-2) raises.
+    When E is not the identity the lemma does not apply, and only the table
+    of verify_error_bound backs the bound min(n*c, K), on [0, 2K].
     """
-    ctx = interp.ctx
-    level = ctx.prime ** max(ctx.precision - 2, 0)
-    series = interp.series
-    shifted = series.shifted()
-    values, values_next = [], []
-    for n in samples:
-        row = rows[n % ctx.modulus]
-        values.append(series.evaluate(row))
-        values_next.append(
-            series.coeffs[0] if (n + 1) % ctx.modulus == 0 else shifted.evaluate(row)
-        )
-    for n, image, value_next in zip(samples, interp.model.push(values), values_next):
-        if any((a - b) % level for a, b in zip(image, value_next, strict=True)):
-            raise HypothesisViolation(f"compatibility identity failed at argument residue {n}")
+    model = interp.model
+    return model.linear == mat_identity(model.dimension)
 
 
 def constancy_test(interp: ApproxInterpolant) -> bool:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 from .errors import BudgetExceeded, HypothesisViolation, InvariantViolation
 from .modmat import Matrix, mat_identity, mat_mul, mat_pow, mat_reduce
 from .padic import PadicContext, TruncatedSeries, int_valuation
-from .polynomials import ModularMap, Poly, PolyMap, horner_table, reduce_poly, reduce_rational
+from .polynomials import ModularMap, Poly, PolyMap, reduce_poly, reduce_rational
 from .reduction import ProblemInstance, exact_orbit, orbit_summary
 
 #: Abort threshold for the combined iterate replacement, and so for the
@@ -163,17 +163,12 @@ class LocalModel(NamedTuple):
     def original_index(self, n: int) -> int:
         return self.m0 + self.shift + n * self.k_total
 
-    def push(self, points) -> list[tuple[int, ...]]:
-        """One model iterate of many points, on their coordinate columns."""
-        cols = [[pt[i] for pt in points] for i in range(self.dimension)]
-        for _ in range(self.steps_per_iterate):
-            for g in self.chart_mods:
-                cols = [horner_table(form, cols, g.modulus) for form in g.forms]
-        return list(zip(*cols))
-
     def apply(self, point: tuple[int, ...]) -> tuple[int, ...]:
         """One model iterate of one point."""
-        return self.push([point])[0]
+        for _ in range(self.steps_per_iterate):
+            for g in self.chart_mods:
+                point = g(point)
+        return point
 
     def transport_poly(self, q: Poly) -> dict:
         """A polynomial on original coordinates, rewritten on chart coordinates mod p^K."""

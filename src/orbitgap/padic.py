@@ -321,18 +321,6 @@ class MahlerSeries:
     def terms(self) -> int:
         return len(self.coeffs)
 
-    def shifted(self) -> "MahlerSeries":
-        """The series of x -> self(x + 1) as polynomials in x.
-
-        By Pascal's rule C(x + 1, k) = C(x, k) + C(x, k - 1), coefficient k
-        is coeffs[k] + coeffs[k + 1].  So at an integer n it equals self at
-        the integer n + 1: at the residue p^K - 1 that is self at p^K, not
-        at the residue 0.
-        """
-        mod = self.ctx.modulus
-        cols = [[(a + b) % mod for a, b in zip(col, col[1:] + (0,))] for col in self.columns]
-        return MahlerSeries(self.ctx, tuple(zip(*cols)))
-
     def evaluate(self, row: list[int]) -> tuple[int, ...]:
         """Sum of coeffs[k] * row[k]: the value at an argument whose binomial
         row C(n, 0), ..., C(n, terms - 1) mod p^K this is (see binomial_rows)."""

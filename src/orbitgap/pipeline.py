@@ -37,7 +37,6 @@ from .gaps import (
 from .interpolation import (
     build_interpolant,
     constancy_test,
-    default_compat_samples,
     verify_compatibility,
     verify_error_bound,
 )
@@ -329,21 +328,23 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     """Certified interpolants; replayed ones must match the rebuilt ones bit for bit.
 
     Every model of the family has the same p, K and window [0, K], so the
-    binomial row of each window check and compatibility argument is computed
-    once, for all of them.  The error bound is checked at every n <= 2K from
-    each model's own points, and needs no row.  A recorded shift that names
-    no model of the rebuilt family is stale.
+    binomial row of each window check is computed once, for all of them.
+    The error bound is checked at every n <= 2K from each model's own
+    points, and needs no row.  Beyond 2K the congruence lemma proves it
+    when E is the identity; when some model's E is not, the ledger names
+    the proved range.  A recorded shift that names no model of the rebuilt
+    family is stale.
     """
     old = state.recorded or {}
     state.interps = {}
     stale = False
+    lemma = True
     ctx = state.family[0].ctx
-    compat_samples = default_compat_samples(ctx)
-    rows = binomial_rows(ctx, [0, 1, ctx.precision, *compat_samples], ctx.precision)
+    rows = binomial_rows(ctx, [0, 1, ctx.precision], ctx.precision)
     for model in state.family:
         interp = build_interpolant(model, rows)
         verify_error_bound(interp)
-        verify_compatibility(interp, compat_samples, rows)
+        lemma &= verify_compatibility(interp)
         record = interp.to_record()
         record.update(
             {
@@ -356,6 +357,11 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
         state.interps[model.shift] = interp
         stale = stale or (
             model.shift in old and old[model.shift] != record["coefficients"]
+        )
+    if not lemma:
+        report.assumptions.append(
+            "the linear part E of the model is not the identity: the interpolation "
+            f"bound min(n c, K) is proved for n <= {2 * ctx.precision} only"
         )
     # no later stage reads the model points; base_point is points[0]
     slim = {model.shift: model._replace(points=model.points[:1]) for model in state.family}

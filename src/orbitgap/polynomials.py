@@ -163,18 +163,6 @@ class PolyMap:
         """A copy with some fields changed, checked as a new map is."""
         return PolyMap(**{**{f: getattr(self, f) for f in self.__slots__}, **changes})
 
-    @staticmethod
-    def from_lists(nvars: int, polys) -> "PolyMap":
-        cleaned = []
-        for p in polys:
-            q: Poly = {}
-            for e, c in dict(p).items():
-                c = Fraction(c)
-                if c != 0:
-                    q[tuple(e)] = c
-            cleaned.append(q)
-        return PolyMap(nvars, tuple(cleaned))
-
     def evaluate(self, point) -> tuple[Fraction, ...]:
         return tuple(poly_eval(p, point) for p in self.polys)
 

@@ -52,13 +52,13 @@ per member and one pass over each class's leaves (the reference for the
 per-class verdicts of build_gap_report), the pairwise gap classifier against a
 growth rate, and a model taken in ambient coordinates with the identity
 chart.  The bound oracle evaluates G alone at every n <= 2K and returns
-the first failing n; the compatibility oracle keeps the margin rule (each
-sample's valuation against K - 2) and returns the first failing sample.
-The package checks raise at those.
+the first failing n, where the package check raises; the step-identity
+oracle evaluates F(G(x)) and G(x + 1) alone at each given argument and
+returns the first at which they differ mod p^K.
 
-Beside the oracles: the model map series of a model, from which
-normalization reads the congruence exponent c, and the interpolant and its
-compatibility check, each run with the binomial rows of its own arguments.
+Beside the oracles: a PolyMap from plain exponent-to-coefficient dicts, the
+model map series of a model, from which normalization reads the congruence
+exponent c, and the interpolant run with the binomial rows of its window.
 """
 
 from __future__ import annotations
@@ -88,11 +88,7 @@ from orbitgap.gaps import (
     newton_zero_count,
     restrict_to_disk,
 )
-from orbitgap.interpolation import (
-    build_interpolant,
-    default_compat_samples,
-    verify_compatibility,
-)
+from orbitgap.interpolation import build_interpolant
 from orbitgap.modmat import Matrix, mat_mul, mat_reduce
 from orbitgap.normalization import (
     LocalModel,
@@ -112,6 +108,13 @@ from orbitgap.padic import (
 )
 from orbitgap.polynomials import ModularMap, Poly, PolyMap, reduce_poly
 from orbitgap.reduction import bad_primes, orbit_hits, orbit_summary, reduce_instance
+
+
+def map_from_lists(nvars: int, polys) -> PolyMap:
+    """A PolyMap from dicts of exponent to coefficient, zero terms dropped."""
+    return PolyMap(nvars, tuple(
+        {tuple(e): Fraction(c) for e, c in dict(poly).items() if c != 0} for poly in polys
+    ))
 
 
 def valuation(n: int, p: int, cap: int) -> int:
@@ -1012,13 +1015,6 @@ def interpolate(model):
     return build_interpolant(model, binomial_rows(model.ctx, [0, 1, K], K))
 
 
-def check_compat(interp, samples=None) -> None:
-    """verify_compatibility on the given samples (default: those of analyze), with their rows."""
-    ctx = interp.ctx
-    samples = default_compat_samples(ctx) if samples is None else list(samples)
-    return verify_compatibility(interp, samples, binomial_rows(ctx, samples, ctx.precision))
-
-
 def verify_error_bound_reference(interp) -> int | None:
     """The first orbit index n <= 2K with v(G(n) - F^n(a')) < min(n*c, K),
     each G(n) evaluated alone and the model map iterated from the base point
@@ -1033,16 +1029,14 @@ def verify_error_bound_reference(interp) -> int | None:
     )
 
 
-def verify_compatibility_reference(interp) -> int | None:
-    """The first of analyze's arguments whose margin v(F(G(n)) - G(n + 1))
-    is below K - 2, with G(n) and G(n + 1) evaluated alone at each; None
-    when all pass."""
+def verify_compatibility_reference(interp, args) -> int | None:
+    """The first of the integers args at which F(G(x)) and G(x + 1) differ
+    mod p^K, each evaluated alone (G at the residue of x + 1 mod p^K); None
+    when they agree at all of them."""
     model = interp.model
-    ctx = model.ctx
-    threshold = ctx.precision - 2
     return next(
-        (n for n in default_compat_samples(ctx)
-         if margin(apply_reference(model, interpolant_value(interp, n)),
-                   interpolant_value(interp, n + 1), ctx) < threshold),
+        (x for x in args
+         if apply_reference(model, interpolant_value(interp, x))
+         != interpolant_value(interp, x + 1)),
         None,
     )

@@ -10,28 +10,28 @@ import time
 from fractions import Fraction
 
 from padic_oracles import (
-    check_compat,
     classify_gap_sequence,
     direct_model,
     disk_series,
     from_original,
     idempotent_power,
     interpolate,
+    map_from_lists,
     model_series,
     on_cycle,
     to_original,
     unit_disk_root_count,
+    verify_compatibility_reference,
     verify_error_bound_reference,
 )
 
-from orbitgap.errors import HypothesisViolation
 from orbitgap.gaps import newton_zero_count
-from orbitgap.interpolation import default_compat_samples, verify_error_bound
+from orbitgap.interpolation import verify_error_bound
 from orbitgap.modmat import mat_mul, mat_pow
 from orbitgap.normalization import _iterate_power, build_model_family
 from orbitgap.padic import PadicContext, int_valuation, sup_valuation
 from orbitgap.pipeline import run_analyze
-from orbitgap.polynomials import ModularMap, PolyMap
+from orbitgap.polynomials import ModularMap
 from orbitgap.problemfile import parse_problem, problem_hash
 from orbitgap.reduction import (
     ProblemInstance,
@@ -50,7 +50,7 @@ def _report(n, ok, detail):
 
 def test_criterion_1_interpolation_error_bound():
     start = time.perf_counter()
-    model = direct_model(PolyMap.from_lists(1, [{(1,): 6}]), (1,), 5, 64)
+    model = direct_model(map_from_lists(1, [{(1,): 6}]), (1,), 5, 64)
     interp = interpolate(model)
     verify_error_bound(interp)  # raises at the first n <= 2K below min(n*c, K)
     ok = verify_error_bound_reference(interp) is None
@@ -65,35 +65,33 @@ def test_criterion_1_interpolation_error_bound():
 def test_criterion_2_compatibility_three_models():
     start = time.perf_counter()
     # linear over Z_5
-    linear = direct_model(PolyMap.from_lists(1, [{(1,): 6}]), (1,), 5, 32)
+    linear = direct_model(map_from_lists(1, [{(1,): 6}]), (1,), 5, 32)
     # quadratic one-dim over Z_3, built by the full pipeline
     inst = ProblemInstance(
-        1, PolyMap.from_lists(1, [{(2,): 1, (0,): -2}]), (Fraction(3),),
+        1, map_from_lists(1, [{(2,): 1, (0,): -2}]), (Fraction(3),),
         ({(0,): Fraction(0)},),
     )
     quad1 = build_model_family(inst, 3, 32)[0]
     # quadratic two-dim over Z_5
     quad2 = direct_model(
-        PolyMap.from_lists(2, [{(1, 0): 6, (0, 2): 5}, {(0, 1): 6, (2, 0): 5}]),
+        map_from_lists(2, [{(1, 0): 6, (0, 2): 5}, {(0, 1): 6, (2, 0): 5}]),
         (5, 10), 5, 32,
     )
     ok = True
     for model in (linear, quad1, quad2):
         interp = interpolate(model)
-        # the two special arguments and 100 pseudo-random ones
+        ctx = model.ctx
+        # the two special arguments -1 and 1/(1-p), and 100 pseudo-random ones
         rng = random.Random(11)
-        samples = default_compat_samples(model.ctx)[:2]
-        samples += [rng.randrange(model.ctx.modulus) for _ in range(100)]
-        try:
-            check_compat(interp, samples)  # raises at an argument not fixed mod p^(K-2)
-        except HypothesisViolation:
-            ok = False
-        ok = ok and len(samples) >= 100
+        args = [ctx.modulus - 1, pow(1 - ctx.prime, -1, ctx.modulus)]
+        args += [rng.randrange(ctx.modulus) for _ in range(100)]
+        # the first argument where F(G(x)) and G(x + 1) differ mod p^K, if any
+        ok = ok and verify_compatibility_reference(interp, args) is None and len(args) >= 100
     elapsed = time.perf_counter() - start
     _report(
         2,
         ok and elapsed < 5.0,
-        f"F(G(n)) = G(n+1) at precision >= K-2, 100 p-adic samples x 3 models ({elapsed:.2f}s)",
+        f"F(G(x)) = G(x+1) mod p^K, 102 p-adic arguments x 3 models ({elapsed:.2f}s)",
     )
 
 
@@ -113,7 +111,7 @@ def _random_quadratic_map(rng, p, n):
         if not poly or max(sum(e) for e in poly) == 0:
             poly[tuple(var)] = 1
         polys.append(poly)
-    return PolyMap.from_lists(n, polys)
+    return map_from_lists(n, polys)
 
 
 def test_criterion_3_avoidance_oracle_equivalence():

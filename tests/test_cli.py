@@ -913,3 +913,63 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_draws_no_pseudo_random_numbers():
+    # every verdict is an integer comparison that a reader can check again:
+    # no module of the package imports a source of random numbers.  The
+    # syntax trees are read, not sys.modules, which a site hook of the
+    # interpreter may fill with `random` before the package is imported.
+    found = []
+    for path in sorted((ROOT / "src" / "orbitgap").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("random", "secrets")]
+    assert found == []
+
+
+#: A 2-d map whose chosen prime 3 gives a family of models with rank-1
+#: idempotent linear parts E.
+MIXED_RANK = {
+    "dimension": 2,
+    "map": [
+        [[[0, 0], 2], [[0, 1], -1], [[2, 0], 3], [[1, 1], 1], [[0, 2], -2]],
+        [[[0, 0], -2], [[0, 1], 1], [[2, 0], -1], [[1, 1], -3], [[0, 2], -2]],
+    ],
+    "initial_point": [-2, -1],
+    "variety": [[[[1, 0], 1], [[0, 0], 2]]],
+    "parameters": {"prime_range": [3, 30], "precision": 16, "n_max": 200, "screen_primes": 4},
+}
+
+
+def test_mixed_rank_run_names_the_proved_range(tmp_path, capsys):
+    """(2 - y + 3x^2 + xy - 2y^2, -2 + y - x^2 - 3xy - 2y^2) from (-2, -1),
+    V: x + 2 = 0, at p = 3: no model has E = I, so the congruence lemma does
+    not apply, and the ledger names the range n <= 2K = 32 that the bound
+    table proves.  The run is otherwise unchanged.  The samples, whose
+    models all have E = I, carry no such line."""
+    path, out = tmp_path / "mixed.json", tmp_path / "mixed.jsonl"
+    path.write_text(json.dumps(MIXED_RANK))
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert all(r["linear"] != [[1, 0], [0, 1]] for r in records if r["record"] == "model")
+    summary = records[-1]
+    assert summary["record"] == "summary"
+    assert (summary["prime"], summary["returns"], summary["gap_verdict"]) == (
+        3, [0], "too-few-returns"
+    )
+    line = (
+        "the linear part E of the model is not the identity: the interpolation "
+        "bound min(n c, K) is proved for n <= 32 only"
+    )
+    assert summary["assumptions"].count(line) == 1
+    assert f"  assumption: {line}\n" in capsys.readouterr().out
+    for golden in sorted((ROOT / "tests" / "golden").glob("*.jsonl")):
+        assert "is not the identity" not in golden.read_text()

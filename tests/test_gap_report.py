@@ -17,6 +17,7 @@ from padic_oracles import (
     dense_coefficients,
     direct_model,
     interpolate,
+    map_from_lists,
     poly_add,
     poly_mul,
 )
@@ -32,12 +33,11 @@ from orbitgap.gaps import (
     newton_zero_count,
     restrict_to_disk,
 )
-from orbitgap.polynomials import PolyMap
 
 
 @functools.lru_cache(maxsize=None)
 def _translation_interp(p=5, precision=18):
-    model = direct_model(PolyMap.from_lists(1, [{(1,): 1, (0,): p}]), (0,), p, precision)
+    model = direct_model(map_from_lists(1, [{(1,): 1, (0,): p}]), (0,), p, precision)
     return model, interpolate(model)
 
 
@@ -151,7 +151,7 @@ def test_uncovered_shift_classes_are_reported(monkeypatch):
 
     inst = ProblemInstance(
         1,
-        PolyMap.from_lists(1, [{(1,): 6}]),
+        map_from_lists(1, [{(1,): 6}]),
         (Fraction(1),),
         ({(1,): Fraction(1), (0,): Fraction(-6)},),
     )

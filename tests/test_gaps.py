@@ -22,6 +22,7 @@ from padic_oracles import (
     interpolate,
     iterate_point,
     localize_zeros_reference,
+    map_from_lists,
     modular_eval,
     poly_mul,
     restrict_to_disk_reference,
@@ -50,13 +51,13 @@ from orbitgap.gaps import (
 )
 from orbitgap.normalization import build_model_family
 from orbitgap.padic import INF, MahlerSeries, PadicContext, int_valuation, vp_factorial
-from orbitgap.polynomials import ModularMap, PolyMap, reduce_poly
+from orbitgap.polynomials import ModularMap, reduce_poly
 from orbitgap.problemfile import SCREEN_PRIME_COUNT
 from orbitgap.reduction import ProblemInstance, bad_primes, reduce_instance
 
 
 def _instance(map_polys, a, variety, dim=1, targets=()):
-    f = PolyMap.from_lists(dim, map_polys)
+    f = map_from_lists(dim, map_polys)
     return ProblemInstance(
         dim, f, tuple(Fraction(x) for x in a), tuple(variety), targets
     )
@@ -400,7 +401,7 @@ def test_newton_matches_oracle_constructed():
 
 
 def _six_interp():
-    return interpolate(direct_model(PolyMap.from_lists(1, [{(1,): 6}]), (1,), 5, 20))
+    return interpolate(direct_model(map_from_lists(1, [{(1,): 6}]), (1,), 5, 20))
 
 
 def test_restrict_constant_polynomial():
@@ -434,7 +435,7 @@ def _disk_interpolants():
         ([{(1, 0): 1, (0, 1): 7}, {(0, 1): 8, (2, 0): 7}], (3, 1), 7, 12),
     ]
     return [
-        interpolate(direct_model(PolyMap.from_lists(len(a), polys), a, p, precision))
+        interpolate(direct_model(map_from_lists(len(a), polys), a, p, precision))
         for polys, a, p, precision in maps
     ]
 

@@ -1,6 +1,7 @@
-"""Interpolant construction, decay certification, bound and compatibility checks."""
+"""Interpolant construction, decay certification, the bound check and the congruence lemma."""
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -9,41 +10,34 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from padic_oracles import (
-    check_compat,
     direct_model,
     interpolant_value,
     interpolate,
+    map_from_lists,
     margin,
     model_points_by_apply,
+    model_series,
     verify_compatibility_reference,
     verify_error_bound_reference,
 )
 
 from orbitgap import padic, pipeline
-from orbitgap.errors import (
-    HypothesisViolation,
-    InvariantViolation,
-    OrbitgapError,
-    PrecisionExhausted,
-)
+from orbitgap.errors import InvariantViolation, OrbitgapError, PrecisionExhausted
 from orbitgap.interpolation import (
-    COMPAT_SAMPLES,
     build_interpolant,
     constancy_test,
     decay_requirement,
-    default_compat_samples,
     verify_compatibility,
     verify_error_bound,
 )
 from orbitgap.normalization import LocalModel, build_model_family
 from orbitgap.padic import INF, MahlerSeries, TruncatedSeries, binomial_rows
-from orbitgap.polynomials import PolyMap
 from orbitgap.problemfile import parse_problem
 from orbitgap.reduction import ProblemInstance
 
 
 def _direct(polys, a, p, precision):
-    return direct_model(PolyMap.from_lists(len(a), polys), a, p, precision)
+    return direct_model(map_from_lists(len(a), polys), a, p, precision)
 
 
 def test_check_hypotheses_examples():
@@ -127,36 +121,34 @@ def test_bound_checks_every_index():
             verify_error_bound(broken)
 
 
+def _specials(ctx) -> list[int]:
+    """-1 and 1/(1 - p) = 1 + p + p^2 + ..., the classic non-integer arguments, mod p^K."""
+    return [ctx.modulus - 1, pow(1 - ctx.prime, -1, ctx.modulus)]
+
+
 def test_compatibility_examples():
     m = _direct([{(1,): 6}], (1,), 5, 20)
     interp = interpolate(m)
     ctx = m.ctx
-    # integer sample: both sides are 6^8
-    n7 = ctx.scalar(7)
-    left = m.apply(interpolant_value(interp, n7))
+    # integer argument: both sides are 6^8
+    left = m.apply(interpolant_value(interp, 7))
     assert left[0] == pow(6, 8, ctx.modulus)
-    # F(G(n)) = G(n + 1) mod 5^18 at every argument: the check passes
-    assert check_compat(interp) is None
-    assert verify_compatibility_reference(interp) is None
-    samples = default_compat_samples(ctx)
-    # the default samples include -1 and 1/(1-p)
-    assert (ctx.modulus - 1) in samples
-    assert pow(1 - 5, -1, ctx.modulus) in samples
-    # the arguments analyze has always checked: the two specials and 24 seeded residues
-    assert COMPAT_SAMPLES == 24 and len(samples) == 26
+    # E = 1, so the lemma proves F(G(x)) = G(x + 1) mod 5^20 on all of Z_5
+    assert verify_compatibility(interp) is True
+    assert verify_compatibility_reference(interp, _specials(ctx)) is None
 
 
 def test_compatibility_quadratic_model():
     inst = ProblemInstance(
         1,
-        PolyMap.from_lists(1, [{(2,): 1, (0,): -2}]),
+        map_from_lists(1, [{(2,): 1, (0,): -2}]),
         (Fraction(3),),
         ({(0,): Fraction(0)},),
     )
     model = build_model_family(inst, 3, 24)[0]
     interp = interpolate(model)
-    assert check_compat(interp) is None  # F(G(n)) = G(n + 1) mod 3^22
-    assert verify_compatibility_reference(interp) is None
+    assert verify_compatibility(interp) is True  # F(G(x)) = G(x + 1) mod 3^24
+    assert verify_compatibility_reference(interp, [*_specials(model.ctx), *range(30)]) is None
 
 
 def test_constancy_flags_moving_orbit():
@@ -186,19 +178,6 @@ def test_interpolant_record_roundtrip():
     assert rec["terms"] == 6
 
 
-def test_strict_compat_failure_raises():
-    # one corrupted Mahler coefficient: G'(x) = G(x) + x, so
-    # F(G'(n)) - G'(n + 1) = 5n - 1 is a unit at every argument
-    m = _direct([{(1,): 6}], (1,), 5, 10)
-    interp = interpolate(m)
-    coeffs = list(interp.series.coeffs)
-    coeffs[1] = ((coeffs[1][0] + 1) % m.ctx.modulus,)
-    broken = interp._replace(series=MahlerSeries(m.ctx, tuple(coeffs)))
-    first = default_compat_samples(m.ctx)[0]
-    with pytest.raises(HypothesisViolation, match=f"argument residue {first}$"):
-        check_compat(broken)
-
-
 def test_bound_shortfall_in_window_is_a_broken_reconstruction():
     m = _direct([{(1,): 6}], (1,), 5, 12)
     interp = interpolate(m)
@@ -213,7 +192,7 @@ def test_bound_shortfall_beyond_window_is_precision_exhausted():
     # x^2 + x - 2 from 5 at precision 8: the interpolant passes the decay gate
     # on its 9 terms, but the uncertified tail shows at n = 9
     inst = ProblemInstance(
-        1, PolyMap.from_lists(1, [{(2,): 1, (1,): 1, (0,): -2}]), (Fraction(5),),
+        1, map_from_lists(1, [{(2,): 1, (1,): 1, (0,): -2}]), (Fraction(5),),
         ({(0,): Fraction(0)},),
     )
     model = build_model_family(inst, 3, 8)[0]
@@ -232,7 +211,7 @@ _QUADRATIC_EXPONENTS = {
 @settings(max_examples=20, deadline=None)
 def test_family_points_and_shared_rows_match_per_model_oracles(data):
     """Every model's walk points are its iterates, and the checks on rows
-    shared by the family give the reports of evaluating each model alone."""
+    shared by the family give the verdicts of evaluating each model alone."""
     dim = data.draw(st.sampled_from([1, 2]))
     p = data.draw(st.sampled_from([3, 5, 7] if dim == 1 else [3]))
     precision = data.draw(st.sampled_from([6, 8]))
@@ -241,14 +220,12 @@ def test_family_points_and_shared_rows_match_per_model_oracles(data):
     a = tuple(Fraction(data.draw(st.integers(0, 4))) for _ in range(dim))
     try:
         inst = ProblemInstance(
-            dim, PolyMap.from_lists(dim, polys), a, ({(0,) * dim: Fraction(0)},)
+            dim, map_from_lists(dim, polys), a, ({(0,) * dim: Fraction(0)},)
         )
         family = build_model_family(inst, p, precision)
     except OrbitgapError:
         reject()
-    ctx = family[0].ctx
-    compat_samples = default_compat_samples(ctx)
-    rows = binomial_rows(ctx, [0, 1, precision, *compat_samples], precision)
+    rows = binomial_rows(family[0].ctx, [0, 1, precision], precision)
     for model in family:
         assert list(model.points) == model_points_by_apply(model, 2 * precision + 1)
         try:
@@ -267,23 +244,27 @@ def test_family_points_and_shared_rows_match_per_model_oracles(data):
                 failure, where = PrecisionExhausted, f"failed at n={witness}:"
             with pytest.raises(failure, match=where):
                 verify_error_bound(interp)
-        witness = verify_compatibility_reference(interp)
-        if witness is None:
-            assert verify_compatibility(interp, compat_samples, rows) is None
-        else:
-            with pytest.raises(HypothesisViolation, match=f"argument residue {witness}$"):
-                verify_compatibility(interp, compat_samples, rows)
-        # the sample -1 comes first; the oracle evaluates its n + 1 at the residue 0
-        assert compat_samples[0] == ctx.modulus - 1
+
+
+def _linear_part_is_identity(model) -> bool:
+    """E = I, read off the model map series: its linear part is I mod p.  An
+    idempotent congruent to I mod p is invertible, so it is I."""
+    series, p, dim = model_series(model), model.prime, model.dimension
+    units = [tuple(int(k == j) for k in range(dim)) for j in range(dim)]
+    return all(
+        series[i].coeffs.get(e, 0) % p == int(i == j)
+        for i in range(dim) for j, e in enumerate(units)
+    )
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_compatibility_congruence_matches_margin_rule(data):
-    """The residue check mod p^(K-2) raises exactly where the margin rule of
-    the oracle, v(F(G(n)) - G(n + 1)) < K - 2, first fails.  Each interpolant
-    that passes construction is corrupted by p^j at a random coefficient, with j in
-    [0, K]; j = K leaves it as it is, and K <= 2 compares mod p^0."""
+def test_congruence_lemma_proves_the_interpolation_when_e_is_the_identity(data):
+    """verify_compatibility returns True exactly when E = I.  Then the
+    lemma's conclusions hold against the oracles: v(a_k) >= min(k c, K) at
+    every k <= K, G(n) = F^n(a') mod p^K at every n <= 8K, and F(G(x)) =
+    G(x + 1) mod p^K at -1, at 1/(1 - p) and at 24 seeded random residues.
+    K = 1 and K = 2 are drawn too: no level below p^K is ever compared."""
     dim = data.draw(st.sampled_from([1, 2]))
     p = data.draw(st.sampled_from([3, 5, 7]))
     precision = data.draw(st.sampled_from([1, 2, 3, 8, 16]))
@@ -292,30 +273,33 @@ def test_compatibility_congruence_matches_margin_rule(data):
     a = tuple(Fraction(data.draw(st.integers(0, 4))) for _ in range(dim))
     try:
         inst = ProblemInstance(
-            dim, PolyMap.from_lists(dim, polys), a, ({(0,) * dim: Fraction(0)},)
+            dim, map_from_lists(dim, polys), a, ({(0,) * dim: Fraction(0)},)
         )
         family = build_model_family(inst, p, precision)
     except OrbitgapError:
         reject()
-    ctx = family[0].ctx
-    compat_samples = default_compat_samples(ctx)
-    rows = binomial_rows(ctx, [0, 1, precision, *compat_samples], precision)
     model = data.draw(st.sampled_from(family))
-    try:
-        interp = build_interpolant(model, rows)
-    except PrecisionExhausted:
-        reject()
-    coeffs = [list(cv) for cv in interp.series.coeffs]
-    k = data.draw(st.integers(0, precision))
-    i = data.draw(st.integers(0, dim - 1))
-    coeffs[k][i] = (coeffs[k][i] + p ** data.draw(st.integers(0, precision))) % ctx.modulus
-    broken = interp._replace(series=MahlerSeries(ctx, tuple(map(tuple, coeffs))))
-    witness = verify_compatibility_reference(broken)
-    if witness is None:
-        assert verify_compatibility(broken, compat_samples, rows) is None
-    else:
-        with pytest.raises(HypothesisViolation, match=f"argument residue {witness}$"):
-            verify_compatibility(broken, compat_samples, rows)
+    ctx, c = model.ctx, model.congruence_exponent
+    identity = _linear_part_is_identity(model)
+    if not identity:
+        try:
+            interp = interpolate(model)
+        except PrecisionExhausted:
+            reject()
+        assert verify_compatibility(interp) is False
+        return
+    # the lemma bounds the decay above what construction requires, so neither check fails
+    interp = interpolate(model)
+    verify_error_bound(interp)
+    assert verify_compatibility(interp) is True
+    zero = (0,) * dim
+    for k, coeff_k in enumerate(interp.series.coeffs):
+        assert margin(coeff_k, zero, ctx) >= min(k * c, precision)
+    points = model_points_by_apply(model, 8 * precision + 1)
+    assert all(interpolant_value(interp, n) == point for n, point in enumerate(points))
+    rng = random.Random(0)
+    residues = [rng.randrange(ctx.modulus) for _ in range(24)]
+    assert verify_compatibility_reference(interp, [*_specials(ctx), *residues]) is None
 
 
 def test_constant_interpolant_moved_by_the_chart_maps_is_a_program_error():
@@ -323,7 +307,7 @@ def test_constant_interpolant_moved_by_the_chart_maps_is_a_program_error():
     and the maps disagree, an invariant violation (exit 4), not a failed
     hypothesis."""
     inst = ProblemInstance(
-        1, PolyMap.from_lists(1, [{(2,): 1, (0,): -2}]), (Fraction(3),),
+        1, map_from_lists(1, [{(2,): 1, (0,): -2}]), (Fraction(3),),
         ({(0,): Fraction(0)},),
     )
     model = build_model_family(inst, 3, 8)[0]
@@ -358,17 +342,16 @@ FAMILY_P29 = {
 def test_interpolation_stage_computes_each_row_once(monkeypatch, doc, prime, models):
     """x^2 - 2 from 5 at p = 29 has a 14-model family, and x^2 - 2 from 3 at
     p = 3 a single model; either way the stage computes the binomial row of
-    each window check (0, 1 and K) and compatibility argument once, not once
-    per model (G(x + 1) comes from the row of x), and none for the error
-    bound, which reads the difference table of the model points; it iterates no model map outside the compatibility check,
-    which pushes the values of G at its arguments through the model map
-    together: one push per model and no per-point apply."""
+    each window check (0, 1 and K) once, not once per model, and none for
+    the error bound, which reads the difference table of the model points.
+    Every model there has E = I, so the congruence lemma proves the step
+    identity: no model map is iterated and the ledger names no range."""
     inst, params = parse_problem(doc)
     precision = params.precision
     state = pipeline.RunState(inst, params)
     state.family = build_model_family(inst, prime, precision)
-    rows, applies, pushes = Counter(), Counter(), {}
-    binomial_row, apply, push = padic.binomial_row, LocalModel.apply, LocalModel.push
+    rows, applies = Counter(), Counter()
+    binomial_row, apply = padic.binomial_row, LocalModel.apply
 
     def counting_row(ctx, r, kmax):
         rows[r, kmax] += 1
@@ -378,25 +361,14 @@ def test_interpolation_stage_computes_each_row_once(monkeypatch, doc, prime, mod
         applies[model.shift] += 1
         return apply(model, point)
 
-    def recording_push(model, points):
-        pushes.setdefault(model.shift, []).append(list(points))
-        return push(model, points)
-
     monkeypatch.setattr(padic, "binomial_row", counting_row)
     monkeypatch.setattr(LocalModel, "apply", counting_apply)
-    monkeypatch.setattr(LocalModel, "push", recording_push)
     report = pipeline.RunReport("sha")
     pipeline.stage_interpolation(report, state)
     assert len(state.interps) == models and report.error is None
-    ctx = state.family[0].ctx
-    compat_samples = default_compat_samples(ctx)
-    arguments = {0, 1, precision, *compat_samples}
-    assert max(rows.values()) == 1 and set(rows) == {(r, precision) for r in arguments}
-    # one F(G(x)) per compatibility argument, all of a model's in one push
+    assert max(rows.values()) == 1 and set(rows) == {(r, precision) for r in (0, 1, precision)}
     assert applies == Counter()
-    assert len(compat_samples) == 26 and sorted(pushes) == list(range(models))
-    for shift, interp in state.interps.items():
-        assert pushes[shift] == [[interpolant_value(interp, n) for n in compat_samples]]
+    assert report.assumptions == []
 
 
 def test_model_family_composes_each_rotation_from_shared_composites(monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from padic_oracles import make_const, make_var, poly_add, poly_compose
+from padic_oracles import make_const, make_var, map_from_lists, poly_add, poly_compose
 
 from orbitgap import reduction
 from orbitgap.padic import is_prime
@@ -104,7 +104,7 @@ def test_translation_leaves_avoidance_certificates_unchanged(data):
     line = {(1,) + (0,) * (n - 1): 1, (0,) * n: -target[0]}  # V: x_0 = target_0
     inst = ProblemInstance(
         n,
-        PolyMap.from_lists(n, polys),
+        map_from_lists(n, polys),
         tuple(map(Fraction, data.draw(point))),
         ({e: Fraction(c) for e, c in line.items() if c},),
         (tuple(map(Fraction, target)),),
@@ -163,7 +163,7 @@ def test_order_of_declared_points_above_the_guard(monkeypatch):
     monkeypatch.setattr(reduction, "ENUM_GUARD", 24)
     inst = ProblemInstance(
         2,
-        PolyMap.from_lists(2, [{(2, 0): 1}, {(0, 2): 1}]),
+        map_from_lists(2, [{(2, 0): 1}, {(0, 2): 1}]),
         (Fraction(5), Fraction(7)),
         ({(1, 0): Fraction(1), (0, 1): Fraction(-1)},),
         ((Fraction(-1), Fraction(-1)), (Fraction(0), Fraction(0))),

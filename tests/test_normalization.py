@@ -19,6 +19,7 @@ from padic_oracles import (
     iterate_point,
     make_const,
     make_var,
+    map_from_lists,
     materialize_series,
     model_series,
     model_series_reference,
@@ -93,7 +94,7 @@ def pi_scale(f: PolyMap, p: int) -> PolyMap:
 
 
 def _instance(map_polys, a, dim=1, targets=()):
-    f = PolyMap.from_lists(dim, map_polys)
+    f = map_from_lists(dim, map_polys)
     return ProblemInstance(
         dim, f, tuple(Fraction(x) for x in a), ({(0,) * dim: Fraction(0)},), targets
     )
@@ -119,23 +120,23 @@ def test_stabilize_examples(monkeypatch):
 
 
 def test_translate_examples():
-    f = PolyMap.from_lists(1, [{(2,): 1}])
+    f = map_from_lists(1, [{(2,): 1}])
     t = translate_map(f, (0,), 3)
     assert t.polys[0] == {(2,): Fraction(1)}
-    g = PolyMap.from_lists(1, [{(2,): 1, (1,): 3, (0,): 9}])
+    g = map_from_lists(1, [{(2,): 1, (1,): 3, (0,): 9}])
     tg = translate_map(g, (0,), 3)
     assert tg.polys[0][(0,)] == 9
     # a center that is not fixed mod p^2 is rejected
     with pytest.raises(InputError):
-        translate_map(PolyMap.from_lists(1, [{(2,): 1, (0,): 3}]), (0,), 3)
+        translate_map(map_from_lists(1, [{(2,): 1, (0,): 3}]), (0,), 3)
 
 
 def test_pi_scale_examples():
-    f = PolyMap.from_lists(1, [{(2,): 1}])
+    f = map_from_lists(1, [{(2,): 1}])
     assert pi_scale(f, 3).polys[0] == {(2,): Fraction(3)}
-    lin = PolyMap.from_lists(1, [{(1,): 17}])
+    lin = map_from_lists(1, [{(1,): 17}])
     assert pi_scale(lin, 3).polys[0] == {(1,): Fraction(17)}
-    g = PolyMap.from_lists(1, [{(2,): 1, (1,): 3, (0,): 9}])
+    g = map_from_lists(1, [{(2,): 1, (1,): 3, (0,): 9}])
     assert pi_scale(g, 3).polys[0] == {(2,): Fraction(3), (1,): Fraction(3), (0,): Fraction(3)}
 
 
@@ -324,10 +325,10 @@ def test_family_is_one_cycle_and_one_chart_chain(monkeypatch):
 
 
 def test_direct_model_requires_idempotent_linear_part():
-    f = PolyMap.from_lists(1, [{(1,): 2}])  # 2 mod 5 is not idempotent
+    f = map_from_lists(1, [{(1,): 2}])  # 2 mod 5 is not idempotent
     with pytest.raises(HypothesisViolation):
         direct_model(f, (1,), 5, 8)
-    g = PolyMap.from_lists(1, [{(1,): 6}])
+    g = map_from_lists(1, [{(1,): 6}])
     m = direct_model(g, (1,), 5, 8)
     assert m.congruence_exponent == 1
     assert m.apply((1,)) == (6,)
@@ -380,16 +381,16 @@ def _chart_cases(draw):
     dim = draw(st.integers(1, 3))
     exps = [e for e in product(range(4), repeat=dim) if sum(e) <= 3]
     terms = st.dictionaries(st.sampled_from(exps), st.integers(-9, 9), max_size=4)
-    f = PolyMap.from_lists(dim, [draw(terms) for _ in range(dim)])
+    f = map_from_lists(dim, [draw(terms) for _ in range(dim)])
     p = draw(st.sampled_from([3, 5, 7]))
     eta = tuple(draw(st.integers(0, p * p - 1)) for _ in range(dim))
     return f, eta, p, draw(st.integers(1, 12))
 
 
 @settings(max_examples=60, deadline=None)
-@example(case=(PolyMap.from_lists(1, [{(2,): 1}]), (0,), 3, 8))
-@example(case=(PolyMap.from_lists(1, [{(2,): 1, (1,): 3, (0,): 9}]), (0,), 3, 8))
-@example(case=(PolyMap.from_lists(2, [{(1, 1): 2, (0, 0): 1}, {(2, 0): 1}]), (4, 7), 3, 1))
+@example(case=(map_from_lists(1, [{(2,): 1}]), (0,), 3, 8))
+@example(case=(map_from_lists(1, [{(2,): 1, (1,): 3, (0,): 9}]), (0,), 3, 8))
+@example(case=(map_from_lists(2, [{(1, 1): 2, (0, 0): 1}, {(2, 0): 1}]), (4, 7), 3, 1))
 @given(case=_chart_cases())
 def test_chart_step_is_translate_then_scale(case):
     """The chart step mod p^K is the exact (f(eta + p*x) - eta_next)/p reduced
@@ -491,9 +492,9 @@ def test_congruence_exponent_matches_full_precision_oracle():
 
 def test_direct_model_exponent_reaches_precision():
     # x -> x + p^9 x^2 is x mod p^9: with K = 8 the doubling runs to P = K
-    m = direct_model(PolyMap.from_lists(1, [{(1,): 1, (2,): 5**9}]), (1,), 5, 8)
+    m = direct_model(map_from_lists(1, [{(1,): 1, (2,): 5**9}]), (1,), 5, 8)
     assert m.congruence_exponent == 8 == _full_precision_exponent(m)
-    m = direct_model(PolyMap.from_lists(1, [{(1,): 1, (2,): 5**5}]), (1,), 5, 12)
+    m = direct_model(map_from_lists(1, [{(1,): 1, (2,): 5**5}]), (1,), 5, 12)
     assert m.congruence_exponent == 5 == _full_precision_exponent(m)
 
 
@@ -523,7 +524,7 @@ def test_rotation_series_match_each_rotations_own_chain(data):
         return 0 if d == 1 else max(d - 1, 1) + data.draw(st.integers(0, precision))
 
     charts = tuple(
-        PolyMap.from_lists(
+        map_from_lists(
             dim,
             [{e: data.draw(st.integers(-4, 4)) * p ** depth(sum(e)) for e in exps}
              for _ in range(dim)],
@@ -557,8 +558,8 @@ def test_rotation_series_match_each_rotations_own_chain(data):
 @settings(max_examples=15, deadline=None)
 def test_family_series_and_push_match_the_step_by_step_chain(data):
     """On random 1-d and 2-d families, every model's series and c are those
-    of its own chain composed chart by chart, and the column-wise push of any
-    points is apply_reference at each point, as is apply."""
+    of its own chain composed chart by chart, apply is apply_reference at any
+    point, and apply maps each walk point to the next."""
     dim = data.draw(st.sampled_from([1, 2]))
     p = data.draw(st.sampled_from([3, 5, 7] if dim == 1 else [3, 5]))
     precision = data.draw(st.sampled_from([4, 8]))
@@ -578,5 +579,5 @@ def test_family_series_and_push_match_the_step_by_step_chain(data):
         assert model.congruence_exponent == ref_c
         assert _residues(model_series(model)) == _residues(ref_series)
         points = [*model.points[:3], *data.draw(st.lists(point, max_size=4))]
-        assert model.push(points) == [apply_reference(model, x) for x in points]
-        assert model.apply(points[-1]) == apply_reference(model, points[-1])
+        assert [model.apply(x) for x in points] == [apply_reference(model, x) for x in points]
+        assert [model.apply(x) for x in model.points[:2]] == list(model.points[1:3])

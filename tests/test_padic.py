@@ -220,22 +220,6 @@ def test_mahler_matches_integer_difference_oracle(seq):
         assert recon == seq[n]
 
 
-@given(st.data())
-@settings(max_examples=60)
-def test_shifted_series_is_the_next_value(data):
-    """shifted() at an integer n is the series at n + 1, on the integers of
-    the residue range; at the residue p^K - 1 it is the series at p^K."""
-    ctx = PadicContext(data.draw(st.sampled_from([3, 5])), 4)
-    mod = ctx.modulus
-    dim = data.draw(st.integers(1, 2))
-    coeff = st.tuples(*[st.integers(0, mod - 1)] * dim)
-    series = MahlerSeries(ctx, tuple(data.draw(st.lists(coeff, min_size=1, max_size=5))))
-    shifted, kmax = series.shifted(), series.terms - 1
-    for n in data.draw(st.lists(st.integers(0, mod - 2), min_size=1, max_size=4)) + [mod - 1]:
-        row = binomial_row(ctx, n, kmax)
-        assert shifted.evaluate(row) == series.evaluate(binomial_row(ctx, n + 1, kmax))
-
-
 def test_mahler_constant_series():
     ctx = PadicContext(5, 6)
     v = (7,)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from padic_oracles import map_from_lists
 
 from orbitgap.errors import HypothesisViolation, InputError, OrbitgapError
 from orbitgap.padic import PadicContext
@@ -23,10 +24,10 @@ from orbitgap.reduction import ProblemInstance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-SQUARE_MINUS_TWO = PolyMap.from_lists(1, [{(2,): 1, (0,): -2}])
+SQUARE_MINUS_TWO = map_from_lists(1, [{(2,): 1, (0,): -2}])
 VARIETY = ({(1,): Fraction(1), (0,): Fraction(-7)},)
 INSTANCE = ProblemInstance(1, SQUARE_MINUS_TWO, (Fraction(3),), VARIETY)
-CONSTANT = PolyMap.from_lists(1, [{(0,): 5}])
+CONSTANT = map_from_lists(1, [{(0,): 5}])
 
 # name -> (record, bad fields, the construction with the same fields)
 BAD_COPIES = {

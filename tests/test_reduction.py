@@ -13,6 +13,7 @@ from padic_oracles import (
     exact_period,
     first_hit_depth_reference,
     fixing_iterate,
+    map_from_lists,
     on_cycle,
     residue_orbit_avoids,
 )
@@ -20,7 +21,7 @@ from padic_oracles import (
 from orbitgap import pipeline, reduction
 from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError
 from orbitgap.padic import is_prime
-from orbitgap.polynomials import ModularMap, PolyMap, poly_degree, reduce_poly
+from orbitgap.polynomials import ModularMap, poly_degree, reduce_poly
 from orbitgap.problemfile import load_problem
 from orbitgap.reduction import (
     ProblemInstance,
@@ -33,13 +34,13 @@ from orbitgap.reduction import (
     reduce_instance,
 )
 
-SQ_PLUS_ONE = PolyMap.from_lists(1, [{(2,): 1, (0,): 1}])
+SQ_PLUS_ONE = map_from_lists(1, [{(2,): 1, (0,): 1}])
 SQ_PLUS_ONE_FILE = Path(__file__).resolve().parents[1] / "problems" / "square_plus_one.json"
 SMALL_PRIMES = [p for p in range(2, 301) if is_prime(p)]
 
 
 def _instance(map_polys, a, variety=None, targets=(), dim=1):
-    f = PolyMap.from_lists(dim, map_polys)
+    f = map_from_lists(dim, map_polys)
     variety = tuple(variety or [{(0,) * dim: Fraction(0)}])
     return ProblemInstance(dim, f, tuple(Fraction(x) for x in a), variety, targets)
 
@@ -164,7 +165,7 @@ def test_orbit_summaries():
     fp5 = ModularMap.from_map(SQ_PLUS_ONE, 5)
     s = orbit_summary(fp5, (0,))
     assert (s.tail, s.cycle) == (0, 3)  # 0 -> 1 -> 2 -> 0
-    ident = ModularMap.from_map(PolyMap.from_lists(1, [{(1,): 1}]), 7)
+    ident = ModularMap.from_map(map_from_lists(1, [{(1,): 1}]), 7)
     s = orbit_summary(ident, (4,))
     assert (s.tail, s.cycle) == (0, 1)
 
@@ -175,7 +176,7 @@ def test_periodic_points_on_variety():
     assert periodic_points_on_variety(fp5, [reduce_poly({(1,): Fraction(1), (0,): Fraction(-3)}, 5)]) == []
     # V = everything: the 3-cycle {0, 1, 2}
     assert periodic_points_on_variety(fp5, []) == [(0,), (1,), (2,)]
-    ident = ModularMap.from_map(PolyMap.from_lists(1, [{(1,): 1}]), 5)
+    ident = ModularMap.from_map(map_from_lists(1, [{(1,): 1}]), 5)
     assert periodic_points_on_variety(ident, [reduce_poly({(1,): Fraction(1), (0,): Fraction(-2)}, 5)]) == [(2,)]
 
 
@@ -198,7 +199,7 @@ def test_preimage_levels_disjoint():
     # every target shares one scan, and its depth is the largest m with
     # f^m(x) = gamma over all x: a forward orbit meets a non-periodic point
     # at most once, within its tail of fewer than p steps
-    fp = ModularMap.from_map(PolyMap.from_lists(1, [{(2,): 1, (0,): 2}]), 11)
+    fp = ModularMap.from_map(map_from_lists(1, [{(2,): 1, (0,): 2}]), 11)
     scan = preimage_buckets(fp)
     for gamma in [(g,) for g in range(11)]:
         if on_cycle(fp, gamma):
@@ -229,7 +230,7 @@ def test_sorted_image_scan_matches_dict_oracle(data):
         data.draw(st.dictionaries(monomial, st.integers(0, p - 1), max_size=4))
         for _ in range(n)
     ]
-    fp = ModularMap.from_map(PolyMap.from_lists(n, polys), p)
+    fp = ModularMap.from_map(map_from_lists(n, polys), p)
     point = st.tuples(*[st.integers(0, p - 1)] * n)
     targets = data.draw(st.lists(point, min_size=1, max_size=4))
     targets.insert(data.draw(st.integers(0, len(targets))), fp.iterate(targets[0], p**n))
@@ -481,7 +482,7 @@ def test_orbit_summary_matches_dict_walk(data):
     }
     if coeffs[(2,)] == 0 and coeffs[(1,)] == 0:
         coeffs[(1,)] = 1
-    fp = ModularMap.from_map(PolyMap.from_lists(1, [coeffs]), p)
+    fp = ModularMap.from_map(map_from_lists(1, [coeffs]), p)
     x = (data.draw(st.integers(0, p - 1)),)
     summary = orbit_summary(fp, x)
     # visit sees x_0, x_1, ... in order; a limit below the last visited
@@ -518,7 +519,7 @@ def test_avoidance_depth_equals_bruteforce(data):
     }
     if coeffs[(2,)] == 0 and coeffs[(1,)] == 0:
         coeffs[(1,)] = 1
-    f = PolyMap.from_lists(1, [coeffs])
+    f = map_from_lists(1, [coeffs])
     fp = ModularMap.from_map(f, p)
     gamma = (data.draw(st.integers(0, p - 1)),)
     scan = preimage_buckets(fp)
