@@ -53,14 +53,8 @@ from .interpolation import ApproxInterpolant
 from .normalization import LocalModel
 from .padic import INF, TruncatedSeries, int_valuation, is_prime, vp_factorial
 from .polynomials import Poly, horner_eval, horner_form, poly_eval, reduce_poly
-from .reduction import (
-    BadPrimeSet,
-    OrbitHits,
-    ProblemInstance,
-    exact_orbit,
-    orbit_hits,
-    reduce_instance,
-)
+from .problemfile import ProblemInstance
+from .reduction import BadPrimeSet, OrbitHits, exact_orbit, orbit_hits, reduce_instance
 
 #: Bit budget for exact certification of returns.
 EXACT_BIT_BUDGET = 1 << 20

@@ -39,7 +39,8 @@ from .errors import BudgetExceeded, HypothesisViolation, InvariantViolation
 from .modmat import Matrix, mat_identity, mat_mul, mat_pow, mat_reduce
 from .padic import PadicContext, TruncatedSeries, int_valuation
 from .polynomials import ModularMap, Poly, PolyMap, reduce_poly, reduce_rational
-from .reduction import ProblemInstance, exact_orbit, orbit_summary
+from .problemfile import ProblemInstance
+from .reduction import exact_orbit, orbit_summary
 
 #: Abort threshold for the combined iterate replacement, and so for the
 #: length k1 of the mod-p^2 cycle.

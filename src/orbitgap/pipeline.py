@@ -43,10 +43,9 @@ from .interpolation import (
 from .normalization import build_model_family, ensure_not_preperiodic
 from .padic import binomial_rows, is_prime
 from .polynomials import reduce_poly
-from .problemfile import RunParameters
+from .problemfile import ProblemInstance, RunParameters
 from .reduction import (
     ENUM_GUARD,
-    ProblemInstance,
     avoidance_search,
     bad_primes,
     periodic_points_on_variety,
@@ -55,12 +54,15 @@ from .reduction import (
 
 #: Each command: the state fields it reads from --replay records, and the
 #: stages it runs, in order.  A stage name `x` runs the function `stage_x`.
+#: A command whose stages add to the assumption ledger ends with the stage
+#: that writes it: summary in analyze, assumptions in the others (primes and
+#: returns add none).
 COMMANDS = {
     "primes": ((), ("bad_primes", "avoidance")),
     "returns": ((), ("bad_primes", "returns")),
-    "interpolate": (("prime", "recorded"), ("normalization", "interpolation")),
+    "interpolate": (("prime", "recorded"), ("normalization", "interpolation", "assumptions")),
     "gaps": (("prime", "recorded", "returns"),
-             ("normalization", "interpolation", "gaps", "density")),
+             ("normalization", "interpolation", "gaps", "density", "assumptions")),
     "analyze": ((), ("bad_primes", "avoidance", "choose_prime", "diagnostics",
                      "normalization", "interpolation", "returns", "gaps", "density",
                      "summary")),
@@ -387,11 +389,6 @@ def stage_returns(report: RunReport, state: RunState) -> None:
             "exact_horizon": returns.exact_horizon,
         }
     )
-    if any(e.status == "modular-screened" for e in returns.entries):
-        report.assumptions.append(
-            "some returns are modular-screened only (exact budget exceeded); "
-            "they are labeled as such everywhere downstream"
-        )
 
 
 def _replayed_returns(returns: list[dict]) -> ReturnSet:
@@ -431,6 +428,12 @@ _REPLAY_PARSERS = {
 
 
 def stage_gaps(report: RunReport, state: RunState) -> None:
+    # written here, not by stage_returns, so that gaps on replayed returns carries it too
+    if any(e.status == "modular-screened" for e in state.returns.entries):
+        report.assumptions.append(
+            "some returns are modular-screened only (exact budget exceeded); "
+            "they are labeled as such everywhere downstream"
+        )
     family, variety = state.family, state.inst.variety
     localized = [
         (m, localize_zeros(state.interps[m.shift], [m.transport_poly(q) for q in variety]))
@@ -506,6 +509,12 @@ def stage_summary(report: RunReport, state: RunState) -> None:
     )
 
 
+def stage_assumptions(report: RunReport, state: RunState) -> None:
+    """The ledger of a command that writes no summary, if it is not empty."""
+    if report.assumptions:
+        report.add({"record": "assumptions", "assumptions": list(report.assumptions)})
+
+
 def render_summary(report: RunReport) -> str:
     """Human-readable digest of the record stream."""
     lines = []
@@ -563,8 +572,8 @@ def render_summary(report: RunReport) -> str:
                 f"SUMMARY: prime {rec['prime']}, returns {rec['returns']}, "
                 f"gap {rec['gap_verdict']}, density diverging {rec['density_diverging']}"
             )
-            for a in rec["assumptions"]:
-                lines.append(f"  assumption: {a}")
         elif kind == "failure":
             lines.append(f"FAILED at stage {rec['stage']}: {rec['message']}")
+        if kind in ("summary", "assumptions"):
+            lines.extend(f"  assumption: {a}" for a in rec["assumptions"])
     return "\n".join(lines)

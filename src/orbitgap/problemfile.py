@@ -9,6 +9,8 @@ any other form, are rejected outright.  A polynomial is a list of
 
 Unknown keys are rejected at every level so typos cannot silently change a
 run.  The canonical content hash ties every emitted record to its input.
+The parsed instance, ProblemInstance, is defined here with its checks, so
+reading a problem file needs no stage module.
 """
 
 from __future__ import annotations
@@ -17,16 +19,23 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from math import lcm
 
-from .errors import InputError
-from .polynomials import Poly, PolyMap, poly_eval
-from .reduction import ProblemInstance
+from .errors import HypothesisViolation, InputError
+from .polynomials import Poly, PolyMap, poly_degree, poly_eval
 
 _TOP_KEYS = {"dimension", "map", "initial_point", "variety", "periodic_points", "parameters"}
 
 #: Largest total degree of a map or variety polynomial: the exact orbit walk of
 #: the preperiodicity check grows with the degree before any budget applies.
 MAX_DEGREE = 256
+
+#: Largest dimension N: series composition and the orbit walks grow with the
+#: number of variables before any budget applies.  analyze of
+#: x_i -> x_(i+1) + x_i^2 + i (x_(N+1) = x_1) from 0 with V: x_1 = 7
+#: (prime_range [3, 30], precision 16) exits 3 after about 1 s at N = 6 and
+#: 20 s at N = 8 on a 2-vCPU host, and does not finish in 90 s at N = 9.
+MAX_DIMENSION = 8
 
 #: Largest working precision K: series and Mahler arithmetic run mod p^K.
 MAX_PRECISION = 512
@@ -53,6 +62,59 @@ DENSITY_LOG_DEPTH = 1
 
 #: The string forms of a rational, "n" and "n/d" (Fraction also reads "1e9").
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+class ProblemInstance:
+    """A self-map of affine N-space, an initial point, and a target variety.
+
+    targets are the declared periodic points of the map on the variety; they
+    may be empty, in which case the user asserts the variety carries none
+    (residue-level candidates can still be discovered per prime).
+    """
+
+    __slots__ = ("dimension", "mapping", "initial_point", "variety", "targets")
+
+    def __init__(
+        self,
+        dimension: int,
+        mapping: PolyMap,
+        initial_point: tuple[Fraction, ...],
+        variety: tuple[Poly, ...],
+        targets: tuple[tuple[Fraction, ...], ...] = (),
+    ):
+        self.dimension = dimension
+        self.mapping = mapping
+        self.initial_point = initial_point
+        self.variety = variety
+        self.targets = targets
+        if self.mapping.nvars != self.dimension:
+            raise InputError("map arity does not match the dimension")
+        if len(self.initial_point) != self.dimension:
+            raise InputError("initial point arity mismatch")
+        for t in self.targets:
+            if len(t) != self.dimension:
+                raise InputError("target point arity mismatch")
+        for q in self.variety:
+            for e in q:
+                if len(e) != self.dimension:
+                    raise InputError("variety polynomial arity mismatch")
+        for i, p in enumerate(self.mapping.polys):
+            if poly_degree(p) == 0:
+                raise HypothesisViolation(
+                    f"coordinate {i} of the map is constant; the map is not quasi-finite"
+                )
+
+    def _replace(self, **changes) -> "ProblemInstance":
+        """A copy with some fields changed, checked as a new instance is."""
+        return ProblemInstance(**{**{f: getattr(self, f) for f in self.__slots__}, **changes})
+
+    @property
+    def denominator(self) -> int:
+        """The lcm of every denominator of the map, the points and the variety:
+        the instance reduces mod exactly the primes that do not divide it."""
+        coeffs = [c for q in (*self.mapping.polys, *self.variety) for c in q.values()]
+        points = [x for pt in (self.initial_point, *self.targets) for x in pt]
+        return lcm(*(Fraction(x).denominator for x in (*coeffs, *points)))
 
 
 class RunParameters:
@@ -151,6 +213,8 @@ def parse_problem(doc) -> tuple[ProblemInstance, RunParameters]:
     dim = doc["dimension"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InputError("dimension must be a positive integer")
+    if dim > MAX_DIMENSION:
+        raise InputError(f"dimension {dim} exceeds the cap {MAX_DIMENSION}")
     if not isinstance(doc["map"], list) or len(doc["map"]) != dim:
         raise InputError(f"map must list exactly {dim} coordinate polynomials")
     polys = tuple(_as_poly(p, dim, f"map[{i}]") for i, p in enumerate(doc["map"]))

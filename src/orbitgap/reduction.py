@@ -34,79 +34,24 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, HypothesisViolation, InputError
+from .errors import BudgetExceeded, InputError
 from .padic import is_prime
 from .polynomials import (
     ModularMap,
-    Poly,
-    PolyMap,
     horner_form,
     horner_table,
     poly_degree,
     poly_eval,
     reduce_rational,
 )
+from .problemfile import ProblemInstance
 
 #: Cap on full-space scans over F_p^N (a scan holds about 112 B a point).
 #: It bounds the image table of preimage_buckets and the scan for periodic
 #: points; the quadratic-formula preimages of a 1-d map hold no table.
 ENUM_GUARD = 2**20
-
-
-class ProblemInstance:
-    """A self-map of affine N-space, an initial point, and a target variety.
-
-    targets are the declared periodic points of the map on the variety; they
-    may be empty, in which case the user asserts the variety carries none
-    (residue-level candidates can still be discovered per prime).
-    """
-
-    __slots__ = ("dimension", "mapping", "initial_point", "variety", "targets")
-
-    def __init__(
-        self,
-        dimension: int,
-        mapping: PolyMap,
-        initial_point: tuple[Fraction, ...],
-        variety: tuple[Poly, ...],
-        targets: tuple[tuple[Fraction, ...], ...] = (),
-    ):
-        self.dimension = dimension
-        self.mapping = mapping
-        self.initial_point = initial_point
-        self.variety = variety
-        self.targets = targets
-        if self.mapping.nvars != self.dimension:
-            raise InputError("map arity does not match the dimension")
-        if len(self.initial_point) != self.dimension:
-            raise InputError("initial point arity mismatch")
-        for t in self.targets:
-            if len(t) != self.dimension:
-                raise InputError("target point arity mismatch")
-        for q in self.variety:
-            for e in q:
-                if len(e) != self.dimension:
-                    raise InputError("variety polynomial arity mismatch")
-        for i, p in enumerate(self.mapping.polys):
-            if poly_degree(p) == 0:
-                raise HypothesisViolation(
-                    f"coordinate {i} of the map is constant; the map is not quasi-finite"
-                )
-
-    def _replace(self, **changes) -> "ProblemInstance":
-        """A copy with some fields changed, checked as a new instance is."""
-        return ProblemInstance(**{**{f: getattr(self, f) for f in self.__slots__}, **changes})
-
-    @property
-    def denominator(self) -> int:
-        """The lcm of every denominator of the map, the points and the variety:
-        the instance reduces mod exactly the primes that do not divide it."""
-        coeffs = [c for q in (*self.mapping.polys, *self.variety) for c in q.values()]
-        points = [x for pt in (self.initial_point, *self.targets) for x in pt]
-        return lcm(*(Fraction(x).denominator for x in (*coeffs, *points)))
 
 
 class BadPrimeSet(NamedTuple):

@@ -32,9 +32,8 @@ from orbitgap.normalization import _iterate_power, build_model_family
 from orbitgap.padic import PadicContext, int_valuation, sup_valuation
 from orbitgap.pipeline import run_analyze
 from orbitgap.polynomials import ModularMap
-from orbitgap.problemfile import parse_problem, problem_hash
+from orbitgap.problemfile import ProblemInstance, parse_problem, problem_hash
 from orbitgap.reduction import (
-    ProblemInstance,
     avoidance_search,
     bad_primes,
     first_hit_depth,

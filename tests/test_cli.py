@@ -17,6 +17,7 @@ from orbitgap.cli import main
 from orbitgap.errors import InputError
 from orbitgap.problemfile import (
     MAX_DEGREE,
+    MAX_DIMENSION,
     MAX_N_MAX,
     MAX_PRECISION,
     MAX_PRIME,
@@ -307,6 +308,28 @@ def test_oversized_degree_exits_2(tmp_path, key):
     assert main(["analyze", str(path)]) == 2
 
 
+def test_oversized_dimension_exits_2(tmp_path, capsys):
+    # analyze time grows steeply with the dimension (see MAX_DIMENSION); the
+    # cap is checked before any polynomial is read, so a map that would not
+    # parse is refused for its dimension, and dimension MAX_DIMENSION parses
+    def doc(n, map_polys):
+        return {"dimension": n, "map": map_polys, "initial_point": [0] * n,
+                "variety": [[[[1] + [0] * (n - 1), 1]]]}
+
+    def shift(n):  # x_i -> x_(i+1) + i
+        return [[[[int(j == (i + 1) % n) for j in range(n)], 1], [[0] * n, i]]
+                for i in range(n)]
+
+    parse_problem(doc(MAX_DIMENSION, shift(MAX_DIMENSION)))
+    big = doc(MAX_DIMENSION + 1, "not a map")
+    with pytest.raises(InputError, match=f"dimension {MAX_DIMENSION + 1} exceeds the cap"):
+        parse_problem(big)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big))
+    assert main(["analyze", str(path)]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "key, cap, flag",
     [
@@ -419,12 +442,31 @@ STAGE_COMMANDS = [
      ("primes", "returns", "interpolate")),
 ]
 
+#: The starts of the ledger lines that the diagnostics stage writes; no
+#: stage command runs it.
+DIAGNOSTICS_LINES = ("no periodic points declared", "warning: ")
+
+
+def _split_ledger(lines: list[str], analyze: list[str]) -> list[str]:
+    """A stage command's records less its closing ledger record, if it wrote
+    one; the ledger must hold the lines of analyze's summary, in order, less
+    those of the diagnostics stage (no input it is given has screened
+    returns, whose line interpolate would lack)."""
+    summary = json.loads(analyze[-1])
+    want = [a for a in summary["assumptions"] if not a.startswith(DIAGNOSTICS_LINES)]
+    if not (lines and json.loads(lines[-1])["record"] == "assumptions"):
+        return lines
+    assert json.loads(lines[-1]) == {
+        "record": "assumptions", "assumptions": want, "problem_sha": summary["problem_sha"],
+    }
+    return lines[:-1]
+
 
 @pytest.mark.parametrize("problem", PROBLEMS, ids=[p.name for p in PROBLEMS])
 def test_stage_commands_match_golden_records(problem, tmp_path):
     """Each stage command writes, byte for byte, the records of its kinds
     that tests/golden holds for analyze; interpolate and gaps rebuild the
-    models from replayed records."""
+    models from replayed records, and end with their ledger."""
     golden = (ROOT / "tests" / "golden" / f"{problem.stem}.jsonl").read_text().splitlines()
     outputs = {}
     for command, kinds, replayed in STAGE_COMMANDS:
@@ -435,8 +477,10 @@ def test_stage_commands_match_golden_records(problem, tmp_path):
             argv += ["--replay", str(replay)]
         assert main(argv) == 0
         outputs[command] = (tmp_path / f"{command}.jsonl").read_text()
+        lines = outputs[command].splitlines()
+        assert (json.loads(lines[-1])["record"] == "assumptions") == bool(replayed)
         want = [line for line in golden if json.loads(line)["record"] in kinds]
-        assert outputs[command].splitlines() == want
+        assert _split_ledger(lines, golden) == want
 
 
 def test_identity_map_rejected_preperiodic(tmp_path):
@@ -739,8 +783,10 @@ def test_stage_commands_match_analyze(worked_file, tmp_path):
     interpolate = lines("interpolate", "--replay", str(replay))
     gaps = lines("gaps", "--replay", str(replay))
     for stage_lines in (primes, returns, interpolate, gaps):
+        stage_lines = _split_ledger(stage_lines, analyze)
         kinds = {kind(line) for line in stage_lines}
         assert stage_lines == [line for line in analyze if kind(line) in kinds]
+    assert kind(interpolate[-1]) == kind(gaps[-1]) == "assumptions"
 
 
 def test_screening_primes_skip_run_bad_primes(tmp_path, search_bound=0):
@@ -973,3 +1019,37 @@ def test_mixed_rank_run_names_the_proved_range(tmp_path, capsys):
     assert f"  assumption: {line}\n" in capsys.readouterr().out
     for golden in sorted((ROOT / "tests" / "golden").glob("*.jsonl")):
         assert "is not the identity" not in golden.read_text()
+
+
+@pytest.mark.parametrize("command", ["interpolate", "gaps"])
+def test_stage_commands_end_with_the_ledger(tmp_path, capsys, command):
+    """A stage command writes no summary, so it ends its records with the
+    ledger, and prints it: on the mixed-rank input both name the range
+    n <= 32."""
+    path, run_out, out = tmp_path / "mixed.json", tmp_path / "run.jsonl", tmp_path / "out.jsonl"
+    path.write_text(json.dumps(MIXED_RANK))
+    assert main(["analyze", str(path), "--out", str(run_out)]) == 0
+    capsys.readouterr()
+    assert main([command, str(path), "--replay", str(run_out), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert _split_ledger(lines, run_out.read_text().splitlines()) == lines[:-1]
+    line = next(a for a in json.loads(lines[-1])["assumptions"] if "n <= 32 only" in a)
+    assert f"  assumption: {line}\n" in capsys.readouterr().out
+
+
+def test_gaps_on_screened_returns_names_them(worked_records, tmp_path, capsys):
+    """The screened-returns line is written by the gaps stage, so gaps on
+    replayed returns that are modular-screened only carries it too."""
+    path, records = worked_records
+    records = [dict(rec) for rec in records]  # the fixture is shared
+    for rec in records:
+        if rec["record"] == "returns":
+            rec["entries"] = [[n, "modular-screened"] for n, _ in rec["entries"]]
+    replay, out = tmp_path / "run.jsonl", tmp_path / "gaps.jsonl"
+    replay.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    capsys.readouterr()
+    assert main(["gaps", path, "--replay", str(replay), "--out", str(out)]) == 0
+    ledger = _records(out)[-1]
+    assert ledger["record"] == "assumptions"
+    line = next(a for a in ledger["assumptions"] if a.startswith("some returns are modular"))
+    assert f"  assumption: {line}\n" in capsys.readouterr().out

@@ -147,7 +147,7 @@ def test_uncovered_shift_classes_are_reported(monkeypatch):
     """A family truncated by the shift cap reports out-of-class members."""
     from orbitgap import normalization
     from orbitgap.normalization import build_model_family
-    from orbitgap.reduction import ProblemInstance
+    from orbitgap.problemfile import ProblemInstance
 
     inst = ProblemInstance(
         1,

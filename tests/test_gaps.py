@@ -52,8 +52,8 @@ from orbitgap.gaps import (
 from orbitgap.normalization import build_model_family
 from orbitgap.padic import INF, MahlerSeries, PadicContext, int_valuation, vp_factorial
 from orbitgap.polynomials import ModularMap, reduce_poly
-from orbitgap.problemfile import SCREEN_PRIME_COUNT
-from orbitgap.reduction import ProblemInstance, bad_primes, reduce_instance
+from orbitgap.problemfile import SCREEN_PRIME_COUNT, ProblemInstance
+from orbitgap.reduction import bad_primes, reduce_instance
 
 
 def _instance(map_polys, a, variety, dim=1, targets=()):

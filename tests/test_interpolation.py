@@ -32,8 +32,7 @@ from orbitgap.interpolation import (
 )
 from orbitgap.normalization import LocalModel, build_model_family
 from orbitgap.padic import INF, MahlerSeries, TruncatedSeries, binomial_rows
-from orbitgap.problemfile import parse_problem
-from orbitgap.reduction import ProblemInstance
+from orbitgap.problemfile import ProblemInstance, parse_problem
 
 
 def _direct(polys, a, p, precision):

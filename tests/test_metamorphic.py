@@ -13,9 +13,9 @@ from padic_oracles import make_const, make_var, map_from_lists, poly_add, poly_c
 from orbitgap import reduction
 from orbitgap.padic import is_prime
 from orbitgap.pipeline import run
-from orbitgap.problemfile import RunParameters, load_problem
 from orbitgap.polynomials import PolyMap
-from orbitgap.reduction import ProblemInstance, avoidance_search, bad_primes
+from orbitgap.problemfile import ProblemInstance, RunParameters, load_problem
+from orbitgap.reduction import avoidance_search, bad_primes
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 

@@ -45,7 +45,7 @@ from orbitgap.normalization import (
 )
 from orbitgap.padic import PadicContext, int_valuation, sup_valuation
 from orbitgap.polynomials import ModularMap, Poly, PolyMap, reduce_poly, reduce_rational
-from orbitgap.reduction import ProblemInstance
+from orbitgap.problemfile import ProblemInstance
 
 
 # -- oracles: the chart step split into its two conjugations ------------------

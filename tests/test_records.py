@@ -4,7 +4,8 @@ The types whose constructor checks or derives a field are plain classes, and
 their copy helper `_replace` builds the copy through the constructor, so a
 copy with a bad field fails exactly as construction with it fails.  No
 record is a dataclass, so importing the CLI loads neither `dataclasses` nor
-the `inspect` module it imports.
+the `inspect` module it imports.  Reading a problem file through the
+package namespace loads the problem-file layer and no stage.
 """
 
 import os
@@ -19,8 +20,13 @@ from padic_oracles import map_from_lists
 from orbitgap.errors import HypothesisViolation, InputError, OrbitgapError
 from orbitgap.padic import PadicContext
 from orbitgap.polynomials import PolyMap
-from orbitgap.problemfile import MAX_PRECISION, MAX_PRIME, MAX_SCREEN_PRIMES, RunParameters
-from orbitgap.reduction import ProblemInstance
+from orbitgap.problemfile import (
+    MAX_PRECISION,
+    MAX_PRIME,
+    MAX_SCREEN_PRIMES,
+    ProblemInstance,
+    RunParameters,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -110,3 +116,24 @@ def test_cli_import_loads_no_dataclass_machinery():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_package_import_loads_only_the_problem_file_layer():
+    # a process that only reads a problem file compiles no stage; the CLI,
+    # imported after it in the same process, still brings in every stage
+    code = (
+        "import sys, orbitgap\n"
+        "orbitgap.load_problem('problems/square_minus_two.json')\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'orbitgap'))\n"
+        "import orbitgap.cli\n"
+        "print('gaps' in vars(orbitgap) and 'pipeline' in vars(orbitgap))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+        cwd=SRC.parent, capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded, full = done.stdout.splitlines()
+    assert loaded == str(
+        ["orbitgap", "orbitgap.errors", "orbitgap.polynomials", "orbitgap.problemfile"]
+    )
+    assert full == "True"

@@ -22,9 +22,8 @@ from orbitgap import pipeline, reduction
 from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError
 from orbitgap.padic import is_prime
 from orbitgap.polynomials import ModularMap, poly_degree, reduce_poly
-from orbitgap.problemfile import load_problem
+from orbitgap.problemfile import ProblemInstance, load_problem
 from orbitgap.reduction import (
-    ProblemInstance,
     avoidance_search,
     bad_primes,
     first_hit_depth,
