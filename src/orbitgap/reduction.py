@@ -19,7 +19,9 @@ its index sum x_i p^i, evaluates the map on all points at once
 so the preimages of a point are one run of that order, found by bisection.
 The backward search itself decides periodicity: two of its levels meet
 exactly when the target lies on a cycle.  So each prime gets one pass,
-and its verdict does not depend on the order of the targets.
+and its verdict does not depend on the order of the targets.  The scan for
+residue-periodic points on the variety reads the same table of images
+once, as a functional graph, and marks its cycles.
 
 Two walkers serve every orbit reading.  orbit_hits runs Brent's search
 once and keeps the indices whose residue satisfies a predicate, as a tail
@@ -270,23 +272,53 @@ def _point(k: int, fp: ModularMap) -> tuple[int, ...]:
     return tuple(k // p**i % p for i in range(fp.nvars))
 
 
-def periodic_points_on_variety(fp: ModularMap, variety_mod: list[dict]) -> list[tuple[int, ...]]:
-    """All residue points on the variety that lie on a cycle of the reduced map.
+def _image_table(fp: ModularMap, cols) -> list[int]:
+    """The index of f(x) for every point x of a full-space scan, in index
+    order: one horner_table per coordinate over the columns cols."""
+    p = fp.modulus
+    table = horner_table(fp.forms[-1], cols, p)
+    for form in fp.forms[-2::-1]:
+        table = [t * p + v for t, v in zip(table, horner_table(form, cols, p))]
+    return table
 
-    The variety polynomials are evaluated on the whole space at once; only
-    the points where all of them vanish get an orbit summary.
+
+def _cyclic(image: list[int]) -> bytearray:
+    """Which points of the functional graph k -> image[k] lie on a cycle.
+
+    Each walk marks the points it visits with its own number and stops at
+    the first marked point; when that point carries its own number, the
+    walk has met itself there, and that point's cycle is marked.  Every
+    point is visited once, so the pass is linear in the size of the space.
+    """
+    walk = [0] * len(image)
+    cyclic = bytearray(len(image))
+    for start in range(len(image)):
+        k = start
+        while not walk[k]:
+            walk[k] = start + 1
+            k = image[k]
+        if walk[k] == start + 1:
+            while not cyclic[k]:
+                cyclic[k] = 1
+                k = image[k]
+    return cyclic
+
+
+def periodic_points_on_variety(fp: ModularMap, variety_mod: list[dict]) -> list[tuple[int, ...]]:
+    """All residue points on the variety that lie on a cycle of the reduced
+    map, in index order.
+
+    The map and the variety polynomials are evaluated on the whole space at
+    once, and one pass over the image table finds every cyclic point.  A
+    space above ENUM_GUARD is refused.
     """
     cols = _space_columns(fp)
-    on_variety = range(len(cols[0]))
+    cyclic = _cyclic(_image_table(fp, cols))
+    found = [k for k, on in enumerate(cyclic) if on]
     for q in variety_mod:
         values = horner_table(horner_form(q), cols, fp.modulus)
-        on_variety = [k for k in on_variety if not values[k]]
-    out = []
-    for k in on_variety:
-        pt = _point(k, fp)
-        if orbit_summary(fp, pt).tail == 0:
-            out.append(pt)
-    return out
+        found = [k for k in found if not values[k]]
+    return [_point(k, fp) for k in found]
 
 
 def _sqrt_mod(p: int) -> Callable[[int], int]:
@@ -321,10 +353,7 @@ def _table_preimages(fp: ModularMap) -> Callable[[int], list[int]]:
     sorted by image, and the preimages of y are the run of points with
     image y, in index order, found by bisection.  A space above ENUM_GUARD
     is refused."""
-    p, cols = fp.modulus, _space_columns(fp)
-    table = horner_table(fp.forms[-1], cols, p)
-    for form in fp.forms[-2::-1]:
-        table = [t * p + v for t, v in zip(table, horner_table(form, cols, p))]
+    table = _image_table(fp, _space_columns(fp))
     order = sorted(range(len(table)), key=table.__getitem__)
     images = [table[k] for k in order]
 

@@ -23,7 +23,9 @@ The rest are reference implementations that tests compare the package
 against: exact division with a precision ledger, binomial coefficients in a
 context, the evaluation and Gauss valuation of a TruncatedSeries, exact
 periods and the fixing iterate of declared targets, periodicity mod p by a
-walk of the whole space, whether the residue orbit of a point misses every
+walk of the whole space, the residue-periodic points on a variety by one
+Brent walk per point (the reference for the one-pass cycle marking),
+whether the residue orbit of a point misses every
 target at each iterate >= M (what a certified prime implies), the backward
 depth of a target from a dict of preimage tuples (the reference for the
 sorted-image scan), the binomial basis re-expanded at each disk (the
@@ -503,6 +505,19 @@ def on_cycle(fp, x: tuple[int, ...]) -> bool:
             return True
         pt = fp(pt)
     return False
+
+
+def periodic_points_on_variety_reference(fp, variety_mod: list[dict]) -> list[tuple[int, ...]]:
+    """The residue points on the variety that lie on a cycle, in index
+    order: every point's variety values term by term, and one Brent walk
+    from each point on the variety."""
+    p, n = fp.modulus, fp.nvars
+    out = []
+    for k in range(p**n):
+        pt = tuple(k // p**i % p for i in range(n))
+        if not any(modular_eval(q, pt, p) for q in variety_mod) and orbit_summary(fp, pt).tail == 0:
+            out.append(pt)
+    return out
 
 
 def residue_orbit_avoids(fp, a_p: tuple[int, ...], targets_p, bound: int) -> bool:

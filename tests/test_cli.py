@@ -21,6 +21,7 @@ from orbitgap.problemfile import (
     MAX_N_MAX,
     MAX_PRECISION,
     MAX_PRIME,
+    MAX_PROBLEM_BYTES,
     MAX_SCREEN_PRIMES,
     load_problem,
     parse_problem,
@@ -128,6 +129,31 @@ def test_unreadable_problem_file_exits_2(tmp_path, capsys, old, new):
     path.write_text(text.replace(old, new))
     assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: unreadable problem file")
+
+
+def test_problem_file_not_in_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps({**WORKED, "café": 1}, ensure_ascii=False).encode("latin-1"))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: unreadable problem file")
+
+
+def test_oversized_problem_file_exits_2(tmp_path, capsys):
+    # the file is read and parsed whole before any other cap applies, so its
+    # size is refused first: a file of MAX_PROBLEM_BYTES still loads, one
+    # byte more exits 2, and an endless stream is read no further than that
+    text = json.dumps(WORKED)
+    path = tmp_path / "cap.json"
+    path.write_text(text + " " * (MAX_PROBLEM_BYTES - len(text)))
+    assert main(["primes", str(path)]) == 0
+    capsys.readouterr()
+    for big in (str(path), "/dev/zero"):
+        with open(path, "a") as fh:
+            fh.write(" ")
+        assert main(["analyze", big]) == 2
+        assert capsys.readouterr().err == (
+            f"error: problem file exceeds the cap of {MAX_PROBLEM_BYTES} bytes\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,13 @@ their copy helper `_replace` builds the copy through the constructor, so a
 copy with a bad field fails exactly as construction with it fails.  No
 record is a dataclass, so importing the CLI loads neither `dataclasses` nor
 the `inspect` module it imports.  Reading a problem file through the
-package namespace loads the problem-file layer and no stage.
+package namespace loads the problem-file layer and no stage.  The problem
+file's digest comes from the interpreter's built-in SHA-256 module, so no
+command loads `hashlib` and the OpenSSL library under it.
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from padic_oracles import map_from_lists
 
 from orbitgap.errors import HypothesisViolation, InputError, OrbitgapError
@@ -26,9 +32,12 @@ from orbitgap.problemfile import (
     MAX_SCREEN_PRIMES,
     ProblemInstance,
     RunParameters,
+    load_problem,
+    problem_hash,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PROBLEMS = sorted((SRC.parent / "problems").glob("*.json"))
 
 SQUARE_MINUS_TWO = map_from_lists(1, [{(2,): 1, (0,): -2}])
 VARIETY = ({(1,): Fraction(1), (0,): Fraction(-7)},)
@@ -137,3 +146,68 @@ def test_package_import_loads_only_the_problem_file_layer():
         ["orbitgap", "orbitgap.errors", "orbitgap.polynomials", "orbitgap.problemfile"]
     )
     assert full == "True"
+
+
+def _run_bare(code: str, *args: str) -> list[str]:
+    """Run code in a fresh `python -S` at the root of the checkout (no site
+    hook, so sys.modules holds only what the interpreter and the code
+    load); returns its stdout lines."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args], env={**os.environ, "PYTHONPATH": str(SRC)},
+        cwd=SRC.parent, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout.splitlines()
+
+
+def test_analyze_loads_no_openssl_digest(tmp_path):
+    # importing hashlib maps OpenSSL's libcrypto, the largest part of an
+    # orbitgap process's own memory, for one digest of the problem file; the
+    # interpreter's built-in SHA-256 module gives the same digest
+    code = (
+        "import sys\n"
+        "from orbitgap.cli import main\n"
+        "code = main(['analyze', 'problems/square_minus_two.json', '--out', sys.argv[1]])\n"
+        "loaded = sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "import importlib.util\n"
+        "builtin = any(importlib.util.find_spec(m) for m in ('_sha256', '_sha2'))\n"
+        "print(code, builtin, loaded)\n"
+    )
+    code, builtin, loaded = _run_bare(code, str(tmp_path / "run.jsonl"))[-1].split(" ", 2)
+    assert code == "0"
+    if builtin == "True":
+        assert loaded == "[]"
+
+
+def _canonical_sha(doc) -> str:
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("problem", PROBLEMS, ids=[p.name for p in PROBLEMS])
+def test_problem_sha_is_the_sha256_of_the_canonical_document(problem):
+    assert load_problem(str(problem))[2] == _canonical_sha(json.loads(problem.read_text()))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON)
+@settings(max_examples=100, deadline=None)
+def test_problem_hash_is_the_sha256_of_the_canonical_document(doc):
+    assert problem_hash(doc) == _canonical_sha(doc)
+
+
+def test_problem_hash_falls_back_to_hashlib():
+    # an interpreter without a built-in SHA-256 module takes hashlib's
+    code = (
+        "import sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "from orbitgap.problemfile import load_problem\n"
+        "print(load_problem('problems/square_minus_two.json')[2], 'hashlib' in sys.modules)\n"
+    )
+    sha = load_problem(str(SRC.parent / "problems" / "square_minus_two.json"))[2]
+    assert _run_bare(code) == [f"{sha} True"]
