@@ -4,15 +4,15 @@ The interpolant is the finite-difference expansion of the model orbit in the
 binomial basis on the fitting window [0, K]: it reproduces the orbit exactly
 there, and the congruence F(x) = E*x mod p^c with idempotent E makes its
 coefficients decay at rate ~c per term, which is what extends the
-approximation beyond the window.  Construction certifies the decay, and one
-table of forward differences certifies the error bound min(n*c, K) at every
-orbit index n <= 2K.  The checks return nothing: each compares integers and
-raises at its first failure.  When E is the identity, the congruence lemma
-(see verify_compatibility) proves the bound at every n and the step identity
-F(G(x)) = G(x + 1) on all of Z_p, so nothing is sampled; otherwise the
-caller names the range [0, 2K] that the table proves.  The degenerate
-constant case (orbit converging to a fixed point) is detected and flagged
-rather than analyzed.
+approximation beyond the window.  One table of forward differences of the
+model points gives the coefficients (rows 0..K), whose decay construction
+certifies, and the error bound min(n*c, K) at every orbit index n <= 2K
+(rows K+1..2K).  Each check compares integers and raises at its first
+failure.  When E is the identity, the congruence lemma (verify_compatibility)
+proves the bound at every n and F(G(x)) = G(x + 1) on all of Z_p: the table
+stops at K, and the decay check is an invariant.  Otherwise the caller names
+the range [0, 2K] that the table proves.  The degenerate constant case
+(orbit converging to a fixed point) is detected and flagged, not analyzed.
 
 The orbit points come from the model (LocalModel.points, read off one walk
 of the original map for a whole family), not from iterating the model map.
@@ -24,12 +24,10 @@ of one family, which share p and K, share the rows too.
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from typing import NamedTuple
 
 from .errors import InvariantViolation, PrecisionExhausted
-from .modmat import mat_identity
-from .normalization import LocalModel
+from .normalization import LocalModel, lemma_applies
 from .padic import MahlerSeries, forward_differences, sup_valuation
 
 #: Allowed shortfall of coefficient decay below the ideal k*c schedule,
@@ -74,57 +72,59 @@ def decay_requirement(k: int, c: int, p: int, precision: int) -> int:
 
 
 def build_interpolant(model: LocalModel, rows) -> ApproxInterpolant:
-    """Finite differences of the model orbit on [0, K], with decay certification.
+    """The interpolant of the model points, its decay and error bound certified.
 
-    A decay violation indicates either insufficient precision or a model
-    whose orbit is not interpolable at this congruence level (for instance an
-    orbit super-attracted to a fixed point); both are reported, not patched.
-    rows (padic.binomial_rows, keyed by residue mod p^K) must cover the
-    arguments 0, 1 and K.
+    One difference table of the points gives the coefficients (rows 0..K)
+    and the bound check (rows beyond K, verify_error_bound).  When E is the
+    identity the congruence lemma proves v(a_k) >= min(k*c, K), so a decay
+    shortfall is a program error.  Otherwise it indicates either
+    insufficient precision or a model whose orbit is not interpolable at
+    this congruence level (for instance an orbit super-attracted to a fixed
+    point); both are reported, not patched.  rows (padic.binomial_rows,
+    keyed by residue mod p^K) must cover the arguments 0, 1 and K.
     """
     c = model.congruence_exponent
     p, prec = model.ctx.prime, model.ctx.precision
-    values = model.points[:prec + 1]
-    series = MahlerSeries.from_values(model.ctx, values)
+    table = forward_differences(model.points, model.ctx.modulus)
+    series = MahlerSeries(model.ctx, tuple(table[:prec + 1]))
     decay = tuple(sup_valuation(v, p) for v in series.coeffs)
+    lemma = lemma_applies(model.linear)
     for k, v in enumerate(decay):
-        req = decay_requirement(k, c, p, prec)
+        req = min(k * c, prec) if lemma else decay_requirement(k, c, p, prec)
+        if v < req and lemma:
+            raise InvariantViolation(
+                f"interpolant coefficient {k} has valuation {v} < min(k*c, K) = {req}, "
+                "which the congruence lemma proves for E = I; the walk and the model disagree"
+            )
         if v < req:
             raise PrecisionExhausted(
                 f"interpolant coefficient {k} has valuation {v} < required {req}; "
                 "insufficient precision or an interpolation hypothesis fails on this orbit"
             )
     for n in (0, 1, prec):
-        if series.evaluate(rows[n % model.ctx.modulus]) != values[n]:
+        if series.evaluate(rows[n % model.ctx.modulus]) != model.points[n]:
             raise InvariantViolation(f"fitting-window reconstruction failed at {n}")
+    verify_error_bound(table[prec + 1:], prec)
     return ApproxInterpolant(model, series, c, prec, decay)
 
 
-def verify_error_bound(interp: ApproxInterpolant) -> None:
-    """Check valuation(G(n) - F^n(a')) >= min(n*c, K) at every orbit index n <= 2K.
+def verify_error_bound(beyond: list, terms: int) -> None:
+    """Check valuation(G(n) - F^n(a')) >= min(n*c, K) at each n > K = terms.
 
-    Since c >= 1, beyond the window [0, K] that is G(n) = F^n(a') mod p^K,
-    which also holds on the window by construction.  Values on [0, 2K] and
-    their forward differences at 0 determine each other, and G's are its
-    K + 1 coefficients followed by zeros, so the first difference of the
-    model's points that differs from G's is the first failing n; it raises.
-    Inside the window that is a broken reconstruction (InvariantViolation).
-    Beyond it the shortfall comes from the tail Delta^k, k > K, whose decay
-    was never certified: the precision ran short (PrecisionExhausted).
+    beyond holds the rows K + 1, K + 2, ... of the difference table of the
+    model points.  G reproduces them on [0, K], and beyond it, since c >= 1,
+    the bound is G(n) = F^n(a') mod p^K.  Values on [0, n] and differences
+    at 0 determine each other, and G's are 0 beyond K, so the first row not
+    0 mod p^K is the first failing n.  That shortfall is in the tail, whose
+    decay was never certified: the precision ran short.
     """
-    model, terms = interp.model, interp.terms
-    diffs = forward_differences(model.points, model.ctx.modulus)
-    zero = (0,) * model.dimension
-    for n, (diff, coeff) in enumerate(zip_longest(diffs, interp.series.coeffs, fillvalue=zero)):
-        if diff == coeff:
-            continue
-        if n <= terms:
-            raise InvariantViolation(f"fitting-window reconstruction failed at {n}")
-        raise PrecisionExhausted(
-            f"approximation bound failed at n={n}: margin below min(n*c, K) "
-            f"beyond the fitting window [0, {terms}], where the coefficient decay "
-            "is not certified; raise the precision"
-        )
+    for n, row in enumerate(beyond, terms + 1):
+        if any(row):
+            raise PrecisionExhausted(
+                f"approximation bound failed at n={n}: margin below min(n*c, K) "
+                f"beyond the fitting window [0, {terms}], where the coefficient decay "
+                "is not certified; raise the precision"
+            )
 
 
 def verify_compatibility(interp: ApproxInterpolant) -> bool:
@@ -139,11 +139,11 @@ def verify_compatibility(interp: ApproxInterpolant) -> bool:
     so F(G(n)) = G(n + 1) mod p^K at every integer n and, by continuity, on
     all of Z_p.  (Poonen, "p-adic interpolation of iterates", 2014.)
 
-    When E is not the identity the lemma does not apply, and only the table
-    of verify_error_bound backs the bound min(n*c, K), on [0, 2K].
+    So the model stores no point, and its table no row, beyond K.  When E
+    is not the identity only the rows K + 1..2K of that table
+    (verify_error_bound) back the bound min(n*c, K), on [0, 2K].
     """
-    model = interp.model
-    return model.linear == mat_identity(model.dimension)
+    return lemma_applies(interp.model.linear)
 
 
 def constancy_test(interp: ApproxInterpolant) -> bool:

@@ -130,9 +130,9 @@ class LocalModel(NamedTuple):
 
     One model iterate applies the chart chain steps_per_iterate times; model
     iterate n corresponds to the original index m0 + shift + n * k_total.
-    points holds F^0(a'), ..., F^(2K)(a') as residues mod p^K: the
-    interpolant's fitting window [0, K] and the indices up to 2K at which
-    the approximation bound is checked.
+    points holds F^0(a'), F^1(a'), ... as residues mod p^K: the
+    interpolant's fitting window [0, K] and, unless E is the identity, the
+    indices K + 1, ..., 2K at which the approximation bound is checked.
     """
 
     ctx: PadicContext
@@ -174,6 +174,11 @@ class LocalModel(NamedTuple):
     def transport_poly(self, q: Poly) -> dict:
         """A polynomial on original coordinates, rewritten on chart coordinates mod p^K."""
         return _in_chart([q], self.center, self.ctx)[0].coeffs
+
+
+def lemma_applies(linear: Matrix) -> bool:
+    """Whether E is the identity, where the congruence lemma proves the interpolation."""
+    return linear == mat_identity(len(linear))
 
 
 def ensure_not_preperiodic(inst: ProblemInstance) -> int:
@@ -319,9 +324,10 @@ def _chart_chain(inst: ProblemInstance, ctx: PadicContext) -> _ChartChain:
 
 
 def _model_points(
-    inst: ProblemInstance, chain: _ChartChain, ctx: PadicContext, k_total: int, shifts
+    inst: ProblemInstance, chain: _ChartChain, ctx: PadicContext, k_total: int, shifts,
+    count: int,
 ) -> dict[int, tuple]:
-    """Each shift's model points F^0(a'), ..., F^(2K)(a'), from one walk of f mod p^(K+1).
+    """Each shift's model points F^0(a'), ..., F^(count-1)(a'), from one walk of f mod p^(K+1).
 
     Model point n of shift r is the chart image (y - eta)/p of the orbit
     point y of original index m0 + r + n * k_total; one digit above the
@@ -334,7 +340,7 @@ def _model_points(
     a_start = tuple(reduce_rational(x, mod1) for x in inst.initial_point)
     point, index = f_mod1.iterate(a_start, chain.m0), 0
     points: dict[int, list] = {r: [] for r in shifts}
-    for n in range(2 * ctx.precision + 1):
+    for n in range(count):
         for r in shifts:
             point, index = f_mod1.iterate(point, n * k_total + r - index), n * k_total + r
             coords = []
@@ -355,18 +361,21 @@ def _models(
     """The models of the given increasing shifts, all with iterate power k2.
 
     Each rotation in use gets its idempotent lift and series once, and one
-    walk mod p^(K+1) gives every model its points.
+    walk mod p^(K+1) gives every model its points: 2K + 1, or K + 1 when E is
+    the identity (in every rotation or in none: a chain that is I mod p
+    makes every chart's linear part invertible).
     """
     p, k1 = ctx.prime, chain.k1
     if k1 * k2 > K_TOTAL_CAP:
         raise BudgetExceeded(
             f"combined iterate replacement k1*k2 = {k1 * k2} exceeds the cap {K_TOTAL_CAP}"
         )
-    points = _model_points(inst, chain, ctx, k1 * k2, shifts)
     linears = {
         s: hensel_idempotent(mat_pow(chain.chains[s], k2, p), p, ctx.precision)
         for s in dict.fromkeys(shift % k1 for shift in shifts)
     }
+    span = 1 if all(map(lemma_applies, linears.values())) else 2
+    points = _model_points(inst, chain, ctx, k1 * k2, shifts, span * ctx.precision + 1)
     rotations = _rotation_series(chain.charts, k2, linears, ctx)
     models = []
     for shift in shifts:

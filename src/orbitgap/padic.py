@@ -309,10 +309,6 @@ class MahlerSeries:
         self.coeffs = coeffs
         self.columns = tuple(zip(*coeffs))
 
-    @staticmethod
-    def from_values(ctx: PadicContext, values: list[tuple[int, ...]]) -> "MahlerSeries":
-        return MahlerSeries(ctx, tuple(forward_differences(values, ctx.modulus)))
-
     @property
     def dim(self) -> int:
         return len(self.coeffs[0])

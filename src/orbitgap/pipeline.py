@@ -34,12 +34,7 @@ from .gaps import (
     default_screening_primes,
     localize_zeros,
 )
-from .interpolation import (
-    build_interpolant,
-    constancy_test,
-    verify_compatibility,
-    verify_error_bound,
-)
+from .interpolation import build_interpolant, constancy_test, verify_compatibility
 from .normalization import build_model_family, ensure_not_preperiodic
 from .padic import binomial_rows, is_prime
 from .polynomials import reduce_poly
@@ -331,11 +326,12 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
 
     Every model of the family has the same p, K and window [0, K], so the
     binomial row of each window check is computed once, for all of them.
-    The error bound is checked at every n <= 2K from each model's own
-    points, and needs no row.  Beyond 2K the congruence lemma proves it
-    when E is the identity; when some model's E is not, the ledger names
-    the proved range.  A recorded shift that names no model of the rebuilt
-    family is stale.
+    Each model's one difference table gives its coefficients and certifies
+    them, and needs no row.  When E is the identity the congruence lemma
+    proves the error bound at every n, and the model holds only the window;
+    otherwise the table checks it at every n <= 2K, and the ledger names
+    that range.  A recorded shift that names no model of the rebuilt family
+    is stale.
     """
     old = state.recorded or {}
     state.interps = {}
@@ -345,7 +341,6 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     rows = binomial_rows(ctx, [0, 1, ctx.precision], ctx.precision)
     for model in state.family:
         interp = build_interpolant(model, rows)
-        verify_error_bound(interp)
         lemma &= verify_compatibility(interp)
         record = interp.to_record()
         record.update(

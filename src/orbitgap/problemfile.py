@@ -46,9 +46,9 @@ MAX_DEGREE = 256
 
 #: Largest dimension N: series composition and the orbit walks grow with the
 #: number of variables before any budget applies.  analyze of
-#: x_i -> x_(i+1) + x_i^2 + i (x_(N+1) = x_1) from 0 with V: x_1 = 7
-#: (prime_range [3, 30], precision 16) exits 3 after about 1 s at N = 6 and
-#: 20 s at N = 8 on a 2-vCPU host, and does not finish in 90 s at N = 9.
+#: x_i -> x_(i+1) + x_i^2 + i - 1 (x_(N+1) = x_1) from 0 with V: x_1 = 7
+#: (prime_range [3, 30], precision 16) exits 3 after about 1.2 s at N = 6
+#: and 94 s at N = 8 on a 2-vCPU host, and does not finish in 90 s at N = 9.
 MAX_DIMENSION = 8
 
 #: Largest working precision K: series and Mahler arithmetic run mod p^K.

@@ -60,7 +60,9 @@ returns the first at which they differ mod p^K.
 
 Beside the oracles: a PolyMap from plain exponent-to-coefficient dicts, the
 model map series of a model, from which normalization reads the congruence
-exponent c, and the interpolant run with the binomial rows of its window.
+exponent c, the interpolant run with the binomial rows of its window, the
+uncertified interpolant of a model's window points, a Mahler series from
+its values, and a problem whose models have mixed rank (E is not I).
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ from orbitgap.gaps import (
     newton_zero_count,
     restrict_to_disk,
 )
-from orbitgap.interpolation import build_interpolant
+from orbitgap.interpolation import ApproxInterpolant, build_interpolant
 from orbitgap.modmat import Matrix, mat_mul, mat_reduce
 from orbitgap.normalization import (
     LocalModel,
@@ -101,6 +103,7 @@ from orbitgap.normalization import (
 )
 from orbitgap.padic import (
     INF,
+    MahlerSeries,
     PadicContext,
     TruncatedSeries,
     binomial_row,
@@ -898,7 +901,9 @@ def direct_model(mapping, base_point, p: int, precision: int) -> DirectModel:
     No recentering or scaling is applied, and no claim is made about the base
     point lying in the maximal ideal; these models feed the interpolation and
     zero-localization layers directly.  There is no orbit walk of an original
-    map, so the model points F^0(a'), ..., F^(2K)(a') are iterates of the map.
+    map, so the model points are iterates of the map, as many as the walk
+    stores: F^0(a'), ..., F^K(a') when the linear part is the identity, and
+    up to F^(2K)(a') otherwise.
     """
     ctx = PadicContext(p, precision)
     for poly in mapping.polys:
@@ -915,8 +920,10 @@ def direct_model(mapping, base_point, p: int, precision: int) -> DirectModel:
     _, c = _rotation_series((f_mod,), 1, {0: linear}, ctx)[0]
     if c < 1:
         raise HypothesisViolation("direct model congruence exponent < 1")
+    dims = range(mapping.nvars)
+    identity = tuple(tuple(int(i == j) for j in dims) for i in dims)
     points = [tuple(ctx.scalar(x) for x in base_point)]
-    for _ in range(2 * precision):
+    for _ in range(precision if linear == identity else 2 * precision):
         points.append(f_mod(points[-1]))
     return DirectModel(
         ctx=ctx,
@@ -950,6 +957,11 @@ def forward_differences_reference(values, mod: int) -> list[tuple[int, ...]]:
         row = [tuple((y - x) % mod for x, y in zip(a, b)) for a, b in zip(row, row[1:])]
         out.append(row[0])
     return out
+
+
+def mahler_from_values(ctx: PadicContext, values) -> MahlerSeries:
+    """The Mahler series through values at 0, 1, ...: their forward differences at 0."""
+    return MahlerSeries(ctx, tuple(forward_differences_reference(values, ctx.modulus)))
 
 
 def mahler_value(series, n: int) -> tuple[int, ...]:
@@ -1030,6 +1042,14 @@ def interpolate(model):
     return build_interpolant(model, binomial_rows(model.ctx, [0, 1, K], K))
 
 
+def window_interpolant(model) -> ApproxInterpolant:
+    """G through the window points F^0(a'), ..., F^K(a'), with no check at all
+    (its decay profile is left empty): what build_interpolant certifies."""
+    K = model.ctx.precision
+    series = mahler_from_values(model.ctx, model.points[:K + 1])
+    return ApproxInterpolant(model, series, model.congruence_exponent, K, ())
+
+
 def verify_error_bound_reference(interp) -> int | None:
     """The first orbit index n <= 2K with v(G(n) - F^n(a')) < min(n*c, K),
     each G(n) evaluated alone and the model map iterated from the base point
@@ -1055,3 +1075,17 @@ def verify_compatibility_reference(interp, args) -> int | None:
          != interpolant_value(interp, x + 1)),
         None,
     )
+
+
+#: (2 - y + 3x^2 + xy - 2y^2, -2 + y - x^2 - 3xy - 2y^2) from (-2, -1), V:
+#: x + 2 = 0: at p = 3 no model has E = I, and the run passes its 2K bound table.
+MIXED_RANK = {
+    "dimension": 2,
+    "map": [
+        [[[0, 0], 2], [[0, 1], -1], [[2, 0], 3], [[1, 1], 1], [[0, 2], -2]],
+        [[[0, 0], -2], [[0, 1], 1], [[2, 0], -1], [[1, 1], -3], [[0, 2], -2]],
+    ],
+    "initial_point": [-2, -1],
+    "variety": [[[[1, 0], 1], [[0, 0], 2]]],
+    "parameters": {"prime_range": [3, 30], "precision": 16, "n_max": 200, "screen_primes": 4},
+}

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from padic_oracles import MIXED_RANK
 
 from orbitgap import gaps, normalization, pipeline, reduction
 from orbitgap.cli import main
@@ -936,6 +937,28 @@ def test_long_cycle_exits_3_at_normalization(tmp_path):
     assert failure["message"] == "mod-p^2 cycle length k1 = 10201 exceeds the cap 10000"
 
 
+def test_corrupted_window_point_exits_4(monkeypatch, worked_file, tmp_path, capsys):
+    # every model of the worked example has E = I, where the congruence
+    # lemma proves v(a_k) >= min(k c, K): a window point off by 1 gives a
+    # coefficient of valuation 0, a program error, not a precision shortfall
+    walk = normalization._model_points
+
+    def corrupted(inst, chain, ctx, k_total, shifts, count):
+        points = walk(inst, chain, ctx, k_total, shifts, count)
+        shift, window = next(iter(points.items()))
+        bad = tuple((x + 1) % ctx.modulus for x in window[5])
+        return {**points, shift: (*window[:5], bad, *window[6:])}
+
+    monkeypatch.setattr(normalization, "_model_points", corrupted)
+    out = tmp_path / "run.jsonl"
+    assert main(["analyze", worked_file, "--out", str(out)]) == 4
+    assert "FAILED at stage interpolation" in capsys.readouterr().out
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert {str(r["linear"]) for r in records if r["record"] == "model"} == {"[[1]]"}
+    assert (records[-1]["record"], records[-1]["stage"]) == ("failure", "interpolation")
+    assert records[-1]["message"].startswith("interpolant coefficient 5 has valuation 0 < ")
+
+
 @pytest.mark.parametrize("step, check", [(1, "translate-scale"), (None, "base-point")])
 def test_broken_normalization_invariant_exits_4(monkeypatch, worked_file, tmp_path, capsys,
                                                 step, check):
@@ -1009,18 +1032,6 @@ def test_package_draws_no_pseudo_random_numbers():
 
 #: A 2-d map whose chosen prime 3 gives a family of models with rank-1
 #: idempotent linear parts E.
-MIXED_RANK = {
-    "dimension": 2,
-    "map": [
-        [[[0, 0], 2], [[0, 1], -1], [[2, 0], 3], [[1, 1], 1], [[0, 2], -2]],
-        [[[0, 0], -2], [[0, 1], 1], [[2, 0], -1], [[1, 1], -3], [[0, 2], -2]],
-    ],
-    "initial_point": [-2, -1],
-    "variety": [[[[1, 0], 1], [[0, 0], 2]]],
-    "parameters": {"prime_range": [3, 30], "precision": 16, "n_max": 200, "screen_primes": 4},
-}
-
-
 def test_mixed_rank_run_names_the_proved_range(tmp_path, capsys):
     """(2 - y + 3x^2 + xy - 2y^2, -2 + y - x^2 - 3xy - 2y^2) from (-2, -1),
     V: x + 2 = 0, at p = 3: no model has E = I, so the congruence lemma does

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -10,33 +11,41 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from padic_oracles import (
+    MIXED_RANK,
     direct_model,
     interpolant_value,
     interpolate,
+    mahler_from_values,
     map_from_lists,
     margin,
     model_points_by_apply,
     model_series,
     verify_compatibility_reference,
     verify_error_bound_reference,
+    window_interpolant,
 )
 
-from orbitgap import padic, pipeline
+from orbitgap import interpolation, padic, pipeline
 from orbitgap.errors import InvariantViolation, OrbitgapError, PrecisionExhausted
 from orbitgap.interpolation import (
     build_interpolant,
     constancy_test,
     decay_requirement,
     verify_compatibility,
-    verify_error_bound,
 )
 from orbitgap.normalization import LocalModel, build_model_family
-from orbitgap.padic import INF, MahlerSeries, TruncatedSeries, binomial_rows
+from orbitgap.padic import INF, TruncatedSeries, binomial_rows
 from orbitgap.problemfile import ProblemInstance, parse_problem
 
 
 def _direct(polys, a, p, precision):
     return direct_model(map_from_lists(len(a), polys), a, p, precision)
+
+
+def _diagonal(precision):
+    """(6x, 5y) over Z_5 from (1, 0): E = diag(1, 0) is not the identity, so
+    the model stores 2K + 1 points, and the orbit (6^n, 0) passes the table."""
+    return _direct([{(1, 0): 6}, {(0, 1): 5}], (1, 0), 5, precision)
 
 
 def test_check_hypotheses_examples():
@@ -66,12 +75,15 @@ def test_interpolant_identity_is_constant():
 
 
 def test_interpolant_3x_squared_short_window():
-    # at K = 4 the window [0, 4] is short enough for the decay gate
+    # at K = 4 the window [0, 4] is short enough for the decay gate, and the
+    # super-attracting orbit (E = 0) fails the bound table at n = K + 1
     m = _direct([{(2,): 3}], (3,), 3, 4)
-    interp = interpolate(m)
+    coeffs = window_interpolant(m).series.coeffs
     # first difference 27 - 3 = 24 has valuation 1 >= c = 1
-    assert interp.series.coeffs[1][0] == 24
-    assert interp.decay[1] == 1
+    assert coeffs[1][0] == 24
+    assert padic.sup_valuation(coeffs[1], 3) == 1
+    with pytest.raises(PrecisionExhausted, match="n=5:"):
+        interpolate(m)
 
 
 def test_decay_gate_rejects_super_attracting_orbit():
@@ -89,11 +101,13 @@ def test_decay_requirement_monotone():
 
 def test_error_bound_within_and_beyond_window():
     # 6x over Z_5 at K = 24: the bound holds at every n <= 2K, by the
-    # difference table and by evaluating G alone at each n
-    m = _direct([{(1,): 6}], (1,), 5, 24)
-    interp = interpolate(m)
-    verify_error_bound(interp)
-    assert verify_error_bound_reference(interp) is None
+    # congruence lemma (E = I: the model stores no point beyond K) and by
+    # evaluating G alone at each n; (6x, 5y), where E is not I, passes the
+    # difference table of its 2K + 1 points
+    for m, count in ((_direct([{(1,): 6}], (1,), 5, 24), 25), (_diagonal(24), 49)):
+        assert len(m.points) == count
+        interp = interpolate(m)
+        assert verify_error_bound_reference(interp) is None
 
 
 def test_error_bound_exact_on_window():
@@ -106,18 +120,17 @@ def test_error_bound_exact_on_window():
 
 
 def test_bound_checks_every_index():
-    # 6x over Z_5 at K = 16, with one stored point corrupted beyond the
-    # window: at K + 2, between two of the old sampled indices, and at 2K,
-    # above the last of them.  The first failing n is the corrupted one.
-    m = _direct([{(1,): 6}], (1,), 5, 16)
-    interp = interpolate(m)
-    verify_error_bound(interp)
+    # (6x, 5y) over Z_5 at K = 16, E not I, with one stored point corrupted
+    # beyond the window: at K + 2, between two of the old sampled indices,
+    # and at 2K, above the last of them.  The first failing n is the
+    # corrupted one.
+    m = _diagonal(16)
+    interpolate(m)
     for n in (18, 32):
         points = list(m.points)
-        points[n] = ((points[n][0] + 1) % m.ctx.modulus,)
-        broken = interp._replace(model=m._replace(points=tuple(points)))
+        points[n] = ((points[n][0] + 1) % m.ctx.modulus, points[n][1])
         with pytest.raises(PrecisionExhausted, match=f"n={n}:"):
-            verify_error_bound(broken)
+            interpolate(m._replace(points=tuple(points)))
 
 
 def _specials(ctx) -> list[int]:
@@ -151,12 +164,12 @@ def test_compatibility_quadratic_model():
 
 
 def test_constancy_flags_moving_orbit():
-    # at K = 6 the orbit 3^(n+1), whose differences all have valuation 1, passes the decay gate
-    m = _direct([{(1,): 3}], (3,), 3, 6)
+    # at K = 6 the orbit 6^n, whose k-th difference is 5^k, passes every check
+    m = _direct([{(1,): 6}], (1,), 5, 6)
     interp = interpolate(m)
     assert not constancy_test(interp)
-    # first difference of 3^(n+1) at 0 is 9 - 3 = 6
-    assert interp.series.coeffs[1][0] == 6
+    # first difference of 6^n at 0 is 6 - 1 = 5
+    assert interp.series.coeffs[1][0] == 5
 
 
 def test_mahler_roundtrip_differences():
@@ -164,7 +177,7 @@ def test_mahler_roundtrip_differences():
     m = _direct([{(1,): 6}], (1,), 5, 16)
     interp = interpolate(m)
     values = [interpolant_value(interp, n) for n in range(17)]
-    again = MahlerSeries.from_values(m.ctx, values)
+    again = mahler_from_values(m.ctx, values)
     assert again.coeffs == interp.series.coeffs
 
 
@@ -178,13 +191,24 @@ def test_interpolant_record_roundtrip():
 
 
 def test_bound_shortfall_in_window_is_a_broken_reconstruction():
+    """6x over Z_5 has E = I, so the congruence lemma proves v(a_k) >=
+    min(k c, K): a window point off by 5 gives coefficient 5 valuation 1, a
+    program error, though decay_requirement(5) is only 1.  (6x, 5y), where
+    E is not I, fits a window point off by 5^(K-1) as well, passes the decay
+    gate, and fails the table at K + 1."""
     m = _direct([{(1,): 6}], (1,), 5, 12)
-    interp = interpolate(m)
+    interpolate(m)
     points = list(m.points)
-    points[5] = (points[5][0] + 1,)
-    broken = interp._replace(model=m._replace(points=tuple(points)))
-    with pytest.raises(InvariantViolation, match="reconstruction failed at 5$"):
-        verify_error_bound(broken)
+    points[5] = (points[5][0] + 5,)
+    assert decay_requirement(5, 1, 5, 12) == 1
+    shortfall = re.escape("coefficient 5 has valuation 1 < min(k*c, K) = 5,")
+    with pytest.raises(InvariantViolation, match=shortfall):
+        interpolate(m._replace(points=tuple(points)))
+    m = _diagonal(12)
+    points = list(m.points)
+    points[5] = ((points[5][0] + 5**11) % m.ctx.modulus, 0)
+    with pytest.raises(PrecisionExhausted, match="n=13:"):
+        interpolate(m._replace(points=tuple(points)))
 
 
 def test_bound_shortfall_beyond_window_is_precision_exhausted():
@@ -195,9 +219,9 @@ def test_bound_shortfall_beyond_window_is_precision_exhausted():
         ({(0,): Fraction(0)},),
     )
     model = build_model_family(inst, 3, 8)[0]
-    interp = interpolate(model)
+    assert model.linear == ((0,),) and len(model.points) == 17
     with pytest.raises(PrecisionExhausted, match="n=9:"):
-        verify_error_bound(interp)
+        interpolate(model)
 
 
 _QUADRATIC_EXPONENTS = {
@@ -209,8 +233,9 @@ _QUADRATIC_EXPONENTS = {
 @given(st.data())
 @settings(max_examples=20, deadline=None)
 def test_family_points_and_shared_rows_match_per_model_oracles(data):
-    """Every model's walk points are its iterates, and the checks on rows
-    shared by the family give the verdicts of evaluating each model alone."""
+    """Every model's walk points are its iterates, K + 1 of them when E = I
+    and 2K + 1 otherwise, and the checks on rows shared by the family give
+    the verdicts of evaluating each model alone."""
     dim = data.draw(st.sampled_from([1, 2]))
     p = data.draw(st.sampled_from([3, 5, 7] if dim == 1 else [3]))
     precision = data.draw(st.sampled_from([6, 8]))
@@ -226,23 +251,17 @@ def test_family_points_and_shared_rows_match_per_model_oracles(data):
         reject()
     rows = binomial_rows(family[0].ctx, [0, 1, precision], precision)
     for model in family:
-        assert list(model.points) == model_points_by_apply(model, 2 * precision + 1)
+        count = precision + 1 if _linear_part_is_identity(model) else 2 * precision + 1
+        assert list(model.points) == model_points_by_apply(model, count)
+        # a failing bound raises at the oracle's first failing n <= 2K
+        witness = verify_error_bound_reference(window_interpolant(model))
         try:
-            interp = build_interpolant(model, rows)
-        except PrecisionExhausted:
+            build_interpolant(model, rows)
+        except PrecisionExhausted as exc:
+            if not str(exc).startswith("interpolant coefficient"):  # the decay gate
+                assert str(exc).startswith(f"approximation bound failed at n={witness}:")
             continue
-        # a failing check raises at the oracle's first failing n <= 2K
-        witness = verify_error_bound_reference(interp)
-        if witness is None:
-            verify_error_bound(interp)
-        else:
-            # inside the window a broken reconstruction, beyond it the uncertified tail
-            if witness <= precision:
-                failure, where = InvariantViolation, f"failed at {witness}$"
-            else:
-                failure, where = PrecisionExhausted, f"failed at n={witness}:"
-            with pytest.raises(failure, match=where):
-                verify_error_bound(interp)
+        assert witness is None
 
 
 def _linear_part_is_identity(model) -> bool:
@@ -287,9 +306,9 @@ def test_congruence_lemma_proves_the_interpolation_when_e_is_the_identity(data):
             reject()
         assert verify_compatibility(interp) is False
         return
-    # the lemma bounds the decay above what construction requires, so neither check fails
+    # the lemma proves the decay bound that construction checks, so it does not fail
     interp = interpolate(model)
-    verify_error_bound(interp)
+    assert len(model.points) == precision + 1
     assert verify_compatibility(interp) is True
     zero = (0,) * dim
     for k, coeff_k in enumerate(interp.series.coeffs):
@@ -368,6 +387,35 @@ def test_interpolation_stage_computes_each_row_once(monkeypatch, doc, prime, mod
     assert max(rows.values()) == 1 and set(rows) == {(r, precision) for r in (0, 1, precision)}
     assert applies == Counter()
     assert report.assumptions == []
+
+
+@pytest.mark.parametrize(
+    "doc, prime, span",
+    [
+        (FAMILY_P29, 29, 1),
+        (json.loads((PROBLEMS / "square_minus_two.json").read_text()), 3, 1),
+        (MIXED_RANK, 3, 2),
+    ],
+    ids=["family-p29", "square_minus_two", "mixed-rank"],
+)
+def test_interpolation_stage_builds_one_table_per_model(monkeypatch, doc, prime, span):
+    """Each model's coefficients and bound check come from one table of
+    forward differences of its points: K + 1 of them when E = I (the two
+    samples), 2K + 1 when it is not (the mixed-rank input)."""
+    inst, params = parse_problem(doc)
+    precision = params.precision
+    state = pipeline.RunState(inst, params)
+    state.family = build_model_family(inst, prime, precision)
+    tables = Counter()
+    forward_differences = interpolation.forward_differences
+
+    def counting_table(values, mod):
+        tables[len(values)] += 1
+        return forward_differences(values, mod)
+
+    monkeypatch.setattr(interpolation, "forward_differences", counting_table)
+    pipeline.stage_interpolation(pipeline.RunReport("sha"), state)
+    assert tables == Counter({span * precision + 1: len(state.family)})
 
 
 def test_model_family_composes_each_rotation_from_shared_composites(monkeypatch):

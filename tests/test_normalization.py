@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from padic_oracles import (
+    MIXED_RANK,
     apply_reference,
     chart_args,
     direct_model,
@@ -45,7 +46,7 @@ from orbitgap.normalization import (
 )
 from orbitgap.padic import PadicContext, int_valuation, sup_valuation
 from orbitgap.polynomials import ModularMap, Poly, PolyMap, reduce_poly, reduce_rational
-from orbitgap.problemfile import ProblemInstance
+from orbitgap.problemfile import ProblemInstance, parse_problem
 
 
 # -- oracles: the chart step split into its two conjugations ------------------
@@ -288,10 +289,20 @@ def test_index_bookkeeping_against_exact_iteration():
 
 
 def test_model_orbit_is_the_stored_points():
-    """A model stores F^0(a'), ..., F^(2K)(a'), its base point first."""
+    """A model stores F^0(a'), ..., F^K(a'), its base point first, when E is
+    the identity, which the congruence lemma proves at every n, and up to
+    F^(2K)(a') otherwise: on the mixed-rank input at p = 3, and for
+    x^2 + x - 2 from 5 at p = 3, where E = 0."""
     inst = _instance([{(2,): 1, (0,): -2}], (3,))
     m = build_model_family(inst, 3, 10)[0]
-    assert len(m.points) == 21 and m.points[0] == m.base_point
+    assert m.linear == ((1,),)
+    assert len(m.points) == 11 and m.points[0] == m.base_point
+    inst, params = parse_problem(MIXED_RANK)
+    mixed = build_model_family(inst, 3, params.precision)
+    assert all(m.linear != ((1, 0), (0, 1)) for m in mixed)
+    assert {len(m.points) for m in mixed} == {2 * params.precision + 1}
+    m = build_model_family(_instance([{(2,): 1, (1,): 1, (0,): -2}], (5,)), 3, 10)[0]
+    assert m.linear == ((0,),) and len(m.points) == 21
 
 
 def test_family_covers_all_shifts():
