@@ -17,9 +17,8 @@ the range [0, 2K] that the table proves.  The degenerate constant case
 The orbit points come from the model (LocalModel.points, read off one walk
 of the original map for a whole family), not from iterating the model map.
 A value of the interpolant is a dot product of its coefficients with the
-binomial row of the argument.  The window checks read their rows from a
-table `rows` (padic.binomial_rows) keyed by residue mod p^K, so the models
-of one family, which share p and K, share the rows too.
+binomial row of the argument; the window checks at 0, 1 and K each build
+their row over the integers (padic.binomial_row).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import InvariantViolation, PrecisionExhausted
 from .normalization import LocalModel, lemma_applies
-from .padic import MahlerSeries, forward_differences, sup_valuation
+from .padic import MahlerSeries, binomial_row, forward_differences, sup_valuation
 
 #: Allowed shortfall of coefficient decay below the ideal k*c schedule,
 #: beyond the k/(p-1) slack inherent to binomial-basis expansions.
@@ -71,7 +70,7 @@ def decay_requirement(k: int, c: int, p: int, precision: int) -> int:
     return max(0, min(req, precision))
 
 
-def build_interpolant(model: LocalModel, rows) -> ApproxInterpolant:
+def build_interpolant(model: LocalModel) -> ApproxInterpolant:
     """The interpolant of the model points, its decay and error bound certified.
 
     One difference table of the points gives the coefficients (rows 0..K)
@@ -80,8 +79,8 @@ def build_interpolant(model: LocalModel, rows) -> ApproxInterpolant:
     shortfall is a program error.  Otherwise it indicates either
     insufficient precision or a model whose orbit is not interpolable at
     this congruence level (for instance an orbit super-attracted to a fixed
-    point); both are reported, not patched.  rows (padic.binomial_rows,
-    keyed by residue mod p^K) must cover the arguments 0, 1 and K.
+    point); both are reported, not patched.  The window checks evaluate G
+    at 0, 1 and K against the points there.
     """
     c = model.congruence_exponent
     p, prec = model.ctx.prime, model.ctx.precision
@@ -102,7 +101,7 @@ def build_interpolant(model: LocalModel, rows) -> ApproxInterpolant:
                 "insufficient precision or an interpolation hypothesis fails on this orbit"
             )
     for n in (0, 1, prec):
-        if series.evaluate(rows[n % model.ctx.modulus]) != model.points[n]:
+        if series.evaluate(binomial_row(model.ctx, n, prec)) != model.points[n]:
             raise InvariantViolation(f"fitting-window reconstruction failed at {n}")
     verify_error_bound(table[prec + 1:], prec)
     return ApproxInterpolant(model, series, c, prec, decay)

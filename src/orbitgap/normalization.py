@@ -84,23 +84,15 @@ def _iterate_power(chains: list[Matrix], p: int) -> int:
 
     A^k is idempotent exactly when k is at least the index where the power
     sequence of A enters its cycle and a multiple of the cycle's period.
+    That sequence is the forward orbit of A under M -> M*A mod p, whose
+    point of index n is A^(n+1).
     """
-    cycles = [_power_cycle(a, p) for a in chains]
-    period = math.lcm(*(period for _, period in cycles))
-    return period * math.ceil(max(enter for enter, _ in cycles) / period)
-
-
-def _power_cycle(a: Matrix, p: int) -> tuple[int, int]:
-    """(enter, period): A^k is in the cycle of its power sequence iff k >= enter."""
-    seen: dict[Matrix, int] = {}
-    cur = mat_reduce(a, p)
-    k = 1
-    while cur not in seen:
-        seen[cur] = k
-        cur = mat_mul(cur, mat_reduce(a, p), p)
-        k += 1
-    first = seen[cur]
-    return first, k - first
+    enter, period = 1, 1
+    for a in chains:
+        a_bar = mat_reduce(a, p)
+        summary = orbit_summary(lambda m: mat_mul(m, a_bar, p), a_bar)
+        enter, period = max(enter, summary.tail + 1), math.lcm(period, summary.cycle)
+    return period * math.ceil(enter / period)
 
 
 def hensel_idempotent(a_bar: Matrix, p: int, precision: int) -> Matrix:
@@ -136,7 +128,6 @@ class LocalModel(NamedTuple):
     """
 
     ctx: PadicContext
-    dimension: int
     # chart steps G_s, G_{s+1}, ... mod p^K in application order, shared by a family
     chart_mods: tuple[ModularMap, ...]
     steps_per_iterate: int  # chart-chain repetitions per model iterate (k2)
@@ -395,7 +386,6 @@ def _models(
         models.append(
             LocalModel(
                 ctx=ctx,
-                dimension=inst.dimension,
                 chart_mods=chain.charts[s:] + chain.charts[:s],
                 steps_per_iterate=k2,
                 points=points[shift],

@@ -110,55 +110,21 @@ def sup_valuation(vec, p: int) -> int | float:
 def binomial_row(ctx: PadicContext, r: int, kmax: int) -> list[int]:
     """All of C(r, 0), ..., C(r, kmax) mod p^K for an integer r.
 
-    Incremental falling-factorial products at working modulus p^(K + v_p(kmax!));
-    the p-part of k! is divided out exactly and its unit part inverted once:
-    the inverse for kmax! is walked down to k! by multiplying back the unit
-    parts of kmax, kmax-1, ..., k+1.
+    Built over the integers by C(r, k) = C(r, k-1) * (r - k + 1) / k, an
+    exact division, and reduced at the end.  A residue stands for a p-adic
+    argument, whose row is known mod p^K only while v_p(kmax!) < K, so a
+    longer row is refused.
     """
-    p, prec, mod = ctx.prime, ctx.precision, ctx.modulus
-    e_max = vp_factorial(kmax, p)
-    if e_max >= prec:
+    e_max = vp_factorial(kmax, ctx.prime)
+    if e_max >= ctx.precision:
         raise PrecisionExhausted(
-            f"v_p({kmax}!) = {e_max} >= precision {prec}; raise the precision"
+            f"v_p({kmax}!) = {e_max} >= precision {ctx.precision}; raise the precision"
         )
-    p_pows = [1]  # p^e for e <= e_max
-    for _ in range(e_max):
-        p_pows.append(p_pows[-1] * p)
-    mod_pows = [mod * q for q in p_pows]  # p^(K + e)
-    work_mod = mod_pows[e_max]
-    quotients = [1]  # falling factorial / p^v_p(k!), mod p^K
-    units = [1]  # unit part of k
-    prod = 1  # falling factorial mod work_mod
-    fact_unit = 1  # unit part of k! mod p^K
-    e_k = 0  # v_p(k!)
+    row = [1]
     for k in range(1, kmax + 1):
-        prod = prod * (r - (k - 1)) % work_mod
-        u = k
-        while u % p == 0:
-            u //= p
-            e_k += 1
-        units.append(u)
-        fact_unit = fact_unit * u % mod
-        # prod is congruent to the true falling factorial mod p^(K+e_max) and
-        # the true value is divisible by p^e_k, so this integer division is exact.
-        quotients.append((prod % mod_pows[e_k]) // p_pows[e_k])
-    inv = pow(fact_unit, -1, mod)
-    out = [0] * (kmax + 1)
-    for k in range(kmax, -1, -1):
-        out[k] = quotients[k] * inv % mod
-        inv = inv * units[k] % mod  # now the inverse unit part of (k-1)!
-    return out
-
-
-def binomial_rows(ctx: PadicContext, args, kmax: int) -> dict[int, list[int]]:
-    """binomial_row of each distinct residue mod p^K of the integers args, keyed by residue.
-
-    A row depends only on (p, K, residue, kmax), so callers that evaluate
-    several Mahler series of kmax + 1 terms at the same arguments compute
-    the rows once and pass them to MahlerSeries.evaluate.
-    """
+        row.append(row[-1] * (r - k + 1) // k)
     mod = ctx.modulus
-    return {r: binomial_row(ctx, r, kmax) for r in dict.fromkeys(a % mod for a in args)}
+    return [c % mod for c in row]
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +260,16 @@ def forward_differences(values: list[tuple[int, ...]], mod: int) -> list[tuple[i
     return list(zip(*cols))
 
 
-class MahlerSeries:
+class MahlerSeries(NamedTuple):
     """A function of one p-adic argument in the binomial basis.
 
-    coeffs[k] is a residue vector mod p^K multiplying C(n, k); columns[i]
-    holds coordinate i of every coefficient.  Evaluation at any integer n in
-    [0, len(coeffs)-1] reproduces the finite-difference data exactly.
+    coeffs[k] is a residue vector mod p^K multiplying C(n, k).  Evaluation
+    at any integer n in [0, len(coeffs)-1] reproduces the finite-difference
+    data exactly.
     """
 
-    __slots__ = ("ctx", "coeffs", "columns")
-
-    def __init__(self, ctx: PadicContext, coeffs: tuple[tuple[int, ...], ...]):
-        self.ctx = ctx
-        self.coeffs = coeffs
-        self.columns = tuple(zip(*coeffs))
+    ctx: PadicContext
+    coeffs: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -319,8 +281,8 @@ class MahlerSeries:
 
     def evaluate(self, row: list[int]) -> tuple[int, ...]:
         """Sum of coeffs[k] * row[k]: the value at an argument whose binomial
-        row C(n, 0), ..., C(n, terms - 1) mod p^K this is (see binomial_rows)."""
+        row C(n, 0), ..., C(n, terms - 1) mod p^K this is (see binomial_row)."""
         if len(row) != len(self.coeffs):
             raise ValueError(f"binomial row of {len(row)} entries for {len(self.coeffs)} terms")
         mod = self.ctx.modulus
-        return tuple([sum(map(mul, row, col)) % mod for col in self.columns])
+        return tuple([sum(map(mul, row, col)) % mod for col in zip(*self.coeffs)])

@@ -36,7 +36,7 @@ from .gaps import (
 )
 from .interpolation import build_interpolant, constancy_test, verify_compatibility
 from .normalization import build_model_family, ensure_not_preperiodic
-from .padic import binomial_rows, is_prime
+from .padic import is_prime
 from .polynomials import reduce_poly
 from .problemfile import ProblemInstance, RunParameters
 from .reduction import (
@@ -324,10 +324,9 @@ def stage_normalization(report: RunReport, state: RunState) -> None:
 def stage_interpolation(report: RunReport, state: RunState) -> None:
     """Certified interpolants; replayed ones must match the rebuilt ones bit for bit.
 
-    Every model of the family has the same p, K and window [0, K], so the
-    binomial row of each window check is computed once, for all of them.
     Each model's one difference table gives its coefficients and certifies
-    them, and needs no row.  When E is the identity the congruence lemma
+    them; its window checks at 0, 1 and K build their binomial rows from
+    small exact integers.  When E is the identity the congruence lemma
     proves the error bound at every n, and the model holds only the window;
     otherwise the table checks it at every n <= 2K, and the ledger names
     that range.  A recorded shift that names no model of the rebuilt family
@@ -338,9 +337,8 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     stale = False
     lemma = True
     ctx = state.family[0].ctx
-    rows = binomial_rows(ctx, [0, 1, ctx.precision], ctx.precision)
     for model in state.family:
-        interp = build_interpolant(model, rows)
+        interp = build_interpolant(model)
         lemma &= verify_compatibility(interp)
         record = interp.to_record()
         record.update(

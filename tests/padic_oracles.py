@@ -92,7 +92,7 @@ from orbitgap.gaps import (
     newton_zero_count,
     restrict_to_disk,
 )
-from orbitgap.interpolation import ApproxInterpolant, build_interpolant
+from orbitgap.interpolation import ApproxInterpolant
 from orbitgap.modmat import Matrix, mat_mul, mat_reduce
 from orbitgap.normalization import (
     LocalModel,
@@ -107,7 +107,6 @@ from orbitgap.padic import (
     PadicContext,
     TruncatedSeries,
     binomial_row,
-    binomial_rows,
     int_valuation,
     vp_factorial,
 )
@@ -927,7 +926,6 @@ def direct_model(mapping, base_point, p: int, precision: int) -> DirectModel:
         points.append(f_mod(points[-1]))
     return DirectModel(
         ctx=ctx,
-        dimension=mapping.nvars,
         chart_mods=(f_mod,),
         steps_per_iterate=1,
         points=tuple(points),
@@ -1034,12 +1032,6 @@ def model_series(model) -> tuple[TruncatedSeries, ...]:
     s, k1 = model.shift % model.k1, model.k1
     charts = model.chart_mods[k1 - s:] + model.chart_mods[:k1 - s]
     return _rotation_series(charts, model.steps_per_iterate, {s: model.linear}, model.ctx)[s][0]
-
-
-def interpolate(model):
-    """build_interpolant with the binomial rows of its window checks 0, 1 and K."""
-    K = model.ctx.precision
-    return build_interpolant(model, binomial_rows(model.ctx, [0, 1, K], K))
 
 
 def window_interpolant(model) -> ApproxInterpolant:

@@ -15,7 +15,6 @@ from padic_oracles import (
     disk_series,
     from_original,
     idempotent_power,
-    interpolate,
     map_from_lists,
     model_series,
     on_cycle,
@@ -26,6 +25,7 @@ from padic_oracles import (
 )
 
 from orbitgap.gaps import newton_zero_count
+from orbitgap.interpolation import build_interpolant
 from orbitgap.modmat import mat_mul, mat_pow
 from orbitgap.normalization import _iterate_power, build_model_family
 from orbitgap.padic import PadicContext, int_valuation, sup_valuation
@@ -49,7 +49,7 @@ def _report(n, ok, detail):
 def test_criterion_1_interpolation_error_bound():
     start = time.perf_counter()
     model = direct_model(map_from_lists(1, [{(1,): 6}]), (1,), 5, 64)
-    interp = interpolate(model)  # certified: E = I, so the lemma proves every n
+    interp = build_interpolant(model)  # certified: E = I, so the lemma proves every n
     ok = verify_error_bound_reference(interp) is None
     elapsed = time.perf_counter() - start
     _report(
@@ -76,7 +76,7 @@ def test_criterion_2_compatibility_three_models():
     )
     ok = True
     for model in (linear, quad1, quad2):
-        interp = interpolate(model)
+        interp = build_interpolant(model)
         ctx = model.ctx
         # the two special arguments -1 and 1/(1-p), and 100 pseudo-random ones
         rng = random.Random(11)

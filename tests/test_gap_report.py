@@ -16,7 +16,6 @@ from padic_oracles import (
     build_gap_report_reference,
     dense_coefficients,
     direct_model,
-    interpolate,
     map_from_lists,
     poly_add,
     poly_mul,
@@ -33,12 +32,13 @@ from orbitgap.gaps import (
     newton_zero_count,
     restrict_to_disk,
 )
+from orbitgap.interpolation import build_interpolant
 
 
 @functools.lru_cache(maxsize=None)
 def _translation_interp(p=5, precision=18):
     model = direct_model(map_from_lists(1, [{(1,): 1, (0,): p}]), (0,), p, precision)
-    return model, interpolate(model)
+    return model, build_interpolant(model)
 
 
 def _q_with_zeros(p, roots):
@@ -159,7 +159,7 @@ def test_uncovered_shift_classes_are_reported(monkeypatch):
     family = build_model_family(inst, 5, 12)
     assert len(family) == 1 and family[0].k_total == 5
     model = family[0]
-    interp = interpolate(model)
+    interp = build_interpolant(model)
     qs = [model.transport_poly(q) for q in inst.variety]
     # returns at n=1 (6^1 = 6 on V) plus a fabricated off-class index
     returns = _fake_returns([1, 7])

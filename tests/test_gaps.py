@@ -19,7 +19,6 @@ from padic_oracles import (
     direct_model,
     disk_series,
     interpolant_value,
-    interpolate,
     iterate_point,
     localize_zeros_reference,
     map_from_lists,
@@ -49,6 +48,7 @@ from orbitgap.gaps import (
     newton_zero_count,
     restrict_to_disk,
 )
+from orbitgap.interpolation import build_interpolant
 from orbitgap.normalization import build_model_family
 from orbitgap.padic import INF, MahlerSeries, PadicContext, int_valuation, vp_factorial
 from orbitgap.polynomials import ModularMap, reduce_poly
@@ -401,7 +401,7 @@ def test_newton_matches_oracle_constructed():
 
 
 def _six_interp():
-    return interpolate(direct_model(map_from_lists(1, [{(1,): 6}]), (1,), 5, 20))
+    return build_interpolant(direct_model(map_from_lists(1, [{(1,): 6}]), (1,), 5, 20))
 
 
 def test_restrict_constant_polynomial():
@@ -435,7 +435,7 @@ def _disk_interpolants():
         ([{(1, 0): 1, (0, 1): 7}, {(0, 1): 8, (2, 0): 7}], (3, 1), 7, 12),
     ]
     return [
-        interpolate(direct_model(map_from_lists(len(a), polys), a, p, precision))
+        build_interpolant(direct_model(map_from_lists(len(a), polys), a, p, precision))
         for polys, a, p, precision in maps
     ]
 
@@ -749,7 +749,7 @@ def test_density_examples():
 def test_gap_report_via_pipeline_pieces():
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
     model = build_model_family(inst, 3, 24)[0]
-    interp = interpolate(model)
+    interp = build_interpolant(model)
     qs = [model.transport_poly(q) for q in inst.variety]
     returns = compute_returns(inst, 200, screening_primes=[101, 103], bad=bad_primes(inst, search_bound=0))
     report = build_gap_report(

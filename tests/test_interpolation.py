@@ -14,7 +14,6 @@ from padic_oracles import (
     MIXED_RANK,
     direct_model,
     interpolant_value,
-    interpolate,
     mahler_from_values,
     map_from_lists,
     margin,
@@ -34,7 +33,7 @@ from orbitgap.interpolation import (
     verify_compatibility,
 )
 from orbitgap.normalization import LocalModel, build_model_family
-from orbitgap.padic import INF, TruncatedSeries, binomial_rows
+from orbitgap.padic import INF, TruncatedSeries
 from orbitgap.problemfile import ProblemInstance, parse_problem
 
 
@@ -59,7 +58,7 @@ def test_check_hypotheses_examples():
 
 def test_interpolant_geometric():
     m = _direct([{(1,): 6}], (1,), 5, 16)
-    interp = interpolate(m)
+    interp = build_interpolant(m)
     # Delta^k of 6^n at 0 is 5^k
     for k, cv in enumerate(interp.series.coeffs):
         assert cv[0] == pow(5, k, 5**16)
@@ -68,7 +67,7 @@ def test_interpolant_geometric():
 
 def test_interpolant_identity_is_constant():
     m = _direct([{(1,): 1}], (7,), 5, 10)
-    interp = interpolate(m)
+    interp = build_interpolant(m)
     assert interp.decay[0] == 0
     assert all(v is INF for v in interp.decay[1:])
     assert constancy_test(interp) and interp.series.coeffs[0] == (7,)
@@ -83,14 +82,14 @@ def test_interpolant_3x_squared_short_window():
     assert coeffs[1][0] == 24
     assert padic.sup_valuation(coeffs[1], 3) == 1
     with pytest.raises(PrecisionExhausted, match="n=5:"):
-        interpolate(m)
+        build_interpolant(m)
 
 
 def test_decay_gate_rejects_super_attracting_orbit():
     # 3x^2 at a' = 3: differences stall at valuation 1, far below k*c
     m = _direct([{(2,): 3}], (3,), 3, 24)
     with pytest.raises(PrecisionExhausted):
-        interpolate(m)
+        build_interpolant(m)
 
 
 def test_decay_requirement_monotone():
@@ -106,14 +105,14 @@ def test_error_bound_within_and_beyond_window():
     # difference table of its 2K + 1 points
     for m, count in ((_direct([{(1,): 6}], (1,), 5, 24), 25), (_diagonal(24), 49)):
         assert len(m.points) == count
-        interp = interpolate(m)
+        interp = build_interpolant(m)
         assert verify_error_bound_reference(interp) is None
 
 
 def test_error_bound_exact_on_window():
     # on [0, K] the point differences are G's coefficients, so G is exact there
     m = _direct([{(1,): 6}], (1,), 5, 20)
-    interp = interpolate(m)
+    interp = build_interpolant(m)
     assert padic.forward_differences(m.points[:21], m.ctx.modulus) == list(interp.series.coeffs)
     assert all(margin(interpolant_value(interp, n), m.points[n], m.ctx) is INF
                for n in range(21))
@@ -125,12 +124,12 @@ def test_bound_checks_every_index():
     # and at 2K, above the last of them.  The first failing n is the
     # corrupted one.
     m = _diagonal(16)
-    interpolate(m)
+    build_interpolant(m)
     for n in (18, 32):
         points = list(m.points)
         points[n] = ((points[n][0] + 1) % m.ctx.modulus, points[n][1])
         with pytest.raises(PrecisionExhausted, match=f"n={n}:"):
-            interpolate(m._replace(points=tuple(points)))
+            build_interpolant(m._replace(points=tuple(points)))
 
 
 def _specials(ctx) -> list[int]:
@@ -140,7 +139,7 @@ def _specials(ctx) -> list[int]:
 
 def test_compatibility_examples():
     m = _direct([{(1,): 6}], (1,), 5, 20)
-    interp = interpolate(m)
+    interp = build_interpolant(m)
     ctx = m.ctx
     # integer argument: both sides are 6^8
     left = m.apply(interpolant_value(interp, 7))
@@ -158,7 +157,7 @@ def test_compatibility_quadratic_model():
         ({(0,): Fraction(0)},),
     )
     model = build_model_family(inst, 3, 24)[0]
-    interp = interpolate(model)
+    interp = build_interpolant(model)
     assert verify_compatibility(interp) is True  # F(G(x)) = G(x + 1) mod 3^24
     assert verify_compatibility_reference(interp, [*_specials(model.ctx), *range(30)]) is None
 
@@ -166,7 +165,7 @@ def test_compatibility_quadratic_model():
 def test_constancy_flags_moving_orbit():
     # at K = 6 the orbit 6^n, whose k-th difference is 5^k, passes every check
     m = _direct([{(1,): 6}], (1,), 5, 6)
-    interp = interpolate(m)
+    interp = build_interpolant(m)
     assert not constancy_test(interp)
     # first difference of 6^n at 0 is 6 - 1 = 5
     assert interp.series.coeffs[1][0] == 5
@@ -175,7 +174,7 @@ def test_constancy_flags_moving_orbit():
 def test_mahler_roundtrip_differences():
     """Evaluating the interpolant on the window and re-differencing is the identity."""
     m = _direct([{(1,): 6}], (1,), 5, 16)
-    interp = interpolate(m)
+    interp = build_interpolant(m)
     values = [interpolant_value(interp, n) for n in range(17)]
     again = mahler_from_values(m.ctx, values)
     assert again.coeffs == interp.series.coeffs
@@ -183,7 +182,7 @@ def test_mahler_roundtrip_differences():
 
 def test_interpolant_record_roundtrip():
     m = _direct([{(1,): 6}], (1,), 5, 6)
-    interp = interpolate(m)
+    interp = build_interpolant(m)
     rec = interp.to_record()
     assert rec["prime"] == 5 and rec["precision"] == 6
     assert rec["coefficients"][1] == [5]
@@ -197,18 +196,18 @@ def test_bound_shortfall_in_window_is_a_broken_reconstruction():
     E is not I, fits a window point off by 5^(K-1) as well, passes the decay
     gate, and fails the table at K + 1."""
     m = _direct([{(1,): 6}], (1,), 5, 12)
-    interpolate(m)
+    build_interpolant(m)
     points = list(m.points)
     points[5] = (points[5][0] + 5,)
     assert decay_requirement(5, 1, 5, 12) == 1
     shortfall = re.escape("coefficient 5 has valuation 1 < min(k*c, K) = 5,")
     with pytest.raises(InvariantViolation, match=shortfall):
-        interpolate(m._replace(points=tuple(points)))
+        build_interpolant(m._replace(points=tuple(points)))
     m = _diagonal(12)
     points = list(m.points)
     points[5] = ((points[5][0] + 5**11) % m.ctx.modulus, 0)
     with pytest.raises(PrecisionExhausted, match="n=13:"):
-        interpolate(m._replace(points=tuple(points)))
+        build_interpolant(m._replace(points=tuple(points)))
 
 
 def test_bound_shortfall_beyond_window_is_precision_exhausted():
@@ -221,7 +220,7 @@ def test_bound_shortfall_beyond_window_is_precision_exhausted():
     model = build_model_family(inst, 3, 8)[0]
     assert model.linear == ((0,),) and len(model.points) == 17
     with pytest.raises(PrecisionExhausted, match="n=9:"):
-        interpolate(model)
+        build_interpolant(model)
 
 
 _QUADRATIC_EXPONENTS = {
@@ -232,10 +231,10 @@ _QUADRATIC_EXPONENTS = {
 
 @given(st.data())
 @settings(max_examples=20, deadline=None)
-def test_family_points_and_shared_rows_match_per_model_oracles(data):
+def test_family_points_and_checks_match_per_model_oracles(data):
     """Every model's walk points are its iterates, K + 1 of them when E = I
-    and 2K + 1 otherwise, and the checks on rows shared by the family give
-    the verdicts of evaluating each model alone."""
+    and 2K + 1 otherwise, and its checks give the verdicts of evaluating
+    that model alone."""
     dim = data.draw(st.sampled_from([1, 2]))
     p = data.draw(st.sampled_from([3, 5, 7] if dim == 1 else [3]))
     precision = data.draw(st.sampled_from([6, 8]))
@@ -249,14 +248,13 @@ def test_family_points_and_shared_rows_match_per_model_oracles(data):
         family = build_model_family(inst, p, precision)
     except OrbitgapError:
         reject()
-    rows = binomial_rows(family[0].ctx, [0, 1, precision], precision)
     for model in family:
         count = precision + 1 if _linear_part_is_identity(model) else 2 * precision + 1
         assert list(model.points) == model_points_by_apply(model, count)
         # a failing bound raises at the oracle's first failing n <= 2K
         witness = verify_error_bound_reference(window_interpolant(model))
         try:
-            build_interpolant(model, rows)
+            build_interpolant(model)
         except PrecisionExhausted as exc:
             if not str(exc).startswith("interpolant coefficient"):  # the decay gate
                 assert str(exc).startswith(f"approximation bound failed at n={witness}:")
@@ -267,7 +265,7 @@ def test_family_points_and_shared_rows_match_per_model_oracles(data):
 def _linear_part_is_identity(model) -> bool:
     """E = I, read off the model map series: its linear part is I mod p.  An
     idempotent congruent to I mod p is invertible, so it is I."""
-    series, p, dim = model_series(model), model.prime, model.dimension
+    series, p, dim = model_series(model), model.prime, len(model.center)
     units = [tuple(int(k == j) for k in range(dim)) for j in range(dim)]
     return all(
         series[i].coeffs.get(e, 0) % p == int(i == j)
@@ -301,13 +299,13 @@ def test_congruence_lemma_proves_the_interpolation_when_e_is_the_identity(data):
     identity = _linear_part_is_identity(model)
     if not identity:
         try:
-            interp = interpolate(model)
+            interp = build_interpolant(model)
         except PrecisionExhausted:
             reject()
         assert verify_compatibility(interp) is False
         return
     # the lemma proves the decay bound that construction checks, so it does not fail
-    interp = interpolate(model)
+    interp = build_interpolant(model)
     assert len(model.points) == precision + 1
     assert verify_compatibility(interp) is True
     zero = (0,) * dim
@@ -331,7 +329,7 @@ def test_constant_interpolant_moved_by_the_chart_maps_is_a_program_error():
     model = build_model_family(inst, 3, 8)[0]
     beta = model.base_point  # its orbit moves
     assert model.apply(beta) != beta
-    interp = interpolate(model._replace(points=(beta,) * len(model.points)))
+    interp = build_interpolant(model._replace(points=(beta,) * len(model.points)))
     assert all(v is INF for v in interp.decay[1:])
     with pytest.raises(InvariantViolation, match="not fixed by the model map"):
         constancy_test(interp)
@@ -357,34 +355,41 @@ FAMILY_P29 = {
     ],
     ids=["family-p29", "square_minus_two"],
 )
-def test_interpolation_stage_computes_each_row_once(monkeypatch, doc, prime, models):
+def test_interpolation_stage_requests_three_window_rows_per_model(monkeypatch, doc, prime, models):
     """x^2 - 2 from 5 at p = 29 has a 14-model family, and x^2 - 2 from 3 at
-    p = 3 a single model; either way the stage computes the binomial row of
-    each window check (0, 1 and K) once, not once per model, and none for
-    the error bound, which reads the difference table of the model points.
-    Every model there has E = I, so the congruence lemma proves the step
-    identity: no model map is iterated and the ledger names no range."""
+    p = 3 a single model; either way each model's build requests the
+    binomial rows of its window checks, C(n, 0..K) at n = 0, 1 and K, and
+    none for the error bound, which reads the difference table of the model
+    points.  Every model there has E = I, so the congruence lemma proves
+    the step identity: no model map is iterated and the ledger names no
+    range."""
     inst, params = parse_problem(doc)
     precision = params.precision
     state = pipeline.RunState(inst, params)
     state.family = build_model_family(inst, prime, precision)
-    rows, applies = Counter(), Counter()
-    binomial_row, apply = padic.binomial_row, LocalModel.apply
+    builds, applies = [], Counter()
+    build, binomial_row, apply = pipeline.build_interpolant, padic.binomial_row, LocalModel.apply
+
+    def counting_build(model):
+        builds.append([])
+        return build(model)
 
     def counting_row(ctx, r, kmax):
-        rows[r, kmax] += 1
+        builds[-1].append((r, kmax))
         return binomial_row(ctx, r, kmax)
 
     def counting_apply(model, point):
         applies[model.shift] += 1
         return apply(model, point)
 
-    monkeypatch.setattr(padic, "binomial_row", counting_row)
+    monkeypatch.setattr(pipeline, "build_interpolant", counting_build)
+    monkeypatch.setattr(interpolation, "binomial_row", counting_row)
     monkeypatch.setattr(LocalModel, "apply", counting_apply)
     report = pipeline.RunReport("sha")
     pipeline.stage_interpolation(report, state)
     assert len(state.interps) == models and report.error is None
-    assert max(rows.values()) == 1 and set(rows) == {(r, precision) for r in (0, 1, precision)}
+    window = sorted((r, precision) for r in (0, 1, precision))
+    assert [sorted(rows) for rows in builds] == [window] * models
     assert applies == Counter()
     assert report.assumptions == []
 

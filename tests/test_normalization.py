@@ -242,7 +242,7 @@ def _roundtrip_ok(inst, model, samples=20, seed=0):
         return False
     series = model_series(model)
     for _ in range(samples):
-        x = tuple(rng.randrange(ctx.modulus) for _ in range(model.dimension))
+        x = tuple(rng.randrange(ctx.modulus) for _ in range(len(model.center)))
         y = to_original(model, x)
         z = f1.iterate(y, model.k_total)
         fx = model.apply(x)

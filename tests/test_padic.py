@@ -95,19 +95,34 @@ def test_binomial_row_matches_comb():
         assert row[k] == math.comb(25, k) % ctx.modulus
 
 
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_binomial_row_matches_comb_random(data):
-    """One inverse per row: every entry equals math.comb(n, k) mod p^K."""
+def _draw_row_shape(data) -> tuple[PadicContext, int]:
+    """A context and a row length kmax that binomial_row accepts: v_p(kmax!) < K."""
     p = data.draw(st.sampled_from([3, 5, 7]))
     ctx = PadicContext(p, data.draw(st.integers(1, 12)))
     top = 0
     while vp_factorial(top + 1, p) < ctx.precision:
         top += 1
-    kmax = data.draw(st.integers(0, top))
+    return ctx, data.draw(st.integers(0, top))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_binomial_row_matches_comb_random(data):
+    """Every entry of the row of a residue n equals math.comb(n, k) mod p^K."""
+    ctx, kmax = _draw_row_shape(data)
     n = data.draw(st.integers(0, ctx.modulus - 1))
     row = binomial_row(ctx, n, kmax)
     assert row == [math.comb(n, k) % ctx.modulus for k in range(kmax + 1)]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_binomial_row_of_integers_outside_the_residues(data):
+    """For a negative r and for r >= p^K every entry is the exact C(r, k)
+    reduced mod p^K (binomial_mod), not the row of r's residue."""
+    ctx, kmax = _draw_row_shape(data)
+    r = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=ctx.modulus)))
+    assert binomial_row(ctx, r, kmax) == [binomial_mod(r, k, ctx) for k in range(kmax + 1)]
 
 
 def test_binomial_row_padic_consistency():
