@@ -7,10 +7,10 @@ coefficients; zero coefficients are never stored.  Example in 2 variables:
 
 PolyMap bundles N polynomials in N variables: a polynomial self-map of
 affine N-space with exact rational coefficients, as the problem file gives
-it; over the rationals it is only evaluated and differentiated.  Modular
-images (int coefficient dicts modulo m) are produced by reduce_poly /
-ModularMap for the residue-field and p-power computations.  Polynomials are
-composed only mod p^K, as padic.TruncatedSeries.
+it; over the rationals it is only evaluated.  Modular images (int
+coefficient dicts modulo m) are produced by reduce_poly / ModularMap for the
+residue-field and p-power computations.  Polynomials are composed only mod
+p^K, as padic.TruncatedSeries.
 
 Evaluation mod m goes through a sparse nested Horner form that horner_form
 builds once per reduced polynomial: horner_eval evaluates it at one point,
@@ -49,17 +49,6 @@ def poly_eval(p: Poly, point) -> Fraction:
                 term *= Fraction(x) ** k
         acc += term
     return acc
-
-
-def poly_derivative(p: Poly, i: int) -> Poly:
-    out: Poly = {}
-    for e, c in p.items():
-        if e[i] == 0:
-            continue
-        ne = list(e)
-        ne[i] -= 1
-        out[tuple(ne)] = c * e[i]
-    return out
 
 
 def reduce_rational(x: Fraction | int, m: int) -> int:
@@ -165,9 +154,6 @@ class PolyMap:
 
     def evaluate(self, point) -> tuple[Fraction, ...]:
         return tuple(poly_eval(p, point) for p in self.polys)
-
-    def jacobian(self) -> list[list[Poly]]:
-        return [[poly_derivative(p, j) for j in range(self.nvars)] for p in self.polys]
 
 
 class ModularMap:

@@ -45,7 +45,6 @@ from .polynomials import (
     horner_form,
     horner_table,
     poly_degree,
-    poly_eval,
     reduce_rational,
 )
 from .problemfile import ProblemInstance
@@ -57,79 +56,27 @@ ENUM_GUARD = 2**20
 
 
 class BadPrimeSet(NamedTuple):
-    """Primes excluded from reduction.
+    """Primes excluded from reduction: those dividing `denominator`.
 
     Every prime dividing `denominator` is bad, whatever its size, so no
-    denominator is ever factored; `primes` and `reasons` list the bad
-    primes up to the search bound, with the reason each was excluded.
+    denominator is ever factored; `primes` lists the bad primes up to the
+    search bound.  A target's behaviour mod a good prime is the avoidance
+    certificate's to decide, not this set's.
     """
 
     primes: frozenset[int]
-    reasons: tuple[tuple[int, str], ...]
     denominator: int
 
     def __contains__(self, p: int) -> bool:
         return p in self.primes or self.denominator % p == 0
 
 
-def _rank(rows, inverse, reduce) -> int:
-    """Rank by Gaussian elimination: reduce(a) is the normal form of an entry
-    (0 exactly when a is 0) and inverse(a) inverts a nonzero one; over Q the
-    identity and 1/a, over F_p a % p and pow(a, -1, p)."""
-    rows = [[reduce(x) for x in r] for r in rows]
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        col = next((j for j, a in enumerate(pivot) if a), None)
-        if col is not None:
-            inv = inverse(pivot[col])
-            rows = [[reduce(a - r[col] * inv * b) for a, b in zip(r, pivot)] for r in rows]
-            rank += 1
-    return rank
-
-
-def _target_collision(p: int, targets) -> bool:
-    """Whether some backward branch of a target collapses onto it mod p.
-
-    targets holds, for each target t, f(t) - t and the Jacobian J(t) over Q
-    and its rank.  p is not a denominator prime, so t is fixed mod p exactly
-    when p divides every numerator of f(t) - t, and J(t) reduces mod p
-    entry by entry.  A second branch can only reduce onto a target fixed mod
-    p if J(t) loses rank from Q to F_p; a globally critical fixed point, e.g.
-    the origin of x -> x^2, has no second branch and is no collision.
-    """
-    for moved, jac, rank in targets:
-        if any(x.numerator % p for x in moved):
-            continue
-        rows = [[reduce_rational(x, p) for x in row] for row in jac]
-        if _rank(rows, lambda a: pow(a, -1, p), lambda a: a % p) < rank:
-            return True
-    return False
-
-
 def bad_primes(inst: ProblemInstance, search_bound: int) -> BadPrimeSet:
-    """The primes dividing the instance's denominator, and the primes
-    3 <= p <= search_bound where a target absorbs a preimage branch; the
-    reasons list the denominator primes up to search_bound.  Each target's
-    f(t) - t, Jacobian and Jacobian rank over Q are computed once, for
-    every prime."""
+    """The primes dividing the instance's denominator, which `primes` lists
+    up to search_bound: the problem reduces exactly at the other primes."""
     den = inst.denominator
-    reasons = [
-        (p, "denominator") for p in range(2, search_bound + 1) if den % p == 0 and is_prime(p)
-    ]
-    if inst.targets:
-        jac = inst.mapping.jacobian()
-        targets = []
-        for t in inst.targets:
-            jac_t = [[poly_eval(d, t) for d in row] for row in jac]
-            moved = [y - x for y, x in zip(inst.mapping.evaluate(t), t)]
-            targets.append((moved, jac_t, _rank(jac_t, lambda a: 1 / a, lambda a: a)))
-        reasons += [
-            (p, "target-preimage-collision")
-            for p in range(3, search_bound + 1)
-            if den % p and is_prime(p) and _target_collision(p, targets)
-        ]
-    return BadPrimeSet(frozenset(p for p, _ in reasons), tuple(reasons), den)
+    primes = frozenset(p for p in range(2, search_bound + 1) if den % p == 0 and is_prime(p))
+    return BadPrimeSet(primes, den)
 
 
 def reduce_instance(inst: ProblemInstance, p: int, bad: BadPrimeSet):

@@ -816,24 +816,33 @@ def test_stage_commands_match_analyze(worked_file, tmp_path):
     assert kind(interpolate[-1]) == kind(gaps[-1]) == "assumptions"
 
 
-def test_screening_primes_skip_run_bad_primes(tmp_path, search_bound=0):
-    # 101 is a target-collision prime of x^2 + 101x at the scanned bound, so
-    # screening must pass over it rather than reject its own choice
+def test_screening_primes_skip_run_bad_primes(tmp_path):
+    # 101 divides a map coefficient, so screening must pass over it rather
+    # than reject its own choice
     doc = {
         "dimension": 1,
-        "map": [[[[2], 1], [[1], 101]]],
+        "map": [[[[2], 1], [[1], "1/101"]]],
         "initial_point": [1],
         "variety": [[[[1], 1]]],
-        "periodic_points": [[0]],
+        "periodic_points": [],
         "parameters": {"prime_range": [3, 110], "screen_primes": 3},
     }
-    path = tmp_path / "collide.json"
+    path = tmp_path / "den.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "r.jsonl"
     assert main(["returns", str(path), "--out", str(out)]) == 0
-    records = [json.loads(line) for line in out.read_text().splitlines()]
-    assert 101 in records[0]["primes"]
-    assert 101 not in records[-1]["screening_primes"]
+    records = _records(out)
+    assert records[0]["primes"] == [101]
+    assert records[-1]["screening_primes"] == [103, 107, 109]
+
+
+@pytest.mark.parametrize("command", ["analyze", "primes"])
+def test_prime_range_without_a_prime_exits_2(worked_file, tmp_path, command):
+    out = tmp_path / "r.jsonl"
+    assert main([command, worked_file, "--prime-range", "24", "28", "--out", str(out)]) == 2
+    failure = _records(out)[-1]
+    assert failure["record"] == "failure" and failure["stage"] == "avoidance"
+    assert failure["message"] == "prime_range [24, 28] holds no prime"
 
 
 def test_large_prime_denominator_is_not_factored(tmp_path):

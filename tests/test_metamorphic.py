@@ -1,5 +1,6 @@
-"""Metamorphic tests: the answer must not change with a change of coordinates
-or with the order of the declared periodic points."""
+"""Metamorphic tests: the answer must not change with a change of coordinates,
+with the order of the declared periodic points, or, for the return set, with
+the range of primes the avoidance scan visits."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -171,3 +172,24 @@ def test_order_of_declared_points_above_the_guard(monkeypatch):
     params = RunParameters(prime_range=(5, 5), precision=16, n_max=16, screen_primes=3)
     assert _order_outcome(inst, params) == (1, [], [(5, "failed-periodic", None, [])], None)
     _assert_order_free(inst, params)
+
+
+def test_prime_range_leaves_the_returns_unchanged():
+    """x^2 + 101x fixes its target 0 with derivative 101, so the target's
+    second branch -101 meets it mod 101.  101 is still a good prime, and a
+    screening prime whether or not prime_range reaches it."""
+    inst = ProblemInstance(
+        1,
+        map_from_lists(1, [{(2,): 1, (1,): 101}]),
+        (Fraction(1),),
+        ({(1,): Fraction(1)},),
+        ((Fraction(0),),),
+    )
+
+    def returns(top):
+        params = RunParameters(prime_range=(3, top), screen_primes=3)
+        return [r for r in run("returns", inst, params, "metamorphic").records
+                if r["record"] == "returns"]
+
+    assert returns(50) == returns(110)
+    assert returns(110)[0]["screening_primes"] == [101, 103, 107]

@@ -25,7 +25,6 @@ from orbitgap.polynomials import (
     horner_eval,
     horner_form,
     horner_table,
-    poly_derivative,
     poly_eval,
     reduce_poly,
 )
@@ -38,11 +37,6 @@ def test_eval_and_compose_agree():
     args = [make_const(2, 2), make_var(2, 1)]  # x -> 2, y -> y
     comp = poly_compose(f, args)
     assert poly_eval(comp, (0, 5)) == poly_eval(f, (2, 5))
-
-
-def test_derivative():
-    f = {(3,): Fraction(2), (1,): Fraction(5)}
-    assert poly_derivative(f, 0) == {(2,): Fraction(6), (0,): Fraction(5)}
 
 
 def test_map_iteration_matches_composition():

@@ -11,6 +11,7 @@ command loads `hashlib` and the OpenSSL library under it.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -211,3 +212,23 @@ def test_problem_hash_falls_back_to_hashlib():
     )
     sha = load_problem(str(SRC.parent / "problems" / "square_minus_two.json"))[2]
     assert _run_bare(code) == [f"{sha} True"]
+
+
+def test_problem_hash_takes_the_sha2_module_of_newer_interpreters():
+    # CPython 3.12+ has `_sha2` in place of `_sha256`; a stand-in `_sha2`
+    # that carries this interpreter's built-in digest takes that branch
+    code = (
+        "import sys, types\n"
+        "try:\n"
+        "    from _sha256 import sha256\n"
+        "except ImportError:\n"
+        "    from _sha2 import sha256\n"
+        "sys.modules['_sha256'] = None\n"
+        "sys.modules['_sha2'] = types.ModuleType('_sha2')\n"
+        "sys.modules['_sha2'].sha256 = sha256\n"
+        "from orbitgap import problemfile\n"
+        "print(problemfile.sha256 is sha256, 'hashlib' in sys.modules)\n"
+    )
+    if not any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2")):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    assert _run_bare(code) == ["True False"]
