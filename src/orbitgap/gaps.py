@@ -32,7 +32,9 @@ A leaf with a zero of order d yields the gap bound
 for consecutive return indices in the leaf, i.e. gaps grow like p^(c*n/d).
 Zero-free leaves bound their members outright by v(a_0)/c.  A member in no
 leaf of its class breaks the partition: a bug, raised as InvariantViolation.
-All comparisons are exact integer arithmetic.
+Only shifts whose cycle point lies on V mod p need leaves: at any other, a
+polynomial of V is a unit on every orbit point (residue_witness).  All
+comparisons are exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import (
 from .interpolation import ApproxInterpolant
 from .normalization import LocalModel
 from .padic import INF, TruncatedSeries, int_valuation, is_prime, vp_factorial
-from .polynomials import Poly, horner_eval, horner_form, poly_eval, reduce_poly
+from .polynomials import Poly, horner_eval, horner_form, poly_eval, reduce_poly, reduce_rational
 from .problemfile import ProblemInstance
 from .reduction import BadPrimeSet, OrbitHits, exact_orbit, orbit_hits, reduce_instance
 
@@ -475,10 +477,20 @@ class ClassReport(NamedTuple):
     member_bound: int | None = None  # zero-free classes: members must be <= this
 
 
+class OffVariety(NamedTuple):
+    """A shift whose cycle point is off V mod p, so that it holds no return."""
+
+    shift: int
+    polynomial: int  # index in V of the first polynomial nonzero at the center mod p
+    residue: int  # its value there mod p
+    refuted: tuple[int, ...]  # original indices of the screened returns in the shift
+
+
 class GapReport(NamedTuple):
     prime: int
     congruence_exponent: int
     classes: tuple[ClassReport, ...]
+    off_variety: tuple[OffVariety, ...]
     prefix_members: tuple[int, ...]
     uncovered_members: tuple[int, ...]
     precision_cutoff: int
@@ -490,39 +502,67 @@ def check_gap_pair(gap: int, order: int, required_exponent: int, prime: int) -> 
     return required_exponent <= 0 or gap**order >= prime**required_exponent
 
 
+def residue_witness(model: LocalModel, variety: list[Poly]) -> int | None:
+    """The index of the first polynomial of V that is nonzero mod p at the
+    model's center, or None when all of V vanishes there.
+
+    For n >= m0 in the model's shift, F^n(a) is congruent to the center mod
+    p, so a shift with a witness holds no return at any n.  The prime is
+    good, so every denominator of V is invertible mod p.
+    """
+    p = model.prime
+    return next(
+        (i for i, q in enumerate(variety) if reduce_rational(poly_eval(q, model.center), p)), None
+    )
+
+
 def build_gap_report(
-    returns: ReturnSet, localized: list[tuple[LocalModel, list[Leaves]]], c: int
+    returns: ReturnSet, localized: list[tuple[LocalModel, list[Leaves] | None]],
+    variety: list[Poly], c: int,
 ) -> GapReport:
     """Combine observed returns with zero localizations into per-class verdicts.
 
     localized lists (model, leaves_by_class) pairs in family order, the leaves
-    as localize_zeros gives them; the prime, precision, m0 and k_total are the
-    models'.  Every verdict names its inputs: model indices, the leaf's polygon
-    data, and the provenance of each member.  A violation indicates a
-    screening false positive or a precision issue, both of which are
-    reportable outcomes rather than exceptions.
+    as localize_zeros gives them, or None for a shift off V mod p; the prime,
+    precision, m0 and k_total are the models'.  A shift off V (residue_witness)
+    is listed with its witness, and the returns that fall in it are refuted
+    screening candidates: its classes, if it was localized, get no member.
+    Every verdict names its inputs: model indices, the leaf's polygon data,
+    and the provenance of each member.  A violation indicates a screening
+    false positive or a precision issue, both of which are reportable
+    outcomes rather than exceptions.
     """
     first = localized[0][0]
-    m0, k_total = first.m0, first.k_total
+    m0, k_total, p = first.m0, first.k_total, first.prime
     status = {e.index: e.status for e in returns.entries}
     prefix = tuple(sorted(n for n in status if n < m0))
     shifts = {model.shift for model, _ in localized}
     uncovered = tuple(sorted(n for n in status if n >= m0 and (n - m0) % k_total not in shifts))
 
-    classes = []
+    classes, off = [], []
     for model, leaves_by_class in localized:
         start = m0 + model.shift
         members = sorted(
             (n - start) // k_total for n in status if n >= start and (n - start) % k_total == 0
         )
-        for i, leaves in enumerate(leaves_by_class):
-            in_class = tuple(j for j in members if j % model.prime == i)
+        witness = residue_witness(model, variety)
+        if witness is not None:
+            refuted = tuple(model.original_index(j) for j in members)
+            if any(status[n] == "certified-exact" for n in refuted):
+                raise InvariantViolation(f"a certified return lies in shift {model.shift}, off V")
+            residue = reduce_rational(poly_eval(variety[witness], model.center), p)
+            off.append(OffVariety(model.shift, witness, residue, refuted))
+            members = []
+        elif leaves_by_class is None:
+            raise InvariantViolation(f"shift {model.shift} is on V mod {p} but was not localized")
+        for i, leaves in enumerate(leaves_by_class or ()):
+            in_class = tuple(j for j in members if j % p == i)
             classes.append(_class_report(model, i, leaves, in_class, status, c))
 
     verdicts = {cl.verdict for cl in classes}
     overall = next((v for v in ("violation", "ok") if v in verdicts), "too-few-returns")
     cutoff = first.ctx.precision // c
-    return GapReport(first.prime, c, tuple(classes), prefix, uncovered, cutoff, overall)
+    return GapReport(p, c, tuple(classes), tuple(off), prefix, uncovered, cutoff, overall)
 
 
 def _class_report(model: LocalModel, i: int, leaves: Leaves, members: tuple[int, ...],

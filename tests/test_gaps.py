@@ -753,7 +753,7 @@ def test_gap_report_via_pipeline_pieces():
     qs = [model.transport_poly(q) for q in inst.variety]
     returns = compute_returns(inst, 200, screening_primes=[101, 103], bad=bad_primes(inst, search_bound=0))
     report = build_gap_report(
-        returns, [(model, localize_zeros(interp, qs))], model.congruence_exponent
+        returns, [(model, localize_zeros(interp, qs))], inst.variety, model.congruence_exponent
     )
     assert report.prime == 3 and report.precision_cutoff == 24 // model.congruence_exponent
     assert report.verdict == "too-few-returns"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from padic_oracles import (
+    FAMILY_P29,
     MIXED_RANK,
     direct_model,
     interpolant_value,
@@ -338,27 +339,20 @@ def test_constant_interpolant_moved_by_the_chart_maps_is_a_program_error():
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
-FAMILY_P29 = {
-    "dimension": 1,
-    "map": [[[[2], 1], [[0], -2]]],
-    "initial_point": [5],
-    "variety": [[[[1], 1], [[0], -23]]],
-    "parameters": {"prime_range": [29, 50], "precision": 32, "n_max": 1000},
-}
-
-
 @pytest.mark.parametrize(
     "doc, prime, models",
     [
-        (FAMILY_P29, 29, 14),
+        (FAMILY_P29, 29, 7),
         (json.loads((PROBLEMS / "square_minus_two.json").read_text()), 3, 1),
     ],
     ids=["family-p29", "square_minus_two"],
 )
 def test_interpolation_stage_requests_three_window_rows_per_model(monkeypatch, doc, prime, models):
-    """x^2 - 2 from 5 at p = 29 has a 14-model family, and x^2 - 2 from 3 at
-    p = 3 a single model; either way each model's build requests the
-    binomial rows of its window checks, C(n, 0..K) at n = 0, 1 and K, and
+    """x^2 - 2 from 5 at p = 29 has a 14-model family, 7 of whose cycle
+    points lie on V mod 29, and x^2 - 2 from 3 at p = 3 a single model,
+    off V, which is still built because no shift is on V.  Each model built
+    requests the binomial rows of its window checks, C(n, 0..K) at n = 0, 1
+    and K, and
     none for the error bound, which reads the difference table of the model
     points.  Every model there has E = I, so the congruence lemma proves
     the step identity: no model map is iterated and the ledger names no
@@ -395,18 +389,20 @@ def test_interpolation_stage_requests_three_window_rows_per_model(monkeypatch, d
 
 
 @pytest.mark.parametrize(
-    "doc, prime, span",
+    "doc, prime, span, models",
     [
-        (FAMILY_P29, 29, 1),
-        (json.loads((PROBLEMS / "square_minus_two.json").read_text()), 3, 1),
-        (MIXED_RANK, 3, 2),
+        (FAMILY_P29, 29, 1, 7),
+        (json.loads((PROBLEMS / "square_minus_two.json").read_text()), 3, 1, 1),
+        (MIXED_RANK, 3, 2, 3),
     ],
     ids=["family-p29", "square_minus_two", "mixed-rank"],
 )
-def test_interpolation_stage_builds_one_table_per_model(monkeypatch, doc, prime, span):
-    """Each model's coefficients and bound check come from one table of
-    forward differences of its points: K + 1 of them when E = I (the two
-    samples), 2K + 1 when it is not (the mixed-rank input)."""
+def test_interpolation_stage_builds_one_table_per_model(monkeypatch, doc, prime, span, models):
+    """Each model on V gets one table of forward differences of its points,
+    which gives its coefficients and bound check: K + 1 of them when E = I
+    (the two samples), 2K + 1 when it is not (the mixed-rank input).  7 of
+    the 14 family-p29 shifts and 3 of the 9 mixed-rank shifts are on V; the
+    one square_minus_two shift is off V, and is built as no shift is on V."""
     inst, params = parse_problem(doc)
     precision = params.precision
     state = pipeline.RunState(inst, params)
@@ -420,7 +416,7 @@ def test_interpolation_stage_builds_one_table_per_model(monkeypatch, doc, prime,
 
     monkeypatch.setattr(interpolation, "forward_differences", counting_table)
     pipeline.stage_interpolation(pipeline.RunReport("sha"), state)
-    assert tables == Counter({span * precision + 1: len(state.family)})
+    assert tables == Counter({span * precision + 1: models})
 
 
 def test_model_family_composes_each_rotation_from_shared_composites(monkeypatch):
