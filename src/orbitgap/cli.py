@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Each subcommand runs its row of the stage table in `pipeline`: analyze the
+Each command runs its row of the stage table in `pipeline`: analyze the
 whole chain, primes and returns its first stages, and interpolate and gaps
 the later stages, resumed from the --replay records of a previous run so a
 single stage is recomputed deterministically.  A failed stage writes a
@@ -16,19 +16,8 @@ import json
 import sys
 
 from .errors import OrbitgapError
-from .pipeline import RunReport, exit_code_for, render_summary, run
+from .pipeline import COMMANDS, RunReport, exit_code_for, render_summary, run
 from .problemfile import load_problem
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("problem", help="problem file (JSON)")
-    sub.add_argument("--prime-range", nargs=2, type=int, metavar=("LO", "HI"))
-    sub.add_argument("--precision", type=int)
-    sub.add_argument("--n-max", type=int)
-    sub.add_argument("--screen-primes", type=int)
-    sub.add_argument("--density-m", type=int)
-    sub.add_argument("--out", help="write machine records (JSON lines) here")
-    sub.add_argument("--replay", help="records of a previous run to resume from")
 
 
 def _apply_overrides(params, args):
@@ -53,18 +42,26 @@ def _emit(report: RunReport, out_path: str | None) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="orbitgap",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         description="certify avoidance, interpolation, and gap reports for "
-        "polynomial orbit return sets",
+        "polynomial orbit return sets\n\n"
+        "commands:\n"
+        "  primes       bad primes and per-prime avoidance certificates\n"
+        "  returns      multi-modular screening and exact certification of the return set\n"
+        "  interpolate  normalization and certified interpolation at the replayed prime\n"
+        "  gaps         zero localization and gap/density reports from replayed records\n"
+        "  analyze      full pipeline: primes, normalization, interpolation, returns, gaps, "
+        "density",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("primes", "bad primes and per-prime avoidance certificates"),
-        ("analyze", "full pipeline: primes, normalization, interpolation, returns, gaps, density"),
-        ("returns", "multi-modular screening and exact certification of the return set"),
-        ("interpolate", "normalization and certified interpolation at the replayed prime"),
-        ("gaps", "zero localization and gap/density reports from replayed records"),
-    ]:
-        _add_common(subs.add_parser(name, help=doc))
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("problem", help="problem file (JSON)")
+    parser.add_argument("--prime-range", nargs=2, type=int, metavar=("LO", "HI"))
+    parser.add_argument("--precision", type=int)
+    parser.add_argument("--n-max", type=int)
+    parser.add_argument("--screen-primes", type=int)
+    parser.add_argument("--density-m", type=int)
+    parser.add_argument("--out", help="write machine records (JSON lines) here")
+    parser.add_argument("--replay", help="records of a previous run to resume from")
     args = parser.parse_args(argv)
 
     try:

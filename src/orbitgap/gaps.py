@@ -24,8 +24,9 @@ It counts zeros through the Newton polygon, read once per disk for both the
 count and the minimum valuation v, and refines disks until each leaf holds
 at most one zero cluster, shifting only the children at roots of the
 residual polynomial (L / p^v) mod p.  The leaves of each class mod p of
-model indices partition it, and the class gets one gap verdict from them.
-A leaf with a zero of order d yields the gap bound
+model indices partition it, and a class that holds a return gets one gap
+verdict from them; a resolved class with no return states nothing and is
+not listed.  A leaf with a zero of order d yields the gap bound
 
     (n_{j+1} - n_j)^d >= p^(k*d + n_j*c - v(a_d))
 
@@ -36,8 +37,6 @@ Only shifts whose cycle point lies on V mod p need leaves: at any other, a
 polynomial of V is a unit on every orbit point (residue_witness).  All
 comparisons are exact integer arithmetic.
 """
-
-from __future__ import annotations
 
 import math
 from bisect import bisect_right
@@ -471,7 +470,7 @@ class ClassReport(NamedTuple):
     class_index: int  # model indices congruent to this mod p
     members_model: tuple[int, ...]
     members_original: tuple[int, ...]
-    verdict: str  # ok | too-few-returns | violation | unresolved | no-members
+    verdict: str  # ok | too-few-returns | violation | unresolved
     gap_constant: tuple[int, int, int] | None  # (p, c, d): C = p^(c/d)
     pairs: tuple[PairVerdict, ...] = ()
     member_bound: int | None = None  # zero-free classes: members must be <= this
@@ -526,11 +525,13 @@ def build_gap_report(
     as localize_zeros gives them, or None for a shift off V mod p; the prime,
     precision, m0 and k_total are the models'.  A shift off V (residue_witness)
     is listed with its witness, and the returns that fall in it are refuted
-    screening candidates: its classes, if it was localized, get no member.
-    Every verdict names its inputs: model indices, the leaf's polygon data,
-    and the provenance of each member.  A violation indicates a screening
-    false positive or a precision issue, both of which are reportable
-    outcomes rather than exceptions.
+    screening candidates, so none of its classes is listed.  A class is
+    listed when it holds a member or is unresolved; every other class of a
+    localized shift holds no return <= n_max.  Every verdict names its
+    inputs: model indices, the leaf's polygon data, and the provenance of
+    each member.  A violation indicates a screening false positive or a
+    precision issue, both of which are reportable outcomes rather than
+    exceptions.
     """
     first = localized[0][0]
     m0, k_total, p = first.m0, first.k_total, first.prime
@@ -557,7 +558,8 @@ def build_gap_report(
             raise InvariantViolation(f"shift {model.shift} is on V mod {p} but was not localized")
         for i, leaves in enumerate(leaves_by_class or ()):
             in_class = tuple(j for j in members if j % p == i)
-            classes.append(_class_report(model, i, leaves, in_class, status, c))
+            if in_class or not leaves:
+                classes.append(_class_report(model, i, leaves, in_class, status, c))
 
     verdicts = {cl.verdict for cl in classes}
     overall = next((v for v in ("violation", "ok") if v in verdicts), "too-few-returns")
@@ -567,12 +569,11 @@ def build_gap_report(
 
 def _class_report(model: LocalModel, i: int, leaves: Leaves, members: tuple[int, ...],
                   status: dict[int, str], c: int) -> ClassReport:
-    """The verdict of class i mod p, whose sorted model indices are members."""
+    """The verdict of class i mod p, whose sorted model indices are members;
+    a class with leaves must have one."""
     originals = tuple(model.original_index(j) for j in members)
     if not leaves:
         return ClassReport(model.shift, i, members, originals, "unresolved", None)
-    if not members:
-        return ClassReport(model.shift, i, (), (), "no-members", None)
     p = model.prime
     by_leaf: dict = {}  # leaves in the order of their first member
     for j in members:

@@ -21,8 +21,6 @@ binomial row of the argument; the window checks at 0, 1 and K each build
 their row over the integers (padic.binomial_row).
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import InvariantViolation, PrecisionExhausted

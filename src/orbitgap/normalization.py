@@ -29,8 +29,6 @@ Rotation s is the head G_{s-1} o ... o G_0 after the tail
 G_{k1-1} o ... o G_s, and each head and tail is composed once per P.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import islice
 from typing import NamedTuple

@@ -21,14 +21,12 @@ All objects are immutable after construction and safe to share across
 threads; contexts are shared read-only.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, InputError, PrecisionExhausted
+from .errors import BudgetExceeded, InputError, InvariantViolation, PrecisionExhausted
 from .polynomials import reduce_rational
 
 #: Valuation marker for residue 0: "zero at this precision".
@@ -283,6 +281,8 @@ class MahlerSeries(NamedTuple):
         """Sum of coeffs[k] * row[k]: the value at an argument whose binomial
         row C(n, 0), ..., C(n, terms - 1) mod p^K this is (see binomial_row)."""
         if len(row) != len(self.coeffs):
-            raise ValueError(f"binomial row of {len(row)} entries for {len(self.coeffs)} terms")
+            raise InvariantViolation(
+                f"binomial row of {len(row)} entries for {len(self.coeffs)} terms"
+            )
         mod = self.ctx.modulus
         return tuple([sum(map(mul, row, col)) % mod for col in zip(*self.coeffs)])

@@ -104,7 +104,7 @@ class RunReport:
 class RunState:
     """The run's inputs, and what each stage hands to the stages after it."""
 
-    __slots__ = ("inst", "params", "recorded", "bad", "scan", "prime", "bound", "family",
+    __slots__ = ("inst", "params", "recorded", "bad", "certs", "prime", "bound", "family",
                  "interps", "returns", "gap", "density")
 
     def __init__(
@@ -120,7 +120,7 @@ class RunState:
         self.prime = prime
         self.recorded = recorded
         self.returns = returns
-        self.bad = self.scan = self.bound = self.family = self.interps = None
+        self.bad = self.certs = self.bound = self.family = self.interps = None
         self.gap = self.density = None
 
 
@@ -200,13 +200,7 @@ def load_replay(path: str, sha: str) -> dict[str, list[dict]]:
 
 def stage_bad_primes(report: RunReport, state: RunState) -> None:
     state.bad = bad = bad_primes(state.inst, search_bound=state.params.prime_range[1])
-    report.add(
-        {
-            "record": "bad_primes",
-            "primes": sorted(bad.primes),
-            "reasons": [[p, "denominator"] for p in sorted(bad.primes)],
-        }
-    )
+    report.add({"record": "bad_primes", "primes": sorted(bad.primes)})
 
 
 def stage_avoidance(report: RunReport, state: RunState) -> None:
@@ -214,12 +208,10 @@ def stage_avoidance(report: RunReport, state: RunState) -> None:
     primes = [p for p in range(lo, hi + 1) if is_prime(p)]
     if not primes:
         raise InputError(f"prime_range [{lo}, {hi}] holds no prime")
-    state.scan = scan = avoidance_search(state.inst, primes, state.bad)
+    state.certs = certs = avoidance_search(state.inst, primes, state.bad)
     report.add(
         {
             "record": "certificates",
-            "scanned": scan.scanned,
-            "certified_density": _fmt(scan.certified_density),
             "rows": [
                 {
                     "prime": c.prime,
@@ -227,7 +219,7 @@ def stage_avoidance(report: RunReport, state: RunState) -> None:
                     "bound": c.bound,
                     "depths": list(c.depths),
                 }
-                for c in scan.certificates
+                for c in certs
             ],
         }
     )
@@ -235,11 +227,11 @@ def stage_avoidance(report: RunReport, state: RunState) -> None:
 
 def stage_choose_prime(report: RunReport, state: RunState) -> None:
     """Smallest certified prime in the scan and its avoidance bound."""
-    for cert in state.scan.certificates:
+    for cert in state.certs:
         if cert.certified:
             state.prime, state.bound = cert.prime, cert.bound
             return
-    verdicts = sorted({c.verdict for c in state.scan.certificates})
+    verdicts = sorted({c.verdict for c in state.certs})
     raise HypothesisViolation(
         f"no prime in the scanned range was certified (verdicts seen: {verdicts})"
     )
@@ -310,18 +302,10 @@ def stage_normalization(report: RunReport, state: RunState) -> None:
                 "m0": model.m0,
                 "k1": model.k1,
                 "k2": model.steps_per_iterate,
-                "k_total": model.k_total,
                 "center": list(model.center),
                 "base_point": list(model.base_point),
                 "congruence_exponent": model.congruence_exponent,
                 "linear": [list(row) for row in model.linear],
-                "transform_log": [
-                    ["forward", [model.m0 + model.shift]],
-                    ["iterate", [model.k1]],
-                    ["translate", list(model.center)],
-                    ["scale", [model.prime]],
-                    ["iterate", [model.steps_per_iterate]],
-                ],
             }
         )
 
@@ -346,8 +330,8 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     ctx = state.family[0].ctx
     on_variety = [m for m in state.family if residue_witness(m, state.inst.variety) is None]
     # With no shift on V the residue test alone proves that no index >= m0
-    # returns.  Every shift is still interpolated and localized, with no class
-    # member, because bench/test_bench.py traces square_plus_one, where no
+    # returns.  Every shift is still interpolated and localized, listing no
+    # class, because bench/test_bench.py traces square_plus_one, where no
     # shift is on V at p = 3, and requires every traced kernel to take time.
     for model in on_variety or state.family:
         interp = build_interpolant(model)
@@ -465,7 +449,6 @@ def stage_gaps(report: RunReport, state: RunState) -> None:
                 {
                     "shift": cl.shift,
                     "class": cl.class_index,
-                    "modulus_exp": 1,
                     "members_model": list(cl.members_model),
                     "members_original": list(cl.members_original),
                     "verdict": cl.verdict,
@@ -534,10 +517,8 @@ def render_summary(report: RunReport) -> str:
         if kind == "bad_primes":
             lines.append(f"bad primes: {rec['primes'] or 'none'}")
         elif kind == "certificates":
-            lines.append(
-                f"avoidance scan: {rec['scanned']} primes, "
-                f"certified density {rec['certified_density']}"
-            )
+            certified = sum(row["verdict"] == "certified" for row in rec["rows"])
+            lines.append(f"avoidance scan: {len(rec['rows'])} primes, {certified} certified")
             for row in rec["rows"]:
                 extra = f" M={row['bound']}" if row["bound"] is not None else ""
                 lines.append(f"  p={row['prime']}: {row['verdict']}{extra}")
@@ -567,10 +548,8 @@ def render_summary(report: RunReport) -> str:
         elif kind == "gap_report":
             lines.append(f"gap verdict: {rec['verdict']}")
             for cl in rec["classes"]:
-                if cl["verdict"] in ("no-members",):
-                    continue
                 lines.append(
-                    f"  shift {cl['shift']} class {cl['class']} mod p^{cl['modulus_exp']}: "
+                    f"  shift {cl['shift']} class {cl['class']} mod p: "
                     f"{cl['verdict']} members={cl['members_original']}"
                 )
         elif kind == "density":

@@ -5,7 +5,7 @@ lie on a cycle of the reduced map has a finite backward tree, and a
 breadth-first preimage expansion yields the largest iterate at which any
 residue point can still hit it.  A certificate (p, M) then asserts that no
 point of F_p^N maps onto any target at iterate >= M, which is exhaustively
-verifiable.  Density over a scanned prime range is reported empirically;
+verifiable.  Each prime of a scanned range gets its own certificate;
 no density theorem is invoked.
 
 The backward tree of a target costs only its own nodes, because the
@@ -30,8 +30,6 @@ with it.  exact_orbit yields a, f(a), ... over the rationals while every
 coordinate fits a bit budget: return certification and the
 non-preperiodicity check iterate it.
 """
-
-from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator
@@ -387,13 +385,9 @@ class AvoidanceCertificate(NamedTuple):
         return self.verdict == "certified"
 
 
-class AvoidanceScan(NamedTuple):
-    certificates: tuple[AvoidanceCertificate, ...]
-    scanned: int
-    certified_density: float
-
-
-def avoidance_search(inst: ProblemInstance, primes, bad: BadPrimeSet) -> AvoidanceScan:
+def avoidance_search(
+    inst: ProblemInstance, primes, bad: BadPrimeSet
+) -> tuple[AvoidanceCertificate, ...]:
     """Try to certify every prime in the range, in one pass per prime.
 
     Each good prime with targets reduces the instance once and builds one
@@ -424,5 +418,4 @@ def avoidance_search(inst: ProblemInstance, primes, bad: BadPrimeSet) -> Avoidan
             certs.append(AvoidanceCertificate(p, "failed-periodic"))
         else:
             certs.append(AvoidanceCertificate(p, "certified", 1 + max(depths, default=-1), depths))
-    certified = sum(c.certified for c in certs)
-    return AvoidanceScan(tuple(certs), len(certs), certified / len(certs) if certs else 0.0)
+    return tuple(certs)

@@ -798,7 +798,8 @@ def build_gap_report_reference(returns, localized, c: int) -> GapReport:
     The reference for `gaps.build_gap_report` with V = [], where no shift is
     off V: every localized shift's returns are its members.  A member that
     lies in no leaf of its class gives its class a violation here, where the
-    package raises InvariantViolation.
+    package raises InvariantViolation.  A resolved class with no member is
+    not listed.
     """
     some_model = localized[0][0]
     prime, m0, k_total = some_model.prime, some_model.m0, some_model.k_total
@@ -827,8 +828,7 @@ def build_gap_report_reference(returns, localized, c: int) -> GapReport:
                 ))
                 continue
             if not in_class:
-                classes.append(ClassReport(shift, class_index, (), (), "no-members", None))
-                continue
+                continue  # a resolved class with no return is not listed
             verdict = "ok"
             pairs = []
             constant = None
@@ -872,7 +872,7 @@ def build_gap_report_reference(returns, localized, c: int) -> GapReport:
     overall = "ok"
     if any(cl.verdict == "violation" for cl in classes):
         overall = "violation"
-    elif all(cl.verdict in ("no-members", "too-few-returns", "unresolved") for cl in classes):
+    elif all(cl.verdict in ("too-few-returns", "unresolved") for cl in classes):
         overall = "too-few-returns"
     precision = some_model.ctx.precision
     return GapReport(prime, c, tuple(classes), (), prefix, uncovered, precision // c, overall)

@@ -405,6 +405,23 @@ def test_resource_limit_flags_are_refused(worked_file, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [*pipeline.COMMANDS, "bogus"])
+def test_one_parser_takes_every_command(worked_file, tmp_path, command):
+    # every command of the stage table parses and runs, a command reading
+    # replay records from an analyze run; any other word is a usage error
+    if command not in pipeline.COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([command, worked_file])
+        assert exc.value.code == 2
+        return
+    argv = [command, worked_file, "--out", str(tmp_path / "run.jsonl")]
+    if pipeline.COMMANDS[command][0]:
+        replay = tmp_path / "replay.jsonl"
+        assert main(["analyze", worked_file, "--out", str(replay)]) == 0
+        argv += ["--replay", str(replay)]
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("dimension, points", [(1, [3]), (2, ["35"])])
 def test_periodic_point_must_be_a_list(tmp_path, dimension, points):
     # a bare number used to escape as a TypeError, and a string was read

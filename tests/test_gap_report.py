@@ -291,7 +291,7 @@ def test_gap_report_reference_cases_reach_every_verdict():
     assert (double.count, double.radius_exp) == (2, 1 + STABLE_ROUNDS)
     reports = [_gap_report_pair(*case) for case in _VERDICT_CASES]
     verdicts = {cl.verdict for r in reports for cl in r.classes}
-    assert {"ok", "violation", "too-few-returns", "no-members"} <= verdicts
+    assert {"ok", "violation", "too-few-returns"} <= verdicts
     checked = [
         (cl.gap_constant[2], pair)
         for r in reports for cl in r.classes if cl.verdict == "ok" for pair in cl.pairs
@@ -344,7 +344,9 @@ def test_screened_index_off_the_variety_is_refuted_not_uncovered():
     )
     assert fabricated not in report.uncovered_members
     assert all(fabricated not in cl.members_original for cl in report.classes)
-    assert {cl.shift for cl in report.classes} == set(range(1, 14, 2))
+    # the one listed class is the one that holds a return; every other class
+    # of a localized shift is resolved and holds none
+    assert [(cl.shift, cl.members_original) for cl in report.classes] == [(1, (1,))]
     assert report.verdict == "too-few-returns"
 
     certified = returns._replace(entries=(ReturnEntry(fabricated, "certified-exact"),))
@@ -376,8 +378,8 @@ def _skipping_loses_nothing(inst, params) -> bool:
     """Whether analyze reaches a prime and every shift can be localized there;
     if so, analyze succeeds and its records agree with the gap report of
     every shift: the same returns and overall verdict, the same verdict,
-    member bound and pairs in each class of a shift on V, and no member in
-    any class of a shift off V."""
+    member bound and pairs in each listed class of a shift on V, and no
+    listed class of a shift off V."""
     report = run("analyze", inst, params, "every-shift")
     records = {r["record"]: r for r in report.records}
     if "diagnostics" not in records:
@@ -396,13 +398,9 @@ def _skipping_loses_nothing(inst, params) -> bool:
         for cl in gap["classes"] if cl["shift"] not in off
     }
     for cl in every.classes:
-        if cl.shift in off:
-            assert cl.verdict == "no-members"
-        else:
-            pairs = [list(pair) for pair in cl.pairs]
-            assert on_classes.pop((cl.shift, cl.class_index)) == (
-                cl.verdict, cl.member_bound, pairs
-            )
+        assert cl.shift not in off  # a class of a shift off V holds no return
+        pairs = [list(pair) for pair in cl.pairs]
+        assert on_classes.pop((cl.shift, cl.class_index)) == (cl.verdict, cl.member_bound, pairs)
     assert not on_classes
     return True
 
@@ -410,6 +408,33 @@ def _skipping_loses_nothing(inst, params) -> bool:
 @pytest.mark.parametrize("doc", [FAMILY_P29, MIXED_RANK], ids=["family-p29", "mixed-rank"])
 def test_skipping_off_variety_shifts_loses_nothing(doc):
     assert _skipping_loses_nothing(*parse_problem(doc))
+
+
+@pytest.mark.parametrize("doc", [FAMILY_P29, MIXED_RANK], ids=["family-p29", "mixed-rank"])
+def test_gap_report_leaves_out_exactly_the_resolved_classes_without_returns(doc):
+    """For every shift on V (one with an interpolant record), the classes
+    missing from the gap report are exactly those whose leaves are not
+    empty and that hold no return index; no shift off V lists a class."""
+    inst, params = parse_problem(doc)
+    report = run("analyze", inst, params, "completeness")
+    assert report.exit_code == 0
+    records = {r["record"]: r for r in report.records}
+    on_variety = {r["shift"] for r in report.records if r["record"] == "interpolant"}
+    p = records["diagnostics"]["prime"]
+    returns = [n for n, _ in records["returns"]["entries"]]
+    expected, every = set(), set()
+    for m in build_model_family(inst, p, params.precision):
+        if m.shift not in on_variety:
+            continue
+        leaves = localize_zeros(build_interpolant(m), [m.transport_poly(q) for q in inst.variety])
+        start = m.m0 + m.shift
+        holding = {(n - start) // m.k_total % p for n in returns
+                   if n >= start and (n - start) % m.k_total == 0}
+        every |= {(m.shift, i) for i in range(p)}
+        expected |= {(m.shift, i) for i, lv in enumerate(leaves) if not lv or i in holding}
+    listed = {(cl["shift"], cl["class"]) for cl in records["gap_report"]["classes"]}
+    assert listed == expected
+    assert every - listed, "some class of a shift on V holds no return"
 
 
 @given(st.data())

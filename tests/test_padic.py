@@ -20,7 +20,7 @@ from padic_oracles import (
     series_from_ints,
 )
 
-from orbitgap.errors import InputError, PrecisionExhausted
+from orbitgap.errors import InputError, InvariantViolation, PrecisionExhausted
 from orbitgap.padic import (
     INF,
     MahlerSeries,
@@ -276,7 +276,8 @@ def test_forward_differences_shape():
 @settings(max_examples=60)
 def test_mahler_column_kernels_match_the_term_loops(data):
     """forward_differences and evaluate work on coordinate columns; they give
-    the per-term loops' results, and a row of the wrong length still raises."""
+    the per-term loops' results, and a row of the wrong length still raises
+    (InvariantViolation in the package, ValueError in the oracle)."""
     ctx = PadicContext(data.draw(st.sampled_from([3, 5])), data.draw(st.integers(4, 6)))
     mod = ctx.modulus
     dim = data.draw(st.integers(1, 3))
@@ -294,5 +295,5 @@ def test_mahler_column_kernels_match_the_term_loops(data):
     wrong = row + [1] if data.draw(st.booleans()) else row[:-1]
     with pytest.raises(ValueError):
         mahler_evaluate_reference(series, wrong)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation):
         series.evaluate(wrong)

@@ -4,10 +4,13 @@ The types whose constructor checks or derives a field are plain classes, and
 their copy helper `_replace` builds the copy through the constructor, so a
 copy with a bad field fails exactly as construction with it fails.  No
 record is a dataclass, so importing the CLI loads neither `dataclasses` nor
-the `inspect` module it imports.  Reading a problem file through the
-package namespace loads the problem-file layer and no stage.  The problem
-file's digest comes from the interpreter's built-in SHA-256 module, so no
-command loads `hashlib` and the OpenSSL library under it.
+the `inspect` module it imports, and a NamedTuple's annotations are the
+types themselves, so declaring one compiles no annotation string.  Reading
+a problem file through the package namespace loads the problem-file layer
+and no stage.  The problem file's digest comes from the interpreter's
+built-in SHA-256 module, so no command loads `hashlib` and the OpenSSL
+library under it.  Each kind of record that `analyze` writes has one fixed
+set of keys.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,8 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from padic_oracles import map_from_lists
 
+from orbitgap import gaps, interpolation, normalization, padic, reduction
 from orbitgap.errors import HypothesisViolation, InputError, OrbitgapError
 from orbitgap.padic import PadicContext
+from orbitgap.pipeline import run
 from orbitgap.polynomials import PolyMap
 from orbitgap.problemfile import (
     MAX_PRECISION,
@@ -126,6 +132,23 @@ def test_cli_import_loads_no_dataclass_machinery():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+NAMED_TUPLES = [
+    cls
+    for module in (gaps, interpolation, normalization, padic, reduction)
+    for cls in vars(module).values()
+    if isinstance(cls, type) and cls.__module__ == module.__name__ and hasattr(cls, "_fields")
+]
+
+
+@pytest.mark.parametrize("cls", NAMED_TUPLES, ids=[c.__qualname__ for c in NAMED_TUPLES])
+def test_named_tuple_annotations_are_types_not_strings(cls):
+    # typing.NamedTuple compiles each string annotation into a ForwardRef,
+    # each time the module is imported, that is on every command
+    assert cls.__annotations__
+    strings = [n for n, t in cls.__annotations__.items() if isinstance(t, (str, typing.ForwardRef))]
+    assert strings == []
 
 
 def test_package_import_loads_only_the_problem_file_layer():
@@ -232,3 +255,41 @@ def test_problem_hash_takes_the_sha2_module_of_newer_interpreters():
     if not any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2")):
         pytest.skip("this interpreter has no built-in SHA-256 module")
     assert _run_bare(code) == ["True False"]
+
+
+#: The keys of each record kind that analyze writes, besides `record` and
+#: `problem_sha`; a change to one of them is a change to the record format.
+RECORD_KEYS = {
+    "bad_primes": {"primes"},
+    "certificates": {"rows"},
+    "diagnostics": {"prime", "bound", "residue_periodic_on_variety"},
+    "model": {"shift", "m0", "k1", "k2", "center", "base_point", "congruence_exponent", "linear"},
+    "interpolant": {"shift", "prime", "precision", "terms", "congruence_exponent", "decay_onset",
+                    "coefficients", "constant"},
+    "returns": {"n_max", "entries", "screening_primes", "refuted", "exact_horizon"},
+    "gap_report": {"prime", "congruence_exponent", "verdict", "prefix_members",
+                   "uncovered_members", "off_variety", "precision_cutoff", "classes"},
+    "density": {"m", "max_ratio", "diverging", "rows"},
+    "summary": {"prime", "avoidance_bound", "returns", "gap_verdict", "density_max_ratio",
+                "density_diverging", "assumptions"},
+}
+
+#: The keys of the records' list entries that are objects: (kind, field) -> keys.
+ENTRY_KEYS = {
+    ("certificates", "rows"): {"prime", "verdict", "bound", "depths"},
+    ("gap_report", "off_variety"): {"shift", "polynomial", "residue", "refuted"},
+    ("gap_report", "classes"): {"shift", "class", "members_model", "members_original",
+                                "verdict", "gap_constant", "member_bound", "pairs"},
+}
+
+
+@pytest.mark.parametrize("problem", PROBLEMS, ids=[p.name for p in PROBLEMS])
+def test_analyze_record_keys_are_fixed(problem):
+    inst, params, sha = load_problem(str(problem))
+    records = run("analyze", inst, params, sha).records
+    assert {rec["record"] for rec in records} == RECORD_KEYS.keys()
+    for rec in records:
+        assert rec.keys() == RECORD_KEYS[rec["record"]] | {"record", "problem_sha"}
+        for (kind, field), keys in ENTRY_KEYS.items():
+            if rec["record"] == kind:
+                assert all(entry.keys() == keys for entry in rec[field]), (kind, field)

@@ -101,7 +101,7 @@ def test_target_fixed_mod_p_fails_the_prime_as_periodic():
     inst = _instance([{(2,): 1, (0,): -42}], (1,), targets=((Fraction(7),),))
     bad = bad_primes(inst, search_bound=11)
     assert 7 not in bad and bad.primes == frozenset()
-    (cert,) = avoidance_search(inst, [7], bad).certificates
+    (cert,) = avoidance_search(inst, [7], bad)
     assert cert.verdict == "failed-periodic"
 
 
@@ -172,7 +172,7 @@ def test_first_hit_depth_examples():
     on_cycle_of_five = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(0),),))
     zero_fixed = _instance([{(1,): 3}], (1,), targets=((Fraction(0),),))  # 3x = 0 mod 3
     for inst, p in ((on_cycle_of_five, 5), (zero_fixed, 3)):
-        cert = avoidance_search(inst, [p], bad_primes(inst, search_bound=0)).certificates[0]
+        cert = avoidance_search(inst, [p], bad_primes(inst, search_bound=0))[0]
         assert cert.verdict == "failed-periodic"
         fp = ModularMap.from_map(inst.mapping, p)
         assert first_hit_depth(fp, (0,), preimage_buckets(fp)) is None
@@ -246,7 +246,7 @@ def test_periodic_target_above_the_guard_is_failed_periodic(monkeypatch):
     # finds the periodic target, and without one the run is out of budget
     monkeypatch.setattr(reduction, "ENUM_GUARD", 4)
     cubic = _instance([{(3,): 1, (2,): 1}], (2,), targets=((Fraction(4),), (Fraction(0),)))
-    cert = avoidance_search(cubic, [5], bad_primes(cubic, search_bound=5)).certificates[0]
+    cert = avoidance_search(cubic, [5], bad_primes(cubic, search_bound=5))[0]
     assert cert.verdict == "failed-periodic"
     tail_only = cubic._replace(targets=((Fraction(4),),))
     with pytest.raises(BudgetExceeded):
@@ -259,7 +259,7 @@ def test_periodic_target_above_the_guard_is_failed_periodic(monkeypatch):
     # not apply: 0 on its 3-cycle fails the prime, and 3 gets its depth
     for target, verdict in ((0, "failed-periodic"), (3, "certified")):
         inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(target),),))
-        cert = avoidance_search(inst, [5], bad_primes(inst, search_bound=5)).certificates[0]
+        cert = avoidance_search(inst, [5], bad_primes(inst, search_bound=5))[0]
         assert cert.verdict == verdict
 
 
@@ -303,22 +303,22 @@ def test_avoidance_evaluates_the_map_column_wise(monkeypatch):
 
 def test_avoidance_examples():
     inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),),))
-    scan = avoidance_search(inst, [5], bad_primes(inst, search_bound=5))
-    assert scan.certificates[0].verdict == "certified"
-    assert scan.certificates[0].bound == 1
-    scan = avoidance_search(inst, [3], bad_primes(inst, search_bound=3))
-    assert scan.certificates[0].verdict == "certified"
-    assert scan.certificates[0].bound == 1
+    certs = avoidance_search(inst, [5], bad_primes(inst, search_bound=5))
+    assert certs[0].verdict == "certified"
+    assert certs[0].bound == 1
+    certs = avoidance_search(inst, [3], bad_primes(inst, search_bound=3))
+    assert certs[0].verdict == "certified"
+    assert certs[0].bound == 1
     # x^2 with gamma = 0: 0 is fixed, so every prime fails
     inst2 = _instance([{(2,): 1}], (3,), targets=((Fraction(0),),))
-    scan = avoidance_search(inst2, [3, 5, 7], bad_primes(inst2, search_bound=7))
-    assert all(c.verdict == "failed-periodic" for c in scan.certificates)
-    assert scan.certified_density == 0.0
+    certs = avoidance_search(inst2, [3, 5, 7], bad_primes(inst2, search_bound=7))
+    assert all(c.verdict == "failed-periodic" for c in certs)
+    assert len(certs) == 3 and sum(c.certified for c in certs) == 0
     # empty target list: trivially certified with M = 0
     inst3 = _instance([{(2,): 1, (0,): 1}], (0,))
-    scan = avoidance_search(inst3, [3, 5], bad_primes(inst3, search_bound=5))
-    assert all(c.certified and c.bound == 0 for c in scan.certificates)
-    assert scan.certified_density == 1.0
+    certs = avoidance_search(inst3, [3, 5], bad_primes(inst3, search_bound=5))
+    assert all(c.certified and c.bound == 0 for c in certs)
+    assert len(certs) == sum(c.certified for c in certs) == 2
 
 
 def test_avoidance_bound_monotone_in_targets():
@@ -328,8 +328,8 @@ def test_avoidance_bound_monotone_in_targets():
         [{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),), (Fraction(4),))
     )
     for p in rng_primes:
-        c1 = avoidance_search(base, [p], bad_primes(base, search_bound=p)).certificates[0]
-        c2 = avoidance_search(larger, [p], bad_primes(larger, search_bound=p)).certificates[0]
+        c1 = avoidance_search(base, [p], bad_primes(base, search_bound=p))[0]
+        c2 = avoidance_search(larger, [p], bad_primes(larger, search_bound=p))[0]
         if c1.certified and c2.certified:
             assert c2.bound >= c1.bound
 
@@ -338,7 +338,7 @@ def test_certificate_soundness_window_small():
     """Forward-memoized first-hit times: nothing hits a certified target at m >= M."""
     inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),),))
     for p in (5, 7, 11, 13):
-        cert = avoidance_search(inst, [p], bad_primes(inst, search_bound=p)).certificates[0]
+        cert = avoidance_search(inst, [p], bad_primes(inst, search_bound=p))[0]
         if not cert.certified:
             continue
         fp, _, targets_p = reduce_instance(inst, p, bad_primes(inst, search_bound=0))
@@ -425,7 +425,7 @@ def test_certified_prime_implies_residue_orbit_avoids(data):
         orbit_point = inst.mapping.evaluate(orbit_point)
     inst = inst._replace(targets=(*targets, orbit_point))
     bad = bad_primes(inst, search_bound=13)
-    for cert in avoidance_search(inst, [2, 3, 5, 7, 11, 13], bad).certificates:
+    for cert in avoidance_search(inst, [2, 3, 5, 7, 11, 13], bad):
         if cert.certified:
             fp, a_p, targets_p = reduce_instance(inst, cert.prime, bad)
             assert residue_orbit_avoids(fp, a_p, targets_p, cert.bound)
@@ -561,7 +561,7 @@ def test_quadratic_preimages_by_roots(data):
         outcomes = set()
         for order in permutations(points):
             ordered = inst._replace(targets=tuple((Fraction(x),) for (x,) in order))
-            cert = avoidance_search(ordered, [p], bad_primes(ordered, search_bound=p)).certificates[0]
+            cert = avoidance_search(ordered, [p], bad_primes(ordered, search_bound=p))[0]
             depth_of = dict(zip(order, cert.depths))
             outcomes.add((cert.verdict, cert.bound, tuple(depth_of.get(t) for t in points)))
         assert len(outcomes) == 1, outcomes
@@ -587,8 +587,8 @@ def test_avoidance_in_one_dimension_needs_no_map_call_and_no_table(monkeypatch):
     bad = bad_primes(inst, search_bound=200)
     monkeypatch.setattr(ModularMap, "__call__", counting_call)
     monkeypatch.setattr(reduction, "_space_columns", counting_columns)
-    scan = avoidance_search(inst, primes, bad)
-    assert {c.verdict for c in scan.certificates} == {"certified", "failed-periodic"}
+    certs = avoidance_search(inst, primes, bad)
+    assert {c.verdict for c in certs} == {"certified", "failed-periodic"}
     assert calls == {"map": 0, "scan": 0}
 
     swap = _instance(
@@ -596,5 +596,5 @@ def test_avoidance_in_one_dimension_needs_no_map_call_and_no_table(monkeypatch):
         targets=((Fraction(1), Fraction(1)),),
     )
     bad = bad_primes(swap, search_bound=13)
-    scan = avoidance_search(swap, [3, 5, 7, 11, 13], bad)
-    assert calls["scan"] == sum(c.verdict != "failed-bad-prime" for c in scan.certificates) > 0
+    certs = avoidance_search(swap, [3, 5, 7, 11, 13], bad)
+    assert calls["scan"] == sum(c.verdict != "failed-bad-prime" for c in certs) > 0
