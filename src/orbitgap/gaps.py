@@ -457,45 +457,6 @@ def _refine(
 # ---------------------------------------------------------------------------
 
 
-class PairVerdict(NamedTuple):
-    index_low: int  # model indices
-    index_high: int
-    required_exponent: int  # gap^order >= p^required_exponent (trivial when <= 0)
-    ok: bool
-    provenance: str  # "certified-exact" | "modular-screened"
-
-
-class ClassReport(NamedTuple):
-    shift: int
-    class_index: int  # model indices congruent to this mod p
-    members_model: tuple[int, ...]
-    members_original: tuple[int, ...]
-    verdict: str  # ok | too-few-returns | violation | unresolved
-    gap_constant: tuple[int, int, int] | None  # (p, c, d): C = p^(c/d)
-    pairs: tuple[PairVerdict, ...] = ()
-    member_bound: int | None = None  # zero-free classes: members must be <= this
-
-
-class OffVariety(NamedTuple):
-    """A shift whose cycle point is off V mod p, so that it holds no return."""
-
-    shift: int
-    polynomial: int  # index in V of the first polynomial nonzero at the center mod p
-    residue: int  # its value there mod p
-    refuted: tuple[int, ...]  # original indices of the screened returns in the shift
-
-
-class GapReport(NamedTuple):
-    prime: int
-    congruence_exponent: int
-    classes: tuple[ClassReport, ...]
-    off_variety: tuple[OffVariety, ...]
-    prefix_members: tuple[int, ...]
-    uncovered_members: tuple[int, ...]
-    precision_cutoff: int
-    verdict: str
-
-
 def check_gap_pair(gap: int, order: int, required_exponent: int, prime: int) -> bool:
     """Exact check gap^order >= p^required_exponent (trivial when the exponent is <= 0)."""
     return required_exponent <= 0 or gap**order >= prime**required_exponent
@@ -518,27 +479,26 @@ def residue_witness(model: LocalModel, variety: list[Poly]) -> int | None:
 def build_gap_report(
     returns: ReturnSet, localized: list[tuple[LocalModel, list[Leaves] | None]],
     variety: list[Poly], c: int,
-) -> GapReport:
-    """Combine observed returns with zero localizations into per-class verdicts.
+) -> dict:
+    """Combine observed returns with zero localizations into per-class
+    verdicts: the body of the gap_report record.
 
     localized lists (model, leaves_by_class) pairs in family order, the leaves
     as localize_zeros gives them, or None for a shift off V mod p; the prime,
-    precision, m0 and k_total are the models'.  A shift off V (residue_witness)
-    is listed with its witness, and the returns that fall in it are refuted
-    screening candidates, so none of its classes is listed.  A class is
-    listed when it holds a member or is unresolved; every other class of a
-    localized shift holds no return <= n_max.  Every verdict names its
-    inputs: model indices, the leaf's polygon data, and the provenance of
-    each member.  A violation indicates a screening false positive or a
-    precision issue, both of which are reportable outcomes rather than
-    exceptions.
+    m0 and k_total are the models', which the report does not repeat.  A
+    shift off V (residue_witness) is listed in off_variety with its witness,
+    and the returns that fall in it are refuted screening candidates, so none
+    of its classes is listed.  A class is listed when it holds a member or is
+    unresolved; every other class of a localized shift holds no return
+    <= n_max.  Every verdict names its inputs: model indices, the leaf's
+    polygon data, and the provenance of each member.  A violation indicates a
+    screening false positive or a precision issue, both of which are
+    reportable outcomes rather than exceptions.
     """
     first = localized[0][0]
     m0, k_total, p = first.m0, first.k_total, first.prime
     status = {e.index: e.status for e in returns.entries}
-    prefix = tuple(sorted(n for n in status if n < m0))
     shifts = {model.shift for model, _ in localized}
-    uncovered = tuple(sorted(n for n in status if n >= m0 and (n - m0) % k_total not in shifts))
 
     classes, off = [], []
     for model, leaves_by_class in localized:
@@ -548,32 +508,46 @@ def build_gap_report(
         )
         witness = residue_witness(model, variety)
         if witness is not None:
-            refuted = tuple(model.original_index(j) for j in members)
+            refuted = [model.original_index(j) for j in members]
             if any(status[n] == "certified-exact" for n in refuted):
                 raise InvariantViolation(f"a certified return lies in shift {model.shift}, off V")
             residue = reduce_rational(poly_eval(variety[witness], model.center), p)
-            off.append(OffVariety(model.shift, witness, residue, refuted))
+            off.append({"shift": model.shift, "polynomial": witness, "residue": residue,
+                        "refuted": refuted})
             members = []
         elif leaves_by_class is None:
             raise InvariantViolation(f"shift {model.shift} is on V mod {p} but was not localized")
         for i, leaves in enumerate(leaves_by_class or ()):
-            in_class = tuple(j for j in members if j % p == i)
+            in_class = [j for j in members if j % p == i]
             if in_class or not leaves:
                 classes.append(_class_report(model, i, leaves, in_class, status, c))
 
-    verdicts = {cl.verdict for cl in classes}
-    overall = next((v for v in ("violation", "ok") if v in verdicts), "too-few-returns")
-    cutoff = first.ctx.precision // c
-    return GapReport(p, c, tuple(classes), tuple(off), prefix, uncovered, cutoff, overall)
+    verdicts = {cl["verdict"] for cl in classes}
+    return {
+        "congruence_exponent": c,
+        "verdict": next((v for v in ("violation", "ok") if v in verdicts), "too-few-returns"),
+        "prefix_members": sorted(n for n in status if n < m0),
+        "uncovered_members": sorted(
+            n for n in status if n >= m0 and (n - m0) % k_total not in shifts
+        ),
+        "off_variety": off,
+        "classes": classes,
+    }
 
 
-def _class_report(model: LocalModel, i: int, leaves: Leaves, members: tuple[int, ...],
-                  status: dict[int, str], c: int) -> ClassReport:
-    """The verdict of class i mod p, whose sorted model indices are members;
-    a class with leaves must have one."""
-    originals = tuple(model.original_index(j) for j in members)
+def _class_report(model: LocalModel, i: int, leaves: Leaves, members: list[int],
+                  status: dict[int, str], c: int) -> dict:
+    """The verdict of class i mod p, whose sorted model indices are members,
+    as a class of the gap_report record; a class with leaves must have one.
+    Each pair is [index_low, index_high, required_exponent, ok, provenance]
+    in model indices, checking gap^order >= p^required_exponent; gap_constant
+    is [p, c, d], for C = p^(c/d), and member_bound bounds the members of a
+    zero-free leaf."""
+    head = {"shift": model.shift, "class": i, "members_model": members,
+            "members_original": [model.original_index(j) for j in members]}
     if not leaves:
-        return ClassReport(model.shift, i, members, originals, "unresolved", None)
+        return {**head, "verdict": "unresolved", "gap_constant": None, "member_bound": None,
+                "pairs": []}
     p = model.prime
     by_leaf: dict = {}  # leaves in the order of their first member
     for j in members:
@@ -590,7 +564,7 @@ def _class_report(model: LocalModel, i: int, leaves: Leaves, members: tuple[int,
             violation |= js[-1] > bound
             continue
         d = leaf.count
-        constant = (p, c, d)
+        constant = [p, c, d]
         for j1, j2 in zip(js, js[1:]):
             req = leaf.radius_exp * d + j1 * c - leaf.leading_valuation
             if d >= 2:
@@ -599,11 +573,11 @@ def _class_report(model: LocalModel, i: int, leaves: Leaves, members: tuple[int,
                 req = min(req, leaf.radius_exp * d)
             ok = check_gap_pair(j2 - j1, d, req, p)
             exact = all(status[model.original_index(j)] == "certified-exact" for j in (j1, j2))
-            prov = "certified-exact" if exact else "modular-screened"
-            pairs.append(PairVerdict(j1, j2, req, ok, prov))
+            pairs.append([j1, j2, req, ok, "certified-exact" if exact else "modular-screened"])
             violation |= not ok
     verdict = "violation" if violation else "ok" if pairs else "too-few-returns"
-    return ClassReport(model.shift, i, members, originals, verdict, constant, tuple(pairs), bound)
+    return {**head, "verdict": verdict, "gap_constant": constant, "member_bound": bound,
+            "pairs": pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -611,18 +585,8 @@ def _class_report(model: LocalModel, i: int, leaves: Leaves, members: tuple[int,
 # ---------------------------------------------------------------------------
 
 
-class DensityRow(NamedTuple):
-    checkpoint: int
-    count: int
-    yardstick: float | None  # log^(m)(checkpoint), None when undefined/<= 0
-    ratio: float | None
-
-
-class DensityReport(NamedTuple):
-    m: int
-    rows: tuple[DensityRow, ...]
-    max_ratio: float | None
-    diverging: bool
+def _fmt(x) -> str:
+    return "%.6g" % x
 
 
 def iterated_log(n: float, m: int) -> float | None:
@@ -634,12 +598,15 @@ def iterated_log(n: float, m: int) -> float | None:
     return x if x > 0 else None
 
 
-def build_density_report(indices, n_max: int, m: int) -> DensityReport:
-    """Counting function of the return set against the m-fold iterated logarithm.
+def build_density_report(indices, n_max: int, m: int) -> dict:
+    """Counting function of the return set against the m-fold iterated
+    logarithm: the body of the density record.
 
-    An empirical consistency check, not a proof: the maximum observed ratio
-    and a divergence flag (ratios still climbing at the last checkpoints) are
-    reported.
+    An empirical consistency check, not a proof: each row is [checkpoint,
+    count, log^(m)(checkpoint), ratio], and the maximum observed ratio and a
+    divergence flag (ratios still climbing at the last checkpoints) are
+    reported.  Reals are "%.6g" strings; a logarithm that is undefined or
+    <= 0, and its ratio, are None.
     """
     indices = sorted(indices)
     checkpoints = []
@@ -654,7 +621,8 @@ def build_density_report(indices, n_max: int, m: int) -> DensityReport:
         count = bisect_right(indices, cp)
         yard = iterated_log(cp, m)
         ratio = count / yard if yard else None
-        rows.append(DensityRow(cp, count, yard, ratio))
+        rows.append([cp, count, _fmt(yard) if yard else None,
+                     _fmt(ratio) if ratio is not None else None])
         if ratio is not None:
             ratios.append(ratio)
     max_ratio = max(ratios) if ratios else None
@@ -662,4 +630,5 @@ def build_density_report(indices, n_max: int, m: int) -> DensityReport:
     if len(ratios) >= 4:
         mid = ratios[len(ratios) // 2]
         diverging = ratios[-1] == max_ratio and mid > 0 and ratios[-1] >= 2 * mid
-    return DensityReport(m, tuple(rows), max_ratio, diverging)
+    return {"m": m, "max_ratio": _fmt(max_ratio) if max_ratio is not None else None,
+            "diverging": diverging, "rows": rows}

@@ -73,10 +73,6 @@ _FAILURE_LABELS = {"bad_primes": "bad-primes", "choose_prime": "avoidance"}
 DIAGNOSTIC_SCAN_CAP = 100_000
 
 
-def _fmt(x) -> str:
-    return "%.6g" % x
-
-
 class RunReport:
     """The records a run appends, its assumptions, and the error that ended it."""
 
@@ -208,44 +204,36 @@ def stage_avoidance(report: RunReport, state: RunState) -> None:
     primes = [p for p in range(lo, hi + 1) if is_prime(p)]
     if not primes:
         raise InputError(f"prime_range [{lo}, {hi}] holds no prime")
-    state.certs = certs = avoidance_search(state.inst, primes, state.bad)
-    report.add(
-        {
-            "record": "certificates",
-            "rows": [
-                {
-                    "prime": c.prime,
-                    "verdict": c.verdict,
-                    "bound": c.bound,
-                    "depths": list(c.depths),
-                }
-                for c in certs
-            ],
-        }
-    )
+    state.certs = avoidance_search(state.inst, primes, state.bad)
+    report.add({"record": "certificates", "rows": state.certs})
+
+
+def _first_certified(rows: list[dict]) -> dict | None:
+    """The first certified row of a certificates record: the smallest
+    certified prime, since rows are in prime order."""
+    return next((row for row in rows if row["verdict"] == "certified"), None)
 
 
 def stage_choose_prime(report: RunReport, state: RunState) -> None:
     """Smallest certified prime in the scan and its avoidance bound."""
-    for cert in state.certs:
-        if cert.certified:
-            state.prime, state.bound = cert.prime, cert.bound
-            return
-    verdicts = sorted({c.verdict for c in state.certs})
-    raise HypothesisViolation(
-        f"no prime in the scanned range was certified (verdicts seen: {verdicts})"
-    )
+    row = _first_certified(state.certs)
+    if row is None:
+        verdicts = sorted({r["verdict"] for r in state.certs})
+        raise HypothesisViolation(
+            f"no prime in the scanned range was certified (verdicts seen: {verdicts})"
+        )
+    state.prime, state.bound = row["prime"], row["bound"]
 
 
 def _replayed_prime(certificates: list[dict]) -> int:
     if not certificates:
         raise InputError("missing upstream artifact: run the primes stage first")
-    for row in certificates[-1]["rows"]:
-        if row["verdict"] == "certified":
-            if type(row["prime"]) is not int:
-                raise TypeError(f"prime {row['prime']!r} is not an integer")
-            return row["prime"]
-    raise InputError("replay records contain no certified prime")
+    row = _first_certified(certificates[-1]["rows"])
+    if row is None:
+        raise InputError("replay records contain no certified prime")
+    if type(row["prime"]) is not int:
+        raise TypeError(f"prime {row['prime']!r} is not an integer")
+    return row["prime"]
 
 
 def stage_diagnostics(report: RunReport, state: RunState) -> None:
@@ -430,74 +418,26 @@ def stage_gaps(report: RunReport, state: RunState) -> None:
         for m in family
     ]
     c = min(m.congruence_exponent for m in family)
-    state.gap = gap = build_gap_report(state.returns, localized, variety, c)
-    report.add(
-        {
-            "record": "gap_report",
-            "prime": gap.prime,
-            "congruence_exponent": gap.congruence_exponent,
-            "verdict": gap.verdict,
-            "prefix_members": list(gap.prefix_members),
-            "uncovered_members": list(gap.uncovered_members),
-            "off_variety": [
-                {"shift": o.shift, "polynomial": o.polynomial, "residue": o.residue,
-                 "refuted": list(o.refuted)}
-                for o in gap.off_variety
-            ],
-            "precision_cutoff": gap.precision_cutoff,
-            "classes": [
-                {
-                    "shift": cl.shift,
-                    "class": cl.class_index,
-                    "members_model": list(cl.members_model),
-                    "members_original": list(cl.members_original),
-                    "verdict": cl.verdict,
-                    "gap_constant": list(cl.gap_constant) if cl.gap_constant else None,
-                    "member_bound": cl.member_bound,
-                    "pairs": [
-                        [p.index_low, p.index_high, p.required_exponent, p.ok, p.provenance]
-                        for p in cl.pairs
-                    ],
-                }
-                for cl in gap.classes
-            ],
-        }
-    )
+    state.gap = build_gap_report(state.returns, localized, variety, c)
+    report.add({"record": "gap_report", **state.gap})
 
 
 def stage_density(report: RunReport, state: RunState) -> None:
     params = state.params
-    state.density = density = build_density_report(
-        state.returns.indices(), params.n_max, params.density_m
-    )
-    report.add(
-        {
-            "record": "density",
-            "m": density.m,
-            "max_ratio": _fmt(density.max_ratio) if density.max_ratio is not None else None,
-            "diverging": density.diverging,
-            "rows": [
-                [r.checkpoint, r.count, _fmt(r.yardstick) if r.yardstick else None,
-                 _fmt(r.ratio) if r.ratio is not None else None]
-                for r in density.rows
-            ],
-        }
-    )
+    state.density = build_density_report(state.returns.indices(), params.n_max, params.density_m)
+    report.add({"record": "density", **state.density})
 
 
 def stage_summary(report: RunReport, state: RunState) -> None:
-    density = state.density
     report.add(
         {
             "record": "summary",
             "prime": state.prime,
             "avoidance_bound": state.bound,
             "returns": [e.index for e in state.returns.entries],
-            "gap_verdict": state.gap.verdict,
-            "density_max_ratio": _fmt(density.max_ratio)
-            if density.max_ratio is not None
-            else None,
-            "density_diverging": density.diverging,
+            "gap_verdict": state.gap["verdict"],
+            "density_max_ratio": state.density["max_ratio"],
+            "density_diverging": state.density["diverging"],
             "assumptions": list(report.assumptions),
         }
     )

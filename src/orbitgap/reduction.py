@@ -368,42 +368,30 @@ def first_hit_depth(fp: ModularMap, gamma: tuple[int, ...], preimages) -> int | 
         depth += 1
 
 
-class AvoidanceCertificate(NamedTuple):
-    """Per-prime avoidance verdict.
+def avoidance_search(inst: ProblemInstance, primes, bad: BadPrimeSet) -> list[dict]:
+    """The rows of the certificates record: one per prime, in prime order,
+    each {"prime", "verdict", "bound", "depths"}, tried in one pass per prime.
 
-    When verdict == "certified": for every x in F_p^N and every m >= bound,
-    the m-th iterate of x differs from every reduced target.
+    A certified row (p, M) asserts that for every x in F_p^N and every
+    m >= M, the m-th iterate of x differs from every reduced target.  Each
+    good prime with targets reduces the instance once and builds one
+    preimage function, which serves a backward search per target, and
+    depths lists each target's first-hit depth.  A search that finds its
+    target periodic gives None, and then the verdict is failed-periodic;
+    otherwise M = 1 + the largest depth (0 when there are no targets).  Only
+    a space too large for the image table gets an orbit walk per target
+    instead, so that a periodic target there still fails the prime rather
+    than the run.  The verdict depends on the set of targets, not their
+    order.  Failures (failed-periodic, failed-bad-prime) are recorded
+    verdicts with no bound and no depths, never exceptions.
     """
-
-    prime: int
-    verdict: str  # certified | failed-periodic | failed-bad-prime
-    bound: int | None = None
-    depths: tuple[int, ...] = ()
-
-    @property
-    def certified(self) -> bool:
-        return self.verdict == "certified"
-
-
-def avoidance_search(
-    inst: ProblemInstance, primes, bad: BadPrimeSet
-) -> tuple[AvoidanceCertificate, ...]:
-    """Try to certify every prime in the range, in one pass per prime.
-
-    Each good prime with targets reduces the instance once and builds one
-    preimage function, which serves a backward search per target.  A
-    search that finds its target periodic gives None, and then the verdict
-    is failed-periodic; otherwise M = 1 + the largest depth (0 when there
-    are no targets).  Only a space too large for the image table gets an
-    orbit walk per target instead, so that a periodic target there still
-    fails the prime rather than the run.  The verdict depends on the set of
-    targets, not their order.  Failures are recorded verdicts, never
-    exceptions; certificates are in prime order.
-    """
-    certs = []
+    rows = []
     for p in sorted(primes):
+        # failed until every target gets a depth
+        row = {"prime": p, "verdict": "failed-periodic", "bound": None, "depths": []}
+        rows.append(row)
         if p in bad:
-            certs.append(AvoidanceCertificate(p, "failed-bad-prime"))
+            row["verdict"] = "failed-bad-prime"
             continue
         fp, _, targets_p = reduce_instance(inst, p, bad)
         try:
@@ -411,11 +399,8 @@ def avoidance_search(
         except BudgetExceeded:
             if not any(orbit_summary(fp, t).tail == 0 for t in targets_p):
                 raise
-            certs.append(AvoidanceCertificate(p, "failed-periodic"))
             continue
-        depths = tuple(first_hit_depth(fp, t, preimages) for t in targets_p)
-        if None in depths:
-            certs.append(AvoidanceCertificate(p, "failed-periodic"))
-        else:
-            certs.append(AvoidanceCertificate(p, "certified", 1 + max(depths, default=-1), depths))
-    return tuple(certs)
+        depths = [first_hit_depth(fp, t, preimages) for t in targets_p]
+        if None not in depths:
+            row.update(verdict="certified", bound=1 + max(depths, default=-1), depths=depths)
+    return rows

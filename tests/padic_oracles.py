@@ -82,10 +82,7 @@ from orbitgap.errors import (
 )
 from orbitgap.gaps import (
     STABLE_ROUNDS,
-    ClassReport,
     DiskSeries,
-    GapReport,
-    PairVerdict,
     ZeroLocalization,
     _subdisk,
     check_gap_pair,
@@ -792,8 +789,9 @@ def _leaf_for(leaves, j: int, p: int):
     return None
 
 
-def build_gap_report_reference(returns, localized, c: int) -> GapReport:
-    """The gap report classified leaf by leaf, as one loop over every class.
+def build_gap_report_reference(returns, localized, c: int) -> dict:
+    """The gap report classified leaf by leaf, as one loop over every class,
+    in the shape of the gap_report record's body.
 
     The reference for `gaps.build_gap_report` with V = [], where no shift is
     off V: every localized shift's returns are its members.  A member that
@@ -805,11 +803,9 @@ def build_gap_report_reference(returns, localized, c: int) -> GapReport:
     prime, m0, k_total = some_model.prime, some_model.m0, some_model.k_total
     status = {e.index: e.status for e in returns.entries}
 
-    prefix = tuple(sorted(n for n in status if n < m0))
+    prefix = sorted(n for n in status if n < m0)
     covered_shifts = {model.shift for model, _ in localized}
-    uncovered = tuple(
-        sorted(n for n in status if n >= m0 and (n - m0) % k_total not in covered_shifts)
-    )
+    uncovered = sorted(n for n in status if n >= m0 and (n - m0) % k_total not in covered_shifts)
 
     classes = []
     for model, leaves_by_class in localized:
@@ -821,11 +817,13 @@ def build_gap_report_reference(returns, localized, c: int) -> GapReport:
         )
         for class_index, leaves in enumerate(leaves_by_class):
             in_class = [j for j in members_model if j % prime == class_index]
-            originals = tuple(model.original_index(j) for j in in_class)
+            originals = [model.original_index(j) for j in in_class]
             if not leaves:
-                classes.append(ClassReport(
-                    shift, class_index, tuple(in_class), originals, "unresolved", None
-                ))
+                classes.append({
+                    "shift": shift, "class": class_index, "members_model": in_class,
+                    "members_original": originals, "verdict": "unresolved",
+                    "gap_constant": None, "member_bound": None, "pairs": [],
+                })
                 continue
             if not in_class:
                 continue  # a resolved class with no return is not listed
@@ -847,7 +845,7 @@ def build_gap_report_reference(returns, localized, c: int) -> GapReport:
                         verdict = "violation"
                     continue
                 d = leaf.count
-                constant = (prime, c, d)
+                constant = [prime, c, d]
                 for j1, j2 in zip(js, js[1:]):
                     req = leaf.radius_exp * d + j1 * c - leaf.leading_valuation
                     if d >= 2:
@@ -859,23 +857,30 @@ def build_gap_report_reference(returns, localized, c: int) -> GapReport:
                         and status[model.original_index(j2)] == "certified-exact"
                         else "modular-screened"
                     )
-                    pairs.append(PairVerdict(j1, j2, req, ok, prov))
+                    pairs.append([j1, j2, req, ok, prov])
                     if not ok:
                         verdict = "violation"
             if verdict == "ok" and not pairs:
                 verdict = "too-few-returns"
-            classes.append(ClassReport(
-                shift, class_index, tuple(in_class), originals, verdict, constant,
-                tuple(pairs), member_bound,
-            ))
+            classes.append({
+                "shift": shift, "class": class_index, "members_model": in_class,
+                "members_original": originals, "verdict": verdict, "gap_constant": constant,
+                "member_bound": member_bound, "pairs": pairs,
+            })
 
     overall = "ok"
-    if any(cl.verdict == "violation" for cl in classes):
+    if any(cl["verdict"] == "violation" for cl in classes):
         overall = "violation"
-    elif all(cl.verdict in ("too-few-returns", "unresolved") for cl in classes):
+    elif all(cl["verdict"] in ("too-few-returns", "unresolved") for cl in classes):
         overall = "too-few-returns"
-    precision = some_model.ctx.precision
-    return GapReport(prime, c, tuple(classes), (), prefix, uncovered, precision // c, overall)
+    return {
+        "congruence_exponent": c,
+        "verdict": overall,
+        "prefix_members": prefix,
+        "uncovered_members": uncovered,
+        "off_variety": [],
+        "classes": classes,
+    }
 
 
 def classify_gap_sequence(members, growth: Fraction, offset: int = 0) -> list[bool]:

@@ -194,15 +194,15 @@ def test_criterion_4_certificate_soundness_window():
             )
             bad = bad_primes(inst, search_bound=p)
             cert = avoidance_search(inst, [p], bad)[0]
-            if not cert.certified:
+            if cert["verdict"] != "certified":
                 continue
             assert p**n <= 100_000
             fp, _, targets_p = reduce_instance(inst, p, bad)
             hits = _forward_first_hits(fp, set(targets_p))
-            window_hi = cert.bound + p**n
+            window_hi = cert["bound"] + p**n
             for m in hits.values():
-                assert m < 0 or m < cert.bound or m > window_hi, (
-                    f"hit at m={m} inside [{cert.bound}, {window_hi}] at p={p}"
+                assert m < 0 or m < cert["bound"] or m > window_hi, (
+                    f"hit at m={m} inside [{cert['bound']}, {window_hi}] at p={p}"
                 )
             verified += 1
     elapsed = time.perf_counter() - start

@@ -509,7 +509,8 @@ def test_off_variety_certificate_checks_from_the_records(doc, on_variety, tmp_pa
     assert main(["analyze", str(path), "--out", str(out)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     [gap] = [r for r in records if r["record"] == "gap_report"]
-    p, variety = gap["prime"], doc["variety"]
+    [p] = [r["prime"] for r in records if r["record"] == "diagnostics"]
+    variety = doc["variety"]
     centers = {r["shift"]: r["center"] for r in records if r["record"] == "model"}
     interpolated = {r["shift"] for r in records if r["record"] == "interpolant"}
     off = {o["shift"]: o for o in gap["off_variety"]}

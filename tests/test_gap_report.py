@@ -26,7 +26,6 @@ from padic_oracles import (
 from orbitgap.errors import InvariantViolation, OrbitgapError
 from orbitgap.gaps import (
     STABLE_ROUNDS,
-    OffVariety,
     ReturnEntry,
     ReturnSet,
     ZeroLocalization,
@@ -105,9 +104,9 @@ def test_member_beyond_zero_free_bound_is_a_violation():
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1])
     report = build_gap_report(_fake_returns([11]), [(model, localize_zeros(interp, [q]))], [q], 1)
-    cl = next(c for c in report.classes if c.members_model == (11,))
-    assert cl.verdict == "violation"
-    assert report.verdict == "violation"
+    cl = next(c for c in report["classes"] if c["members_model"] == [11])
+    assert cl["verdict"] == "violation"
+    assert report["verdict"] == "violation"
 
 
 def test_near_zero_member_outside_its_depth_is_flagged():
@@ -118,8 +117,8 @@ def test_near_zero_member_outside_its_depth_is_flagged():
     q = _q_with_zeros(5, [1])
     localized = [(model, localize_zeros(interp, [q]))]
     report = build_gap_report(_fake_returns([1, 6]), localized, [q], 1)
-    cl = next(c for c in report.classes if c.class_index == 1)
-    assert cl.verdict == "violation"
+    cl = next(c for c in report["classes"] if c["class"] == 1)
+    assert cl["verdict"] == "violation"
 
 
 def test_gap_pair_inside_zero_leaf_passes_trivially():
@@ -133,10 +132,11 @@ def test_gap_pair_inside_zero_leaf_passes_trivially():
     report = build_gap_report(
         _fake_returns([1, partner], n_max=10**5), [(model, leaves_by_class)], [q], 1
     )
-    cl = next(c for c in report.classes if c.class_index == 1)
-    assert cl.verdict == "ok"
-    assert len(cl.pairs) == 1
-    assert cl.pairs[0].ok and cl.pairs[0].required_exponent <= 0
+    cl = next(c for c in report["classes"] if c["class"] == 1)
+    assert cl["verdict"] == "ok"
+    assert len(cl["pairs"]) == 1
+    [(_, _, required_exponent, ok, _)] = cl["pairs"]
+    assert ok and required_exponent <= 0
 
 
 def test_screened_provenance_propagates_to_pairs():
@@ -150,9 +150,9 @@ def test_screened_provenance_propagates_to_pairs():
         1,
     )
     report = build_gap_report(returns, [(model, localize_zeros(interp, [q]))], [q], 1)
-    cl = next(c for c in report.classes if c.class_index == 1)
-    if cl.pairs:
-        assert cl.pairs[0].provenance == "modular-screened"
+    cl = next(c for c in report["classes"] if c["class"] == 1)
+    if cl["pairs"]:
+        assert cl["pairs"][0][4] == "modular-screened"  # the first pair's provenance
 
 
 def test_uncovered_shift_classes_are_reported(monkeypatch):
@@ -176,8 +176,8 @@ def test_uncovered_shift_classes_are_reported(monkeypatch):
     report = build_gap_report(
         returns, [(model, localize_zeros(interp, qs))], inst.variety, model.congruence_exponent
     )
-    assert 1 in report.uncovered_members or 1 in report.prefix_members
-    assert 7 in report.uncovered_members or 7 in report.prefix_members
+    assert 1 in report["uncovered_members"] or 1 in report["prefix_members"]
+    assert 7 in report["uncovered_members"] or 7 in report["prefix_members"]
 
 
 def test_restriction_additivity_spot():
@@ -290,17 +290,20 @@ def test_gap_report_reference_cases_reach_every_verdict():
     [double] = [leaf for leaf in _localized((), 2)[0][1][2] if leaf.count]
     assert (double.count, double.radius_exp) == (2, 1 + STABLE_ROUNDS)
     reports = [_gap_report_pair(*case) for case in _VERDICT_CASES]
-    verdicts = {cl.verdict for r in reports for cl in r.classes}
+    verdicts = {cl["verdict"] for r in reports for cl in r["classes"]}
     assert {"ok", "violation", "too-few-returns"} <= verdicts
+    # each pair is [index_low, index_high, required_exponent, ok, provenance]
     checked = [
-        (cl.gap_constant[2], pair)
-        for r in reports for cl in r.classes if cl.verdict == "ok" for pair in cl.pairs
+        (cl["gap_constant"][2], pair)
+        for r in reports for cl in r["classes"] if cl["verdict"] == "ok" for pair in cl["pairs"]
     ]
-    assert {d for d, pair in checked if pair.ok} == {1, 2}
-    assert any(pair.provenance == "modular-screened" for _, pair in checked)
-    assert [r.verdict for r in reports] == ["ok", "ok", "violation", "too-few-returns", "violation"]
-    failed = [pair for cl in reports[4].classes for pair in cl.pairs if not pair.ok]
-    assert len(failed) == 1 and failed[0].index_low == 1 + 5**5
+    assert {d for d, pair in checked if pair[3]} == {1, 2}
+    assert any(pair[4] == "modular-screened" for _, pair in checked)
+    assert [r["verdict"] for r in reports] == [
+        "ok", "ok", "violation", "too-few-returns", "violation"
+    ]
+    failed = [pair for cl in reports[4]["classes"] for pair in cl["pairs"] if not pair[3]]
+    assert len(failed) == 1 and failed[0][0] == 1 + 5**5
 
 
 def test_member_outside_every_leaf_is_a_broken_invariant():
@@ -312,7 +315,7 @@ def test_member_outside_every_leaf_is_a_broken_invariant():
     returns = _fake_returns([1, 6])
     with pytest.raises(InvariantViolation, match="no leaf"):
         build_gap_report(returns, localized, [], 1)
-    assert build_gap_report_reference(returns, localized, 1).verdict == "violation"
+    assert build_gap_report_reference(returns, localized, 1)["verdict"] == "violation"
 
 
 # -- shifts off V mod p ---------------------------------------------------------
@@ -338,16 +341,17 @@ def test_screened_index_off_the_variety_is_refuted_not_uncovered():
         (101,), (), 1,
     )
     report = build_gap_report(returns, localized, variety, 1)
-    assert report.off_variety == tuple(
-        OffVariety(shift, 0, 11, (fabricated,) if shift == 0 else ())
+    assert report["off_variety"] == [
+        {"shift": shift, "polynomial": 0, "residue": 11,
+         "refuted": [fabricated] if shift == 0 else []}
         for shift in range(0, 14, 2)
-    )
-    assert fabricated not in report.uncovered_members
-    assert all(fabricated not in cl.members_original for cl in report.classes)
+    ]
+    assert fabricated not in report["uncovered_members"]
+    assert all(fabricated not in cl["members_original"] for cl in report["classes"])
     # the one listed class is the one that holds a return; every other class
     # of a localized shift is resolved and holds none
-    assert [(cl.shift, cl.members_original) for cl in report.classes] == [(1, (1,))]
-    assert report.verdict == "too-few-returns"
+    assert [(cl["shift"], cl["members_original"]) for cl in report["classes"]] == [(1, [1])]
+    assert report["verdict"] == "too-few-returns"
 
     certified = returns._replace(entries=(ReturnEntry(fabricated, "certified-exact"),))
     with pytest.raises(InvariantViolation, match="off V"):
@@ -391,16 +395,17 @@ def _skipping_loses_nothing(inst, params) -> bool:
     gap = records["gap_report"]
     returns, every = oracle
     assert records["returns"]["entries"] == [[e.index, e.status] for e in returns.entries]
-    assert gap["verdict"] == every.verdict
+    assert gap["verdict"] == every["verdict"]
     off = {o["shift"] for o in gap["off_variety"]}
     on_classes = {
         (cl["shift"], cl["class"]): (cl["verdict"], cl["member_bound"], cl["pairs"])
         for cl in gap["classes"] if cl["shift"] not in off
     }
-    for cl in every.classes:
-        assert cl.shift not in off  # a class of a shift off V holds no return
-        pairs = [list(pair) for pair in cl.pairs]
-        assert on_classes.pop((cl.shift, cl.class_index)) == (cl.verdict, cl.member_bound, pairs)
+    for cl in every["classes"]:
+        assert cl["shift"] not in off  # a class of a shift off V holds no return
+        assert on_classes.pop((cl["shift"], cl["class"])) == (
+            cl["verdict"], cl["member_bound"], cl["pairs"]
+        )
     assert not on_classes
     return True
 

@@ -729,21 +729,22 @@ def test_classify_gap_sequence_random():
 
 
 def test_density_examples():
+    # each row is [checkpoint, count, yardstick, ratio], reals as "%.6g" strings
     empty = build_density_report([], 1000, 1)
-    assert all(r.count == 0 for r in empty.rows)
-    assert not empty.diverging
+    assert all(count == 0 for _, count, _, _ in empty["rows"])
+    assert not empty["diverging"]
 
     single = build_density_report([1], 10**6, 1)
-    assert single.max_ratio == pytest.approx(1 / 0.6931471805599453, rel=1e-6)
-    assert not single.diverging
+    assert single["max_ratio"] == "%.6g" % (1 / 0.6931471805599453)
+    assert not single["diverging"]
 
     everything = build_density_report(list(range(0, 4097)), 4096, 1)
-    assert everything.diverging
+    assert everything["diverging"]
 
     # twice-iterated logarithm: checkpoints where log(log(n)) <= 0 are skipped
     deep = build_density_report([1], 10**6, 2)
-    assert any(r.ratio is None for r in deep.rows)
-    assert deep.max_ratio is not None and deep.max_ratio > 0
+    assert any(ratio is None for _, _, _, ratio in deep["rows"])
+    assert deep["max_ratio"] is not None and float(deep["max_ratio"]) > 0
 
 
 def test_gap_report_via_pipeline_pieces():
@@ -755,7 +756,8 @@ def test_gap_report_via_pipeline_pieces():
     report = build_gap_report(
         returns, [(model, localize_zeros(interp, qs))], inst.variety, model.congruence_exponent
     )
-    assert report.prime == 3 and report.precision_cutoff == 24 // model.congruence_exponent
-    assert report.verdict == "too-few-returns"
-    assert report.prefix_members == (1,)  # n=1 < m0=2 sits in the finite prefix
-    assert report.uncovered_members == ()
+    # the prime and the precision are the interpolant's; the report states c
+    assert report["congruence_exponent"] == model.congruence_exponent
+    assert report["verdict"] == "too-few-returns"
+    assert report["prefix_members"] == [1]  # n=1 < m0=2 sits in the finite prefix
+    assert report["uncovered_members"] == []

@@ -83,7 +83,7 @@ def test_translation_leaves_the_run_unchanged(data):
 def _certificates(inst: ProblemInstance):
     primes = [p for p in range(3, 50) if is_prime(p)]
     certs = avoidance_search(inst, primes, bad_primes(inst, search_bound=max(primes)))
-    return [(c.prime, c.verdict, c.bound, c.depths) for c in certs]
+    return [(c["prime"], c["verdict"], c["bound"], c["depths"]) for c in certs]
 
 
 @given(st.data())

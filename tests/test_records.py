@@ -1,4 +1,5 @@
-"""Records are NamedTuples and plain classes: copies are checked, and start-up is cheap.
+"""Records are NamedTuples, plain classes and plain JSON values: copies are
+checked, and start-up is cheap.
 
 The types whose constructor checks or derives a field are plain classes, and
 their copy helper `_replace` builds the copy through the constructor, so a
@@ -10,7 +11,8 @@ a problem file through the package namespace loads the problem-file layer
 and no stage.  The problem file's digest comes from the interpreter's
 built-in SHA-256 module, so no command loads `hashlib` and the OpenSSL
 library under it.  Each kind of record that `analyze` writes has one fixed
-set of keys.
+set of keys, and the avoidance, gap and density reports are built as the
+bodies of their records, which a JSON round trip leaves unchanged.
 """
 
 import hashlib
@@ -26,9 +28,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from padic_oracles import map_from_lists
+from padic_oracles import FAMILY_P29, map_from_lists
 
-from orbitgap import gaps, interpolation, normalization, padic, reduction
+from orbitgap import gaps, interpolation, normalization, padic, pipeline, reduction
 from orbitgap.errors import HypothesisViolation, InputError, OrbitgapError
 from orbitgap.padic import PadicContext
 from orbitgap.pipeline import run
@@ -40,6 +42,7 @@ from orbitgap.problemfile import (
     ProblemInstance,
     RunParameters,
     load_problem,
+    parse_problem,
     problem_hash,
 )
 
@@ -267,8 +270,8 @@ RECORD_KEYS = {
     "interpolant": {"shift", "prime", "precision", "terms", "congruence_exponent", "decay_onset",
                     "coefficients", "constant"},
     "returns": {"n_max", "entries", "screening_primes", "refuted", "exact_horizon"},
-    "gap_report": {"prime", "congruence_exponent", "verdict", "prefix_members",
-                   "uncovered_members", "off_variety", "precision_cutoff", "classes"},
+    "gap_report": {"congruence_exponent", "verdict", "prefix_members", "uncovered_members",
+                   "off_variety", "classes"},
     "density": {"m", "max_ratio", "diverging", "rows"},
     "summary": {"prime", "avoidance_bound", "returns", "gap_verdict", "density_max_ratio",
                 "density_diverging", "assumptions"},
@@ -293,3 +296,31 @@ def test_analyze_record_keys_are_fixed(problem):
         for (kind, field), keys in ENTRY_KEYS.items():
             if rec["record"] == kind:
                 assert all(entry.keys() == keys for entry in rec[field]), (kind, field)
+
+
+#: The inputs whose reports must be plain JSON values: the samples and the
+#: family-p29 input, each as (instance, parameters).
+REPORT_INPUTS = {
+    **{p.name: lambda p=p: load_problem(str(p))[:2] for p in PROBLEMS},
+    "family-p29": lambda: parse_problem(FAMILY_P29),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_INPUTS)
+def test_reports_survive_a_json_round_trip(name, monkeypatch):
+    """avoidance_search, build_gap_report and build_density_report return the
+    bodies of the certificates, gap_report and density records: lists, dicts,
+    strings, numbers, booleans and None, so that decoding their JSON gives
+    them back equal (a tuple would come back as a list, an int key as a
+    string)."""
+    results = {}
+    for builder in ("avoidance_search", "build_gap_report", "build_density_report"):
+        def capture(*args, builder=builder, build=getattr(pipeline, builder)):
+            results[builder] = build(*args)
+            return results[builder]
+        monkeypatch.setattr(pipeline, builder, capture)
+    inst, params = REPORT_INPUTS[name]()
+    assert run("analyze", inst, params, "round-trip").exit_code == 0
+    assert len(results) == 3
+    for builder, result in results.items():
+        assert result == json.loads(json.dumps(result)), builder

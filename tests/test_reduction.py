@@ -102,7 +102,7 @@ def test_target_fixed_mod_p_fails_the_prime_as_periodic():
     bad = bad_primes(inst, search_bound=11)
     assert 7 not in bad and bad.primes == frozenset()
     (cert,) = avoidance_search(inst, [7], bad)
-    assert cert.verdict == "failed-periodic"
+    assert cert["verdict"] == "failed-periodic"
 
 
 def test_reduce_examples():
@@ -173,7 +173,7 @@ def test_first_hit_depth_examples():
     zero_fixed = _instance([{(1,): 3}], (1,), targets=((Fraction(0),),))  # 3x = 0 mod 3
     for inst, p in ((on_cycle_of_five, 5), (zero_fixed, 3)):
         cert = avoidance_search(inst, [p], bad_primes(inst, search_bound=0))[0]
-        assert cert.verdict == "failed-periodic"
+        assert cert["verdict"] == "failed-periodic"
         fp = ModularMap.from_map(inst.mapping, p)
         assert first_hit_depth(fp, (0,), preimage_buckets(fp)) is None
 
@@ -247,7 +247,7 @@ def test_periodic_target_above_the_guard_is_failed_periodic(monkeypatch):
     monkeypatch.setattr(reduction, "ENUM_GUARD", 4)
     cubic = _instance([{(3,): 1, (2,): 1}], (2,), targets=((Fraction(4),), (Fraction(0),)))
     cert = avoidance_search(cubic, [5], bad_primes(cubic, search_bound=5))[0]
-    assert cert.verdict == "failed-periodic"
+    assert cert["verdict"] == "failed-periodic"
     tail_only = cubic._replace(targets=((Fraction(4),),))
     with pytest.raises(BudgetExceeded):
         avoidance_search(tail_only, [5], bad_primes(tail_only, search_bound=5))
@@ -260,7 +260,7 @@ def test_periodic_target_above_the_guard_is_failed_periodic(monkeypatch):
     for target, verdict in ((0, "failed-periodic"), (3, "certified")):
         inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(target),),))
         cert = avoidance_search(inst, [5], bad_primes(inst, search_bound=5))[0]
-        assert cert.verdict == verdict
+        assert cert["verdict"] == verdict
 
 
 def test_avoidance_evaluates_the_map_column_wise(monkeypatch):
@@ -304,21 +304,21 @@ def test_avoidance_evaluates_the_map_column_wise(monkeypatch):
 def test_avoidance_examples():
     inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),),))
     certs = avoidance_search(inst, [5], bad_primes(inst, search_bound=5))
-    assert certs[0].verdict == "certified"
-    assert certs[0].bound == 1
+    assert certs[0]["verdict"] == "certified"
+    assert certs[0]["bound"] == 1
     certs = avoidance_search(inst, [3], bad_primes(inst, search_bound=3))
-    assert certs[0].verdict == "certified"
-    assert certs[0].bound == 1
+    assert certs[0]["verdict"] == "certified"
+    assert certs[0]["bound"] == 1
     # x^2 with gamma = 0: 0 is fixed, so every prime fails
     inst2 = _instance([{(2,): 1}], (3,), targets=((Fraction(0),),))
     certs = avoidance_search(inst2, [3, 5, 7], bad_primes(inst2, search_bound=7))
-    assert all(c.verdict == "failed-periodic" for c in certs)
-    assert len(certs) == 3 and sum(c.certified for c in certs) == 0
+    assert all(c["verdict"] == "failed-periodic" for c in certs)
+    assert len(certs) == 3 and sum(c["verdict"] == "certified" for c in certs) == 0
     # empty target list: trivially certified with M = 0
     inst3 = _instance([{(2,): 1, (0,): 1}], (0,))
     certs = avoidance_search(inst3, [3, 5], bad_primes(inst3, search_bound=5))
-    assert all(c.certified and c.bound == 0 for c in certs)
-    assert len(certs) == sum(c.certified for c in certs) == 2
+    assert all(c["verdict"] == "certified" and c["bound"] == 0 for c in certs)
+    assert len(certs) == sum(c["verdict"] == "certified" for c in certs) == 2
 
 
 def test_avoidance_bound_monotone_in_targets():
@@ -330,8 +330,8 @@ def test_avoidance_bound_monotone_in_targets():
     for p in rng_primes:
         c1 = avoidance_search(base, [p], bad_primes(base, search_bound=p))[0]
         c2 = avoidance_search(larger, [p], bad_primes(larger, search_bound=p))[0]
-        if c1.certified and c2.certified:
-            assert c2.bound >= c1.bound
+        if c1["verdict"] == "certified" and c2["verdict"] == "certified":
+            assert c2["bound"] >= c1["bound"]
 
 
 def test_certificate_soundness_window_small():
@@ -339,15 +339,15 @@ def test_certificate_soundness_window_small():
     inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),),))
     for p in (5, 7, 11, 13):
         cert = avoidance_search(inst, [p], bad_primes(inst, search_bound=p))[0]
-        if not cert.certified:
+        if cert["verdict"] != "certified":
             continue
         fp, _, targets_p = reduce_instance(inst, p, bad_primes(inst, search_bound=0))
         hits = _forward_first_hits(fp, targets_p[0], p)
-        window_hi = cert.bound + p**inst.dimension
+        window_hi = cert["bound"] + p**inst.dimension
         assert all(
-            m < cert.bound or m > window_hi for m in hits.values() if m is not None
+            m < cert["bound"] or m > window_hi for m in hits.values() if m is not None
         )
-        assert all(m is None or m < cert.bound for m in hits.values())
+        assert all(m is None or m < cert["bound"] for m in hits.values())
 
 
 def _forward_first_hits(fp, gamma, p):
@@ -426,9 +426,9 @@ def test_certified_prime_implies_residue_orbit_avoids(data):
     inst = inst._replace(targets=(*targets, orbit_point))
     bad = bad_primes(inst, search_bound=13)
     for cert in avoidance_search(inst, [2, 3, 5, 7, 11, 13], bad):
-        if cert.certified:
-            fp, a_p, targets_p = reduce_instance(inst, cert.prime, bad)
-            assert residue_orbit_avoids(fp, a_p, targets_p, cert.bound)
+        if cert["verdict"] == "certified":
+            fp, a_p, targets_p = reduce_instance(inst, cert["prime"], bad)
+            assert residue_orbit_avoids(fp, a_p, targets_p, cert["bound"])
 
 
 def _avoids(inst, p, bound):
@@ -562,8 +562,8 @@ def test_quadratic_preimages_by_roots(data):
         for order in permutations(points):
             ordered = inst._replace(targets=tuple((Fraction(x),) for (x,) in order))
             cert = avoidance_search(ordered, [p], bad_primes(ordered, search_bound=p))[0]
-            depth_of = dict(zip(order, cert.depths))
-            outcomes.add((cert.verdict, cert.bound, tuple(depth_of.get(t) for t in points)))
+            depth_of = dict(zip(order, cert["depths"]))
+            outcomes.add((cert["verdict"], cert["bound"], tuple(depth_of.get(t) for t in points)))
         assert len(outcomes) == 1, outcomes
 
 
@@ -588,7 +588,7 @@ def test_avoidance_in_one_dimension_needs_no_map_call_and_no_table(monkeypatch):
     monkeypatch.setattr(ModularMap, "__call__", counting_call)
     monkeypatch.setattr(reduction, "_space_columns", counting_columns)
     certs = avoidance_search(inst, primes, bad)
-    assert {c.verdict for c in certs} == {"certified", "failed-periodic"}
+    assert {c["verdict"] for c in certs} == {"certified", "failed-periodic"}
     assert calls == {"map": 0, "scan": 0}
 
     swap = _instance(
@@ -597,4 +597,4 @@ def test_avoidance_in_one_dimension_needs_no_map_call_and_no_table(monkeypatch):
     )
     bad = bad_primes(swap, search_bound=13)
     certs = avoidance_search(swap, [3, 5, 7, 11, 13], bad)
-    assert calls["scan"] == sum(c.verdict != "failed-bad-prime" for c in certs) > 0
+    assert calls["scan"] == sum(c["verdict"] != "failed-bad-prime" for c in certs) > 0
