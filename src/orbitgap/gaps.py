@@ -80,22 +80,6 @@ STABLE_ROUNDS = 3
 # ---------------------------------------------------------------------------
 
 
-class ReturnEntry(NamedTuple):
-    index: int
-    status: str  # "certified-exact" | "modular-screened"
-
-
-class ReturnSet(NamedTuple):
-    n_max: int
-    entries: tuple[ReturnEntry, ...]
-    screening_primes: tuple[int, ...]
-    refuted: tuple[int, ...]
-    exact_horizon: int
-
-    def indices(self) -> list[int]:
-        return [e.index for e in self.entries]
-
-
 def default_screening_primes(bad: BadPrimeSet, count: int,
                              floor: int = SCREEN_PRIME_FLOOR) -> list[int]:
     """The first `count` primes >= floor that are not in the run's bad-prime set."""
@@ -117,8 +101,9 @@ def _hits_mod(inst: ProblemInstance, p: int, bad: BadPrimeSet, n_max: int) -> Or
 
 def compute_returns(
     inst: ProblemInstance, n_max: int, screening_primes, *, bad: BadPrimeSet
-) -> ReturnSet:
-    """Indices n <= n_max with the orbit on the variety.
+) -> dict:
+    """Indices n <= n_max with the orbit on the variety: the body of the
+    returns record.
 
     Screening: per screening prime, the tail and cycle of the orbit mod p
     and the residues on V mod p, in O(min(tail + cycle, n_max)) map
@@ -129,7 +114,8 @@ def compute_returns(
     BudgetExceeded.  Surviving indices within the first EXACT_STEP_BUDGET
     exact orbit points and the exact bit budget are then certified or
     refuted over exact rationals; the rest get one more screening round
-    with fresh primes.
+    with fresh primes.  Each entry is [index, status]; exact_horizon is the
+    last index the exact orbit reached (-1 for none).
     """
     if not screening_primes:
         raise InputError("return screening needs at least one screening prime")
@@ -144,7 +130,7 @@ def compute_returns(
     if len(candidates) > SURVIVOR_CAP:
         raise BudgetExceeded(f"more than {SURVIVOR_CAP} screening survivors up to n_max = {n_max}")
 
-    entries: list[ReturnEntry] = []
+    entries: list[list] = []
     refuted: list[int] = []
     horizon = -1
     done = 0  # candidates[:done] are certified or refuted
@@ -154,7 +140,7 @@ def compute_returns(
         if n == candidates[done]:
             done += 1
             if all(poly_eval(q, pt) == 0 for q in inst.variety):
-                entries.append(ReturnEntry(n, "certified-exact"))
+                entries.append([n, "certified-exact"])
             else:
                 refuted.append(n)
         horizon = n
@@ -169,8 +155,9 @@ def compute_returns(
         screening_primes = list(screening_primes) + extra
         for m in candidates[done:]:
             if all(m in s for s in extra_screens):
-                entries.append(ReturnEntry(m, "modular-screened"))
-    return ReturnSet(n_max, tuple(entries), tuple(screening_primes), tuple(refuted), horizon)
+                entries.append([m, "modular-screened"])
+    return {"n_max": n_max, "entries": entries, "screening_primes": list(screening_primes),
+            "refuted": refuted, "exact_horizon": horizon}
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +194,7 @@ def _expand(interp: ApproxInterpolant) -> list[list[int]]:
     map, so every coefficient agrees with the exact one mod that modulus,
     and G itself is known mod p^K.
     """
-    ctx, T = interp.ctx, interp.terms
+    ctx, T = interp.ctx, interp.series.terms - 1
     work = ctx.modulus * ctx.prime ** vp_factorial(T, ctx.prime)
     scales = [1] * (T + 1)  # T!/j!
     for j in range(T - 1, -1, -1):
@@ -238,11 +225,11 @@ def _subdisk(
     known to p^(K + min(k' m - v_p(T!), 0)) and the constant, G(c), to p^K.
     """
     ctx = interp.ctx
-    p, prec, mod = ctx.prime, ctx.precision, ctx.modulus
-    e_total = vp_factorial(interp.terms, p)
+    p, prec, mod, T = ctx.prime, ctx.precision, ctx.modulus, interp.series.terms - 1
+    e_total = vp_factorial(T, p)
     p_part = p**e_total
     work = mod * p_part
-    inv_fact_unit = pow(math.factorial(interp.terms) // p_part, -1, mod)
+    inv_fact_unit = pow(math.factorial(T) // p_part, -1, mod)
     s = p ** (sub_exp - radius_exp)
     shifted, coord_series = [], []
     for a in coords:
@@ -477,7 +464,7 @@ def residue_witness(model: LocalModel, variety: list[Poly]) -> int | None:
 
 
 def build_gap_report(
-    returns: ReturnSet, localized: list[tuple[LocalModel, list[Leaves] | None]],
+    returns: dict, localized: list[tuple[LocalModel, list[Leaves] | None]],
     variety: list[Poly], c: int,
 ) -> dict:
     """Combine observed returns with zero localizations into per-class
@@ -497,7 +484,7 @@ def build_gap_report(
     """
     first = localized[0][0]
     m0, k_total, p = first.m0, first.k_total, first.prime
-    status = {e.index: e.status for e in returns.entries}
+    status = dict(returns["entries"])
     shifts = {model.shift for model, _ in localized}
 
     classes, off = [], []

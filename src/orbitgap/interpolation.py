@@ -36,9 +36,7 @@ class ApproxInterpolant(NamedTuple):
     """Binomial-basis interpolant of the model orbit with certified decay."""
 
     model: LocalModel
-    series: MahlerSeries
-    congruence_exponent: int
-    terms: int
+    series: MahlerSeries  # coefficients 0..K, K the model's precision
     decay: tuple  # sup-norm valuation of each coefficient
 
     @property
@@ -50,16 +48,6 @@ class ApproxInterpolant(NamedTuple):
         """The first index after which coefficient valuations are non-decreasing."""
         d = self.decay
         return next((i for i in range(len(d) - 1, 0, -1) if d[i - 1] > d[i]), 0)
-
-    def to_record(self) -> dict:
-        return {
-            "prime": self.ctx.prime,
-            "precision": self.ctx.precision,
-            "congruence_exponent": self.congruence_exponent,
-            "terms": self.terms,
-            "decay_onset": self.decay_onset,
-            "coefficients": [list(v) for v in self.series.coeffs],
-        }
 
 
 def decay_requirement(k: int, c: int, p: int, precision: int) -> int:
@@ -102,7 +90,7 @@ def build_interpolant(model: LocalModel) -> ApproxInterpolant:
         if series.evaluate(binomial_row(model.ctx, n, prec)) != model.points[n]:
             raise InvariantViolation(f"fitting-window reconstruction failed at {n}")
     verify_error_bound(table[prec + 1:], prec)
-    return ApproxInterpolant(model, series, c, prec, decay)
+    return ApproxInterpolant(model, series, decay)
 
 
 def verify_error_bound(beyond: list, terms: int) -> None:

@@ -26,8 +26,6 @@ from .errors import (
     PrecisionExhausted,
 )
 from .gaps import (
-    ReturnEntry,
-    ReturnSet,
     build_density_report,
     build_gap_report,
     compute_returns,
@@ -109,7 +107,7 @@ class RunState:
         params: RunParameters,
         prime: int | None = None,
         recorded: dict[int, list] | None = None,  # replayed interpolant coefficients by shift
-        returns: ReturnSet | None = None,
+        returns: dict | None = None,  # the body of the returns record
     ):
         self.inst = inst
         self.params = params
@@ -324,14 +322,11 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     for model in on_variety or state.family:
         interp = build_interpolant(model)
         lemma &= verify_compatibility(interp)
-        record = interp.to_record()
-        record.update(
-            {
-                "record": "interpolant",
-                "shift": model.shift,
-                "constant": constancy_test(interp),
-            }
-        )
+        record = {"record": "interpolant", "shift": model.shift, "prime": ctx.prime,
+                  "precision": ctx.precision, "congruence_exponent": model.congruence_exponent,
+                  "decay_onset": interp.decay_onset,
+                  "coefficients": [list(v) for v in interp.series.coeffs],
+                  "constant": constancy_test(interp)}
         report.add(record)
         state.interps[model.shift] = interp
         stale = stale or (
@@ -353,37 +348,41 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
 def stage_returns(report: RunReport, state: RunState) -> None:
     params = state.params
     screening = default_screening_primes(state.bad, params.screen_primes)
-    state.returns = returns = compute_returns(
-        state.inst, params.n_max, screening, bad=state.bad
-    )
-    report.add(
-        {
-            "record": "returns",
-            "n_max": returns.n_max,
-            "entries": [[e.index, e.status] for e in returns.entries],
-            "screening_primes": list(returns.screening_primes),
-            "refuted": list(returns.refuted),
-            "exact_horizon": returns.exact_horizon,
-        }
-    )
+    state.returns = compute_returns(state.inst, params.n_max, screening, bad=state.bad)
+    report.add({"record": "returns", **state.returns})
 
 
-def _replayed_returns(returns: list[dict]) -> ReturnSet:
+def _indices(returns: dict) -> list[int]:
+    return [n for n, _ in returns["entries"]]
+
+
+def _replayed_returns(returns: list[dict]) -> dict:
+    """The body of the last returns record, holding what compute_returns
+    guarantees: integers, known statuses, n_max >= 1, entry indices and
+    refuted candidates each strictly ascending in [0, n_max] and disjoint,
+    and an exact horizon in [-1, n_max]."""
     if not returns:
         raise InputError("missing upstream artifact: run the returns stage first")
-    rec = returns[-1]
-    entries = tuple(ReturnEntry(n, status) for n, status in rec["entries"])
-    numbers = [rec["n_max"], rec["exact_horizon"], *rec["screening_primes"], *rec["refuted"]]
-    for value in [*numbers, *(e.index for e in entries)]:
+    body = {key: returns[-1][key] for key in
+            ("n_max", "entries", "screening_primes", "refuted", "exact_horizon")}
+    n_max, refuted, horizon = body["n_max"], body["refuted"], body["exact_horizon"]
+    indices = _indices(body)
+    for value in [n_max, horizon, *body["screening_primes"], *refuted, *indices]:
         if type(value) is not int:
             raise TypeError(f"{value!r} is not an integer")
-    for e in entries:
-        if e.status not in ("certified-exact", "modular-screened"):
-            raise ValueError(f"unknown return status {e.status!r}")
-    return ReturnSet(
-        rec["n_max"], entries, tuple(rec["screening_primes"]), tuple(rec["refuted"]),
-        rec["exact_horizon"],
-    )
+    for _, status in body["entries"]:
+        if status not in ("certified-exact", "modular-screened"):
+            raise ValueError(f"unknown return status {status!r}")
+    if n_max < 1:
+        raise ValueError(f"n_max {n_max} is below 1")
+    for name, ns in (("entry indices", indices), ("refuted", refuted)):
+        if any(not 0 <= n <= n_max for n in ns) or any(a >= b for a, b in zip(ns, ns[1:])):
+            raise ValueError(f"{name} {ns} are not strictly ascending in [0, {n_max}]")
+    if set(indices) & set(refuted):
+        raise ValueError(f"refuted {refuted} and entry indices {indices} overlap")
+    if not -1 <= horizon <= n_max:
+        raise ValueError(f"exact_horizon {horizon} is outside [-1, {n_max}]")
+    return body
 
 
 def _replayed_interpolants(interpolants: list[dict]) -> dict[int, list]:
@@ -406,7 +405,7 @@ _REPLAY_PARSERS = {
 
 def stage_gaps(report: RunReport, state: RunState) -> None:
     # written here, not by stage_returns, so that gaps on replayed returns carries it too
-    if any(e.status == "modular-screened" for e in state.returns.entries):
+    if any(status == "modular-screened" for _, status in state.returns["entries"]):
         report.assumptions.append(
             "some returns are modular-screened only (exact budget exceeded); "
             "they are labeled as such everywhere downstream"
@@ -423,8 +422,8 @@ def stage_gaps(report: RunReport, state: RunState) -> None:
 
 
 def stage_density(report: RunReport, state: RunState) -> None:
-    params = state.params
-    state.density = build_density_report(state.returns.indices(), params.n_max, params.density_m)
+    returns = state.returns
+    state.density = build_density_report(_indices(returns), returns["n_max"], state.params.density_m)
     report.add({"record": "density", **state.density})
 
 
@@ -433,8 +432,7 @@ def stage_summary(report: RunReport, state: RunState) -> None:
         {
             "record": "summary",
             "prime": state.prime,
-            "avoidance_bound": state.bound,
-            "returns": [e.index for e in state.returns.entries],
+            "returns": _indices(state.returns),
             "gap_verdict": state.gap["verdict"],
             "density_max_ratio": state.density["max_ratio"],
             "density_diverging": state.density["diverging"],
@@ -471,7 +469,7 @@ def render_summary(report: RunReport) -> str:
             )
         elif kind == "interpolant":
             lines.append(
-                f"interpolant shift {rec['shift']}: {rec['terms']} terms, "
+                f"interpolant shift {rec['shift']}: {rec['precision']} terms, "
                 f"c={rec['congruence_exponent']}"
                 f"{' (constant)' if rec['constant'] else ''}"
             )

@@ -671,7 +671,7 @@ def restrict_to_disk_reference(interp, q: dict, center: int, radius_exp: int) ->
     """
     ctx = interp.ctx
     p, prec, mod = ctx.prime, ctx.precision, ctx.modulus
-    T = interp.terms
+    T = interp.series.terms - 1
     e_total = vp_factorial(T, p)
     fact = math.factorial(T)
     inv_fact_unit = pow(fact // p**e_total, -1, mod)
@@ -801,7 +801,7 @@ def build_gap_report_reference(returns, localized, c: int) -> dict:
     """
     some_model = localized[0][0]
     prime, m0, k_total = some_model.prime, some_model.m0, some_model.k_total
-    status = {e.index: e.status for e in returns.entries}
+    status = dict(returns["entries"])
 
     prefix = sorted(n for n in status if n < m0)
     covered_shifts = {model.shift for model, _ in localized}
@@ -1045,14 +1045,15 @@ def window_interpolant(model) -> ApproxInterpolant:
     (its decay profile is left empty): what build_interpolant certifies."""
     K = model.ctx.precision
     series = mahler_from_values(model.ctx, model.points[:K + 1])
-    return ApproxInterpolant(model, series, model.congruence_exponent, K, ())
+    return ApproxInterpolant(model, series, ())
 
 
 def verify_error_bound_reference(interp) -> int | None:
     """The first orbit index n <= 2K with v(G(n) - F^n(a')) < min(n*c, K),
     each G(n) evaluated alone and the model map iterated from the base point
     (None when every n passes)."""
-    model, c = interp.model, interp.congruence_exponent
+    model = interp.model
+    c = model.congruence_exponent
     prec = model.ctx.precision
     points = model_points_by_apply(model, 2 * prec + 1)
     return next(

@@ -477,6 +477,22 @@ def test_analyze_matches_golden_records(problem, tmp_path):
     assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{problem.stem}.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("problem", PROBLEMS, ids=[p.name for p in PROBLEMS])
+def test_analyze_matches_golden_stdout(problem, capsys):
+    """Each sample's human summary, byte for byte, as tests/golden holds it.
+
+    The summary is rendered from the records alone, so a record change that
+    keeps the summary must leave this file as it is.  A change to the summary
+    on purpose regenerates it with `orbitgap analyze problems/NAME.json >
+    tests/golden/NAME.txt`.
+    """
+    capsys.readouterr()
+    assert main(["analyze", str(problem)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (ROOT / "tests" / "golden" / f"{problem.stem}.txt").read_text()
+    assert captured.err == ""
+
+
 def _residue(terms, point, p: int) -> int:
     """A polynomial as the problem file writes it, at an integer point, mod p."""
     value = Fraction(0)
@@ -730,8 +746,12 @@ def _set(key, value, kind):
         ("gaps", ["primes", "returns", "interpolate"],
          _set("entries", [["1", "certified-exact"]], "returns"),
          "returns record: '1' is not an integer"),
+        ("gaps", ["primes", "returns", "interpolate"],
+         _set("entries", [[-5, "certified-exact"], [1, "certified-exact"]], "returns"),
+         "returns record: entry indices [-5, 1] are not strictly ascending in [0, 300]"),
     ],
-    ids=["not-a-record", "no-rows", "no-problem-sha", "no-shift", "no-entries", "str-index"],
+    ids=["not-a-record", "no-rows", "no-problem-sha", "no-shift", "no-entries", "str-index",
+         "negative-index"],
 )
 def test_malformed_replay_exits_2(worked_file, tmp_path, capsys, command, stages, edit, message):
     # replay files come from outside the program: a malformed record is an
@@ -760,15 +780,45 @@ def test_malformed_replay_exits_2(worked_file, tmp_path, capsys, command, stages
         ("exact_horizon", None),
         ("screening_primes", [101, "103"]),
         ("refuted", [True]),
+        pytest.param("n_max", 0, id="n_max-zero"),
+        pytest.param("n_max", -3, id="n_max-negative"),
+        pytest.param("entries", [[-5, "certified-exact"]], id="entries-negative"),
+        pytest.param("entries", [[100001, "certified-exact"]], id="entries-beyond-n_max"),
+        pytest.param("entries", [[1, "certified-exact"], [1, "modular-screened"]],
+                     id="entries-repeated"),
+        pytest.param("entries", [[2, "certified-exact"], [1, "certified-exact"]],
+                     id="entries-descending"),
+        pytest.param("refuted", [-1], id="refuted-negative"),
+        pytest.param("refuted", [100001], id="refuted-beyond-n_max"),
+        pytest.param("refuted", [3, 2], id="refuted-descending"),
+        pytest.param("refuted", [1], id="refuted-an-entry"),
+        pytest.param("exact_horizon", -2, id="exact_horizon-below-minus-1"),
+        pytest.param("exact_horizon", 100001, id="exact_horizon-beyond-n_max"),
     ],
 )
 def test_replayed_returns_are_type_checked(key, value):
-    # the fields gaps reads from a returns record: integers and the two statuses
+    # the fields gaps reads from a returns record, as compute_returns writes
+    # them: integers and the two statuses, n_max >= 1, entry indices and
+    # refuted candidates each strictly ascending in [0, n_max] and disjoint,
+    # and an exact horizon in [-1, n_max]
     rec = {"n_max": 100000, "entries": [[1, "certified-exact"]], "screening_primes": [101],
            "refuted": [], "exact_horizon": 1}
-    assert pipeline._replayed_returns([rec]).indices() == [1]
+    assert pipeline._replayed_returns([rec]) == rec
     with pytest.raises((TypeError, ValueError)):
         pipeline._replayed_returns([{**rec, key: value}])
+
+
+def test_replayed_density_runs_to_the_return_sets_horizon(tmp_path):
+    # the return set is known up to its own n_max; a smaller --n-max given to
+    # gaps must not cut the density table of the replayed set short
+    problem = str(ROOT / "problems" / "square_minus_two.json")
+    analyzed, replayed = tmp_path / "analyze.jsonl", tmp_path / "gaps.jsonl"
+    assert main(["analyze", problem, "--out", str(analyzed)]) == 0
+    assert main(["gaps", problem, "--replay", str(analyzed), "--n-max", "50",
+                 "--out", str(replayed)]) == 0
+    records = [json.loads(line) for line in replayed.read_text().splitlines()]
+    [density] = [rec for rec in records if rec["record"] == "density"]
+    assert density["rows"][-1][0] == 100000
 
 
 @pytest.mark.parametrize(

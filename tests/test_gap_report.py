@@ -2,7 +2,7 @@
 
 The translation map x -> x + p gives the interpolant G(n) = a' + p n, so
 composing with products of linear forms places zeros of L at chosen integer
-indices exactly; fabricated ReturnSets then exercise each verdict path.
+indices exactly; fabricated return sets then exercise each verdict path.
 """
 
 import functools
@@ -26,8 +26,6 @@ from padic_oracles import (
 from orbitgap.errors import InvariantViolation, OrbitgapError
 from orbitgap.gaps import (
     STABLE_ROUNDS,
-    ReturnEntry,
-    ReturnSet,
     ZeroLocalization,
     build_gap_report,
     compute_returns,
@@ -87,14 +85,14 @@ def test_two_zeros_in_one_class_get_separated():
     assert all(leaf.count == 1 for leaf in zero_leaves)
 
 
+def _returns(entries, n_max=200, exact_horizon=-1):
+    """A returns record body with these [index, status] entries."""
+    return {"n_max": n_max, "entries": [list(e) for e in entries], "screening_primes": [101],
+            "refuted": [], "exact_horizon": exact_horizon}
+
+
 def _fake_returns(indices, status="certified-exact", n_max=200):
-    return ReturnSet(
-        n_max,
-        tuple(ReturnEntry(n, status) for n in sorted(indices)),
-        (101,),
-        (),
-        max(indices, default=-1),
-    )
+    return _returns([(n, status) for n in sorted(indices)], n_max, max(indices, default=-1))
 
 
 def test_member_beyond_zero_free_bound_is_a_violation():
@@ -142,13 +140,7 @@ def test_gap_pair_inside_zero_leaf_passes_trivially():
 def test_screened_provenance_propagates_to_pairs():
     model, interp = _translation_interp()
     q = _q_with_zeros(5, [1])
-    returns = ReturnSet(
-        200,
-        (ReturnEntry(1, "certified-exact"), ReturnEntry(6, "modular-screened")),
-        (101,),
-        (),
-        1,
-    )
+    returns = _returns([(1, "certified-exact"), (6, "modular-screened")], 200, 1)
     report = build_gap_report(returns, [(model, localize_zeros(interp, [q]))], [q], 1)
     cl = next(c for c in report["classes"] if c["class"] == 1)
     if cl["pairs"]:
@@ -245,13 +237,9 @@ def _gap_cases(draw):
 def _gap_report_pair(simple, double, indices, screened):
     """The package's gap report, checked equal to the reference's."""
     localized = _localized(simple, double)
-    returns = ReturnSet(
+    returns = _returns(
+        [(n, "modular-screened" if s else "certified-exact") for n, s in zip(indices, screened)],
         max(indices, default=0),
-        tuple(
-            ReturnEntry(n, "modular-screened" if s else "certified-exact")
-            for n, s in zip(indices, screened)
-        ),
-        (101,), (), -1,
     )
     c = localized[0][0].congruence_exponent
     # V = [] is all of the line, so no shift is off V and every class is classified
@@ -335,11 +323,7 @@ def test_screened_index_off_the_variety_is_refuted_not_uncovered():
     ]
     assert [m.shift for m, leaves in localized if leaves is not None] == list(range(1, 14, 2))
     fabricated = family[0].original_index(2)  # 28
-    returns = ReturnSet(
-        1000,
-        (ReturnEntry(1, "certified-exact"), ReturnEntry(fabricated, "modular-screened")),
-        (101,), (), 1,
-    )
+    returns = _returns([(1, "certified-exact"), (fabricated, "modular-screened")], 1000, 1)
     report = build_gap_report(returns, localized, variety, 1)
     assert report["off_variety"] == [
         {"shift": shift, "polynomial": 0, "residue": 11,
@@ -353,7 +337,7 @@ def test_screened_index_off_the_variety_is_refuted_not_uncovered():
     assert [(cl["shift"], cl["members_original"]) for cl in report["classes"]] == [(1, [1])]
     assert report["verdict"] == "too-few-returns"
 
-    certified = returns._replace(entries=(ReturnEntry(fabricated, "certified-exact"),))
+    certified = {**returns, "entries": [[fabricated, "certified-exact"]]}
     with pytest.raises(InvariantViolation, match="off V"):
         build_gap_report(certified, localized, variety, 1)
 
@@ -394,7 +378,7 @@ def _skipping_loses_nothing(inst, params) -> bool:
     assert report.exit_code == 0, records["failure"]
     gap = records["gap_report"]
     returns, every = oracle
-    assert records["returns"]["entries"] == [[e.index, e.status] for e in returns.entries]
+    assert records["returns"]["entries"] == returns["entries"]
     assert gap["verdict"] == every["verdict"]
     off = {o["shift"] for o in gap["off_variety"]}
     on_classes = {

@@ -35,7 +35,7 @@ from orbitgap.interpolation import (
 )
 from orbitgap.normalization import LocalModel, build_model_family
 from orbitgap.padic import INF, TruncatedSeries
-from orbitgap.problemfile import ProblemInstance, parse_problem
+from orbitgap.problemfile import ProblemInstance, RunParameters, parse_problem
 
 
 def _direct(polys, a, p, precision):
@@ -182,12 +182,22 @@ def test_mahler_roundtrip_differences():
 
 
 def test_interpolant_record_roundtrip():
+    """The interpolant record, which stage_interpolation alone builds, states
+    the interpolant's prime, precision and coefficients, and holds K + 1 of
+    them: the terms of G."""
     m = _direct([{(1,): 6}], (1,), 5, 6)
-    interp = build_interpolant(m)
-    rec = interp.to_record()
+    inst = ProblemInstance(1, map_from_lists(1, [{(1,): 6}]), (Fraction(1),),
+                           ({(1,): Fraction(1)},))
+    state = pipeline.RunState(inst, RunParameters(precision=6))
+    state.family = [m]
+    report = pipeline.RunReport("sha")
+    pipeline.stage_interpolation(report, state)
+    [rec] = report.records
     assert rec["prime"] == 5 and rec["precision"] == 6
+    assert rec["coefficients"] == [list(v) for v in build_interpolant(m).series.coeffs]
     assert rec["coefficients"][1] == [5]
-    assert rec["terms"] == 6
+    assert len(rec["coefficients"]) == rec["precision"] + 1
+    assert json.loads(json.dumps(rec)) == rec
 
 
 def test_bound_shortfall_in_window_is_a_broken_reconstruction():

@@ -11,8 +11,9 @@ a problem file through the package namespace loads the problem-file layer
 and no stage.  The problem file's digest comes from the interpreter's
 built-in SHA-256 module, so no command loads `hashlib` and the OpenSSL
 library under it.  Each kind of record that `analyze` writes has one fixed
-set of keys, and the avoidance, gap and density reports are built as the
-bodies of their records, which a JSON round trip leaves unchanged.
+set of keys, and the avoidance report, the return set and the gap and
+density reports are built as the bodies of their records, which a JSON round
+trip leaves unchanged.
 """
 
 import hashlib
@@ -267,14 +268,14 @@ RECORD_KEYS = {
     "certificates": {"rows"},
     "diagnostics": {"prime", "bound", "residue_periodic_on_variety"},
     "model": {"shift", "m0", "k1", "k2", "center", "base_point", "congruence_exponent", "linear"},
-    "interpolant": {"shift", "prime", "precision", "terms", "congruence_exponent", "decay_onset",
+    "interpolant": {"shift", "prime", "precision", "congruence_exponent", "decay_onset",
                     "coefficients", "constant"},
     "returns": {"n_max", "entries", "screening_primes", "refuted", "exact_horizon"},
     "gap_report": {"congruence_exponent", "verdict", "prefix_members", "uncovered_members",
                    "off_variety", "classes"},
     "density": {"m", "max_ratio", "diverging", "rows"},
-    "summary": {"prime", "avoidance_bound", "returns", "gap_verdict", "density_max_ratio",
-                "density_diverging", "assumptions"},
+    "summary": {"prime", "returns", "gap_verdict", "density_max_ratio", "density_diverging",
+                "assumptions"},
 }
 
 #: The keys of the records' list entries that are objects: (kind, field) -> keys.
@@ -308,19 +309,20 @@ REPORT_INPUTS = {
 
 @pytest.mark.parametrize("name", REPORT_INPUTS)
 def test_reports_survive_a_json_round_trip(name, monkeypatch):
-    """avoidance_search, build_gap_report and build_density_report return the
-    bodies of the certificates, gap_report and density records: lists, dicts,
-    strings, numbers, booleans and None, so that decoding their JSON gives
-    them back equal (a tuple would come back as a list, an int key as a
-    string)."""
+    """avoidance_search, compute_returns, build_gap_report and
+    build_density_report return the bodies of the certificates, returns,
+    gap_report and density records: lists, dicts, strings, numbers, booleans
+    and None, so that decoding their JSON gives them back equal (a tuple
+    would come back as a list, an int key as a string)."""
     results = {}
-    for builder in ("avoidance_search", "build_gap_report", "build_density_report"):
-        def capture(*args, builder=builder, build=getattr(pipeline, builder)):
-            results[builder] = build(*args)
+    builders = ("avoidance_search", "compute_returns", "build_gap_report", "build_density_report")
+    for builder in builders:
+        def capture(*args, builder=builder, build=getattr(pipeline, builder), **kwargs):
+            results[builder] = build(*args, **kwargs)
             return results[builder]
         monkeypatch.setattr(pipeline, builder, capture)
     inst, params = REPORT_INPUTS[name]()
     assert run("analyze", inst, params, "round-trip").exit_code == 0
-    assert len(results) == 3
+    assert len(results) == len(builders)
     for builder, result in results.items():
         assert result == json.loads(json.dumps(result)), builder
