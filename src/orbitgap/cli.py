@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import OrbitgapError
@@ -32,11 +33,16 @@ def _apply_overrides(params, args):
 
 
 def _emit(report: RunReport, out_path: str | None) -> None:
+    """Write the records to out_path, then the summary to stdout.  A closed
+    stdout changes neither the records nor the run's exit code."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             for rec in report.records:
                 fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-    print(render_summary(report))
+    try:
+        print(render_summary(report), flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv=None) -> int:

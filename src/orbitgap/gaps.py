@@ -55,7 +55,7 @@ from .normalization import LocalModel
 from .padic import INF, TruncatedSeries, int_valuation, is_prime, vp_factorial
 from .polynomials import Poly, horner_eval, horner_form, poly_eval, reduce_poly, reduce_rational
 from .problemfile import ProblemInstance
-from .reduction import BadPrimeSet, OrbitHits, exact_orbit, orbit_hits, reduce_instance
+from .reduction import OrbitHits, exact_orbit, orbit_hits, reduce_instance
 
 #: Bit budget for exact certification of returns.
 EXACT_BIT_BUDGET = 1 << 20
@@ -80,28 +80,26 @@ STABLE_ROUNDS = 3
 # ---------------------------------------------------------------------------
 
 
-def default_screening_primes(bad: BadPrimeSet, count: int,
+def default_screening_primes(inst: ProblemInstance, count: int,
                              floor: int = SCREEN_PRIME_FLOOR) -> list[int]:
-    """The first `count` primes >= floor that are not in the run's bad-prime set."""
+    """The first `count` primes >= floor that are good for the instance."""
     out = []
     p = floor
     while len(out) < count:
-        if is_prime(p) and p not in bad:
+        if is_prime(p) and inst.denominator % p:
             out.append(p)
         p += 1
     return out
 
 
-def _hits_mod(inst: ProblemInstance, p: int, bad: BadPrimeSet, n_max: int) -> OrbitHits:
+def _hits_mod(inst: ProblemInstance, p: int, n_max: int) -> OrbitHits:
     """The indices n <= n_max with f^n(a) on V mod p, read by one orbit walk."""
-    fp, x, _ = reduce_instance(inst, p, bad)
+    fp, x, _ = reduce_instance(inst, p)
     variety_p = [horner_form(reduce_poly(q, p)) for q in inst.variety]
     return orbit_hits(fp, x, lambda pt: all(horner_eval(q, pt, p) == 0 for q in variety_p), n_max)
 
 
-def compute_returns(
-    inst: ProblemInstance, n_max: int, screening_primes, *, bad: BadPrimeSet
-) -> dict:
+def compute_returns(inst: ProblemInstance, n_max: int, screening_primes) -> dict:
     """Indices n <= n_max with the orbit on the variety: the body of the
     returns record.
 
@@ -115,15 +113,13 @@ def compute_returns(
     exact orbit points and the exact bit budget are then certified or
     refuted over exact rationals; the rest get one more screening round
     with fresh primes.  Each entry is [index, status]; exact_horizon is the
-    last index the exact orbit reached (-1 for none).
+    last index the exact orbit reached (-1 for none).  A bad screening
+    prime is refused by reduce_instance.
     """
     if not screening_primes:
         raise InputError("return screening needs at least one screening prime")
-    for p in screening_primes:
-        if p in bad:
-            raise InputError(f"screening prime {p} is bad for this instance")
 
-    screens = [_hits_mod(inst, p, bad, n_max) for p in screening_primes]
+    screens = [_hits_mod(inst, p, n_max) for p in screening_primes]
     sparsest = min(screens, key=OrbitHits.cycle_density)
     survivors = (n for n in sparsest.up_to(n_max) if all(n in s for s in screens))
     candidates = sorted(islice(survivors, SURVIVOR_CAP + 1))
@@ -149,9 +145,9 @@ def compute_returns(
         # with fresh primes: orbit periods mod few primes can align for
         # structured maps, and extra moduli are cheap
         extra = default_screening_primes(
-            bad, len(screening_primes), max(max(screening_primes) + 1, SCREEN_PRIME_FLOOR)
+            inst, len(screening_primes), max(max(screening_primes) + 1, SCREEN_PRIME_FLOOR)
         )
-        extra_screens = [_hits_mod(inst, p, bad, n_max) for p in extra]
+        extra_screens = [_hits_mod(inst, p, n_max) for p in extra]
         screening_primes = list(screening_primes) + extra
         for m in candidates[done:]:
             if all(m in s for s in extra_screens):

@@ -96,26 +96,20 @@ class RunReport:
 
 
 class RunState:
-    """The run's inputs, and what each stage hands to the stages after it."""
+    """The run's inputs, and what each stage hands to the stages after it.
 
-    __slots__ = ("inst", "params", "recorded", "bad", "certs", "prime", "bound", "family",
-                 "interps", "returns", "gap", "density")
+    `recorded` holds the replayed interpolant coefficients by shift, and
+    `returns` the body of the returns record.
+    """
 
-    def __init__(
-        self,
-        inst: ProblemInstance,
-        params: RunParameters,
-        prime: int | None = None,
-        recorded: dict[int, list] | None = None,  # replayed interpolant coefficients by shift
-        returns: dict | None = None,  # the body of the returns record
-    ):
+    __slots__ = ("inst", "params", "recorded", "certs", "prime", "bound", "family", "interps",
+                 "returns", "gap", "density")
+
+    def __init__(self, inst: ProblemInstance, params: RunParameters):
         self.inst = inst
         self.params = params
-        self.prime = prime
-        self.recorded = recorded
-        self.returns = returns
-        self.bad = self.certs = self.bound = self.family = self.interps = None
-        self.gap = self.density = None
+        self.recorded = self.certs = self.prime = self.bound = self.family = None
+        self.interps = self.returns = self.gap = self.density = None
 
 
 def exit_code_for(exc: Exception | None) -> int:
@@ -141,7 +135,7 @@ def run(command: str, inst: ProblemInstance, params: RunParameters, sha: str,
     replayed, stages = COMMANDS[command]
     if replay and not replayed:
         raise InputError(f"{command} reads no replay records; drop --replay")
-    resumed = {}
+    state = RunState(inst, params)
     if replayed:
         if not replay:
             raise InputError(f"{command} needs --replay records from earlier stages")
@@ -149,12 +143,11 @@ def run(command: str, inst: ProblemInstance, params: RunParameters, sha: str,
         for name in replayed:
             kind, parse = _REPLAY_PARSERS[name]
             try:
-                resumed[name] = parse(records.get(kind, []))
+                setattr(state, name, parse(records.get(kind, []), state))
             except KeyError as exc:
                 raise InputError(f"malformed replay records: a {kind} record has no {exc}") from None
             except (TypeError, ValueError) as exc:
                 raise InputError(f"malformed replay records: a {kind} record: {exc}") from None
-    state = RunState(inst, params, **resumed)
     report = RunReport(sha)
     for name in stages:
         try:
@@ -193,8 +186,8 @@ def load_replay(path: str, sha: str) -> dict[str, list[dict]]:
 
 
 def stage_bad_primes(report: RunReport, state: RunState) -> None:
-    state.bad = bad = bad_primes(state.inst, search_bound=state.params.prime_range[1])
-    report.add({"record": "bad_primes", "primes": sorted(bad.primes)})
+    primes = bad_primes(state.inst, search_bound=state.params.prime_range[1])
+    report.add({"record": "bad_primes", "primes": primes})
 
 
 def stage_avoidance(report: RunReport, state: RunState) -> None:
@@ -202,7 +195,7 @@ def stage_avoidance(report: RunReport, state: RunState) -> None:
     primes = [p for p in range(lo, hi + 1) if is_prime(p)]
     if not primes:
         raise InputError(f"prime_range [{lo}, {hi}] holds no prime")
-    state.certs = avoidance_search(state.inst, primes, state.bad)
+    state.certs = avoidance_search(state.inst, primes)
     report.add({"record": "certificates", "rows": state.certs})
 
 
@@ -223,15 +216,25 @@ def stage_choose_prime(report: RunReport, state: RunState) -> None:
     state.prime, state.bound = row["prime"], row["bound"]
 
 
-def _replayed_prime(certificates: list[dict]) -> int:
+def _replayed_prime(certificates: list[dict], state: RunState) -> int:
+    """The first certified prime of the last certificates record.  It must be
+    a prime of this run's prime_range whose row a new avoidance search gives
+    again, so a bad prime, whose row is failed-bad-prime, is refused."""
     if not certificates:
         raise InputError("missing upstream artifact: run the primes stage first")
     row = _first_certified(certificates[-1]["rows"])
     if row is None:
         raise InputError("replay records contain no certified prime")
-    if type(row["prime"]) is not int:
-        raise TypeError(f"prime {row['prime']!r} is not an integer")
-    return row["prime"]
+    p = row["prime"]
+    if type(p) is not int:
+        raise TypeError(f"prime {p!r} is not an integer")
+    lo, hi = state.params.prime_range
+    if not (lo <= p <= hi and is_prime(p)):
+        raise ValueError(f"{p} is not a prime of prime_range [{lo}, {hi}]")
+    rebuilt = avoidance_search(state.inst, [p])[0]
+    if rebuilt != row:
+        raise ValueError(f"a new avoidance search gives prime {p} the row {rebuilt}")
+    return p
 
 
 def stage_diagnostics(report: RunReport, state: RunState) -> None:
@@ -245,7 +248,7 @@ def stage_diagnostics(report: RunReport, state: RunState) -> None:
     inst, prime, bound = state.inst, state.prime, state.bound
     discovered: list | None = None
     if prime**inst.dimension <= DIAGNOSTIC_SCAN_CAP:
-        fp, _, _ = reduce_instance(inst, prime, state.bad)
+        fp, _, _ = reduce_instance(inst, prime)
         variety_p = [reduce_poly(q, prime) for q in inst.variety]
         discovered = periodic_points_on_variety(fp, variety_p)
     if not inst.targets:
@@ -347,8 +350,8 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
 
 def stage_returns(report: RunReport, state: RunState) -> None:
     params = state.params
-    screening = default_screening_primes(state.bad, params.screen_primes)
-    state.returns = compute_returns(state.inst, params.n_max, screening, bad=state.bad)
+    screening = default_screening_primes(state.inst, params.screen_primes)
+    state.returns = compute_returns(state.inst, params.n_max, screening)
     report.add({"record": "returns", **state.returns})
 
 
@@ -356,7 +359,7 @@ def _indices(returns: dict) -> list[int]:
     return [n for n, _ in returns["entries"]]
 
 
-def _replayed_returns(returns: list[dict]) -> dict:
+def _replayed_returns(returns: list[dict], state: RunState) -> dict:
     """The body of the last returns record, holding what compute_returns
     guarantees: integers, known statuses, n_max >= 1, entry indices and
     refuted candidates each strictly ascending in [0, n_max] and disjoint,
@@ -385,7 +388,7 @@ def _replayed_returns(returns: list[dict]) -> dict:
     return body
 
 
-def _replayed_interpolants(interpolants: list[dict]) -> dict[int, list]:
+def _replayed_interpolants(interpolants: list[dict], state: RunState) -> dict[int, list]:
     """Coefficients of the replayed interpolants by shift, which the rebuilt ones must match."""
     for rec in interpolants:
         if type(rec["shift"]) is not int:
@@ -394,8 +397,10 @@ def _replayed_interpolants(interpolants: list[dict]) -> dict[int, list]:
 
 
 #: Each state field read from --replay records: the record kind it is read
-#: from, and its parser.  A record missing a field the parser reads, or with
-#: one it cannot read, is an input error that names the kind.
+#: from, and its parser, which reads those records with the run's state.  A
+#: record missing a field the parser reads, or with one it cannot read or
+#: that disagrees with the run's inputs, is an input error that names the
+#: kind.
 _REPLAY_PARSERS = {
     "prime": ("certificates", _replayed_prime),
     "recorded": ("interpolant", _replayed_interpolants),

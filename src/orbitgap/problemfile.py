@@ -86,7 +86,7 @@ class ProblemInstance:
     (residue-level candidates can still be discovered per prime).
     """
 
-    __slots__ = ("dimension", "mapping", "initial_point", "variety", "targets")
+    __slots__ = ("dimension", "mapping", "initial_point", "variety", "targets", "denominator")
 
     def __init__(
         self,
@@ -117,18 +117,17 @@ class ProblemInstance:
                 raise HypothesisViolation(
                     f"coordinate {i} of the map is constant; the map is not quasi-finite"
                 )
-
-    def _replace(self, **changes) -> "ProblemInstance":
-        """A copy with some fields changed, checked as a new instance is."""
-        return ProblemInstance(**{**{f: getattr(self, f) for f in self.__slots__}, **changes})
-
-    @property
-    def denominator(self) -> int:
-        """The lcm of every denominator of the map, the points and the variety:
-        the instance reduces mod exactly the primes that do not divide it."""
+        # the lcm of every denominator of the map, the points and the variety:
+        # a prime is bad, and the instance does not reduce mod it, exactly
+        # when it divides this
         coeffs = [c for q in (*self.mapping.polys, *self.variety) for c in q.values()]
         points = [x for pt in (self.initial_point, *self.targets) for x in pt]
-        return lcm(*(Fraction(x).denominator for x in (*coeffs, *points)))
+        self.denominator = lcm(*(Fraction(x).denominator for x in (*coeffs, *points)))
+
+    def _replace(self, **changes) -> "ProblemInstance":
+        """A copy with some fields changed, checked and derived as a new instance is."""
+        fields = self.__slots__[:-1]  # denominator is derived, not copied
+        return ProblemInstance(**{**{f: getattr(self, f) for f in fields}, **changes})
 
 
 class RunParameters:

@@ -53,38 +53,24 @@ from .problemfile import ProblemInstance
 ENUM_GUARD = 2**20
 
 
-class BadPrimeSet(NamedTuple):
-    """Primes excluded from reduction: those dividing `denominator`.
-
-    Every prime dividing `denominator` is bad, whatever its size, so no
-    denominator is ever factored; `primes` lists the bad primes up to the
-    search bound.  A target's behaviour mod a good prime is the avoidance
-    certificate's to decide, not this set's.
-    """
-
-    primes: frozenset[int]
-    denominator: int
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.primes or self.denominator % p == 0
-
-
-def bad_primes(inst: ProblemInstance, search_bound: int) -> BadPrimeSet:
-    """The primes dividing the instance's denominator, which `primes` lists
-    up to search_bound: the problem reduces exactly at the other primes."""
+def bad_primes(inst: ProblemInstance, search_bound: int) -> list[int]:
+    """The bad primes up to search_bound, ascending: the primes that divide
+    the instance's denominator.  Every prime dividing it is bad, whatever its
+    size, and the problem reduces exactly at the other primes; each bad-prime
+    decision reads that divisibility, so no denominator is ever factored."""
     den = inst.denominator
-    primes = frozenset(p for p in range(2, search_bound + 1) if den % p == 0 and is_prime(p))
-    return BadPrimeSet(primes, den)
+    return [p for p in range(2, search_bound + 1) if den % p == 0 and is_prime(p)]
 
 
-def reduce_instance(inst: ProblemInstance, p: int, bad: BadPrimeSet):
+def reduce_instance(inst: ProblemInstance, p: int):
     """Reduced map, reduced initial point, and reduced targets at a good prime.
 
-    Refuses bad primes.  Reduction commutes with evaluation by construction;
-    the property suite spot-checks this on random instances.
+    Refuses a bad prime, one dividing the instance's denominator.
+    Reduction commutes with evaluation by construction; the property suite
+    spot-checks this on random instances.
     """
-    if p in bad:
-        raise InputError(f"prime {p} is in the bad-prime set")
+    if inst.denominator % p == 0:
+        raise InputError(f"prime {p} is bad for this instance: it divides a denominator")
     fp = ModularMap.from_map(inst.mapping, p)
     a_p = tuple(reduce_rational(x, p) for x in inst.initial_point)
     targets_p = tuple(tuple(reduce_rational(x, p) for x in t) for t in inst.targets)
@@ -268,11 +254,9 @@ def periodic_points_on_variety(fp: ModularMap, variety_mod: list[dict]) -> list[
 
 def _sqrt_mod(p: int) -> Callable[[int], int]:
     """A square root mod an odd prime p: a function from a nonzero square d
-    to one s with s^2 = d.  For p = 3 mod 4 that is d^((p+1)/4); otherwise
-    Tonelli-Shanks, with the one non-square it needs found here."""
-    if p % 4 == 3:
-        e = (p + 1) // 4
-        return lambda d: pow(d, e, p)
+    to one s with s^2 = d, by Tonelli-Shanks, with the one non-square it
+    needs found here.  For p = 3 mod 4 its loop never runs, and the root is
+    d^((p+1)/4)."""
     q, s = p - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
@@ -368,7 +352,7 @@ def first_hit_depth(fp: ModularMap, gamma: tuple[int, ...], preimages) -> int | 
         depth += 1
 
 
-def avoidance_search(inst: ProblemInstance, primes, bad: BadPrimeSet) -> list[dict]:
+def avoidance_search(inst: ProblemInstance, primes) -> list[dict]:
     """The rows of the certificates record: one per prime, in prime order,
     each {"prime", "verdict", "bound", "depths"}, tried in one pass per prime.
 
@@ -390,10 +374,10 @@ def avoidance_search(inst: ProblemInstance, primes, bad: BadPrimeSet) -> list[di
         # failed until every target gets a depth
         row = {"prime": p, "verdict": "failed-periodic", "bound": None, "depths": []}
         rows.append(row)
-        if p in bad:
+        if inst.denominator % p == 0:
             row["verdict"] = "failed-bad-prime"
             continue
-        fp, _, targets_p = reduce_instance(inst, p, bad)
+        fp, _, targets_p = reduce_instance(inst, p)
         try:
             preimages = preimage_buckets(fp) if targets_p else None
         except BudgetExceeded:

@@ -108,7 +108,7 @@ from orbitgap.padic import (
     vp_factorial,
 )
 from orbitgap.polynomials import ModularMap, Poly, PolyMap, reduce_poly
-from orbitgap.reduction import bad_primes, orbit_hits, orbit_summary, reduce_instance
+from orbitgap.reduction import orbit_hits, orbit_summary, reduce_instance
 
 
 def map_from_lists(nvars: int, polys) -> PolyMap:
@@ -579,7 +579,7 @@ def fixing_iterate(inst, p: int, period_bound: int = 64) -> int:
     k = 1
     for t in inst.targets:
         k = math.lcm(k, exact_period(inst.mapping, t, period_bound))
-    fp, a_p, _ = reduce_instance(inst, p, bad_primes(inst, search_bound=0))
+    fp, a_p, _ = reduce_instance(inst, p)
     k = math.lcm(k, orbit_summary(fp, a_p).cycle)
     return k
 

@@ -34,7 +34,6 @@ from orbitgap.polynomials import ModularMap
 from orbitgap.problemfile import ProblemInstance, parse_problem, problem_hash
 from orbitgap.reduction import (
     avoidance_search,
-    bad_primes,
     first_hit_depth,
     preimage_buckets,
     reduce_instance,
@@ -192,12 +191,11 @@ def test_criterion_4_certificate_soundness_window():
                 n, f, tuple(Fraction(0) for _ in range(n)),
                 ({(0,) * n: Fraction(0)},), (gamma,),
             )
-            bad = bad_primes(inst, search_bound=p)
-            cert = avoidance_search(inst, [p], bad)[0]
+            cert = avoidance_search(inst, [p])[0]
             if cert["verdict"] != "certified":
                 continue
             assert p**n <= 100_000
-            fp, _, targets_p = reduce_instance(inst, p, bad)
+            fp, _, targets_p = reduce_instance(inst, p)
             hits = _forward_first_hits(fp, set(targets_p))
             window_hi = cert["bound"] + p**n
             for m in hits.values():

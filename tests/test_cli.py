@@ -803,9 +803,64 @@ def test_replayed_returns_are_type_checked(key, value):
     # and an exact horizon in [-1, n_max]
     rec = {"n_max": 100000, "entries": [[1, "certified-exact"]], "screening_primes": [101],
            "refuted": [], "exact_horizon": 1}
-    assert pipeline._replayed_returns([rec]) == rec
+    state = pipeline.RunState(*parse_problem(WORKED))
+    assert pipeline._replayed_returns([rec], state) == rec
     with pytest.raises((TypeError, ValueError)):
-        pipeline._replayed_returns([{**rec, key: value}])
+        pipeline._replayed_returns([{**rec, key: value}], state)
+
+
+def _prime_97_first(rows):
+    rows[0]["prime"] = 97
+
+
+def _bad_prime_5_certified_first(rows):
+    [row] = [row for row in rows if row["prime"] == 5]
+    row["verdict"] = "certified"
+    rows.remove(row)
+    rows.insert(0, row)
+
+
+def _prime_9_first(rows):
+    rows.insert(0, {**rows[0], "prime": 9})
+
+
+def _forged_bound(rows):
+    rows[0]["bound"] += 1
+
+
+@pytest.mark.parametrize("command", ["interpolate", "gaps"])
+@pytest.mark.parametrize(
+    "problem, forge, message",
+    [
+        ("square_minus_two", _prime_97_first, "97 is not a prime of prime_range [3, 50]"),
+        ("square_minus_two_bad_primes", _bad_prime_5_certified_first,
+         "a new avoidance search gives prime 5 the row {'prime': 5, 'verdict': 'failed-bad-prime'"),
+        ("square_minus_two", _prime_9_first, "9 is not a prime of prime_range [3, 50]"),
+        ("square_minus_two", _forged_bound,
+         "a new avoidance search gives prime 3 the row {'prime': 3, 'verdict': 'certified', "
+         "'bound': 0"),
+    ],
+    ids=["outside-the-range", "bad-prime", "not-a-prime", "forged-bound"],
+)
+def test_replayed_prime_must_be_the_problems_own(tmp_path, capsys, command, problem, forge,
+                                                  message):
+    # the replayed prime is a prime of the run's prime_range whose
+    # certificate row a new avoidance search gives again; any other is
+    # refused before any stage, with no records
+    path = str(ROOT / "problems" / f"{problem}.json")
+    analyzed, replay, out = tmp_path / "a.jsonl", tmp_path / "r.jsonl", tmp_path / "o.jsonl"
+    assert main(["analyze", path, "--out", str(analyzed)]) == 0
+    records = [json.loads(line) for line in analyzed.read_text().splitlines()]
+    for rec in records:
+        if rec["record"] == "certificates":
+            forge(rec["rows"])
+    replay.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    capsys.readouterr()
+    assert main([command, path, "--replay", str(replay), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"malformed replay records: a certificates record: {message}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_replayed_density_runs_to_the_return_sets_horizon(tmp_path):
@@ -1121,6 +1176,28 @@ def test_optimized_interpreter_gives_the_same_run(problem, tmp_path):
         )
         runs.append((proc.returncode, proc.stdout, out.read_bytes()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("extra, code", [([], 0), (["--prime-range", "24", "28"], 2)],
+                         ids=["success", "failed-stage"])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, extra, code):
+    # a reader that stops reading (orbitgap analyze ... | head -1) is no
+    # hypothesis violation: the records are complete, no traceback is
+    # printed, and the run exits with its own code
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    problem, out = ROOT / "problems" / "square_minus_two.json", tmp_path / "run.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitgap.cli", "analyze", str(problem), "--out", str(out),
+         *extra],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == code
+    assert err == b""
+    assert main(["analyze", str(problem), "--out", str(tmp_path / "again.jsonl"), *extra]) == code
+    assert out.read_bytes() == (tmp_path / "again.jsonl").read_bytes()
 
 
 def test_package_has_no_assert_statements():

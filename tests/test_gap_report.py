@@ -40,7 +40,6 @@ from orbitgap.normalization import build_model_family, ensure_not_preperiodic
 from orbitgap.pipeline import run
 from orbitgap.polynomials import PolyMap
 from orbitgap.problemfile import ProblemInstance, RunParameters, parse_problem
-from orbitgap.reduction import bad_primes
 
 
 @functools.lru_cache(maxsize=None)
@@ -355,9 +354,8 @@ def _every_shift(inst, params, prime):
         ]
     except OrbitgapError:
         return None
-    bad = bad_primes(inst, search_bound=params.prime_range[1])
-    screening = default_screening_primes(bad, params.screen_primes)
-    returns = compute_returns(inst, params.n_max, screening, bad=bad)
+    screening = default_screening_primes(inst, params.screen_primes)
+    returns = compute_returns(inst, params.n_max, screening)
     c = min(m.congruence_exponent for m in family)
     return returns, build_gap_report(returns, localized, [], c)
 

@@ -53,7 +53,7 @@ from orbitgap.normalization import build_model_family
 from orbitgap.padic import INF, MahlerSeries, PadicContext, int_valuation, vp_factorial
 from orbitgap.polynomials import ModularMap, reduce_poly
 from orbitgap.problemfile import SCREEN_PRIME_COUNT, ProblemInstance
-from orbitgap.reduction import bad_primes, reduce_instance
+from orbitgap.reduction import reduce_instance
 
 
 def _instance(map_polys, a, variety, dim=1, targets=()):
@@ -68,7 +68,7 @@ def _instance(map_polys, a, variety, dim=1, targets=()):
 
 def test_returns_worked_example():
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
-    rs = compute_returns(inst, 100, screening_primes=[101, 103, 107], bad=bad_primes(inst, search_bound=0))
+    rs = compute_returns(inst, 100, screening_primes=[101, 103, 107])
     assert [n for n, _ in rs["entries"]] == [1]
     assert rs["entries"][0][1] == "certified-exact"
     assert rs["refuted"] == []
@@ -78,14 +78,14 @@ def test_returns_need_a_screening_prime():
     # with no prime nothing is screened, so "no returns" would be unchecked
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
     with pytest.raises(InputError):
-        compute_returns(inst, 100, screening_primes=[], bad=bad_primes(inst, search_bound=0))
+        compute_returns(inst, 100, screening_primes=[])
 
 
 def test_returns_plumbing_everything():
     # V: 0 = 0 accepts every index (rejected upstream by hypothesis checks;
     # exercised here purely as plumbing)
     inst = _instance([{(2,): 1, (0,): 1}], (0,), [{}])
-    rs = compute_returns(inst, 10, screening_primes=[101], bad=bad_primes(inst, search_bound=0))
+    rs = compute_returns(inst, 10, screening_primes=[101])
     assert [n for n, _ in rs["entries"]] == list(range(11))
 
 
@@ -96,7 +96,7 @@ def test_returns_two_dim():
         [{(0, 1): Fraction(1), (0, 0): Fraction(-5)}],
         dim=2,
     )
-    rs = compute_returns(inst, 50, screening_primes=[101, 103], bad=bad_primes(inst, search_bound=0))
+    rs = compute_returns(inst, 50, screening_primes=[101, 103])
     assert [n for n, _ in rs["entries"]] == [0]
 
 
@@ -109,7 +109,7 @@ def test_returns_structured_map_survivors_rescreened():
         {(1,): Fraction(1), (0,): Fraction(-x5)},
     )
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [q])
-    rs = compute_returns(inst, 2000, screening_primes=[101, 103, 107, 109], bad=bad_primes(inst, search_bound=0))
+    rs = compute_returns(inst, 2000, screening_primes=[101, 103, 107, 109])
     assert rs["entries"] == [
         [2, "certified-exact"],
         [5, "certified-exact"],
@@ -121,7 +121,7 @@ def test_returns_budget_labels_screened(monkeypatch):
     monkeypatch.setattr(gaps, "EXACT_BIT_BUDGET", 3)
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
     rs = compute_returns(
-        inst, 100, screening_primes=[101, 103], bad=bad_primes(inst, search_bound=0)
+        inst, 100, screening_primes=[101, 103]
     )
     assert rs["entries"] and all(status == "modular-screened" for _, status in rs["entries"])
 
@@ -132,7 +132,7 @@ def test_returns_beyond_the_step_budget_are_screened(monkeypatch):
     the extra screening round and is labelled modular-screened."""
     monkeypatch.setattr(gaps, "EXACT_STEP_BUDGET", 1000)
     inst = _instance([{(1,): 1, (0,): 1}], (0,), [{(1,): Fraction(1), (0,): Fraction(-5000)}])
-    rs = compute_returns(inst, 6000, [101, 103, 107], bad=bad_primes(inst, search_bound=0))
+    rs = compute_returns(inst, 6000, [101, 103, 107])
     assert rs["entries"] == [[5000, "modular-screened"]]
     assert rs["exact_horizon"] == 999
     assert len(rs["screening_primes"]) == 6  # one extra round was spent
@@ -145,14 +145,14 @@ def test_returns_refuse_more_survivors_than_the_cap(n_max):
     instead of listing n_max + 1 candidates."""
     inst = _instance([{(1,): 1, (0,): 1}], (0,), [{(0,): Fraction(101 * 103)}])
     with pytest.raises(BudgetExceeded, match=f"more than {gaps.SURVIVOR_CAP} screening survivors"):
-        compute_returns(inst, n_max, [101, 103], bad=bad_primes(inst, search_bound=0))
+        compute_returns(inst, n_max, [101, 103])
 
 
 def test_returns_refuted_candidate():
     # 7 = 108 mod 101, so index 1 survives screening mod 101 and the exact
     # walk refutes it
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-108)}])
-    rs = compute_returns(inst, 10, screening_primes=[101], bad=bad_primes(inst, search_bound=0))
+    rs = compute_returns(inst, 10, screening_primes=[101])
     assert rs["entries"] == []
     assert rs["refuted"] == [1]
     assert rs["exact_horizon"] == 1
@@ -161,21 +161,20 @@ def test_returns_refuted_candidate():
 def test_returns_screening_prime_must_be_good():
     inst = _instance([{(2,): Fraction(1, 101)}], (0,), [{(1,): Fraction(1)}])
     with pytest.raises(InputError):
-        compute_returns(inst, 10, screening_primes=[101], bad=bad_primes(inst, search_bound=0))
+        compute_returns(inst, 10, screening_primes=[101])
 
 
 def test_returns_cost_does_not_grow_with_n_max():
     # screening reads the tail and cycle of the orbit mod each prime, so a
     # horizon of 10^12 costs what a horizon of 100 does
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
-    bad = bad_primes(inst, search_bound=0)
-    rs = compute_returns(inst, 10**12, default_screening_primes(bad, SCREEN_PRIME_COUNT), bad=bad)
+    rs = compute_returns(inst, 10**12, default_screening_primes(inst, SCREEN_PRIME_COUNT))
     assert rs["entries"] == [[1, "certified-exact"]]
 
 
 def _walk_hits(inst, p, n_max):
     """Oracle: walk the orbit mod p step by step and test V at every index."""
-    fp, x, _ = reduce_instance(inst, p, bad_primes(inst, search_bound=0))
+    fp, x, _ = reduce_instance(inst, p)
     variety_p = [reduce_poly(q, p) for q in inst.variety]
     hits = []
     for n in range(n_max + 1):
@@ -186,7 +185,7 @@ def _walk_hits(inst, p, n_max):
 
 
 def _check_prime_hits(inst, p, n_max):
-    hits = _hits_mod(inst, p, bad_primes(inst, search_bound=0), n_max)
+    hits = _hits_mod(inst, p, n_max)
     want = _walk_hits(inst, p, n_max)
     assert sorted(hits.up_to(n_max)) == want
     assert [n for n in range(n_max + 1) if n in hits] == want
@@ -214,12 +213,11 @@ def test_return_candidates_do_not_grow_with_n_max():
     candidates, and the memory that holds them while the sparsest prime's
     hits are filtered, stay the same whatever n_max."""
     inst = _instance([{(1,): 1, (0,): 1}], (0,), [{(1,): Fraction(1), (0,): Fraction(-5)}])
-    bad = bad_primes(inst, search_bound=0)
-    screening = default_screening_primes(bad, SCREEN_PRIME_COUNT)
+    screening = default_screening_primes(inst, SCREEN_PRIME_COUNT)
     for n_max in (10, 10**4, 10**7):
         tracemalloc.start()
         try:
-            rs = compute_returns(inst, n_max, screening, bad=bad)
+            rs = compute_returns(inst, n_max, screening)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -244,7 +242,7 @@ def test_prime_hits_stop_at_n_max(monkeypatch):
     inst = _instance(mapping, (0, 0, 0), [{(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(-1)}], dim=3)
     for p in (101, 103):
         calls = 0
-        hits = _hits_mod(inst, p, bad_primes(inst, search_bound=0), 100)
+        hits = _hits_mod(inst, p, 100)
         assert calls <= 101
         assert (hits.tail, hits.cycle) == (101, 1)
         _check_prime_hits(inst, p, 100)
@@ -284,7 +282,7 @@ def test_prime_hits_match_direct_walk(data):
 def test_certified_returns_vanish_mod_every_screening_prime():
     """Multi-modular soundness: exact zeros reduce to zeros at every good prime."""
     inst = _instance([{(2,): 1, (0,): -2}], (3,), [{(1,): Fraction(1), (0,): Fraction(-7)}])
-    rs = compute_returns(inst, 50, screening_primes=[101, 103, 107, 109], bad=bad_primes(inst, search_bound=0))
+    rs = compute_returns(inst, 50, screening_primes=[101, 103, 107, 109])
     from orbitgap.polynomials import poly_eval
 
     for n, status in rs["entries"]:
@@ -752,7 +750,7 @@ def test_gap_report_via_pipeline_pieces():
     model = build_model_family(inst, 3, 24)[0]
     interp = build_interpolant(model)
     qs = [model.transport_poly(q) for q in inst.variety]
-    returns = compute_returns(inst, 200, screening_primes=[101, 103], bad=bad_primes(inst, search_bound=0))
+    returns = compute_returns(inst, 200, screening_primes=[101, 103])
     report = build_gap_report(
         returns, [(model, localize_zeros(interp, qs))], inst.variety, model.congruence_exponent
     )

@@ -16,7 +16,7 @@ from orbitgap.padic import is_prime
 from orbitgap.pipeline import run
 from orbitgap.polynomials import PolyMap
 from orbitgap.problemfile import ProblemInstance, RunParameters, load_problem
-from orbitgap.reduction import avoidance_search, bad_primes
+from orbitgap.reduction import avoidance_search
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -82,7 +82,7 @@ def test_translation_leaves_the_run_unchanged(data):
 
 def _certificates(inst: ProblemInstance):
     primes = [p for p in range(3, 50) if is_prime(p)]
-    certs = avoidance_search(inst, primes, bad_primes(inst, search_bound=max(primes)))
+    certs = avoidance_search(inst, primes)
     return [(c["prime"], c["verdict"], c["bound"], c["depths"]) for c in certs]
 
 

@@ -20,6 +20,7 @@ from padic_oracles import (
 
 from orbitgap import pipeline, reduction
 from orbitgap.errors import BudgetExceeded, HypothesisViolation, InputError
+from orbitgap.gaps import default_screening_primes
 from orbitgap.padic import is_prime
 from orbitgap.polynomials import ModularMap, poly_degree, reduce_poly
 from orbitgap.problemfile import ProblemInstance, load_problem
@@ -50,32 +51,52 @@ def test_constant_coordinate_rejected():
 
 
 def test_bad_primes_denominators():
-    # a denominator prime is bad whatever the bound; the record lists it
-    # only once the bound reaches it
+    # the record lists a denominator prime once the bound reaches it
     inst = _instance([{(2,): Fraction(1, 2)}], (0,))
-    bad = bad_primes(inst, search_bound=0)
-    assert 2 in bad
-    assert 2 not in bad.primes
+    assert bad_primes(inst, search_bound=0) == []
     for search_bound in (2, 3, 50):
-        assert bad_primes(inst, search_bound=search_bound).primes == {2}
+        assert bad_primes(inst, search_bound=search_bound) == [2]
     inst2 = _instance([{(2,): 1, (0,): 1}], (0,))
-    assert bad_primes(inst2, search_bound=0).primes == frozenset()
+    assert bad_primes(inst2, search_bound=50) == []
     # a target's denominator counts too
     inst3 = _instance([{(1,): 1, (0,): 1}], (0,), targets=((Fraction(1, 5),),))
-    assert 5 in bad_primes(inst3, search_bound=0)
-    assert bad_primes(inst3, search_bound=11).primes == {5}
+    assert bad_primes(inst3, search_bound=11) == [5]
+
+
+def test_denominator_prime_above_the_bound_is_bad():
+    """A prime dividing a denominator is bad whatever the bound of the
+    bad_primes record: reduce_instance refuses it, avoidance_search fails it
+    as a bad prime, and default_screening_primes never returns it."""
+    inst = _instance([{(2,): Fraction(1, 2), (0,): Fraction(1, 103)}], (0,),
+                     targets=((Fraction(1, 107),),))
+    assert bad_primes(inst, search_bound=0) == []
+    for p in (2, 103, 107):
+        with pytest.raises(InputError):
+            reduce_instance(inst, p)
+    rows = avoidance_search(inst, [2, 3, 101, 103, 107, 109])
+    assert [r["prime"] for r in rows if r["verdict"] == "failed-bad-prime"] == [2, 103, 107]
+    assert default_screening_primes(inst, 4) == [101, 109, 113, 127]
+    assert default_screening_primes(inst, 3, floor=2) == [3, 5, 7]
+
+
+def _refused(inst, p) -> bool:
+    try:
+        reduce_instance(inst, p)
+    except InputError:
+        return True
+    return False
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_bad_primes_by_divisibility(data):
     """Denominators with a 19- or 27-digit prime factor are never factored:
-    for every p <= 300, p is bad exactly when it divides a denominator of
-    the map, the initial point, the variety or a declared target, and
-    bad.primes holds those p up to the search bound.  A target t of
-    x^2/d + c with p | t and p | c is fixed mod p where the map's
+    for every p <= 300, reduce_instance refuses p exactly when p divides a
+    denominator of the map, the initial point, the variety or a declared
+    target, and bad_primes lists those p up to the search bound.  A target t
+    of x^2/d + c with p | t and p | c is fixed mod p where the map's
     derivative vanishes, and p is still good: the avoidance certificate,
-    not the bad-prime set, decides how a target behaves mod p."""
+    not the denominator, decides how a target behaves mod p."""
     dens = [1, 1, 1, 1]  # of a map coefficient, the initial point, the variety, the targets
     for q in [data.draw(st.sampled_from([2**61 - 1, 2**89 - 1]))] + data.draw(
         st.lists(st.sampled_from(SMALL_PRIMES), max_size=4)
@@ -89,29 +110,27 @@ def test_bad_primes_by_divisibility(data):
         targets=tuple((t + Fraction(1, dens[3]),) for t in targets),
     )
     search_bound = data.draw(st.integers(0, 300))
-    bad = bad_primes(inst, search_bound)
     divisors = {p for p in SMALL_PRIMES if any(d % p == 0 for d in dens)}
-    assert {p for p in SMALL_PRIMES if p in bad} == divisors
-    assert bad.primes == {p for p in divisors if p <= search_bound}
+    assert {p for p in SMALL_PRIMES if _refused(inst, p)} == divisors
+    assert bad_primes(inst, search_bound) == sorted(p for p in divisors if p <= search_bound)
 
 
 def test_target_fixed_mod_p_fails_the_prime_as_periodic():
     # x^2 - 42 fixes 7, and its second branch -7 meets 7 exactly mod 7: the
     # backward search finds the target periodic there, and 7 stays good
     inst = _instance([{(2,): 1, (0,): -42}], (1,), targets=((Fraction(7),),))
-    bad = bad_primes(inst, search_bound=11)
-    assert 7 not in bad and bad.primes == frozenset()
-    (cert,) = avoidance_search(inst, [7], bad)
+    assert bad_primes(inst, search_bound=11) == [] and not _refused(inst, 7)
+    (cert,) = avoidance_search(inst, [7])
     assert cert["verdict"] == "failed-periodic"
 
 
 def test_reduce_examples():
     inst = _instance([{(1,): Fraction(3, 2), (0,): Fraction(1, 2)}], (7,))
-    fp, a_p, _ = reduce_instance(inst, 5, bad_primes(inst, search_bound=0))
+    fp, a_p, _ = reduce_instance(inst, 5)
     assert fp.polys[0] == {(1,): 4, (0,): 3}
     assert a_p == (2,)
     with pytest.raises(InputError):
-        reduce_instance(inst, 2, bad_primes(inst, search_bound=0))  # denominator prime
+        reduce_instance(inst, 2)  # denominator prime
 
 
 def test_reduce_point_example():
@@ -119,7 +138,7 @@ def test_reduce_point_example():
         [{(2, 0): 1}, {(0, 2): 1}], (7, -1), dim=2,
         variety=[{(0, 0): Fraction(0)}],
     )
-    _, a_p, _ = reduce_instance(inst, 5, bad_primes(inst, search_bound=0))
+    _, a_p, _ = reduce_instance(inst, 5)
     assert a_p == (2, 4)
 
 
@@ -172,7 +191,7 @@ def test_first_hit_depth_examples():
     on_cycle_of_five = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(0),),))
     zero_fixed = _instance([{(1,): 3}], (1,), targets=((Fraction(0),),))  # 3x = 0 mod 3
     for inst, p in ((on_cycle_of_five, 5), (zero_fixed, 3)):
-        cert = avoidance_search(inst, [p], bad_primes(inst, search_bound=0))[0]
+        cert = avoidance_search(inst, [p])[0]
         assert cert["verdict"] == "failed-periodic"
         fp = ModularMap.from_map(inst.mapping, p)
         assert first_hit_depth(fp, (0,), preimage_buckets(fp)) is None
@@ -246,11 +265,11 @@ def test_periodic_target_above_the_guard_is_failed_periodic(monkeypatch):
     # finds the periodic target, and without one the run is out of budget
     monkeypatch.setattr(reduction, "ENUM_GUARD", 4)
     cubic = _instance([{(3,): 1, (2,): 1}], (2,), targets=((Fraction(4),), (Fraction(0),)))
-    cert = avoidance_search(cubic, [5], bad_primes(cubic, search_bound=5))[0]
+    cert = avoidance_search(cubic, [5])[0]
     assert cert["verdict"] == "failed-periodic"
     tail_only = cubic._replace(targets=((Fraction(4),),))
     with pytest.raises(BudgetExceeded):
-        avoidance_search(tail_only, [5], bad_primes(tail_only, search_bound=5))
+        avoidance_search(tail_only, [5])
     fp = ModularMap.from_map(cubic.mapping, 5)
     for scan in (preimage_buckets, lambda fp: periodic_points_on_variety(fp, [])):
         with pytest.raises(BudgetExceeded):
@@ -259,7 +278,7 @@ def test_periodic_target_above_the_guard_is_failed_periodic(monkeypatch):
     # not apply: 0 on its 3-cycle fails the prime, and 3 gets its depth
     for target, verdict in ((0, "failed-periodic"), (3, "certified")):
         inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(target),),))
-        cert = avoidance_search(inst, [5], bad_primes(inst, search_bound=5))[0]
+        cert = avoidance_search(inst, [5])[0]
         assert cert["verdict"] == verdict
 
 
@@ -303,20 +322,20 @@ def test_avoidance_evaluates_the_map_column_wise(monkeypatch):
 
 def test_avoidance_examples():
     inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),),))
-    certs = avoidance_search(inst, [5], bad_primes(inst, search_bound=5))
+    certs = avoidance_search(inst, [5])
     assert certs[0]["verdict"] == "certified"
     assert certs[0]["bound"] == 1
-    certs = avoidance_search(inst, [3], bad_primes(inst, search_bound=3))
+    certs = avoidance_search(inst, [3])
     assert certs[0]["verdict"] == "certified"
     assert certs[0]["bound"] == 1
     # x^2 with gamma = 0: 0 is fixed, so every prime fails
     inst2 = _instance([{(2,): 1}], (3,), targets=((Fraction(0),),))
-    certs = avoidance_search(inst2, [3, 5, 7], bad_primes(inst2, search_bound=7))
+    certs = avoidance_search(inst2, [3, 5, 7])
     assert all(c["verdict"] == "failed-periodic" for c in certs)
     assert len(certs) == 3 and sum(c["verdict"] == "certified" for c in certs) == 0
     # empty target list: trivially certified with M = 0
     inst3 = _instance([{(2,): 1, (0,): 1}], (0,))
-    certs = avoidance_search(inst3, [3, 5], bad_primes(inst3, search_bound=5))
+    certs = avoidance_search(inst3, [3, 5])
     assert all(c["verdict"] == "certified" and c["bound"] == 0 for c in certs)
     assert len(certs) == sum(c["verdict"] == "certified" for c in certs) == 2
 
@@ -328,8 +347,8 @@ def test_avoidance_bound_monotone_in_targets():
         [{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),), (Fraction(4),))
     )
     for p in rng_primes:
-        c1 = avoidance_search(base, [p], bad_primes(base, search_bound=p))[0]
-        c2 = avoidance_search(larger, [p], bad_primes(larger, search_bound=p))[0]
+        c1 = avoidance_search(base, [p])[0]
+        c2 = avoidance_search(larger, [p])[0]
         if c1["verdict"] == "certified" and c2["verdict"] == "certified":
             assert c2["bound"] >= c1["bound"]
 
@@ -338,10 +357,10 @@ def test_certificate_soundness_window_small():
     """Forward-memoized first-hit times: nothing hits a certified target at m >= M."""
     inst = _instance([{(2,): 1, (0,): 1}], (0,), targets=((Fraction(3),),))
     for p in (5, 7, 11, 13):
-        cert = avoidance_search(inst, [p], bad_primes(inst, search_bound=p))[0]
+        cert = avoidance_search(inst, [p])[0]
         if cert["verdict"] != "certified":
             continue
-        fp, _, targets_p = reduce_instance(inst, p, bad_primes(inst, search_bound=0))
+        fp, _, targets_p = reduce_instance(inst, p)
         hits = _forward_first_hits(fp, targets_p[0], p)
         window_hi = cert["bound"] + p**inst.dimension
         assert all(
@@ -389,7 +408,7 @@ def _forward_first_hits(fp, gamma, p):
 def test_fixing_iterate():
     # gamma already fixed: k = lcm(1, cycle of a mod p)
     inst = _instance([{(2,): 1}], (3,), targets=((Fraction(0),),))
-    fp, a_p, _ = reduce_instance(inst, 7, bad_primes(inst, search_bound=0))
+    fp, a_p, _ = reduce_instance(inst, 7)
     assert fixing_iterate(inst, 7) == orbit_summary(fp, a_p).cycle
     # f(x) = -x has 1 of period 2
     neg = _instance([{(1,): -1}], (2,), targets=((Fraction(1),),))
@@ -424,15 +443,14 @@ def test_certified_prime_implies_residue_orbit_avoids(data):
     for _ in range(data.draw(st.integers(0, 3))):
         orbit_point = inst.mapping.evaluate(orbit_point)
     inst = inst._replace(targets=(*targets, orbit_point))
-    bad = bad_primes(inst, search_bound=13)
-    for cert in avoidance_search(inst, [2, 3, 5, 7, 11, 13], bad):
+    for cert in avoidance_search(inst, [2, 3, 5, 7, 11, 13]):
         if cert["verdict"] == "certified":
-            fp, a_p, targets_p = reduce_instance(inst, cert["prime"], bad)
+            fp, a_p, targets_p = reduce_instance(inst, cert["prime"])
             assert residue_orbit_avoids(fp, a_p, targets_p, cert["bound"])
 
 
 def _avoids(inst, p, bound):
-    fp, a_p, targets_p = reduce_instance(inst, p, bad_primes(inst, search_bound=0))
+    fp, a_p, targets_p = reduce_instance(inst, p)
     return residue_orbit_avoids(fp, a_p, targets_p, bound)
 
 
@@ -521,9 +539,18 @@ def test_avoidance_depth_equals_bruteforce(data):
     assert depth == brute
 
 
-#: p = 3 mod 4 takes the square root d^((p+1)/4); the rest have 2^4 to 2^9
-#: dividing p - 1, so Tonelli-Shanks runs 4 to 9 squaring levels.
+#: For p = 3 mod 4 Tonelli-Shanks runs no squaring level; the rest have 2^4
+#: to 2^9 dividing p - 1, so it runs 4 to 9 of them.
 ROOT_PRIMES = [3, 7, 11, 19, 43, 103, 499, 17, 97, 193, 257, 641, 7681]
+
+
+def test_square_root_mod_3_mod_4_is_the_power():
+    """For p = 3 mod 4, Tonelli-Shanks skips its loop and gives d^((p+1)/4),
+    the closed-form root, for every nonzero square d."""
+    for p in (p for p in range(3, 300, 4) if is_prime(p)):
+        sqrt = reduction._sqrt_mod(p)
+        for d in {x * x % p for x in range(1, p)}:
+            assert sqrt(d) == pow(d, (p + 1) // 4, p), (p, d)
 
 
 @given(st.data())
@@ -561,7 +588,7 @@ def test_quadratic_preimages_by_roots(data):
         outcomes = set()
         for order in permutations(points):
             ordered = inst._replace(targets=tuple((Fraction(x),) for (x,) in order))
-            cert = avoidance_search(ordered, [p], bad_primes(ordered, search_bound=p))[0]
+            cert = avoidance_search(ordered, [p])[0]
             depth_of = dict(zip(order, cert["depths"]))
             outcomes.add((cert["verdict"], cert["bound"], tuple(depth_of.get(t) for t in points)))
         assert len(outcomes) == 1, outcomes
@@ -584,10 +611,9 @@ def test_avoidance_in_one_dimension_needs_no_map_call_and_no_table(monkeypatch):
 
     inst, _, _ = load_problem(str(SQ_PLUS_ONE_FILE))
     primes = [p for p in range(3, 201) if is_prime(p)]
-    bad = bad_primes(inst, search_bound=200)
     monkeypatch.setattr(ModularMap, "__call__", counting_call)
     monkeypatch.setattr(reduction, "_space_columns", counting_columns)
-    certs = avoidance_search(inst, primes, bad)
+    certs = avoidance_search(inst, primes)
     assert {c["verdict"] for c in certs} == {"certified", "failed-periodic"}
     assert calls == {"map": 0, "scan": 0}
 
@@ -595,6 +621,5 @@ def test_avoidance_in_one_dimension_needs_no_map_call_and_no_table(monkeypatch):
         [{(0, 1): 1, (2, 0): 1}, {(1, 0): 1, (0, 2): 1, (0, 0): 3}], (0, 0), dim=2,
         targets=((Fraction(1), Fraction(1)),),
     )
-    bad = bad_primes(swap, search_bound=13)
-    certs = avoidance_search(swap, [3, 5, 7, 11, 13], bad)
+    certs = avoidance_search(swap, [3, 5, 7, 11, 13])
     assert calls["scan"] == sum(c["verdict"] != "failed-bad-prime" for c in certs) > 0
