@@ -1,22 +1,22 @@
 """Command-line front end.
 
-Each command runs its row of the stage table in `pipeline`: analyze the
-whole chain, primes and returns its first stages, and interpolate and gaps
-the later stages, resumed from the --replay records of a previous run so a
-single stage is recomputed deterministically.  A failed stage writes a
-failure record and a `FAILED at stage ...` line.  Exit codes: 0 success,
-1 hypothesis-violation abort, 2 input error, 3 precision or budget
-exhaustion, 4 a broken internal invariant (a bug).
+Each command runs its row of the stage table in `pipeline` from the
+problem file: analyze the whole chain, primes and returns its first stages.
+A failed stage writes a failure record and a `FAILED at stage ...` line.
+Exit codes: 0 success, 1 hypothesis-violation abort, 2 input error or
+usage error, 3 precision or budget exhaustion, 4 a broken internal
+invariant (a bug).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
-from .errors import OrbitgapError
+from .errors import InputError, OrbitgapError
 from .pipeline import COMMANDS, RunReport, exit_code_for, render_summary, run
 from .problemfile import load_problem
 
@@ -32,13 +32,21 @@ def _apply_overrides(params, args):
     return params._replace(**updates) if updates else params
 
 
-def _emit(report: RunReport, out_path: str | None) -> None:
-    """Write the records to out_path, then the summary to stdout.  A closed
-    stdout changes neither the records nor the run's exit code."""
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for rec in report.records:
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+def _open_records(path: str | None):
+    """The records file, opened before any stage runs so that a path that
+    cannot be written is an input error and costs no run; a context that
+    enters as None when there is no path."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write records: {exc}") from None
+
+
+def _print_summary(report: RunReport) -> None:
+    """The human summary on stdout.  A closed stdout changes neither the
+    records, written before it, nor the run's exit code."""
     try:
         print(render_summary(report), flush=True)
     except BrokenPipeError:
@@ -52,11 +60,9 @@ def main(argv=None) -> int:
         description="certify avoidance, interpolation, and gap reports for "
         "polynomial orbit return sets\n\n"
         "commands:\n"
-        "  primes       bad primes and per-prime avoidance certificates\n"
-        "  returns      multi-modular screening and exact certification of the return set\n"
-        "  interpolate  normalization and certified interpolation at the replayed prime\n"
-        "  gaps         zero localization and gap/density reports from replayed records\n"
-        "  analyze      full pipeline: primes, normalization, interpolation, returns, gaps, "
+        "  primes   bad primes and per-prime avoidance certificates\n"
+        "  returns  multi-modular screening and exact certification of the return set\n"
+        "  analyze  full pipeline: primes, normalization, interpolation, returns, gaps, "
         "density",
     )
     parser.add_argument("command", choices=COMMANDS)
@@ -67,17 +73,22 @@ def main(argv=None) -> int:
     parser.add_argument("--screen-primes", type=int)
     parser.add_argument("--density-m", type=int)
     parser.add_argument("--out", help="write machine records (JSON lines) here")
-    parser.add_argument("--replay", help="records of a previous run to resume from")
     args = parser.parse_args(argv)
 
     try:
         inst, params, sha = load_problem(args.problem)
-        report = run(args.command, inst, _apply_overrides(params, args), sha, args.replay)
+        params = _apply_overrides(params, args)
+        records = _open_records(args.out)
     except OrbitgapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
 
-    _emit(report, args.out)
+    with records as fh:
+        report = run(args.command, inst, params, sha)
+        if fh:
+            for rec in report.records:
+                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    _print_summary(report)
     return report.exit_code
 
 

@@ -2,20 +2,16 @@
 
 One table, `COMMANDS`, names the stages each command runs, in order, and
 `run` runs them with every stage failure handled in one place.  `analyze`
-runs the whole chain; `primes` and `returns` run its first stages; and
-`interpolate` and `gaps` start mid-chain, reading the prime and the return
-set from the `--replay` records of an earlier run.  Each stage takes the
-report and the run state, stores what later stages need in the state, and
-appends machine-readable records (plain dicts, serialized as sorted-key JSON
-lines).  The parsers of replayed records sit next to the stages that write
-them.  The CLI renders a human summary from the same records, so no value is
+runs the whole chain, and `primes` and `returns` its first stages; every
+command starts from the problem file.  Each stage takes the report and the
+run state, stores what later stages need in the state, and appends
+machine-readable records (plain dicts, serialized as sorted-key JSON
+lines).  The CLI renders a human summary from the same records, so no value is
 computed at the CLI layer.  A failed stage ends the report with a failure
 record naming the stage; the exception class determines the exit code.
 """
 
 from __future__ import annotations
-
-import json
 
 from .errors import (
     BudgetExceeded,
@@ -45,20 +41,14 @@ from .reduction import (
     reduce_instance,
 )
 
-#: Each command: the state fields it reads from --replay records, and the
-#: stages it runs, in order.  A stage name `x` runs the function `stage_x`.
-#: A command whose stages add to the assumption ledger ends with the stage
-#: that writes it: summary in analyze, assumptions in the others (primes and
-#: returns add none).
+#: The stages each command runs, in order.  A stage name `x` runs the
+#: function `stage_x`.  The stages of primes and returns add nothing to the
+#: assumption ledger; analyze's last stage, summary, writes it.
 COMMANDS = {
-    "primes": ((), ("bad_primes", "avoidance")),
-    "returns": ((), ("bad_primes", "returns")),
-    "interpolate": (("prime", "recorded"), ("normalization", "interpolation", "assumptions")),
-    "gaps": (("prime", "recorded", "returns"),
-             ("normalization", "interpolation", "gaps", "density", "assumptions")),
-    "analyze": ((), ("bad_primes", "avoidance", "choose_prime", "diagnostics",
-                     "normalization", "interpolation", "returns", "gaps", "density",
-                     "summary")),
+    "primes": ("bad_primes", "avoidance"),
+    "returns": ("bad_primes", "returns"),
+    "analyze": ("bad_primes", "avoidance", "choose_prime", "diagnostics", "normalization",
+                "interpolation", "returns", "gaps", "density", "summary"),
 }
 
 #: The stage a failure record names, where it is not the stage name itself.
@@ -98,17 +88,16 @@ class RunReport:
 class RunState:
     """The run's inputs, and what each stage hands to the stages after it.
 
-    `recorded` holds the replayed interpolant coefficients by shift, and
-    `returns` the body of the returns record.
+    `returns` holds the body of the returns record.
     """
 
-    __slots__ = ("inst", "params", "recorded", "certs", "prime", "bound", "family", "interps",
-                 "returns", "gap", "density")
+    __slots__ = ("inst", "params", "certs", "prime", "bound", "family", "interps", "returns",
+                 "gap", "density")
 
     def __init__(self, inst: ProblemInstance, params: RunParameters):
         self.inst = inst
         self.params = params
-        self.recorded = self.certs = self.prime = self.bound = self.family = None
+        self.certs = self.prime = self.bound = self.family = None
         self.interps = self.returns = self.gap = self.density = None
 
 
@@ -124,32 +113,12 @@ def exit_code_for(exc: Exception | None) -> int:
     return 1
 
 
-def run(command: str, inst: ProblemInstance, params: RunParameters, sha: str,
-        replay: str | None = None) -> RunReport:
-    """Run a command's stages; `replay` is the path of an earlier run's records.
-
-    Missing or unusable replay records, and replay records given to a
-    command that reads none, raise InputError before any stage runs.  A
-    stage that raises ends the report with a failure record.
-    """
-    replayed, stages = COMMANDS[command]
-    if replay and not replayed:
-        raise InputError(f"{command} reads no replay records; drop --replay")
+def run(command: str, inst: ProblemInstance, params: RunParameters, sha: str) -> RunReport:
+    """Run a command's stages.  A stage that raises ends the report with a
+    failure record."""
     state = RunState(inst, params)
-    if replayed:
-        if not replay:
-            raise InputError(f"{command} needs --replay records from earlier stages")
-        records = load_replay(replay, sha)
-        for name in replayed:
-            kind, parse = _REPLAY_PARSERS[name]
-            try:
-                setattr(state, name, parse(records.get(kind, []), state))
-            except KeyError as exc:
-                raise InputError(f"malformed replay records: a {kind} record has no {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"malformed replay records: a {kind} record: {exc}") from None
     report = RunReport(sha)
-    for name in stages:
+    for name in COMMANDS[command]:
         try:
             # looked up at call time, so wrappers installed on the module apply
             globals()[f"stage_{name}"](report, state)
@@ -161,28 +130,6 @@ def run(command: str, inst: ProblemInstance, params: RunParameters, sha: str,
 
 def run_analyze(inst: ProblemInstance, params: RunParameters, sha: str) -> RunReport:
     return run("analyze", inst, params, sha)
-
-
-def load_replay(path: str, sha: str) -> dict[str, list[dict]]:
-    """Records of a previous run, grouped by kind; each must carry this
-    problem's hash (a record without one is stale too)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-    except OSError as exc:
-        raise InputError(f"cannot read replay records: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
-        raise InputError(f"malformed replay records: {exc}") from None
-    records: dict[str, list] = {}
-    for number, rec in enumerate(lines, 1):
-        if not (isinstance(rec, dict) and isinstance(rec.get("record"), str)):
-            raise InputError(f"malformed replay records: entry {number} is not a record")
-        if rec.get("problem_sha") != sha:
-            raise InputError(
-                f"stale replay: a {rec['record']} record was not produced from this problem file"
-            )
-        records.setdefault(rec["record"], []).append(rec)
-    return records
 
 
 def stage_bad_primes(report: RunReport, state: RunState) -> None:
@@ -199,42 +146,16 @@ def stage_avoidance(report: RunReport, state: RunState) -> None:
     report.add({"record": "certificates", "rows": state.certs})
 
 
-def _first_certified(rows: list[dict]) -> dict | None:
-    """The first certified row of a certificates record: the smallest
-    certified prime, since rows are in prime order."""
-    return next((row for row in rows if row["verdict"] == "certified"), None)
-
-
 def stage_choose_prime(report: RunReport, state: RunState) -> None:
-    """Smallest certified prime in the scan and its avoidance bound."""
-    row = _first_certified(state.certs)
+    """Smallest certified prime in the scan and its avoidance bound: the
+    first certified row, since rows are in prime order."""
+    row = next((row for row in state.certs if row["verdict"] == "certified"), None)
     if row is None:
         verdicts = sorted({r["verdict"] for r in state.certs})
         raise HypothesisViolation(
             f"no prime in the scanned range was certified (verdicts seen: {verdicts})"
         )
     state.prime, state.bound = row["prime"], row["bound"]
-
-
-def _replayed_prime(certificates: list[dict], state: RunState) -> int:
-    """The first certified prime of the last certificates record.  It must be
-    a prime of this run's prime_range whose row a new avoidance search gives
-    again, so a bad prime, whose row is failed-bad-prime, is refused."""
-    if not certificates:
-        raise InputError("missing upstream artifact: run the primes stage first")
-    row = _first_certified(certificates[-1]["rows"])
-    if row is None:
-        raise InputError("replay records contain no certified prime")
-    p = row["prime"]
-    if type(p) is not int:
-        raise TypeError(f"prime {p!r} is not an integer")
-    lo, hi = state.params.prime_range
-    if not (lo <= p <= hi and is_prime(p)):
-        raise ValueError(f"{p} is not a prime of prime_range [{lo}, {hi}]")
-    rebuilt = avoidance_search(state.inst, [p])[0]
-    if rebuilt != row:
-        raise ValueError(f"a new avoidance search gives prime {p} the row {rebuilt}")
-    return p
 
 
 def stage_diagnostics(report: RunReport, state: RunState) -> None:
@@ -300,8 +221,7 @@ def stage_normalization(report: RunReport, state: RunState) -> None:
 
 
 def stage_interpolation(report: RunReport, state: RunState) -> None:
-    """Certified interpolants of the shifts on V; replayed ones must match
-    the rebuilt ones bit for bit.
+    """Certified interpolants of the shifts on V.
 
     A shift whose cycle point is off V mod p holds no return
     (gaps.residue_witness), so it gets no interpolant.  Each model's one
@@ -309,12 +229,9 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     checks at 0, 1 and K build their binomial rows from small exact
     integers.  When E is the identity the congruence lemma proves the error
     bound at every n, and the model holds only the window; otherwise the
-    table checks it at every n <= 2K, and the ledger names that range.  A
-    recorded shift that names no rebuilt interpolant is stale.
+    table checks it at every n <= 2K, and the ledger names that range.
     """
-    old = state.recorded or {}
     state.interps = {}
-    stale = False
     lemma = True
     ctx = state.family[0].ctx
     on_variety = [m for m in state.family if residue_witness(m, state.inst.variety) is None]
@@ -325,16 +242,11 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     for model in on_variety or state.family:
         interp = build_interpolant(model)
         lemma &= verify_compatibility(interp)
-        record = {"record": "interpolant", "shift": model.shift, "prime": ctx.prime,
-                  "precision": ctx.precision, "congruence_exponent": model.congruence_exponent,
-                  "decay_onset": interp.decay_onset,
-                  "coefficients": [list(v) for v in interp.series.coeffs],
-                  "constant": constancy_test(interp)}
-        report.add(record)
+        report.add({"record": "interpolant", "shift": model.shift, "precision": ctx.precision,
+                    "decay_onset": interp.decay_onset,
+                    "coefficients": [list(v) for v in interp.series.coeffs],
+                    "constant": constancy_test(interp)})
         state.interps[model.shift] = interp
-        stale = stale or (
-            model.shift in old and old[model.shift] != record["coefficients"]
-        )
     if not lemma:
         report.assumptions.append(
             "the linear part E of the model is not the identity: the interpolation "
@@ -344,8 +256,6 @@ def stage_interpolation(report: RunReport, state: RunState) -> None:
     slim = {model.shift: model._replace(points=model.points[:1]) for model in state.family}
     state.family = list(slim.values())
     state.interps = {s: i._replace(model=slim[s]) for s, i in state.interps.items()}
-    if stale or not old.keys() <= state.interps.keys():
-        raise InputError("stale replay: recorded interpolant disagrees with the rebuilt one")
 
 
 def stage_returns(report: RunReport, state: RunState) -> None:
@@ -359,57 +269,7 @@ def _indices(returns: dict) -> list[int]:
     return [n for n, _ in returns["entries"]]
 
 
-def _replayed_returns(returns: list[dict], state: RunState) -> dict:
-    """The body of the last returns record, holding what compute_returns
-    guarantees: integers, known statuses, n_max >= 1, entry indices and
-    refuted candidates each strictly ascending in [0, n_max] and disjoint,
-    and an exact horizon in [-1, n_max]."""
-    if not returns:
-        raise InputError("missing upstream artifact: run the returns stage first")
-    body = {key: returns[-1][key] for key in
-            ("n_max", "entries", "screening_primes", "refuted", "exact_horizon")}
-    n_max, refuted, horizon = body["n_max"], body["refuted"], body["exact_horizon"]
-    indices = _indices(body)
-    for value in [n_max, horizon, *body["screening_primes"], *refuted, *indices]:
-        if type(value) is not int:
-            raise TypeError(f"{value!r} is not an integer")
-    for _, status in body["entries"]:
-        if status not in ("certified-exact", "modular-screened"):
-            raise ValueError(f"unknown return status {status!r}")
-    if n_max < 1:
-        raise ValueError(f"n_max {n_max} is below 1")
-    for name, ns in (("entry indices", indices), ("refuted", refuted)):
-        if any(not 0 <= n <= n_max for n in ns) or any(a >= b for a, b in zip(ns, ns[1:])):
-            raise ValueError(f"{name} {ns} are not strictly ascending in [0, {n_max}]")
-    if set(indices) & set(refuted):
-        raise ValueError(f"refuted {refuted} and entry indices {indices} overlap")
-    if not -1 <= horizon <= n_max:
-        raise ValueError(f"exact_horizon {horizon} is outside [-1, {n_max}]")
-    return body
-
-
-def _replayed_interpolants(interpolants: list[dict], state: RunState) -> dict[int, list]:
-    """Coefficients of the replayed interpolants by shift, which the rebuilt ones must match."""
-    for rec in interpolants:
-        if type(rec["shift"]) is not int:
-            raise TypeError(f"shift {rec['shift']!r} is not an integer")
-    return {rec["shift"]: rec["coefficients"] for rec in interpolants}
-
-
-#: Each state field read from --replay records: the record kind it is read
-#: from, and its parser, which reads those records with the run's state.  A
-#: record missing a field the parser reads, or with one it cannot read or
-#: that disagrees with the run's inputs, is an input error that names the
-#: kind.
-_REPLAY_PARSERS = {
-    "prime": ("certificates", _replayed_prime),
-    "recorded": ("interpolant", _replayed_interpolants),
-    "returns": ("returns", _replayed_returns),
-}
-
-
 def stage_gaps(report: RunReport, state: RunState) -> None:
-    # written here, not by stage_returns, so that gaps on replayed returns carries it too
     if any(status == "modular-screened" for _, status in state.returns["entries"]):
         report.assumptions.append(
             "some returns are modular-screened only (exact budget exceeded); "
@@ -446,15 +306,10 @@ def stage_summary(report: RunReport, state: RunState) -> None:
     )
 
 
-def stage_assumptions(report: RunReport, state: RunState) -> None:
-    """The ledger of a command that writes no summary, if it is not empty."""
-    if report.assumptions:
-        report.add({"record": "assumptions", "assumptions": list(report.assumptions)})
-
-
 def render_summary(report: RunReport) -> str:
     """Human-readable digest of the record stream."""
     lines = []
+    exponents = {}  # congruence exponent by shift, from the model records
     for rec in report.records:
         kind = rec["record"]
         if kind == "bad_primes":
@@ -468,6 +323,7 @@ def render_summary(report: RunReport) -> str:
         elif kind == "diagnostics":
             lines.append(f"chosen prime {rec['prime']} (avoidance bound {rec['bound']})")
         elif kind == "model":
+            exponents[rec["shift"]] = rec["congruence_exponent"]
             lines.append(
                 f"model shift {rec['shift']}: m0={rec['m0']} k1={rec['k1']} "
                 f"k2={rec['k2']} c={rec['congruence_exponent']} center={rec['center']}"
@@ -475,7 +331,7 @@ def render_summary(report: RunReport) -> str:
         elif kind == "interpolant":
             lines.append(
                 f"interpolant shift {rec['shift']}: {rec['precision']} terms, "
-                f"c={rec['congruence_exponent']}"
+                f"c={exponents[rec['shift']]}"
                 f"{' (constant)' if rec['constant'] else ''}"
             )
         elif kind == "returns":
@@ -505,8 +361,7 @@ def render_summary(report: RunReport) -> str:
                 f"SUMMARY: prime {rec['prime']}, returns {rec['returns']}, "
                 f"gap {rec['gap_verdict']}, density diverging {rec['density_diverging']}"
             )
+            lines.extend(f"  assumption: {a}" for a in rec["assumptions"])
         elif kind == "failure":
             lines.append(f"FAILED at stage {rec['stage']}: {rec['message']}")
-        if kind in ("summary", "assumptions"):
-            lines.extend(f"  assumption: {a}" for a in rec["assumptions"])
     return "\n".join(lines)

@@ -183,8 +183,9 @@ def test_mahler_roundtrip_differences():
 
 def test_interpolant_record_roundtrip():
     """The interpolant record, which stage_interpolation alone builds, states
-    the interpolant's prime, precision and coefficients, and holds K + 1 of
-    them: the terms of G."""
+    the interpolant's precision and coefficients, and holds K + 1 of them:
+    the terms of G.  The prime is the diagnostics record's, and the
+    congruence exponent the model record's; the interpolant repeats neither."""
     m = _direct([{(1,): 6}], (1,), 5, 6)
     inst = ProblemInstance(1, map_from_lists(1, [{(1,): 6}]), (Fraction(1),),
                            ({(1,): Fraction(1)},))
@@ -193,7 +194,8 @@ def test_interpolant_record_roundtrip():
     report = pipeline.RunReport("sha")
     pipeline.stage_interpolation(report, state)
     [rec] = report.records
-    assert rec["prime"] == 5 and rec["precision"] == 6
+    assert rec["precision"] == 6
+    assert "prime" not in rec and "congruence_exponent" not in rec
     assert rec["coefficients"] == [list(v) for v in build_interpolant(m).series.coeffs]
     assert rec["coefficients"][1] == [5]
     assert len(rec["coefficients"]) == rec["precision"] + 1

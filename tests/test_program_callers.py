@@ -8,8 +8,8 @@ named somewhere in `src/` or `bench/` outside its own definition: as a
 name, as an attribute, or in one of the two string tables that resolve
 names at run time.  Those are the `(module, path)` keys of `SPANNED` and
 `COUNTED` in `bench/trace_child.py`, whose path parts count as names, and
-the stage names of `pipeline.COMMANDS`, which `run` turns into
-`stage_<name>`.  A name is matched by spelling only, so a method counts as
+the stage names that are the values of `pipeline.COMMANDS`, which `run`
+turns into `stage_<name>`.  A name is matched by spelling only, so a method counts as
 named when any attribute of that spelling is read.
 """
 
@@ -61,7 +61,7 @@ def _references(path: Path, tree: ast.Module):
                 for part in dotted.split("."):
                     yield part, 0
     if path == PACKAGE / "pipeline.py":
-        for _, stages in _table(tree, "COMMANDS").values():
+        for stages in _table(tree, "COMMANDS").values():
             for stage in stages:
                 yield f"stage_{stage}", 0
 

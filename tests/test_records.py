@@ -268,8 +268,7 @@ RECORD_KEYS = {
     "certificates": {"rows"},
     "diagnostics": {"prime", "bound", "residue_periodic_on_variety"},
     "model": {"shift", "m0", "k1", "k2", "center", "base_point", "congruence_exponent", "linear"},
-    "interpolant": {"shift", "prime", "precision", "congruence_exponent", "decay_onset",
-                    "coefficients", "constant"},
+    "interpolant": {"shift", "precision", "decay_onset", "coefficients", "constant"},
     "returns": {"n_max", "entries", "screening_primes", "refuted", "exact_horizon"},
     "gap_report": {"congruence_exponent", "verdict", "prefix_members", "uncovered_members",
                    "off_variety", "classes"},
