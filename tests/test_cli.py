@@ -585,7 +585,130 @@ def test_returns_subcommand(worked_file, tmp_path, capsys):
     assert rec["n_max"] == 100
 
 
-def test_super_attracting_orbit_exits_3(tmp_path, capsys):
+def _usage_error(argv, capsys) -> str:
+    """The stderr of a command line the parser refuses: exit 2 before any
+    stage runs, with nothing on stdout."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def _replay_refused(worked_file, tmp_path, capsys, records) -> None:
+    """analyze handed a file of records, as the retired --replay took them:
+    a usage error that writes no records, whatever the file holds."""
+    out = tmp_path / "out.jsonl"
+    err = _usage_error(["analyze", worked_file, "--replay", str(records), "--out", str(out)],
+                       capsys)
+    assert "unrecognized arguments: --replay" in err
+    assert not out.exists()
+
+
+def test_interpolate_requires_replay(worked_file, tmp_path, capsys):
+    # interpolate read its prime from replayed records and is retired: with
+    # records or without, it is a usage error
+    primes_out = tmp_path / "primes.jsonl"
+    assert main(["primes", worked_file, "--out", str(primes_out)]) == 0
+    for argv in (["interpolate", worked_file], ["interpolate", worked_file, "--replay",
+                                                str(primes_out)]):
+        assert "invalid choice: 'interpolate'" in _usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("command", ["primes", "returns", "analyze"])
+def test_unused_replay_rejected(worked_file, tmp_path, capsys, command):
+    # no command reads replay records, so every one refuses --replay
+    out = tmp_path / "out.jsonl"
+    missing = tmp_path / "missing.jsonl"
+    err = _usage_error([command, worked_file, "--replay", str(missing), "--out", str(out)],
+                       capsys)
+    assert not out.exists()
+    assert "unrecognized arguments: --replay" in err
+
+
+def test_stale_replay_rejected(worked_file, tmp_path, capsys):
+    # the records of one problem handed over with another are refused
+    # unread, like any records
+    primes_out = tmp_path / "primes.jsonl"
+    assert main(["primes", worked_file, "--out", str(primes_out)]) == 0
+    other = dict(WORKED)
+    other["initial_point"] = [5]
+    other_file = tmp_path / "other.json"
+    other_file.write_text(json.dumps(other))
+    _replay_refused(str(other_file), tmp_path, capsys, primes_out)
+
+
+def _drop(key, kind=None):
+    """A record edit that removes key from every record (of one kind, if given)."""
+    def edit(rec):
+        if kind is None or rec["record"] == kind:
+            rec.pop(key, None)
+        return rec
+    return edit
+
+
+def _set(key, value, kind):
+    """A record edit that sets key on every record of one kind."""
+    def edit(rec):
+        if rec["record"] == kind:
+            rec[key] = value
+        return rec
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rec: [1],
+        _drop("rows", "certificates"),
+        _drop("problem_sha"),
+        _drop("shift", "interpolant"),
+        _drop("entries", "returns"),
+        _set("entries", [["1", "certified-exact"]], "returns"),
+        _set("entries", [[-5, "certified-exact"], [1, "certified-exact"]], "returns"),
+    ],
+    ids=["not-a-record", "no-rows", "no-problem-sha", "no-shift", "no-entries", "str-index",
+         "negative-index"],
+)
+def test_malformed_replay_exits_2(worked_file, tmp_path, capsys, edit):
+    # records come from outside the program and no command reads them: a
+    # malformed record file is refused before any stage runs
+    analyzed = tmp_path / "analyze.jsonl"
+    assert main(["analyze", worked_file, "--out", str(analyzed)]) == 0
+    path = tmp_path / "replay.jsonl"
+    path.write_text("".join(json.dumps(edit(rec)) + "\n" for rec in _records(analyzed)))
+    _replay_refused(worked_file, tmp_path, capsys, path)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [('"n_max":300', f'"n_max":{BIG_LITERAL}'), ('"n_max":300', '"n_max":' + "[" * 100_000)],
+    ids=["n_max", "deep-nesting"],
+)
+def test_unreadable_replay_exits_2(worked_file, tmp_path, capsys, old, new):
+    # a record file that no JSON reader could take is refused unread
+    analyzed = tmp_path / "analyze.jsonl"
+    assert main(["analyze", worked_file, "--out", str(analyzed)]) == 0
+    text = analyzed.read_text()
+    assert old in text
+    analyzed.write_text(text.replace(old, new, 1))
+    _replay_refused(worked_file, tmp_path, capsys, analyzed)
+
+
+def test_missing_upstream_artifact(worked_file, tmp_path, capsys):
+    # gaps read its return set from replayed records and is retired; analyze
+    # runs the returns stage itself
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    err = _usage_error(["gaps", worked_file, "--replay", str(empty)], capsys)
+    assert "invalid choice: 'gaps'" in err
+
+
+# interpolate, which also ran the interpolation stage, is retired
+@pytest.mark.parametrize("command", ["analyze"])
+def test_super_attracting_orbit_exits_3(tmp_path, capsys, command):
     # 3x^2 from 3: the orbit super-attracts to 0 and the finite-difference
     # interpolant cannot meet the decay schedule; the run stops honestly
     doc = {
@@ -598,7 +721,7 @@ def test_super_attracting_orbit_exits_3(tmp_path, capsys):
     path = tmp_path / "attract.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "run.jsonl"
-    assert main(["analyze", str(path), "--out", str(out)]) == 3
+    assert main([command, str(path), "--out", str(out)]) == 3
     assert "FAILED at stage interpolation" in capsys.readouterr().out
     failure = [json.loads(line) for line in out.read_text().splitlines()][-1]
     assert failure["record"] == "failure"
